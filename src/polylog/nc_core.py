@@ -248,6 +248,18 @@ class NCPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _canonical(cls, alphabet: str, terms: dict[Word, Fraction]) -> "NCPoly":
+        """Wrap terms that are already canonical, skipping validation.
+
+        The caller guarantees Fraction coefficients, no zero coefficient and
+        Word keys over ``alphabet``.
+        """
+        out = cls.__new__(cls)
+        out._terms = terms
+        out._alphabet = alphabet
+        return out
+
+    @classmethod
     def zero(cls, alphabet: str) -> "NCPoly":
         return cls(alphabet)
 
@@ -323,25 +335,17 @@ class NCPoly:
                 data[w] = acc
             else:
                 data.pop(w, None)
-        out = NCPoly.__new__(NCPoly)
-        out._terms = data
-        out._alphabet = self._alphabet
-        return out
+        return NCPoly._canonical(self._alphabet, data)
 
     def __sub__(self, other: "NCPoly") -> "NCPoly":
         return self + (-other)
 
     def __neg__(self) -> "NCPoly":
-        out = NCPoly.__new__(NCPoly)
-        out._terms = {w: -c for w, c in self._terms.items()}
-        out._alphabet = self._alphabet
-        return out
+        return NCPoly._canonical(self._alphabet, {w: -c for w, c in self._terms.items()})
 
     def _scaled(self, c: Fraction) -> "NCPoly":
-        out = NCPoly.__new__(NCPoly)
-        out._terms = {} if not c else {w: c * cw for w, cw in self._terms.items()}
-        out._alphabet = self._alphabet
-        return out
+        terms = {} if not c else {w: c * cw for w, cw in self._terms.items()}
+        return NCPoly._canonical(self._alphabet, terms)
 
     def __mul__(self, scalar: RatLike) -> "NCPoly":
         return self._scaled(as_rat(scalar))
@@ -357,13 +361,13 @@ class NCPoly:
 
     def truncated(self, max_grade: int) -> "NCPoly":
         """Restriction to words of grade <= max_grade."""
-        return NCPoly(
+        return NCPoly._canonical(
             self._alphabet,
             {w: c for w, c in self._terms.items() if w.grade <= max_grade},
         )
 
     def homogeneous_component(self, n: int) -> "NCPoly":
-        return NCPoly(
+        return NCPoly._canonical(
             self._alphabet,
             {w: c for w, c in self._terms.items() if w.grade == n},
         )

@@ -89,9 +89,14 @@ def _li_taylor_float(index: tuple[int, ...], n_cap: int) -> list[float]:
     state = [0.0] * r + [1.0]
     out = [0.0]
     for n in range(1, n_cap + 1):
-        out.append(float(n) ** (-s1) * state[0])
-        for j in range(r):
-            state[j] += float(n) ** (-suffix[j]) * state[j + 1]
+        try:
+            out.append(float(n) ** (-s1) * state[0])
+            for j in range(r):
+                state[j] += float(n) ** (-suffix[j]) * state[j + 1]
+        except OverflowError:
+            raise PrecisionError(
+                f"float Taylor coefficients of index {index} overflow at term n={n}"
+            ) from None
     return out
 
 
@@ -303,7 +308,7 @@ def check_surjection_lemma(n_max: int, m_max: int) -> bool:
     power = NCPoly.one(X)
     for m in range(0, m_max + 1):
         if m > 0:
-            power = shuffle(power, x1plus).truncated(n_max)
+            power = shuffle(power, x1plus, grade_cap=n_max)
         for n in range(n_max + 1):
             coeff = power.coeff(Word((1,) * n, X))
             if coeff != factorial(m) * stirling2(n, m):

@@ -13,9 +13,14 @@ caches are read-mostly and behave as if absent (recomputation is the only
 cost of a race), so everything here stays safe for concurrent use.
 
 Both shuffle and stuffle are commutative and associative with the empty word
-as unit; stuffle is graded by weight.  The stuffle exponential of a
-constant-free polynomial is computed under an explicit weight cap: no
-operation in this package truncates silently.
+as unit.  Both are graded: every word of u <sh> v or u <st> v has grade
+grade(u) + grade(v), where grade is length on X and weight on Y.  So
+``shuffle``, ``stuffle`` and ``shuffle_pow`` take an optional ``grade_cap``
+and skip every pair of words whose grades add up to more than the cap; the
+result is exactly the full product truncated to grade <= cap, without
+building the discarded terms.  The stuffle exponential of a constant-free
+polynomial is computed under an explicit weight cap: no operation in this
+package truncates silently.
 """
 
 from __future__ import annotations
@@ -63,11 +68,28 @@ def _stuffle_letters(u: Letters, v: Letters) -> dict[Letters, int]:
     return out
 
 
-def _bilinear(p: NCPoly, q: NCPoly, word_product) -> NCPoly:
+def _check_cap(grade_cap: int | None) -> None:
+    if grade_cap is not None and grade_cap < 0:
+        raise ValueError(f"grade cap must be >= 0, got {grade_cap}")
+
+
+def _bilinear(p: NCPoly, q: NCPoly, word_product, grade_cap: int | None) -> NCPoly:
+    """Bilinear extension of a word product, keeping words of grade <= grade_cap.
+
+    Both products are graded (every word of u <op> v has grade(u) + grade(v)),
+    so skipping the pairs above the cap is exact and never reaches the memo.
+    """
     alphabet = p.alphabet
     acc: dict[Letters, Fraction] = {}
-    for u, cu in p.items():
-        for v, cv in q.items():
+    q_terms = q._terms.items()
+    if grade_cap is not None:
+        _check_cap(grade_cap)
+        q_graded = [(v.grade, v, cv) for v, cv in q_terms]
+    for u, cu in p._terms.items():
+        if grade_cap is not None:
+            room = grade_cap - u.grade
+            q_terms = [(v, cv) for g, v, cv in q_graded if g <= room]
+        for v, cv in q_terms:
             c = cu * cv
             # structure constants are symmetric; canonical order keys the memo
             a, b = (u.letters, v.letters)
@@ -80,7 +102,7 @@ def _bilinear(p: NCPoly, q: NCPoly, word_product) -> NCPoly:
                     acc[letters] = new
                 else:
                     acc.pop(letters, None)
-    return NCPoly(alphabet, {Word(l, alphabet): c for l, c in acc.items()})
+    return NCPoly._canonical(alphabet, {Word(l, alphabet): c for l, c in acc.items()})
 
 
 def conc(p: NCPoly, q: NCPoly) -> NCPoly:
@@ -89,8 +111,8 @@ def conc(p: NCPoly, q: NCPoly) -> NCPoly:
         raise AlphabetError(f"alphabet mismatch: {p.alphabet} vs {q.alphabet}")
     alphabet = p.alphabet
     acc: dict[Word, Fraction] = {}
-    for u, cu in p.items():
-        for v, cv in q.items():
+    for u, cu in p._terms.items():
+        for v, cv in q._terms.items():
             w = u.concat(v)
             old = acc.get(w, ZERO)
             new = old + cu * cv
@@ -101,27 +123,40 @@ def conc(p: NCPoly, q: NCPoly) -> NCPoly:
     return NCPoly(alphabet, acc)
 
 
-def shuffle(p: NCPoly, q: NCPoly) -> NCPoly:
-    """Shuffle product on X- or Y-polynomials (matching alphabets)."""
+def shuffle(p: NCPoly, q: NCPoly, *, grade_cap: int | None = None) -> NCPoly:
+    """Shuffle product on X- or Y-polynomials (matching alphabets).
+
+    With ``grade_cap`` the result keeps only words of grade <= grade_cap;
+    it equals ``shuffle(p, q).truncated(grade_cap)``.
+    """
     if p.alphabet != q.alphabet:
         raise AlphabetError(f"alphabet mismatch: {p.alphabet} vs {q.alphabet}")
-    return _bilinear(p, q, _shuffle_letters)
+    return _bilinear(p, q, _shuffle_letters, grade_cap)
 
 
-def stuffle(p: NCPoly, q: NCPoly) -> NCPoly:
-    """Stuffle (quasi-shuffle) product; both operands must be Y-polynomials."""
+def stuffle(p: NCPoly, q: NCPoly, *, grade_cap: int | None = None) -> NCPoly:
+    """Stuffle (quasi-shuffle) product; both operands must be Y-polynomials.
+
+    With ``grade_cap`` the result keeps only words of weight <= grade_cap;
+    it equals ``stuffle(p, q).truncated(grade_cap)``.
+    """
     if p.alphabet != Y or q.alphabet != Y:
         raise AlphabetError("stuffle is defined on Y-polynomials only")
-    return _bilinear(p, q, _stuffle_letters)
+    return _bilinear(p, q, _stuffle_letters, grade_cap)
 
 
-def shuffle_pow(p: NCPoly, k: int) -> NCPoly:
-    """k-fold shuffle power; k = 0 gives the unit."""
+def shuffle_pow(p: NCPoly, k: int, *, grade_cap: int | None = None) -> NCPoly:
+    """k-fold shuffle power; k = 0 gives the unit.
+
+    With ``grade_cap`` every intermediate power is capped, and the result
+    equals ``shuffle_pow(p, k).truncated(grade_cap)``.
+    """
     if k < 0:
         raise ValueError(f"shuffle power needs k >= 0, got {k}")
+    _check_cap(grade_cap)
     out = NCPoly.one(p.alphabet)
     for _ in range(k):
-        out = shuffle(out, p)
+        out = shuffle(out, p, grade_cap=grade_cap)
     return out
 
 
@@ -149,12 +184,11 @@ def exp_stuffle(p: NCPoly, weight_cap: int) -> NCPoly:
         raise ValueError("exp_stuffle needs a polynomial with zero constant term")
     if weight_cap < 0:
         raise ValueError(f"weight cap must be >= 0, got {weight_cap}")
-    p = p.truncated(weight_cap)
     out = NCPoly.one(Y)
     term = NCPoly.one(Y)
     n = 0
     while term and n < weight_cap:
         n += 1
-        term = stuffle(term, p).truncated(weight_cap) * Fraction(1, n)
+        term = stuffle(term, p, grade_cap=weight_cap) * Fraction(1, n)
         out = out + term
     return out

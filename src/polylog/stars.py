@@ -168,7 +168,7 @@ def check_kstar_shuffle_power(k: int, len_cap: int) -> bool:
     if k < 1:
         raise ValueError(f"needs k >= 1, got {k}")
     lhs = x1star_expand(k, len_cap)
-    rhs = shuffle_pow(x1star_expand(1, len_cap), k).truncated(len_cap)
+    rhs = shuffle_pow(x1star_expand(1, len_cap), k, grade_cap=len_cap)
     return lhs == rhs
 
 

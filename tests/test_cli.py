@@ -206,6 +206,18 @@ class TestCommands:
         assert abs(payload["re"] - 0.6931471805599453) <= 1e-10
         assert payload["im"] == 0.0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("li-eval", "-200", "0.5", "1e-6"),
+            ("li-coeffs", "-400", "60", "--float"),
+        ],
+    )
+    def test_float_overflow_is_json_error(self, capsys, argv):
+        code, out = self._run(capsys, *argv)
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "PrecisionError"
+
     def test_verify_stirling_suite(self, capsys):
         code, out = self._run(capsys, "verify", "--suite", "stirling")
         assert code == 0

@@ -272,3 +272,85 @@ class TestExpStuffle:
 
     def test_zero_cap(self):
         assert exp_stuffle(NCPoly.from_word(y_word(1)), 0) == NCPoly.one(Y)
+
+
+class TestGradeCap:
+    """The capped products against the full product cut afterwards."""
+
+    def test_property_capped_equals_truncated(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+        x_polys = st.dictionaries(
+            st.lists(st.integers(0, 1), max_size=4).map(lambda l: Word(tuple(l), X)),
+            coeffs,
+            max_size=4,
+        ).map(lambda d: NCPoly(X, d))
+        y_polys = st.dictionaries(
+            st.lists(st.integers(1, 3), max_size=3).map(lambda l: Word(tuple(l), Y)),
+            coeffs,
+            max_size=4,
+        ).map(lambda d: NCPoly(Y, d))
+        caps = st.integers(0, 8)
+        settings = hyp.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+        @settings
+        @hyp.given(x_polys, x_polys, caps)
+        def x_shuffle(p, q, cap):
+            assert shuffle(p, q, grade_cap=cap) == shuffle(p, q).truncated(cap)
+
+        @settings
+        @hyp.given(y_polys, y_polys, caps)
+        def y_products(p, q, cap):
+            assert shuffle(p, q, grade_cap=cap) == shuffle(p, q).truncated(cap)
+            assert stuffle(p, q, grade_cap=cap) == stuffle(p, q).truncated(cap)
+
+        @settings
+        @hyp.given(st.one_of(x_polys, y_polys), st.integers(0, 3), caps)
+        def powers(p, k, cap):
+            assert shuffle_pow(p, k, grade_cap=cap) == shuffle_pow(p, k).truncated(cap)
+
+        x_shuffle()
+        y_products()
+        powers()
+
+    def test_no_cap_is_full_product(self):
+        p = NCPoly.from_word(y_word(1)) + NCPoly.from_word(y_word(2, 1)) * Fraction(1, 3)
+        q = NCPoly.from_word(y_word(3)) - NCPoly.one(Y)
+        assert stuffle(p, q, grade_cap=None) == stuffle(p, q)
+        assert shuffle(p, q, grade_cap=None) == shuffle(p, q)
+        assert shuffle_pow(p, 3, grade_cap=None) == shuffle_pow(p, 3)
+        # the cut-afterwards value, written out
+        assert stuffle(p, q) == (
+            NCPoly.from_word(y_word(1, 3))
+            + NCPoly.from_word(y_word(3, 1))
+            + NCPoly.from_word(y_word(4))
+            - NCPoly.from_word(y_word(1))
+            + (
+                NCPoly.from_word(y_word(2, 1, 3))
+                + NCPoly.from_word(y_word(2, 3, 1))
+                + NCPoly.from_word(y_word(3, 2, 1))
+                + NCPoly.from_word(y_word(5, 1))
+                + NCPoly.from_word(y_word(2, 4))
+                - NCPoly.from_word(y_word(2, 1))
+            )
+            * Fraction(1, 3)
+        )
+
+    def test_cap_below_every_pair_gives_zero(self):
+        p = NCPoly.from_word(x_word("01")) + NCPoly.from_word(x_word("110"))
+        q = NCPoly.from_word(x_word("1")) * 2
+        assert shuffle(p, q, grade_cap=2) == NCPoly.zero(X)
+        assert shuffle_pow(p, 2, grade_cap=3) == NCPoly.zero(X)
+        y = NCPoly.from_word(y_word(2)) + NCPoly.from_word(y_word(1, 3))
+        assert stuffle(y, y, grade_cap=3) == NCPoly.zero(Y)
+
+    def test_negative_cap_rejected(self):
+        x1 = NCPoly.from_word(x_word("1"))
+        y1 = NCPoly.from_word(y_word(1))
+        with pytest.raises(ValueError):
+            shuffle(x1, x1, grade_cap=-1)
+        with pytest.raises(ValueError):
+            stuffle(y1, y1, grade_cap=-1)
+        with pytest.raises(ValueError):
+            shuffle_pow(x1, 0, grade_cap=-1)
