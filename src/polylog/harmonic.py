@@ -3,14 +3,16 @@
 The harmonic sum of a Y-word y_{s1}...y_{sr} at N is the nested sum
 sum_{N >= n1 > ... > nr > 0} prod n_i^(-s_i); the same formula with signed
 exponents (non-positive entries turn reciprocals into powers) serves as the
-universal brute-force oracle of this package.  Both are evaluated through
-the prefix recurrence
-
-    H_s(N) = H_s(N-1) + N^(-s1) H_(s2..sr)(N-1),
-
-O(r N) exact operations instead of r nested loops.  :func:`h_word_eval` and
-:func:`h_signed_eval` stream with O(r) memory; the table variants memoize
-whole columns keyed by suffix, which the identity checkers lean on heavily.
+universal brute-force oracle of this package.  Both come out of one prefix
+recurrence, H_s(N) = H_s(N-1) + N^(-s1) H_(s2..sr)(N-1), run on integer
+columns: numerators over one denominator.  With L = lcm(1..N) the step
+multiplies by L^s1 // N^s1 (s1 > 0) or N^(-s1) (s1 <= 0), and the
+denominator is D_(s2..sr) L^max(s1, 0), so no step pays a gcd and Fractions
+are built only for returned values.  :func:`h_word_eval` and
+:func:`h_signed_eval` stream with O(r) memory, and :func:`h_signed_table`
+streams apart from the cache so it stays an independent oracle; the word and
+polynomial tables read columns memoized by index and suffix, which the
+identity checkers lean on heavily.
 
 Star combinations sum_k c_k (k x1)* have polynomial harmonic sums:
 H of (k x1)* at N is binomial(N+k, k), so the closed form is an exact
@@ -18,18 +20,20 @@ polynomial in N (:class:`NPoly`).  Composed with the rational-function
 pipeline of :mod:`polylog.negindex`, this yields Faulhaber-style closed
 forms for every non-positive multi-index.
 
-Caches here are read-mostly and copy-on-extend: a racing thread can at worst
-duplicate work, never observe a partial value.
+The column cache is copy-on-extend: a longer column replaces an entry whole,
+numerators and denominator in one immutable value, so a racing thread can at
+worst duplicate work, never observe a partial or mismatched column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
-from typing import Iterable, Mapping, Sequence
+from itertools import repeat
+from math import factorial, lcm, prod
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .nc_core import AlphabetError, NCPoly, RatLike, Word, Y, ZERO, ONE, as_rat
+from .nc_core import AlphabetError, NCPoly, RatLike, Word, Y, ZERO, as_rat
 from .negindex import li_nonpositive, ratfunc_to_x1star
 from .products import stuffle
 from .stars import X1StarPoly, x1star_y_expansion
@@ -141,82 +145,125 @@ class NPoly:
         return f"NPoly({self!s})"
 
 
-def _power_term(n: int, s: int) -> Fraction:
-    """n^(-s) as an exact rational for any integer s."""
-    return Fraction(1, n**s) if s > 0 else Fraction(n ** (-s))
+@dataclass(frozen=True, slots=True)
+class _Column:
+    """Values nums[n] / den: a harmonic column H_index(0..n) or a Taylor vector."""
+
+    nums: tuple[int, ...]
+    den: int
+
+    def __len__(self) -> int:
+        return len(self.nums)
 
 
-def _h_stream(index: SignedIndex, n_max: int) -> Fraction:
-    """H at a single N with O(r) memory (used for large N)."""
+def _scales(index: SignedIndex, n_max: int) -> list[int]:
+    """Per entry s, lcm(1..n_max)^max(s, 0): F n^(-s) is an integer for n <= n_max."""
+    big = lcm(*range(1, n_max + 1)) if any(s > 0 for s in index) else 1
+    return [big**s if s > 0 else 1 for s in index]
+
+
+def _weights(s: int, scale: int, n_max: int) -> Iterator[int]:
+    """The integers scale * n^(-s) for n = 1..n_max, with scale from :func:`_scales`."""
+    return (scale // n**s if s > 0 else n ** (-s) for n in range(1, n_max + 1))
+
+
+def _prefix_rows(
+    index: SignedIndex, scales: list[int], bottom: Iterator[int], n_max: int
+) -> Iterator[list[int]]:
+    """The prefix recurrence on integer numerators, one row per n = 0..n_max.
+
+    Entry j is the numerator of H_(index[j:])(n) over bottom_den * prod(scales[j:]);
+    the last entry is read from ``bottom``, the column below index over bottom_den.
+    The same list is yielded every time, so a caller copies what it keeps.
+    """
     r = len(index)
-    if r == 0:
-        return ONE
-    # state[j] = H of the suffix starting at position j, at the current n
-    state = [ZERO] * r + [ONE]
-    for n in range(1, n_max + 1):
-        for j in range(r):
-            state[j] = state[j] + _power_term(n, index[j]) * state[j + 1]
-        # the unit suffix stays 1
-    return state[0]
+    weights = [_weights(s, f, n_max) for s, f in zip(index, scales)]
+    state = [0] * r + [next(bottom)]
+    yield state
+    for _ in range(n_max):
+        # j ascending: state[j + 1] still holds row n - 1
+        for j, w in enumerate(weights):
+            state[j] += next(w) * state[j + 1]
+        state[r] = next(bottom)
+        yield state
 
 
-_HVEC_CACHE: dict[SignedIndex, list[Fraction]] = {}
+#: Integer columns keyed by signed index.  An entry is replaced whole by a
+#: longer column, never mutated, so readers see one consistent column.
+_HVEC_CACHE: dict[SignedIndex, _Column] = {}
 
 
-def _h_vector(index: SignedIndex, n_max: int) -> list[Fraction]:
-    """Cached column [H_index(0), ..., H_index(n_max)], copy-on-extend."""
-    vec = _HVEC_CACHE.get(index)
-    if vec is not None and len(vec) > n_max:
-        return vec
+def _h_vector(index: SignedIndex, n_max: int) -> _Column:
+    """Cached column of H_index(0..n_max) or longer, copy-on-extend."""
+    col = _HVEC_CACHE.get(index)
+    if col is not None and len(col) > n_max:
+        return col
     if not index:
-        vec = [ONE] * (n_max + 1)
-        _HVEC_CACHE[index] = vec
-        return vec
-    sub = _h_vector(index[1:], max(n_max - 1, 0))
-    new = list(vec) if vec is not None else [ZERO]
-    s = index[0]
-    for n in range(len(new), n_max + 1):
-        new.append(new[n - 1] + _power_term(n, s) * sub[n - 1])
-    _HVEC_CACHE[index] = new
-    return new
+        return _Column((1,) * (n_max + 1), 1)
+    sub = _h_vector(index[1:], n_max)
+    scales = _scales(index[:1], n_max)
+    rows = _prefix_rows(index[:1], scales, iter(sub.nums), n_max)
+    col = _Column(tuple(row[0] for row in rows), sub.den * scales[0])
+    _HVEC_CACHE[index] = col
+    return col
+
+
+def _taylor_vector(index: SignedIndex, n_cap: int) -> _Column:
+    """Li's Taylor coefficients a_N = N^(-s1) H_(s2..sr)(N-1), N <= n_cap, as one column."""
+    if not index:
+        return _Column((1,) + (0,) * n_cap, 1)
+    sub = _h_vector(index[1:], n_cap)
+    (scale,) = _scales(index[:1], n_cap)
+    weights = _weights(index[0], scale, n_cap)
+    return _Column((0, *(m * x for m, x in zip(weights, sub.nums))), sub.den * scale)
+
+
+def _lin_comb(terms: Iterable[tuple[Fraction, _Column]], n_max: int) -> list[Fraction]:
+    """sum_k c_k col_k[n] for n = 0..n_max, summed in ints over one denominator."""
+    terms = list(terms)
+    den = lcm(1, *(c.denominator * col.den for c, col in terms))
+    acc = [0] * (n_max + 1)
+    for c, col in terms:
+        k = c.numerator * (den // (c.denominator * col.den))
+        acc = [a + k * x for a, x in zip(acc, col.nums)]
+    return [Fraction(x, den) for x in acc]
 
 
 def h_word_eval(w: Word, n: int) -> Fraction:
     """Exact H_w(N) for a Y-word; 1 on the empty word, 0 when N < depth."""
     if w.alphabet != Y:
         raise AlphabetError("harmonic sums are indexed by Y-words")
-    if n < 0:
-        raise ValueError("N must be a natural number")
-    return _h_stream(w.letters, n)
+    return h_signed_eval(w.letters, n)
 
 
 def h_signed_eval(s: Sequence[int], n: int) -> Fraction:
-    """Brute-force oracle: the nested sum with arbitrary integer exponents."""
+    """Brute-force oracle: the nested sum with arbitrary integer exponents.
+
+    Streams with O(r) memory, so large N needs no column.
+    """
     if n < 0:
         raise ValueError("N must be a natural number")
-    return _h_stream(tuple(s), n)
+    index = tuple(s)
+    scales = _scales(index, n)
+    for row in _prefix_rows(index, scales, repeat(1), n):
+        pass
+    return Fraction(row[0], prod(scales))
 
 
 def h_signed_table(s: Sequence[int], n_max: int) -> list[Fraction]:
-    """Oracle values [H_s(0), ..., H_s(n_max)] in one streaming pass."""
+    """Oracle values [H_s(0), ..., H_s(n_max)] in one streaming pass, apart from the cache."""
     index = tuple(s)
-    r = len(index)
-    if r == 0:
-        return [ONE] * (n_max + 1)
-    state = [ZERO] * r + [ONE]
-    out = [ZERO]
-    for n in range(1, n_max + 1):
-        for j in range(r):
-            state[j] = state[j] + _power_term(n, index[j]) * state[j + 1]
-        out.append(state[0])
-    return out
+    scales = _scales(index, n_max)
+    den = prod(scales)
+    return [Fraction(row[0], den) for row in _prefix_rows(index, scales, repeat(1), n_max)]
 
 
 def h_word_table(w: Word, n_max: int) -> list[Fraction]:
     """Cached values [H_w(0), ..., H_w(n_max)] for a Y-word."""
     if w.alphabet != Y:
         raise AlphabetError("harmonic sums are indexed by Y-words")
-    return _h_vector(w.letters, n_max)[: n_max + 1]
+    col = _h_vector(w.letters, n_max)
+    return [Fraction(x, col.den) for x in col.nums[: n_max + 1]]
 
 
 def h_poly_eval(q: NCPoly, n: int) -> Fraction:
@@ -228,12 +275,7 @@ def h_poly_table(q: NCPoly, n_max: int) -> list[Fraction]:
     """Values of the linear extension for N = 0..n_max, suffix-memoized."""
     if q.alphabet != Y:
         raise AlphabetError("harmonic sums are indexed by Y-polynomials")
-    out = [ZERO] * (n_max + 1)
-    for w, c in q.items():
-        vec = _h_vector(w.letters, n_max)
-        for n in range(n_max + 1):
-            out[n] += c * vec[n]
-    return out
+    return _lin_comb(((c, _h_vector(w.letters, n_max)) for w, c in q.items()), n_max)
 
 
 def _binomial_npoly(k: int) -> NPoly:
@@ -411,25 +453,20 @@ def _mixed_identity_table() -> list[tuple[str, list[_Term], tuple[int, ...]]]:
     ]
 
 
-def _eval_term_table(term: _Term, n_max: int) -> list[Fraction]:
-    coeff, kind, payload = term
+def _eval_term_table(kind: str, payload: object, n_max: int) -> list[Fraction]:
     if kind == "star":
         poly = h_x1star_closed_form(payload)
-        return [coeff * poly.eval(n) for n in range(n_max + 1)]
+        return [poly.eval(n) for n in range(n_max + 1)]
     if kind == "word":
-        vec = h_word_table(payload, n_max)
-        return [coeff * v for v in vec]
+        return h_word_table(payload, n_max)
     if kind == "stuffle":
         s, star = payload
         # H_w(N) vanishes when depth(w) > N, so expanding the star to depth
         # n_max keeps every contributing word and the check stays exact.
         image = x1star_y_expansion(star, n_max)
-        product = stuffle(NCPoly.from_word(Word((s,), Y)), image)
-        vec = h_poly_table(product, n_max)
-        return [coeff * v for v in vec]
+        return h_poly_table(stuffle(NCPoly.from_word(Word((s,), Y)), image), n_max)
     if kind == "oracle":
-        vec = h_signed_table(payload, n_max)
-        return [coeff * v for v in vec]
+        return h_signed_table(payload, n_max)
     raise ValueError(f"unknown term kind {kind!r}")
 
 
@@ -437,11 +474,8 @@ def verify_mixed_examples(n_max: int) -> list[IdentityReport]:
     """Check every mixed-index identity exactly for N = 0..n_max."""
     reports = []
     for name, lhs_terms, oracle_index in _mixed_identity_table():
-        lhs = [ZERO] * (n_max + 1)
-        for term in lhs_terms:
-            vec = _eval_term_table(term, n_max)
-            for n in range(n_max + 1):
-                lhs[n] += vec[n]
+        tables = [(c, _eval_term_table(kind, payload, n_max)) for c, kind, payload in lhs_terms]
+        lhs = [sum(c * vec[n] for c, vec in tables) for n in range(n_max + 1)]
         rhs = h_signed_table(oracle_index, n_max)
         failure = next((n for n in range(n_max + 1) if lhs[n] != rhs[n]), None)
         reports.append(IdentityReport(name, failure is None, failure))

@@ -13,20 +13,23 @@ harmonic-sum recurrences.  On top of that this module provides:
 * a certified numeric evaluator on |z| <= 0.995 and the strict-decrease
   radius diagnostic for the worked divergence family.
 
-Exact mode uses Fractions end to end; float mode shares the same recurrences
-with double-precision scalars and claims nothing beyond the advertised
-tolerances.
+Exact mode uses ints internally, Fractions at the API: a kernel works on
+integer numerators over one shared denominator and builds one reduced
+Fraction per returned coefficient.  Float mode runs the same loops with
+double-precision scalars and claims nothing beyond the advertised tolerances.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
-from typing import Sequence
+from itertools import accumulate
+from math import factorial, lcm
+from typing import Iterable, Sequence
 
-from .harmonic import _h_vector
+from .harmonic import _lin_comb, _taylor_vector, h_poly_table
 from .nc_core import (
     AlphabetError,
     NCPoly,
@@ -81,6 +84,20 @@ def _require_compatible(a: TaylorTrunc, b: TaylorTrunc) -> None:
         raise ValueError(f"cap mismatch: {a.n_cap} vs {b.n_cap}")
 
 
+def _as_ints(a: TaylorTrunc) -> tuple[list, int]:
+    """Exact coefficients as ints over the lcm of their denominators; floats over 1."""
+    if a.mode == "float":
+        return list(a.coeffs), 1
+    den = lcm(*(c.denominator for c in a.coeffs))
+    return [c.numerator * (den // c.denominator) for c in a.coeffs], den
+
+
+def _from_ints(nums: Iterable, den: int, mode: str) -> TaylorTrunc:
+    if mode == "float":
+        return TaylorTrunc(tuple(float(x) for x in nums), "float")
+    return TaylorTrunc(tuple(Fraction(x, den) for x in nums))
+
+
 def _li_taylor_float(index: tuple[int, ...], n_cap: int) -> list[float]:
     # same recurrences as the exact path, with double-precision scalars
     s1 = index[0]
@@ -90,13 +107,17 @@ def _li_taylor_float(index: tuple[int, ...], n_cap: int) -> list[float]:
     out = [0.0]
     for n in range(1, n_cap + 1):
         try:
-            out.append(float(n) ** (-s1) * state[0])
+            coeff = float(n) ** (-s1) * state[0]
             for j in range(r):
                 state[j] += float(n) ** (-suffix[j]) * state[j + 1]
         except OverflowError:
+            coeff = math.inf
+        # products of finite powers overflow to inf without raising
+        if not math.isfinite(coeff):
             raise PrecisionError(
                 f"float Taylor coefficients of index {index} overflow at term n={n}"
-            ) from None
+            )
+        out.append(coeff)
     return out
 
 
@@ -110,19 +131,10 @@ def li_taylor_coeffs(s: Sequence[int], n_cap: int, mode: str = "exact") -> Taylo
     if mode not in ("exact", "float"):
         raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
     index = tuple(s)
-    if not index:
-        if mode == "float":
-            return TaylorTrunc((1.0,) + (0.0,) * n_cap, "float")
-        return TaylorTrunc((ONE,) + (ZERO,) * n_cap)
-    if mode == "float":
+    if mode == "float" and index:
         return TaylorTrunc(tuple(_li_taylor_float(index, n_cap)), "float")
-    suffix = _h_vector(index[1:], max(n_cap - 1, 0))
-    s1 = index[0]
-    vals = [ZERO]
-    for n in range(1, n_cap + 1):
-        term = Fraction(1, n**s1) if s1 > 0 else Fraction(n ** (-s1))
-        vals.append(term * suffix[n - 1])
-    return TaylorTrunc(tuple(vals))
+    vec = _taylor_vector(index, n_cap)
+    return _from_ints(vec.nums, vec.den, mode)
 
 
 def li_taylor_poly(p: NCPoly, n_cap: int) -> TaylorTrunc:
@@ -132,43 +144,36 @@ def li_taylor_poly(p: NCPoly, n_cap: int) -> TaylorTrunc:
     """
     if p.alphabet != X:
         raise AlphabetError("li_taylor_poly expects an X-polynomial")
-    acc = [ZERO] * (n_cap + 1)
-    for w, c in p.items():
-        vec = li_taylor_coeffs(index_from_word(w), n_cap).coeffs
-        for n in range(n_cap + 1):
-            acc[n] += c * vec[n]
-    return TaylorTrunc(tuple(acc))
+    terms = ((c, _taylor_vector(index_from_word(w), n_cap)) for w, c in p.items())
+    return TaylorTrunc(tuple(_lin_comb(terms, n_cap)))
 
 
 def div_one_minus_z(a: TaylorTrunc) -> TaylorTrunc:
     """Coefficients of A/(1-z): prefix sums b_N = sum_{n<=N} a_n."""
-    out = []
-    run = ZERO if a.mode == "exact" else 0.0
-    for c in a.coeffs:
-        run = run + c
-        out.append(run)
-    return TaylorTrunc(tuple(out), a.mode)
+    nums, den = _as_ints(a)
+    return _from_ints(accumulate(nums), den, a.mode)
 
 
 def hadamard(a: TaylorTrunc, b: TaylorTrunc) -> TaylorTrunc:
     """Coefficientwise product; caps and modes must match."""
     _require_compatible(a, b)
-    return TaylorTrunc(tuple(x * y for x, y in zip(a.coeffs, b.coeffs)), a.mode)
+    (xs, da), (ys, db) = _as_ints(a), _as_ints(b)
+    return _from_ints([x * y for x, y in zip(xs, ys)], da * db, a.mode)
 
 
 def cauchy(a: TaylorTrunc, b: TaylorTrunc) -> TaylorTrunc:
     """Cauchy product truncated at the shared cap."""
     _require_compatible(a, b)
+    (xs, da), (ys, db) = _as_ints(a), _as_ints(b)
     n_cap = a.n_cap
-    out = [ZERO if a.mode == "exact" else 0.0] * (n_cap + 1)
-    for i, x in enumerate(a.coeffs):
+    out = [0] * (n_cap + 1)
+    for i, x in enumerate(xs):
         if not x:
             continue
-        for j in range(n_cap + 1 - i):
-            y = b.coeffs[j]
+        for j, y in enumerate(ys[: n_cap + 1 - i]):
             if y:
                 out[i + j] += x * y
-    return TaylorTrunc(tuple(out), a.mode)
+    return _from_ints(out, da * db, a.mode)
 
 
 def check_hadamard_identity(u: Word, v: Word, n_cap: int) -> bool:
@@ -178,13 +183,9 @@ def check_hadamard_identity(u: Word, v: Word, n_cap: int) -> bool:
     au = div_one_minus_z(li_taylor_coeffs(u.letters, n_cap))
     av = div_one_minus_z(li_taylor_coeffs(v.letters, n_cap))
     lhs = hadamard(au, av)
-    product = stuffle(NCPoly.from_word(u), NCPoly.from_word(v))
-    rhs_vec = [ZERO] * (n_cap + 1)
-    for w, c in product.items():
-        vec = div_one_minus_z(li_taylor_coeffs(w.letters, n_cap)).coeffs
-        for n in range(n_cap + 1):
-            rhs_vec[n] += c * vec[n]
-    return list(lhs.coeffs) == rhs_vec
+    # Li_w/(1-z) has the coefficients H_w(N), so the right side is a harmonic table
+    rhs = h_poly_table(stuffle(NCPoly.from_word(u), NCPoly.from_word(v)), n_cap)
+    return list(lhs.coeffs) == rhs
 
 
 def check_shuffle_morphism(u: Word, v: Word, n_cap: int) -> bool:
@@ -273,6 +274,8 @@ def li_eval(s: Sequence[int], z: complex, eps: float) -> complex:
     for n in range(m + 1):
         total += coeffs[n] * zp
         zp *= z
+    if not cmath.isfinite(total):
+        raise PrecisionError(f"the partial sum of Li at index {index} overflows at {m} terms")
     return total
 
 
@@ -314,19 +317,13 @@ def check_surjection_lemma(n_max: int, m_max: int) -> bool:
             if coeff != factorial(m) * stirling2(n, m):
                 return False
     # EGF side: (e^x - 1)^m, coefficients as exact rationals
-    em1 = [ZERO] + [Fraction(1, factorial(n)) for n in range(1, n_max + 1)]
-    series = [ONE] + [ZERO] * n_max
+    em1 = TaylorTrunc((ZERO,) + tuple(Fraction(1, factorial(n)) for n in range(1, n_max + 1)))
+    series = TaylorTrunc((ONE,) + (ZERO,) * n_max)
     for m in range(0, m_max + 1):
         if m > 0:
-            new = [ZERO] * (n_max + 1)
-            for i in range(n_max + 1):
-                if series[i]:
-                    for j in range(1, n_max + 1 - i):
-                        if em1[j]:
-                            new[i + j] += series[i] * em1[j]
-            series = new
-        for n in range(n_max + 1):
-            if series[n] != Fraction(factorial(m) * stirling2(n, m), factorial(n)):
+            series = cauchy(series, em1)
+        for n, c in enumerate(series.coeffs):
+            if c != Fraction(factorial(m) * stirling2(n, m), factorial(n)):
                 return False
     return True
 

@@ -218,6 +218,22 @@ class TestCommands:
         assert code == 2
         assert json.loads(out)["error"]["code"] == "PrecisionError"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("li-eval", "-60,-60", "0.5", "1e-6"),
+            ("li-coeffs", "-60,-60", "400", "--float"),
+        ],
+    )
+    def test_float_overflow_by_multiplication_is_strict_json_error(self, capsys, argv):
+        # finite powers whose products reach inf: NaN or Infinity is not JSON
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        code, out = self._run(capsys, *argv)
+        assert code == 2
+        assert json.loads(out, parse_constant=reject)["error"]["code"] == "PrecisionError"
+
     def test_verify_stirling_suite(self, capsys):
         code, out = self._run(capsys, "verify", "--suite", "stirling")
         assert code == 0

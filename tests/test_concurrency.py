@@ -1,9 +1,11 @@
 """The memo tables must behave as if absent under concurrent use."""
 
+import sys
 import threading
 from fractions import Fraction
 
-from polylog.harmonic import h_poly_table, h_word_eval
+from polylog import harmonic
+from polylog.harmonic import h_poly_table, h_signed_eval, h_word_eval, h_word_table
 from polylog.nc_core import NCPoly, Word, Y, x_word, y_word
 from polylog.products import shuffle, stuffle
 
@@ -47,3 +49,32 @@ def test_concurrent_harmonic_tables_agree():
             assert h_word_eval(y_word(1), 10) == Fraction(7381, 2520)
 
     _run_threads(worker)
+
+
+def test_concurrent_column_growth_agrees(monkeypatch):
+    # Threads grow the same cached columns from an empty cache.  A reader that
+    # paired new numerators with an old denominator would get wrong values.
+    monkeypatch.setattr(harmonic, "_HVEC_CACHE", {})
+    w = y_word(2, 1, 3)
+    expected = [h_signed_eval(w.letters, n) for n in range(61)]  # streams, no cache
+    errors = []
+
+    def worker():
+        try:
+            for n in range(0, 61, 3):
+                assert h_word_table(w, n) == expected[: n + 1]
+        except Exception as exc:  # pragma: no cover - diagnostic path
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from polylog import harmonic
 from polylog.harmonic import (
     NPoly,
     h_negindex_closed_form,
@@ -252,3 +254,65 @@ class TestMixedExamples:
         payload = report.to_json_dict()
         assert payload["status"] == "pass"
         assert payload["first_failure_N"] is None
+
+
+def _brute_h(index, n):
+    """Nested sum over n >= n1 > ... > nr >= 1 of prod n_i^(-s_i), by enumeration."""
+    total = F(0)
+    for ns in combinations(range(n, 0, -1), len(index)):
+        term = F(1)
+        for m, s in zip(ns, index):
+            term *= F(m) ** -s
+        total += term
+    return total
+
+
+class TestIntegerColumns:
+    """The integer columns and streams against brute-force nested sums."""
+
+    def test_property_stream_table_and_brute_force_agree(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @hyp.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+        @hyp.given(st.lists(st.integers(-3, 3), max_size=3), st.integers(0, 25))
+        @hyp.example([], 7)
+        def agree(index, n):
+            expected = _brute_h(index, n)
+            assert h_signed_eval(index, n) == expected
+            assert h_signed_table(index, n)[n] == expected
+
+        agree()
+
+    def test_property_poly_table_is_per_word_sum(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        y_polys = st.dictionaries(
+            st.lists(st.integers(1, 3), max_size=3).map(lambda l: Word(tuple(l), Y)),
+            st.fractions(min_value=-3, max_value=3, max_denominator=6),
+            max_size=4,
+        )
+
+        @hyp.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+        @hyp.given(y_polys, st.integers(0, 12))
+        def per_word(terms, n_max):
+            table = h_poly_table(NCPoly(Y, terms), n_max)
+            expected = [
+                sum((c * _brute_h(w.letters, n) for w, c in terms.items()), F(0))
+                for n in range(n_max + 1)
+            ]
+            assert table == expected
+
+        per_word()
+
+    def test_cache_extension_order(self, monkeypatch):
+        # a short column, a longer one replacing it, a request the longer one
+        # serves, then one entry past the cached column
+        monkeypatch.setattr(harmonic, "_HVEC_CACHE", {})
+        words = [y_word(2, 1, 3), y_word(1, 2), y_word(3)]
+        for n in (5, 40, 10, 41):
+            for w in words:
+                table = h_word_table(w, n)
+                assert len(table) == n + 1
+                assert table == [_brute_h(w.letters, k) for k in range(n + 1)]
+        assert len(harmonic._HVEC_CACHE[(2, 1, 3)]) == 42

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -285,3 +286,104 @@ class TestDomRadius:
         payload = dom_radius_demo(1, F(1, 4), 5).to_json_dict()
         assert payload["converges"] is True
         assert payload["closed_form"] == "3/2"
+
+
+def _naive_cauchy(a, b):
+    n_cap = len(a) - 1
+    return [sum((a[i] * b[n - i] for i in range(n + 1)), F(0)) for n in range(n_cap + 1)]
+
+
+def _naive_li(index, n_cap):
+    """a_N = N^(-s1) H_rest(N-1), with H by enumeration over N-1 >= n2 > ... > nr >= 1."""
+    if not index:
+        return [F(1)] + [F(0)] * n_cap
+    out = [F(0)]
+    for n in range(1, n_cap + 1):
+        h = F(0)
+        for ns in combinations(range(n - 1, 0, -1), len(index) - 1):
+            term = F(1)
+            for m, s in zip(ns, index[1:]):
+                term *= F(m) ** -s
+            h += term
+        out.append(F(n) ** -index[0] * h)
+    return out
+
+
+class TestIntegerKernel:
+    """cauchy, hadamard, div_one_minus_z and li_taylor_poly against plain Fraction loops."""
+
+    def test_property_kernels_match_fraction_loops(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        entries = st.one_of(
+            st.just(F(0)), st.fractions(min_value=-5, max_value=5, max_denominator=12)
+        )
+        pairs = st.integers(0, 10).flatmap(
+            lambda n: st.tuples(
+                st.lists(entries, min_size=n + 1, max_size=n + 1),
+                st.lists(entries, min_size=n + 1, max_size=n + 1),
+            )
+        )
+
+        @hyp.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+        @hyp.given(pairs)
+        @hyp.example(([F(0)], [F(-3, 2)]))
+        def kernels(pair):
+            a, b = pair
+            ta, tb = TaylorTrunc(tuple(a)), TaylorTrunc(tuple(b))
+            assert list(cauchy(ta, tb).coeffs) == _naive_cauchy(a, b)
+            assert list(hadamard(ta, tb).coeffs) == [x * y for x, y in zip(a, b)]
+            running, prefix = F(0), []
+            for x in a:
+                running += x
+                prefix.append(running)
+            assert list(div_one_minus_z(ta).coeffs) == prefix
+
+        kernels()
+
+    def test_property_taylor_poly_is_per_word_sum(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        indices = st.lists(st.integers(1, 3), max_size=3).map(tuple)
+        polys = st.dictionaries(
+            indices, st.fractions(min_value=-3, max_value=3, max_denominator=6), max_size=4
+        )
+
+        @hyp.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+        @hyp.given(polys, st.integers(0, 12))
+        def per_word(terms, n_cap):
+            # the X-word x0^(s1-1) x1 ... x0^(sr-1) x1 codes the index (s1, ..., sr)
+            words = {
+                Word(tuple(b for s in index for b in [0] * (s - 1) + [1]), X): c
+                for index, c in terms.items()
+            }
+            expected = [F(0)] * (n_cap + 1)
+            for index, c in terms.items():
+                for n, a in enumerate(_naive_li(index, n_cap)):
+                    expected[n] += c * a
+            assert list(li_taylor_poly(NCPoly(X, words), n_cap).coeffs) == expected
+
+        per_word()
+
+    def test_exact_results_are_reduced_fractions(self):
+        t = cauchy(li_taylor_coeffs((1,), 6), li_taylor_coeffs((2,), 6))
+        assert all(type(c) is Fraction for c in t.coeffs)
+        assert t.coeffs[2] == F(1, 1)
+        assert str(t.coeffs[3]) == "3/4"
+
+
+class TestNonFiniteFloat:
+    def test_coefficient_overflow_by_multiplication(self):
+        with pytest.raises(PrecisionError, match="n=366"):
+            li_taylor_coeffs((-60, -60), 400, mode="float")
+
+    def test_sum_overflow(self, monkeypatch):
+        import polylog.polylog_num as num
+
+        def huge(index, n_cap, mode="exact"):
+            return TaylorTrunc((0.0,) + (1e308,) * n_cap, "float")
+
+        # every coefficient is finite, but their sum at z = 0.9 exceeds the float range
+        monkeypatch.setattr(num, "li_taylor_coeffs", huge)
+        with pytest.raises(PrecisionError):
+            li_eval((1,), 0.9, 1e-6)
