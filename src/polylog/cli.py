@@ -31,6 +31,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from . import harmonic, negindex, polylog_num, products, stars
 from .coding import pi_x, pi_y
@@ -1030,7 +1031,9 @@ def cmd_verify(args) -> int:
 _NEGATIVE_INDEX_RE = re.compile(r"^-\d+(?:[,.]-?\d+)*$|^-\d*\.\d+$")
 
 
+@cache
 def _make_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="polylog",
         description="Exact shuffle/stuffle calculus for polylogarithms and harmonic sums.",

@@ -194,17 +194,24 @@ _HVEC_CACHE: dict[SignedIndex, _Column] = {}
 
 
 def _h_vector(index: SignedIndex, n_max: int) -> _Column:
-    """Cached column of H_index(0..n_max) or longer, copy-on-extend."""
-    col = _HVEC_CACHE.get(index)
-    if col is not None and len(col) > n_max:
-        return col
-    if not index:
-        return _Column((1,) * (n_max + 1), 1)
-    sub = _h_vector(index[1:], n_max)
-    scales = _scales(index[:1], n_max)
-    rows = _prefix_rows(index[:1], scales, iter(sub.nums), n_max)
-    col = _Column(tuple(row[0] for row in rows), sub.den * scales[0])
-    _HVEC_CACHE[index] = col
+    """Cached column of H_index(0..n_max) or longer, copy-on-extend.
+
+    Built in a loop upwards from the longest suffix cached long enough, so a
+    deep index never reaches the recursion limit.
+    """
+    for k in range(len(index)):
+        col = _HVEC_CACHE.get(index[k:])
+        if col is not None and len(col) > n_max:
+            break
+    else:
+        k = len(index)
+        col = _Column((1,) * (n_max + 1), 1)
+    if k:
+        scales = _scales(index[:k], n_max)
+        for j in reversed(range(k)):
+            rows = _prefix_rows(index[j : j + 1], scales[j : j + 1], iter(col.nums), n_max)
+            col = _Column(tuple(row[0] for row in rows), col.den * scales[j])
+            _HVEC_CACHE[index[j:]] = col
     return col
 
 

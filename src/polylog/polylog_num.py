@@ -66,6 +66,11 @@ class TaylorTrunc:
             raise ValueError(f"mode must be 'exact' or 'float', got {self.mode!r}")
         if not self.coeffs:
             raise ValueError("a TaylorTrunc holds at least the constant term")
+        # isinstance over the distinct types, not every entry: this runs per vector
+        if self.mode == "exact" and not all(
+            issubclass(t, (int, Fraction)) for t in set(map(type, self.coeffs))
+        ):
+            raise ValueError("exact Taylor coefficients must be int or Fraction")
 
     @property
     def n_cap(self) -> int:
@@ -282,20 +287,22 @@ def li_eval(s: Sequence[int], z: complex, eps: float) -> complex:
 # -- Stirling numbers and the surjection identity ---------------------------
 
 
+def _stirling2_rows(n_max: int, m_max: int) -> list[list[int]]:
+    """Rows S2(n, 0..m_max) for n = 0..n_max, by S2(n, m) = m S2(n-1, m) + S2(n-1, m-1)."""
+    rows = [[1] + [0] * m_max]
+    for _ in range(n_max):
+        prev = rows[-1]
+        rows.append([0] + [j * prev[j] + prev[j - 1] for j in range(1, m_max + 1)])
+    return rows
+
+
 def stirling2(n: int, m: int) -> int:
     """Stirling number of the second kind via the standard recurrence."""
     if n < 0 or m < 0:
         raise ValueError("stirling2 needs natural arguments")
     if m > n:
         return 0
-    row = [1]  # S2(0, 0)
-    for i in range(1, n + 1):
-        new = [0] * (min(i, m) + 1)
-        for j in range(1, len(new)):
-            prev = row[j] if j < len(row) else 0
-            new[j] = j * prev + row[j - 1]
-        row = new
-    return row[m] if m < len(row) else 0
+    return _stirling2_rows(n, m)[n][m]
 
 
 def check_surjection_lemma(n_max: int, m_max: int) -> bool:
@@ -307,6 +314,7 @@ def check_surjection_lemma(n_max: int, m_max: int) -> bool:
     function side checks sum_n m! S2(n,m) x^n/n! = (e^x - 1)^m as truncated
     exact series.
     """
+    s2 = _stirling2_rows(n_max, m_max)
     x1plus = NCPoly(X, {Word((1,) * n, X): 1 for n in range(1, n_max + 1)})
     power = NCPoly.one(X)
     for m in range(0, m_max + 1):
@@ -314,7 +322,7 @@ def check_surjection_lemma(n_max: int, m_max: int) -> bool:
             power = shuffle(power, x1plus, grade_cap=n_max)
         for n in range(n_max + 1):
             coeff = power.coeff(Word((1,) * n, X))
-            if coeff != factorial(m) * stirling2(n, m):
+            if coeff != factorial(m) * s2[n][m]:
                 return False
     # EGF side: (e^x - 1)^m, coefficients as exact rationals
     em1 = TaylorTrunc((ZERO,) + tuple(Fraction(1, factorial(n)) for n in range(1, n_max + 1)))
@@ -323,7 +331,7 @@ def check_surjection_lemma(n_max: int, m_max: int) -> bool:
         if m > 0:
             series = cauchy(series, em1)
         for n, c in enumerate(series.coeffs):
-            if c != Fraction(factorial(m) * stirling2(n, m), factorial(n)):
+            if c != Fraction(factorial(m) * s2[n][m], factorial(n)):
                 return False
     return True
 

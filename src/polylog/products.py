@@ -12,6 +12,12 @@ Word-level products have integer structure constants and are memoized; the
 caches are read-mostly and behave as if absent (recomputation is the only
 cost of a race), so everything here stays safe for concurrent use.
 
+The bilinear extensions sum on Python ints: each operand's coefficients are
+scaled once to integer numerators over the lcm of its denominators, dp and
+dq; the products of numerators and structure constants accumulate in one
+dict keyed by letters, and one reduced Fraction over dp * dq is built per
+nonzero output word.  No step of the double loop pays a gcd.
+
 Both shuffle and stuffle are commutative and associative with the empty word
 as unit.  Both are graded: every word of u <sh> v or u <st> v has grade
 grade(u) + grade(v), where grade is length on X and weight on Y.  So
@@ -27,8 +33,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
-from .nc_core import AlphabetError, NCPoly, Word, Y, ZERO
+from .nc_core import AlphabetError, NCPoly, Word, Y
 
 Letters = tuple[int, ...]
 
@@ -73,19 +80,34 @@ def _check_cap(grade_cap: int | None) -> None:
         raise ValueError(f"grade cap must be >= 0, got {grade_cap}")
 
 
+def _over_lcm(p: NCPoly) -> tuple[list[tuple[Word, int]], int]:
+    """P's terms as integer numerators over the lcm of its denominators."""
+    den = lcm(*(c.denominator for c in p._terms.values()))
+    return [(w, c.numerator * (den // c.denominator)) for w, c in p._terms.items()], den
+
+
+def _from_ints(alphabet: str, acc: dict[Letters, int], den: int) -> NCPoly:
+    """One reduced Fraction per nonzero numerator of ``acc`` over ``den``."""
+    return NCPoly._canonical(
+        alphabet, {Word(l, alphabet): Fraction(x, den) for l, x in acc.items() if x}
+    )
+
+
 def _bilinear(p: NCPoly, q: NCPoly, word_product, grade_cap: int | None) -> NCPoly:
     """Bilinear extension of a word product, keeping words of grade <= grade_cap.
 
     Both products are graded (every word of u <op> v has grade(u) + grade(v)),
     so skipping the pairs above the cap is exact and never reaches the memo.
+    The sum runs on integer numerators over dp * dq.
     """
-    alphabet = p.alphabet
-    acc: dict[Letters, Fraction] = {}
-    q_terms = q._terms.items()
+    p_terms, dp = _over_lcm(p)
+    q_terms, dq = _over_lcm(q)
     if grade_cap is not None:
         _check_cap(grade_cap)
         q_graded = [(v.grade, v, cv) for v, cv in q_terms]
-    for u, cu in p._terms.items():
+    acc: dict[Letters, int] = {}
+    get = acc.get
+    for u, cu in p_terms:
         if grade_cap is not None:
             room = grade_cap - u.grade
             q_terms = [(v, cv) for g, v, cv in q_graded if g <= room]
@@ -96,31 +118,23 @@ def _bilinear(p: NCPoly, q: NCPoly, word_product, grade_cap: int | None) -> NCPo
             if b < a:
                 a, b = b, a
             for letters, k in word_product(a, b).items():
-                old = acc.get(letters, ZERO)
-                new = old + c * k
-                if new:
-                    acc[letters] = new
-                else:
-                    acc.pop(letters, None)
-    return NCPoly._canonical(alphabet, {Word(l, alphabet): c for l, c in acc.items()})
+                acc[letters] = get(letters, 0) + c * k
+    return _from_ints(p.alphabet, acc, dp * dq)
 
 
 def conc(p: NCPoly, q: NCPoly) -> NCPoly:
     """Concatenation product, extended bilinearly from words."""
     if p.alphabet != q.alphabet:
         raise AlphabetError(f"alphabet mismatch: {p.alphabet} vs {q.alphabet}")
-    alphabet = p.alphabet
-    acc: dict[Word, Fraction] = {}
-    for u, cu in p._terms.items():
-        for v, cv in q._terms.items():
-            w = u.concat(v)
-            old = acc.get(w, ZERO)
-            new = old + cu * cv
-            if new:
-                acc[w] = new
-            else:
-                acc.pop(w, None)
-    return NCPoly(alphabet, acc)
+    p_terms, dp = _over_lcm(p)
+    q_terms, dq = _over_lcm(q)
+    acc: dict[Letters, int] = {}
+    get = acc.get
+    for u, cu in p_terms:
+        for v, cv in q_terms:
+            letters = u.letters + v.letters
+            acc[letters] = get(letters, 0) + cu * cv
+    return _from_ints(p.alphabet, acc, dp * dq)
 
 
 def shuffle(p: NCPoly, q: NCPoly, *, grade_cap: int | None = None) -> NCPoly:

@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from polylog import harmonic
 from polylog.cli import (
     ExprTypeError,
     ParseError,
     Scalar,
+    _make_parser,
     main,
     ncpoly_expr_text,
     parse,
@@ -143,6 +145,35 @@ class TestCommands:
     def _run(self, capsys, *argv):
         code = main(list(argv))
         return code, capsys.readouterr().out
+
+    def test_parser_built_once(self):
+        assert _make_parser() is _make_parser()
+
+    def test_shared_parser_resets_flags(self, capsys):
+        code, out = self._run(capsys, "li-coeffs", "(2)", "3", "--float")
+        assert code == 0 and json.loads(out)["mode"] == "float"
+        code, out = self._run(capsys, "li-coeffs", "(2)", "3")
+        assert code == 0
+        assert json.loads(out) == {"mode": "exact", "coeffs": ["0", "1", "1/4", "1/9"]}
+        code, out = self._run(capsys, "h-closed-form", "-1", "--csv")
+        assert code == 0 and out.splitlines() == ["degree,coefficient", "0,0", "1,1/2", "2,1/2"]
+        code, out = self._run(capsys, "h-closed-form", "-1")
+        assert code == 0 and json.loads(out)["coeffs"] == ["0", "1/2", "1/2"]
+
+    def test_valid_request_after_usage_error(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["h-eval", "(1)"])
+        capsys.readouterr()
+        code, out = self._run(capsys, "h-eval", "(-2,-1)", "3")
+        assert code == 0 and json.loads(out) == "31"
+
+    def test_li_coeffs_deep_index(self, capsys, monkeypatch):
+        # one column per suffix, built without recursion from an empty cache
+        monkeypatch.setattr(harmonic, "_HVEC_CACHE", {})
+        index = "(" + ",".join(["1"] * 1200) + ")"
+        code, out = self._run(capsys, "li-coeffs", index, "3")
+        assert code == 0
+        assert json.loads(out) == {"mode": "exact", "coeffs": ["0", "0", "0", "0"]}
 
     def test_neg_li_example(self, capsys):
         code, out = self._run(capsys, "neg-li", "-2,-1")

@@ -21,6 +21,7 @@ from polylog.polylog_num import (
     li_eval,
     li_taylor_coeffs,
     li_taylor_poly,
+    _stirling2_rows,
     stirling2,
 )
 from polylog.products import shuffle
@@ -213,6 +214,17 @@ class TestStirling:
     def test_surjection_lemma_small(self):
         assert check_surjection_lemma(10, 5)
 
+    def test_table_matches_explicit_formula(self):
+        # S2(n, m) = sum_j (-1)^j C(m, j) (m - j)^n / m!
+        rows = _stirling2_rows(20, 8)
+        assert len(rows) == 21 and all(len(row) == 9 for row in rows)
+        for n in range(21):
+            for m in range(9):
+                total = sum((-1) ** j * math.comb(m, j) * (m - j) ** n for j in range(m + 1))
+                assert rows[n][m] == total // math.factorial(m)
+                assert total % math.factorial(m) == 0
+                assert stirling2(n, m) == rows[n][m]
+
     def test_explicit_coefficient(self):
         # <(x1+)^(sh 2) | x1^3> = 2! S2(3,2) = 6
         x1plus = NCPoly(X, {Word((1,) * n, X): 1 for n in range(1, 4)})
@@ -364,6 +376,14 @@ class TestIntegerKernel:
             assert list(li_taylor_poly(NCPoly(X, words), n_cap).coeffs) == expected
 
         per_word()
+
+    def test_exact_mode_rejects_non_rational_coefficients(self):
+        with pytest.raises(ValueError, match="int or Fraction"):
+            TaylorTrunc((0.5, 1.0))
+        with pytest.raises(ValueError):
+            TaylorTrunc((F(1), "2"))
+        assert TaylorTrunc((1, F(1, 2))).coeffs == (1, F(1, 2))
+        assert TaylorTrunc((0.5, 1.0), "float").coeffs == (0.5, 1.0)
 
     def test_exact_results_are_reduced_fractions(self):
         t = cauchy(li_taylor_coeffs((1,), 6), li_taylor_coeffs((2,), 6))

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import pytest
 
@@ -354,3 +354,113 @@ class TestGradeCap:
             stuffle(y1, y1, grade_cap=-1)
         with pytest.raises(ValueError):
             shuffle_pow(x1, 0, grade_cap=-1)
+
+
+# -- a plain Fraction reference for the integer accumulation -----------------
+
+
+def ref_shuffle(u: tuple, v: tuple) -> list[tuple]:
+    """Shuffle by its defining recursion, one list entry per interleaving."""
+    if not u or not v:
+        return [u + v]
+    return [(u[0],) + w for w in ref_shuffle(u[1:], v)] + [
+        (v[0],) + w for w in ref_shuffle(u, v[1:])
+    ]
+
+
+def ref_stuffle(u: tuple, v: tuple) -> list[tuple]:
+    """Quasi-shuffle by its defining recursion, one list entry per term."""
+    if not u or not v:
+        return [u + v]
+    return (
+        [(u[0],) + w for w in ref_stuffle(u[1:], v)]
+        + [(v[0],) + w for w in ref_stuffle(u, v[1:])]
+        + [(u[0] + v[0],) + w for w in ref_stuffle(u[1:], v[1:])]
+    )
+
+
+def ref_conc(u: tuple, v: tuple) -> list[tuple]:
+    return [u + v]
+
+
+def ref_product(p: NCPoly, q: NCPoly, word_product, cap=None) -> dict[tuple, Fraction]:
+    """Fraction double loop over the term pairs, cut to grade <= cap afterwards."""
+    acc: dict[tuple, Fraction] = {}
+    for u, cu in p:
+        for v, cv in q:
+            for w in word_product(u.letters, v.letters):
+                acc[w] = acc.get(w, Fraction(0)) + cu * cv
+    grade = len if p.alphabet == X else sum
+    return {w: c for w, c in acc.items() if c and (cap is None or grade(w) <= cap)}
+
+
+def _terms(p: NCPoly) -> dict[tuple, Fraction]:
+    for _, c in p:
+        assert type(c) is Fraction and c != 0
+        assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+    return {w.letters: c for w, c in p}
+
+
+class TestIntegerAccumulation:
+    """shuffle, stuffle and conc against a Fraction reference that shares no code with them."""
+
+    def test_cancelling_sums(self):
+        y1, y2 = NCPoly.from_word(y_word(1)), NCPoly.from_word(y_word(2))
+        # y1 y2, y2 y1 and y3 cancel between the cross terms
+        assert stuffle(y1 + y2, y1 - y2) == (
+            NCPoly.from_word(y_word(1, 1)) * 2
+            + y2
+            - NCPoly.from_word(y_word(2, 2)) * 2
+            - NCPoly.from_word(y_word(4))
+        )
+        assert shuffle(y1 + y2, y1 - y2) == (
+            NCPoly.from_word(y_word(1, 1)) * 2 - NCPoly.from_word(y_word(2, 2)) * 2
+        )
+        # y1^3 cancels: (y1 + y1 y1)(y1 y1 - y1) = y1^4 - y1^2
+        y11 = NCPoly.from_word(y_word(1, 1))
+        assert conc(y1 + y11, y11 - y1) == NCPoly.from_word(y_word(1, 1, 1, 1)) - y11
+        third = Fraction(1, 3)
+        assert stuffle(y1 * third, y1 * -third) == (y11 * 2 + y2) * Fraction(-1, 9)
+        assert stuffle(y1 + y2, (y1 + y2) * 0) == NCPoly.zero(Y)
+
+    def test_property_matches_fraction_reference(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        coeffs = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
+        x_polys = st.dictionaries(
+            st.lists(st.integers(0, 1), max_size=4).map(lambda l: Word(tuple(l), X)),
+            coeffs,
+            max_size=5,
+        ).map(lambda d: NCPoly(X, d))
+        y_polys = st.dictionaries(
+            st.lists(st.integers(1, 3), max_size=3).map(lambda l: Word(tuple(l), Y)),
+            coeffs,
+            max_size=5,
+        ).map(lambda d: NCPoly(Y, d))
+        caps = st.one_of(st.none(), st.integers(0, 8))
+        settings = hyp.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+        y1, y2 = NCPoly.from_word(y_word(1)), NCPoly.from_word(y_word(2))
+        x0, x1 = NCPoly.from_word(x_word("0")), NCPoly.from_word(x_word("1"))
+
+        def check(p, q, cap):
+            assert _terms(shuffle(p, q, grade_cap=cap)) == ref_product(p, q, ref_shuffle, cap)
+            assert _terms(conc(p, q)) == ref_product(p, q, ref_conc)
+            if p.alphabet == Y:
+                assert _terms(stuffle(p, q, grade_cap=cap)) == ref_product(p, q, ref_stuffle, cap)
+
+        @settings
+        @hyp.given(x_polys, x_polys, caps)
+        @hyp.example(x0 + x1, x0 - x1, None)
+        def x_products(p, q, cap):
+            check(p, q, cap)
+
+        @settings
+        @hyp.given(y_polys, y_polys, caps)
+        @hyp.example(y1 + y2, y1 - y2, None)
+        @hyp.example(y1 + y2, y1 - y2, 3)
+        @hyp.example(y1 * Fraction(1, 6) + y2 * Fraction(-5, 4), y1 * Fraction(7, 10), 2)
+        def y_products(p, q, cap):
+            check(p, q, cap)
+
+        x_products()
+        y_products()
