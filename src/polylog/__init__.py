@@ -24,15 +24,12 @@ from .nc_core import (
     AlphabetError,
     InvalidIndexError,
     NCPoly,
+    NPoly,
     NotInImageError,
     PolylogError,
     Word,
-    add,
     as_rat,
-    coeff_of,
-    homogeneous_component,
     index_from_word,
-    scale,
     word_from_index,
     word_from_text,
     x_word,
@@ -74,7 +71,6 @@ from .negindex import (
 )
 from .harmonic import (
     IdentityReport,
-    NPoly,
     h_negindex_closed_form,
     h_poly_eval,
     h_signed_eval,

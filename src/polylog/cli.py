@@ -42,6 +42,7 @@ from .nc_core import (
     X,
     Y,
     as_rat,
+    format_terms,
     x_word,
     y_word,
 )
@@ -311,7 +312,7 @@ def _type_name(v: Value) -> str:
     return type(v).__name__
 
 
-def _coerce_like(v: Value, like: Value, pos: int) -> Value:
+def _coerce_like(v: Value, like: Value) -> Value:
     if not isinstance(v, Scalar):
         return v
     if isinstance(like, NCPoly):
@@ -322,7 +323,7 @@ def _coerce_like(v: Value, like: Value, pos: int) -> Value:
 
 
 def _add_values(a: Value, b: Value, pos: int, sign: int) -> Value:
-    a, b = _coerce_like(a, b, pos), _coerce_like(b, a, pos)
+    a, b = _coerce_like(a, b), _coerce_like(b, a)
     if isinstance(a, Scalar) and isinstance(b, Scalar):
         return Scalar(a.value + sign * b.value)
     if isinstance(a, NCPoly) and isinstance(b, NCPoly):
@@ -361,8 +362,6 @@ def _as_poly(v: Value, alphabet: str, pos: int) -> NCPoly:
 
 def evaluate(node: Expr) -> Value:
     """Evaluate a parsed expression to a typed value."""
-    if isinstance(node, _ValueExpr):
-        return node.value
     if isinstance(node, Num):
         return Scalar(node.value)
     if isinstance(node, WordLit):
@@ -379,19 +378,17 @@ def evaluate(node: Expr) -> Value:
         sign = 1 if node.op == "+" else -1
         return _add_values(evaluate(node.left), evaluate(node.right), node.pos, sign)
     if isinstance(node, Call):
-        return _eval_call(node)
+        return _eval_call(node.func, [evaluate(a) for a in node.args], node.pos)
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _eval_call(node: Call) -> Value:
-    name = node.func
-    args = [evaluate(a) for a in node.args]
-    pos = node.pos
+def _eval_call(name: str, args: list[Value], pos: int) -> Value:
+    """Apply function ``name`` to evaluated arguments; ``pos`` locates errors."""
     if name == "sh":
         a, b = args
         if isinstance(a, X1StarPoly) or isinstance(b, X1StarPoly):
-            a = _coerce_like(a, X1StarPoly(), pos)
-            b = _coerce_like(b, X1StarPoly(), pos)
+            a = _coerce_like(a, X1StarPoly())
+            b = _coerce_like(b, X1StarPoly())
             if isinstance(a, X1StarPoly) and isinstance(b, X1StarPoly):
                 return a.shuffle(b)
             raise ExprTypeError("sh mixes star combinations with other values", pos)
@@ -435,24 +432,6 @@ def parse_value(src: str) -> Value:
 # -- canonical printable forms ------------------------------------------------
 
 
-def _join_terms(parts: list[tuple[Fraction, str]]) -> str:
-    if not parts:
-        return "0"
-    chunks = []
-    for coeff, body in parts:
-        if body == "":
-            frag = str(abs(coeff))
-        elif abs(coeff) == 1:
-            frag = body
-        else:
-            frag = f"{abs(coeff)}*{body}"
-        if not chunks:
-            chunks.append(frag if coeff > 0 else f"-{frag}")
-        else:
-            chunks.append(("+ " if coeff > 0 else "- ") + frag)
-    return " ".join(chunks)
-
-
 def ncpoly_expr_text(p: NCPoly) -> str:
     """Canonical, re-parseable expression text of a polynomial."""
     parts = []
@@ -464,16 +443,12 @@ def ncpoly_expr_text(p: NCPoly) -> str:
         else:
             body = "".join(f"y{s}" for s in w.letters)
         parts.append((c, body))
-    return _join_terms(parts)
+    return format_terms(parts)
 
 
 def x1star_expr_text(s: X1StarPoly) -> str:
     """Canonical, re-parseable expression text of a star combination."""
-    parts = []
-    for k, c in s.items():
-        body = f"star({k})" if k > 0 else ""
-        parts.append((c, body))
-    return _join_terms(parts)
+    return format_terms([(c, f"star({k})" if k else "") for k, c in s.items()])
 
 
 def value_to_json(v: Value) -> dict:
@@ -890,25 +865,14 @@ def _env_ncap(default: int) -> int:
         return default
 
 
-@dataclass(frozen=True, slots=True)
-class _ValueExpr:
-    value: Value
-
-
-def _eval_call_direct(name: str, *values: Value) -> Value:
-    # route pre-evaluated values through the expression type rules
-    exprs = tuple(_ValueExpr(v) for v in values)
-    return _eval_call(Call(name, exprs, 0))
-
-
 def cmd_shuffle(args) -> int:
-    result = _eval_call_direct("sh", parse_value(args.left), parse_value(args.right))
+    result = _eval_call("sh", [parse_value(args.left), parse_value(args.right)], 0)
     _print_json(value_to_json(result))
     return 0
 
 
 def cmd_stuffle(args) -> int:
-    result = _eval_call_direct("st", parse_value(args.left), parse_value(args.right))
+    result = _eval_call("st", [parse_value(args.left), parse_value(args.right)], 0)
     _print_json(value_to_json(result))
     return 0
 

@@ -16,9 +16,10 @@ identity checkers lean on heavily.
 
 Star combinations sum_k c_k (k x1)* have polynomial harmonic sums:
 H of (k x1)* at N is binomial(N+k, k), so the closed form is an exact
-polynomial in N (:class:`NPoly`).  Composed with the rational-function
-pipeline of :mod:`polylog.negindex`, this yields Faulhaber-style closed
-forms for every non-positive multi-index.
+polynomial in N: an :class:`~polylog.nc_core.NPoly`, the dense exact
+polynomial that also carries the numerators of :mod:`polylog.negindex`.
+Composed with that module's rational-function pipeline, this yields
+Faulhaber-style closed forms for every non-positive multi-index.
 
 The column cache is copy-on-extend: a longer column replaces an entry whole,
 numerators and denominator in one immutable value, so a racing thread can at
@@ -33,7 +34,7 @@ from itertools import repeat
 from math import factorial, lcm, prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .nc_core import AlphabetError, NCPoly, RatLike, Word, Y, ZERO, as_rat
+from .nc_core import AlphabetError, NCPoly, NPoly, RatLike, Word, Y
 from .negindex import li_nonpositive, ratfunc_to_x1star
 from .products import stuffle
 from .stars import X1StarPoly, x1star_y_expansion
@@ -41,108 +42,6 @@ from .stars import X1StarPoly, x1star_y_expansion
 #: A signed multi-index: positive entries are reciprocal exponents,
 #: non-positive entries are power weights.
 SignedIndex = tuple[int, ...]
-
-
-class NPoly:
-    """A dense polynomial in N with exact rational coefficients.
-
-    ``coeffs[j]`` is the coefficient of N^j; trailing zeros are trimmed so
-    equality is coefficientwise.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[RatLike] = ()) -> None:
-        data = [as_rat(c) for c in coeffs]
-        while data and not data[-1]:
-            data.pop()
-        self.coeffs = tuple(data)
-
-    @classmethod
-    def from_monomials(cls, monomials: Mapping[int, RatLike]) -> "NPoly":
-        """Build from a {degree: coefficient} mapping."""
-        if not monomials:
-            return cls()
-        top = max(monomials)
-        data = [ZERO] * (top + 1)
-        for deg, c in monomials.items():
-            data[deg] = as_rat(c)
-        return cls(data)
-
-    @property
-    def degree(self) -> int:
-        """Degree, with the zero polynomial reported as degree -1."""
-        return len(self.coeffs) - 1
-
-    def eval(self, n: int) -> Fraction:
-        out = ZERO
-        for c in reversed(self.coeffs):
-            out = out * n + c
-        return out
-
-    def __add__(self, other: "NPoly") -> "NPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        data = list(a)
-        for i, c in enumerate(b):
-            data[i] += c
-        return NPoly(data)
-
-    def __neg__(self) -> "NPoly":
-        return NPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other: "NPoly") -> "NPoly":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, NPoly):
-            if not self.coeffs or not other.coeffs:
-                return NPoly()
-            data = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        data[i + j] += a * b
-            return NPoly(data)
-        return NPoly([as_rat(other) * c for c in self.coeffs])
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, NPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def to_json_dict(self) -> dict:
-        return {"coeffs": [str(c) for c in self.coeffs]}
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for j in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[j]
-            if not c:
-                continue
-            if j == 0:
-                body = str(c)
-            else:
-                var = "N" if j == 1 else f"N^{j}"
-                body = var if c == 1 else (f"-{var}" if c == -1 else f"{c}*{var}")
-            parts.append(body)
-        out = " + ".join(parts).replace("+ -", "- ")
-        return out
-
-    def __repr__(self) -> str:
-        return f"NPoly({self!s})"
 
 
 @dataclass(frozen=True, slots=True)

@@ -20,6 +20,13 @@ The canonical text syntax (used by the CLI and for JSON output) writes X-words
 as bitstrings over {0,1} ("01" is x0x1), Y-words as comma-joined indices
 ("2,1" is y2y1), and rationals as "p/q" or a bare integer.  The empty word
 serializes as "".
+
+The module also hosts the two pieces every other module shares: :class:`NPoly`,
+the dense exact polynomial in one variable (closed forms in N in
+:mod:`polylog.harmonic`, rational-function numerators in z in
+:mod:`polylog.negindex`), and :func:`format_terms`, the one text format of a
+signed sum of terms ("3/2 - y1 + 2*y2y1") behind every printed polynomial and
+star combination.
 """
 
 from __future__ import annotations
@@ -64,6 +71,29 @@ def as_rat(value: RatLike) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def format_terms(parts: Sequence[tuple[Fraction, str]]) -> str:
+    """Text of the signed sum of (coefficient, body) terms, in the given order.
+
+    An empty body is the constant term; a coefficient of +-1 is written as a
+    bare sign.  The empty sum is "0".
+    """
+    if not parts:
+        return "0"
+    chunks = []
+    for coeff, body in parts:
+        if body == "":
+            frag = str(abs(coeff))
+        elif abs(coeff) == 1:
+            frag = body
+        else:
+            frag = f"{abs(coeff)}*{body}"
+        if not chunks:
+            chunks.append(frag if coeff > 0 else f"-{frag}")
+        else:
+            chunks.append(("+ " if coeff > 0 else "- ") + frag)
+    return " ".join(chunks)
 
 
 def _check_alphabet(alphabet: str) -> None:
@@ -379,49 +409,109 @@ class NCPoly:
         return {w.text(): str(c) for w, c in self.items()}
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts: list[str] = []
-        for w, c in self.items():
-            body = str(w)
-            if w.is_empty:
-                frag = str(c)
-            elif c == 1:
-                frag = body
-            elif c == -1:
-                frag = f"-{body}"
-            else:
-                frag = f"{c}*{body}"
-            if not parts:
-                parts.append(frag)
-            elif frag.startswith("-"):
-                parts.append(f"- {frag[1:]}")
-            else:
-                parts.append(f"+ {frag}")
-        return " ".join(parts)
+        return format_terms([(c, "" if w.is_empty else str(w)) for w, c in self.items()])
 
     def __repr__(self) -> str:
         return f"NCPoly({self._alphabet!r}, {self!s})"
 
 
-# -- module-level operation surface ---------------------------------------
+class NPoly:
+    """A dense polynomial in one variable with exact rational coefficients.
 
+    ``coeffs[j]`` is the coefficient of the j-th power; trailing zeros are
+    trimmed so equality is coefficientwise.  The variable is N for harmonic
+    closed forms and z for rational-function numerators; printing names N.
+    """
 
-def add(p: NCPoly, q: NCPoly) -> NCPoly:
-    """Sum of two polynomials over the same alphabet."""
-    return p + q
+    __slots__ = ("coeffs",)
 
+    def __init__(self, coeffs: Iterable[RatLike] = ()) -> None:
+        data = [as_rat(c) for c in coeffs]
+        while data and not data[-1]:
+            data.pop()
+        self.coeffs = tuple(data)
 
-def scale(c: RatLike, p: NCPoly) -> NCPoly:
-    """Scalar multiple c*P."""
-    return p * as_rat(c)
+    @classmethod
+    def from_monomials(cls, monomials: Mapping[int, RatLike]) -> "NPoly":
+        """Build from a {degree: coefficient} mapping."""
+        if not monomials:
+            return cls()
+        top = max(monomials)
+        data = [ZERO] * (top + 1)
+        for deg, c in monomials.items():
+            data[deg] = as_rat(c)
+        return cls(data)
 
+    @property
+    def degree(self) -> int:
+        """Degree, with the zero polynomial reported as degree -1."""
+        return len(self.coeffs) - 1
 
-def coeff_of(p: NCPoly, w: Word) -> Fraction:
-    """The pairing <P | w>; 0 when w is absent from P."""
-    return p.coeff(w)
+    def eval(self, n):
+        """Horner evaluation at an exact (or float or complex) point."""
+        out = ZERO
+        for c in reversed(self.coeffs):
+            out = out * n + c
+        return out
 
+    def deriv(self) -> "NPoly":
+        """The derivative with respect to the variable."""
+        return NPoly([j * self.coeffs[j] for j in range(1, len(self.coeffs))])
 
-def homogeneous_component(p: NCPoly, n: int) -> NCPoly:
-    """Restriction of P to words of grade n (length over X, weight over Y)."""
-    return p.homogeneous_component(n)
+    def __add__(self, other: "NPoly") -> "NPoly":
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        data = list(a)
+        for i, c in enumerate(b):
+            data[i] += c
+        return NPoly(data)
+
+    def __neg__(self) -> "NPoly":
+        return NPoly([-c for c in self.coeffs])
+
+    def __sub__(self, other: "NPoly") -> "NPoly":
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, NPoly):
+            if not self.coeffs or not other.coeffs:
+                return NPoly()
+            data = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
+            for i, a in enumerate(self.coeffs):
+                if not a:
+                    continue
+                for j, b in enumerate(other.coeffs):
+                    if b:
+                        data[i + j] += a * b
+            return NPoly(data)
+        return NPoly([as_rat(other) * c for c in self.coeffs])
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, NPoly):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def to_json_dict(self) -> dict:
+        return {"coeffs": [str(c) for c in self.coeffs]}
+
+    def _monomials(self, var: str) -> list[tuple[Fraction, str]]:
+        """The nonzero (coefficient, var^j) terms, ascending, for :func:`format_terms`."""
+        return [
+            (c, "" if j == 0 else var if j == 1 else f"{var}^{j}")
+            for j, c in enumerate(self.coeffs)
+            if c
+        ]
+
+    def __str__(self) -> str:
+        return format_terms(self._monomials("N")[::-1])
+
+    def __repr__(self) -> str:
+        return f"NPoly({self!s})"

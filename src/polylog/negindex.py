@@ -12,7 +12,10 @@ order at z = 1, with (1-z) factors always divided out of the numerator so
 equality is plain field-wise comparison.  When deg(num) <= pole order, the
 function rewrites as sum_k c_k / (1-z)^k, i.e. as the star combination
 sum_k c_k (k x1)* of :class:`polylog.stars.X1StarPoly` - that conversion and
-its inverse live here too.
+its inverse live here too.  The numerator is a tuple of Fractions; its
+arithmetic (sums, products, derivative, evaluation, trimming) and its
+printing are those of :class:`polylog.nc_core.NPoly`, the dense polynomial
+that also carries the closed forms in N of :mod:`polylog.harmonic`.
 
 The module also hosts the trailing-x0 shuffle regularization: every
 X-polynomial P decomposes uniquely as sum_k P_k sh x0^(sh k) with each P_k
@@ -25,6 +28,7 @@ fewer trailing zeros.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, factorial
 from typing import Sequence
 
@@ -32,14 +36,15 @@ from .nc_core import (
     AlphabetError,
     InvalidIndexError,
     NCPoly,
+    NPoly,
     PolylogError,
     RatLike,
     Word,
     X,
     X0,
     ZERO,
-    ONE,
     as_rat,
+    format_terms,
 )
 from .products import shuffle
 from .stars import X1StarPoly
@@ -47,62 +52,6 @@ from .stars import X1StarPoly
 
 class NotRepresentableError(PolylogError):
     """The rational function lies outside the star fragment C[x1*]."""
-
-
-# -- dense polynomial helpers (coefficients ascending in z) ----------------
-
-
-def _trim(p: list[Fraction]) -> tuple[Fraction, ...]:
-    n = len(p)
-    while n and not p[n - 1]:
-        n -= 1
-    return tuple(p[:n])
-
-
-def _padd(p: Sequence[Fraction], q: Sequence[Fraction]) -> list[Fraction]:
-    out = [ZERO] * max(len(p), len(q))
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] += c
-    return out
-
-
-def _pmul(p: Sequence[Fraction], q: Sequence[Fraction]) -> list[Fraction]:
-    if not p or not q:
-        return []
-    out = [ZERO] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if not a:
-            continue
-        for j, b in enumerate(q):
-            if b:
-                out[i + j] += a * b
-    return out
-
-def _pscale(c: Fraction, p: Sequence[Fraction]) -> list[Fraction]:
-    return [c * a for a in p]
-
-
-def _pderiv(p: Sequence[Fraction]) -> list[Fraction]:
-    return [i * p[i] for i in range(1, len(p))]
-
-
-def _peval(p: Sequence[Fraction], z):
-    out = 0
-    for c in reversed(list(p)):
-        out = out * z + c
-    return out
-
-
-def _pdiv_one_minus_z(p: Sequence[Fraction]) -> list[Fraction]:
-    # p = (1-z) q  <=>  q_i = p_i + q_{i-1}; requires p(1) = 0
-    q: list[Fraction] = []
-    run = ZERO
-    for c in p[:-1] if p else []:
-        run = run + c
-        q.append(run)
-    return q
 
 
 class RatFuncAtOne:
@@ -117,15 +66,14 @@ class RatFuncAtOne:
     def __init__(self, num: Sequence[RatLike], pole_order: int) -> None:
         if pole_order < 0:
             raise ValueError(f"pole order must be >= 0, got {pole_order}")
-        p = [as_rat(c) for c in num]
-        p = list(_trim(p))
-        while pole_order > 0 and p and _peval(p, 1) == 0:
-            p = _pdiv_one_minus_z(p)
-            p = list(_trim(p))
+        p = NPoly(num)
+        while pole_order > 0 and p and p.eval(1) == 0:
+            # p = (1-z) q  <=>  q_i = p_0 + ... + p_i
+            p = NPoly(accumulate(p.coeffs[:-1]))
             pole_order -= 1
         if not p:
             pole_order = 0
-        self.num = tuple(p)
+        self.num = p.coeffs
         self.pole_order = pole_order
 
     @classmethod
@@ -145,9 +93,9 @@ class RatFuncAtOne:
 
     def __add__(self, other: "RatFuncAtOne") -> "RatFuncAtOne":
         m = max(self.pole_order, other.pole_order)
-        p = _pmul(self.num, _one_minus_z_pow(m - self.pole_order))
-        q = _pmul(other.num, _one_minus_z_pow(m - other.pole_order))
-        return RatFuncAtOne(_padd(p, q), m)
+        p = NPoly(self.num) * _one_minus_z_pow(m - self.pole_order)
+        q = NPoly(other.num) * _one_minus_z_pow(m - other.pole_order)
+        return RatFuncAtOne((p + q).coeffs, m)
 
     def __neg__(self) -> "RatFuncAtOne":
         out = RatFuncAtOne.__new__(RatFuncAtOne)
@@ -160,7 +108,8 @@ class RatFuncAtOne:
 
     def __mul__(self, other: "RatFuncAtOne") -> "RatFuncAtOne":
         return RatFuncAtOne(
-            _pmul(self.num, other.num), self.pole_order + other.pole_order
+            (NPoly(self.num) * NPoly(other.num)).coeffs,
+            self.pole_order + other.pole_order,
         )
 
     def mul_z_over_one_minus_z(self) -> "RatFuncAtOne":
@@ -169,8 +118,7 @@ class RatFuncAtOne:
 
     def eval(self, z):
         """Exact evaluation at a rational (or complex) z != 1."""
-        denom = (1 - z) ** self.pole_order
-        return _peval(self.num, z) / denom
+        return NPoly(self.num).eval(z) / (1 - z) ** self.pole_order
 
     def taylor_coeffs(self, n_cap: int) -> list[Fraction]:
         """Exact Taylor coefficients a_0..a_{n_cap} at z = 0.
@@ -199,19 +147,7 @@ class RatFuncAtOne:
         return {"num": [str(c) for c in self.num], "pole_order": self.pole_order}
 
     def __str__(self) -> str:
-        if not self.num:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.num):
-            if not c:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append(f"{c}*z" if c != 1 else "z")
-            else:
-                parts.append(f"{c}*z^{i}" if c != 1 else f"z^{i}")
-        num = " + ".join(parts).replace("+ -", "- ")
+        num = format_terms(NPoly(self.num)._monomials("z"))
         if self.pole_order == 0:
             return num
         return f"({num})/(1-z)^{self.pole_order}"
@@ -220,8 +156,8 @@ class RatFuncAtOne:
         return f"RatFuncAtOne({self!s})"
 
 
-def _one_minus_z_pow(k: int) -> list[Fraction]:
-    return [Fraction((-1) ** i) * comb(k, i) for i in range(k + 1)]
+def _one_minus_z_pow(k: int) -> NPoly:
+    return NPoly([(-1) ** i * comb(k, i) for i in range(k + 1)])
 
 
 def theta_derivative(f: RatFuncAtOne) -> RatFuncAtOne:
@@ -229,9 +165,9 @@ def theta_derivative(f: RatFuncAtOne) -> RatFuncAtOne:
 
     For f = p/(1-z)^m: theta f = z (p'(1-z) + m p) / (1-z)^(m+1).
     """
-    p = list(f.num)
-    inner = _padd(_pmul(_pderiv(p), [ONE, -ONE]), _pscale(Fraction(f.pole_order), p))
-    return RatFuncAtOne([ZERO] + inner, f.pole_order + 1)
+    p = NPoly(f.num)
+    inner = p.deriv() * _one_minus_z_pow(1) + p * f.pole_order
+    return RatFuncAtOne((ZERO,) + inner.coeffs, f.pole_order + 1)
 
 
 def li_nonpositive(s: Sequence[int]) -> RatFuncAtOne:
@@ -280,10 +216,10 @@ def ratfunc_to_x1star(f: RatFuncAtOne) -> X1StarPoly:
 def x1star_to_ratfunc(s: X1StarPoly) -> RatFuncAtOne:
     """Evaluate sum_k c_k / (1-z)^k back into canonical rational form."""
     m = s.max_order
-    num: list[Fraction] = []
+    num = NPoly()
     for k, c in s.items():
-        num = _padd(num, _pscale(c, _one_minus_z_pow(m - k)))
-    return RatFuncAtOne(num, m)
+        num = num + _one_minus_z_pow(m - k) * c
+    return RatFuncAtOne(num.coeffs, m)
 
 
 def regularize_trailing_x0(p: NCPoly) -> dict[int, NCPoly]:

@@ -22,8 +22,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .coding import PlaneStarBase, QSeriesTrunc, pi_y, q_exp_m1, q_scale, umbra_to_plane
-from .nc_core import NCPoly, RatLike, Word, X, X1, Y, ZERO, as_rat
+from .coding import (
+    PlaneStarBase,
+    QSeriesTrunc,
+    pi_y,
+    plane_to_umbra,
+    q_add,
+    q_exp_m1,
+    q_mul,
+    q_scale,
+    umbra_to_plane,
+)
+from .nc_core import NCPoly, RatLike, Word, X, X1, Y, ZERO, as_rat, format_terms
 from .products import exp_stuffle, shuffle_pow
 
 
@@ -115,26 +125,7 @@ class X1StarPoly:
     __hash__ = None  # type: ignore[assignment]
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts: list[str] = []
-        for k, c in self.items():
-            body = f"star({k})" if k > 0 else "1"
-            if k == 0:
-                frag = str(c)
-            elif c == 1:
-                frag = body
-            elif c == -1:
-                frag = f"-{body}"
-            else:
-                frag = f"{c}*{body}"
-            if not parts:
-                parts.append(frag)
-            elif frag.startswith("-"):
-                parts.append(f"- {frag[1:]}")
-            else:
-                parts.append(f"+ {frag}")
-        return " ".join(parts)
+        return format_terms([(c, f"star({k})" if k else "") for k, c in self.items()])
 
     def __repr__(self) -> str:
         return f"X1StarPoly({self!s})"
@@ -212,16 +203,13 @@ class PlaneStar:
 def plane_star_stuffle(a: PlaneStar, b: PlaneStar) -> PlaneStar:
     """Group law on plane stars: c_n = a_n + b_n + sum_{i+j=n} a_i b_j.
 
-    The result carries S_max = a.s_max + b.s_max so no cross term is lost.
+    In the umbral coding this is (1+A)(1+B) - 1 = A + B + AB on the
+    constant-free q-series A, B of the two stars.  The result carries
+    S_max = a.s_max + b.s_max so no cross term is lost.
     """
-    s_max = a.s_max + b.s_max
-    coeffs = []
-    for n in range(1, s_max + 1):
-        c = a.coeff(n) + b.coeff(n)
-        for i in range(max(1, n - b.s_max), min(a.s_max, n - 1) + 1):
-            c += a.coeff(i) * b.coeff(n - i)
-        coeffs.append(c)
-    return PlaneStar(tuple(coeffs))
+    m = a.s_max + b.s_max
+    qa, qb = plane_to_umbra(a.alpha), plane_to_umbra(b.alpha)
+    return PlaneStar(umbra_to_plane(q_add(q_add(qa, qb, m), q_mul(qa, qb, m), m)))
 
 
 def plane_star_inverse(a: PlaneStar, s_max: int) -> PlaneStar:

@@ -141,6 +141,68 @@ class TestPrintParseRoundtrip:
                 assert value == s
 
 
+class TestPrintedForms:
+    """Golden strings: every term printer writes the same signed-sum format."""
+
+    @pytest.mark.parametrize(
+        "value,printed,expr_text",
+        [
+            (
+                NCPoly(X, {Word((), X): F(-3, 2), x_word("1"): -1, x_word("01"): 1, x_word("011"): F(2, 3)}),
+                "-3/2 - x1 + x0x1 + 2/3*x0x1x1",
+                '-3/2 - "1" + "01" + 2/3*"011"',
+            ),
+            (
+                NCPoly(Y, {Word((), Y): -2, y_word(2, 1): -1, y_word(3): F(1, 2), y_word(1): 1}),
+                "-2 + y1 + 1/2*y3 - y2y1",
+                "-2 + y1 + 1/2*y3 - y2y1",
+            ),
+            (NCPoly(Y, {y_word(1): -1, y_word(1, 1): 1}), "-y1 + y1y1", "-y1 + y1y1"),
+            (NCPoly.zero(X), "0", "0"),
+            (X1StarPoly({3: -1, 1: 1, 0: -2}), "-star(3) + star(1) - 2", "-star(3) + star(1) - 2"),
+            (X1StarPoly({2: F(-1, 2), 0: 1}), "-1/2*star(2) + 1", "-1/2*star(2) + 1"),
+            (X1StarPoly(), "0", "0"),
+            (harmonic.NPoly([-2, 1, 0, -1, F(1, 2)]), "1/2*N^4 - N^3 + N - 2", None),
+            (harmonic.NPoly([0, -1]), "-N", None),
+            (harmonic.NPoly([F(-1, 3)]), "-1/3", None),
+            (harmonic.NPoly(), "0", None),
+        ],
+    )
+    def test_str_and_expression_text(self, value, printed, expr_text):
+        assert str(value) == printed
+        if isinstance(value, NCPoly):
+            assert ncpoly_expr_text(value) == expr_text
+        elif isinstance(value, X1StarPoly):
+            assert x1star_expr_text(value) == expr_text
+
+    @pytest.mark.parametrize(
+        "argv,text",
+        [
+            (
+                ["shuffle", '2*"01" - "1" + 3', '-"1" + 1/2'],
+                '3/2 - 7/2*"1" + "01" + 2*"11" - 4*"011" - 2*"101"',
+            ),
+            (
+                ["stuffle", "y1 - y2", "-y1y1 + 2 - 1/3*y3"],
+                "2*y1 - 2*y2 - 1/3*y4 + 1/3*y5 - y1y2 + 2/3*y1y3 - y2y1 + 1/3*y2y3"
+                " + 2/3*y3y1 + 1/3*y3y2 - 3*y1y1y1 + y1y1y2 + y1y2y1 + y2y1y1",
+            ),
+            (["stuffle", "0", "y2"], "0"),
+            (["stuffle", "-3", "y1 + 1"], "-3 - 3*y1"),
+            (["shuffle", "star(2) - 1", "star(1) + 3*star(3)"], "3*star(5) - 2*star(3) - star(1)"),
+            (["neg-li", "-1"], "star(2) - star(1)"),
+            (["neg-li", "0,0"], "star(2) - 2*star(1) + 1"),
+            (["neg-li", ""], "1"),
+            (["h-closed-form", "-2,-1"], "1/10*N^5 + 1/8*N^4 - 1/12*N^3 - 1/8*N^2 - 1/60*N"),
+            (["h-closed-form", "1/2 - star(1)"], "-N - 1/2"),
+        ],
+    )
+    def test_cli_text_fields(self, capsys, argv, text):
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["stars_text" if argv[0] == "neg-li" else "text"] == text
+
+
 class TestCommands:
     def _run(self, capsys, *argv):
         code = main(list(argv))

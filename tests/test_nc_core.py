@@ -11,11 +11,7 @@ from polylog.nc_core import (
     Word,
     X,
     Y,
-    add,
-    coeff_of,
-    homogeneous_component,
     index_from_word,
-    scale,
     word_from_index,
     word_from_text,
     x_word,
@@ -105,15 +101,15 @@ class TestNCPoly:
         assert p == NCPoly.zero(X)
 
     def test_add_example(self):
-        assert add(NCPoly.from_word(x_word("1")), NCPoly.from_word(x_word("1")) * -1) == NCPoly.zero(X)
+        assert NCPoly.from_word(x_word("1")) + NCPoly.from_word(x_word("1")) * -1 == NCPoly.zero(X)
 
     def test_scale_example(self):
-        assert scale(Fraction(1, 2), NCPoly.from_word(x_word("0")) * 2) == NCPoly.from_word(x_word("0"))
+        assert Fraction(1, 2) * (NCPoly.from_word(x_word("0")) * 2) == NCPoly.from_word(x_word("0"))
 
     def test_coeff_example(self):
         p = NCPoly.from_word(x_word("01")) + NCPoly.from_word(x_word("10")) * 3
-        assert coeff_of(p, x_word("10")) == 3
-        assert coeff_of(p, x_word("00")) == 0
+        assert p.coeff(x_word("10")) == 3
+        assert p.coeff(x_word("00")) == 0
 
     def test_coeff_alphabet_mismatch(self):
         with pytest.raises(AlphabetError):
@@ -125,11 +121,11 @@ class TestNCPoly:
 
     def test_homogeneous_component_examples(self):
         p = NCPoly.from_word(x_word("01")) + NCPoly.from_word(x_word("1"))
-        assert homogeneous_component(p, 1) == NCPoly.from_word(x_word("1"))
+        assert p.homogeneous_component(1) == NCPoly.from_word(x_word("1"))
         q = NCPoly.from_word(y_word(2)) + NCPoly.from_word(y_word(1, 1))
-        assert homogeneous_component(q, 2) == q
+        assert q.homogeneous_component(2) == q
         one = NCPoly.one(Y)
-        assert homogeneous_component(one, 0) == one
+        assert one.homogeneous_component(0) == one
 
     def test_grading_reconstructs(self):
         rng = random.Random(11)

@@ -58,6 +58,67 @@ class TestRatFuncCanonical:
         one_over = RatFuncAtOne([1], 1)
         assert one_over - RatFuncAtOne([1], 0) == RatFuncAtOne([0, 1], 1)
 
+    def test_zero_evaluates_to_exact_zero(self):
+        value = RatFuncAtOne([], 0).eval(2)
+        assert type(value) is Fraction and value == 0
+
+    def test_str_writes_unit_coefficients_as_signs(self):
+        assert str(RatFuncAtOne([1, -1, 0, -1], 2)) == "(1 - z - z^3)/(1-z)^2"
+        assert str(RatFuncAtOne([0, -1, Fraction(-1, 2), 1], 0)) == "-z - 1/2*z^2 + z^3"
+        assert str(RatFuncAtOne([Fraction(-3, 2)], 1)) == "(-3/2)/(1-z)^1"
+        assert str(RatFuncAtOne([], 0)) == "0"
+
+
+def _ratfuncs():
+    """Hypothesis strategy: p(z)/(1-z)^m with small rational coefficients."""
+    st = pytest.importorskip("hypothesis").strategies
+    coeffs = st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=3), max_size=5)
+    return st.builds(RatFuncAtOne, coeffs, st.integers(0, 3))
+
+
+class TestArithmeticThroughTaylor:
+    """Sums, products and theta against the binomial Taylor expansion."""
+
+    N = 12
+
+    def _property(self, strategies, check):
+        hyp = pytest.importorskip("hypothesis")
+        hyp.settings(max_examples=100, deadline=None, derandomize=True, database=None)(
+            hyp.given(*strategies)(check)
+        )()
+
+    def test_sum(self):
+        def check(f, g):
+            a, b = f.taylor_coeffs(self.N), g.taylor_coeffs(self.N)
+            assert (f + g).taylor_coeffs(self.N) == [x + y for x, y in zip(a, b)]
+            assert (f - g).taylor_coeffs(self.N) == [x - y for x, y in zip(a, b)]
+
+        self._property([_ratfuncs(), _ratfuncs()], check)
+
+    def test_product_is_cauchy_product(self):
+        def check(f, g):
+            a, b = f.taylor_coeffs(self.N), g.taylor_coeffs(self.N)
+            cauchy = [sum((a[i] * b[n - i] for i in range(n + 1)), Fraction(0)) for n in range(self.N + 1)]
+            assert (f * g).taylor_coeffs(self.N) == cauchy
+
+        self._property([_ratfuncs(), _ratfuncs()], check)
+
+    def test_theta_multiplies_by_n(self):
+        def check(f):
+            a = f.taylor_coeffs(self.N)
+            assert theta_derivative(f).taylor_coeffs(self.N) == [n * a[n] for n in range(self.N + 1)]
+
+        self._property([_ratfuncs()], check)
+
+    def test_star_round_trip(self):
+        st = pytest.importorskip("hypothesis").strategies
+
+        def check(index):
+            f = li_nonpositive(index)
+            assert x1star_to_ratfunc(ratfunc_to_x1star(f)) == f
+
+        self._property([st.lists(st.integers(-4, 0), max_size=3)], check)
+
 
 class TestThetaDerivative:
     def test_geometric(self):
