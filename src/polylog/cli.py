@@ -41,7 +41,6 @@ from .nc_core import (
     Word,
     X,
     Y,
-    as_rat,
     format_terms,
     x_word,
     y_word,
@@ -571,13 +570,11 @@ def suite_ex3(ncap: int = 50) -> list[CheckResult]:
         expected_f = negindex.RatFuncAtOne(num, pole)
         _check(results, f"ratfunc[{label}]", f == expected_f, f"got {f}")
         s = negindex.ratfunc_to_x1star(f)
-        expected_s = X1StarPoly({k: as_rat(c) for k, c in star_map.items()})
+        expected_s = X1StarPoly(star_map)
         _check(results, f"stars[{label}]", s == expected_s, f"got {s}")
         npoly = harmonic.h_x1star_closed_form(s)
         if npoly_map is not None:
-            expected_p = harmonic.NPoly.from_monomials(
-                {d: as_rat(c) for d, c in npoly_map.items()}
-            )
+            expected_p = harmonic.NPoly.from_monomials(npoly_map)
             _check(results, f"npoly[{label}]", npoly == expected_p, f"got {npoly}")
         oracle = harmonic.h_signed_table(index, ncap)
         ok = all(npoly.eval(n) == oracle[n] for n in range(ncap + 1))
@@ -991,14 +988,20 @@ def cmd_verify(args) -> int:
 
 # -- argument parsing ----------------------------------------------------------
 
-# allow bare "-2,-1" style positionals
-_NEGATIVE_INDEX_RE = re.compile(r"^-\d+(?:[,.]-?\d+)*$|^-\d*\.\d+$")
+# "-" followed by anything but a letter or "-" ("-2,-1", "-1/3", "-[1]*") is a positional
+_NEGATIVE_INDEX_RE = re.compile(r"^-[^A-Za-z-]")
+
+
+class _ArgParser(argparse.ArgumentParser):
+    def error(self, message: str):
+        # argparse would print usage and exit; main answers with a JSON error instead
+        raise argparse.ArgumentError(None, f"{self.prog}: {message}")
 
 
 @cache
 def _make_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared after it."""
-    parser = argparse.ArgumentParser(
+    parser = _ArgParser(
         prog="polylog",
         description="Exact shuffle/stuffle calculus for polylogarithms and harmonic sums.",
     )
@@ -1062,11 +1065,10 @@ def _make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _make_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _make_parser().parse_args(argv)
         return args.func(args)
-    except (PolylogError, ValueError) as exc:
+    except (PolylogError, ValueError, argparse.ArgumentError) as exc:
         _print_json({"error": {"code": type(exc).__name__, "message": str(exc)}})
         return 2
 

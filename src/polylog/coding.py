@@ -9,17 +9,19 @@ The umbral coding identifies a constant-free truncated q-series
 sum_n a_n q^n with the degree-one Y-element sum_n a_n y_n ("the plane").
 Here it is just a typed exchange of coefficient sequences; the point is the
 bookkeeping between commutative series (where exponentials are cheap) and
-plane elements that get starred in :mod:`polylog.stars`.
+plane elements that get starred in :mod:`polylog.stars`.  A
+:class:`QSeriesTrunc` is a view of an :class:`~polylog.nc_core.NPoly` in q
+with an explicit order S_max; scaling and exp - 1 are that kernel's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
 from .nc_core import (
     NCPoly,
+    NPoly,
     NotInImageError,
     RatLike,
     Word,
@@ -90,42 +92,24 @@ class QSeriesTrunc:
             return ZERO
         return self.coeffs[n - 1]
 
+    @property
+    def poly(self) -> NPoly:
+        """The series as an :class:`NPoly` in q, with zero constant term."""
+        return NPoly((0, *self.coeffs))
+
+    @classmethod
+    def from_poly(cls, poly: NPoly, s_max: int) -> "QSeriesTrunc":
+        """The coefficients of q^1..q^s_max of an NPoly in q."""
+        return cls(poly.padded(s_max)[1:])
+
 
 def q_scale(c: RatLike, s: QSeriesTrunc) -> QSeriesTrunc:
-    c = as_rat(c)
-    return QSeriesTrunc(tuple(c * a for a in s.coeffs))
-
-
-def q_add(s: QSeriesTrunc, t: QSeriesTrunc, s_max: int) -> QSeriesTrunc:
-    return QSeriesTrunc(tuple(s.coeff(n) + t.coeff(n) for n in range(1, s_max + 1)))
-
-
-def q_mul(s: QSeriesTrunc, t: QSeriesTrunc, s_max: int) -> QSeriesTrunc:
-    """Cauchy product truncated to order s_max (result starts at q^2)."""
-    out = [ZERO] * s_max
-    for i in range(1, min(s.s_max, s_max) + 1):
-        a = s.coeff(i)
-        if not a:
-            continue
-        for j in range(1, min(t.s_max, s_max - i) + 1):
-            b = t.coeff(j)
-            if b:
-                out[i + j - 1] += a * b
-    return QSeriesTrunc(tuple(out))
+    return QSeriesTrunc.from_poly(s.poly * c, s.s_max)
 
 
 def q_exp_m1(s: QSeriesTrunc, s_max: int) -> QSeriesTrunc:
-    """exp(S) - 1 for a constant-free S, truncated to order s_max.
-
-    S^n starts at degree n, so the sum stops at n = s_max.
-    """
-    out = QSeriesTrunc((ZERO,) * s_max)
-    power = QSeriesTrunc(tuple(s.coeff(n) for n in range(1, s_max + 1)))
-    for n in range(1, s_max + 1):
-        out = q_add(out, q_scale(Fraction(1, factorial(n)), power), s_max)
-        if n < s_max:
-            power = q_mul(power, s, s_max)
-    return out
+    """exp(S) - 1 for a constant-free S, truncated to order s_max."""
+    return QSeriesTrunc.from_poly(s.poly.exp_m1(s_max), s_max)
 
 
 def umbra_to_plane(s: QSeriesTrunc) -> PlaneStarBase:

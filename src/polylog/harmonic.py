@@ -5,19 +5,21 @@ sum_{N >= n1 > ... > nr > 0} prod n_i^(-s_i); the same formula with signed
 exponents (non-positive entries turn reciprocals into powers) serves as the
 universal brute-force oracle of this package.  Both come out of one prefix
 recurrence, H_s(N) = H_s(N-1) + N^(-s1) H_(s2..sr)(N-1), run on integer
-columns: numerators over one denominator.  With L = lcm(1..N) the step
-multiplies by L^s1 // N^s1 (s1 > 0) or N^(-s1) (s1 <= 0), and the
-denominator is D_(s2..sr) L^max(s1, 0), so no step pays a gcd and Fractions
-are built only for returned values.  :func:`h_word_eval` and
+numerators over one denominator.  With L = lcm(1..N) the step multiplies by
+L^s1 // N^s1 (s1 > 0) or N^(-s1) (s1 <= 0), and the denominator is
+D_(s2..sr) L^max(s1, 0), so no step of the recurrence pays a gcd and
+Fractions are built only for returned values.  :func:`h_word_eval` and
 :func:`h_signed_eval` stream with O(r) memory, and :func:`h_signed_table`
 streams apart from the cache so it stays an independent oracle; the word and
 polynomial tables read columns memoized by index and suffix, which the
-identity checkers lean on heavily.
+identity checkers lean on heavily.  A cached column and a Taylor vector are
+each an :class:`~polylog.nc_core.NPoly`, the one dense exact kernel, and a
+polynomial table is that kernel's linear combination of columns.
 
 Star combinations sum_k c_k (k x1)* have polynomial harmonic sums:
 H of (k x1)* at N is binomial(N+k, k), so the closed form is an exact
-polynomial in N: an :class:`~polylog.nc_core.NPoly`, the dense exact
-polynomial that also carries the numerators of :mod:`polylog.negindex`.
+polynomial in N: an :class:`~polylog.nc_core.NPoly` again, a linear
+combination of binomial polynomials.
 Composed with that module's rational-function pipeline, this yields
 Faulhaber-style closed forms for every non-positive multi-index.
 
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import factorial, lcm, prod
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .nc_core import AlphabetError, NCPoly, NPoly, RatLike, Word, Y
 from .negindex import li_nonpositive, ratfunc_to_x1star
@@ -42,17 +44,6 @@ from .stars import X1StarPoly, x1star_y_expansion
 #: A signed multi-index: positive entries are reciprocal exponents,
 #: non-positive entries are power weights.
 SignedIndex = tuple[int, ...]
-
-
-@dataclass(frozen=True, slots=True)
-class _Column:
-    """Values nums[n] / den: a harmonic column H_index(0..n) or a Taylor vector."""
-
-    nums: tuple[int, ...]
-    den: int
-
-    def __len__(self) -> int:
-        return len(self.nums)
 
 
 def _scales(index: SignedIndex, n_max: int) -> list[int]:
@@ -89,50 +80,44 @@ def _prefix_rows(
 
 #: Integer columns keyed by signed index.  An entry is replaced whole by a
 #: longer column, never mutated, so readers see one consistent column.
-_HVEC_CACHE: dict[SignedIndex, _Column] = {}
+_HVEC_CACHE: dict[SignedIndex, NPoly] = {}
 
 
-def _h_vector(index: SignedIndex, n_max: int) -> _Column:
+def _h_vector(index: SignedIndex, n_max: int) -> NPoly:
     """Cached column of H_index(0..n_max) or longer, copy-on-extend.
 
-    Built in a loop upwards from the longest suffix cached long enough, so a
-    deep index never reaches the recursion limit.
+    H_index(N) = 0 for N < depth and > 0 from there on, so a column is either
+    zero (not cached) or keeps every entry under trimming, and ``len`` of a
+    cached column is its entry count.  Built in a loop upwards from the
+    longest suffix cached long enough, so a deep index never reaches the
+    recursion limit.
     """
+    if n_max < len(index):
+        return NPoly()
     for k in range(len(index)):
         col = _HVEC_CACHE.get(index[k:])
         if col is not None and len(col) > n_max:
             break
     else:
         k = len(index)
-        col = _Column((1,) * (n_max + 1), 1)
+        col = NPoly((1,) * (n_max + 1), 1)
     if k:
         scales = _scales(index[:k], n_max)
         for j in reversed(range(k)):
             rows = _prefix_rows(index[j : j + 1], scales[j : j + 1], iter(col.nums), n_max)
-            col = _Column(tuple(row[0] for row in rows), col.den * scales[j])
+            col = NPoly([row[0] for row in rows], col.den * scales[j])
             _HVEC_CACHE[index[j:]] = col
     return col
 
 
-def _taylor_vector(index: SignedIndex, n_cap: int) -> _Column:
-    """Li's Taylor coefficients a_N = N^(-s1) H_(s2..sr)(N-1), N <= n_cap, as one column."""
+def _taylor_vector(index: SignedIndex, n_cap: int) -> NPoly:
+    """Li's Taylor coefficients a_N = N^(-s1) H_(s2..sr)(N-1), N <= n_cap."""
     if not index:
-        return _Column((1,) + (0,) * n_cap, 1)
+        return NPoly([1])
     sub = _h_vector(index[1:], n_cap)
     (scale,) = _scales(index[:1], n_cap)
     weights = _weights(index[0], scale, n_cap)
-    return _Column((0, *(m * x for m, x in zip(weights, sub.nums))), sub.den * scale)
-
-
-def _lin_comb(terms: Iterable[tuple[Fraction, _Column]], n_max: int) -> list[Fraction]:
-    """sum_k c_k col_k[n] for n = 0..n_max, summed in ints over one denominator."""
-    terms = list(terms)
-    den = lcm(1, *(c.denominator * col.den for c, col in terms))
-    acc = [0] * (n_max + 1)
-    for c, col in terms:
-        k = c.numerator * (den // (c.denominator * col.den))
-        acc = [a + k * x for a, x in zip(acc, col.nums)]
-    return [Fraction(x, den) for x in acc]
+    return NPoly((0, *(m * x for m, x in zip(weights, sub.nums))), sub.den * scale)
 
 
 def h_word_eval(w: Word, n: int) -> Fraction:
@@ -168,8 +153,7 @@ def h_word_table(w: Word, n_max: int) -> list[Fraction]:
     """Cached values [H_w(0), ..., H_w(n_max)] for a Y-word."""
     if w.alphabet != Y:
         raise AlphabetError("harmonic sums are indexed by Y-words")
-    col = _h_vector(w.letters, n_max)
-    return [Fraction(x, col.den) for x in col.nums[: n_max + 1]]
+    return list(_h_vector(w.letters, n_max).padded(n_max))
 
 
 def h_poly_eval(q: NCPoly, n: int) -> Fraction:
@@ -181,7 +165,8 @@ def h_poly_table(q: NCPoly, n_max: int) -> list[Fraction]:
     """Values of the linear extension for N = 0..n_max, suffix-memoized."""
     if q.alphabet != Y:
         raise AlphabetError("harmonic sums are indexed by Y-polynomials")
-    return _lin_comb(((c, _h_vector(w.letters, n_max)) for w, c in q.items()), n_max)
+    columns = ((c, _h_vector(w.letters, n_max)) for w, c in q.items())
+    return list(NPoly.lin_comb(columns, n_max).padded(n_max))
 
 
 def _binomial_npoly(k: int) -> NPoly:
@@ -194,10 +179,7 @@ def _binomial_npoly(k: int) -> NPoly:
 
 def h_x1star_closed_form(s: X1StarPoly) -> NPoly:
     """Polynomial N -> H of a star combination, via H of (k x1)* = C(N+k, k)."""
-    out = NPoly()
-    for k, c in s.items():
-        out = out + c * _binomial_npoly(k)
-    return out
+    return NPoly.lin_comb((c, _binomial_npoly(k)) for k, c in s.items())
 
 
 def h_negindex_closed_form(s: Sequence[int]) -> NPoly:

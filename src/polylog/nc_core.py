@@ -22,17 +22,21 @@ as bitstrings over {0,1} ("01" is x0x1), Y-words as comma-joined indices
 serializes as "".
 
 The module also hosts the two pieces every other module shares: :class:`NPoly`,
-the dense exact polynomial in one variable (closed forms in N in
-:mod:`polylog.harmonic`, rational-function numerators in z in
-:mod:`polylog.negindex`), and :func:`format_terms`, the one text format of a
-signed sum of terms ("3/2 - y1 + 2*y2y1") behind every printed polynomial and
-star combination.
+the one dense exact kernel (integer numerators over one denominator) behind
+every coefficient vector of the package - Taylor vectors and harmonic columns,
+q-series and plane stars, star combinations, rational-function numerators and
+closed forms in N - and :func:`format_terms`, the one text format of a signed
+sum of terms ("3/2 - y1 + 2*y2y1") behind every printed polynomial and star
+combination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat, zip_longest
+from math import factorial, lcm
+from numbers import Rational
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 X = "X"
@@ -418,18 +422,30 @@ class NCPoly:
 class NPoly:
     """A dense polynomial in one variable with exact rational coefficients.
 
-    ``coeffs[j]`` is the coefficient of the j-th power; trailing zeros are
-    trimmed so equality is coefficientwise.  The variable is N for harmonic
-    closed forms and z for rational-function numerators; printing names N.
+    The package's one dense exact kernel: coefficient j is ``nums[j] / den``,
+    integer numerators over one positive denominator, trimmed of trailing
+    zeros.  The pair is not reduced (a gcd over every numerator costs more
+    than the kernels save), so equality compares cross products, and
+    Fractions are built only for ``coeffs``, :meth:`coeff`, :meth:`padded`,
+    printing and JSON.  Every other dense carrier is a view of an NPoly with
+    its own explicit truncation order, so trimming never shortens a cap;
+    float numerators over 1 (float-mode Taylor vectors) run through the same
+    loops.  The variable is N, z, q or t = 1/(1-z) by context; printing
+    names N.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
-    def __init__(self, coeffs: Iterable[RatLike] = ()) -> None:
-        data = [as_rat(c) for c in coeffs]
-        while data and not data[-1]:
-            data.pop()
-        self.coeffs = tuple(data)
+    def __init__(self, coeffs: Iterable = (), den: int | None = None) -> None:
+        """Rational coefficients, or integer numerators over ``den`` > 0 when given."""
+        if den is None:
+            data = [as_rat(c) for c in coeffs]
+            den = lcm(1, *(c.denominator for c in data))
+            coeffs = [c.numerator * (den // c.denominator) for c in data]
+        nums = list(coeffs)
+        while nums and not nums[-1]:
+            nums.pop()
+        self.nums, self.den = tuple(nums), den
 
     @classmethod
     def from_monomials(cls, monomials: Mapping[int, RatLike]) -> "NPoly":
@@ -443,61 +459,131 @@ class NPoly:
         return cls(data)
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, constant term first."""
+        return self.padded(self.degree)
+
+    def padded(self, n: int) -> tuple[Fraction, ...]:
+        """Coefficients 0..n as Fractions, cut or zero-padded to n + 1 entries."""
+        head = tuple(Fraction(x, self.den) for x in self.nums[: n + 1])
+        return head + (ZERO,) * (n + 1 - len(head))
+
+    def coeff(self, j: int) -> Fraction:
+        """Coefficient of the j-th power; 0 outside the stored range."""
+        return Fraction(self.nums[j], self.den) if 0 <= j < len(self.nums) else ZERO
+
+    @property
     def degree(self) -> int:
         """Degree, with the zero polynomial reported as degree -1."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
-    def eval(self, n):
-        """Horner evaluation at an exact (or float or complex) point."""
+    def __len__(self) -> int:
+        return len(self.nums)
+
+    def eval(self, x):
+        """Horner evaluation; in integers over one denominator at a rational point."""
+        if isinstance(x, Rational):
+            p, q = x.numerator, x.denominator
+            acc, qk = 0, 1
+            for c in reversed(self.nums):
+                acc = acc * p + c * qk
+                qk *= q
+            return Fraction(acc * q, self.den * qk)
         out = ZERO
         for c in reversed(self.coeffs):
-            out = out * n + c
+            out = out * x + c
         return out
 
-    def deriv(self) -> "NPoly":
-        """The derivative with respect to the variable."""
-        return NPoly([j * self.coeffs[j] for j in range(1, len(self.coeffs))])
+    # -- kernels -------------------------------------------------------------
+
+    @staticmethod
+    def lin_comb(terms: Iterable[tuple[RatLike, "NPoly"]], n: int | None = None) -> "NPoly":
+        """sum_k c_k p_k in ints over one denominator, cut to degree n when given."""
+        terms = [(as_rat(c), p) for c, p in terms]
+        den = lcm(1, *(c.denominator * p.den for c, p in terms))
+        size = max((len(p.nums) for _, p in terms), default=0) if n is None else n + 1
+        acc = [0] * size
+        for c, p in terms:
+            k = c.numerator * (den // (c.denominator * p.den))
+            acc = [a + k * x for a, x in zip_longest(acc, p.nums[:size], fillvalue=0)]
+        return NPoly(acc, den)
 
     def __add__(self, other: "NPoly") -> "NPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        data = list(a)
-        for i, c in enumerate(b):
-            data[i] += c
-        return NPoly(data)
-
-    def __neg__(self) -> "NPoly":
-        return NPoly([-c for c in self.coeffs])
+        return NPoly.lin_comb([(1, self), (1, other)])
 
     def __sub__(self, other: "NPoly") -> "NPoly":
-        return self + (-other)
+        return NPoly.lin_comb([(1, self), (-1, other)])
+
+    def __neg__(self) -> "NPoly":
+        return NPoly([-x for x in self.nums], self.den)
 
     def __mul__(self, other):
         if isinstance(other, NPoly):
-            if not self.coeffs or not other.coeffs:
-                return NPoly()
-            data = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        data[i + j] += a * b
-            return NPoly(data)
-        return NPoly([as_rat(other) * c for c in self.coeffs])
+            return self.mul_trunc(other, len(self.nums) + len(other.nums) - 2)
+        c = as_rat(other)
+        return NPoly([c.numerator * x for x in self.nums], self.den * c.denominator)
 
     __rmul__ = __mul__
+
+    def mul_trunc(self, other: "NPoly", n: int) -> "NPoly":
+        """Cauchy product cut to degree n."""
+        ys = other.nums
+        out = [0] * (n + 1)
+        for i, x in enumerate(self.nums[: n + 1]):
+            if not x:
+                continue
+            for j, y in enumerate(ys[: n + 1 - i]):
+                if y:
+                    out[i + j] += x * y
+        return NPoly(out, self.den * other.den)
+
+    def hadamard(self, other: "NPoly") -> "NPoly":
+        """Coefficientwise product."""
+        return NPoly([x * y for x, y in zip(self.nums, other.nums)], self.den * other.den)
+
+    def prefix_sums(self, n: int) -> "NPoly":
+        """Coefficients 0..n of p/(1-z): b_k = p_0 + ... + p_k."""
+        head = self.nums[: n + 1]
+        return NPoly(accumulate(head + (0,) * (n + 1 - len(head))), self.den)
+
+    def star_inverse(self, n: int) -> "NPoly":
+        """(1 + p)^-1 - 1 to degree n, for p without constant term.
+
+        With p_k = s_k / d the coefficients are T_k / d^k for the integers
+        T_k = -(s_k d^(k-1) + sum_{0<i<k} s_i d^(i-1) T_(k-i)).
+        """
+        p, d = self.nums, self.den
+        s = [0] + [p[i] * d ** (i - 1) if i < len(p) else 0 for i in range(1, n + 1)]
+        t = [0]
+        for k in range(1, n + 1):
+            t.append(-(s[k] + sum(s[i] * t[k - i] for i in range(1, k))))
+        return NPoly([x * d ** (n - k) for k, x in enumerate(t)], d**n)
+
+    def exp_m1(self, n: int) -> "NPoly":
+        """exp(p) - 1 = sum_{k>=1} p^k / k! to degree n, for p without constant term."""
+        powers = accumulate(repeat(self, n - 1), lambda q, _: q.mul_trunc(self, n), initial=self)
+        return NPoly.lin_comb(((Fraction(1, factorial(k)), q) for k, q in enumerate(powers, 1)), n)
+
+    def euler(self, pole: int) -> "NPoly":
+        """Numerator of theta (p / (1-z)^pole) over (1-z)^(pole+1), theta = z d/dz.
+
+        One pass: z sum_i ((i+1) p_(i+1) + (pole - i) p_i) z^i.
+        """
+        p = self.nums + (0,)
+        terms = ((i + 1) * p[i + 1] + (pole - i) * p[i] for i in range(len(self.nums)))
+        return NPoly([0, *terms], self.den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NPoly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        if self.den == other.den or len(self.nums) != len(other.nums):
+            return self.nums == other.nums
+        return all(x * other.den == y * self.den for x, y in zip(self.nums, other.nums))
 
     __hash__ = None  # type: ignore[assignment]
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def to_json_dict(self) -> dict:
         return {"coeffs": [str(c) for c in self.coeffs]}

@@ -12,10 +12,10 @@ order at z = 1, with (1-z) factors always divided out of the numerator so
 equality is plain field-wise comparison.  When deg(num) <= pole order, the
 function rewrites as sum_k c_k / (1-z)^k, i.e. as the star combination
 sum_k c_k (k x1)* of :class:`polylog.stars.X1StarPoly` - that conversion and
-its inverse live here too.  The numerator is a tuple of Fractions; its
-arithmetic (sums, products, derivative, evaluation, trimming) and its
-printing are those of :class:`polylog.nc_core.NPoly`, the dense polynomial
-that also carries the closed forms in N of :mod:`polylog.harmonic`.
+its inverse live here too.  The numerator is an :class:`polylog.nc_core.NPoly`
+(``num`` reads its Fractions): sums, products, the Euler step, the division
+by (1-z), evaluation and printing are that one dense exact kernel's, on
+integer numerators over one denominator.
 
 The module also hosts the trailing-x0 shuffle regularization: every
 X-polynomial P decomposes uniquely as sum_k P_k sh x0^(sh k) with each P_k
@@ -28,7 +28,6 @@ fewer trailing zeros.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
 from math import comb, factorial
 from typing import Sequence
 
@@ -42,7 +41,6 @@ from .nc_core import (
     Word,
     X,
     X0,
-    ZERO,
     as_rat,
     format_terms,
 )
@@ -58,67 +56,64 @@ class RatFuncAtOne:
     """A rational function p(z)/(1-z)^m with its only pole at z = 1.
 
     Canonical form: the numerator is trimmed and, whenever m > 0, not
-    divisible by (1-z); the zero function has m = 0.
+    divisible by (1-z); the zero function has m = 0.  The numerator is held as
+    an :class:`NPoly` ``p``; ``num`` gives its coefficients as Fractions.
     """
 
-    __slots__ = ("num", "pole_order")
+    __slots__ = ("p", "pole_order")
 
-    def __init__(self, num: Sequence[RatLike], pole_order: int) -> None:
+    def __init__(self, num: Sequence[RatLike] | NPoly, pole_order: int) -> None:
         if pole_order < 0:
             raise ValueError(f"pole order must be >= 0, got {pole_order}")
-        p = NPoly(num)
-        while pole_order > 0 and p and p.eval(1) == 0:
-            # p = (1-z) q  <=>  q_i = p_0 + ... + p_i
-            p = NPoly(accumulate(p.coeffs[:-1]))
+        p = num if isinstance(num, NPoly) else NPoly(num)
+        while pole_order > 0 and p and not sum(p.nums):
+            # p(1) = 0, so p = (1-z) q with q_i = p_0 + ... + p_i
+            p = p.prefix_sums(p.degree - 1)
             pole_order -= 1
-        if not p:
-            pole_order = 0
-        self.num = p.coeffs
-        self.pole_order = pole_order
+        self.p = p
+        self.pole_order = pole_order if p else 0
 
     @classmethod
     def constant(cls, c: RatLike) -> "RatFuncAtOne":
         return cls([as_rat(c)], 0)
 
     @property
+    def num(self) -> tuple[Fraction, ...]:
+        return self.p.coeffs
+
+    @property
     def is_zero(self) -> bool:
-        return not self.num
+        return not self.p
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RatFuncAtOne):
             return NotImplemented
-        return self.num == other.num and self.pole_order == other.pole_order
+        return self.p == other.p and self.pole_order == other.pole_order
 
     __hash__ = None  # type: ignore[assignment]
 
     def __add__(self, other: "RatFuncAtOne") -> "RatFuncAtOne":
         m = max(self.pole_order, other.pole_order)
-        p = NPoly(self.num) * _one_minus_z_pow(m - self.pole_order)
-        q = NPoly(other.num) * _one_minus_z_pow(m - other.pole_order)
-        return RatFuncAtOne((p + q).coeffs, m)
+        p = self.p * _one_minus_z_pow(m - self.pole_order)
+        q = other.p * _one_minus_z_pow(m - other.pole_order)
+        return RatFuncAtOne(p + q, m)
 
     def __neg__(self) -> "RatFuncAtOne":
-        out = RatFuncAtOne.__new__(RatFuncAtOne)
-        out.num = tuple(-c for c in self.num)
-        out.pole_order = self.pole_order
-        return out
+        return RatFuncAtOne(-self.p, self.pole_order)
 
     def __sub__(self, other: "RatFuncAtOne") -> "RatFuncAtOne":
         return self + (-other)
 
     def __mul__(self, other: "RatFuncAtOne") -> "RatFuncAtOne":
-        return RatFuncAtOne(
-            (NPoly(self.num) * NPoly(other.num)).coeffs,
-            self.pole_order + other.pole_order,
-        )
+        return RatFuncAtOne(self.p * other.p, self.pole_order + other.pole_order)
 
     def mul_z_over_one_minus_z(self) -> "RatFuncAtOne":
-        """Multiply by z/(1-z): prepend a zero coefficient, bump the pole."""
-        return RatFuncAtOne((ZERO,) + self.num, self.pole_order + 1)
+        """Multiply by z/(1-z): shift the numerator up, bump the pole."""
+        return RatFuncAtOne(self.p * _Z, self.pole_order + 1)
 
     def eval(self, z):
         """Exact evaluation at a rational (or complex) z != 1."""
-        return NPoly(self.num).eval(z) / (1 - z) ** self.pole_order
+        return self.p.eval(z) / (1 - z) ** self.pole_order
 
     def taylor_coeffs(self, n_cap: int) -> list[Fraction]:
         """Exact Taylor coefficients a_0..a_{n_cap} at z = 0.
@@ -127,27 +122,14 @@ class RatFuncAtOne:
         harmonic-sum recurrences used elsewhere.
         """
         m = self.pole_order
-        out = []
-        for n in range(n_cap + 1):
-            c = ZERO
-            for j, pj in enumerate(self.num):
-                if j > n:
-                    break
-                if not pj:
-                    continue
-                if m == 0:
-                    if j == n:
-                        c += pj
-                else:
-                    c += pj * comb(n - j + m - 1, m - 1)
-            out.append(c)
-        return out
+        series = NPoly([comb(n + m - 1, m - 1) for n in range(n_cap + 1)], 1) if m else _ONE
+        return list(self.p.mul_trunc(series, n_cap).padded(n_cap))
 
     def to_json_dict(self) -> dict:
         return {"num": [str(c) for c in self.num], "pole_order": self.pole_order}
 
     def __str__(self) -> str:
-        num = format_terms(NPoly(self.num)._monomials("z"))
+        num = format_terms(self.p._monomials("z"))
         if self.pole_order == 0:
             return num
         return f"({num})/(1-z)^{self.pole_order}"
@@ -156,8 +138,11 @@ class RatFuncAtOne:
         return f"RatFuncAtOne({self!s})"
 
 
+_ONE, _Z = NPoly([1]), NPoly([0, 1])
+
+
 def _one_minus_z_pow(k: int) -> NPoly:
-    return NPoly([(-1) ** i * comb(k, i) for i in range(k + 1)])
+    return NPoly([(-1) ** i * comb(k, i) for i in range(k + 1)], 1)
 
 
 def theta_derivative(f: RatFuncAtOne) -> RatFuncAtOne:
@@ -165,9 +150,7 @@ def theta_derivative(f: RatFuncAtOne) -> RatFuncAtOne:
 
     For f = p/(1-z)^m: theta f = z (p'(1-z) + m p) / (1-z)^(m+1).
     """
-    p = NPoly(f.num)
-    inner = p.deriv() * _one_minus_z_pow(1) + p * f.pole_order
-    return RatFuncAtOne((ZERO,) + inner.coeffs, f.pole_order + 1)
+    return RatFuncAtOne(f.p.euler(f.pole_order), f.pole_order + 1)
 
 
 def li_nonpositive(s: Sequence[int]) -> RatFuncAtOne:
@@ -197,29 +180,20 @@ def ratfunc_to_x1star(f: RatFuncAtOne) -> X1StarPoly:
     Needs deg p <= m; the outputs of :func:`li_nonpositive` always qualify.
     """
     m = f.pole_order
-    if len(f.num) - 1 > m:
+    if f.p.degree > m:
         raise NotRepresentableError(
-            f"numerator degree {len(f.num) - 1} exceeds pole order {m}; "
+            f"numerator degree {f.p.degree} exceeds pole order {m}; "
             "the function is not a combination of (k x1)* stars"
         )
-    terms: dict[int, Fraction] = {}
-    for j in range(len(f.num)):
-        b = ZERO
-        for i in range(j, len(f.num)):
-            if f.num[i]:
-                b += f.num[i] * comb(i, j) * (-1) ** j
-        if b:
-            terms[m - j] = b
-    return X1StarPoly(terms)
+    p = f.p.nums
+    b = [(-1) ** j * sum(p[i] * comb(i, j) for i in range(j, len(p))) for j in range(len(p))]
+    return X1StarPoly(NPoly([0] * (m + 1 - len(b)) + b[::-1], f.p.den))
 
 
 def x1star_to_ratfunc(s: X1StarPoly) -> RatFuncAtOne:
     """Evaluate sum_k c_k / (1-z)^k back into canonical rational form."""
     m = s.max_order
-    num = NPoly()
-    for k, c in s.items():
-        num = num + _one_minus_z_pow(m - k) * c
-    return RatFuncAtOne(num.coeffs, m)
+    return RatFuncAtOne(NPoly.lin_comb((c, _one_minus_z_pow(m - k)) for k, c in s.items()), m)
 
 
 def regularize_trailing_x0(p: NCPoly) -> dict[int, NCPoly]:

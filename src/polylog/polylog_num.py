@@ -13,10 +13,11 @@ harmonic-sum recurrences.  On top of that this module provides:
 * a certified numeric evaluator on |z| <= 0.995 and the strict-decrease
   radius diagnostic for the worked divergence family.
 
-Exact mode uses ints internally, Fractions at the API: a kernel works on
-integer numerators over one shared denominator and builds one reduced
-Fraction per returned coefficient.  Float mode runs the same loops with
-double-precision scalars and claims nothing beyond the advertised tolerances.
+A :class:`TaylorTrunc` is a view of an :class:`~polylog.nc_core.NPoly`, the
+one dense exact kernel, with an explicit cap: in exact mode the kernels run
+on integer numerators over one shared denominator and Fractions are built
+only when ``coeffs`` is read.  Float mode runs the same loops on doubles over
+the denominator 1 and claims nothing beyond the advertised tolerances.
 """
 
 from __future__ import annotations
@@ -25,14 +26,14 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from math import factorial, lcm
-from typing import Iterable, Sequence
+from math import factorial
+from typing import Sequence
 
-from .harmonic import _lin_comb, _taylor_vector, h_poly_table
+from .harmonic import _taylor_vector, h_poly_table
 from .nc_core import (
     AlphabetError,
     NCPoly,
+    NPoly,
     NotInImageError,
     PolylogError,
     Word,
@@ -54,27 +55,51 @@ class PrecisionError(PolylogError):
     """The requested accuracy is unattainable within the evaluation caps."""
 
 
-@dataclass(frozen=True, slots=True)
 class TaylorTrunc:
-    """Coefficients a_0..a_{n_cap} of a series, exact or floating."""
+    """Coefficients a_0..a_{n_cap} of a series, exact or floating.
 
-    coeffs: tuple
-    mode: str = "exact"
+    A view of an :class:`NPoly` ``poly`` with its explicit cap ``n_cap``:
+    exact coefficients are integer numerators over one denominator, float
+    coefficients floats over 1, and the kernels of NPoly run on both.
+    ``coeffs`` builds the tuple of Fractions (or floats) on each read.
+    """
 
-    def __post_init__(self) -> None:
-        if self.mode not in ("exact", "float"):
-            raise ValueError(f"mode must be 'exact' or 'float', got {self.mode!r}")
-        if not self.coeffs:
+    __slots__ = ("poly", "n_cap", "mode")
+
+    def __init__(self, coeffs: Sequence, mode: str = "exact") -> None:
+        if mode not in ("exact", "float"):
+            raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
+        if not coeffs:
             raise ValueError("a TaylorTrunc holds at least the constant term")
         # isinstance over the distinct types, not every entry: this runs per vector
-        if self.mode == "exact" and not all(
-            issubclass(t, (int, Fraction)) for t in set(map(type, self.coeffs))
+        if mode == "exact" and not all(
+            issubclass(t, (int, Fraction)) for t in set(map(type, coeffs))
         ):
             raise ValueError("exact Taylor coefficients must be int or Fraction")
+        self.poly = NPoly(coeffs) if mode == "exact" else NPoly(coeffs, 1)
+        self.n_cap = len(coeffs) - 1
+        self.mode = mode
+
+    @classmethod
+    def _of(cls, poly: NPoly, n_cap: int, mode: str = "exact") -> "TaylorTrunc":
+        out = cls.__new__(cls)
+        out.poly, out.n_cap, out.mode = poly, n_cap, mode
+        return out
 
     @property
-    def n_cap(self) -> int:
-        return len(self.coeffs) - 1
+    def coeffs(self) -> tuple:
+        if self.mode == "exact":
+            return self.poly.padded(self.n_cap)
+        head = tuple(x / self.poly.den for x in self.poly.nums[: self.n_cap + 1])
+        return head + (0.0,) * (self.n_cap - len(head) + 1)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TaylorTrunc):
+            return NotImplemented
+        return (self.mode, self.n_cap, self.poly) == (other.mode, other.n_cap, other.poly)
+
+    def __repr__(self) -> str:
+        return f"TaylorTrunc(coeffs={self.coeffs!r}, mode={self.mode!r})"
 
     def to_json_dict(self) -> dict:
         if self.mode == "exact":
@@ -87,20 +112,6 @@ def _require_compatible(a: TaylorTrunc, b: TaylorTrunc) -> None:
         raise ValueError(f"mode mismatch: {a.mode} vs {b.mode}")
     if a.n_cap != b.n_cap:
         raise ValueError(f"cap mismatch: {a.n_cap} vs {b.n_cap}")
-
-
-def _as_ints(a: TaylorTrunc) -> tuple[list, int]:
-    """Exact coefficients as ints over the lcm of their denominators; floats over 1."""
-    if a.mode == "float":
-        return list(a.coeffs), 1
-    den = lcm(*(c.denominator for c in a.coeffs))
-    return [c.numerator * (den // c.denominator) for c in a.coeffs], den
-
-
-def _from_ints(nums: Iterable, den: int, mode: str) -> TaylorTrunc:
-    if mode == "float":
-        return TaylorTrunc(tuple(float(x) for x in nums), "float")
-    return TaylorTrunc(tuple(Fraction(x, den) for x in nums))
 
 
 def _li_taylor_float(index: tuple[int, ...], n_cap: int) -> list[float]:
@@ -138,8 +149,7 @@ def li_taylor_coeffs(s: Sequence[int], n_cap: int, mode: str = "exact") -> Taylo
     index = tuple(s)
     if mode == "float" and index:
         return TaylorTrunc(tuple(_li_taylor_float(index, n_cap)), "float")
-    vec = _taylor_vector(index, n_cap)
-    return _from_ints(vec.nums, vec.den, mode)
+    return TaylorTrunc._of(_taylor_vector(index, n_cap), n_cap, mode)
 
 
 def li_taylor_poly(p: NCPoly, n_cap: int) -> TaylorTrunc:
@@ -150,35 +160,24 @@ def li_taylor_poly(p: NCPoly, n_cap: int) -> TaylorTrunc:
     if p.alphabet != X:
         raise AlphabetError("li_taylor_poly expects an X-polynomial")
     terms = ((c, _taylor_vector(index_from_word(w), n_cap)) for w, c in p.items())
-    return TaylorTrunc(tuple(_lin_comb(terms, n_cap)))
+    return TaylorTrunc._of(NPoly.lin_comb(terms, n_cap), n_cap)
 
 
 def div_one_minus_z(a: TaylorTrunc) -> TaylorTrunc:
     """Coefficients of A/(1-z): prefix sums b_N = sum_{n<=N} a_n."""
-    nums, den = _as_ints(a)
-    return _from_ints(accumulate(nums), den, a.mode)
+    return TaylorTrunc._of(a.poly.prefix_sums(a.n_cap), a.n_cap, a.mode)
 
 
 def hadamard(a: TaylorTrunc, b: TaylorTrunc) -> TaylorTrunc:
     """Coefficientwise product; caps and modes must match."""
     _require_compatible(a, b)
-    (xs, da), (ys, db) = _as_ints(a), _as_ints(b)
-    return _from_ints([x * y for x, y in zip(xs, ys)], da * db, a.mode)
+    return TaylorTrunc._of(a.poly.hadamard(b.poly), a.n_cap, a.mode)
 
 
 def cauchy(a: TaylorTrunc, b: TaylorTrunc) -> TaylorTrunc:
     """Cauchy product truncated at the shared cap."""
     _require_compatible(a, b)
-    (xs, da), (ys, db) = _as_ints(a), _as_ints(b)
-    n_cap = a.n_cap
-    out = [0] * (n_cap + 1)
-    for i, x in enumerate(xs):
-        if not x:
-            continue
-        for j, y in enumerate(ys[: n_cap + 1 - i]):
-            if y:
-                out[i + j] += x * y
-    return _from_ints(out, da * db, a.mode)
+    return TaylorTrunc._of(a.poly.mul_trunc(b.poly, a.n_cap), a.n_cap, a.mode)
 
 
 def check_hadamard_identity(u: Word, v: Word, n_cap: int) -> bool:
@@ -208,7 +207,7 @@ def check_shuffle_morphism(u: Word, v: Word, n_cap: int) -> bool:
         li_taylor_coeffs(index_from_word(v), n_cap),
     )
     rhs = li_taylor_poly(shuffle(NCPoly.from_word(u), NCPoly.from_word(v)), n_cap)
-    return lhs.coeffs == rhs.coeffs
+    return lhs == rhs
 
 
 def check_derivative_recursion(s: Sequence[int], n_cap: int) -> bool:

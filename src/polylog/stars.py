@@ -3,8 +3,8 @@
 Three families of rational series are represented exactly:
 
 * :class:`X1StarPoly` - finite combinations sum_k c_k (k x1)* with
-  (0 x1)* = 1.  This fragment hosts the non-positive-index polylogarithms
-  computed in :mod:`polylog.negindex`.
+  (0 x1)* = 1, stored as polynomials in t = 1/(1-z).  This fragment hosts the
+  non-positive-index polylogarithms computed in :mod:`polylog.negindex`.
 * :class:`LetterStarForm` - letter stars (a x0 + b x1)* whose polylogarithm
   is the closed form z^a (1-z)^(-b).
 * :class:`PlaneStar` - Kleene stars (sum_s alpha_s y_s)* of degree-one
@@ -12,7 +12,8 @@ Three families of rational series are represented exactly:
   coefficientwise: c_n = alpha_n + beta_n + sum_{i+j=n} alpha_i beta_j.
 
 Star objects are exact and finite; anything that expands a star into words
-takes an explicit cap.
+takes an explicit cap.  Their coefficient arithmetic is that of
+:class:`~polylog.nc_core.NPoly`, the one dense exact kernel.
 """
 
 from __future__ import annotations
@@ -27,100 +28,80 @@ from .coding import (
     QSeriesTrunc,
     pi_y,
     plane_to_umbra,
-    q_add,
     q_exp_m1,
-    q_mul,
     q_scale,
     umbra_to_plane,
 )
-from .nc_core import NCPoly, RatLike, Word, X, X1, Y, ZERO, as_rat, format_terms
+from .nc_core import NCPoly, NPoly, RatLike, Word, X, X1, Y, ZERO, as_rat, format_terms
 from .products import exp_stuffle, shuffle_pow
 
 
 class X1StarPoly:
     """A finite combination sum_k c_k (k x1)*, k >= 0, with (0 x1)* = 1.
 
-    Canonical form stores no zero coefficients.  The fragment is closed under
-    shuffle: (j x1)* sh (k x1)* = ((j+k) x1)*.
+    Li of (k x1)* is (1-z)^(-k) = t^k, so the combination is stored as the
+    :class:`NPoly` sum_k c_k t^k in t = 1/(1-z): sums are NPoly sums and the
+    shuffle inside the fragment, (j x1)* sh (k x1)* = ((j+k) x1)*, is NPoly
+    multiplication.  The constructor takes {order: coefficient} terms or that
+    NPoly itself.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("poly",)
 
-    def __init__(self, terms: Mapping[int, RatLike] | Iterable[tuple[int, RatLike]] | None = None):
-        data: dict[int, Fraction] = {}
-        if terms:
-            items = terms.items() if isinstance(terms, Mapping) else terms
-            for k, c in items:
-                if k < 0:
-                    raise ValueError(f"star orders must be >= 0, got {k}")
-                c = as_rat(c)
-                if c:
-                    acc = data.get(k, ZERO) + c
-                    if acc:
-                        data[k] = acc
-                    else:
-                        data.pop(k, None)
-        self._terms = data
+    def __init__(
+        self, terms: Mapping[int, RatLike] | Iterable[tuple[int, RatLike]] | NPoly | None = None
+    ):
+        if isinstance(terms, NPoly):
+            self.poly = terms
+            return
+        data: list[Fraction] = []
+        for k, c in terms.items() if isinstance(terms, Mapping) else terms or ():
+            if k < 0:
+                raise ValueError(f"star orders must be >= 0, got {k}")
+            data.extend([ZERO] * (k + 1 - len(data)))
+            data[k] += as_rat(c)
+        self.poly = NPoly(data)
 
     @classmethod
     def star(cls, k: int, coeff: RatLike = 1) -> "X1StarPoly":
         return cls({k: coeff})
 
     def coeff(self, k: int) -> Fraction:
-        return self._terms.get(k, ZERO)
+        return self.poly.coeff(k)
 
     def items(self) -> list[tuple[int, Fraction]]:
-        """Terms ordered by descending star order."""
-        return sorted(self._terms.items(), key=lambda kv: -kv[0])
+        """Nonzero terms ordered by descending star order."""
+        return [(k, c) for k, c in reversed(list(enumerate(self.poly.coeffs))) if c]
 
     @property
     def max_order(self) -> int:
-        return max(self._terms, default=0)
+        return max(self.poly.degree, 0)
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self.poly)
 
     def __add__(self, other: "X1StarPoly") -> "X1StarPoly":
-        data = dict(self._terms)
-        for k, c in other._terms.items():
-            acc = data.get(k, ZERO) + c
-            if acc:
-                data[k] = acc
-            else:
-                data.pop(k, None)
-        out = X1StarPoly.__new__(X1StarPoly)
-        out._terms = data
-        return out
+        return X1StarPoly(self.poly + other.poly)
 
     def __sub__(self, other: "X1StarPoly") -> "X1StarPoly":
-        return self + (-other)
+        return X1StarPoly(self.poly - other.poly)
 
     def __neg__(self) -> "X1StarPoly":
-        out = X1StarPoly.__new__(X1StarPoly)
-        out._terms = {k: -c for k, c in self._terms.items()}
-        return out
+        return X1StarPoly(-self.poly)
 
     def __mul__(self, scalar: RatLike) -> "X1StarPoly":
-        c = as_rat(scalar)
-        out = X1StarPoly.__new__(X1StarPoly)
-        out._terms = {} if not c else {k: c * ck for k, ck in self._terms.items()}
-        return out
+        return X1StarPoly(self.poly * as_rat(scalar))
 
     __rmul__ = __mul__
 
     def shuffle(self, other: "X1StarPoly") -> "X1StarPoly":
-        """Shuffle product inside the fragment: convolution on star orders."""
-        acc: dict[int, Fraction] = {}
-        for j, cj in self._terms.items():
-            for k, ck in other._terms.items():
-                key = j + k
-                acc[key] = acc.get(key, ZERO) + cj * ck
-        return X1StarPoly(acc)
+        """Shuffle product inside the fragment: multiplication in t."""
+        return X1StarPoly(self.poly * other.poly)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, X1StarPoly):
             return NotImplemented
-        return self._terms == other._terms
+        return self.poly == other.poly
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -207,24 +188,15 @@ def plane_star_stuffle(a: PlaneStar, b: PlaneStar) -> PlaneStar:
     constant-free q-series A, B of the two stars.  The result carries
     S_max = a.s_max + b.s_max so no cross term is lost.
     """
-    m = a.s_max + b.s_max
-    qa, qb = plane_to_umbra(a.alpha), plane_to_umbra(b.alpha)
-    return PlaneStar(umbra_to_plane(q_add(q_add(qa, qb, m), q_mul(qa, qb, m), m)))
+    qa, qb = plane_to_umbra(a.alpha).poly, plane_to_umbra(b.alpha).poly
+    law = QSeriesTrunc.from_poly(qa + qb + qa * qb, a.s_max + b.s_max)
+    return PlaneStar(umbra_to_plane(law))
 
 
 def plane_star_inverse(a: PlaneStar, s_max: int) -> PlaneStar:
-    """Stuffle-group inverse, solved degree by degree to order s_max.
-
-    In the umbral coding the law reads (1+S)(1+T) = 1, so
-    t_n = -(s_n + sum_{i<n} s_i t_{n-i}).
-    """
-    t: list[Fraction] = []
-    for n in range(1, s_max + 1):
-        c = a.coeff(n)
-        for i in range(1, n):
-            c += a.coeff(i) * t[n - i - 1]
-        t.append(-c)
-    return PlaneStar(tuple(t))
+    """Stuffle-group inverse to order s_max: in the umbral coding (1+S)^-1 - 1."""
+    inverse = plane_to_umbra(a.alpha).poly.star_inverse(s_max)
+    return PlaneStar(umbra_to_plane(QSeriesTrunc.from_poly(inverse, s_max)))
 
 
 def plane_element_poly(base: PlaneStarBase | PlaneStar) -> NCPoly:

@@ -223,14 +223,42 @@ class TestCommands:
         assert code == 0 and json.loads(out)["coeffs"] == ["0", "1/2", "1/2"]
 
     def test_valid_request_after_usage_error(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["h-eval", "(1)"])
-        capsys.readouterr()
+        code, out = self._run(capsys, "h-eval", "(1)")
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "ArgumentError"
         code, out = self._run(capsys, "h-eval", "(-2,-1)", "3")
         assert code == 0 and json.loads(out) == "31"
 
+    def test_unknown_subcommand_is_json_error(self, capsys):
+        code, out = self._run(capsys, "bogus")
+        error = json.loads(out)["error"]
+        assert code == 2 and error["code"] == "ArgumentError" and "bogus" in error["message"]
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["h-eval", "--help"])
+        assert exc.value.code == 0
+        assert "usage: polylog h-eval" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("h-closed-form", "-1/3"), ("stuffle", "-[1]*", "y1"), ("li-coeffs", "(2)", "-3")],
+    )
+    def test_dash_arguments_are_positionals(self, capsys, argv):
+        # "-" followed by anything but a letter or "-" reads as it does after "--"
+        code, out = self._run(capsys, *argv)
+        code_sep, out_sep = self._run(capsys, argv[0], "--", *argv[1:])
+        assert (code, out) == (code_sep, out_sep)
+        assert "ArgumentError" not in out
+
+    def test_dash_positional_answers(self, capsys):
+        code, out = self._run(capsys, "h-closed-form", "-1/3")
+        assert code == 0 and json.loads(out) == {"coeffs": ["-1/3"], "text": "-1/3"}
+        code, out = self._run(capsys, "stuffle", "-[1]*", "y1")
+        assert code == 2 and json.loads(out)["error"]["code"] == "ExprTypeError"
+
     def test_li_coeffs_deep_index(self, capsys, monkeypatch):
-        # one column per suffix, built without recursion from an empty cache
+        # from an empty cache; N below the depth gives the zero column without recursion
         monkeypatch.setattr(harmonic, "_HVEC_CACHE", {})
         index = "(" + ",".join(["1"] * 1200) + ")"
         code, out = self._run(capsys, "li-coeffs", index, "3")

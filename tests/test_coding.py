@@ -12,9 +12,7 @@ from polylog.coding import (
     pi_y,
     pi_y_word,
     plane_to_umbra,
-    q_add,
     q_exp_m1,
-    q_mul,
     q_scale,
     umbra_to_plane,
 )
@@ -106,19 +104,45 @@ class TestQSeries:
     def test_mul_truncates(self):
         s = QSeriesTrunc.make([1, 1])
         t = QSeriesTrunc.make([1])
-        assert q_mul(s, t, 3) == QSeriesTrunc.make([0, 1, 1])
+        assert _mul_ref(s.coeffs, t.coeffs, 3) == [0, 1, 1]
+        assert s.poly.mul_trunc(t.poly, 3).padded(3)[1:] == (0, 1, 1)
 
     def test_exp_m1_matches_series(self):
         rng = random.Random(47)
         for _ in range(10):
             s_max = 5
-            s = QSeriesTrunc.make(
-                [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3)]
-            )
-            direct = QSeriesTrunc((Fraction(0),) * s_max)
-            power = QSeriesTrunc((Fraction(0),) * (s_max - 1) + (Fraction(0),))
-            power = q_add(power, s, s_max)
+            a = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3)]
+            direct = [Fraction(0)] * s_max
+            power = (a + [Fraction(0)] * s_max)[:s_max]
             for n in range(1, s_max + 1):
-                direct = q_add(direct, q_scale(Fraction(1, factorial(n)), power), s_max)
-                power = q_mul(power, s, s_max)
-            assert q_exp_m1(s, s_max) == direct
+                direct = [d + p / factorial(n) for d, p in zip(direct, power)]
+                power = _mul_ref(power, a, s_max)
+            assert q_exp_m1(QSeriesTrunc.make(a), s_max) == QSeriesTrunc(tuple(direct))
+
+    def test_exp_m1_matches_sympy_series(self):
+        sp = pytest.importorskip("sympy")
+        q = sp.Symbol("q")
+        rng = random.Random(5)
+        for _ in range(4):
+            a = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(rng.randint(1, 4))]
+            s_max = rng.randint(1, 6)
+            s = sum(sp.Rational(c.numerator, c.denominator) * q ** (i + 1) for i, c in enumerate(a))
+            series = sp.series(sp.exp(s) - 1, q, 0, s_max + 1).removeO()
+            want = [series.coeff(q, n) for n in range(1, s_max + 1)]
+            got = q_exp_m1(QSeriesTrunc.make(a), s_max).coeffs
+            assert got == tuple(Fraction(int(c.p), int(c.q)) for c in want)
+
+    def test_scale(self):
+        s = QSeriesTrunc.make([1, Fraction(-2, 3), 0])
+        assert q_scale(Fraction(3, 2), s) == QSeriesTrunc.make([Fraction(3, 2), -1, 0])
+        assert q_scale(0, s) == QSeriesTrunc.make([0, 0, 0])
+
+
+def _mul_ref(a, b, s_max):
+    """Product of constant-free q-series (a[i] is the coefficient of q^(i+1)) cut at q^s_max."""
+    out = [Fraction(0)] * s_max
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j + 2 <= s_max:
+                out[i + j + 1] += x * y
+    return out

@@ -211,6 +211,26 @@ class TestClosedForms:
                 assert poly.eval(n) == run
 
 
+class TestSympyOracle:
+    """Closed forms in N against sympy's nested summation, an oracle outside this package."""
+
+    @pytest.mark.parametrize(
+        "index",
+        # (-3,-3) is the table row whose N-polynomial KNOWN_NONPOSITIVE leaves as None
+        [(0,), (-3,), (-3, -3), (-1, -2), (-3, -1), (0, 0, 0), (-1, -1, -1), (-2, 0, -1)],
+    )
+    def test_closed_form_matches_nested_summation(self, index):
+        sp = pytest.importorskip("sympy")
+        big_n = sp.Symbol("N", integer=True, nonnegative=True)
+        n = [sp.Symbol(f"n{i}", integer=True, positive=True) for i in range(len(index))]
+        # H_s(N) = sum_{N >= n0 > n1 > ... >= 1} prod n_i^(-s_i), summed from the innermost out
+        expr = sp.Integer(1)
+        for i in reversed(range(len(index))):
+            expr = sp.summation(n[i] ** (-index[i]) * expr, (n[i], 1, n[i - 1] - 1 if i else big_n))
+        want = sp.Poly(sp.expand(expr), big_n).all_coeffs()[::-1]
+        assert h_negindex_closed_form(index).coeffs == tuple(F(int(c.p), int(c.q)) for c in want)
+
+
 class TestStuffleCharacter:
     def test_simple_pair(self):
         assert h_stuffle_check(y_word(1), y_word(1), 10)

@@ -7,6 +7,7 @@ from polylog.nc_core import (
     AlphabetError,
     InvalidIndexError,
     NCPoly,
+    NPoly,
     NotInImageError,
     Word,
     X,
@@ -166,3 +167,136 @@ class TestNCPoly:
     def test_index_from_word_rejects_y(self):
         with pytest.raises(AlphabetError):
             index_from_word(y_word(2))
+
+
+# -- plain Fraction references for the dense kernel ---------------------------
+# A polynomial is a list of Fractions, constant term first; `_cut` pads or cuts
+# it to n + 1 entries.
+
+
+def _cut(a, n):
+    return (list(a) + [Fraction(0)] * (n + 1))[: n + 1]
+
+
+def _ref_mul(a, b, n):
+    out = [Fraction(0)] * (n + 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j <= n:
+                out[i + j] += x * y
+    return out
+
+
+def _ref_star_inverse(a, n):
+    # (1 + A)(1 + T) = 1 degree by degree: t_k = -(a_k + sum_{0<i<k} a_i t_(k-i))
+    a, t = _cut(a, n), [Fraction(0)]
+    for k in range(1, n + 1):
+        t.append(-(a[k] + sum(a[i] * t[k - i] for i in range(1, k))))
+    return t
+
+
+def _ref_exp_m1(a, n):
+    out, power, fact = [Fraction(0)] * (n + 1), _cut(a, n), 1
+    for k in range(1, n + 1):
+        fact *= k
+        out = [o + p / fact for o, p in zip(out, power)]
+        power = _ref_mul(power, a, n)
+    return out
+
+
+def _ref_euler(a, m):
+    # z (p'(1-z) + m p): the numerator of z d/dz (p/(1-z)^m) over (1-z)^(m+1)
+    d = len(a)
+    deriv = [j * a[j] for j in range(1, d)] + [Fraction(0)] * 2
+    inner = [deriv[i] - (deriv[i - 1] if i else 0) + m * a[i] for i in range(d)]
+    return [Fraction(0)] + inner
+
+
+class TestDenseKernel:
+    """Every NPoly kernel against the plain Fraction loops above."""
+
+    @staticmethod
+    def _strategies():
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        entry = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-5, max_value=5, max_denominator=12))
+        # zeros, trailing zeros and the zero polynomial all occur
+        poly = st.tuples(st.lists(entry, max_size=7), st.integers(0, 2)).map(
+            lambda pair: pair[0] + [Fraction(0)] * pair[1]
+        )
+        return hyp, st, entry, poly
+
+    def test_property_sums_and_products(self):
+        hyp, st, entry, poly = self._strategies()
+
+        @hyp.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+        @hyp.given(poly, poly, entry, entry, st.integers(0, 8))
+        def check(a, b, c, d, n):
+            pa, pb = NPoly(a), NPoly(b)
+            full = len(a) + len(b)
+            assert (pa + pb).padded(full) == tuple(_cut([x + y for x, y in zip(_cut(a, full), _cut(b, full))], full))
+            assert (pa - pb).padded(full) == tuple(x - y for x, y in zip(_cut(a, full), _cut(b, full)))
+            assert (-pa).padded(full) == tuple(-x for x in _cut(a, full))
+            assert (pa * c).padded(full) == tuple(c * x for x in _cut(a, full))
+            combo = NPoly.lin_comb([(c, pa), (d, pb)], n)
+            assert combo.padded(n) == tuple(c * x + d * y for x, y in zip(_cut(a, n), _cut(b, n)))
+            assert len(combo) <= n + 1
+            assert (pa * pb).padded(full) == tuple(_ref_mul(a, b, full))
+            assert pa.mul_trunc(pb, n).padded(n) == tuple(_ref_mul(a, b, n))
+            assert len(pa.mul_trunc(pb, n)) <= n + 1
+            assert pa.hadamard(pb).padded(full) == tuple(_cut([x * y for x, y in zip(a, b)], full))
+
+        check()
+
+    def test_property_series_kernels(self):
+        hyp, st, entry, poly = self._strategies()
+
+        @hyp.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+        @hyp.given(poly, st.integers(0, 8), st.integers(0, 4))
+        @hyp.example([], 0, 0)
+        @hyp.example([Fraction(0), Fraction(-3, 2)], 0, 1)
+        def check(a, n, m):
+            p = NPoly(a)
+            running, prefix = Fraction(0), []
+            for x in _cut(a, n):
+                running += x
+                prefix.append(running)
+            assert p.prefix_sums(n).padded(n) == tuple(prefix)
+            a0 = [Fraction(0)] + a[1:]  # star inverse and exp - 1 take no constant term
+            assert NPoly(a0).star_inverse(n).padded(n) == tuple(_ref_star_inverse(a0, n))
+            assert NPoly(a0).exp_m1(n).padded(n) == tuple(_ref_exp_m1(a0, n))
+            top = len(a) + 1
+            assert p.euler(m).padded(top) == tuple(_cut(_ref_euler(a, m), top))
+
+        check()
+
+    def test_property_reading_and_equality(self):
+        hyp, st, entry, poly = self._strategies()
+        points = st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=7))
+
+        @hyp.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+        @hyp.given(poly, points, st.integers(1, 30))
+        def check(a, x, k):
+            p = NPoly(a)
+            trimmed = list(a)
+            while trimmed and not trimmed[-1]:
+                trimmed.pop()
+            assert p.coeffs == tuple(trimmed) and len(p) == len(trimmed)
+            assert all(type(c) is Fraction for c in p.coeffs)
+            assert [p.coeff(j) for j in range(-1, len(a) + 2)] == [Fraction(0)] + _cut(a, len(a) + 1)
+            value = p.eval(x)
+            assert type(value) is Fraction and value == sum(c * Fraction(x) ** j for j, c in enumerate(a))
+            # the same values over a k-fold denominator are the same polynomial
+            scaled = NPoly([k * v for v in p.nums], k * p.den)
+            assert scaled == p and scaled.coeffs == p.coeffs
+            if trimmed:
+                assert NPoly([k * v for v in p.nums[:-1]] + [k * p.nums[-1] + 1], k * p.den) != p
+
+        check()
+
+    def test_caps_of_zero(self):
+        p = NPoly([Fraction(0), Fraction(2, 3), 5])
+        assert p.mul_trunc(p, 0) == NPoly() and p.prefix_sums(0) == NPoly()
+        assert p.star_inverse(0) == NPoly() and p.exp_m1(0) == NPoly()
+        assert NPoly.lin_comb([(3, p)], 0) == NPoly() and NPoly.lin_comb([]) == NPoly()
+        assert NPoly([1, 2]).prefix_sums(0).padded(0) == (Fraction(1),)
