@@ -16,8 +16,9 @@ The package computes, with exact rational arithmetic throughout:
 * truncated Taylor calculus, Hadamard/Cauchy identities, Stirling-number
   combinatorics, and certified numeric evaluation on the disk
   (:mod:`polylog.polylog_num`);
-* an expression parser and CLI with one-shot verification suites
-  (:mod:`polylog.cli`).
+* the registry of identity checks that ``polylog verify`` and the
+  acceptance tests run (:mod:`polylog.checks`), and an expression parser
+  and CLI (:mod:`polylog.cli`).
 """
 
 from .nc_core import (
@@ -70,14 +71,12 @@ from .negindex import (
     x1star_to_ratfunc,
 )
 from .harmonic import (
-    IdentityReport,
     h_negindex_closed_form,
     h_poly_eval,
     h_signed_eval,
     h_stuffle_check,
     h_word_eval,
     h_x1star_closed_form,
-    verify_mixed_examples,
 )
 from .polylog_num import (
     DomRadiusReport,

@@ -14,10 +14,12 @@ Functions: sh(a, b), st(a, b), conc(a, b), pix(a), piy(a), exps(a, cap).
 Values are rationals, X/Y polynomials, star combinations star(k), and plane
 stars [a1,...]*; scalars embed as multiples of the relevant unit.
 
+A sum is one flat node, added up in one accumulation.
+
 Subcommands expose the library operations with JSON output on stdout and
-nonzero exit codes carrying {"error": {code, message}} on failure.  The
-``verify`` subcommand runs deterministic identity suites (seeded where
-random) and exits 0 iff every check passes.
+nonzero exit codes carrying {"error": {code, message}} on failure; an integer
+of more than MAX_DIGITS digits is such an error.  The ``verify`` subcommand
+runs the suites of :mod:`polylog.checks` and exits 0 iff every check passes.
 """
 
 from __future__ import annotations
@@ -25,15 +27,16 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import re
 import sys
+import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from . import harmonic, negindex, polylog_num, products, stars
+from . import checks, harmonic, negindex, polylog_num, products, stars
 from .coding import pi_x, pi_y
 from .nc_core import (
     NCPoly,
@@ -47,8 +50,9 @@ from .nc_core import (
 )
 from .stars import PlaneStar, X1StarPoly
 
-DEFAULT_SEED = 20240
 ENV_NCAP = "POLYLOG_NCAP_DEFAULT"
+# the most decimal digits of an integer a result prints (CPython's int-to-str limit)
+MAX_DIGITS = 100_000
 
 
 class ParseError(PolylogError):
@@ -134,17 +138,18 @@ class Call:
 
 
 @dataclass(frozen=True, slots=True)
-class BinOp:
-    op: str
-    left: object
-    right: object
+class Scale:
+    factor: Fraction
+    operand: object
     pos: int
 
 
 @dataclass(frozen=True, slots=True)
-class Neg:
-    operand: object
-    pos: int
+class Sum:
+    """``first`` followed by (sign, term, position of its operator) for each later term."""
+
+    first: object
+    rest: tuple[tuple[int, object, int], ...]
 
 
 Expr = object
@@ -165,11 +170,19 @@ class _Parser:
         self.i += 1
         return tok
 
+    def accept(self, sym: str) -> Token | None:
+        """The next token, consumed, if it is the symbol ``sym``; None otherwise."""
+        tok = self.tokens[self.i]
+        if tok.kind == "sym" and tok.text == sym:
+            self.i += 1
+            return tok
+        return None
+
     def expect_sym(self, sym: str) -> Token:
         tok = self.peek()
-        if tok.kind != "sym" or tok.text != sym:
+        if not self.accept(sym):
             raise ParseError(f"expected {sym!r}, found {tok.text or 'end of input'!r}", tok.pos)
-        return self.advance()
+        return tok
 
     def parse(self) -> Expr:
         node = self.expr()
@@ -179,44 +192,32 @@ class _Parser:
         return node
 
     def expr(self) -> Expr:
-        node = self.term()
-        while True:
-            tok = self.peek()
-            if tok.kind == "sym" and tok.text in "+-":
-                self.advance()
-                rhs = self.term()
-                node = BinOp(tok.text, node, rhs, tok.pos)
-            else:
-                return node
+        first = self.term()
+        rest = []
+        while (tok := self.peek()).kind == "sym" and tok.text in "+-":
+            self.advance()
+            rest.append((1 if tok.text == "+" else -1, self.term(), tok.pos))
+        return Sum(first, tuple(rest)) if rest else first
 
     def term(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "sym" and tok.text == "-":
-            self.advance()
-            return Neg(self.term(), tok.pos)
-        if tok.kind == "int":
-            scalar = self.scalar()
-            nxt = self.peek()
-            if nxt.kind == "sym" and nxt.text == "*":
-                self.advance()
-                return BinOp("scale", scalar, self.atom(), nxt.pos)
-            if nxt.kind in ("int", "xword", "ident") or (
-                nxt.kind == "sym" and nxt.text == "["
-            ):
-                return BinOp("scale", scalar, self.atom(), nxt.pos)
+        if minus := self.accept("-"):
+            return Scale(Fraction(-1), self.term(), minus.pos)
+        if self.peek().kind != "int":
+            return self.atom()
+        scalar = self.scalar()
+        nxt = self.peek()
+        # a scalar times an atom: "2*y1", or juxtaposed as "2 y1", "2[1]*"
+        if not self.accept("*") and nxt.kind not in ("int", "xword", "ident") and nxt.text != "[":
             return scalar
-        return self.atom()
+        return Scale(scalar.value, self.atom(), nxt.pos)
 
     def scalar(self) -> Num:
         tok = self.advance()
         value = Fraction(int(tok.text))
-        nxt = self.peek()
-        if nxt.kind == "sym" and nxt.text == "/":
-            self.advance()
-            den = self.peek()
+        if self.accept("/"):
+            den = self.advance()
             if den.kind != "int":
                 raise ParseError("expected a denominator", den.pos)
-            self.advance()
             value = Fraction(int(tok.text), int(den.text))
         return Num(value, tok.pos)
 
@@ -241,8 +242,7 @@ class _Parser:
                 self.advance()
                 self.expect_sym("(")
                 args = [self.expr()]
-                while self.peek().kind == "sym" and self.peek().text == ",":
-                    self.advance()
+                while self.accept(","):
                     args.append(self.expr())
                 self.expect_sym(")")
                 if len(args) != _FUNCS[tok.text]:
@@ -264,19 +264,14 @@ class _Parser:
     def plane_literal(self) -> PlaneLit:
         start = self.expect_sym("[")
         alpha = [self.signed_rat()]
-        while self.peek().kind == "sym" and self.peek().text == ",":
-            self.advance()
+        while self.accept(","):
             alpha.append(self.signed_rat())
         self.expect_sym("]")
         self.expect_sym("*")
         return PlaneLit(tuple(alpha), start.pos)
 
     def signed_rat(self) -> Fraction:
-        sign = 1
-        tok = self.peek()
-        if tok.kind == "sym" and tok.text == "-":
-            self.advance()
-            sign = -1
+        sign = -1 if self.accept("-") else 1
         tok = self.peek()
         if tok.kind != "int":
             raise ParseError("expected a rational number", tok.pos)
@@ -311,32 +306,49 @@ def _type_name(v: Value) -> str:
     return type(v).__name__
 
 
-def _coerce_like(v: Value, like: Value) -> Value:
-    if not isinstance(v, Scalar):
-        return v
-    if isinstance(like, NCPoly):
-        return NCPoly.one(like.alphabet) * v.value
-    if isinstance(like, X1StarPoly):
-        return X1StarPoly({0: v.value})
-    return v
+def _as_stars(v: Value) -> Value:
+    """A rational as the multiple of (0 x1)* = 1; any other value unchanged."""
+    return X1StarPoly({0: v.value}) if isinstance(v, Scalar) else v
 
 
-def _add_values(a: Value, b: Value, pos: int, sign: int) -> Value:
-    a, b = _coerce_like(a, b), _coerce_like(b, a)
-    if isinstance(a, Scalar) and isinstance(b, Scalar):
-        return Scalar(a.value + sign * b.value)
+def _sum_type(a: Value, b: Value, pos: int) -> Value:
+    """The operand whose type a + b has; raises at ``pos`` where a and b do not add."""
+    if isinstance(a, Scalar) and not isinstance(b, PlaneStar):
+        return b
+    if isinstance(b, Scalar) and not isinstance(a, PlaneStar):
+        return a
     if isinstance(a, NCPoly) and isinstance(b, NCPoly):
         if a.alphabet != b.alphabet:
             raise ExprTypeError(
                 f"cannot combine a {a.alphabet}-polynomial with a {b.alphabet}-polynomial",
                 pos,
             )
-        return a + b * sign if sign != 1 else a + b
+        return a
     if isinstance(a, X1StarPoly) and isinstance(b, X1StarPoly):
-        return a + b * sign if sign != 1 else a + b
-    raise ExprTypeError(
-        f"cannot add {_type_name(a)} and {_type_name(b)}", pos
+        return a
+    raise ExprTypeError(f"cannot add {_type_name(a)} and {_type_name(b)}", pos)
+
+
+def _eval_sum(node: Sum) -> Value:
+    """The terms added up in one accumulation.
+
+    A type clash raises at its operator, as adding left to right would.
+    """
+    like = evaluate(node.first)
+    signed = [(1, like)]
+    for sign, term, pos in node.rest:
+        value = evaluate(term)
+        like = _sum_type(like, value, pos)
+        signed.append((sign, value))
+    if isinstance(like, Scalar):
+        return Scalar(sum(sign * v.value for sign, v in signed))
+    unit = Word((), like.alphabet) if isinstance(like, NCPoly) else 0
+    pairs = (
+        (key, c if sign > 0 else -c)
+        for sign, v in signed
+        for key, c in ([(unit, v.value)] if isinstance(v, Scalar) else v.items())
     )
+    return NCPoly(like.alphabet, pairs) if isinstance(like, NCPoly) else X1StarPoly(pairs)
 
 
 def _scale_value(c: Fraction, v: Value, pos: int) -> Value:
@@ -369,16 +381,17 @@ def evaluate(node: Expr) -> Value:
         return X1StarPoly({node.order: 1})
     if isinstance(node, PlaneLit):
         return PlaneStar(node.alpha)
-    if isinstance(node, Neg):
-        return _scale_value(Fraction(-1), evaluate(node.operand), node.pos)
-    if isinstance(node, BinOp):
-        if node.op == "scale":
-            return _scale_value(evaluate(node.left).value, evaluate(node.right), node.pos)
-        sign = 1 if node.op == "+" else -1
-        return _add_values(evaluate(node.left), evaluate(node.right), node.pos, sign)
+    if isinstance(node, Scale):
+        return _scale_value(node.factor, evaluate(node.operand), node.pos)
+    if isinstance(node, Sum):
+        return _eval_sum(node)
     if isinstance(node, Call):
         return _eval_call(node.func, [evaluate(a) for a in node.args], node.pos)
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def _alphabet_of(a: Value, b: Value) -> str | None:
+    return next((v.alphabet for v in (a, b) if isinstance(v, NCPoly)), None)
 
 
 def _eval_call(name: str, args: list[Value], pos: int) -> Value:
@@ -386,14 +399,11 @@ def _eval_call(name: str, args: list[Value], pos: int) -> Value:
     if name == "sh":
         a, b = args
         if isinstance(a, X1StarPoly) or isinstance(b, X1StarPoly):
-            a = _coerce_like(a, X1StarPoly())
-            b = _coerce_like(b, X1StarPoly())
+            a, b = _as_stars(a), _as_stars(b)
             if isinstance(a, X1StarPoly) and isinstance(b, X1StarPoly):
                 return a.shuffle(b)
             raise ExprTypeError("sh mixes star combinations with other values", pos)
-        alphabet = a.alphabet if isinstance(a, NCPoly) else (
-            b.alphabet if isinstance(b, NCPoly) else None
-        )
+        alphabet = _alphabet_of(a, b)
         if alphabet is None:
             raise ExprTypeError("sh needs polynomial or star operands", pos)
         return products.shuffle(_as_poly(a, alphabet, pos), _as_poly(b, alphabet, pos))
@@ -406,9 +416,7 @@ def _eval_call(name: str, args: list[Value], pos: int) -> Value:
         return products.stuffle(_as_poly(a, Y, pos), _as_poly(b, Y, pos))
     if name == "conc":
         a, b = args
-        alphabet = a.alphabet if isinstance(a, NCPoly) else (
-            b.alphabet if isinstance(b, NCPoly) else None
-        )
+        alphabet = _alphabet_of(a, b)
         if alphabet is None:
             raise ExprTypeError("conc needs polynomial operands", pos)
         return products.conc(_as_poly(a, alphabet, pos), _as_poly(b, alphabet, pos))
@@ -475,356 +483,6 @@ def value_to_json(v: Value) -> dict:
     raise TypeError(f"cannot serialize {v!r}")
 
 
-# -- verification suites -------------------------------------------------------
-
-
-@dataclass(slots=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-def _check(results: list[CheckResult], name: str, ok: bool, detail: str = "") -> None:
-    results.append(CheckResult(name, bool(ok), detail if not ok else ""))
-
-
-# The eight non-positive multi-indices with known exact forms:
-# index -> (numerator coeffs ascending, pole order, star combination,
-#           closed-form monomials or None)
-KNOWN_NONPOSITIVE: list[tuple[tuple[int, ...], list[int], int, dict[int, str], dict[int, str] | None]] = [
-    ((0,), [0, 1], 1, {1: "1", 0: "-1"}, {1: "1"}),
-    ((-1,), [0, 1], 2, {2: "1", 1: "-1"}, {2: "1/2", 1: "1/2"}),
-    ((0, 0), [0, 0, 1], 2, {2: "1", 1: "-2", 0: "1"}, {2: "1/2", 1: "-1/2"}),
-    (
-        (-2, -1),
-        [0, 0, 4, 7, 1],
-        5,
-        {5: "12", 4: "-33", 3: "31", 2: "-11", 1: "1"},
-        {5: "1/10", 4: "1/8", 3: "-1/12", 2: "-1/8", 1: "-1/60"},
-    ),
-    (
-        (-2, -2),
-        [0, 0, 4, 21, 14, 1],
-        6,
-        {6: "40", 5: "-132", 4: "161", 3: "-87", 2: "19", 1: "-1"},
-        {6: "1/18", 5: "1/15", 4: "-5/72", 3: "-1/12", 2: "1/72", 1: "1/60"},
-    ),
-    (
-        (-3, -3),
-        [0, 0, 8, 179, 584, 424, 64, 1],
-        8,
-        {
-            8: "1260",
-            7: "-5400",
-            6: "9270",
-            5: "-8070",
-            4: "3699",
-            3: "-829",
-            2: "71",
-            1: "-1",
-        },
-        None,
-    ),
-    (
-        (-1, 0, -2),
-        [0, 0, 0, 3, 6, 1],
-        6,
-        {6: "10", 5: "-38", 4: "55", 3: "-37", 2: "11", 1: "-1"},
-        {6: "1/72", 5: "-1/40", 4: "-1/36", 3: "1/24", 2: "1/72", 1: "-1/60"},
-    ),
-    (
-        (-1, -2, -2),
-        [0, 0, 0, 12, 100, 133, 34, 1],
-        8,
-        {
-            8: "280",
-            7: "-1312",
-            6: "2497",
-            5: "-2457",
-            4: "1310",
-            3: "-358",
-            2: "41",
-            1: "-1",
-        },
-        {
-            8: "1/144",
-            7: "-13/1260",
-            6: "-7/240",
-            5: "23/720",
-            4: "1/24",
-            3: "-19/720",
-            2: "-7/360",
-            1: "1/210",
-        },
-    ),
-]
-
-
-def suite_ex3(ncap: int = 50) -> list[CheckResult]:
-    """Closed forms for the table of non-positive multi-indices."""
-    results: list[CheckResult] = []
-    for index, num, pole, star_map, npoly_map in KNOWN_NONPOSITIVE:
-        label = ",".join(str(s) for s in index)
-        f = negindex.li_nonpositive(index)
-        expected_f = negindex.RatFuncAtOne(num, pole)
-        _check(results, f"ratfunc[{label}]", f == expected_f, f"got {f}")
-        s = negindex.ratfunc_to_x1star(f)
-        expected_s = X1StarPoly(star_map)
-        _check(results, f"stars[{label}]", s == expected_s, f"got {s}")
-        npoly = harmonic.h_x1star_closed_form(s)
-        if npoly_map is not None:
-            expected_p = harmonic.NPoly.from_monomials(npoly_map)
-            _check(results, f"npoly[{label}]", npoly == expected_p, f"got {npoly}")
-        oracle = harmonic.h_signed_table(index, ncap)
-        ok = all(npoly.eval(n) == oracle[n] for n in range(ncap + 1))
-        _check(results, f"oracle[{label}] N<={ncap}", ok)
-    return results
-
-
-def suite_mixed(nmax: int = 40) -> list[CheckResult]:
-    """Mixed-index identities against the brute-force nested sums."""
-    results: list[CheckResult] = []
-    for report in harmonic.verify_mixed_examples(nmax):
-        _check(
-            results,
-            f"mixed[{report.name}] N<={nmax}",
-            report.passed,
-            f"first failure at N={report.first_failure_n}",
-        )
-    return results
-
-
-def _compositions(total: int) -> list[tuple[int, ...]]:
-    if total == 0:
-        return [()]
-    out = []
-    for first in range(1, total + 1):
-        for rest in _compositions(total - first):
-            out.append((first,) + rest)
-    return out
-
-
-def _y_words_up_to(weight: int) -> list[Word]:
-    words = [Word((), Y)]
-    for w in range(1, weight + 1):
-        words.extend(Word(c, Y) for c in _compositions(w))
-    return words
-
-
-def _x_words_coded(max_len: int) -> list[Word]:
-    # all X-words of length <= max_len ending in x1, plus the empty word
-    out = [Word((), X)]
-    stack: list[tuple[int, ...]] = [()]
-    while stack:
-        prefix = stack.pop()
-        if 0 < len(prefix) and prefix[-1] == 1:
-            out.append(Word(prefix, X))
-        if len(prefix) < max_len:
-            stack.append(prefix + (0,))
-            stack.append(prefix + (1,))
-    return out
-
-
-def _random_y_word(rng: random.Random, max_weight: int) -> Word:
-    weight = rng.randint(1, max_weight)
-    comps = _compositions(weight)
-    return Word(rng.choice(comps), Y)
-
-
-def _random_signed_index(rng: random.Random, max_size: int) -> tuple[int, ...]:
-    # size = depth + sum |s_i|
-    while True:
-        r = rng.randint(1, 3)
-        index = tuple(rng.randint(-2, 2) for _ in range(r))
-        if r + sum(abs(s) for s in index) <= max_size:
-            return index
-
-
-def _random_x_poly(rng: random.Random, max_len: int, max_terms: int = 4) -> NCPoly:
-    terms = {}
-    for _ in range(rng.randint(1, max_terms)):
-        length = rng.randint(0, max_len)
-        w = Word(tuple(rng.randint(0, 1) for _ in range(length)), X)
-        coeff = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-        terms[w] = terms.get(w, Fraction(0)) + coeff
-    return NCPoly(X, terms)
-
-
-def suite_morphisms(ncap: int = 100, seed: int = DEFAULT_SEED) -> list[CheckResult]:
-    """Character identities, Taylor morphisms, regularization, numerics."""
-    results: list[CheckResult] = []
-    rng = random.Random(seed)
-
-    words4 = _y_words_up_to(4)
-    ok = all(
-        harmonic.h_stuffle_check(u, v, 30) for u in words4 for v in words4
-    )
-    _check(results, "stuffle-character weight<=4 N<=30", ok)
-    pairs = [
-        (_random_y_word(rng, 6), _random_y_word(rng, 6)) for _ in range(200)
-    ]
-    ok = all(harmonic.h_stuffle_check(u, v, 30) for u, v in pairs)
-    _check(results, "stuffle-character 200 random weight<=6", ok)
-    _check(
-        results,
-        "stuffle-character Euler pair y2,y3",
-        harmonic.h_stuffle_check(y_word(2), y_word(3), 30),
-    )
-
-    coded = _x_words_coded(4)
-    ok = all(
-        polylog_num.check_shuffle_morphism(u, v, ncap)
-        for u in coded
-        for v in coded
-    )
-    _check(results, f"shuffle-morphism len<=4 N<={ncap}", ok)
-
-    ok = all(
-        polylog_num.check_hadamard_identity(u, v, ncap)
-        for u in words4
-        for v in words4
-    )
-    _check(results, f"hadamard weight<=4 N<={ncap}", ok)
-
-    indices = [_random_signed_index(rng, 5) for _ in range(30)]
-    ok = all(polylog_num.check_derivative_recursion(s, 60) for s in indices)
-    _check(results, "derivative-recursion 30 random size<=5 N<=60", ok)
-
-    ok = True
-    for _ in range(100):
-        p = _random_x_poly(rng, 5)
-        parts = negindex.regularize_trailing_x0(p)
-        x0 = NCPoly.from_word(Word((0,), X))
-        total = NCPoly.zero(X)
-        for k, part in parts.items():
-            total = total + products.shuffle(part, products.shuffle_pow(x0, k))
-        if total != p or any(
-            w.letters and w.letters[-1] != 1 for part in parts.values() for w in part.support()
-        ):
-            ok = False
-            break
-    _check(results, "radford-regularization 100 random roundtrips", ok)
-
-    val = polylog_num.li_eval((1,), 0.5, 1e-10)
-    _check(
-        results,
-        "numeric Li_1(1/2) = ln 2 within 1e-10",
-        abs(val - 0.6931471805599453) <= 1e-10,
-        f"got {val}",
-    )
-    h = float(harmonic.h_word_eval(y_word(2), 10_000))
-    pi2_6 = 1.6449340668482264
-    _check(
-        results,
-        "numeric H_y2(10^4) ~ pi^2/6 within 1.2e-4",
-        abs(h - pi2_6) <= 1.2e-4,
-        f"got {h}",
-    )
-    return results
-
-
-def suite_stars(seed: int = DEFAULT_SEED) -> list[CheckResult]:
-    """Plane-star group law, star expansions, radius diagnostic."""
-    results: list[CheckResult] = []
-    rng = random.Random(seed)
-
-    ok = True
-    for _ in range(50):
-        a = PlaneStar.make(
-            [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
-        )
-        b = PlaneStar.make(
-            [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
-        )
-        combined = stars.plane_star_expand(stars.plane_star_stuffle(a, b), 6)
-        direct = products.stuffle(
-            stars.plane_star_expand(a, 6), stars.plane_star_expand(b, 6), grade_cap=6
-        )
-        if combined != direct:
-            ok = False
-            break
-    _check(results, "plane-star stuffle consistency 50 random pairs cap 6", ok)
-
-    ok = True
-    for _ in range(20):
-        a = PlaneStar.make(
-            [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
-        )
-        inv = stars.plane_star_inverse(a, 4)
-        prod = stars.plane_star_stuffle(a, inv)
-        if any(prod.coeff(n) != 0 for n in range(1, 5)):
-            ok = False
-            break
-    _check(results, "plane-star group inverses up to order 4", ok)
-
-    ok = all(
-        stars.ykstar_exp_identity(k, z, 6)
-        for k in (1, 2, 3)
-        for z in (Fraction(1), Fraction(1, 2), Fraction(-1, 3))
-    )
-    _check(results, "ykstar exponential identity k<=3 cap 6", ok)
-
-    ok = all(stars.check_kstar_shuffle_power(k, 5) for k in (1, 2, 3))
-    _check(results, "kstar shuffle powers k<=3 cap 5", ok)
-
-    ok = True
-    for _ in range(10):
-        t = stars.QSeriesTrunc.make(
-            [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(3)]
-        )
-        z1 = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
-        z2 = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
-        lhs = products.stuffle(
-            stars.one_param_group(t, z1, 5), stars.one_param_group(t, z2, 5), grade_cap=5
-        )
-        rhs = stars.one_param_group(t, z1 + z2, 5)
-        if lhs != rhs:
-            ok = False
-            break
-    _check(results, "one-parameter stuffle group law cap 5", ok)
-
-    report = polylog_num.dom_radius_demo(1, Fraction(1, 2), 60)
-    _check(results, "radius diagnostic t=1 r=1/2 diverges", not report.converges)
-    report = polylog_num.dom_radius_demo(1, Fraction(1, 4), 60)
-    ok = (
-        report.converges
-        and report.closed_form == Fraction(3, 2)
-        and abs(report.partial_sum - report.closed_form) <= report.tail_bound
-    )
-    _check(results, "radius diagnostic t=1 r=1/4 converges to 3/2", ok)
-    return results
-
-
-def suite_stirling() -> list[CheckResult]:
-    """Surjection counts and the exponential generating function."""
-    results: list[CheckResult] = []
-    _check(
-        results,
-        "surjection lemma n<=20 m<=8",
-        polylog_num.check_surjection_lemma(20, 8),
-    )
-    table_ok = (
-        polylog_num.stirling2(3, 2) == 3
-        and polylog_num.stirling2(7, 7) == 1
-        and polylog_num.stirling2(5, 0) == 0
-        and polylog_num.stirling2(6, 3) == 90
-    )
-    _check(results, "stirling2 spot values", table_ok)
-    return results
-
-
-SUITES = {
-    "ex3": lambda ncap, seed: suite_ex3(ncap if ncap is not None else 50),
-    "mixed": lambda ncap, seed: suite_mixed(ncap if ncap is not None else 40),
-    "morphisms": lambda ncap, seed: suite_morphisms(
-        ncap if ncap is not None else 100, seed
-    ),
-    "stars": lambda ncap, seed: suite_stars(seed),
-    "stirling": lambda ncap, seed: suite_stirling(),
-}
-
-
 # -- command implementations ---------------------------------------------------
 
 
@@ -846,7 +504,7 @@ def _looks_like_index(text: str) -> bool:
     return bool(re.fullmatch(r"\(?\s*-?\d+(\s*,\s*-?\d+)*\s*\)?", text.strip()))
 
 
-def _env_ncap(default: int) -> int:
+def _env_ncap(default: int | None) -> int | None:
     raw = os.environ.get(ENV_NCAP)
     if raw is None:
         return default
@@ -862,14 +520,8 @@ def _env_ncap(default: int) -> int:
         return default
 
 
-def cmd_shuffle(args) -> int:
-    result = _eval_call("sh", [parse_value(args.left), parse_value(args.right)], 0)
-    _print_json(value_to_json(result))
-    return 0
-
-
-def cmd_stuffle(args) -> int:
-    result = _eval_call("st", [parse_value(args.left), parse_value(args.right)], 0)
+def cmd_product(args) -> int:
+    result = _eval_call(args.op, [parse_value(args.left), parse_value(args.right)], 0)
     _print_json(value_to_json(result))
     return 0
 
@@ -893,9 +545,7 @@ def cmd_h_closed_form(args) -> int:
     if _looks_like_index(args.form):
         npoly = harmonic.h_negindex_closed_form(_parse_index_arg(args.form))
     else:
-        value = parse_value(args.form)
-        if isinstance(value, Scalar):
-            value = X1StarPoly({0: value.value})
+        value = _as_stars(parse_value(args.form))
         if not isinstance(value, X1StarPoly):
             raise ExprTypeError(
                 f"h-closed-form needs a star combination or a non-positive index, got {_type_name(value)}",
@@ -948,20 +598,15 @@ def cmd_li_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    names = list(SUITES) if args.suite == "all" else [args.suite]
-    ncap = args.ncap
-    if ncap is None and os.environ.get(ENV_NCAP) is not None:
-        env_value = _env_ncap(-1)
-        ncap = None if env_value < 0 else env_value
-    all_results: list[tuple[str, CheckResult]] = []
+    names = list(checks.SUITES) if args.suite == "all" else [args.suite]
+    ncap = args.ncap if args.ncap is not None else _env_ncap(None)
+    results: list[tuple[str, checks.CheckResult]] = []
     for name in names:
         started = time.perf_counter()
-        for result in SUITES[name](ncap, args.seed):
-            all_results.append((name, result))
-        elapsed = time.perf_counter() - started
+        results += [(name, check.run()) for check in checks.SUITES[name](ncap, args.seed)]
         if not args.json:
-            print(f"# suite {name} finished in {elapsed:.2f}s")
-    failures = 0
+            print(f"# suite {name} finished in {time.perf_counter() - started:.2f}s")
+    failures = sum(not r.passed for _, r in results)
     if args.json:
         _print_json(
             [
@@ -970,19 +615,16 @@ def cmd_verify(args) -> int:
                     "check": r.name,
                     "status": "pass" if r.passed else "fail",
                     "detail": r.detail,
+                    "elapsed_s": round(r.elapsed_s, 6),
                 }
-                for suite, r in all_results
+                for suite, r in results
             ]
         )
-        failures = sum(1 for _, r in all_results if not r.passed)
     else:
-        for suite, r in all_results:
-            mark = "PASS" if r.passed else "FAIL"
+        for suite, r in results:
             detail = f"  ({r.detail})" if r.detail else ""
-            print(f"{mark} [{suite}] {r.name}{detail}")
-            if not r.passed:
-                failures += 1
-        print(f"# {len(all_results) - failures}/{len(all_results)} checks passed")
+            print(f"{'PASS' if r.passed else 'FAIL'} [{suite}] {r.name}{detail}")
+        print(f"# {len(results) - failures}/{len(results)} checks passed")
     return 0 if failures == 0 else 1
 
 
@@ -1014,13 +656,11 @@ def _make_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    p = add("shuffle", cmd_shuffle, "shuffle product of two expressions")
-    p.add_argument("left")
-    p.add_argument("right")
-
-    p = add("stuffle", cmd_stuffle, "stuffle product of two expressions")
-    p.add_argument("left")
-    p.add_argument("right")
+    for name, op in (("shuffle", "sh"), ("stuffle", "st")):
+        p = add(name, cmd_product, f"{name} product of two expressions")
+        p.set_defaults(op=op)
+        p.add_argument("left")
+        p.add_argument("right")
 
     p = add(
         "neg-li",
@@ -1055,22 +695,49 @@ def _make_parser() -> argparse.ArgumentParser:
     p = add("verify", cmd_verify, "run identity verification suites")
     p.add_argument(
         "--suite",
-        choices=[*SUITES, "all"],
+        choices=[*checks.SUITES, "all"],
         default="all",
     )
     p.add_argument("--ncap", type=int, default=None)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=checks.DEFAULT_SEED)
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
     return parser
 
 
-def main(argv=None) -> int:
+_digit_lock = threading.Lock()
+_digit_requests = 0  # requests running; the first saves the caller's limit, the last restores it
+_digit_saved = 0
+
+
+@contextmanager
+def _digit_limit():
+    """The int-to-str limit is MAX_DIGITS while any request runs (the limit is process-wide)."""
+    global _digit_requests, _digit_saved
+    if not hasattr(sys, "set_int_max_str_digits"):  # CPython builds before 3.10.7
+        yield
+        return
+    with _digit_lock:
+        _digit_requests += 1
+        if _digit_requests == 1:
+            _digit_saved = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(MAX_DIGITS)
     try:
-        args = _make_parser().parse_args(argv)
-        return args.func(args)
-    except (PolylogError, ValueError, argparse.ArgumentError) as exc:
-        _print_json({"error": {"code": type(exc).__name__, "message": str(exc)}})
-        return 2
+        yield
+    finally:
+        with _digit_lock:
+            _digit_requests -= 1
+            if _digit_requests == 0:
+                sys.set_int_max_str_digits(_digit_saved)
+
+
+def main(argv=None) -> int:
+    with _digit_limit():
+        try:
+            args = _make_parser().parse_args(argv)
+            return args.func(args)
+        except (PolylogError, ValueError, argparse.ArgumentError) as exc:
+            _print_json({"error": {"code": type(exc).__name__, "message": str(exc)}})
+            return 2
 
 
 if __name__ == "__main__":

@@ -30,13 +30,12 @@ worst duplicate work, never observe a partial or mismatched column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import factorial, lcm, prod
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
-from .nc_core import AlphabetError, NCPoly, NPoly, RatLike, Word, Y
+from .nc_core import AlphabetError, NCPoly, NPoly, Word, Y
 from .negindex import li_nonpositive, ratfunc_to_x1star
 from .products import stuffle
 from .stars import X1StarPoly, x1star_y_expansion
@@ -199,32 +198,12 @@ def h_stuffle_check(u: Word, v: Word, n_max: int) -> bool:
 # -- the mixed-index identity table ----------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class IdentityReport:
-    """Outcome of one mixed-index identity check."""
-
-    name: str
-    passed: bool
-    first_failure_n: int | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "identity": self.name,
-            "status": "pass" if self.passed else "fail",
-            "first_failure_N": self.first_failure_n,
-        }
-
-
-def _star(terms: Mapping[int, RatLike]) -> X1StarPoly:
-    return X1StarPoly(terms)
-
-
 # Star combinations whose harmonic sums are the plain nested power sums.
 POWER_SUM_STARS: dict[tuple[int, ...], X1StarPoly] = {
-    (0,): _star({1: 1, 0: -1}),
-    (-1,): _star({2: 1, 1: -1}),
-    (-2,): _star({3: 2, 2: -3, 1: 1}),
-    (-2, -2): _star({6: 40, 5: -132, 4: 161, 3: -87, 2: 19, 1: -1}),
+    (0,): X1StarPoly({1: 1, 0: -1}),
+    (-1,): X1StarPoly({2: 1, 1: -1}),
+    (-2,): X1StarPoly({3: 2, 2: -3, 1: 1}),
+    (-2, -2): X1StarPoly({6: 40, 5: -132, 4: 161, 3: -87, 2: 19, 1: -1}),
 }
 
 # Each identity equates an exactly computable combination (closed forms,
@@ -238,40 +217,41 @@ POWER_SUM_STARS: dict[tuple[int, ...], X1StarPoly] = {
 _Term = tuple[Fraction, str, object]
 
 
-def _mixed_identity_table() -> list[tuple[str, list[_Term], tuple[int, ...]]]:
+def mixed_identities() -> list[tuple[str, list[_Term], tuple[int, ...]]]:
+    """The mixed-index identities as (name, left-side terms, oracle index) rows."""
     one = Fraction(1)
     f = Fraction
     return [
         (
             "sum 1/n1 sum n2",
-            [(one, "star", _star({2: f(1, 2), 1: -1, 0: f(1, 2)}))],
+            [(one, "star", X1StarPoly({2: f(1, 2), 1: -1, 0: f(1, 2)}))],
             (1, -1),
         ),
         (
             "sum n1 sum 1/n2",
             [
                 (one, "stuffle", (1, POWER_SUM_STARS[(-1,)])),
-                (f(-1, 2), "star", _star({2: 1, 0: -1})),
+                (f(-1, 2), "star", X1StarPoly({2: 1, 0: -1})),
             ],
             (-1, 1),
         ),
         (
             "sum 1/n1 sum n2^2",
-            [(one, "star", _star({3: f(2, 3), 2: f(-3, 2), 1: 1, 0: f(-1, 6)}))],
+            [(one, "star", X1StarPoly({3: f(2, 3), 2: f(-3, 2), 1: 1, 0: f(-1, 6)}))],
             (1, -2),
         ),
         (
             "sum n1^2 sum 1/n2",
             [
                 (one, "stuffle", (1, POWER_SUM_STARS[(-2,)])),
-                (-one, "star", _star({3: f(2, 3), 2: f(-1, 2), 0: f(-1, 6)})),
+                (-one, "star", X1StarPoly({3: f(2, 3), 2: f(-1, 2), 0: f(-1, 6)})),
             ],
             (-2, 1),
         ),
         (
             "sum 1/n1^2 sum n2^2",
             [
-                (one, "star", _star({2: f(1, 3), 1: f(-5, 6), 0: f(1, 2)})),
+                (one, "star", X1StarPoly({2: f(1, 3), 1: f(-5, 6), 0: f(1, 2)})),
                 (f(1, 6), "word", Word((1,), Y)),
             ],
             (2, -2),
@@ -280,7 +260,7 @@ def _mixed_identity_table() -> list[tuple[str, list[_Term], tuple[int, ...]]]:
             "sum n1^2 sum 1/n2^2",
             [
                 (one, "stuffle", (2, POWER_SUM_STARS[(-2,)])),
-                (-one, "star", _star({2: f(1, 3), 1: f(1, 6), 0: f(-1, 2)})),
+                (-one, "star", X1StarPoly({2: f(1, 3), 1: f(1, 6), 0: f(-1, 2)})),
                 (f(-1, 6), "word", Word((1,), Y)),
             ],
             (-2, 2),
@@ -292,7 +272,7 @@ def _mixed_identity_table() -> list[tuple[str, list[_Term], tuple[int, ...]]]:
                 (
                     one,
                     "star",
-                    _star(
+                    X1StarPoly(
                         {
                             6: f(20, 3),
                             5: f(-132, 5),
@@ -313,7 +293,7 @@ def _mixed_identity_table() -> list[tuple[str, list[_Term], tuple[int, ...]]]:
                 (
                     one,
                     "star",
-                    _star(
+                    X1StarPoly(
                         {
                             6: f(40, 3),
                             5: -50,
@@ -358,13 +338,10 @@ def _eval_term_table(kind: str, payload: object, n_max: int) -> list[Fraction]:
     raise ValueError(f"unknown term kind {kind!r}")
 
 
-def verify_mixed_examples(n_max: int) -> list[IdentityReport]:
-    """Check every mixed-index identity exactly for N = 0..n_max."""
-    reports = []
-    for name, lhs_terms, oracle_index in _mixed_identity_table():
-        tables = [(c, _eval_term_table(kind, payload, n_max)) for c, kind, payload in lhs_terms]
-        lhs = [sum(c * vec[n] for c, vec in tables) for n in range(n_max + 1)]
-        rhs = h_signed_table(oracle_index, n_max)
-        failure = next((n for n in range(n_max + 1) if lhs[n] != rhs[n]), None)
-        reports.append(IdentityReport(name, failure is None, failure))
-    return reports
+def mixed_identity_failure(identity, n_max: int) -> int | None:
+    """The first N <= n_max where a row of :func:`mixed_identities` fails; None if none."""
+    _, lhs_terms, oracle_index = identity
+    tables = [(c, _eval_term_table(kind, payload, n_max)) for c, kind, payload in lhs_terms]
+    lhs = [sum(c * vec[n] for c, vec in tables) for n in range(n_max + 1)]
+    rhs = h_signed_table(oracle_index, n_max)
+    return next((n for n in range(n_max + 1) if lhs[n] != rhs[n]), None)

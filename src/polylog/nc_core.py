@@ -271,7 +271,7 @@ class NCPoly:
                     )
                 c = as_rat(c)
                 if c:
-                    acc = data.get(w, ZERO) + c
+                    acc = data[w] + c if w in data else c
                     if acc:
                         data[w] = acc
                     else:
@@ -302,8 +302,9 @@ class NCPoly:
         return cls(alphabet, {Word((), alphabet): ONE})
 
     @classmethod
-    def from_word(cls, w: Word, coeff: RatLike = 1) -> "NCPoly":
-        return cls(w.alphabet, {w: coeff})
+    def from_word(cls, w: Word, coeff: RatLike = ONE) -> "NCPoly":
+        c = as_rat(coeff)
+        return cls._canonical(w.alphabet, {w: c} if c else {})
 
     # -- inspection --------------------------------------------------------
 

@@ -1,48 +1,20 @@
 """Acceptance criteria, one test per criterion.
 
-Every check is exact (Fraction equality) unless the criterion states a
-numeric tolerance.  Each test prints a single PASS line with its runtime;
-the stated runtime budgets are asserted as well.
+Each criterion runs its checks from the registry in :mod:`polylog.checks`,
+the same checks ``polylog verify`` runs, on the same seeded inputs.  C1 and
+C2 first compare the registry's table with this file's own table of expected
+closed forms, and C3, C4, C8 and C10 check the inputs the registry draws
+against this file's description of them.  Every check
+is exact (Fraction equality) unless the criterion states a numeric
+tolerance.  Each test prints a single PASS line with its runtime; the stated
+runtime budgets are asserted as well.
 """
 
-import math
-import random
 import time
-from fractions import Fraction
 
-from polylog.harmonic import (
-    NPoly,
-    h_signed_table,
-    h_stuffle_check,
-    h_word_eval,
-    h_x1star_closed_form,
-    verify_mixed_examples,
-)
-from polylog.nc_core import NCPoly, Word, X, Y, x_word, y_word
-from polylog.negindex import (
-    RatFuncAtOne,
-    li_nonpositive,
-    ratfunc_to_x1star,
-    regularize_trailing_x0,
-)
-from polylog.polylog_num import (
-    check_derivative_recursion,
-    check_hadamard_identity,
-    check_shuffle_morphism,
-    check_surjection_lemma,
-    dom_radius_demo,
-    li_eval,
-)
-from polylog.products import shuffle, shuffle_pow, stuffle
-from polylog.stars import (
-    PlaneStar,
-    X1StarPoly,
-    plane_star_expand,
-    plane_star_stuffle,
-    ykstar_exp_identity,
-)
+from polylog import checks
+from polylog.nc_core import Word, X, Y
 
-F = Fraction
 SEED = 20240
 
 # The eight non-positive multi-indices with their exact rational functions,
@@ -104,172 +76,131 @@ def _report(name: str, started: float, budget: float) -> None:
     assert elapsed < budget
 
 
-def _y_words(max_weight):
-    def comps(total):
-        if total == 0:
-            return [()]
-        return [(f,) + rest for f in range(1, total + 1) for rest in comps(total - f)]
-
-    out = [Word((), Y)]
-    for w in range(1, max_weight + 1):
-        out.extend(Word(c, Y) for c in comps(w))
-    return out
+def _inputs(suite, name):
+    (check,) = [c for c in suite if c.name == name]
+    return check.inputs
 
 
-def _coded_x_words(max_len):
-    out = [Word((), X)]
-    for n in range(1, max_len + 1):
-        for bits in range(2 ** (n - 1)):
-            letters = tuple((bits >> i) & 1 for i in range(n - 1)) + (1,)
-            out.append(Word(letters, X))
-    return out
+def _run(suite, *prefixes, count):
+    """Run the checks of ``suite`` named with one of ``prefixes``; all ``count`` must pass."""
+    results = [check.run() for check in suite if check.name.startswith(prefixes)]
+    assert len(results) == count, [r.name for r in results]
+    failures = [(r.name, r.detail) for r in results if not r.passed]
+    assert not failures, failures
 
 
 def test_c01_nonpositive_rational_functions_and_stars():
     started = time.perf_counter()
-    for index, num, pole, stars, _ in NONPOSITIVE_TABLE:
-        f = li_nonpositive(index)
-        assert f == RatFuncAtOne(num, pole), index
-        assert ratfunc_to_x1star(f) == X1StarPoly(stars), index
+    assert checks.KNOWN_NONPOSITIVE == NONPOSITIVE_TABLE
+    _run(checks.suite_ex3(50), "ratfunc[", "stars[", count=16)
     _report("C1 nonpositive closed forms", started, 1.0)
 
 
 def test_c02_closed_form_polynomials_match_oracle():
     started = time.perf_counter()
-    for index, _, _, stars, npoly_map in NONPOSITIVE_TABLE:
-        poly = h_x1star_closed_form(X1StarPoly(stars))
-        if npoly_map is not None:
-            expected = NPoly.from_monomials({d: F(c) for d, c in npoly_map.items()})
-            assert poly == expected, index
-        oracle = h_signed_table(index, 50)
-        assert all(poly.eval(n) == oracle[n] for n in range(51)), index
+    assert checks.KNOWN_NONPOSITIVE == NONPOSITIVE_TABLE
+    _run(checks.suite_ex3(50), "npoly[", "oracle[", count=15)
     _report("C2 closed-form polynomials", started, 5.0)
 
 
 def test_c03_stuffle_character():
     started = time.perf_counter()
-    words = _y_words(4)
-    for u in words:
-        for v in words:
-            assert h_stuffle_check(u, v, 30), (u, v)
-    rng = random.Random(SEED)
-
-    def rand_word():
-        weight = rng.randint(1, 6)
-        letters = []
-        while weight:
-            s = rng.randint(1, weight)
-            letters.append(s)
-            weight -= s
-        return Word(tuple(letters), Y)
-
-    for _ in range(200):
-        u, v = rand_word(), rand_word()
-        assert h_stuffle_check(u, v, 30), (u, v)
-    assert h_stuffle_check(y_word(2), y_word(3), 30)
+    suite = checks.suite_morphisms(100, SEED)
+    pairs = _inputs(suite, "stuffle-character 200 random weight<=6")
+    words = [w for pair in pairs for w in pair]
+    assert len(pairs) == 200 and all(w.alphabet == Y and 1 <= sum(w.letters) <= 6 for w in words)
+    _run(
+        suite,
+        "stuffle-character weight<=4 N<=30",
+        "stuffle-character 200 random weight<=6",
+        "stuffle-character Euler pair y2,y3",
+        count=3,
+    )
     _report("C3 stuffle character", started, 30.0)
 
 
 def test_c04_shuffle_morphism_on_taylor_coefficients():
     started = time.perf_counter()
-    words = _coded_x_words(4)
-    for u in words:
-        for v in words:
-            assert check_shuffle_morphism(u, v, 100), (u, v)
+    suite = checks.suite_morphisms(100, SEED)
+    # the X-words of length <= 4 ending in x1, and the empty word
+    coded = [Word((), X)] + [
+        Word(tuple((bits >> i) & 1 for i in range(n - 1)) + (1,), X)
+        for n in range(1, 5)
+        for bits in range(2 ** (n - 1))
+    ]
+    pairs = _inputs(suite, "shuffle-morphism len<=4 N<=100")
+    assert len(pairs) == 16 * 16 and set(pairs) == {(u, v) for u in coded for v in coded}
+    _run(suite, "shuffle-morphism len<=4 N<=100", count=1)
     _report("C4 shuffle morphism", started, 60.0)
 
 
 def test_c05_hadamard_identity():
     started = time.perf_counter()
-    words = _y_words(4)
-    for u in words:
-        for v in words:
-            assert check_hadamard_identity(u, v, 100), (u, v)
+    _run(checks.suite_morphisms(100, SEED), "hadamard weight<=4 N<=100", count=1)
     _report("C5 Hadamard identity", started, 60.0)
 
 
 def test_c06_stirling_lemma():
     started = time.perf_counter()
-    assert check_surjection_lemma(20, 8)
+    _run(checks.suite_stirling(), "surjection lemma n<=20 m<=8", count=1)
     _report("C6 Stirling lemma", started, 10.0)
 
 
 def test_c07_star_identities():
     started = time.perf_counter()
-    rng = random.Random(SEED)
-    for _ in range(50):
-        a = PlaneStar.make(
-            [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
-        )
-        b = PlaneStar.make(
-            [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
-        )
-        lhs = plane_star_expand(plane_star_stuffle(a, b), 6)
-        rhs = stuffle(plane_star_expand(a, 6), plane_star_expand(b, 6)).truncated(6)
-        assert lhs == rhs, (a, b)
-    for k in (1, 2, 3):
-        for z in (F(1), F(1, 2), F(-1, 3)):
-            assert ykstar_exp_identity(k, z, 6), (k, z)
+    _run(
+        checks.suite_stars(seed=SEED),
+        "plane-star stuffle consistency 50 random pairs cap 6",
+        "ykstar exponential identity k<=3 cap 6",
+        count=2,
+    )
     _report("C7 star identities", started, 30.0)
 
 
 def test_c08_radford_regularization_roundtrip():
     started = time.perf_counter()
-    rng = random.Random(SEED)
-    x0 = NCPoly.from_word(x_word("0"))
-    for _ in range(100):
-        terms = {}
-        for _ in range(rng.randint(1, 4)):
-            n = rng.randint(0, 5)
-            w = Word(tuple(rng.randint(0, 1) for _ in range(n)), X)
-            terms[w] = terms.get(w, F(0)) + F(rng.randint(-9, 9), rng.randint(1, 4))
-        p = NCPoly(X, terms)
-        parts = regularize_trailing_x0(p)
-        total = NCPoly.zero(X)
-        for k, part in parts.items():
-            total = total + shuffle(part, shuffle_pow(x0, k))
-        assert total == p
+    suite = checks.suite_morphisms(100, SEED)
+    polys = [p for (p,) in _inputs(suite, "radford-regularization 100 random roundtrips")]
+    assert len(polys) == 100 and all(p.alphabet == X for p in polys)
+    assert any(w.letters[-1:] == (0,) for p in polys for w in p.support())  # some need regularizing
+    _run(suite, "radford-regularization 100 random roundtrips", count=1)
     _report("C8 Radford regularization", started, 30.0)
 
 
 def test_c09_numeric_spot_checks():
     started = time.perf_counter()
-    assert abs(li_eval((1,), 0.5, 1e-10) - math.log(2)) <= 1e-10
-    h = h_word_eval(y_word(2), 10_000)
-    assert abs(float(h) - math.pi**2 / 6) <= 1.2e-4
+    _run(
+        checks.suite_morphisms(100, SEED),
+        "numeric Li_1(1/2) = ln 2 within 1e-10",
+        "numeric H_y2(10^4) ~ pi^2/6 within 1.2e-4",
+        count=2,
+    )
     elapsed = time.perf_counter() - started
     print(f"ACCEPTANCE C9 numeric spot checks: PASS ({elapsed:.2f}s)")
 
 
 def test_c10_derivative_recursion():
     started = time.perf_counter()
-    rng = random.Random(SEED)
-    indices = []
-    while len(indices) < 30:
-        r = rng.randint(1, 3)
-        index = tuple(rng.randint(-2, 2) for _ in range(r))
-        if r + sum(abs(s) for s in index) <= 5:
-            indices.append(index)
-    for index in indices:
-        assert check_derivative_recursion(index, 60), index
+    suite = checks.suite_morphisms(100, SEED)
+    indices = [s for (s,) in _inputs(suite, "derivative-recursion 30 random size<=5 N<=60")]
+    assert len(indices) == 30 and all(len(s) + sum(map(abs, s)) <= 5 for s in indices)
+    _run(suite, "derivative-recursion 30 random size<=5 N<=60", count=1)
     _report("C10 derivative recursion", started, 10.0)
 
 
 def test_c11_mixed_index_identities():
     started = time.perf_counter()
-    reports = verify_mixed_examples(40)
-    failures = [r.name for r in reports if not r.passed]
-    assert not failures, failures
+    _run(checks.suite_mixed(40), "mixed[", count=9)
     _report("C11 mixed-index identities", started, 10.0)
 
 
 def test_c12_radius_diagnostic():
     started = time.perf_counter()
-    divergent = dom_radius_demo(1, F(1, 2), 60)
-    assert not divergent.converges
-    convergent = dom_radius_demo(1, F(1, 4), 60)
-    assert convergent.converges
-    assert convergent.closed_form == F(3, 2)
-    assert abs(convergent.partial_sum - convergent.closed_form) <= convergent.tail_bound
+    _run(
+        checks.suite_stars(seed=SEED),
+        "radius diagnostic t=1 r=1/2 diverges",
+        "radius diagnostic t=1 r=1/4 converges to 3/2",
+        count=2,
+    )
     elapsed = time.perf_counter() - started
     print(f"ACCEPTANCE C12 radius diagnostic: PASS ({elapsed:.2f}s)")

@@ -1,11 +1,14 @@
 import json
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
-from polylog import harmonic
+from polylog import checks, harmonic
 from polylog.cli import (
+    MAX_DIGITS,
     ExprTypeError,
     ParseError,
     Scalar,
@@ -21,6 +24,10 @@ from polylog.products import stuffle
 from polylog.stars import PlaneStar, X1StarPoly
 
 F = Fraction
+# CPython builds before 3.10.7 have no int-to-str digit limit
+_needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+)
 
 
 class TestParser:
@@ -93,6 +100,29 @@ class TestParser:
     def test_scale_plane_star_rejected(self):
         with pytest.raises(ExprTypeError):
             parse_value("2*[1]*")
+
+    @pytest.mark.parametrize(
+        "src,message",
+        [
+            ('y1 + "01"', "at position 3: cannot combine a Y-polynomial with a X-polynomial"),
+            ("star(1) + y1", "at position 8: cannot add star combination and Y-polynomial"),
+            ("[1]* + [1]*", "at position 5: cannot add plane star and plane star"),
+            ('1 + y1 + "01"', "at position 7: cannot combine a Y-polynomial with a X-polynomial"),
+            ('y1 + "01" + st("01", y1)', "at position 3: cannot combine a Y-polynomial with a X-polynomial"),
+        ],
+        ids=["y-plus-x", "star-plus-y", "plane-plus-plane", "second-operator", "before-later-terms"],
+    )
+    def test_sum_type_errors_name_their_operator(self, src, message):
+        # a flat sum raises where adding left to right would, before later terms are evaluated
+        with pytest.raises(ExprTypeError) as exc:
+            parse_value(src)
+        assert str(exc.value) == message
+
+    def test_mixed_sums(self):
+        assert parse_value("1 - 2 + 3/4") == Scalar(F(-1, 4))
+        assert parse_value("1 + y1 - 1") == NCPoly.from_word(y_word(1))
+        assert parse_value("y1 + y1 + y2 - 2*y1") == NCPoly.from_word(y_word(2))
+        assert parse_value("2 - star(1) + star(1)") == X1StarPoly({0: 2})
 
 
 def _random_ncpoly(rng, alphabet):
@@ -371,15 +401,89 @@ class TestCommands:
         assert code == 0
 
     def test_verify_fails_nonzero(self, capsys, monkeypatch):
-        import polylog.cli as cli
-
         def broken(ncap, seed):
-            return [cli.CheckResult("always-fails", False, "forced")]
+            return [checks.Check("always-fails", lambda: "forced")]
 
-        monkeypatch.setitem(cli.SUITES, "stirling", broken)
+        monkeypatch.setitem(checks.SUITES, "stirling", broken)
         code, out = self._run(capsys, "verify", "--suite", "stirling")
         assert code == 1
-        assert "FAIL" in out
+        assert "FAIL [stirling] always-fails  (forced)" in out
+
+    def test_verify_json_reports_elapsed(self, capsys):
+        code, out = self._run(capsys, "verify", "--suite", "stirling", "--json")
+        report = json.loads(out)
+        assert code == 0 and [e["check"] for e in report] == ["surjection lemma n<=20 m<=8", "stirling2 spot values"]
+        assert all(set(e) == {"suite", "check", "status", "detail", "elapsed_s"} and e["elapsed_s"] >= 0 for e in report)
+
+    def test_long_sum(self, capsys):
+        # one accumulation: 1,100 terms do not reach the recursion limit
+        long_sum = " + ".join(f"y{k}" for k in range(1, 1101))
+        code, out = self._run(capsys, "stuffle", long_sum, "1")
+        assert code == 0
+        assert json.loads(out)["terms"] == {str(k): "1" for k in range(1, 1101)}
+
+    @_needs_digit_limit
+    def test_big_integer_printed_exactly(self, capsys):
+        before = sys.get_int_max_str_digits()
+        code, out = self._run(capsys, "h-eval", "(-2000)", "200")
+        expected = sum(n**2000 for n in range(1, 201))
+        assert code == 0 and len(json.loads(out)) > 4300
+        sys.set_int_max_str_digits(0)
+        try:
+            assert json.loads(out) == str(expected)
+        finally:
+            sys.set_int_max_str_digits(before)
+
+    @_needs_digit_limit
+    def test_digit_cap_is_json_error(self, capsys):
+        before = sys.get_int_max_str_digits()
+        # 1 + 2^340000 has 102,351 digits
+        code, out = self._run(capsys, "h-eval", "(-340000)", "2")
+        error = json.loads(out)["error"]
+        assert code == 2 and error["code"] == "ValueError" and str(MAX_DIGITS) in error["message"]
+        assert sys.get_int_max_str_digits() == before
+        code, out = self._run(capsys, "h-eval", "(1)", "bad")
+        assert code == 2 and sys.get_int_max_str_digits() == before
+
+    @_needs_digit_limit
+    def test_digit_limit_shared_by_overlapping_requests(self, capsys, monkeypatch):
+        # request A starts, B starts, A ends while B still runs: B keeps the raised
+        # limit, and the caller's limit is back once both have ended
+        before = sys.get_int_max_str_digits()
+        entered = {name: threading.Event() for name in "AB"}
+        release = {name: threading.Event() for name in "AB"}
+        h_signed_eval = harmonic.h_signed_eval
+
+        def held(index, n):
+            name = threading.current_thread().name
+            entered[name].set()
+            release[name].wait(10)
+            return h_signed_eval(index, n)
+
+        monkeypatch.setattr(harmonic, "h_signed_eval", held)
+        codes = {}
+
+        def request():
+            codes[threading.current_thread().name] = main(["h-eval", "(-2000)", "200"])
+
+        threads = {name: threading.Thread(target=request, name=name) for name in "AB"}
+        threads["A"].start()
+        assert entered["A"].wait(10)
+        threads["B"].start()
+        assert entered["B"].wait(10)
+        release["A"].set()
+        threads["A"].join(10)
+        assert sys.get_int_max_str_digits() == MAX_DIGITS
+        release["B"].set()
+        threads["B"].join(10)
+        assert codes == {"A": 0, "B": 0}
+        assert sys.get_int_max_str_digits() == before
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = str(sum(n**2000 for n in range(1, 201)))
+        finally:
+            sys.set_int_max_str_digits(before)
+        assert [json.loads(line) for line in capsys.readouterr().out.splitlines()] == [expected] * 2
 
     def test_nested_function_calls(self):
         value = parse_value('st(piy("01"), exps(y1, 2))')
@@ -396,8 +500,12 @@ class TestCommands:
         assert parse_value("y12y3") == NCPoly.from_word(y_word(12, 3))
 
     def test_suites_deterministic_for_fixed_seed(self):
-        from polylog.cli import suite_stars
+        # building a suite draws its inputs and runs nothing
+        def drawn(seed):
+            return [(c.name, c.inputs) for name in ("morphisms", "stars") for c in checks.SUITES[name](None, seed)]
 
-        first = [(r.name, r.passed) for r in suite_stars(seed=7)]
-        second = [(r.name, r.passed) for r in suite_stars(seed=7)]
-        assert first == second
+        first, other = drawn(7), drawn(8)
+        assert first == drawn(7)
+        assert [name for name, _ in first] == [name for name, _ in other]
+        # the six seeded checks draw other inputs for another seed
+        assert sum(a != b for a, b in zip(first, other)) == 6

@@ -66,6 +66,52 @@ class TestPiY:
         p = NCPoly.from_word(x_word("011")) * 2 + NCPoly.one(X)
         assert pi_x(pi_y(p)) == p
 
+    @staticmethod
+    def _polys(letters, last=None):
+        """Hypothesis strategy: small polynomials in words over ``letters``, ending in ``last`` when given."""
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        body = st.lists(st.sampled_from(letters), max_size=5)
+        word = body.map(tuple) if last is None else body.map(lambda b: tuple(b) + (last,))
+        coeff = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+        return hyp, st.lists(st.tuples(word, coeff), max_size=5)
+
+    def test_property_y_roundtrip(self):
+        hyp, terms = self._polys([1, 2, 3, 4])
+
+        @hyp.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+        @hyp.given(terms)
+        def check(pairs):
+            p = NCPoly(Y, [(Word(w, Y), c) for w, c in pairs])
+            assert pi_y(pi_x(p)) == p
+
+        check()
+
+    def test_property_x_roundtrip_on_image(self):
+        hyp, terms = self._polys([0, 1], last=1)
+
+        @hyp.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+        @hyp.given(terms, hyp.strategies.fractions(min_value=-3, max_value=3, max_denominator=4))
+        def check(pairs, constant):
+            q = NCPoly(X, [(Word(w, X), c) for w, c in pairs] + [(Word((), X), constant)])
+            assert pi_x(pi_y(q)) == q
+
+        check()
+
+    def test_property_words_ending_in_x0_are_rejected(self):
+        hyp, terms = self._polys([0, 1], last=1)
+
+        @hyp.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+        @hyp.given(terms, hyp.strategies.lists(hyp.strategies.sampled_from([0, 1]), max_size=5))
+        def check(pairs, body):
+            bad = Word(tuple(body) + (0,), X)
+            q = NCPoly(X, [(Word(w, X), c) for w, c in pairs] + [(bad, 1)])
+            with pytest.raises(NotInImageError) as exc:
+                pi_y(q)
+            assert str(bad) in str(exc.value)
+
+        check()
+
     def test_image_characterization(self):
         for n in range(0, 6):
             for bits in range(2**n):

@@ -1,10 +1,12 @@
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from polylog import harmonic
+from polylog import checks, harmonic
+from polylog.cli import main
 from polylog.harmonic import (
     NPoly,
     h_negindex_closed_form,
@@ -16,7 +18,6 @@ from polylog.harmonic import (
     h_word_eval,
     h_word_table,
     h_x1star_closed_form,
-    verify_mixed_examples,
 )
 from polylog.nc_core import InvalidIndexError, NCPoly, Word, Y, y_word
 from polylog.products import stuffle
@@ -250,8 +251,9 @@ class TestStuffleCharacter:
 
 class TestMixedExamples:
     def test_all_pass(self):
-        reports = verify_mixed_examples(25)
-        assert all(r.passed for r in reports), [r.name for r in reports if not r.passed]
+        results = [check.run() for check in checks.suite_mixed(25)]
+        assert len(results) == 9
+        assert all(r.passed for r in results), [r.name for r in results if not r.passed]
 
     def test_identity_values_at_three(self):
         # H of (1/2)(2x1)* - x1* + 1/2 equals 1/4 N^2 - 1/4 N, which is 3/2 at N=3
@@ -267,13 +269,13 @@ class TestMixedExamples:
         assert poly == NPoly([0, F(-1, 36), F(-1, 12), F(1, 9)])
 
     def test_trivial_cap(self):
-        assert all(r.passed for r in verify_mixed_examples(0))
+        assert all(harmonic.mixed_identity_failure(row, 0) is None for row in harmonic.mixed_identities())
 
-    def test_report_serialization(self):
-        report = verify_mixed_examples(5)[0]
-        payload = report.to_json_dict()
-        assert payload["status"] == "pass"
-        assert payload["first_failure_N"] is None
+    def test_report_serialization(self, capsys):
+        assert main(["verify", "--suite", "mixed", "--ncap", "5", "--json"]) == 0
+        entry = json.loads(capsys.readouterr().out)[0]
+        assert entry["check"] == "mixed[sum 1/n1 sum n2] N<=5"
+        assert entry["status"] == "pass" and entry["detail"] == ""
 
 
 def _brute_h(index, n):
