@@ -201,7 +201,10 @@ class _Parser:
 
     def term(self) -> Expr:
         if minus := self.accept("-"):
-            return Scale(Fraction(-1), self.term(), minus.pos)
+            sign = -1  # a run of signs is one node at its last sign: no recursion per sign
+            while more := self.accept("-"):
+                sign, minus = -sign, more
+            return Scale(Fraction(sign), self.term(), minus.pos)
         if self.peek().kind != "int":
             return self.atom()
         scalar = self.scalar()
@@ -736,7 +739,9 @@ def main(argv=None) -> int:
             args = _make_parser().parse_args(argv)
             return args.func(args)
         except (PolylogError, ValueError, argparse.ArgumentError) as exc:
-            _print_json({"error": {"code": type(exc).__name__, "message": str(exc)}})
+            advice = "use sys.set_int_max_str_digits() to increase the limit"  # not the CLI's
+            message = str(exc).replace(advice, f"the CLI's cap is MAX_DIGITS = {MAX_DIGITS}")
+            _print_json({"error": {"code": type(exc).__name__, "message": message}})
             return 2
 
 

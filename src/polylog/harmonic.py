@@ -10,11 +10,11 @@ L^s1 // N^s1 (s1 > 0) or N^(-s1) (s1 <= 0), and the denominator is
 D_(s2..sr) L^max(s1, 0), so no step of the recurrence pays a gcd and
 Fractions are built only for returned values.  :func:`h_word_eval` and
 :func:`h_signed_eval` stream with O(r) memory, and :func:`h_signed_table`
-streams apart from the cache so it stays an independent oracle; the word and
-polynomial tables read columns memoized by index and suffix, which the
-identity checkers lean on heavily.  A cached column and a Taylor vector are
-each an :class:`~polylog.nc_core.NPoly`, the one dense exact kernel, and a
-polynomial table is that kernel's linear combination of columns.
+streams apart from the cache so it stays an independent oracle.  A word table
+reads its word's memoized column; Taylor vectors of Li take one weight pass per
+leading entry over the memoized tail columns, and a polynomial table is their
+prefix sum, so it never caches a product's full words.  Columns and Taylor
+vectors are each an :class:`~polylog.nc_core.NPoly`, the one dense kernel.
 
 Star combinations sum_k c_k (k x1)* have polynomial harmonic sums:
 H of (k x1)* at N is binomial(N+k, k), so the closed form is an exact
@@ -31,11 +31,10 @@ worst duplicate work, never observe a partial or mismatched column.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
 from math import factorial, lcm, prod
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .nc_core import AlphabetError, NCPoly, NPoly, Word, Y
+from .nc_core import AlphabetError, NCPoly, NPoly, RatLike, Word, Y
 from .negindex import li_nonpositive, ratfunc_to_x1star
 from .products import stuffle
 from .stars import X1StarPoly, x1star_y_expansion
@@ -56,25 +55,27 @@ def _weights(s: int, scale: int, n_max: int) -> Iterator[int]:
     return (scale // n**s if s > 0 else n ** (-s) for n in range(1, n_max + 1))
 
 
-def _prefix_rows(
-    index: SignedIndex, scales: list[int], bottom: Iterator[int], n_max: int
-) -> Iterator[list[int]]:
+def _prefix_rows(index: SignedIndex, scales: list[int], n_max: int) -> Iterator[list[int]]:
     """The prefix recurrence on integer numerators, one row per n = 0..n_max.
 
-    Entry j is the numerator of H_(index[j:])(n) over bottom_den * prod(scales[j:]);
-    the last entry is read from ``bottom``, the column below index over bottom_den.
-    The same list is yielded every time, so a caller copies what it keeps.
+    Entry j is the numerator of H_(index[j:])(n) over prod(scales[j:]), the last is
+    H_()(n) = 1.  The same list is yielded every time, so a caller copies what it keeps.
     """
-    r = len(index)
     weights = [_weights(s, f, n_max) for s, f in zip(index, scales)]
-    state = [0] * r + [next(bottom)]
+    state = [0] * len(index) + [1]
     yield state
     for _ in range(n_max):
         # j ascending: state[j + 1] still holds row n - 1
         for j, w in enumerate(weights):
             state[j] += next(w) * state[j + 1]
-        state[r] = next(bottom)
         yield state
+
+
+def _shifted(s1: int, sub: NPoly, n_max: int) -> NPoly:
+    """Coefficients n^(-s1) sub_(n-1), n = 0..n_max: Li's Taylor vector from H of its tail."""
+    (scale,) = _scales((s1,), n_max)
+    weights = _weights(s1, scale, n_max)
+    return NPoly((0, *(m * x for m, x in zip(weights, sub.nums))), sub.den * scale)
 
 
 #: Integer columns keyed by signed index.  An entry is replaced whole by a
@@ -100,23 +101,24 @@ def _h_vector(index: SignedIndex, n_max: int) -> NPoly:
     else:
         k = len(index)
         col = NPoly((1,) * (n_max + 1), 1)
-    if k:
-        scales = _scales(index[:k], n_max)
-        for j in reversed(range(k)):
-            rows = _prefix_rows(index[j : j + 1], scales[j : j + 1], iter(col.nums), n_max)
-            col = NPoly([row[0] for row in rows], col.den * scales[j])
-            _HVEC_CACHE[index[j:]] = col
+    for j in reversed(range(k)):
+        col = _shifted(index[j], col, n_max).prefix_sums(n_max)
+        _HVEC_CACHE[index[j:]] = col
     return col
 
 
-def _taylor_vector(index: SignedIndex, n_cap: int) -> NPoly:
-    """Li's Taylor coefficients a_N = N^(-s1) H_(s2..sr)(N-1), N <= n_cap."""
-    if not index:
-        return NPoly([1])
-    sub = _h_vector(index[1:], n_cap)
-    (scale,) = _scales(index[:1], n_cap)
-    weights = _weights(index[0], scale, n_cap)
-    return NPoly((0, *(m * x for m, x in zip(weights, sub.nums))), sub.den * scale)
+def _taylor_map(terms: Iterable[tuple[RatLike, SignedIndex]], n_cap: int) -> NPoly:
+    """Taylor coefficients to n_cap of sum_k c_k Li_(index_k): one weight pass per s1."""
+    groups: dict[int, list[tuple[RatLike, NPoly]]] = {}
+    parts = []
+    for c, index in terms:
+        if index:
+            groups.setdefault(index[0], []).append((c, _h_vector(index[1:], n_cap)))
+        else:
+            parts.append((c, NPoly([1])))
+    for s1, tails in groups.items():
+        parts.append((1, _shifted(s1, NPoly.lin_comb(tails, n_cap), n_cap)))
+    return NPoly.lin_comb(parts, n_cap)
 
 
 def h_word_eval(w: Word, n: int) -> Fraction:
@@ -135,7 +137,7 @@ def h_signed_eval(s: Sequence[int], n: int) -> Fraction:
         raise ValueError("N must be a natural number")
     index = tuple(s)
     scales = _scales(index, n)
-    for row in _prefix_rows(index, scales, repeat(1), n):
+    for row in _prefix_rows(index, scales, n):
         pass
     return Fraction(row[0], prod(scales))
 
@@ -145,7 +147,7 @@ def h_signed_table(s: Sequence[int], n_max: int) -> list[Fraction]:
     index = tuple(s)
     scales = _scales(index, n_max)
     den = prod(scales)
-    return [Fraction(row[0], den) for row in _prefix_rows(index, scales, repeat(1), n_max)]
+    return [Fraction(row[0], den) for row in _prefix_rows(index, scales, n_max)]
 
 
 def h_word_table(w: Word, n_max: int) -> list[Fraction]:
@@ -161,11 +163,11 @@ def h_poly_eval(q: NCPoly, n: int) -> Fraction:
 
 
 def h_poly_table(q: NCPoly, n_max: int) -> list[Fraction]:
-    """Values of the linear extension for N = 0..n_max, suffix-memoized."""
+    """Values of the linear extension for N = 0..n_max: prefix sums of its Taylor vector."""
     if q.alphabet != Y:
         raise AlphabetError("harmonic sums are indexed by Y-polynomials")
-    columns = ((c, _h_vector(w.letters, n_max)) for w, c in q.items())
-    return list(NPoly.lin_comb(columns, n_max).padded(n_max))
+    taylor = _taylor_map(((c, w.letters) for w, c in q.items()), n_max)
+    return list(taylor.prefix_sums(n_max).padded(n_max))
 
 
 def _binomial_npoly(k: int) -> NPoly:

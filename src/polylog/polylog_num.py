@@ -2,7 +2,7 @@
 
 The Taylor coefficients of Li at a signed index (s1,...,sr) are
 a_N = N^(-s1) H_(s2..sr)(N-1), so the exact vectors come straight out of the
-harmonic-sum recurrences.  On top of that this module provides:
+cached harmonic columns, one weight pass per leading entry; the module also provides:
 
 * division by 1-z (prefix sums), which realizes the Li -> H correspondence;
 * the Hadamard (coefficientwise) and Cauchy products, and the exact checks
@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Sequence
 
-from .harmonic import _taylor_vector, h_poly_table
+from .harmonic import _taylor_map, h_poly_table
 from .nc_core import (
     AlphabetError,
     NCPoly,
@@ -149,7 +149,7 @@ def li_taylor_coeffs(s: Sequence[int], n_cap: int, mode: str = "exact") -> Taylo
     index = tuple(s)
     if mode == "float" and index:
         return TaylorTrunc(tuple(_li_taylor_float(index, n_cap)), "float")
-    return TaylorTrunc._of(_taylor_vector(index, n_cap), n_cap, mode)
+    return TaylorTrunc._of(_taylor_map([(1, index)], n_cap), n_cap, mode)
 
 
 def li_taylor_poly(p: NCPoly, n_cap: int) -> TaylorTrunc:
@@ -159,8 +159,8 @@ def li_taylor_poly(p: NCPoly, n_cap: int) -> TaylorTrunc:
     """
     if p.alphabet != X:
         raise AlphabetError("li_taylor_poly expects an X-polynomial")
-    terms = ((c, _taylor_vector(index_from_word(w), n_cap)) for w, c in p.items())
-    return TaylorTrunc._of(NPoly.lin_comb(terms, n_cap), n_cap)
+    terms = ((c, index_from_word(w)) for w, c in p.items())
+    return TaylorTrunc._of(_taylor_map(terms, n_cap), n_cap)
 
 
 def div_one_minus_z(a: TaylorTrunc) -> TaylorTrunc:

@@ -101,6 +101,12 @@ class TestParser:
         with pytest.raises(ExprTypeError):
             parse_value("2*[1]*")
 
+    @pytest.mark.parametrize("src,pos", [("-[1]*", 0), ("- - [1]*", 2), ("- -  - [1]*", 5)])
+    def test_run_of_signs_rejects_plane_star_at_last_sign(self, src, pos):
+        with pytest.raises(ExprTypeError) as exc:
+            parse_value(src)
+        assert str(exc.value) == f"at position {pos}: cannot scale a plane star"
+
     @pytest.mark.parametrize(
         "src,message",
         [
@@ -422,6 +428,13 @@ class TestCommands:
         assert code == 0
         assert json.loads(out)["terms"] == {str(k): "1" for k in range(1, 1101)}
 
+    @pytest.mark.parametrize("signs", [1500, 1501])
+    def test_long_run_of_signs(self, capsys, signs):
+        # a run of unary minus signs is one node: no recursion per sign
+        code, out = self._run(capsys, "stuffle", "- " * signs + "y1", "1")
+        assert code == 0
+        assert json.loads(out)["terms"] == {"1": "1" if signs % 2 == 0 else "-1"}
+
     @_needs_digit_limit
     def test_big_integer_printed_exactly(self, capsys):
         before = sys.get_int_max_str_digits()
@@ -441,6 +454,8 @@ class TestCommands:
         code, out = self._run(capsys, "h-eval", "(-340000)", "2")
         error = json.loads(out)["error"]
         assert code == 2 and error["code"] == "ValueError" and str(MAX_DIGITS) in error["message"]
+        # the message names the CLI's cap, not CPython's advice to raise its limit
+        assert "MAX_DIGITS" in error["message"] and "set_int_max_str_digits" not in error["message"]
         assert sys.get_int_max_str_digits() == before
         code, out = self._run(capsys, "h-eval", "(1)", "bad")
         assert code == 2 and sys.get_int_max_str_digits() == before

@@ -19,7 +19,8 @@ from polylog.harmonic import (
     h_word_table,
     h_x1star_closed_form,
 )
-from polylog.nc_core import InvalidIndexError, NCPoly, Word, Y, y_word
+from polylog.nc_core import InvalidIndexError, NCPoly, Word, X, Y, y_word
+from polylog.polylog_num import li_taylor_poly
 from polylog.products import stuffle
 from polylog.stars import X1StarPoly
 
@@ -317,6 +318,8 @@ class TestIntegerColumns:
 
         @hyp.settings(max_examples=100, deadline=None, derandomize=True, database=None)
         @hyp.given(y_polys, st.integers(0, 12))
+        # the words led by 2 have coefficients summing to zero; the empty word stands alone
+        @hyp.example({Word((2, 1), Y): F(1), Word((2,), Y): F(-1), Word((), Y): F(2)}, 6)
         def per_word(terms, n_max):
             table = h_poly_table(NCPoly(Y, terms), n_max)
             expected = [
@@ -338,3 +341,52 @@ class TestIntegerColumns:
                 assert len(table) == n + 1
                 assert table == [_brute_h(w.letters, k) for k in range(n + 1)]
         assert len(harmonic._HVEC_CACHE[(2, 1, 3)]) == 42
+
+    def test_poly_table_caches_only_proper_suffixes(self, monkeypatch):
+        # a polynomial table reads the tail columns of its words, never their full columns
+        monkeypatch.setattr(harmonic, "_HVEC_CACHE", {})
+        q = stuffle(NCPoly.from_word(y_word(2, 1)), NCPoly.from_word(y_word(3, 1, 2)))
+        table = h_poly_table(q, 12)
+        assert table == [sum(c * _brute_h(w.letters, n) for w, c in q.items()) for n in range(13)]
+        suffixes = {w.letters[k:] for w, _ in q.items() for k in range(1, len(w))}
+        assert harmonic._HVEC_CACHE and set(harmonic._HVEC_CACHE) <= suffixes
+        assert (3, 1, 2, 2, 1) not in harmonic._HVEC_CACHE
+
+    def test_property_grouped_taylor_map(self):
+        # indices sharing a leading entry, groups cancelled by a negated copy, the
+        # empty index, and non-positive entries, which only the signed map accepts
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+        tails = st.lists(st.integers(-2, 3), max_size=2)
+        draws = st.lists(st.tuples(coeffs, tails, st.booleans(), st.booleans()), max_size=5)
+
+        def naive_li(index, n):
+            """a_n = n^(-s1) H_(s2..sr)(n-1), by enumeration; the empty index is 1."""
+            if not index:
+                return F(n == 0)
+            return F(n) ** -index[0] * _brute_h(index[1:], n - 1) if n else F(0)
+
+        def x_word_of(index):
+            return Word(tuple(b for s in index for b in [0] * (s - 1) + [1]), X)
+
+        # the group led by 3 cancels whole; the empty index and (2,) stand alone
+        whole = [(F(1), [1], True, True), (F(1, 3), [3], True, True)]
+
+        @hyp.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+        @hyp.given(draws, st.integers(-2, 3), st.integers(0, 10))
+        @hyp.example(whole + [(F(2), [], False, False), (F(-1), [2], False, False)], 3, 6)
+        @hyp.example([(F(1, 2), [], False, False), (F(-1), [0], True, False)], -1, 4)
+        def agree(draws, lead, n):
+            pairs = []  # (coefficient, signed index); a cancelled draw comes with its negation
+            for c, tail, shared, cancelled in draws:
+                index = (lead, *tail) if shared else tuple(tail)
+                pairs += [(c, index), (-c, index)] if cancelled else [(c, index)]
+            li = [sum((c * naive_li(i, k) for c, i in pairs), F(0)) for k in range(n + 1)]
+            assert list(harmonic._taylor_map(pairs, n).padded(n)) == li
+            pos = [(c, i) for c, i in pairs if all(s > 0 for s in i)]
+            li = [sum((c * naive_li(i, k) for c, i in pos), F(0)) for k in range(n + 1)]
+            x_poly = NCPoly(X, [(x_word_of(i), c) for c, i in pos])
+            assert list(li_taylor_poly(x_poly, n).coeffs) == li
+
+        agree()
