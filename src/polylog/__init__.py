@@ -8,9 +8,9 @@ The package computes, with exact rational arithmetic throughout:
   (:mod:`polylog.nc_core`, :mod:`polylog.coding`);
 * star fragments - powers of x1*, letter stars, Kleene stars of the plane
   with their stuffle group law (:mod:`polylog.stars`);
-* non-positive-index polylogarithms as rational functions, their star
-  representations, and the trailing-x0 shuffle regularization
-  (:mod:`polylog.negindex`);
+* non-positive-index polylogarithms as star combinations (integer
+  polynomials in t = 1/(1-z)) and as rational functions, and the trailing-x0
+  shuffle regularization (:mod:`polylog.negindex`);
 * exact harmonic sums, closed-form polynomials in N, and the stuffle
   character checks (:mod:`polylog.harmonic`);
 * truncated Taylor calculus, Hadamard/Cauchy identities, Stirling-number
@@ -65,6 +65,7 @@ from .negindex import (
     NotRepresentableError,
     RatFuncAtOne,
     li_nonpositive,
+    li_nonpositive_stars,
     ratfunc_to_x1star,
     regularize_trailing_x0,
     theta_derivative,

@@ -456,11 +456,6 @@ def ncpoly_expr_text(p: NCPoly) -> str:
     return format_terms(parts)
 
 
-def x1star_expr_text(s: X1StarPoly) -> str:
-    """Canonical, re-parseable expression text of a star combination."""
-    return format_terms([(c, f"star({k})" if k else "") for k, c in s.items()])
-
-
 def value_to_json(v: Value) -> dict:
     if isinstance(v, Scalar):
         return {"type": "rational", "value": str(v.value)}
@@ -475,7 +470,7 @@ def value_to_json(v: Value) -> dict:
         return {
             "type": "x1star",
             "stars": {str(k): str(c) for k, c in v.items()},
-            "text": x1star_expr_text(v),
+            "text": str(v),
         }
     if isinstance(v, PlaneStar):
         return {
@@ -531,14 +526,14 @@ def cmd_product(args) -> int:
 
 def cmd_neg_li(args) -> int:
     index = _parse_index_arg(args.index)
-    f = negindex.li_nonpositive(index)
-    s = negindex.ratfunc_to_x1star(f)
+    s = negindex.li_nonpositive_stars(index)
+    f = negindex.x1star_to_ratfunc(s)
     _print_json(
         {
             "index": list(index),
             "ratfunc": f.to_json_dict(),
             "stars": {str(k): str(c) for k, c in s.items()},
-            "stars_text": x1star_expr_text(s),
+            "stars_text": str(s),
         }
     )
     return 0

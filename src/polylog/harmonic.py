@@ -17,11 +17,11 @@ prefix sum, so it never caches a product's full words.  Columns and Taylor
 vectors are each an :class:`~polylog.nc_core.NPoly`, the one dense kernel.
 
 Star combinations sum_k c_k (k x1)* have polynomial harmonic sums:
-H of (k x1)* at N is binomial(N+k, k), so the closed form is an exact
-polynomial in N: an :class:`~polylog.nc_core.NPoly` again, a linear
-combination of binomial polynomials.
-Composed with that module's rational-function pipeline, this yields
-Faulhaber-style closed forms for every non-positive multi-index.
+H of (k x1)* at N is binomial(N+k, k) = (N+1)...(N+k)/k!, so the closed form
+is an exact polynomial in N: an :class:`~polylog.nc_core.NPoly` again, one
+linear combination of the rising products, each over k!.  Composed with the
+star form of Li at non-positive indices (:mod:`polylog.negindex`), this
+yields Faulhaber-style closed forms for every non-positive multi-index.
 
 The column cache is copy-on-extend: a longer column replaces an entry whole,
 numerators and denominator in one immutable value, so a racing thread can at
@@ -31,11 +31,12 @@ worst duplicate work, never observe a partial or mismatched column.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import factorial, lcm, prod
 from typing import Iterable, Iterator, Sequence
 
 from .nc_core import AlphabetError, NCPoly, NPoly, RatLike, Word, Y
-from .negindex import li_nonpositive, ratfunc_to_x1star
+from .negindex import li_nonpositive_stars
 from .products import stuffle
 from .stars import X1StarPoly, x1star_y_expansion
 
@@ -162,50 +163,46 @@ def h_poly_eval(q: NCPoly, n: int) -> Fraction:
     return h_poly_table(q, n)[n]
 
 
+def _h_poly_vector(q: NCPoly, n_max: int) -> NPoly:
+    """The linear extension for N = 0..n_max: prefix sums of its Taylor vector."""
+    return _taylor_map(((c, w.letters) for w, c in q.items()), n_max).prefix_sums(n_max)
+
+
 def h_poly_table(q: NCPoly, n_max: int) -> list[Fraction]:
-    """Values of the linear extension for N = 0..n_max: prefix sums of its Taylor vector."""
+    """Values of the linear extension for N = 0..n_max."""
     if q.alphabet != Y:
         raise AlphabetError("harmonic sums are indexed by Y-polynomials")
-    taylor = _taylor_map(((c, w.letters) for w, c in q.items()), n_max)
-    return list(taylor.prefix_sums(n_max).padded(n_max))
-
-
-def _binomial_npoly(k: int) -> NPoly:
-    """binomial(N+k, k) = prod_{i=1..k} (N+i) / k! as an exact NPoly."""
-    poly = NPoly([1])
-    for i in range(1, k + 1):
-        poly = poly * NPoly([i, 1])
-    return poly * Fraction(1, factorial(k))
+    return list(_h_poly_vector(q, n_max).padded(n_max))
 
 
 def h_x1star_closed_form(s: X1StarPoly) -> NPoly:
-    """Polynomial N -> H of a star combination, via H of (k x1)* = C(N+k, k)."""
-    return NPoly.lin_comb((c, _binomial_npoly(k)) for k, c in s.items())
+    """Polynomial N -> H of a star combination, via H of (k x1)* = (N+1)...(N+k) / k!."""
+    rising = accumulate(
+        range(1, len(s.poly)), lambda r, k: r * NPoly((k, 1), 1), initial=NPoly((1,), 1)
+    )
+    terms = enumerate(zip(s.poly.nums, rising))
+    return NPoly.lin_comb((Fraction(c, s.poly.den * factorial(k)), r) for k, (c, r) in terms)
 
 
 def h_negindex_closed_form(s: Sequence[int]) -> NPoly:
     """Faulhaber-style closed form of the nested power sum for indices <= 0."""
-    return h_x1star_closed_form(ratfunc_to_x1star(li_nonpositive(s)))
+    return h_x1star_closed_form(li_nonpositive_stars(s))
 
 
 def h_stuffle_check(u: Word, v: Word, n_max: int) -> bool:
     """Exact character check H_{u st v}(N) = H_u(N) H_v(N) for N <= n_max."""
-    product = stuffle(NCPoly.from_word(u), NCPoly.from_word(v))
-    lhs = h_poly_table(product, n_max)
-    hu = h_word_table(u, n_max)
-    hv = h_word_table(v, n_max)
-    return all(lhs[n] == hu[n] * hv[n] for n in range(n_max + 1))
+    lhs = _h_poly_vector(stuffle(NCPoly.from_word(u), NCPoly.from_word(v)), n_max)
+    hu, hv = (_h_vector(w.letters, n_max) for w in (u, v))
+    cut = n_max + 1  # a cached column can be longer than asked for
+    return lhs == NPoly(hu.nums[:cut], hu.den).hadamard(NPoly(hv.nums[:cut], hv.den))
 
 
 # -- the mixed-index identity table ----------------------------------------
 
 
-# Star combinations whose harmonic sums are the plain nested power sums.
+# Star forms of Li, whose harmonic sums are the plain nested power sums.
 POWER_SUM_STARS: dict[tuple[int, ...], X1StarPoly] = {
-    (0,): X1StarPoly({1: 1, 0: -1}),
-    (-1,): X1StarPoly({2: 1, 1: -1}),
-    (-2,): X1StarPoly({3: 2, 2: -3, 1: 1}),
-    (-2, -2): X1StarPoly({6: 40, 5: -132, 4: 161, 3: -87, 2: 19, 1: -1}),
+    index: li_nonpositive_stars(index) for index in ((0,), (-1,), (-2,), (-2, -2))
 }
 
 # Each identity equates an exactly computable combination (closed forms,

@@ -1,21 +1,20 @@
-"""Non-positive-index polylogarithms as exact rational functions.
+"""Non-positive-index polylogarithms, in t = 1/(1-z), as exact rational functions.
 
 For a multi-index (s1,...,sr) with every s_i <= 0, the polylogarithm
-sum_{n1>...>nr>0} n1^(-s1)...nr^(-sr) z^(n1) is a rational function
-p(z)/(1-z)^m with integer-friendly exact coefficients.  It is computed
-right-to-left through the index list: starting from the constant 1, each
-step multiplies by z/(1-z) (appending a 0 index) and then applies the Euler
-operator theta = z d/dz |s_i| times.
+sum_{n1>...>nr>0} n1^(-s1)...nr^(-sr) z^(n1) is an integer polynomial in
+t = 1/(1-z), that is the star combination sum_k c_k (k x1)* of
+:class:`polylog.stars.X1StarPoly`, since Li of (k x1)* is t^k.  It is
+computed right-to-left through the index list on integers: starting from 1,
+each step multiplies by z/(1-z) = t - 1 (appending a 0 index) and then
+applies the Euler operator theta = z d/dz = (t^2 - t) d/dt |s_i| times.
 
-:class:`RatFuncAtOne` is the canonical carrier: a dense numerator and a pole
-order at z = 1, with (1-z) factors always divided out of the numerator so
-equality is plain field-wise comparison.  When deg(num) <= pole order, the
-function rewrites as sum_k c_k / (1-z)^k, i.e. as the star combination
-sum_k c_k (k x1)* of :class:`polylog.stars.X1StarPoly` - that conversion and
-its inverse live here too.  The numerator is an :class:`polylog.nc_core.NPoly`
-(``num`` reads its Fractions): sums, products, the Euler step, the division
-by (1-z), evaluation and printing are that one dense exact kernel's, on
-integer numerators over one denominator.
+:class:`RatFuncAtOne` is the canonical carrier in z: a dense numerator and a
+pole order at z = 1, with (1-z) factors always divided out of the numerator
+so equality is plain field-wise comparison.  One binomial basis change turns
+sum_k c_k t^k into p(z)/(1-z)^m, canonical as built; :func:`ratfunc_to_x1star`
+is its inverse.  The numerator is an :class:`polylog.nc_core.NPoly`: sums,
+products, the Euler step, the division by (1-z), evaluation and printing are
+that one dense exact kernel's, on integer numerators over one denominator.
 
 The module also hosts the trailing-x0 shuffle regularization: every
 X-polynomial P decomposes uniquely as sum_k P_k sh x0^(sh k) with each P_k
@@ -107,10 +106,6 @@ class RatFuncAtOne:
     def __mul__(self, other: "RatFuncAtOne") -> "RatFuncAtOne":
         return RatFuncAtOne(self.p * other.p, self.pole_order + other.pole_order)
 
-    def mul_z_over_one_minus_z(self) -> "RatFuncAtOne":
-        """Multiply by z/(1-z): shift the numerator up, bump the pole."""
-        return RatFuncAtOne(self.p * _Z, self.pole_order + 1)
-
     def eval(self, z):
         """Exact evaluation at a rational (or complex) z != 1."""
         return self.p.eval(z) / (1 - z) ** self.pole_order
@@ -138,7 +133,7 @@ class RatFuncAtOne:
         return f"RatFuncAtOne({self!s})"
 
 
-_ONE, _Z = NPoly([1]), NPoly([0, 1])
+_ONE = NPoly([1])
 
 
 def _one_minus_z_pow(k: int) -> NPoly:
@@ -153,11 +148,11 @@ def theta_derivative(f: RatFuncAtOne) -> RatFuncAtOne:
     return RatFuncAtOne(f.p.euler(f.pole_order), f.pole_order + 1)
 
 
-def li_nonpositive(s: Sequence[int]) -> RatFuncAtOne:
-    """Exact rational function of the polylogarithm at indices all <= 0.
+def li_nonpositive_stars(s: Sequence[int]) -> X1StarPoly:
+    """Li at indices all <= 0 as an integer polynomial in t = 1/(1-z), a star combination.
 
-    Computed right-to-left: F starts at the constant 1 and each index s_i
-    applies F -> theta^(-s_i)( (z/(1-z)) F ).  The empty index gives 1.
+    Right to left from 1, each s_i applies F -> theta^(-s_i)((t - 1) F), where
+    theta t^j = j t^(j+1) - j t^j.  The empty index gives 1.
     """
     for si in s:
         if si > 0:
@@ -165,12 +160,17 @@ def li_nonpositive(s: Sequence[int]) -> RatFuncAtOne:
                 f"li_nonpositive needs indices <= 0, got {si}; "
                 "mixed signs are evaluated numerically, not in closed form"
             )
-    f = RatFuncAtOne.constant(1)
+    c = [1]  # integer coefficients of t^0, t^1, ...
     for si in reversed(list(s)):
-        f = f.mul_z_over_one_minus_z()
+        c = [a - b for a, b in zip((0, *c), (*c, 0))]  # times t - 1
         for _ in range(-si):
-            f = theta_derivative(f)
-    return f
+            c = [(j - 1) * a - j * b for j, (a, b) in enumerate(zip((0, *c), (*c, 0)))]
+    return X1StarPoly(NPoly(c, 1))
+
+
+def li_nonpositive(s: Sequence[int]) -> RatFuncAtOne:
+    """Exact rational function of the polylogarithm at indices all <= 0."""
+    return x1star_to_ratfunc(li_nonpositive_stars(s))
 
 
 def ratfunc_to_x1star(f: RatFuncAtOne) -> X1StarPoly:
@@ -191,9 +191,16 @@ def ratfunc_to_x1star(f: RatFuncAtOne) -> X1StarPoly:
 
 
 def x1star_to_ratfunc(s: X1StarPoly) -> RatFuncAtOne:
-    """Evaluate sum_k c_k / (1-z)^k back into canonical rational form."""
-    m = s.max_order
-    return RatFuncAtOne(NPoly.lin_comb((c, _one_minus_z_pow(m - k)) for k, c in s.items()), m)
+    """sum_k c_k / (1-z)^k as p(z)/(1-z)^m, m the top order: one basis change.
+
+    p(z) = sum_k c_k (1-z)^(m-k), so p_j = (-1)^j sum_k c_k C(m-k, j) (the mirror
+    of :func:`ratfunc_to_x1star`) and p(1) = c_m != 0; by Horner's rule in 1 - z.
+    """
+    p = []
+    for x in s.poly.nums:
+        p = [a - b for a, b in zip((*p, 0), (0, *p))]  # times 1 - z
+        p[0] += x
+    return RatFuncAtOne(NPoly(p, s.poly.den), s.max_order)
 
 
 def regularize_trailing_x0(p: NCPoly) -> dict[int, NCPoly]:

@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Sequence
 
-from .harmonic import _taylor_map, h_poly_table
+from .harmonic import _h_poly_vector, _taylor_map
 from .nc_core import (
     AlphabetError,
     NCPoly,
@@ -187,9 +187,8 @@ def check_hadamard_identity(u: Word, v: Word, n_cap: int) -> bool:
     au = div_one_minus_z(li_taylor_coeffs(u.letters, n_cap))
     av = div_one_minus_z(li_taylor_coeffs(v.letters, n_cap))
     lhs = hadamard(au, av)
-    # Li_w/(1-z) has the coefficients H_w(N), so the right side is a harmonic table
-    rhs = h_poly_table(stuffle(NCPoly.from_word(u), NCPoly.from_word(v)), n_cap)
-    return list(lhs.coeffs) == rhs
+    # Li_w/(1-z) has the coefficients H_w(N), so the right side is a harmonic column
+    return lhs.poly == _h_poly_vector(stuffle(NCPoly.from_word(u), NCPoly.from_word(v)), n_cap)
 
 
 def check_shuffle_morphism(u: Word, v: Word, n_cap: int) -> bool:

@@ -21,7 +21,7 @@ from polylog.harmonic import (
 )
 from polylog.nc_core import InvalidIndexError, NCPoly, Word, X, Y, y_word
 from polylog.polylog_num import li_taylor_poly
-from polylog.products import stuffle
+from polylog.products import conc, stuffle
 from polylog.stars import X1StarPoly
 
 F = Fraction
@@ -248,6 +248,18 @@ class TestStuffleCharacter:
         for u in words:
             for v in words:
                 assert h_stuffle_check(u, v, 30)
+
+    def test_longer_cached_columns(self, monkeypatch):
+        monkeypatch.setattr(harmonic, "_HVEC_CACHE", {})
+        h_word_table(y_word(2, 1), 40)
+        h_word_table(y_word(1), 40)
+        assert h_stuffle_check(y_word(2, 1), y_word(1), 12)
+
+    def test_wrong_product_fails(self, monkeypatch):
+        # concatenation in place of stuffle: H_{y1 y1} is not H_1^2
+        monkeypatch.setattr(harmonic, "stuffle", conc)
+        assert not h_stuffle_check(y_word(1), y_word(1), 10)
+        assert not h_stuffle_check(y_word(2), y_word(1), 10)
 
 
 class TestMixedExamples:

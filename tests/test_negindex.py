@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -9,6 +10,7 @@ from polylog.negindex import (
     NotRepresentableError,
     RatFuncAtOne,
     li_nonpositive,
+    li_nonpositive_stars,
     ratfunc_to_x1star,
     regularize_trailing_x0,
     theta_derivative,
@@ -119,6 +121,21 @@ class TestArithmeticThroughTaylor:
 
         self._property([st.lists(st.integers(-4, 0), max_size=3)], check)
 
+    def test_stars_to_ratfunc(self):
+        st = pytest.importorskip("hypothesis").strategies
+        coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+        stars = st.dictionaries(st.integers(0, 5), coeffs, max_size=4).map(X1StarPoly)
+
+        def check(s):
+            # 1/(1-z)^k has Taylor coefficients C(n+k-1, n)
+            pole = [[comb(n + k - 1, n) if k else int(n == 0) for k in range(6)] for n in range(self.N + 1)]
+            want = [sum(c * row[k] for k, c in s.items()) for row in pole]
+            f = x1star_to_ratfunc(s)
+            assert f.taylor_coeffs(self.N) == want
+            assert f.pole_order == s.max_order and ratfunc_to_x1star(f) == s
+
+        self._property([stars], check)
+
 
 class TestThetaDerivative:
     def test_geometric(self):
@@ -148,14 +165,40 @@ class TestLiNonpositive:
 
     @pytest.mark.parametrize("index,num,pole,stars", KNOWN_TABLE)
     def test_known_star_combinations(self, index, num, pole, stars):
+        assert li_nonpositive_stars(index) == X1StarPoly(stars)
         assert ratfunc_to_x1star(li_nonpositive(index)) == X1StarPoly(stars)
 
     def test_empty_index(self):
         assert li_nonpositive(()) == RatFuncAtOne.constant(1)
+        assert li_nonpositive_stars(()) == X1StarPoly({0: 1})
 
     def test_positive_index_rejected(self):
-        with pytest.raises(InvalidIndexError):
+        with pytest.raises(InvalidIndexError, match="needs indices <= 0, got 1"):
             li_nonpositive((1, -2))
+        with pytest.raises(InvalidIndexError, match="needs indices <= 0, got 3"):
+            li_nonpositive_stars((0, 3))
+
+    def test_property_matches_z_recurrence(self):
+        """The t recurrence against the z recurrence: z/(1-z), then theta |s_i| times."""
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        def in_z(index):
+            f = RatFuncAtOne.constant(1)
+            for si in reversed(index):
+                f = f * RatFuncAtOne([0, 1], 1)
+                for _ in range(-si):
+                    f = theta_derivative(f)
+            return f
+
+        @hyp.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+        @hyp.given(st.lists(st.integers(-6, 0), max_size=4))
+        def check(index):
+            f = in_z(index)
+            assert li_nonpositive(index) == f
+            assert li_nonpositive_stars(index) == ratfunc_to_x1star(f)
+
+        check()
 
     def test_taylor_matches_nested_sums(self):
         # all non-positive index lists with depth + total size <= 8

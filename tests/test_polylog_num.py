@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from polylog import polylog_num
 from polylog.harmonic import h_signed_table, h_word_table
 from polylog.nc_core import NCPoly, NotInImageError, Word, X, Y, x_word, y_word
 from polylog.polylog_num import (
@@ -24,7 +25,7 @@ from polylog.polylog_num import (
     _stirling2_rows,
     stirling2,
 )
-from polylog.products import shuffle
+from polylog.products import conc, shuffle
 
 F = Fraction
 
@@ -136,6 +137,12 @@ class TestHadamardIdentity:
         for u in words:
             for v in words:
                 assert check_hadamard_identity(u, v, 40)
+
+    def test_wrong_product_fails(self, monkeypatch):
+        # concatenation in place of stuffle: the right side is H_{y1 y1}, not H_1^2
+        monkeypatch.setattr(polylog_num, "stuffle", conc)
+        assert not check_hadamard_identity(y_word(1), y_word(1), 10)
+        assert not check_hadamard_identity(y_word(2), y_word(1), 10)
 
 
 class TestShuffleMorphism:
