@@ -14,12 +14,16 @@ Functions: sh(a, b), st(a, b), conc(a, b), pix(a), piy(a), exps(a, cap).
 Values are rationals, X/Y polynomials, star combinations star(k), and plane
 stars [a1,...]*; scalars embed as multiples of the relevant unit.
 
-A sum is one flat node, added up in one accumulation.
+Parsing and evaluation keep pending work on an explicit stack, and a sum is
+one flat node added up in one accumulation: neither nesting depth nor sum
+length is limited by the recursion limit, only by memory.
 
 Subcommands expose the library operations with JSON output on stdout and
-nonzero exit codes carrying {"error": {code, message}} on failure; an integer
-of more than MAX_DIGITS digits is such an error.  The ``verify`` subcommand
-runs the suites of :mod:`polylog.checks` and exits 0 iff every check passes.
+nonzero exit codes carrying {"error": {code, message}} on failure.  Inputs of
+unbounded cost are such errors: an integer of more than MAX_DIGITS digits,
+star(k) above MAX_STAR_ORDER and exps(P, cap) above MAX_EXPS_CAP.  The
+``verify`` subcommand runs the suites of :mod:`polylog.checks` and exits 0 iff
+every check passes.
 """
 
 from __future__ import annotations
@@ -38,21 +42,16 @@ from functools import cache
 
 from . import checks, harmonic, negindex, polylog_num, products, stars
 from .coding import pi_x, pi_y
-from .nc_core import (
-    NCPoly,
-    PolylogError,
-    Word,
-    X,
-    Y,
-    format_terms,
-    x_word,
-    y_word,
-)
-from .stars import PlaneStar, X1StarPoly
+from .nc_core import ONE, NCPoly, PolylogError, Word, X, Y, format_terms, x_word, y_word
+from .stars import PlaneStar, X1StarPoly, star_terms_text
 
 ENV_NCAP = "POLYLOG_NCAP_DEFAULT"
 # the most decimal digits of an integer a result prints (CPython's int-to-str limit)
 MAX_DIGITS = 100_000
+# the largest k of star(k): star(k) is dense with k + 1 entries, its closed form in N has degree k
+MAX_STAR_ORDER = 1_000
+# the largest cap of exps(P, cap): exps(y1, cap) has 2^cap words
+MAX_EXPS_CAP = 14
 
 
 class ParseError(PolylogError):
@@ -71,219 +70,193 @@ class ExprTypeError(PolylogError):
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<int>\d+)
+    \s*(?:
+    (?P<int>\d+)
   | (?P<xword>"[01]+")
+  | (?P<yword>(?:y[1-9][0-9]*)+)(?![A-Za-z_0-9])
   | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<sym>[-+*/(),\[\]])
-    """,
-    re.VERBOSE,
+  | (?P<eof>\Z)
+  | (?P<bad>.)
+    )""",
+    re.VERBOSE | re.DOTALL,
 )
 
-
-@dataclass(frozen=True, slots=True)
-class Token:
-    kind: str
-    text: str
-    pos: int
+# A token is a tuple (kind, text, position); the kind of a symbol is the symbol.
+Token = tuple[str, str, int]
 
 
 def _tokenize(src: str) -> list[Token]:
+    """The tokens of ``src`` in one pass, ending in an "eof" token."""
     out = []
-    i = 0
-    while i < len(src):
-        m = _TOKEN_RE.match(src, i)
-        if not m:
-            raise ParseError(f"unexpected character {src[i]!r}", i)
-        kind = m.lastgroup or ""
-        if kind != "ws":
-            out.append(Token(kind, m.group(), i))
-        i = m.end()
-    out.append(Token("eof", "", len(src)))
+    for m in _TOKEN_RE.finditer(src):
+        kind = m.lastgroup
+        text = m[kind]
+        if kind == "bad":
+            raise ParseError(f"unexpected character {text!r}", m.start(kind))
+        out.append((text if kind == "sym" else kind, text, m.start(kind)))
+        if kind == "eof":  # after trailing whitespace, the empty match at the end would repeat it
+            break
     return out
 
 
 # -- AST ---------------------------------------------------------------------
+#
+# A node is a tuple tagged by its first entry:
+#   ("num", value, pos)            a rational
+#   ("word", word, pos)            an X- or Y-word
+#   ("star", order, pos)           star(k)
+#   ("plane", alpha, pos)          [a1,...]*, alpha a tuple of rationals
+#   ("call", name, args, pos)      a function applied to a tuple of nodes
+#   ("scale", factor, node, pos)   a rational (a sign, for unary minus) times a node
+#   ("sum", terms)                 (sign, node, position of its operator) per term;
+#                                  the first term is (1, node, None)
 
-
-@dataclass(frozen=True, slots=True)
-class Num:
-    value: Fraction
-    pos: int
-
-
-@dataclass(frozen=True, slots=True)
-class WordLit:
-    word: Word
-    pos: int
-
-
-@dataclass(frozen=True, slots=True)
-class StarLit:
-    order: int
-    pos: int
-
-
-@dataclass(frozen=True, slots=True)
-class PlaneLit:
-    alpha: tuple[Fraction, ...]
-    pos: int
-
-
-@dataclass(frozen=True, slots=True)
-class Call:
-    func: str
-    args: tuple
-    pos: int
-
-
-@dataclass(frozen=True, slots=True)
-class Scale:
-    factor: Fraction
-    operand: object
-    pos: int
-
-
-@dataclass(frozen=True, slots=True)
-class Sum:
-    """``first`` followed by (sign, term, position of its operator) for each later term."""
-
-    first: object
-    rest: tuple[tuple[int, object, int], ...]
-
-
-Expr = object
+Expr = tuple
 _FUNCS = {"sh": 2, "st": 2, "conc": 2, "pix": 1, "piy": 1, "exps": 2}
-_YWORD_RE = re.compile(r"^(?:y[1-9][0-9]*)+$")
+
+
+def _run(gen):
+    """The return value of ``gen``, a generator that yields a generator for each value it needs.
+
+    Each yielded generator is run and its return value sent back; the waiting
+    ones are kept on a list, not on the call stack, so depth costs only memory.
+    """
+    stack, value = [gen], None
+    while stack:
+        try:
+            child = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+        else:
+            stack.append(child)
+            value = None
+    return value
 
 
 class _Parser:
+    """Recursive descent in form; ``expr``, ``term`` and ``call`` are generators for _run."""
+
     def __init__(self, src: str) -> None:
         self.tokens = _tokenize(src)
         self.i = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> Token:
+    def accept(self, kind: str) -> Token | None:
+        """The next token, consumed, if it is of ``kind``; None otherwise."""
         tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def accept(self, sym: str) -> Token | None:
-        """The next token, consumed, if it is the symbol ``sym``; None otherwise."""
-        tok = self.tokens[self.i]
-        if tok.kind == "sym" and tok.text == sym:
+        if tok[0] == kind:
             self.i += 1
             return tok
         return None
 
-    def expect_sym(self, sym: str) -> Token:
-        tok = self.peek()
-        if not self.accept(sym):
-            raise ParseError(f"expected {sym!r}, found {tok.text or 'end of input'!r}", tok.pos)
+    def expect(self, sym: str) -> Token:
+        tok = self.tokens[self.i]
+        if tok[0] != sym:
+            raise ParseError(f"expected {sym!r}, found {tok[1] or 'end of input'!r}", tok[2])
+        self.i += 1
         return tok
 
-    def parse(self) -> Expr:
-        node = self.expr()
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos)
-        return node
+    def expr(self):
+        terms = [(1, (yield from self.term()), None)]
+        while (op := self.tokens[self.i])[0] in ("+", "-"):
+            self.i += 1
+            terms.append((1 if op[0] == "+" else -1, (yield from self.term()), op[2]))
+        return ("sum", tuple(terms)) if len(terms) > 1 else terms[0][1]
 
-    def expr(self) -> Expr:
-        first = self.term()
-        rest = []
-        while (tok := self.peek()).kind == "sym" and tok.text in "+-":
-            self.advance()
-            rest.append((1 if tok.text == "+" else -1, self.term(), tok.pos))
-        return Sum(first, tuple(rest)) if rest else first
-
-    def term(self) -> Expr:
+    def term(self):
         if minus := self.accept("-"):
             sign = -1  # a run of signs is one node at its last sign: no recursion per sign
             while more := self.accept("-"):
                 sign, minus = -sign, more
-            return Scale(Fraction(sign), self.term(), minus.pos)
-        if self.peek().kind != "int":
-            return self.atom()
-        scalar = self.scalar()
-        nxt = self.peek()
+            return ("scale", Fraction(sign), (yield from self.term()), minus[2])
+        if self.tokens[self.i][0] != "int":
+            return self.atom() or (yield self.call())
+        num = self.scalar()
+        nxt = self.tokens[self.i]
         # a scalar times an atom: "2*y1", or juxtaposed as "2 y1", "2[1]*"
-        if not self.accept("*") and nxt.kind not in ("int", "xword", "ident") and nxt.text != "[":
-            return scalar
-        return Scale(scalar.value, self.atom(), nxt.pos)
+        if not self.accept("*") and nxt[0] not in ("int", "xword", "yword", "ident", "["):
+            return num
+        return ("scale", num[1], self.atom() or (yield self.call()), nxt[2])
 
-    def scalar(self) -> Num:
-        tok = self.advance()
-        value = Fraction(int(tok.text))
-        if self.accept("/"):
-            den = self.advance()
-            if den.kind != "int":
-                raise ParseError("expected a denominator", den.pos)
-            value = Fraction(int(tok.text), int(den.text))
-        return Num(value, tok.pos)
+    def scalar(self) -> Expr:
+        _, text, pos = self.tokens[self.i]
+        self.i += 1
+        if not self.accept("/"):
+            return ("num", Fraction(int(text)), pos)
+        kind, den, den_pos = self.tokens[self.i]
+        if kind != "int":
+            raise ParseError("expected a denominator", den_pos)
+        if not int(den):
+            raise ParseError("zero denominator", den_pos)
+        self.i += 1
+        return ("num", Fraction(int(text), int(den)), pos)
 
-    def atom(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "xword":
-            self.advance()
-            return WordLit(x_word(tok.text.strip('"')), tok.pos)
-        if tok.kind == "sym" and tok.text == "[":
+    def atom(self) -> Expr | None:
+        """The atom at the next token; None, consuming nothing, at a function name."""
+        kind, text, pos = self.tokens[self.i]
+        if kind == "xword":
+            self.i += 1
+            return ("word", x_word(text[1:-1]), pos)
+        if kind == "yword":
+            self.i += 1
+            return ("word", y_word(*map(int, text[1:].split("y"))), pos)
+        if kind == "[":
             return self.plane_literal()
-        if tok.kind == "ident":
-            if tok.text == "star":
-                self.advance()
-                self.expect_sym("(")
-                order = self.peek()
-                if order.kind != "int":
-                    raise ParseError("star(k) needs a natural number", order.pos)
-                self.advance()
-                self.expect_sym(")")
-                return StarLit(int(order.text), tok.pos)
-            if tok.text in _FUNCS:
-                self.advance()
-                self.expect_sym("(")
-                args = [self.expr()]
-                while self.accept(","):
-                    args.append(self.expr())
-                self.expect_sym(")")
-                if len(args) != _FUNCS[tok.text]:
-                    raise ParseError(
-                        f"{tok.text} takes {_FUNCS[tok.text]} argument(s), got {len(args)}",
-                        tok.pos,
-                    )
-                return Call(tok.text, tuple(args), tok.pos)
-            if _YWORD_RE.match(tok.text):
-                self.advance()
-                indices = [int(part) for part in tok.text.split("y") if part]
-                return WordLit(y_word(*indices), tok.pos)
-            raise ParseError(f"unknown name {tok.text!r}", tok.pos)
+        if kind == "ident":
+            if text in _FUNCS:
+                return None
+            if text == "star":
+                self.i += 1
+                self.expect("(")
+                order = self.tokens[self.i]
+                if order[0] != "int":
+                    raise ParseError("star(k) needs a natural number", order[2])
+                self.i += 1
+                self.expect(")")
+                return ("star", int(order[1]), pos)
+            raise ParseError(f"unknown name {text!r}", pos)
         raise ParseError(
-            f"expected a word, star, plane star, or function, found {tok.text or 'end of input'!r}",
-            tok.pos,
+            f"expected a word, star, plane star, or function, found {text or 'end of input'!r}", pos
         )
 
-    def plane_literal(self) -> PlaneLit:
-        start = self.expect_sym("[")
+    def call(self):
+        _, name, pos = self.tokens[self.i]
+        self.i += 1
+        self.expect("(")
+        args = [(yield self.expr())]
+        while self.accept(","):
+            args.append((yield self.expr()))
+        self.expect(")")
+        if len(args) != _FUNCS[name]:
+            raise ParseError(f"{name} takes {_FUNCS[name]} argument(s), got {len(args)}", pos)
+        return ("call", name, tuple(args), pos)
+
+    def plane_literal(self) -> Expr:
+        start = self.expect("[")
         alpha = [self.signed_rat()]
         while self.accept(","):
             alpha.append(self.signed_rat())
-        self.expect_sym("]")
-        self.expect_sym("*")
-        return PlaneLit(tuple(alpha), start.pos)
+        self.expect("]")
+        self.expect("*")
+        return ("plane", tuple(alpha), start[2])
 
     def signed_rat(self) -> Fraction:
         sign = -1 if self.accept("-") else 1
-        tok = self.peek()
-        if tok.kind != "int":
-            raise ParseError("expected a rational number", tok.pos)
-        return sign * self.scalar().value
+        kind, _, pos = self.tokens[self.i]
+        if kind != "int":
+            raise ParseError("expected a rational number", pos)
+        return sign * self.scalar()[1]
 
 
 def parse(src: str) -> Expr:
     """Parse an expression into its AST; errors carry source positions."""
-    return _Parser(src).parse()
+    parser = _Parser(src)
+    node = _run(parser.expr())
+    kind, text, pos = parser.tokens[parser.i]
+    if kind != "eof":
+        raise ParseError(f"unexpected trailing input {text!r}", pos)
+    return node
 
 
 # -- evaluation --------------------------------------------------------------
@@ -295,6 +268,7 @@ class Scalar:
 
 
 Value = object
+_ALPHABET_OF = {f"{alphabet}-polynomial": alphabet for alphabet in (X, Y)}
 
 
 def _type_name(v: Value) -> str:
@@ -304,9 +278,7 @@ def _type_name(v: Value) -> str:
         return f"{v.alphabet}-polynomial"
     if isinstance(v, X1StarPoly):
         return "star combination"
-    if isinstance(v, PlaneStar):
-        return "plane star"
-    return type(v).__name__
+    return "plane star"
 
 
 def _as_stars(v: Value) -> Value:
@@ -314,44 +286,69 @@ def _as_stars(v: Value) -> Value:
     return X1StarPoly({0: v.value}) if isinstance(v, Scalar) else v
 
 
-def _sum_type(a: Value, b: Value, pos: int) -> Value:
-    """The operand whose type a + b has; raises at ``pos`` where a and b do not add."""
-    if isinstance(a, Scalar) and not isinstance(b, PlaneStar):
-        return b
-    if isinstance(b, Scalar) and not isinstance(a, PlaneStar):
-        return a
-    if isinstance(a, NCPoly) and isinstance(b, NCPoly):
-        if a.alphabet != b.alphabet:
-            raise ExprTypeError(
-                f"cannot combine a {a.alphabet}-polynomial with a {b.alphabet}-polynomial",
-                pos,
-            )
-        return a
-    if isinstance(a, X1StarPoly) and isinstance(b, X1StarPoly):
-        return a
-    raise ExprTypeError(f"cannot add {_type_name(a)} and {_type_name(b)}", pos)
+def _sum_type(a: str, b: str, pos: int) -> str:
+    """The type name of a + b from those of a and b; raises at ``pos`` where they do not add."""
+    # no plane star adds; a rational adds to anything else, embedded as a multiple of the unit
+    if "plane star" not in (a, b) and (a == b or "rational" in (a, b)):
+        return b if a == "rational" else a
+    if a in _ALPHABET_OF and b in _ALPHABET_OF:
+        raise ExprTypeError(f"cannot combine a {a} with a {b}", pos)
+    raise ExprTypeError(f"cannot add {a} and {b}", pos)
 
 
-def _eval_sum(node: Sum) -> Value:
-    """The terms added up in one accumulation.
+def _star_order(k: int, pos: int) -> int:
+    """``k``, refused above MAX_STAR_ORDER before anything of its size is built."""
+    if k > MAX_STAR_ORDER:
+        raise ValueError(f"at position {pos}: star order {k} is above {MAX_STAR_ORDER = }")
+    return k
 
-    A type clash raises at its operator, as adding left to right would.
+
+def _literal_term(node: Expr) -> tuple[str, list] | None:
+    """The type name and the one (key, coefficient) pair of a term c*word, c*star(k) or c.
+
+    The key of a rational is None; any other term gives None and is evaluated.
     """
-    like = evaluate(node.first)
-    signed = [(1, like)]
-    for sign, term, pos in node.rest:
-        value = evaluate(term)
-        like = _sum_type(like, value, pos)
-        signed.append((sign, value))
-    if isinstance(like, Scalar):
-        return Scalar(sum(sign * v.value for sign, v in signed))
-    unit = Word((), like.alphabet) if isinstance(like, NCPoly) else 0
-    pairs = (
-        (key, c if sign > 0 else -c)
-        for sign, v in signed
-        for key, c in ([(unit, v.value)] if isinstance(v, Scalar) else v.items())
-    )
-    return NCPoly(like.alphabet, pairs) if isinstance(like, NCPoly) else X1StarPoly(pairs)
+    c = ONE
+    while node[0] == "scale":
+        c *= node[1]
+        node = node[2]
+    tag = node[0]
+    if tag == "word":
+        return f"{node[1].alphabet}-polynomial", [(node[1], c)]
+    if tag == "star":
+        return "star combination", [(_star_order(node[1], node[2]), c)]
+    if tag == "num":
+        return "rational", [(None, c * node[1])]
+    return None
+
+
+def _eval_sum(terms):
+    """The terms added up in one accumulation; a generator run by :func:`_run`.
+
+    A literal term adds its one pair; any other term is evaluated and adds
+    its terms.  A type clash raises at its operator before any later term is
+    evaluated, as adding left to right would.
+    """
+    like, pairs = None, []
+    for sign, term, pos in terms:
+        typed = _literal_term(term)
+        if typed is None:
+            value = yield _eval(term)
+            items = (
+                [(None, value.value)] if isinstance(value, Scalar)
+                else [] if isinstance(value, PlaneStar)  # the next _sum_type raises
+                else value.items()
+            )
+            typed = _type_name(value), items
+        kind, items = typed
+        like = kind if like is None else _sum_type(like, kind, pos)
+        pairs += items if sign > 0 else [(k, -c) for k, c in items]
+    if like == "rational":
+        return Scalar(sum(c for _, c in pairs))
+    if like == "star combination":
+        return X1StarPoly((0 if k is None else k, c) for k, c in pairs)
+    unit = Word((), _ALPHABET_OF[like])
+    return NCPoly(unit.alphabet, ((unit if k is None else k, c) for k, c in pairs))
 
 
 def _scale_value(c: Fraction, v: Value, pos: int) -> Value:
@@ -374,23 +371,32 @@ def _as_poly(v: Value, alphabet: str, pos: int) -> NCPoly:
     raise ExprTypeError(f"expected a {alphabet}-polynomial, got {_type_name(v)}", pos)
 
 
+def _eval(node: Expr):
+    """The value of ``node``; a generator run by :func:`_run`, yielding one per operand."""
+    tag = node[0]
+    if tag == "sum":
+        return (yield from _eval_sum(node[1]))
+    if tag == "scale":
+        return _scale_value(node[1], (yield _eval(node[2])), node[3])
+    if tag == "call":
+        args = []
+        for arg in node[2]:
+            args.append((yield _eval(arg)))
+        return _eval_call(node[1], args, node[3])
+    if tag == "num":
+        return Scalar(node[1])
+    if tag == "word":
+        return NCPoly.from_word(node[1])
+    if tag == "star":
+        return X1StarPoly({_star_order(node[1], node[2]): 1})
+    if tag == "plane":
+        return PlaneStar(node[1])
+    raise TypeError(f"not an expression node: {node!r}")
+
+
 def evaluate(node: Expr) -> Value:
     """Evaluate a parsed expression to a typed value."""
-    if isinstance(node, Num):
-        return Scalar(node.value)
-    if isinstance(node, WordLit):
-        return NCPoly.from_word(node.word)
-    if isinstance(node, StarLit):
-        return X1StarPoly({node.order: 1})
-    if isinstance(node, PlaneLit):
-        return PlaneStar(node.alpha)
-    if isinstance(node, Scale):
-        return _scale_value(node.factor, evaluate(node.operand), node.pos)
-    if isinstance(node, Sum):
-        return _eval_sum(node)
-    if isinstance(node, Call):
-        return _eval_call(node.func, [evaluate(a) for a in node.args], node.pos)
-    raise TypeError(f"not an expression node: {node!r}")
+    return _run(_eval(node))
 
 
 def _alphabet_of(a: Value, b: Value) -> str | None:
@@ -431,6 +437,8 @@ def _eval_call(name: str, args: list[Value], pos: int) -> Value:
         cap = args[1]
         if not isinstance(cap, Scalar) or cap.value.denominator != 1 or cap.value < 0:
             raise ExprTypeError("exps(P, cap) needs a natural-number cap", pos)
+        if cap.value > MAX_EXPS_CAP:
+            raise ValueError(f"at position {pos}: exps cap {cap.value} is above {MAX_EXPS_CAP = }")
         return products.exp_stuffle(_as_poly(args[0], Y, pos), int(cap.value))
     raise ExprTypeError(f"unknown function {name}", pos)
 
@@ -442,42 +450,40 @@ def parse_value(src: str) -> Value:
 # -- canonical printable forms ------------------------------------------------
 
 
+def _ncpoly_texts(p: NCPoly) -> tuple[dict[str, str], str]:
+    """The {word text: coefficient text} terms and expression text of a polynomial, in one pass."""
+    terms, parts = {}, []
+    quoted = p.alphabet == X
+    for w, c in p.items():
+        key = w.text()
+        terms[key] = coeff = str(c)
+        body = "" if not key else f'"{key}"' if quoted else "y" + key.replace(",", "y")
+        parts.append((coeff, body))
+    return terms, format_terms(parts)
+
+
+def _x1star_texts(s: X1StarPoly) -> tuple[dict[str, str], str]:
+    """The {order: coefficient text} stars and the expression text of a star combination."""
+    texts = [(k, str(c)) for k, c in s.items()]
+    return {str(k): c for k, c in texts}, star_terms_text(texts)
+
+
 def ncpoly_expr_text(p: NCPoly) -> str:
     """Canonical, re-parseable expression text of a polynomial."""
-    parts = []
-    for w, c in p.items():
-        if w.is_empty:
-            body = ""
-        elif p.alphabet == X:
-            body = f'"{w.text()}"'
-        else:
-            body = "".join(f"y{s}" for s in w.letters)
-        parts.append((c, body))
-    return format_terms(parts)
+    return _ncpoly_texts(p)[1]
 
 
 def value_to_json(v: Value) -> dict:
     if isinstance(v, Scalar):
         return {"type": "rational", "value": str(v.value)}
     if isinstance(v, NCPoly):
-        return {
-            "type": "ncpoly",
-            "alphabet": v.alphabet,
-            "terms": v.to_terms_text(),
-            "text": ncpoly_expr_text(v),
-        }
+        terms, text = _ncpoly_texts(v)
+        return {"type": "ncpoly", "alphabet": v.alphabet, "terms": terms, "text": text}
     if isinstance(v, X1StarPoly):
-        return {
-            "type": "x1star",
-            "stars": {str(k): str(c) for k, c in v.items()},
-            "text": str(v),
-        }
+        terms, text = _x1star_texts(v)
+        return {"type": "x1star", "stars": terms, "text": text}
     if isinstance(v, PlaneStar):
-        return {
-            "type": "planestar",
-            "alpha": [str(a) for a in v.alpha],
-            "text": str(v),
-        }
+        return {"type": "planestar", "alpha": [str(a) for a in v.alpha], "text": str(v)}
     raise TypeError(f"cannot serialize {v!r}")
 
 
@@ -527,15 +533,9 @@ def cmd_product(args) -> int:
 def cmd_neg_li(args) -> int:
     index = _parse_index_arg(args.index)
     s = negindex.li_nonpositive_stars(index)
-    f = negindex.x1star_to_ratfunc(s)
-    _print_json(
-        {
-            "index": list(index),
-            "ratfunc": f.to_json_dict(),
-            "stars": {str(k): str(c) for k, c in s.items()},
-            "stars_text": str(s),
-        }
-    )
+    ratfunc = negindex.x1star_to_ratfunc(s).to_json_dict()
+    terms, text = _x1star_texts(s)
+    _print_json({"index": list(index), "ratfunc": ratfunc, "stars": terms, "stars_text": text})
     return 0
 
 

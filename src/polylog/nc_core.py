@@ -77,26 +77,29 @@ def as_rat(value: RatLike) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-def format_terms(parts: Sequence[tuple[Fraction, str]]) -> str:
-    """Text of the signed sum of (coefficient, body) terms, in the given order.
+def format_terms(parts: Sequence[tuple[str, str]]) -> str:
+    """Text of the signed sum of (coefficient text, body) terms, in the given order.
 
-    An empty body is the constant term; a coefficient of +-1 is written as a
-    bare sign.  The empty sum is "0".
+    Coefficient texts are ``str`` of nonzero rationals, so the sign and the
+    magnitude are read off the text.  An empty body is the constant term; a
+    coefficient of +-1 is written as a bare sign.  The empty sum is "0".
     """
     if not parts:
         return "0"
     chunks = []
     for coeff, body in parts:
+        negative = coeff[0] == "-"
+        size = coeff[1:] if negative else coeff
         if body == "":
-            frag = str(abs(coeff))
-        elif abs(coeff) == 1:
+            frag = size
+        elif size == "1":
             frag = body
         else:
-            frag = f"{abs(coeff)}*{body}"
+            frag = f"{size}*{body}"
         if not chunks:
-            chunks.append(frag if coeff > 0 else f"-{frag}")
+            chunks.append(f"-{frag}" if negative else frag)
         else:
-            chunks.append(("+ " if coeff > 0 else "- ") + frag)
+            chunks.append(("- " if negative else "+ ") + frag)
     return " ".join(chunks)
 
 
@@ -414,7 +417,7 @@ class NCPoly:
         return {w.text(): str(c) for w, c in self.items()}
 
     def __str__(self) -> str:
-        return format_terms([(c, "" if w.is_empty else str(w)) for w, c in self.items()])
+        return format_terms([(str(c), "" if w.is_empty else str(w)) for w, c in self.items()])
 
     def __repr__(self) -> str:
         return f"NCPoly({self._alphabet!r}, {self!s})"
@@ -589,10 +592,10 @@ class NPoly:
     def to_json_dict(self) -> dict:
         return {"coeffs": [str(c) for c in self.coeffs]}
 
-    def _monomials(self, var: str) -> list[tuple[Fraction, str]]:
-        """The nonzero (coefficient, var^j) terms, ascending, for :func:`format_terms`."""
+    def _monomials(self, var: str) -> list[tuple[str, str]]:
+        """The nonzero (coefficient text, var^j) terms, ascending, for :func:`format_terms`."""
         return [
-            (c, "" if j == 0 else var if j == 1 else f"{var}^{j}")
+            (str(c), "" if j == 0 else var if j == 1 else f"{var}^{j}")
             for j, c in enumerate(self.coeffs)
             if c
         ]

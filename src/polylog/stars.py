@@ -70,8 +70,9 @@ class X1StarPoly:
         return self.poly.coeff(k)
 
     def items(self) -> list[tuple[int, Fraction]]:
-        """Nonzero terms ordered by descending star order."""
-        return [(k, c) for k, c in reversed(list(enumerate(self.poly.coeffs))) if c]
+        """Nonzero terms ordered by descending star order; Fractions only for those."""
+        nums, den = self.poly.nums, self.poly.den
+        return [(k, Fraction(nums[k], den)) for k in range(len(nums) - 1, -1, -1) if nums[k]]
 
     @property
     def max_order(self) -> int:
@@ -106,10 +107,15 @@ class X1StarPoly:
     __hash__ = None  # type: ignore[assignment]
 
     def __str__(self) -> str:
-        return format_terms([(c, f"star({k})" if k else "") for k, c in self.items()])
+        return star_terms_text([(k, str(c)) for k, c in self.items()])
 
     def __repr__(self) -> str:
         return f"X1StarPoly({self!s})"
+
+
+def star_terms_text(terms: Iterable[tuple[int, str]]) -> str:
+    """Expression text of sum_k c_k star(k) from (order, coefficient text) pairs."""
+    return format_terms([(c, f"star({k})" if k else "") for k, c in terms])
 
 
 def x1star_expand(k: int, len_cap: int) -> NCPoly:

@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from polylog import checks, harmonic
+from polylog import checks, harmonic, products
 from polylog.cli import (
     MAX_DIGITS,
+    MAX_EXPS_CAP,
+    MAX_STAR_ORDER,
     ExprTypeError,
     ParseError,
     Scalar,
@@ -17,6 +19,7 @@ from polylog.cli import (
     ncpoly_expr_text,
     parse,
     parse_value,
+    value_to_json,
 )
 from polylog.nc_core import NCPoly, Word, X, Y, x_word, y_word
 from polylog.products import stuffle
@@ -123,6 +126,29 @@ class TestParser:
             parse_value(src)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize(
+        "src,message,pos",
+        [
+            ("y1 + @y2", "unexpected character '@'", 5),
+            ("y1 y2 )", "unexpected trailing input 'y2'", 3),
+            ("frob(y1)", "unknown name 'frob'", 0),
+            ("sh(y1)", "sh takes 2 argument(s), got 1", 0),
+            ("2/y1", "expected a denominator", 2),
+            ("star(y1)", "star(k) needs a natural number", 5),
+            ("sh(y1, y2", "expected ')', found 'end of input'", 9),
+            ("y1 +", "expected a word, star, plane star, or function, found 'end of input'", 4),
+            ("1/0 + y1", "zero denominator", 2),
+        ],
+        ids=[
+            "character", "trailing", "unknown-name", "arity", "denominator",
+            "star-order", "unclosed", "end-of-input", "zero-denominator",
+        ],
+    )
+    def test_parse_errors_name_their_position(self, src, message, pos):
+        with pytest.raises(ParseError) as exc:
+            parse(src)
+        assert str(exc.value) == f"at position {pos}: {message}" and exc.value.pos == pos
+
     def test_mixed_sums(self):
         assert parse_value("1 - 2 + 3/4") == Scalar(F(-1, 4))
         assert parse_value("1 + y1 - 1") == NCPoly.from_word(y_word(1))
@@ -174,6 +200,40 @@ class TestPrintParseRoundtrip:
                 assert s == X1StarPoly({0: value.value})
             else:
                 assert value == s
+
+    def test_property_print_parse_print(self):
+        # every printable value: its text parses back to it and prints the same again
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        coeff = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+
+        def polys(alphabet, letters):
+            word = st.lists(letters, max_size=4).map(lambda w: Word(tuple(w), alphabet))
+            return st.lists(st.tuples(word, coeff), max_size=5).map(lambda ts: NCPoly(alphabet, ts))
+
+        values = st.one_of(
+            polys(X, st.sampled_from([0, 1])),
+            polys(Y, st.integers(1, 12)),
+            st.dictionaries(st.integers(0, 12), coeff, max_size=5).map(X1StarPoly),
+            st.lists(coeff, min_size=1, max_size=4).map(PlaneStar.make),
+        )
+
+        @hyp.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @hyp.given(values)
+        def check(value):
+            printed = value_to_json(value)
+            parsed = parse_value(printed["text"])
+            if isinstance(parsed, Scalar):  # a constant prints as a bare rational
+                unit = NCPoly.one(value.alphabet) if isinstance(value, NCPoly) else X1StarPoly({0: 1})
+                parsed = unit * parsed.value
+            assert parsed == value
+            assert value_to_json(parsed)["text"] == printed["text"]
+            if isinstance(value, NCPoly):
+                assert printed["terms"] == value.to_terms_text()
+            elif isinstance(value, X1StarPoly):
+                assert X1StarPoly({int(k): F(c) for k, c in printed["stars"].items()}) == value
+
+        check()
 
 
 class TestPrintedForms:
@@ -426,6 +486,42 @@ class TestCommands:
         code, out = self._run(capsys, "stuffle", long_sum, "1")
         assert code == 0
         assert json.loads(out)["terms"] == {str(k): "1" for k in range(1, 1101)}
+
+    def test_deep_nesting(self, capsys):
+        # 400 nested calls: the parser and the evaluator keep pending calls on a list
+        nested = "pix(" + "piy(pix(" * 200 + "y2" + "))" * 200 + ")"
+        code, out = self._run(capsys, "shuffle", nested, '"1"')
+        assert code == 0
+        assert json.loads(out)["terms"] == {"011": "2", "101": "1"}
+
+    def test_nesting_deeper_than_the_recursion_limit(self):
+        # 5,001 calls, each argument a sum with a call in it, at the default recursion limit
+        depth = 2500
+        nested = "pix(" + "piy(pix(1 + " * depth + "y2" + "))" * depth + ")"
+        assert depth > sys.getrecursionlimit()
+        assert parse_value(nested) == NCPoly(X, {Word((), X): depth, x_word("01"): 1})
+
+    @pytest.mark.parametrize(
+        "argv,cap",
+        [
+            (("shuffle", f"star({MAX_STAR_ORDER + 1})", "1"), "MAX_STAR_ORDER"),
+            (("shuffle", f"1 - 2*star({MAX_STAR_ORDER + 1})", "1"), "MAX_STAR_ORDER"),
+            (("stuffle", f"exps(y1, {MAX_EXPS_CAP + 1})", "1"), "MAX_EXPS_CAP"),
+        ],
+        ids=["star", "star-in-sum", "exps"],
+    )
+    def test_caps_refuse_before_building(self, capsys, monkeypatch, argv, cap):
+        def build(*args, **kwargs):
+            raise AssertionError("an over-cap value was built")
+
+        monkeypatch.setattr(X1StarPoly, "__init__", build)
+        monkeypatch.setattr(products, "exp_stuffle", build)
+        code, out = self._run(capsys, *argv)
+        error = json.loads(out)["error"]
+        assert code == 2 and error["code"] == "ValueError" and cap in error["message"]
+
+    def test_star_at_cap_is_built(self):
+        assert parse_value(f"star({MAX_STAR_ORDER})") == X1StarPoly({MAX_STAR_ORDER: 1})
 
     @pytest.mark.parametrize("signs", [1500, 1501])
     def test_long_run_of_signs(self, capsys, signs):
