@@ -21,7 +21,8 @@ length is limited by the recursion limit, only by memory.
 Subcommands expose the library operations with JSON output on stdout and
 nonzero exit codes carrying {"error": {code, message}} on failure.  Inputs of
 unbounded cost are such errors: an integer of more than MAX_DIGITS digits,
-star(k) above MAX_STAR_ORDER and exps(P, cap) above MAX_EXPS_CAP.  The
+star(k) or a star shuffle sh(A, B) of order above MAX_STAR_ORDER (refused
+before it is built) and exps(P, cap) above MAX_EXPS_CAP.  The
 ``verify`` subcommand runs the suites of :mod:`polylog.checks` and exits 0 iff
 every check passes.
 """
@@ -48,7 +49,7 @@ from .stars import PlaneStar, X1StarPoly, star_terms_text
 ENV_NCAP = "POLYLOG_NCAP_DEFAULT"
 # the most decimal digits of an integer a result prints (CPython's int-to-str limit)
 MAX_DIGITS = 100_000
-# the largest k of star(k): star(k) is dense with k + 1 entries, its closed form in N has degree k
+# the largest order of star(k) or sh(A, B): star(k) is dense with k + 1 entries, degree k in N
 MAX_STAR_ORDER = 1_000
 # the largest cap of exps(P, cap): exps(y1, cap) has 2^cap words
 MAX_EXPS_CAP = 14
@@ -410,6 +411,7 @@ def _eval_call(name: str, args: list[Value], pos: int) -> Value:
         if isinstance(a, X1StarPoly) or isinstance(b, X1StarPoly):
             a, b = _as_stars(a), _as_stars(b)
             if isinstance(a, X1StarPoly) and isinstance(b, X1StarPoly):
+                _star_order(a.max_order + b.max_order, pos)
                 return a.shuffle(b)
             raise ExprTypeError("sh mixes star combinations with other values", pos)
         alphabet = _alphabet_of(a, b)

@@ -34,8 +34,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat, zip_longest
-from math import factorial, lcm
+from itertools import accumulate, zip_longest
+from math import lcm, perm
 from numbers import Rational
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -564,9 +564,17 @@ class NPoly:
         return NPoly([x * d ** (n - k) for k, x in enumerate(t)], d**n)
 
     def exp_m1(self, n: int) -> "NPoly":
-        """exp(p) - 1 = sum_{k>=1} p^k / k! to degree n, for p without constant term."""
-        powers = accumulate(repeat(self, n - 1), lambda q, _: q.mul_trunc(self, n), initial=self)
-        return NPoly.lin_comb(((Fraction(1, factorial(k)), q) for k, q in enumerate(powers, 1)), n)
+        """exp(p) - 1 to degree n, for p without constant term: m e_m = sum_k k p_k e_(m-k).
+
+        Over D = n! d^n (p_k = s_k / d) the numerators are integers: m d U_m = sum_k k s_k U_(m-k).
+        """
+        if n < 0:
+            raise ValueError(f"exp - 1 needs a degree n >= 0, got {n}")
+        p, d = self.nums, self.den
+        u = [perm(n) * d**n]
+        for m in range(1, n + 1):
+            u.append(sum(k * p[k] * u[m - k] for k in range(1, min(m + 1, len(p)))) // (m * d))
+        return NPoly([0, *u[1:]], u[0])
 
     def euler(self, pole: int) -> "NPoly":
         """Numerator of theta (p / (1-z)^pole) over (1-z)^(pole+1), theta = z d/dz.

@@ -12,11 +12,11 @@ Word-level products have integer structure constants and are memoized; the
 caches are read-mostly and behave as if absent (recomputation is the only
 cost of a race), so everything here stays safe for concurrent use.
 
-The bilinear extensions sum on Python ints: each operand's coefficients are
-scaled once to integer numerators over the lcm of its denominators, dp and
-dq; the products of numerators and structure constants accumulate in one
-dict keyed by letters, and one reduced Fraction over dp * dq is built per
-nonzero output word.  No step of the double loop pays a gcd.
+The bilinear extensions sum over (p, q) pairs on Python ints: each operand's
+coefficients are scaled once to integer numerators over the lcm of its
+denominators, dp and dq; the products of numerators and structure constants
+accumulate in one dict keyed by letters over the lcm of the pairs' dp * dq,
+and one reduced Fraction is built per nonzero output word.  No step pays a gcd.
 
 Both shuffle and stuffle are commutative and associative with the empty word
 as unit.  Both are graded: every word of u <sh> v or u <st> v has grade
@@ -24,9 +24,10 @@ grade(u) + grade(v), where grade is length on X and weight on Y.  So
 ``shuffle``, ``stuffle`` and ``shuffle_pow`` take an optional ``grade_cap``
 and skip every pair of words whose grades add up to more than the cap; the
 result is exactly the full product truncated to grade <= cap, without
-building the discarded terms.  The stuffle exponential of a constant-free
-polynomial is computed under an explicit weight cap: no operation in this
-package truncates silently.
+building the discarded terms.  No operation in this package truncates
+silently: the stuffle exponential E of a constant-free P takes a weight cap.
+It is built a grade at a time, n E_n = sum_k k P_k st E_(n-k), as w -> wt(w) w
+is a derivation of the stuffle (Brent-Kung 1978; Hoffman-Ihara 2017).
 """
 
 from __future__ import annotations
@@ -93,33 +94,36 @@ def _from_ints(alphabet: str, acc: dict[Letters, int], den: int) -> NCPoly:
     )
 
 
-def _bilinear(p: NCPoly, q: NCPoly, word_product, grade_cap: int | None) -> NCPoly:
-    """Bilinear extension of a word product, keeping words of grade <= grade_cap.
+def _bilinear(alphabet: str, pairs, word_product, grade_cap: int | None) -> NCPoly:
+    """Sum over (p, q) pairs of the bilinear extension of a word product, to grade <= grade_cap.
 
     Both products are graded (every word of u <op> v has grade(u) + grade(v)),
     so skipping the pairs above the cap is exact and never reaches the memo.
-    The sum runs on integer numerators over dp * dq.
+    The sum runs on integer numerators over the lcm of the pairs' dp * dq.
     """
-    p_terms, dp = _over_lcm(p)
-    q_terms, dq = _over_lcm(q)
-    if grade_cap is not None:
-        _check_cap(grade_cap)
-        q_graded = [(v.grade, v, cv) for v, cv in q_terms]
+    _check_cap(grade_cap)
+    scaled = [(_over_lcm(p), _over_lcm(q)) for p, q in pairs]
+    den = lcm(*(dp * dq for (_, dp), (_, dq) in scaled))
     acc: dict[Letters, int] = {}
     get = acc.get
-    for u, cu in p_terms:
+    for (p_terms, dp), (q_terms, dq) in scaled:
+        m = den // (dp * dq)
         if grade_cap is not None:
-            room = grade_cap - u.grade
-            q_terms = [(v, cv) for g, v, cv in q_graded if g <= room]
-        for v, cv in q_terms:
-            c = cu * cv
-            # structure constants are symmetric; canonical order keys the memo
-            a, b = (u.letters, v.letters)
-            if b < a:
-                a, b = b, a
-            for letters, k in word_product(a, b).items():
-                acc[letters] = get(letters, 0) + c * k
-    return _from_ints(p.alphabet, acc, dp * dq)
+            q_graded = [(v.grade, v, cv) for v, cv in q_terms]
+        for u, cu in p_terms:
+            if grade_cap is not None:
+                room = grade_cap - u.grade
+                q_terms = [(v, cv) for g, v, cv in q_graded if g <= room]
+            cu *= m
+            for v, cv in q_terms:
+                c = cu * cv
+                # structure constants are symmetric; canonical order keys the memo
+                a, b = (u.letters, v.letters)
+                if b < a:
+                    a, b = b, a
+                for letters, k in word_product(a, b).items():
+                    acc[letters] = get(letters, 0) + c * k
+    return _from_ints(alphabet, acc, den)
 
 
 def conc(p: NCPoly, q: NCPoly) -> NCPoly:
@@ -145,7 +149,7 @@ def shuffle(p: NCPoly, q: NCPoly, *, grade_cap: int | None = None) -> NCPoly:
     """
     if p.alphabet != q.alphabet:
         raise AlphabetError(f"alphabet mismatch: {p.alphabet} vs {q.alphabet}")
-    return _bilinear(p, q, _shuffle_letters, grade_cap)
+    return _bilinear(p.alphabet, [(p, q)], _shuffle_letters, grade_cap)
 
 
 def stuffle(p: NCPoly, q: NCPoly, *, grade_cap: int | None = None) -> NCPoly:
@@ -156,7 +160,7 @@ def stuffle(p: NCPoly, q: NCPoly, *, grade_cap: int | None = None) -> NCPoly:
     """
     if p.alphabet != Y or q.alphabet != Y:
         raise AlphabetError("stuffle is defined on Y-polynomials only")
-    return _bilinear(p, q, _stuffle_letters, grade_cap)
+    return _bilinear(Y, [(p, q)], _stuffle_letters, grade_cap)
 
 
 def shuffle_pow(p: NCPoly, k: int, *, grade_cap: int | None = None) -> NCPoly:
@@ -187,10 +191,10 @@ def stuffle_pow(p: NCPoly, k: int) -> NCPoly:
 
 
 def exp_stuffle(p: NCPoly, weight_cap: int) -> NCPoly:
-    """Stuffle exponential sum_n P^(st n)/n!, truncated to weight <= cap.
+    """Stuffle exponential E = sum_n P^(st n)/n!, truncated to weight <= cap.
 
-    P must have zero constant term; its stuffle powers then have minimum
-    weight n, so the series is finite under the cap.
+    P must have zero constant term.  Each weight-n part E_n is one ``_bilinear``
+    sum over the pairs (k/n P_k, E_(n-k)); the result is the union of the E_n.
     """
     if p.alphabet != Y:
         raise AlphabetError("exp_stuffle is defined on Y-polynomials only")
@@ -198,11 +202,9 @@ def exp_stuffle(p: NCPoly, weight_cap: int) -> NCPoly:
         raise ValueError("exp_stuffle needs a polynomial with zero constant term")
     if weight_cap < 0:
         raise ValueError(f"weight cap must be >= 0, got {weight_cap}")
-    out = NCPoly.one(Y)
-    term = NCPoly.one(Y)
-    n = 0
-    while term and n < weight_cap:
-        n += 1
-        term = stuffle(term, p, grade_cap=weight_cap) * Fraction(1, n)
-        out = out + term
-    return out
+    parts = [p.homogeneous_component(k) for k in range(weight_cap + 1)]
+    grades = [NCPoly.one(Y)]
+    for n in range(1, weight_cap + 1):
+        pairs = [(parts[k] * Fraction(k, n), grades[n - k]) for k in range(1, n + 1) if parts[k]]
+        grades.append(_bilinear(Y, pairs, _stuffle_letters, None))
+    return NCPoly._canonical(Y, {w: c for e in grades for w, c in e._terms.items()})

@@ -523,6 +523,24 @@ class TestCommands:
     def test_star_at_cap_is_built(self):
         assert parse_value(f"star({MAX_STAR_ORDER})") == X1StarPoly({MAX_STAR_ORDER: 1})
 
+    @pytest.mark.parametrize(
+        "order", [MAX_STAR_ORDER // 2 + 1, MAX_STAR_ORDER], ids=["sh-stars", "sh-stars-of-cap"]
+    )
+    def test_star_shuffle_refused_before_building(self, capsys, monkeypatch, order):
+        # each operand is within the cap; their shuffle, of order 2 * order, is not
+        def build(*args, **kwargs):
+            raise AssertionError("an over-cap star shuffle was built")
+
+        monkeypatch.setattr(X1StarPoly, "shuffle", build)
+        code, out = self._run(capsys, "h-closed-form", f"sh(star({order}), star({order}))")
+        error = json.loads(out)["error"]
+        assert code == 2 and error["code"] == "ValueError" and "MAX_STAR_ORDER" in error["message"]
+        assert f"star order {2 * order} " in error["message"]
+
+    def test_star_shuffle_at_cap_is_built(self):
+        half = MAX_STAR_ORDER // 2
+        assert parse_value(f"sh(star({half}), star({half}))") == X1StarPoly({MAX_STAR_ORDER: 1})
+
     @pytest.mark.parametrize("signs", [1500, 1501])
     def test_long_run_of_signs(self, capsys, signs):
         # a run of unary minus signs is one node: no recursion per sign

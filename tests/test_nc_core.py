@@ -298,5 +298,7 @@ class TestDenseKernel:
         p = NPoly([Fraction(0), Fraction(2, 3), 5])
         assert p.mul_trunc(p, 0) == NPoly() and p.prefix_sums(0) == NPoly()
         assert p.star_inverse(0) == NPoly() and p.exp_m1(0) == NPoly()
+        with pytest.raises(ValueError, match="n >= 0"):
+            p.exp_m1(-1)
         assert NPoly.lin_comb([(3, p)], 0) == NPoly() and NPoly.lin_comb([]) == NPoly()
         assert NPoly([1, 2]).prefix_sums(0).padded(0) == (Fraction(1),)

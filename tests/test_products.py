@@ -222,7 +222,59 @@ class TestPowers:
             stuffle_pow(NCPoly.from_word(y_word(1)), -2)
 
 
+def exp_by_powers(p: NCPoly, cap: int) -> NCPoly:
+    """The stuffle exponential as a sum of capped powers P^(st n)/n!: the reference."""
+    out = term = NCPoly.one(Y)
+    n = 0
+    while term and n < cap:
+        n += 1
+        term = stuffle(term, p, grade_cap=cap) * Fraction(1, n)
+        out = out + term
+    return out
+
+
 class TestExpStuffle:
+    def test_property_matches_sum_of_powers(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+        # mixed grades: words of one to three letters y1..y4, never the empty word
+        words = st.lists(st.integers(1, 4), min_size=1, max_size=3).map(lambda l: Word(tuple(l), Y))
+        polys = st.dictionaries(words, coeffs, max_size=4).map(lambda d: NCPoly(Y, d))
+
+        @hyp.settings(max_examples=120, deadline=None, derandomize=True, database=None)
+        @hyp.given(polys, st.integers(0, 8))
+        # every grade above the cap: the exponential is 1
+        @hyp.example(NCPoly(Y, {y_word(4): 2, y_word(3, 3): Fraction(-1, 3)}), 2)
+        def check(p, cap):
+            got = exp_stuffle(p, cap)
+            assert got == exp_by_powers(p, cap)
+            if all(g > cap for g in p.grades()):
+                assert got == NCPoly.one(Y)
+
+        check()
+
+    def test_single_letter(self):
+        got = exp_stuffle(NCPoly.from_word(y_word(1)), 7)
+        assert got == exp_by_powers(NCPoly.from_word(y_word(1)), 7)
+        # y1^(st n) holds y1...y1 n! times
+        assert all(got.coeff(y_word(*(1,) * n)) == 1 for n in range(8))
+
+    def test_one_grade_above_one(self):
+        p = NCPoly.from_word(y_word(2)) * Fraction(3, 2) - NCPoly.from_word(y_word(1, 1))
+        got = exp_stuffle(p, 7)
+        assert got == exp_by_powers(p, 7)
+        assert got.grades() == {0, 2, 4, 6}
+
+    def test_empty_grade_before_nonzero_grades(self):
+        # P_2 = -(y1 st y1)/2 makes E_2 = (y1 st y1)/2 + P_2 vanish; E_3 = 2/3 P_2 st P_1 does not
+        y1 = NCPoly.from_word(y_word(1))
+        p = y1 - stuffle(y1, y1) * Fraction(1, 2) + NCPoly.from_word(y_word(1, 3)) * Fraction(2, 7)
+        got = exp_stuffle(p, 6)
+        assert got == exp_by_powers(p, 6)
+        assert not got.homogeneous_component(2)
+        assert got.homogeneous_component(3) and got.homogeneous_component(6)
+
     def test_zero_argument(self):
         assert exp_stuffle(NCPoly.zero(Y), 5) == NCPoly.one(Y)
 
