@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from . import checks, harmonic, negindex, polylog_num, products, stars
+from . import harmonic, negindex, polylog_num, products, stars
 from .coding import pi_x, pi_y
 from .nc_core import ONE, NCPoly, PolylogError, Word, X, Y, format_terms, x_word, y_word
 from .stars import PlaneStar, X1StarPoly, star_terms_text
@@ -565,8 +565,6 @@ def cmd_h_closed_form(args) -> int:
 
 def cmd_h_eval(args) -> int:
     index = _parse_index_arg(args.index)
-    if args.n < 0:
-        raise ValueError("N must be a natural number")
     _print_json(str(harmonic.h_signed_eval(index, args.n)))
     return 0
 
@@ -574,15 +572,16 @@ def cmd_h_eval(args) -> int:
 def cmd_li_coeffs(args) -> int:
     index = _parse_index_arg(args.index)
     ncap = args.ncap if args.ncap is not None else _env_ncap(20)
-    trunc = polylog_num.li_taylor_coeffs(
-        index, ncap, mode="float" if args.float_mode else "exact"
-    )
+    if args.float_mode:
+        payload = {"mode": "float", "coeffs": polylog_num._li_float_coeffs(index, ncap)}
+    else:
+        payload = polylog_num.li_taylor_coeffs(index, ncap).to_json_dict()
     if args.csv:
         print("N,coefficient")
-        for n, c in enumerate(trunc.coeffs):
-            print(f"{n},{c}" if trunc.mode == "exact" else f"{n},{float(c)!r}")
+        for n, c in enumerate(payload["coeffs"]):
+            print(f"{n},{c}")
     else:
-        _print_json(trunc.to_json_dict())
+        _print_json(payload)
     return 0
 
 
@@ -598,12 +597,20 @@ def cmd_li_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import checks  # only verify runs the suites; other requests skip the import
+
+    choices = [*checks.SUITES, "all"]
+    if args.suite not in choices:
+        valid = ", ".join(map(repr, choices))
+        message = f"argument --suite: invalid choice: {args.suite!r} (choose from {valid})"
+        _make_parser().error(f"polylog verify: {message}")
     names = list(checks.SUITES) if args.suite == "all" else [args.suite]
     ncap = args.ncap if args.ncap is not None else _env_ncap(None)
+    seed = checks.DEFAULT_SEED if args.seed is None else args.seed
     results: list[tuple[str, checks.CheckResult]] = []
     for name in names:
         started = time.perf_counter()
-        results += [(name, check.run()) for check in checks.SUITES[name](ncap, args.seed)]
+        results += [(name, check.run()) for check in checks.SUITES[name](ncap, seed)]
         if not args.json:
             print(f"# suite {name} finished in {time.perf_counter() - started:.2f}s")
     failures = sum(not r.passed for _, r in results)
@@ -693,13 +700,9 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("eps", type=float)
 
     p = add("verify", cmd_verify, "run identity verification suites")
-    p.add_argument(
-        "--suite",
-        choices=[*checks.SUITES, "all"],
-        default="all",
-    )
+    p.add_argument("--suite", default="all", help="a suite of polylog.checks, or all")
     p.add_argument("--ncap", type=int, default=None)
-    p.add_argument("--seed", type=int, default=checks.DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
     return parser
 

@@ -56,18 +56,20 @@ def _weights(s: int, scale: int, n_max: int) -> Iterator[int]:
     return (scale // n**s if s > 0 else n ** (-s) for n in range(1, n_max + 1))
 
 
-def _prefix_rows(index: SignedIndex, scales: list[int], n_max: int) -> Iterator[list[int]]:
-    """The prefix recurrence on integer numerators, one row per n = 0..n_max.
+def _prefix_rows(weights: list[Iterator], n_max: int) -> Iterator[list]:
+    """The prefix recurrence, one row per n = 0..n_max, from one weight iterator per entry.
 
-    Entry j is the numerator of H_(index[j:])(n) over prod(scales[j:]), the last is
-    H_()(n) = 1.  The same list is yielded every time, so a caller copies what it keeps.
+    With the weights w_j(n) of entry j for n = 1..n_max, entry j of row n is
+    H_j(n) = H_j(n-1) + w_j(n) H_(j+1)(n-1) and the last is 1: the numerator of
+    H_(index[j:])(n) over prod(scales[j:]) for :func:`_weights`, or its double for
+    float weights.  The same list is yielded every time, so a caller copies what it keeps.
     """
-    weights = [_weights(s, f, n_max) for s, f in zip(index, scales)]
-    state = [0] * len(index) + [1]
+    state = [0] * len(weights) + [1]
+    steps = list(enumerate(weights))  # built once, not per row
     yield state
     for _ in range(n_max):
         # j ascending: state[j + 1] still holds row n - 1
-        for j, w in enumerate(weights):
+        for j, w in steps:
             state[j] += next(w) * state[j + 1]
         yield state
 
@@ -138,7 +140,7 @@ def h_signed_eval(s: Sequence[int], n: int) -> Fraction:
         raise ValueError("N must be a natural number")
     index = tuple(s)
     scales = _scales(index, n)
-    for row in _prefix_rows(index, scales, n):
+    for row in _prefix_rows([_weights(e, f, n) for e, f in zip(index, scales)], n):
         pass
     return Fraction(row[0], prod(scales))
 
@@ -148,7 +150,8 @@ def h_signed_table(s: Sequence[int], n_max: int) -> list[Fraction]:
     index = tuple(s)
     scales = _scales(index, n_max)
     den = prod(scales)
-    return [Fraction(row[0], den) for row in _prefix_rows(index, scales, n_max)]
+    weights = [_weights(e, f, n_max) for e, f in zip(index, scales)]
+    return [Fraction(row[0], den) for row in _prefix_rows(weights, n_max)]
 
 
 def h_word_table(w: Word, n_max: int) -> list[Fraction]:

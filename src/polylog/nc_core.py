@@ -432,10 +432,8 @@ class NPoly:
     than the kernels save), so equality compares cross products, and
     Fractions are built only for ``coeffs``, :meth:`coeff`, :meth:`padded`,
     printing and JSON.  Every other dense carrier is a view of an NPoly with
-    its own explicit truncation order, so trimming never shortens a cap;
-    float numerators over 1 (float-mode Taylor vectors) run through the same
-    loops.  The variable is N, z, q or t = 1/(1-z) by context; printing
-    names N.
+    its own explicit truncation order, so trimming never shortens a cap.
+    The variable is N, z, q or t = 1/(1-z) by context; printing names N.
     """
 
     __slots__ = ("nums", "den")

@@ -10,14 +10,14 @@ cached harmonic columns, one weight pass per leading entry; the module also prov
 * the theta-operator coefficient recursions;
 * Stirling numbers of the second kind with the surjection/shuffle-power
   identity and its exponential generating function;
-* a certified numeric evaluator on |z| <= 0.995 and the strict-decrease
-  radius diagnostic for the worked divergence family.
+* a float evaluator on |z| <= 0.995 with a certified truncation point, and
+  the strict-decrease radius diagnostic for the worked divergence family.
 
 A :class:`TaylorTrunc` is a view of an :class:`~polylog.nc_core.NPoly`, the
-one dense exact kernel, with an explicit cap: in exact mode the kernels run
-on integer numerators over one shared denominator and Fractions are built
-only when ``coeffs`` is read.  Float mode runs the same loops on doubles over
-the denominator 1 and claims nothing beyond the advertised tolerances.
+one dense exact kernel, with an explicit cap: the kernels run on integer
+numerators over one shared denominator and Fractions are built only when
+``coeffs`` is read.  The numeric evaluator takes its doubles from the same
+prefix recurrence as the exact harmonic sums, with float weights.
 """
 
 from __future__ import annotations
@@ -26,10 +26,11 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import factorial
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .harmonic import _h_poly_vector, _taylor_map
+from .harmonic import _h_poly_vector, _prefix_rows, _taylor_map
 from .nc_core import (
     AlphabetError,
     NCPoly,
@@ -56,100 +57,87 @@ class PrecisionError(PolylogError):
 
 
 class TaylorTrunc:
-    """Coefficients a_0..a_{n_cap} of a series, exact or floating.
+    """Exact coefficients a_0..a_{n_cap} of a series.
 
-    A view of an :class:`NPoly` ``poly`` with its explicit cap ``n_cap``:
-    exact coefficients are integer numerators over one denominator, float
-    coefficients floats over 1, and the kernels of NPoly run on both.
-    ``coeffs`` builds the tuple of Fractions (or floats) on each read.
+    A view of an :class:`NPoly` ``poly`` with its explicit cap ``n_cap``.
+    ``coeffs`` builds the tuple of Fractions on each read.
     """
 
-    __slots__ = ("poly", "n_cap", "mode")
+    __slots__ = ("poly", "n_cap")
 
-    def __init__(self, coeffs: Sequence, mode: str = "exact") -> None:
-        if mode not in ("exact", "float"):
-            raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
+    def __init__(self, coeffs: Sequence) -> None:
         if not coeffs:
             raise ValueError("a TaylorTrunc holds at least the constant term")
         # isinstance over the distinct types, not every entry: this runs per vector
-        if mode == "exact" and not all(
-            issubclass(t, (int, Fraction)) for t in set(map(type, coeffs))
-        ):
-            raise ValueError("exact Taylor coefficients must be int or Fraction")
-        self.poly = NPoly(coeffs) if mode == "exact" else NPoly(coeffs, 1)
+        if not all(issubclass(t, (int, Fraction)) for t in set(map(type, coeffs))):
+            raise ValueError("Taylor coefficients must be int or Fraction")
+        self.poly = NPoly(coeffs)
         self.n_cap = len(coeffs) - 1
-        self.mode = mode
 
     @classmethod
-    def _of(cls, poly: NPoly, n_cap: int, mode: str = "exact") -> "TaylorTrunc":
+    def _of(cls, poly: NPoly, n_cap: int) -> "TaylorTrunc":
         out = cls.__new__(cls)
-        out.poly, out.n_cap, out.mode = poly, n_cap, mode
+        out.poly, out.n_cap = poly, n_cap
         return out
 
     @property
-    def coeffs(self) -> tuple:
-        if self.mode == "exact":
-            return self.poly.padded(self.n_cap)
-        head = tuple(x / self.poly.den for x in self.poly.nums[: self.n_cap + 1])
-        return head + (0.0,) * (self.n_cap - len(head) + 1)
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return self.poly.padded(self.n_cap)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TaylorTrunc):
             return NotImplemented
-        return (self.mode, self.n_cap, self.poly) == (other.mode, other.n_cap, other.poly)
+        return (self.n_cap, self.poly) == (other.n_cap, other.poly)
 
     def __repr__(self) -> str:
-        return f"TaylorTrunc(coeffs={self.coeffs!r}, mode={self.mode!r})"
+        return f"TaylorTrunc(coeffs={self.coeffs!r})"
 
     def to_json_dict(self) -> dict:
-        if self.mode == "exact":
-            return {"mode": "exact", "coeffs": [str(c) for c in self.coeffs]}
-        return {"mode": "float", "coeffs": [float(c) for c in self.coeffs]}
+        return {"mode": "exact", "coeffs": [str(c) for c in self.coeffs]}
 
 
 def _require_compatible(a: TaylorTrunc, b: TaylorTrunc) -> None:
-    if a.mode != b.mode:
-        raise ValueError(f"mode mismatch: {a.mode} vs {b.mode}")
     if a.n_cap != b.n_cap:
         raise ValueError(f"cap mismatch: {a.n_cap} vs {b.n_cap}")
 
 
-def _li_taylor_float(index: tuple[int, ...], n_cap: int) -> list[float]:
-    # same recurrences as the exact path, with double-precision scalars
-    s1 = index[0]
-    suffix = index[1:]
-    r = len(suffix)
-    state = [0.0] * r + [1.0]
-    out = [0.0]
-    for n in range(1, n_cap + 1):
-        try:
-            coeff = float(n) ** (-s1) * state[0]
-            for j in range(r):
-                state[j] += float(n) ** (-suffix[j]) * state[j + 1]
-        except OverflowError:
-            coeff = math.inf
-        # products of finite powers overflow to inf without raising
-        if not math.isfinite(coeff):
-            raise PrecisionError(
-                f"float Taylor coefficients of index {index} overflow at term n={n}"
-            )
-        out.append(coeff)
-    return out
-
-
-def li_taylor_coeffs(s: Sequence[int], n_cap: int, mode: str = "exact") -> TaylorTrunc:
+def li_taylor_coeffs(s: Sequence[int], n_cap: int) -> TaylorTrunc:
     """Taylor coefficients of Li at a signed index: a_N = N^(-s1) H_suffix(N-1).
 
     The empty index gives the constant series 1.
     """
     if n_cap < 0:
         raise ValueError("n_cap must be >= 0")
-    if mode not in ("exact", "float"):
-        raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
-    index = tuple(s)
-    if mode == "float" and index:
-        return TaylorTrunc(tuple(_li_taylor_float(index, n_cap)), "float")
-    return TaylorTrunc._of(_taylor_map([(1, index)], n_cap), n_cap, mode)
+    return TaylorTrunc._of(_taylor_map([(1, tuple(s))], n_cap), n_cap)
+
+
+def _powers(s: int, n_max: int) -> Iterator[float]:
+    """The doubles n^(-s) for n = 1..n_max; raises OverflowError past the double range."""
+    return map(pow, map(float, range(1, n_max + 1)), repeat(-s))
+
+
+def _li_float_coeffs(index: tuple[int, ...], m: int) -> list[float]:
+    """Doubles a_0..a_m of Li at a signed index, from the prefix recurrence on float weights.
+
+    a_n is n^(-s1) times row n-1 of the suffix's recurrence.  Raises PrecisionError
+    naming the first n whose coefficient is not finite.
+    """
+    if m < 0:
+        raise ValueError("n_cap must be >= 0")
+    if not index:
+        return [1.0] + [0.0] * m
+    rows = _prefix_rows([_powers(s, m - 1) for s in index[1:]], m - 1)
+    out = [0.0]
+    try:
+        for w, row in zip(_powers(index[0], m), rows):
+            out.append(w * row[0])
+    except OverflowError:
+        out.append(math.inf)
+    # products of finite powers overflow to inf without raising
+    if not all(map(math.isfinite, out)):
+        n = next(n for n, c in enumerate(out) if not math.isfinite(c))
+        raise PrecisionError(f"float Taylor coefficients of index {index} overflow at term n={n}")
+    return out
 
 
 def li_taylor_poly(p: NCPoly, n_cap: int) -> TaylorTrunc:
@@ -165,19 +153,19 @@ def li_taylor_poly(p: NCPoly, n_cap: int) -> TaylorTrunc:
 
 def div_one_minus_z(a: TaylorTrunc) -> TaylorTrunc:
     """Coefficients of A/(1-z): prefix sums b_N = sum_{n<=N} a_n."""
-    return TaylorTrunc._of(a.poly.prefix_sums(a.n_cap), a.n_cap, a.mode)
+    return TaylorTrunc._of(a.poly.prefix_sums(a.n_cap), a.n_cap)
 
 
 def hadamard(a: TaylorTrunc, b: TaylorTrunc) -> TaylorTrunc:
-    """Coefficientwise product; caps and modes must match."""
+    """Coefficientwise product; the caps must match."""
     _require_compatible(a, b)
-    return TaylorTrunc._of(a.poly.hadamard(b.poly), a.n_cap, a.mode)
+    return TaylorTrunc._of(a.poly.hadamard(b.poly), a.n_cap)
 
 
 def cauchy(a: TaylorTrunc, b: TaylorTrunc) -> TaylorTrunc:
     """Cauchy product truncated at the shared cap."""
     _require_compatible(a, b)
-    return TaylorTrunc._of(a.poly.mul_trunc(b.poly, a.n_cap), a.n_cap, a.mode)
+    return TaylorTrunc._of(a.poly.mul_trunc(b.poly, a.n_cap), a.n_cap)
 
 
 def check_hadamard_identity(u: Word, v: Word, n_cap: int) -> bool:
@@ -233,11 +221,12 @@ def check_derivative_recursion(s: Sequence[int], n_cap: int) -> bool:
 
 
 def li_eval(s: Sequence[int], z: complex, eps: float) -> complex:
-    """Evaluate Li at a signed index within eps, for |z| <= 0.995.
+    """Evaluate Li at a signed index with truncation error below eps, for |z| <= 0.995.
 
     The truncation point is certified from the tail bound |a_n| <= n^sigma
-    with sigma = r + sum max(0, -s_i).  Raises PrecisionError when the
-    target accuracy cannot be certified within the term cap.
+    with sigma = r + sum max(0, -s_i); the certificate covers truncation, not
+    the rounding of the float sum.  Raises PrecisionError when the target
+    accuracy cannot be certified within the term cap.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -271,11 +260,10 @@ def li_eval(s: Sequence[int], z: complex, eps: float) -> complex:
             )
         m *= 2
     m = min(m, MAX_TERMS)
-    coeffs = li_taylor_coeffs(index, m, mode="float").coeffs
     total = 0.0 + 0.0j
     zp = 1.0 + 0.0j
-    for n in range(m + 1):
-        total += coeffs[n] * zp
+    for c in _li_float_coeffs(index, m):
+        total += c * zp
         zp *= z
     if not cmath.isfinite(total):
         raise PrecisionError(f"the partial sum of Li at index {index} overflows at {m} terms")

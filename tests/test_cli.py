@@ -1,8 +1,11 @@
 import json
+import os
 import random
+import subprocess
 import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -375,6 +378,11 @@ class TestCommands:
         assert code == 0
         assert json.loads(out) == "31"
 
+    def test_h_eval_negative_n_is_json_error(self, capsys):
+        code, out = self._run(capsys, "h-eval", "1", "-5")
+        assert code == 2
+        assert json.loads(out)["error"] == {"code": "ValueError", "message": "N must be a natural number"}
+
     def test_shuffle_command(self, capsys):
         code, out = self._run(capsys, "shuffle", '"0"', '"1"')
         payload = json.loads(out)
@@ -460,6 +468,19 @@ class TestCommands:
         report = json.loads(out)
         assert code == 0
         assert all(entry["status"] == "pass" for entry in report)
+
+    def test_verify_unknown_suite_is_json_error(self, capsys):
+        code, out = self._run(capsys, "verify", "--suite", "bogus")
+        error = json.loads(out)["error"]
+        assert code == 2 and error["code"] == "ArgumentError"
+        assert all(repr(name) in error["message"] for name in ["bogus", *checks.SUITES, "all"])
+
+    def test_import_leaves_checks_unloaded(self):
+        # only verify imports the suites
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        probe = "import sys, polylog.cli; sys.exit('polylog.checks' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": src}
+        assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
 
     def test_verify_mixed_with_ncap(self, capsys):
         code, out = self._run(capsys, "verify", "--suite", "mixed", "--ncap", "10")

@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -60,12 +61,26 @@ class TestTaylorCoeffs:
         t = li_taylor_coeffs((), 4)
         assert t.coeffs == (F(1), F(0), F(0), F(0), F(0))
 
-    def test_float_mode_tracks_exact(self):
-        exact = li_taylor_coeffs((2, -1), 30)
-        fl = li_taylor_coeffs((2, -1), 30, mode="float")
-        assert fl.mode == "float"
-        for a, b in zip(exact.coeffs, fl.coeffs):
-            assert abs(float(a) - b) <= 1e-12 * max(1.0, abs(b))
+    def test_property_float_coeffs_track_exact(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @hyp.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+        @hyp.given(st.lists(st.integers(-3, 3), max_size=3).map(tuple), st.integers(0, 60))
+        def tracks(index, n_cap):
+            exact = li_taylor_coeffs(index, n_cap).coeffs
+            floats = polylog_num._li_float_coeffs(index, n_cap)
+            assert len(floats) == n_cap + 1 and all(type(b) is float for b in floats)
+            for a, b in zip(exact, floats):
+                assert abs(F(b) - a) <= F(1e-12) * abs(a)
+
+        tracks()
+
+    def test_float_coeffs_edges(self):
+        assert polylog_num._li_float_coeffs((), 3) == [1.0, 0.0, 0.0, 0.0]
+        assert polylog_num._li_float_coeffs((2, 1), 0) == [0.0]
+        with pytest.raises(ValueError, match="n_cap"):
+            polylog_num._li_float_coeffs((2,), -1)
 
 
 class TestDivOneMinusZ:
@@ -116,10 +131,6 @@ class TestHadamard:
     def test_cap_mismatch(self):
         with pytest.raises(ValueError):
             hadamard(TaylorTrunc((F(1),)), TaylorTrunc((F(1), F(2))))
-
-    def test_mode_mismatch(self):
-        with pytest.raises(ValueError):
-            hadamard(TaylorTrunc((F(1),)), TaylorTrunc((1.0,), "float"))
 
 
 class TestHadamardIdentity:
@@ -273,6 +284,19 @@ class TestLiEval:
         with pytest.raises(ValueError):
             li_eval((2,), 0.5, 0.0)
 
+    @pytest.mark.parametrize("eps", [1e-6, 1e-10])
+    def test_against_mpmath(self, eps):
+        """Li_s for s = 1..4 and Li_(1,1) = log(1-z)^2 / 2 at random |z| <= 0.9."""
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(2021)
+        with mpmath.workdps(30):
+            for _ in range(40):
+                z = cmath.rect(0.9 * math.sqrt(rng.random()), rng.uniform(-math.pi, math.pi))
+                for s in range(1, 5):
+                    assert abs(li_eval((s,), z, eps) - complex(mpmath.polylog(s, z))) <= eps
+                want = complex(mpmath.log(1 - mpmath.mpc(z)) ** 2 / 2)
+                assert abs(li_eval((1, 1), z, eps) - want) <= eps
+
 
 class TestDomRadius:
     def test_convergent_case(self):
@@ -390,7 +414,6 @@ class TestIntegerKernel:
         with pytest.raises(ValueError):
             TaylorTrunc((F(1), "2"))
         assert TaylorTrunc((1, F(1, 2))).coeffs == (1, F(1, 2))
-        assert TaylorTrunc((0.5, 1.0), "float").coeffs == (0.5, 1.0)
 
     def test_exact_results_are_reduced_fractions(self):
         t = cauchy(li_taylor_coeffs((1,), 6), li_taylor_coeffs((2,), 6))
@@ -402,15 +425,21 @@ class TestIntegerKernel:
 class TestNonFiniteFloat:
     def test_coefficient_overflow_by_multiplication(self):
         with pytest.raises(PrecisionError, match="n=366"):
-            li_taylor_coeffs((-60, -60), 400, mode="float")
+            polylog_num._li_float_coeffs((-60, -60), 400)
+
+    def test_overflowing_weight_names_first_infinite_coefficient(self):
+        with pytest.raises(PrecisionError, match="n=6"):
+            polylog_num._li_float_coeffs((-400,), 60)
+        # a_6 of Li_(1,-400) is about 6.5e278; the weight 6^400 of the suffix first enters a_7
+        assert all(map(math.isfinite, polylog_num._li_float_coeffs((1, -400), 6)))
+        with pytest.raises(PrecisionError, match="n=7"):
+            polylog_num._li_float_coeffs((1, -400), 8)
 
     def test_sum_overflow(self, monkeypatch):
-        import polylog.polylog_num as num
-
-        def huge(index, n_cap, mode="exact"):
-            return TaylorTrunc((0.0,) + (1e308,) * n_cap, "float")
+        def huge(index, m):
+            return [0.0] + [1e308] * m
 
         # every coefficient is finite, but their sum at z = 0.9 exceeds the float range
-        monkeypatch.setattr(num, "li_taylor_coeffs", huge)
+        monkeypatch.setattr(polylog_num, "_li_float_coeffs", huge)
         with pytest.raises(PrecisionError):
             li_eval((1,), 0.9, 1e-6)
