@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 import threading
@@ -46,7 +45,6 @@ from .coding import pi_x, pi_y
 from .nc_core import ONE, NCPoly, PolylogError, Word, X, Y, format_terms, x_word, y_word
 from .stars import PlaneStar, X1StarPoly, star_terms_text
 
-ENV_NCAP = "POLYLOG_NCAP_DEFAULT"
 # the most decimal digits of an integer a result prints (CPython's int-to-str limit)
 MAX_DIGITS = 100_000
 # the largest order of star(k) or sh(A, B): star(k) is dense with k + 1 entries, degree k in N
@@ -510,22 +508,6 @@ def _looks_like_index(text: str) -> bool:
     return bool(re.fullmatch(r"\(?\s*-?\d+(\s*,\s*-?\d+)*\s*\)?", text.strip()))
 
 
-def _env_ncap(default: int | None) -> int | None:
-    raw = os.environ.get(ENV_NCAP)
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-        if value < 0:
-            raise ValueError
-        return value
-    except ValueError:
-        print(
-            f"warning: ignoring invalid {ENV_NCAP}={raw!r}", file=sys.stderr
-        )
-        return default
-
-
 def cmd_product(args) -> int:
     result = _eval_call(args.op, [parse_value(args.left), parse_value(args.right)], 0)
     _print_json(value_to_json(result))
@@ -571,11 +553,10 @@ def cmd_h_eval(args) -> int:
 
 def cmd_li_coeffs(args) -> int:
     index = _parse_index_arg(args.index)
-    ncap = args.ncap if args.ncap is not None else _env_ncap(20)
     if args.float_mode:
-        payload = {"mode": "float", "coeffs": polylog_num._li_float_coeffs(index, ncap)}
+        payload = {"mode": "float", "coeffs": polylog_num._li_float_coeffs(index, args.ncap)}
     else:
-        payload = polylog_num.li_taylor_coeffs(index, ncap).to_json_dict()
+        payload = polylog_num.li_taylor_coeffs(index, args.ncap).to_json_dict()
     if args.csv:
         print("N,coefficient")
         for n, c in enumerate(payload["coeffs"]):
@@ -605,12 +586,11 @@ def cmd_verify(args) -> int:
         message = f"argument --suite: invalid choice: {args.suite!r} (choose from {valid})"
         _make_parser().error(f"polylog verify: {message}")
     names = list(checks.SUITES) if args.suite == "all" else [args.suite]
-    ncap = args.ncap if args.ncap is not None else _env_ncap(None)
     seed = checks.DEFAULT_SEED if args.seed is None else args.seed
     results: list[tuple[str, checks.CheckResult]] = []
     for name in names:
         started = time.perf_counter()
-        results += [(name, check.run()) for check in checks.SUITES[name](ncap, seed)]
+        results += [(name, check.run()) for check in checks.SUITES[name](args.ncap, seed)]
         if not args.json:
             print(f"# suite {name} finished in {time.perf_counter() - started:.2f}s")
     failures = sum(not r.passed for _, r in results)
@@ -690,7 +670,7 @@ def _make_parser() -> argparse.ArgumentParser:
 
     p = add("li-coeffs", cmd_li_coeffs, "truncated Taylor coefficients of Li")
     p.add_argument("index", help="signed index list")
-    p.add_argument("ncap", type=int, nargs="?", default=None)
+    p.add_argument("ncap", type=int, nargs="?", default=20)
     p.add_argument("--csv", action="store_true", help="emit N,coefficient CSV")
     p.add_argument("--float", dest="float_mode", action="store_true")
 

@@ -7,17 +7,19 @@ the offending word: this package never guesses an extension off the image.
 
 The umbral coding identifies a constant-free truncated q-series
 sum_n a_n q^n with the degree-one Y-element sum_n a_n y_n ("the plane").
-Here it is just a typed exchange of coefficient sequences; the point is the
-bookkeeping between commutative series (where exponentials are cheap) and
-plane elements that get starred in :mod:`polylog.stars`.  A
-:class:`QSeriesTrunc` is a view of an :class:`~polylog.nc_core.NPoly` in q
-with an explicit order S_max; scaling and exp - 1 are that kernel's.
+The two are one object here: a :class:`QSeriesTrunc` is a view of an
+:class:`~polylog.nc_core.NPoly` in q with an explicit order S_max, and
+:class:`~polylog.stars.PlaneStar` is the same view read as a plane, so
+starring in :mod:`polylog.stars` works on the series' integer numerators
+with no copy.  Scaling and exp - 1 are that kernel's; ``umbra_to_plane``
+and ``plane_to_umbra`` exchange the coefficient tuple for callers that
+hold one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Sequence
 
 from .nc_core import (
     NCPoly,
@@ -27,8 +29,6 @@ from .nc_core import (
     Word,
     X,
     Y,
-    ZERO,
-    as_rat,
     index_from_word,
     word_from_index,
 )
@@ -66,41 +66,52 @@ def pi_y(p: NCPoly) -> NCPoly:
     return NCPoly(Y, [(pi_y_word(w), c) for w, c in p.items()])
 
 
-@dataclass(frozen=True, slots=True)
 class QSeriesTrunc:
     """A constant-free q-series sum_{n=1}^{S_max} coeffs[n-1] q^n.
 
-    ``coeffs[i]`` is the coefficient of q^(i+1); the length of ``coeffs`` is
-    the explicit truncation order S_max.
+    A view of an :class:`NPoly` ``poly`` in q, with zero constant term, cut
+    to degree ``s_max``, the explicit truncation order.  ``coeffs[i]`` is the
+    coefficient of q^(i+1); it builds the tuple of Fractions on each read.
     """
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("poly", "s_max")
+
+    def __init__(self, coeffs: Sequence[RatLike]) -> None:
+        self.poly = NPoly((0, *coeffs))
+        self.s_max = len(coeffs)
 
     @classmethod
-    def make(cls, coeffs) -> "QSeriesTrunc":
-        return cls(tuple(as_rat(c) for c in coeffs))
-
-    @property
-    def s_max(self) -> int:
-        return len(self.coeffs)
-
-    def coeff(self, n: int) -> Fraction:
-        """Coefficient of q^n (n >= 1); 0 beyond the stored range."""
-        if n < 1:
-            raise ValueError("q-series are constant-free; coefficients start at q^1")
-        if n > len(self.coeffs):
-            return ZERO
-        return self.coeffs[n - 1]
-
-    @property
-    def poly(self) -> NPoly:
-        """The series as an :class:`NPoly` in q, with zero constant term."""
-        return NPoly((0, *self.coeffs))
+    def make(cls, coeffs: Iterable[RatLike]) -> "QSeriesTrunc":
+        return cls(tuple(coeffs))
 
     @classmethod
     def from_poly(cls, poly: NPoly, s_max: int) -> "QSeriesTrunc":
         """The coefficients of q^1..q^s_max of an NPoly in q."""
-        return cls(poly.padded(s_max)[1:])
+        if s_max < 0:
+            raise ValueError(f"a q-series order must be >= 0, got {s_max}")
+        out = cls.__new__(cls)
+        out.poly, out.s_max = NPoly((0, *poly.nums[1 : s_max + 1]), poly.den), s_max
+        return out
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return self.poly.padded(self.s_max)[1:]
+
+    def coeff(self, n: int) -> Fraction:
+        """Coefficient of q^n (n >= 1); 0 beyond the stored range."""
+        if n < 1:
+            raise ValueError("coefficients are indexed from 1: the series is constant-free")
+        return self.poly.coeff(n)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.s_max, self.poly) == (other.s_max, other.poly)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"QSeriesTrunc(coeffs={self.coeffs!r})"
 
 
 def q_scale(c: RatLike, s: QSeriesTrunc) -> QSeriesTrunc:

@@ -48,7 +48,7 @@ from .products import shuffle, stuffle
 
 #: Evaluation is refused closer to the unit circle than this.
 Z_ABS_CAP = 0.995
-#: Hard cap on the number of series terms the numeric evaluator will sum.
+#: Hard cap on the numeric evaluator's work: series terms times index depth.
 MAX_TERMS = 1_000_000
 
 
@@ -225,8 +225,8 @@ def li_eval(s: Sequence[int], z: complex, eps: float) -> complex:
 
     The truncation point is certified from the tail bound |a_n| <= n^sigma
     with sigma = r + sum max(0, -s_i); the certificate covers truncation, not
-    the rounding of the float sum.  Raises PrecisionError when the target
-    accuracy cannot be certified within the term cap.
+    the rounding of the float sum.  Raises PrecisionError when certifying the
+    target accuracy would take m terms with m times the depth above MAX_TERMS.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -247,6 +247,11 @@ def li_eval(s: Sequence[int], z: complex, eps: float) -> complex:
     log_eps = math.log(eps)
     m = 16
     while True:
+        # the coefficient recurrence costs m rows times the depth; refuse before certifying
+        if m * len(index) > MAX_TERMS:
+            raise PrecisionError(
+                f"cannot certify eps={eps} at |z|={q:.6f} within {MAX_TERMS} terms times depth"
+            )
         # terms n^sigma q^n decay at ratio <= c for n > m once c < 1;
         # the comparison runs in log space so huge sigma cannot overflow
         c = math.exp(sigma * math.log((m + 2) / (m + 1)) + log_q)
@@ -254,12 +259,7 @@ def li_eval(s: Sequence[int], z: complex, eps: float) -> complex:
             log_tail = sigma * math.log(m + 1) + (m + 1) * log_q - math.log(1.0 - c)
             if log_tail <= log_eps:
                 break
-        if m >= MAX_TERMS:
-            raise PrecisionError(
-                f"cannot certify eps={eps} at |z|={q:.6f} within {MAX_TERMS} terms"
-            )
         m *= 2
-    m = min(m, MAX_TERMS)
     total = 0.0 + 0.0j
     zp = 1.0 + 0.0j
     for c in _li_float_coeffs(index, m):

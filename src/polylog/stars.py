@@ -8,12 +8,16 @@ Three families of rational series are represented exactly:
 * :class:`LetterStarForm` - letter stars (a x0 + b x1)* whose polylogarithm
   is the closed form z^a (1-z)^(-b).
 * :class:`PlaneStar` - Kleene stars (sum_s alpha_s y_s)* of degree-one
-  Y-elements.  Under stuffle these form a commutative group whose law acts
-  coefficientwise: c_n = alpha_n + beta_n + sum_{i+j=n} alpha_i beta_j.
+  Y-elements.  A plane star is the umbral q-series itself: a
+  :class:`~polylog.coding.QSeriesTrunc` view of an NPoly in q.  Under
+  stuffle these form a commutative group whose law acts coefficientwise,
+  c_n = alpha_n + beta_n + sum_{i+j=n} alpha_i beta_j, that is
+  (1+A)(1+B) - 1 on the series.
 
 Star objects are exact and finite; anything that expands a star into words
 takes an explicit cap.  Their coefficient arithmetic is that of
-:class:`~polylog.nc_core.NPoly`, the one dense exact kernel.
+:class:`~polylog.nc_core.NPoly`, the one dense exact kernel, and expansions
+into words run on its integer numerators, building one Fraction per word.
 """
 
 from __future__ import annotations
@@ -23,16 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .coding import (
-    PlaneStarBase,
-    QSeriesTrunc,
-    pi_y,
-    plane_to_umbra,
-    q_exp_m1,
-    q_scale,
-    umbra_to_plane,
-)
-from .nc_core import NCPoly, NPoly, RatLike, Word, X, X1, Y, ZERO, as_rat, format_terms
+from .coding import PlaneStarBase, QSeriesTrunc, pi_y
+from .nc_core import NCPoly, NPoly, ONE, RatLike, Word, X, X1, Y, ZERO, as_rat, format_terms
 from .products import exp_stuffle, shuffle_pow
 
 
@@ -120,20 +116,14 @@ def star_terms_text(terms: Iterable[tuple[int, str]]) -> str:
 
 def x1star_expand(k: int, len_cap: int) -> NCPoly:
     """Truncated expansion of (k x1)*: sum_{n<=cap} k^n x1^n."""
-    if k < 0:
-        raise ValueError(f"star order must be >= 0, got {k}")
-    if k == 0:
-        return NCPoly.one(X)
-    terms = {Word((X1,) * n, X): Fraction(k) ** n for n in range(len_cap + 1)}
-    return NCPoly(X, terms)
+    return x1star_poly_expand(X1StarPoly.star(k), len_cap)
 
 
 def x1star_poly_expand(s: X1StarPoly, len_cap: int) -> NCPoly:
-    """Truncated expansion of a star combination into x1-power words."""
-    out = NCPoly.zero(X)
-    for k, c in s.items():
-        out = out + x1star_expand(k, len_cap) * c
-    return out
+    """Truncated expansion of sum_k c_k (k x1)* into x1^n with coefficients sum_k c_k k^n."""
+    nums, den = s.poly.nums, s.poly.den
+    sums = ((n, sum(x * k**n for k, x in enumerate(nums) if x)) for n in range(len_cap + 1))
+    return NCPoly._canonical(X, {Word((X1,) * n, X): Fraction(c, den) for n, c in sums if c})
 
 
 def x1star_y_expansion(s: X1StarPoly, depth_cap: int) -> NCPoly:
@@ -150,41 +140,26 @@ def check_kstar_shuffle_power(k: int, len_cap: int) -> bool:
     return lhs == rhs
 
 
-@dataclass(frozen=True, slots=True)
-class PlaneStar:
+class PlaneStar(QSeriesTrunc):
     """The Kleene star (sum_s alpha_s y_s)* of a degree-one Y-element.
 
-    ``alpha[i]`` is the coefficient of y_(i+1); the sequence length is the
-    explicit S_max.  Stuffle products extend S_max additively.
+    The umbral view of a :class:`QSeriesTrunc`: ``alpha[i]`` is the
+    coefficient of y_(i+1) and S_max is the explicit order.  Stuffle products
+    extend S_max additively.
     """
 
-    alpha: tuple[Fraction, ...]
+    __slots__ = ()
 
-    @classmethod
-    def make(cls, alpha) -> "PlaneStar":
-        return cls(tuple(as_rat(a) for a in alpha))
-
-    @property
-    def s_max(self) -> int:
-        return len(self.alpha)
-
-    def coeff(self, s: int) -> Fraction:
-        if s < 1:
-            raise ValueError("plane coefficients are indexed from 1")
-        if s > len(self.alpha):
-            return ZERO
-        return self.alpha[s - 1]
-
-    def padded(self, s_max: int) -> "PlaneStar":
-        if s_max < len(self.alpha):
-            raise ValueError("padded() cannot drop coefficients; use truncated()")
-        return PlaneStar(self.alpha + (ZERO,) * (s_max - len(self.alpha)))
+    alpha = QSeriesTrunc.coeffs
 
     def truncated(self, s_max: int) -> "PlaneStar":
-        return PlaneStar(self.alpha[:s_max])
+        return PlaneStar.from_poly(self.poly, min(s_max, self.s_max))
 
     def __str__(self) -> str:
         return "[" + ",".join(str(a) for a in self.alpha) + "]*"
+
+    def __repr__(self) -> str:
+        return f"PlaneStar(alpha={self.alpha!r})"
 
 
 def plane_star_stuffle(a: PlaneStar, b: PlaneStar) -> PlaneStar:
@@ -194,15 +169,12 @@ def plane_star_stuffle(a: PlaneStar, b: PlaneStar) -> PlaneStar:
     constant-free q-series A, B of the two stars.  The result carries
     S_max = a.s_max + b.s_max so no cross term is lost.
     """
-    qa, qb = plane_to_umbra(a.alpha).poly, plane_to_umbra(b.alpha).poly
-    law = QSeriesTrunc.from_poly(qa + qb + qa * qb, a.s_max + b.s_max)
-    return PlaneStar(umbra_to_plane(law))
+    return PlaneStar.from_poly(a.poly + b.poly + a.poly * b.poly, a.s_max + b.s_max)
 
 
 def plane_star_inverse(a: PlaneStar, s_max: int) -> PlaneStar:
     """Stuffle-group inverse to order s_max: in the umbral coding (1+S)^-1 - 1."""
-    inverse = plane_to_umbra(a.alpha).poly.star_inverse(s_max)
-    return PlaneStar(umbra_to_plane(QSeriesTrunc.from_poly(inverse, s_max)))
+    return PlaneStar.from_poly(a.poly.star_inverse(s_max), s_max)
 
 
 def plane_element_poly(base: PlaneStarBase | PlaneStar) -> NCPoly:
@@ -212,24 +184,24 @@ def plane_element_poly(base: PlaneStarBase | PlaneStar) -> NCPoly:
 
 
 def plane_star_expand(a: PlaneStar, weight_cap: int) -> NCPoly:
-    """All words y_{s1}...y_{sr} of weight <= cap with coefficient prod alpha_{s_i}."""
-    letters = [(s, a.coeff(s)) for s in range(1, min(a.s_max, weight_cap) + 1) if a.coeff(s)]
-    terms: dict[Word, Fraction] = {Word((), Y): Fraction(1)}
-    frontier: list[tuple[tuple[int, ...], Fraction]] = [((), Fraction(1))]
+    """All words y_{s1}...y_{sr} of weight <= cap with coefficient prod alpha_{s_i} = prod nums / den^r."""
+    nums, den = a.poly.nums, a.poly.den
+    letters = [(s, nums[s]) for s in range(1, min(len(nums), weight_cap + 1)) if nums[s]]
+    terms = {Word((), Y): ONE}
+    frontier: list[tuple[tuple[int, ...], int, int]] = [((), weight_cap, 1)]
+    scale = 1
     while frontier:
-        new_frontier: list[tuple[tuple[int, ...], Fraction]] = []
-        for word, coeff in frontier:
-            budget = weight_cap - sum(word)
-            for s, alpha_s in letters:
+        scale *= den
+        grown = []
+        for word, budget, num in frontier:
+            for s, x in letters:
                 if s > budget:
                     break
                 ext = word + (s,)
-                c = coeff * alpha_s
-                new_frontier.append((ext, c))
-                key = Word(ext, Y)
-                terms[key] = terms.get(key, ZERO) + c
-        frontier = new_frontier
-    return NCPoly(Y, terms)
+                grown.append((ext, budget - s, num * x))
+                terms[Word(ext, Y)] = Fraction(num * x, scale)
+        frontier = grown
+    return NCPoly._canonical(Y, terms)
 
 
 def one_param_group(t: QSeriesTrunc, z: RatLike, weight_cap: int) -> NCPoly:
@@ -238,8 +210,8 @@ def one_param_group(t: QSeriesTrunc, z: RatLike, weight_cap: int) -> NCPoly:
     G is a one-parameter group for the stuffle: G(z1) st G(z2) = G(z1+z2)
     and G(0) = 1; every word coefficient is polynomial in z.
     """
-    series = q_exp_m1(q_scale(as_rat(z), t), weight_cap)
-    return plane_star_expand(PlaneStar(umbra_to_plane(series)), weight_cap)
+    series = (t.poly * z).exp_m1(weight_cap)
+    return plane_star_expand(PlaneStar.from_poly(series, weight_cap), weight_cap)
 
 
 def ykstar_exp_identity(k: int, z: RatLike, weight_cap: int) -> bool:
@@ -247,17 +219,8 @@ def ykstar_exp_identity(k: int, z: RatLike, weight_cap: int) -> bool:
     if k < 1:
         raise ValueError(f"needs k >= 1, got {k}")
     z = as_rat(z)
-    lhs_terms = {
-        Word((k,) * n, Y): z**n for n in range(weight_cap // k + 1)
-    }
-    lhs = NCPoly(Y, lhs_terms)
-    arg = NCPoly(
-        Y,
-        {
-            Word((n * k,), Y): -((-z) ** n) * Fraction(1, n)
-            for n in range(1, weight_cap // k + 1)
-        },
-    )
+    lhs = plane_star_expand(PlaneStar.make([0] * (k - 1) + [z]), weight_cap)
+    arg = NCPoly(Y, {Word((n * k,), Y): -((-z) ** n) / n for n in range(1, weight_cap // k + 1)})
     rhs = exp_stuffle(arg, weight_cap)
     return lhs == rhs
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from polylog import checks, harmonic, products
+from polylog import checks, harmonic, polylog_num, products
 from polylog.cli import (
     MAX_DIGITS,
     MAX_EXPS_CAP,
@@ -419,10 +419,9 @@ class TestCommands:
         payload = json.loads(out)
         assert payload == {"mode": "exact", "coeffs": ["0", "1", "1/4", "1/9", "1/16"]}
 
-    def test_li_coeffs_env_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("POLYLOG_NCAP_DEFAULT", "3")
+    def test_li_coeffs_default_ncap(self, capsys):
         code, out = self._run(capsys, "li-coeffs", "1")
-        assert len(json.loads(out)["coeffs"]) == 4
+        assert code == 0 and len(json.loads(out)["coeffs"]) == 21
 
     def test_li_eval(self, capsys):
         code, out = self._run(capsys, "li-eval", "1", "0.5", "1e-10")
@@ -441,6 +440,29 @@ class TestCommands:
         code, out = self._run(capsys, *argv)
         assert code == 2
         assert json.loads(out)["error"]["code"] == "PrecisionError"
+
+    @pytest.mark.parametrize("depth", [60, 20])
+    def test_li_eval_work_cap_is_json_error(self, capsys, monkeypatch, depth):
+        # m terms times the depth would pass MAX_TERMS near |z| = 0.995: refused before summing
+        def unreachable(index, m):
+            raise AssertionError(f"summed {m} terms at depth {len(index)}")
+
+        monkeypatch.setattr(polylog_num, "_li_float_coeffs", unreachable)
+        code, out = self._run(capsys, "li-eval", ",".join(["1"] * depth), "0.995", "1e-10")
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["code"] == "PrecisionError" and "times depth" in error["message"]
+
+    def test_li_eval_within_work_cap_answers(self, capsys):
+        # sum_{n > k >= 1} z^n / (n k)^3, with the inner sum kept as a running H_3(n - 1)
+        z, inner, expected = 0.99, 0.0, 0.0
+        for n in range(1, 6000):
+            expected += z**n * inner / n**3
+            inner += 1.0 / n**3
+        code, out = self._run(capsys, "li-eval", "3,3", "0.99", "1e-10")
+        payload = json.loads(out)
+        assert code == 0 and payload["im"] == 0.0
+        assert abs(payload["re"] - expected) < 1e-9
 
     @pytest.mark.parametrize(
         "argv",

@@ -16,7 +16,7 @@ from polylog.coding import (
     q_scale,
     umbra_to_plane,
 )
-from polylog.nc_core import NCPoly, NotInImageError, Word, X, Y, x_word, y_word
+from polylog.nc_core import NCPoly, NotInImageError, NPoly, Word, X, Y, x_word, y_word
 from polylog.products import conc
 
 
@@ -182,6 +182,45 @@ class TestQSeries:
         s = QSeriesTrunc.make([1, Fraction(-2, 3), 0])
         assert q_scale(Fraction(3, 2), s) == QSeriesTrunc.make([Fraction(3, 2), -1, 0])
         assert q_scale(0, s) == QSeriesTrunc.make([0, 0, 0])
+
+
+class TestQSeriesView:
+    """QSeriesTrunc is a view of an NPoly in q cut to s_max, checked against plain tuples."""
+
+    def test_property_make_roundtrip(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        entry = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-5, max_value=5, max_denominator=12))
+
+        @hyp.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+        @hyp.given(st.lists(entry, max_size=6), st.integers(0, 3))
+        def check(head, zeros):
+            # trailing zeros keep s_max equal to the length
+            coeffs = head + [Fraction(0)] * zeros
+            s = QSeriesTrunc.make(coeffs)
+            assert s.s_max == len(coeffs) and s.coeffs == tuple(coeffs)
+            assert [s.coeff(n) for n in range(1, len(coeffs) + 3)] == coeffs + [0, 0]
+            assert QSeriesTrunc(tuple(coeffs)) == s == plane_to_umbra(umbra_to_plane(s))
+
+        check()
+
+    def test_equality_ignores_unreduced_denominator(self):
+        assert QSeriesTrunc.from_poly(NPoly([0, 2], 4), 1) == QSeriesTrunc.make([Fraction(1, 2)])
+        assert QSeriesTrunc.make([1, 0]) != QSeriesTrunc.make([1])
+
+    def test_from_poly_cuts_to_order(self):
+        s = QSeriesTrunc.from_poly(NPoly([5, 1, Fraction(2, 3), 3, 4]), 2)
+        assert s == QSeriesTrunc.make([1, Fraction(2, 3)])
+        assert s.poly == NPoly([0, 1, Fraction(2, 3)])
+        assert QSeriesTrunc.from_poly(NPoly([0, 1]), 3).coeffs == (1, 0, 0)
+        with pytest.raises(ValueError):
+            QSeriesTrunc.from_poly(NPoly([0, 1]), -1)
+
+    def test_unhashable_and_repr(self):
+        s = QSeriesTrunc.make([1, Fraction(1, 2)])
+        with pytest.raises(TypeError):
+            hash(s)
+        assert repr(s) == "QSeriesTrunc(coeffs=(Fraction(1, 1), Fraction(1, 2)))"
 
 
 def _mul_ref(a, b, s_max):

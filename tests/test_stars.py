@@ -22,6 +22,45 @@ from polylog.stars import (
 )
 
 
+def _expand_ref(alpha, weight_cap):
+    """Words of weight <= cap with coefficient prod alpha_{s_i}: a Fraction frontier walk."""
+    letters = [(s, a) for s, a in enumerate(alpha, 1) if s <= weight_cap and a]
+    terms = {Word((), Y): Fraction(1)}
+    frontier = [((), Fraction(1))]
+    while frontier:
+        new_frontier = []
+        for word, coeff in frontier:
+            budget = weight_cap - sum(word)
+            for s, alpha_s in letters:
+                if s > budget:
+                    break
+                ext = word + (s,)
+                c = coeff * alpha_s
+                new_frontier.append((ext, c))
+                key = Word(ext, Y)
+                terms[key] = terms.get(key, Fraction(0)) + c
+        frontier = new_frontier
+    return NCPoly(Y, terms)
+
+
+def _stuffle_ref(a, b):
+    """c_n = a_n + b_n + sum_{i+j=n} a_i b_j for n = 1..len(a) + len(b)."""
+    out = [Fraction(0)] * (len(a) + len(b))
+    for n in range(1, len(out) + 1):
+        out[n - 1] = (a[n - 1] if n <= len(a) else 0) + (b[n - 1] if n <= len(b) else 0)
+        cross = (a[i - 1] * b[n - i - 1] for i in range(1, n) if i <= len(a) and n - i <= len(b))
+        out[n - 1] += sum(cross)
+    return out
+
+
+def _planes():
+    """Hypothesis strategy: plane coefficient lists with zero entries, trailing zeros and mixed denominators."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    entry = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-4, max_value=4, max_denominator=6))
+    return hyp, st, st.lists(entry, min_size=1, max_size=5)
+
+
 def _rand_star(rng, s_max_max=3):
     return PlaneStar.make(
         [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rng.randint(1, s_max_max))]
@@ -109,6 +148,82 @@ class TestPlaneStarStuffle:
             lhs = plane_star_expand(plane_star_stuffle(a, b), cap)
             rhs = stuffle(plane_star_expand(a, cap), plane_star_expand(b, cap)).truncated(cap)
             assert lhs == rhs
+
+
+class TestPlaneStarView:
+    """PlaneStar is the QSeriesTrunc view read as a plane; each operation against a Fraction reference."""
+
+    def test_property_make_roundtrip(self):
+        hyp, st, plane = _planes()
+
+        @hyp.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+        @hyp.given(plane, st.integers(0, 2))
+        def check(alpha, zeros):
+            alpha = alpha + [Fraction(0)] * zeros
+            a = PlaneStar.make(alpha)
+            assert a.s_max == len(alpha) and a.alpha == a.coeffs == tuple(alpha)
+            assert [a.coeff(s) for s in range(1, len(alpha) + 2)] == alpha + [0]
+            assert str(a) == "[" + ",".join(map(str, alpha)) + "]*"
+
+        check()
+
+    def test_property_stuffle(self):
+        hyp, st, plane = _planes()
+
+        @hyp.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+        @hyp.given(plane, plane)
+        def check(a, b):
+            got = plane_star_stuffle(PlaneStar.make(a), PlaneStar.make(b))
+            assert got.s_max == len(a) + len(b)
+            assert got.alpha == tuple(_stuffle_ref(a, b))
+
+        check()
+
+    def test_property_inverse(self):
+        hyp, st, plane = _planes()
+
+        @hyp.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+        @hyp.given(plane, st.integers(0, 6))
+        def check(alpha, n):
+            a = PlaneStar.make(alpha)
+            inv = plane_star_inverse(a, n)
+            assert inv.s_max == n
+            law = _stuffle_ref(alpha, list(inv.alpha))
+            assert law[:n] == [0] * min(n, len(law))
+            assert plane_star_stuffle(a, inv).truncated(n) == PlaneStar.make([0] * n)
+
+        check()
+
+    def test_property_expand_matches_frontier_walk(self):
+        hyp, st, plane = _planes()
+
+        @hyp.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+        @hyp.given(plane, st.integers(0, 7))
+        def check(alpha, cap):
+            assert plane_star_expand(PlaneStar.make(alpha), cap) == _expand_ref(alpha, cap)
+
+        check()
+
+    def test_property_x1star_expand(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        coeff = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+        @hyp.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+        @hyp.given(st.dictionaries(st.integers(0, 5), coeff, max_size=4), st.integers(0, 6))
+        def check(terms, cap):
+            powers = [(Word((1,) * n, X), c * Fraction(k) ** n) for k, c in terms.items() for n in range(cap + 1)]
+            want = NCPoly(X, powers)
+            assert x1star_poly_expand(X1StarPoly(terms), cap) == want
+
+        check()
+
+    def test_distinct_from_q_series_and_unhashable(self):
+        a = PlaneStar.make([1, Fraction(1, 2)])
+        assert a != QSeriesTrunc.make([1, Fraction(1, 2)])
+        assert repr(a) == "PlaneStar(alpha=(Fraction(1, 1), Fraction(1, 2)))"
+        with pytest.raises(TypeError):
+            hash(a)
 
 
 class TestPlaneStarExpand:
