@@ -5,7 +5,9 @@ the identity is checked on, and a test of one input.  Building a suite for
 (ncap, seed) draws every seeded input up front, in a fixed order, and runs
 nothing, so a failing check cannot shift the inputs of the checks after it.
 :meth:`Check.run` tests the inputs in order, stops at the first failure and
-returns a :class:`CheckResult` with the detail and the elapsed time.
+returns a :class:`CheckResult` with the detail and the elapsed time.  The
+identity data lives here only: the non-positive table and the mixed-index
+identities with their term evaluator, which no request outside ``verify`` loads.
 """
 
 from __future__ import annotations
@@ -146,17 +148,166 @@ def suite_ex3(ncap: int | None = None, seed: int = DEFAULT_SEED) -> list[Check]:
     return out
 
 
+# -- mixed: the mixed-index identity table -------------------------------------
+
+
+# Star forms of Li, whose harmonic sums are the plain nested power sums.
+POWER_SUM_STARS: dict[tuple[int, ...], X1StarPoly] = {
+    index: negindex.li_nonpositive_stars(index) for index in ((0,), (-1,), (-2,), (-2, -2))
+}
+
+# Each identity equates an exactly computable combination (closed forms,
+# harmonic numbers, or a stuffle against a star expansion) with a
+# brute-force nested sum.  Terms on either side are (coefficient, kind,
+# payload) with kinds:
+#   "star"    - X1StarPoly, evaluated through its closed-form polynomial
+#   "word"    - Y-word, evaluated through the harmonic-sum table
+#   "stuffle" - (s, X1StarPoly): y_s stuffled against the star's Y-expansion
+#   "oracle"  - signed index, evaluated by the brute-force nested sum
+_Term = tuple[Fraction, str, object]
+
+
+def mixed_identities() -> list[tuple[str, list[_Term], tuple[int, ...]]]:
+    """The mixed-index identities as (name, left-side terms, oracle index) rows."""
+    one = Fraction(1)
+    f = Fraction
+    return [
+        (
+            "sum 1/n1 sum n2",
+            [(one, "star", X1StarPoly({2: f(1, 2), 1: -1, 0: f(1, 2)}))],
+            (1, -1),
+        ),
+        (
+            "sum n1 sum 1/n2",
+            [
+                (one, "stuffle", (1, POWER_SUM_STARS[(-1,)])),
+                (f(-1, 2), "star", X1StarPoly({2: 1, 0: -1})),
+            ],
+            (-1, 1),
+        ),
+        (
+            "sum 1/n1 sum n2^2",
+            [(one, "star", X1StarPoly({3: f(2, 3), 2: f(-3, 2), 1: 1, 0: f(-1, 6)}))],
+            (1, -2),
+        ),
+        (
+            "sum n1^2 sum 1/n2",
+            [
+                (one, "stuffle", (1, POWER_SUM_STARS[(-2,)])),
+                (-one, "star", X1StarPoly({3: f(2, 3), 2: f(-1, 2), 0: f(-1, 6)})),
+            ],
+            (-2, 1),
+        ),
+        (
+            "sum 1/n1^2 sum n2^2",
+            [
+                (one, "star", X1StarPoly({2: f(1, 3), 1: f(-5, 6), 0: f(1, 2)})),
+                (f(1, 6), "word", Word((1,), Y)),
+            ],
+            (2, -2),
+        ),
+        (
+            "sum n1^2 sum 1/n2^2",
+            [
+                (one, "stuffle", (2, POWER_SUM_STARS[(-2,)])),
+                (-one, "star", X1StarPoly({2: f(1, 3), 1: f(1, 6), 0: f(-1, 2)})),
+                (f(-1, 6), "word", Word((1,), Y)),
+            ],
+            (-2, 2),
+        ),
+        (
+            "sum 1/n1 sum n2^2 sum n3^2",
+            # Derived constructively; see the closed-form pipeline tests.
+            [
+                (
+                    one,
+                    "star",
+                    X1StarPoly(
+                        {
+                            6: f(20, 3),
+                            5: f(-132, 5),
+                            4: f(161, 4),
+                            3: -29,
+                            2: f(19, 2),
+                            1: -1,
+                            0: f(-1, 60),
+                        }
+                    ),
+                )
+            ],
+            (1, -2, -2),
+        ),
+        (
+            "sum n1^2 sum 1/n2 sum n3^2",
+            [
+                (
+                    one,
+                    "star",
+                    X1StarPoly(
+                        {
+                            6: f(40, 3),
+                            5: -50,
+                            4: f(427, 6),
+                            3: f(-281, 6),
+                            2: f(27, 2),
+                            1: f(-7, 6),
+                        }
+                    ),
+                )
+            ],
+            (-2, 1, -2),
+        ),
+        (
+            "sum n1^2 sum n2^2 sum 1/n3",
+            [
+                (one, "stuffle", (1, POWER_SUM_STARS[(-2, -2)])),
+                (-one, "oracle", (-2, 1, -2)),
+                (-one, "oracle", (1, -2, -2)),
+                (-one, "oracle", (-2, -1)),
+                (-one, "oracle", (-1, -2)),
+            ],
+            (-2, -2, 1),
+        ),
+    ]
+
+
+def _eval_term_table(kind: str, payload: object, n_max: int) -> list[Fraction]:
+    if kind == "star":
+        poly = harmonic.h_x1star_closed_form(payload)
+        return [poly.eval(n) for n in range(n_max + 1)]
+    if kind == "word":
+        return harmonic.h_word_table(payload, n_max)
+    if kind == "stuffle":
+        s, star = payload
+        # H_w(N) vanishes when depth(w) > N, so expanding the star to depth
+        # n_max keeps every contributing word and the check stays exact.
+        image = stars.x1star_y_expansion(star, n_max)
+        return harmonic.h_poly_table(products.stuffle(NCPoly.from_word(y_word(s)), image), n_max)
+    if kind == "oracle":
+        return harmonic.h_signed_table(payload, n_max)
+    raise ValueError(f"unknown term kind {kind!r}")
+
+
+def mixed_identity_failure(identity, n_max: int) -> int | None:
+    """The first N <= n_max where a row of :func:`mixed_identities` fails; None if none."""
+    _, lhs_terms, oracle_index = identity
+    tables = [(c, _eval_term_table(kind, payload, n_max)) for c, kind, payload in lhs_terms]
+    lhs = [sum(c * vec[n] for c, vec in tables) for n in range(n_max + 1)]
+    rhs = harmonic.h_signed_table(oracle_index, n_max)
+    return next((n for n in range(n_max + 1) if lhs[n] != rhs[n]), None)
+
+
 def suite_mixed(ncap: int | None = None, seed: int = DEFAULT_SEED) -> list[Check]:
     """Mixed-index identities against the brute-force nested sums."""
     n_max = 40 if ncap is None else ncap
     return [
         Check(
             f"mixed[{row[0]}] N<={n_max}",
-            lambda row: (n := harmonic.mixed_identity_failure(row, n_max)) is None
+            lambda row: (n := mixed_identity_failure(row, n_max)) is None
             or f"first failure at N={n}",
             ((row,),),
         )
-        for row in harmonic.mixed_identities()
+        for row in mixed_identities()
     ]
 
 

@@ -517,7 +517,8 @@ def cmd_product(args) -> int:
 def cmd_neg_li(args) -> int:
     index = _parse_index_arg(args.index)
     s = negindex.li_nonpositive_stars(index)
-    ratfunc = negindex.x1star_to_ratfunc(s).to_json_dict()
+    f = negindex.x1star_to_ratfunc(s)
+    ratfunc = {"num": [str(c) for c in f.num], "pole_order": f.pole_order}
     terms, text = _x1star_texts(s)
     _print_json({"index": list(index), "ratfunc": ratfunc, "stars": terms, "stars_text": text})
     return 0
@@ -539,9 +540,7 @@ def cmd_h_closed_form(args) -> int:
         for degree, coeff in enumerate(npoly.coeffs):
             print(f"{degree},{coeff}")
     else:
-        payload = npoly.to_json_dict()
-        payload["text"] = str(npoly)
-        _print_json(payload)
+        _print_json({"coeffs": [str(c) for c in npoly.coeffs], "text": str(npoly)})
     return 0
 
 
@@ -554,15 +553,16 @@ def cmd_h_eval(args) -> int:
 def cmd_li_coeffs(args) -> int:
     index = _parse_index_arg(args.index)
     if args.float_mode:
-        payload = {"mode": "float", "coeffs": polylog_num._li_float_coeffs(index, args.ncap)}
+        mode, coeffs = "float", polylog_num._li_float_coeffs(index, args.ncap)
     else:
-        payload = polylog_num.li_taylor_coeffs(index, args.ncap).to_json_dict()
+        series = polylog_num.li_taylor_coeffs(index, args.ncap)
+        mode, coeffs = "exact", [str(c) for c in series.coeffs]
     if args.csv:
         print("N,coefficient")
-        for n, c in enumerate(payload["coeffs"]):
+        for n, c in enumerate(coeffs):
             print(f"{n},{c}")
     else:
-        _print_json(payload)
+        _print_json({"mode": mode, "coeffs": coeffs})
     return 0
 
 
@@ -585,6 +585,8 @@ def cmd_verify(args) -> int:
         valid = ", ".join(map(repr, choices))
         message = f"argument --suite: invalid choice: {args.suite!r} (choose from {valid})"
         _make_parser().error(f"polylog verify: {message}")
+    if args.ncap is not None and args.ncap < 0:
+        _make_parser().error(f"polylog verify: argument --ncap: must be >= 0, got {args.ncap}")
     names = list(checks.SUITES) if args.suite == "all" else [args.suite]
     seed = checks.DEFAULT_SEED if args.seed is None else args.seed
     results: list[tuple[str, checks.CheckResult]] = []

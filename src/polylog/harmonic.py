@@ -3,7 +3,7 @@
 The harmonic sum of a Y-word y_{s1}...y_{sr} at N is the nested sum
 sum_{N >= n1 > ... > nr > 0} prod n_i^(-s_i); the same formula with signed
 exponents (non-positive entries turn reciprocals into powers) serves as the
-universal brute-force oracle of this package.  Both come out of one prefix
+brute-force oracle of :mod:`polylog.checks`.  Both come out of one prefix
 recurrence, H_s(N) = H_s(N-1) + N^(-s1) H_(s2..sr)(N-1), run on integer
 numerators over one denominator.  With L = lcm(1..N) the step multiplies by
 L^s1 // N^s1 (s1 > 0) or N^(-s1) (s1 <= 0), and the denominator is
@@ -38,7 +38,7 @@ from typing import Iterable, Iterator, Sequence
 from .nc_core import AlphabetError, NCPoly, NPoly, RatLike, Word, Y
 from .negindex import li_nonpositive_stars
 from .products import stuffle
-from .stars import X1StarPoly, x1star_y_expansion
+from .stars import X1StarPoly
 
 #: A signed multi-index: positive entries are reciprocal exponents,
 #: non-positive entries are power weights.
@@ -47,6 +47,8 @@ SignedIndex = tuple[int, ...]
 
 def _scales(index: SignedIndex, n_max: int) -> list[int]:
     """Per entry s, lcm(1..n_max)^max(s, 0): F n^(-s) is an integer for n <= n_max."""
+    if n_max < 0:
+        raise ValueError("N must be a natural number")
     big = lcm(*range(1, n_max + 1)) if any(s > 0 for s in index) else 1
     return [big**s if s > 0 else 1 for s in index]
 
@@ -112,6 +114,8 @@ def _h_vector(index: SignedIndex, n_max: int) -> NPoly:
 
 def _taylor_map(terms: Iterable[tuple[RatLike, SignedIndex]], n_cap: int) -> NPoly:
     """Taylor coefficients to n_cap of sum_k c_k Li_(index_k): one weight pass per s1."""
+    if n_cap < 0:
+        raise ValueError("n_cap must be >= 0")
     groups: dict[int, list[tuple[RatLike, NPoly]]] = {}
     parts = []
     for c, index in terms:
@@ -136,8 +140,6 @@ def h_signed_eval(s: Sequence[int], n: int) -> Fraction:
 
     Streams with O(r) memory, so large N needs no column.
     """
-    if n < 0:
-        raise ValueError("N must be a natural number")
     index = tuple(s)
     scales = _scales(index, n)
     for row in _prefix_rows([_weights(e, f, n) for e, f in zip(index, scales)], n):
@@ -158,23 +160,25 @@ def h_word_table(w: Word, n_max: int) -> list[Fraction]:
     """Cached values [H_w(0), ..., H_w(n_max)] for a Y-word."""
     if w.alphabet != Y:
         raise AlphabetError("harmonic sums are indexed by Y-words")
+    if n_max < 0:
+        raise ValueError("N must be a natural number")
     return list(_h_vector(w.letters, n_max).padded(n_max))
 
 
 def h_poly_eval(q: NCPoly, n: int) -> Fraction:
     """Linear extension sum_w <Q|w> H_w(N) over a Y-polynomial."""
-    return h_poly_table(q, n)[n]
+    return _h_poly_vector(q, n).coeff(n)
 
 
 def _h_poly_vector(q: NCPoly, n_max: int) -> NPoly:
     """The linear extension for N = 0..n_max: prefix sums of its Taylor vector."""
+    if q.alphabet != Y:
+        raise AlphabetError("harmonic sums are indexed by Y-polynomials")
     return _taylor_map(((c, w.letters) for w, c in q.items()), n_max).prefix_sums(n_max)
 
 
 def h_poly_table(q: NCPoly, n_max: int) -> list[Fraction]:
     """Values of the linear extension for N = 0..n_max."""
-    if q.alphabet != Y:
-        raise AlphabetError("harmonic sums are indexed by Y-polynomials")
     return list(_h_poly_vector(q, n_max).padded(n_max))
 
 
@@ -198,152 +202,3 @@ def h_stuffle_check(u: Word, v: Word, n_max: int) -> bool:
     hu, hv = (_h_vector(w.letters, n_max) for w in (u, v))
     cut = n_max + 1  # a cached column can be longer than asked for
     return lhs == NPoly(hu.nums[:cut], hu.den).hadamard(NPoly(hv.nums[:cut], hv.den))
-
-
-# -- the mixed-index identity table ----------------------------------------
-
-
-# Star forms of Li, whose harmonic sums are the plain nested power sums.
-POWER_SUM_STARS: dict[tuple[int, ...], X1StarPoly] = {
-    index: li_nonpositive_stars(index) for index in ((0,), (-1,), (-2,), (-2, -2))
-}
-
-# Each identity equates an exactly computable combination (closed forms,
-# harmonic numbers, or a stuffle against a star expansion) with a
-# brute-force nested sum.  Terms on either side are (coefficient, kind,
-# payload) with kinds:
-#   "star"    - X1StarPoly, evaluated through its closed-form polynomial
-#   "word"    - Y-word, evaluated through the harmonic-sum table
-#   "stuffle" - (s, X1StarPoly): y_s stuffled against the star's Y-expansion
-#   "oracle"  - signed index, evaluated by the brute-force nested sum
-_Term = tuple[Fraction, str, object]
-
-
-def mixed_identities() -> list[tuple[str, list[_Term], tuple[int, ...]]]:
-    """The mixed-index identities as (name, left-side terms, oracle index) rows."""
-    one = Fraction(1)
-    f = Fraction
-    return [
-        (
-            "sum 1/n1 sum n2",
-            [(one, "star", X1StarPoly({2: f(1, 2), 1: -1, 0: f(1, 2)}))],
-            (1, -1),
-        ),
-        (
-            "sum n1 sum 1/n2",
-            [
-                (one, "stuffle", (1, POWER_SUM_STARS[(-1,)])),
-                (f(-1, 2), "star", X1StarPoly({2: 1, 0: -1})),
-            ],
-            (-1, 1),
-        ),
-        (
-            "sum 1/n1 sum n2^2",
-            [(one, "star", X1StarPoly({3: f(2, 3), 2: f(-3, 2), 1: 1, 0: f(-1, 6)}))],
-            (1, -2),
-        ),
-        (
-            "sum n1^2 sum 1/n2",
-            [
-                (one, "stuffle", (1, POWER_SUM_STARS[(-2,)])),
-                (-one, "star", X1StarPoly({3: f(2, 3), 2: f(-1, 2), 0: f(-1, 6)})),
-            ],
-            (-2, 1),
-        ),
-        (
-            "sum 1/n1^2 sum n2^2",
-            [
-                (one, "star", X1StarPoly({2: f(1, 3), 1: f(-5, 6), 0: f(1, 2)})),
-                (f(1, 6), "word", Word((1,), Y)),
-            ],
-            (2, -2),
-        ),
-        (
-            "sum n1^2 sum 1/n2^2",
-            [
-                (one, "stuffle", (2, POWER_SUM_STARS[(-2,)])),
-                (-one, "star", X1StarPoly({2: f(1, 3), 1: f(1, 6), 0: f(-1, 2)})),
-                (f(-1, 6), "word", Word((1,), Y)),
-            ],
-            (-2, 2),
-        ),
-        (
-            "sum 1/n1 sum n2^2 sum n3^2",
-            # Derived constructively; see the closed-form pipeline tests.
-            [
-                (
-                    one,
-                    "star",
-                    X1StarPoly(
-                        {
-                            6: f(20, 3),
-                            5: f(-132, 5),
-                            4: f(161, 4),
-                            3: -29,
-                            2: f(19, 2),
-                            1: -1,
-                            0: f(-1, 60),
-                        }
-                    ),
-                )
-            ],
-            (1, -2, -2),
-        ),
-        (
-            "sum n1^2 sum 1/n2 sum n3^2",
-            [
-                (
-                    one,
-                    "star",
-                    X1StarPoly(
-                        {
-                            6: f(40, 3),
-                            5: -50,
-                            4: f(427, 6),
-                            3: f(-281, 6),
-                            2: f(27, 2),
-                            1: f(-7, 6),
-                        }
-                    ),
-                )
-            ],
-            (-2, 1, -2),
-        ),
-        (
-            "sum n1^2 sum n2^2 sum 1/n3",
-            [
-                (one, "stuffle", (1, POWER_SUM_STARS[(-2, -2)])),
-                (-one, "oracle", (-2, 1, -2)),
-                (-one, "oracle", (1, -2, -2)),
-                (-one, "oracle", (-2, -1)),
-                (-one, "oracle", (-1, -2)),
-            ],
-            (-2, -2, 1),
-        ),
-    ]
-
-
-def _eval_term_table(kind: str, payload: object, n_max: int) -> list[Fraction]:
-    if kind == "star":
-        poly = h_x1star_closed_form(payload)
-        return [poly.eval(n) for n in range(n_max + 1)]
-    if kind == "word":
-        return h_word_table(payload, n_max)
-    if kind == "stuffle":
-        s, star = payload
-        # H_w(N) vanishes when depth(w) > N, so expanding the star to depth
-        # n_max keeps every contributing word and the check stays exact.
-        image = x1star_y_expansion(star, n_max)
-        return h_poly_table(stuffle(NCPoly.from_word(Word((s,), Y)), image), n_max)
-    if kind == "oracle":
-        return h_signed_table(payload, n_max)
-    raise ValueError(f"unknown term kind {kind!r}")
-
-
-def mixed_identity_failure(identity, n_max: int) -> int | None:
-    """The first N <= n_max where a row of :func:`mixed_identities` fails; None if none."""
-    _, lhs_terms, oracle_index = identity
-    tables = [(c, _eval_term_table(kind, payload, n_max)) for c, kind, payload in lhs_terms]
-    lhs = [sum(c * vec[n] for c, vec in tables) for n in range(n_max + 1)]
-    rhs = h_signed_table(oracle_index, n_max)
-    return next((n for n in range(n_max + 1) if lhs[n] != rhs[n]), None)

@@ -142,11 +142,6 @@ class Word:
             return len(self.letters)
         return sum(self.letters)
 
-    @property
-    def weight(self) -> int:
-        """Alias of :attr:`grade` for Y-words; for X-words the length."""
-        return self.grade
-
     def concat(self, other: "Word") -> "Word":
         if self.alphabet != other.alphabet:
             raise AlphabetError("cannot concatenate words over different alphabets")
@@ -466,8 +461,8 @@ class NPoly:
         return self.padded(self.degree)
 
     def padded(self, n: int) -> tuple[Fraction, ...]:
-        """Coefficients 0..n as Fractions, cut or zero-padded to n + 1 entries."""
-        head = tuple(Fraction(x, self.den) for x in self.nums[: n + 1])
+        """Coefficients 0..n as Fractions, cut or zero-padded to n + 1 entries; none for n < 0."""
+        head = tuple(Fraction(x, self.den) for x in self.nums[: max(n + 1, 0)])
         return head + (ZERO,) * (n + 1 - len(head))
 
     def coeff(self, j: int) -> Fraction:
@@ -500,10 +495,10 @@ class NPoly:
 
     @staticmethod
     def lin_comb(terms: Iterable[tuple[RatLike, "NPoly"]], n: int | None = None) -> "NPoly":
-        """sum_k c_k p_k in ints over one denominator, cut to degree n when given."""
+        """sum_k c_k p_k in ints over one denominator; with n, cut to degree n (zero if n < 0)."""
         terms = [(as_rat(c), p) for c, p in terms]
         den = lcm(1, *(c.denominator * p.den for c, p in terms))
-        size = max((len(p.nums) for _, p in terms), default=0) if n is None else n + 1
+        size = max((len(p.nums) for _, p in terms), default=0) if n is None else max(n + 1, 0)
         acc = [0] * size
         for c, p in terms:
             k = c.numerator * (den // (c.denominator * p.den))
@@ -528,10 +523,10 @@ class NPoly:
     __rmul__ = __mul__
 
     def mul_trunc(self, other: "NPoly", n: int) -> "NPoly":
-        """Cauchy product cut to degree n."""
+        """Cauchy product cut to degree n; zero for n < 0."""
         ys = other.nums
         out = [0] * (n + 1)
-        for i, x in enumerate(self.nums[: n + 1]):
+        for i, x in enumerate(self.nums[: max(n + 1, 0)]):
             if not x:
                 continue
             for j, y in enumerate(ys[: n + 1 - i]):
@@ -544,8 +539,8 @@ class NPoly:
         return NPoly([x * y for x, y in zip(self.nums, other.nums)], self.den * other.den)
 
     def prefix_sums(self, n: int) -> "NPoly":
-        """Coefficients 0..n of p/(1-z): b_k = p_0 + ... + p_k."""
-        head = self.nums[: n + 1]
+        """Coefficients 0..n of p/(1-z): b_k = p_0 + ... + p_k; zero for n < 0."""
+        head = self.nums[: max(n + 1, 0)]
         return NPoly(accumulate(head + (0,) * (n + 1 - len(head))), self.den)
 
     def star_inverse(self, n: int) -> "NPoly":
@@ -554,6 +549,8 @@ class NPoly:
         With p_k = s_k / d the coefficients are T_k / d^k for the integers
         T_k = -(s_k d^(k-1) + sum_{0<i<k} s_i d^(i-1) T_(k-i)).
         """
+        if n < 0:
+            raise ValueError(f"star inverse needs a degree n >= 0, got {n}")
         p, d = self.nums, self.den
         s = [0] + [p[i] * d ** (i - 1) if i < len(p) else 0 for i in range(1, n + 1)]
         t = [0]
@@ -594,9 +591,6 @@ class NPoly:
 
     def __bool__(self) -> bool:
         return bool(self.nums)
-
-    def to_json_dict(self) -> dict:
-        return {"coeffs": [str(c) for c in self.coeffs]}
 
     def _monomials(self, var: str) -> list[tuple[str, str]]:
         """The nonzero (coefficient text, var^j) terms, ascending, for :func:`format_terms`."""

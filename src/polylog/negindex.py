@@ -120,9 +120,6 @@ class RatFuncAtOne:
         series = NPoly([comb(n + m - 1, m - 1) for n in range(n_cap + 1)], 1) if m else _ONE
         return list(self.p.mul_trunc(series, n_cap).padded(n_cap))
 
-    def to_json_dict(self) -> dict:
-        return {"num": [str(c) for c in self.num], "pole_order": self.pole_order}
-
     def __str__(self) -> str:
         num = format_terms(self.p._monomials("z"))
         if self.pole_order == 0:

@@ -92,9 +92,6 @@ class TaylorTrunc:
     def __repr__(self) -> str:
         return f"TaylorTrunc(coeffs={self.coeffs!r})"
 
-    def to_json_dict(self) -> dict:
-        return {"mode": "exact", "coeffs": [str(c) for c in self.coeffs]}
-
 
 def _require_compatible(a: TaylorTrunc, b: TaylorTrunc) -> None:
     if a.n_cap != b.n_cap:
@@ -106,8 +103,6 @@ def li_taylor_coeffs(s: Sequence[int], n_cap: int) -> TaylorTrunc:
 
     The empty index gives the constant series 1.
     """
-    if n_cap < 0:
-        raise ValueError("n_cap must be >= 0")
     return TaylorTrunc._of(_taylor_map([(1, tuple(s))], n_cap), n_cap)
 
 
@@ -342,18 +337,6 @@ class DomRadiusReport:
     partial_sum: Fraction
     closed_form: Fraction | None
     tail_bound: Fraction | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "t": str(self.t),
-            "r": str(self.r),
-            "m_cap": self.m_cap,
-            "ratio": str(self.ratio),
-            "converges": self.converges,
-            "partial_sum": str(self.partial_sum),
-            "closed_form": None if self.closed_form is None else str(self.closed_form),
-            "tail_bound": None if self.tail_bound is None else str(self.tail_bound),
-        }
 
 
 def dom_radius_demo(t, r, m_cap: int) -> DomRadiusReport:

@@ -8,8 +8,9 @@ The three products are bilinear extensions of their word-level recursions:
 * stuffle: y_s u <st> y_t v = y_s(u <st> y_t v) + y_t(y_s u <st> v)
   + y_{s+t}(u <st> v), defined over Y only.
 
-Word-level products have integer structure constants and are memoized; the
-caches are read-mostly and behave as if absent (recomputation is the only
+Shuffle and stuffle are quasi-shuffle products, the shuffle without the
+contraction y_{s+t}, so one memoized word recursion serves both (Hoffman 2000).
+Its caches are read-mostly and behave as if absent (recomputation is the only
 cost of a race), so everything here stays safe for concurrent use.
 
 The bilinear extensions sum over (p, q) pairs on Python ints: each operand's
@@ -41,39 +42,33 @@ from .nc_core import AlphabetError, NCPoly, Word, Y
 Letters = tuple[int, ...]
 
 
-@lru_cache(maxsize=None)
-def _shuffle_letters(u: Letters, v: Letters) -> dict[Letters, int]:
-    if not u:
-        return {v: 1}
-    if not v:
-        return {u: 1}
-    out: dict[Letters, int] = {}
-    for w, c in _shuffle_letters(u[1:], v).items():
-        key = (u[0],) + w
-        out[key] = out.get(key, 0) + c
-    for w, c in _shuffle_letters(u, v[1:]).items():
-        key = (v[0],) + w
-        out[key] = out.get(key, 0) + c
-    return out
+def _word_product(contract: bool):
+    """The memoized quasi-shuffle of letter tuples; the term (a+b)(u * v) only if ``contract``."""
+
+    @lru_cache(maxsize=None)
+    def product(u: Letters, v: Letters) -> dict[Letters, int]:
+        if not u:
+            return {v: 1}
+        if not v:
+            return {u: 1}
+        out: dict[Letters, int] = {}
+        for w, c in product(u[1:], v).items():
+            key = (u[0],) + w
+            out[key] = out.get(key, 0) + c
+        for w, c in product(u, v[1:]).items():
+            key = (v[0],) + w
+            out[key] = out.get(key, 0) + c
+        if contract:
+            for w, c in product(u[1:], v[1:]).items():
+                key = (u[0] + v[0],) + w
+                out[key] = out.get(key, 0) + c
+        return out
+
+    return product
 
 
-@lru_cache(maxsize=None)
-def _stuffle_letters(u: Letters, v: Letters) -> dict[Letters, int]:
-    if not u:
-        return {v: 1}
-    if not v:
-        return {u: 1}
-    out: dict[Letters, int] = {}
-    for w, c in _stuffle_letters(u[1:], v).items():
-        key = (u[0],) + w
-        out[key] = out.get(key, 0) + c
-    for w, c in _stuffle_letters(u, v[1:]).items():
-        key = (v[0],) + w
-        out[key] = out.get(key, 0) + c
-    for w, c in _stuffle_letters(u[1:], v[1:]).items():
-        key = (u[0] + v[0],) + w
-        out[key] = out.get(key, 0) + c
-    return out
+_shuffle_letters = _word_product(False)
+_stuffle_letters = _word_product(True)
 
 
 def _check_cap(grade_cap: int | None) -> None:

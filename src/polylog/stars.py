@@ -121,6 +121,8 @@ def x1star_expand(k: int, len_cap: int) -> NCPoly:
 
 def x1star_poly_expand(s: X1StarPoly, len_cap: int) -> NCPoly:
     """Truncated expansion of sum_k c_k (k x1)* into x1^n with coefficients sum_k c_k k^n."""
+    if len_cap < 0:
+        raise ValueError(f"length cap must be >= 0, got {len_cap}")
     nums, den = s.poly.nums, s.poly.den
     sums = ((n, sum(x * k**n for k, x in enumerate(nums) if x)) for n in range(len_cap + 1))
     return NCPoly._canonical(X, {Word((X1,) * n, X): Fraction(c, den) for n, c in sums if c})
@@ -185,6 +187,8 @@ def plane_element_poly(base: PlaneStarBase | PlaneStar) -> NCPoly:
 
 def plane_star_expand(a: PlaneStar, weight_cap: int) -> NCPoly:
     """All words y_{s1}...y_{sr} of weight <= cap with coefficient prod alpha_{s_i} = prod nums / den^r."""
+    if weight_cap < 0:
+        raise ValueError(f"weight cap must be >= 0, got {weight_cap}")
     nums, den = a.poly.nums, a.poly.den
     letters = [(s, nums[s]) for s in range(1, min(len(nums), weight_cap + 1)) if nums[s]]
     terms = {Word((), Y): ONE}

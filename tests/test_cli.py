@@ -504,6 +504,27 @@ class TestCommands:
         env = {**os.environ, "PYTHONPATH": src}
         assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
 
+    def test_request_leaves_checks_unloaded(self):
+        # a fresh process answers a request without building the identity registry
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        probe = (
+            "import sys; from polylog.cli import main; code = main(['stuffle', 'y1', 'y2']); "
+            "print('polylog.checks' in sys.modules); sys.exit(code)"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+        *answer, loaded = run.stdout.splitlines()
+        assert run.returncode == 0 and loaded == "False"
+        assert json.loads("\n".join(answer))["terms"] == {"3": "1", "1,2": "1", "2,1": "1"}
+
+    @pytest.mark.parametrize("suite", ["mixed", "all"])
+    @pytest.mark.parametrize("ncap", ["-1", "-40"])
+    def test_verify_negative_ncap_is_json_error(self, capsys, suite, ncap):
+        code, out = self._run(capsys, "verify", "--suite", suite, "--ncap", ncap)
+        error = json.loads(out)["error"]
+        assert code == 2 and error["code"] == "ArgumentError"
+        assert error["message"].endswith(f"polylog verify: argument --ncap: must be >= 0, got {ncap}")
+
     def test_verify_mixed_with_ncap(self, capsys):
         code, out = self._run(capsys, "verify", "--suite", "mixed", "--ncap", "10")
         assert code == 0

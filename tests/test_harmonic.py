@@ -58,8 +58,24 @@ class TestNPoly:
     def test_from_monomials(self):
         assert NPoly.from_monomials({2: F(1, 2), 0: -1}) == NPoly([-1, 0, F(1, 2)])
 
-    def test_json(self):
-        assert NPoly([0, F(-1, 60)]).to_json_dict() == {"coeffs": ["0", "-1/60"]}
+
+@pytest.mark.parametrize("n", [-1, -2])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: h_poly_eval(NCPoly.from_word(y_word(1)), n),
+        lambda n: h_poly_table(NCPoly.from_word(y_word(1)), n),
+        lambda n: h_signed_table((1,), n),
+        lambda n: h_signed_eval((2, -1), n),
+        lambda n: h_word_table(y_word(2, 1), n),
+        lambda n: h_word_table(Word((), Y), n),
+        lambda n: h_word_eval(y_word(1), n),
+    ],
+    ids=["poly_eval", "poly_table", "signed_table", "signed_eval", "word_table", "empty_word", "word_eval"],
+)
+def test_negative_n_is_refused(call, n):
+    with pytest.raises(ValueError):
+        call(n)
 
 
 class TestHWordEval:
@@ -282,7 +298,7 @@ class TestMixedExamples:
         assert poly == NPoly([0, F(-1, 36), F(-1, 12), F(1, 9)])
 
     def test_trivial_cap(self):
-        assert all(harmonic.mixed_identity_failure(row, 0) is None for row in harmonic.mixed_identities())
+        assert all(checks.mixed_identity_failure(row, 0) is None for row in checks.mixed_identities())
 
     def test_report_serialization(self, capsys):
         assert main(["verify", "--suite", "mixed", "--ncap", "5", "--json"]) == 0

@@ -300,5 +300,23 @@ class TestDenseKernel:
         assert p.star_inverse(0) == NPoly() and p.exp_m1(0) == NPoly()
         with pytest.raises(ValueError, match="n >= 0"):
             p.exp_m1(-1)
+        with pytest.raises(ValueError, match="n >= 0"):
+            NPoly([0, 1], 2).star_inverse(-1)
         assert NPoly.lin_comb([(3, p)], 0) == NPoly() and NPoly.lin_comb([]) == NPoly()
         assert NPoly([1, 2]).prefix_sums(0).padded(0) == (Fraction(1),)
+
+    @pytest.mark.parametrize("n", [-1, -2, -3, -5])
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            lambda p, n: p.prefix_sums(n),
+            lambda p, n: NPoly.lin_comb([(1, p)], n),
+            lambda p, n: p.mul_trunc(p, n),
+            lambda p, n: NPoly(p.padded(n)),
+        ],
+        ids=["prefix_sums", "lin_comb", "mul_trunc", "padded"],
+    )
+    def test_negative_degree_is_zero(self, kernel, n):
+        # a negative cut never reads from the end of the tuple: every degree is zero
+        p = NPoly([1, 2, 3, 4], 1)
+        assert kernel(p, n) == NPoly()

@@ -43,6 +43,22 @@ def _y_words(max_weight):
     return out
 
 
+@pytest.mark.parametrize("n_cap", [-1, -2])
+@pytest.mark.parametrize(
+    "series",
+    [
+        lambda n: li_taylor_coeffs((2, 1), n),
+        lambda n: li_taylor_coeffs((), n),
+        lambda n: li_taylor_poly(NCPoly.from_word(x_word("01")), n),
+        lambda n: li_taylor_poly(NCPoly.one(X), n),
+    ],
+    ids=["coeffs", "coeffs_empty_index", "poly", "poly_constant"],
+)
+def test_negative_cap_is_refused(series, n_cap):
+    with pytest.raises(ValueError, match="n_cap must be >= 0"):
+        series(n_cap)
+
+
 class TestTaylorCoeffs:
     def test_dilogarithm(self):
         t = li_taylor_coeffs((2,), 10)
@@ -324,11 +340,6 @@ class TestDomRadius:
             dom_radius_demo(1, F(3, 2), 10)
         with pytest.raises(ValueError):
             dom_radius_demo(1, 0, 10)
-
-    def test_json(self):
-        payload = dom_radius_demo(1, F(1, 4), 5).to_json_dict()
-        assert payload["converges"] is True
-        assert payload["closed_form"] == "3/2"
 
 
 def _naive_cauchy(a, b):

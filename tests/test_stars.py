@@ -18,6 +18,7 @@ from polylog.stars import (
     plane_star_stuffle,
     x1star_expand,
     x1star_poly_expand,
+    x1star_y_expansion,
     ykstar_exp_identity,
 )
 
@@ -224,6 +225,23 @@ class TestPlaneStarView:
         assert repr(a) == "PlaneStar(alpha=(Fraction(1, 1), Fraction(1, 2)))"
         with pytest.raises(TypeError):
             hash(a)
+
+
+@pytest.mark.parametrize("cap", [-1, -3])
+@pytest.mark.parametrize(
+    "expand",
+    [
+        lambda cap: plane_star_expand(PlaneStar.make([1, Fraction(1, 2)]), cap),
+        lambda cap: x1star_poly_expand(X1StarPoly({0: 1, 2: 3}), cap),
+        lambda cap: x1star_expand(2, cap),
+        lambda cap: x1star_y_expansion(X1StarPoly({1: 1}), cap),
+        lambda cap: exp_stuffle(NCPoly.from_word(y_word(1)), cap),
+    ],
+    ids=["plane_star", "x1star_poly", "x1star", "x1star_y", "exp_stuffle"],
+)
+def test_negative_cap_is_refused(expand, cap):
+    with pytest.raises(ValueError, match="cap must be >= 0"):
+        expand(cap)
 
 
 class TestPlaneStarExpand:
