@@ -19,80 +19,61 @@ The package computes, with exact rational arithmetic throughout:
 * the registry of identity checks that ``polylog verify`` and the
   acceptance tests run (:mod:`polylog.checks`), and an expression parser
   and CLI (:mod:`polylog.cli`).
+
+``import polylog`` loads none of these modules.  Each name below is resolved
+from its module on first use (PEP 562) and then kept as a module attribute, so
+``polylog.shuffle`` loads :mod:`polylog.products` and what it imports, and
+nothing else; ``from polylog import *`` binds every name in ``__all__``.
 """
 
-from .nc_core import (
-    AlphabetError,
-    InvalidIndexError,
-    NCPoly,
-    NPoly,
-    NotInImageError,
-    PolylogError,
-    Word,
-    as_rat,
-    index_from_word,
-    word_from_index,
-    word_from_text,
-    x_word,
-    y_word,
-)
-from .products import conc, exp_stuffle, shuffle, shuffle_pow, stuffle, stuffle_pow
-from .coding import (
-    PlaneStarBase,
-    QSeriesTrunc,
-    in_image,
-    pi_x,
-    pi_x_word,
-    pi_y,
-    pi_y_word,
-    plane_to_umbra,
-    umbra_to_plane,
-)
-from .stars import (
-    LetterStarForm,
-    PlaneStar,
-    X1StarPoly,
-    check_kstar_shuffle_power,
-    letter_star_li,
-    one_param_group,
-    plane_star_expand,
-    plane_star_inverse,
-    plane_star_stuffle,
-    x1star_expand,
-    ykstar_exp_identity,
-)
-from .negindex import (
-    NotRepresentableError,
-    RatFuncAtOne,
-    li_nonpositive,
-    li_nonpositive_stars,
-    ratfunc_to_x1star,
-    regularize_trailing_x0,
-    theta_derivative,
-    x1star_to_ratfunc,
-)
-from .harmonic import (
-    h_negindex_closed_form,
-    h_poly_eval,
-    h_signed_eval,
-    h_stuffle_check,
-    h_word_eval,
-    h_x1star_closed_form,
-)
-from .polylog_num import (
-    DomRadiusReport,
-    PrecisionError,
-    TaylorTrunc,
-    check_derivative_recursion,
-    check_hadamard_identity,
-    check_shuffle_morphism,
-    check_surjection_lemma,
-    div_one_minus_z,
-    dom_radius_demo,
-    hadamard,
-    li_eval,
-    li_taylor_coeffs,
-    stirling2,
-)
+import importlib
 
+# each exported name, by the submodule that defines it
+_EXPORTS = {
+    "nc_core": (
+        "AlphabetError", "InvalidIndexError", "NCPoly", "NPoly", "NotInImageError",
+        "PolylogError", "Word", "as_rat", "index_from_word", "word_from_index",
+        "word_from_text", "x_word", "y_word",
+    ),
+    "products": ("conc", "exp_stuffle", "shuffle", "shuffle_pow", "stuffle", "stuffle_pow"),
+    "coding": (
+        "PlaneStarBase", "QSeriesTrunc", "in_image", "pi_x", "pi_x_word", "pi_y", "pi_y_word",
+        "plane_to_umbra", "umbra_to_plane",
+    ),
+    "stars": (
+        "LetterStarForm", "PlaneStar", "X1StarPoly", "check_kstar_shuffle_power",
+        "letter_star_li", "one_param_group", "plane_star_expand", "plane_star_inverse",
+        "plane_star_stuffle", "x1star_expand", "ykstar_exp_identity",
+    ),
+    "negindex": (
+        "NotRepresentableError", "RatFuncAtOne", "li_nonpositive", "li_nonpositive_stars",
+        "ratfunc_to_x1star", "regularize_trailing_x0", "theta_derivative", "x1star_to_ratfunc",
+    ),
+    "harmonic": (
+        "h_negindex_closed_form", "h_poly_eval", "h_signed_eval", "h_stuffle_check",
+        "h_word_eval", "h_x1star_closed_form",
+    ),
+    "polylog_num": (
+        "DomRadiusReport", "PrecisionError", "TaylorTrunc", "check_derivative_recursion",
+        "check_hadamard_identity", "check_shuffle_morphism", "check_surjection_lemma",
+        "div_one_minus_z", "dom_radius_demo", "hadamard", "li_eval", "li_taylor_coeffs",
+        "stirling2",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups find it without calling __getattr__
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -36,11 +36,13 @@ import sys
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from typing import NamedTuple
 
-from . import harmonic, negindex, polylog_num, products, stars
+# harmonic, negindex and polylog_num are imported by the commands that use them,
+# so that a product request starts without compiling them
+from . import products, stars
 from .coding import pi_x, pi_y
 from .nc_core import ONE, NCPoly, PolylogError, Word, X, Y, format_terms, x_word, y_word
 from .stars import PlaneStar, X1StarPoly, star_terms_text
@@ -261,8 +263,7 @@ def parse(src: str) -> Expr:
 # -- evaluation --------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Scalar:
+class Scalar(NamedTuple):
     value: Fraction
 
 
@@ -515,6 +516,8 @@ def cmd_product(args) -> int:
 
 
 def cmd_neg_li(args) -> int:
+    from . import negindex
+
     index = _parse_index_arg(args.index)
     s = negindex.li_nonpositive_stars(index)
     f = negindex.x1star_to_ratfunc(s)
@@ -525,6 +528,8 @@ def cmd_neg_li(args) -> int:
 
 
 def cmd_h_closed_form(args) -> int:
+    from . import harmonic
+
     if _looks_like_index(args.form):
         npoly = harmonic.h_negindex_closed_form(_parse_index_arg(args.form))
     else:
@@ -545,12 +550,16 @@ def cmd_h_closed_form(args) -> int:
 
 
 def cmd_h_eval(args) -> int:
+    from . import harmonic
+
     index = _parse_index_arg(args.index)
     _print_json(str(harmonic.h_signed_eval(index, args.n)))
     return 0
 
 
 def cmd_li_coeffs(args) -> int:
+    from . import polylog_num
+
     index = _parse_index_arg(args.index)
     if args.float_mode:
         mode, coeffs = "float", polylog_num._li_float_coeffs(index, args.ncap)
@@ -567,6 +576,8 @@ def cmd_li_coeffs(args) -> int:
 
 
 def cmd_li_eval(args) -> int:
+    from . import polylog_num
+
     index = _parse_index_arg(args.index)
     try:
         z = complex(args.z)
@@ -584,9 +595,10 @@ def cmd_verify(args) -> int:
     if args.suite not in choices:
         valid = ", ".join(map(repr, choices))
         message = f"argument --suite: invalid choice: {args.suite!r} (choose from {valid})"
-        _make_parser().error(f"polylog verify: {message}")
+        raise argparse.ArgumentError(None, f"polylog verify: {message}")
     if args.ncap is not None and args.ncap < 0:
-        _make_parser().error(f"polylog verify: argument --ncap: must be >= 0, got {args.ncap}")
+        message = f"argument --ncap: must be >= 0, got {args.ncap}"
+        raise argparse.ArgumentError(None, f"polylog verify: {message}")
     names = list(checks.SUITES) if args.suite == "all" else [args.suite]
     seed = checks.DEFAULT_SEED if args.seed is None else args.seed
     results: list[tuple[str, checks.CheckResult]] = []
@@ -625,8 +637,11 @@ _NEGATIVE_INDEX_RE = re.compile(r"^-[^A-Za-z-]")
 
 class _ArgParser(argparse.ArgumentParser):
     def error(self, message: str):
-        # argparse would print usage and exit; main answers with a JSON error instead
-        raise argparse.ArgumentError(None, f"{self.prog}: {message}")
+        # argparse would print usage and exit; main answers with a JSON error instead.
+        # An error this parser or a subcommand's parser already named ("polylog h-eval: ...")
+        # comes back here as it propagates: it keeps that one prefix.
+        named = message.startswith(self.prog)
+        raise argparse.ArgumentError(None, message if named else f"{self.prog}: {message}")
 
 
 @cache

@@ -32,7 +32,6 @@ combination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, zip_longest
 from math import lcm, perm
@@ -108,25 +107,45 @@ def _check_alphabet(alphabet: str) -> None:
         raise AlphabetError(f"unknown alphabet {alphabet!r}; expected 'X' or 'Y'")
 
 
-@dataclass(frozen=True, slots=True)
 class Word:
     """An immutable word over the X or Y alphabet.
 
     ``letters`` holds 0/1 values for the X alphabet and indices s >= 1 for
     the Y alphabet.  The empty tuple is the unit word of either alphabet.
+    Words are values: equal and hashed by (letters, alphabet), read-only,
+    and rebuilt through the constructor by pickle and copy.
     """
 
-    letters: tuple[int, ...]
-    alphabet: str = X
+    __slots__ = ("letters", "alphabet")
 
-    def __post_init__(self) -> None:
-        _check_alphabet(self.alphabet)
-        if self.alphabet == X:
-            if any(b not in (0, 1) for b in self.letters):
-                raise AlphabetError(f"X-word letters must be 0 or 1, got {self.letters}")
-        else:
-            if any(s < 1 for s in self.letters):
-                raise AlphabetError(f"Y-word indices must be >= 1, got {self.letters}")
+    def __init__(self, letters: tuple[int, ...], alphabet: str = X) -> None:
+        _check_alphabet(alphabet)
+        if alphabet == X and any(b not in (0, 1) for b in letters):
+            raise AlphabetError(f"X-word letters must be 0 or 1, got {letters}")
+        if alphabet == Y and any(s < 1 for s in letters):
+            raise AlphabetError(f"Y-word indices must be >= 1, got {letters}")
+        object.__setattr__(self, "letters", letters)  # the class's own __setattr__ refuses
+        object.__setattr__(self, "alphabet", alphabet)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, (self.letters, self.alphabet)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.letters == other.letters and self.alphabet == other.alphabet
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.letters, self.alphabet))
+
+    def __repr__(self) -> str:
+        return f"Word(letters={self.letters!r}, alphabet={self.alphabet!r})"
 
     def __len__(self) -> int:
         return len(self.letters)

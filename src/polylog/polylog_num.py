@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import factorial
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .harmonic import _h_poly_vector, _prefix_rows, _taylor_map
 from .nc_core import (
@@ -320,8 +319,7 @@ def check_surjection_lemma(n_max: int, m_max: int) -> bool:
 # -- radius-of-summability diagnostic ---------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class DomRadiusReport:
+class DomRadiusReport(NamedTuple):
     """Behaviour of the partial sums M_m(r) = sum_{m'<=m} (t r/(1-r))^m'.
 
     For r < 1/(t+1) the sums converge geometrically to
@@ -360,19 +358,6 @@ def dom_radius_demo(t, r, m_cap: int) -> DomRadiusReport:
         partial += term
         term *= ratio
     converges = ratio < 1
-    if converges:
-        closed = (1 - r) / (1 - (t + 1) * r)
-        tail = ratio ** (m_cap + 1) / (1 - ratio)
-    else:
-        closed = None
-        tail = None
-    return DomRadiusReport(
-        t=t,
-        r=r,
-        m_cap=m_cap,
-        ratio=ratio,
-        converges=converges,
-        partial_sum=partial,
-        closed_form=closed,
-        tail_bound=tail,
-    )
+    closed = (1 - r) / (1 - (t + 1) * r) if converges else None
+    tail = ratio ** (m_cap + 1) / (1 - ratio) if converges else None
+    return DomRadiusReport(t, r, m_cap, ratio, converges, partial, closed, tail)

@@ -23,9 +23,8 @@ into words run on its integer numerators, building one Fraction per word.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .coding import PlaneStarBase, QSeriesTrunc, pi_y
 from .nc_core import NCPoly, NPoly, ONE, RatLike, Word, X, X1, Y, ZERO, as_rat, format_terms
@@ -229,8 +228,7 @@ def ykstar_exp_identity(k: int, z: RatLike, weight_cap: int) -> bool:
     return lhs == rhs
 
 
-@dataclass(frozen=True, slots=True)
-class LetterStarForm:
+class LetterStarForm(NamedTuple):
     """Closed form z^alpha (1-z)^(-beta) of the letter star (a x0 + b x1)*."""
 
     alpha: Fraction

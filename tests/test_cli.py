@@ -301,6 +301,37 @@ class TestPrintedForms:
         assert payload["stars_text" if argv[0] == "neg-li" else "text"] == text
 
 
+# a request in a fresh process: (the module it imports, a check of its stdout)
+_FRESH_ANSWERS = {
+    "neg-li -2,-1": ("negindex", lambda out: json.loads(out)["stars"]["5"] == "12"),
+    "h-closed-form -1": ("harmonic", lambda out: json.loads(out)["coeffs"] == ["0", "1/2", "1/2"]),
+    "h-eval (-2,-1) 3": ("harmonic", lambda out: json.loads(out) == "31"),
+    "li-coeffs 2 4": (
+        "polylog_num",
+        lambda out: json.loads(out) == {"mode": "exact", "coeffs": ["0", "1", "1/4", "1/9", "1/16"]},
+    ),
+    "li-coeffs 2 3 --float": (
+        "polylog_num",
+        lambda out: json.loads(out) == {"mode": "float", "coeffs": [0.0, 1.0, 0.25, 1 / 9]},
+    ),
+    "li-eval 1 0.5 1e-10": (
+        "polylog_num",
+        lambda out: abs(json.loads(out)["re"] - 0.6931471805599453) <= 1e-10,
+    ),
+    "verify --suite stirling": ("checks", lambda out: out.endswith("# 2/2 checks passed")),
+}
+
+# usage errors: each message names the program or the subcommand once
+_COMMANDS = "'shuffle', 'stuffle', 'neg-li', 'h-closed-form', 'h-eval', 'li-coeffs', 'li-eval', 'verify'"
+_USAGE_ERRORS = {
+    "h-eval 1 x": "polylog h-eval: argument n: invalid int value: 'x'",
+    "h-eval 1": "polylog h-eval: the following arguments are required: n",
+    "bogus": f"polylog: argument command: invalid choice: 'bogus' (choose from {_COMMANDS})",
+    "verify --suite bogus": "polylog verify: argument --suite: invalid choice: 'bogus' "
+    f"(choose from {', '.join(map(repr, [*checks.SUITES, 'all']))})",
+}
+
+
 class TestCommands:
     def _run(self, capsys, *argv):
         code = main(list(argv))
@@ -504,18 +535,42 @@ class TestCommands:
         env = {**os.environ, "PYTHONPATH": src}
         assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
 
-    def test_request_leaves_checks_unloaded(self):
-        # a fresh process answers a request without building the identity registry
+    @staticmethod
+    def _fresh(*argv):
+        """Exit code, stdout and loaded package modules of ``polylog argv`` in a fresh interpreter."""
         src = str(Path(__file__).resolve().parents[1] / "src")
         probe = (
-            "import sys; from polylog.cli import main; code = main(['stuffle', 'y1', 'y2']); "
-            "print('polylog.checks' in sys.modules); sys.exit(code)"
+            "import json, sys; from polylog.cli import main; code = main(sys.argv[1:]); "
+            "loaded = [m for m in sys.modules if m.startswith('polylog') or m == 'dataclasses']; "
+            "print(json.dumps(loaded)); sys.exit(code)"
         )
         env = {**os.environ, "PYTHONPATH": src}
-        run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+        run = subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True)
         *answer, loaded = run.stdout.splitlines()
-        assert run.returncode == 0 and loaded == "False"
-        assert json.loads("\n".join(answer))["terms"] == {"3": "1", "1,2": "1", "2,1": "1"}
+        return run.returncode, "\n".join(answer), set(json.loads(loaded))
+
+    def test_request_leaves_checks_unloaded(self):
+        # a fresh process answers a product request with the modules products need, and no others
+        code, out, loaded = self._fresh("stuffle", "y1", "y2")
+        assert code == 0 and json.loads(out)["terms"] == {"3": "1", "1,2": "1", "2,1": "1"}
+        unused = {"checks", "harmonic", "negindex", "polylog_num"}
+        assert not loaded & {"dataclasses", *(f"polylog.{m}" for m in unused)}
+        used = {"cli", "nc_core", "products", "coding", "stars"}
+        assert loaded == {"polylog", *(f"polylog.{m}" for m in used)}
+
+    @pytest.mark.parametrize("request_text", list(_FRESH_ANSWERS))
+    def test_fresh_process_imports_what_it_uses(self, request_text):
+        # each command imports its own modules on first use
+        module, answered = _FRESH_ANSWERS[request_text]
+        code, out, loaded = self._fresh(*request_text.split())
+        assert code == 0 and answered(out)
+        assert f"polylog.{module}" in loaded
+
+    @pytest.mark.parametrize("request_text", list(_USAGE_ERRORS))
+    def test_usage_error_names_its_command_once(self, capsys, request_text):
+        code, out = self._run(capsys, *request_text.split())
+        error = {"code": "ArgumentError", "message": _USAGE_ERRORS[request_text]}
+        assert code == 2 and json.loads(out)["error"] == error
 
     @pytest.mark.parametrize("suite", ["mixed", "all"])
     @pytest.mark.parametrize("ncap", ["-1", "-40"])
@@ -523,7 +578,7 @@ class TestCommands:
         code, out = self._run(capsys, "verify", "--suite", suite, "--ncap", ncap)
         error = json.loads(out)["error"]
         assert code == 2 and error["code"] == "ArgumentError"
-        assert error["message"].endswith(f"polylog verify: argument --ncap: must be >= 0, got {ncap}")
+        assert error["message"] == f"polylog verify: argument --ncap: must be >= 0, got {ncap}"
 
     def test_verify_mixed_with_ncap(self, capsys):
         code, out = self._run(capsys, "verify", "--suite", "mixed", "--ncap", "10")

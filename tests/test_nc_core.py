@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -77,6 +79,49 @@ class TestWords:
         assert x_word("100").trailing_x0_count == 2
         assert x_word("01").trailing_x0_count == 0
         assert Word((), X).trailing_x0_count == 0
+
+
+_VALUE_WORDS = [x_word("0110"), Word((), X), y_word(2, 1), y_word(12), Word((), Y)]
+_COPIERS = {
+    "pickle": lambda w: pickle.loads(pickle.dumps(w)),
+    "pickle-0": lambda w: pickle.loads(pickle.dumps(w, protocol=0)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+
+
+class TestWordValue:
+    @pytest.mark.parametrize("copier", list(_COPIERS.values()), ids=list(_COPIERS))
+    @pytest.mark.parametrize("w", _VALUE_WORDS, ids=lambda w: f"{w.alphabet}:{w.text()}")
+    def test_round_trips(self, copier, w):
+        back = copier(w)
+        assert type(back) is Word and back == w and hash(back) == hash(w)
+        assert (back.letters, back.alphabet) == (w.letters, w.alphabet)
+
+    @pytest.mark.parametrize("field", ["letters", "alphabet"])
+    def test_read_only(self, field):
+        w = y_word(2, 1)
+        with pytest.raises(AttributeError):
+            setattr(w, field, (1,) if field == "letters" else X)
+        with pytest.raises(AttributeError):
+            delattr(w, field)
+        with pytest.raises(AttributeError):
+            w.other = 1
+        assert w == y_word(2, 1)
+
+    def test_equal_words_hash_equal(self):
+        for w in _VALUE_WORDS:
+            twin = Word(tuple(w.letters), w.alphabet)
+            assert twin == w and hash(twin) == hash(w) and twin is not w
+        # same letters over the other alphabet, and a plain tuple, are other values
+        assert x_word("1") != y_word(1) and x_word("1") != ((1,), X)
+        assert len({x_word("1"), y_word(1), Word((1,), X)}) == 2
+
+    def test_keyword_construction_and_repr(self):
+        w = Word(letters=(0, 1), alphabet=X)
+        assert w == x_word("01") and Word((3,), alphabet=Y) == y_word(3)
+        assert repr(w) == "Word(letters=(0, 1), alphabet='X')"
+        assert Word((1,)) == x_word("1")  # X is the default alphabet
 
 
 def _random_poly(rng, alphabet, max_len=3, max_terms=4):
