@@ -44,7 +44,7 @@ from typing import NamedTuple
 # so that a product request starts without compiling them
 from . import products, stars
 from .coding import pi_x, pi_y
-from .nc_core import ONE, NCPoly, PolylogError, Word, X, Y, format_terms, x_word, y_word
+from .nc_core import ONE, NCPoly, PolylogError, X, Y, format_terms
 from .stars import PlaneStar, X1StarPoly, star_terms_text
 
 # the most decimal digits of an integer a result prints (CPython's int-to-str limit)
@@ -105,7 +105,7 @@ def _tokenize(src: str) -> list[Token]:
 #
 # A node is a tuple tagged by its first entry:
 #   ("num", value, pos)            a rational
-#   ("word", word, pos)            an X- or Y-word
+#   ("word", alphabet, letters, pos)  an X- or Y-word, its letters a tuple of ints
 #   ("star", order, pos)           star(k)
 #   ("plane", alpha, pos)          [a1,...]*, alpha a tuple of rationals
 #   ("call", name, args, pos)      a function applied to a tuple of nodes
@@ -196,12 +196,13 @@ class _Parser:
     def atom(self) -> Expr | None:
         """The atom at the next token; None, consuming nothing, at a function name."""
         kind, text, pos = self.tokens[self.i]
+        # the token patterns admit only valid letters: 0 and 1 in an X-word, indices >= 1 in a Y-word
         if kind == "xword":
             self.i += 1
-            return ("word", x_word(text[1:-1]), pos)
+            return ("word", X, tuple(map(int, text[1:-1])), pos)
         if kind == "yword":
             self.i += 1
-            return ("word", y_word(*map(int, text[1:].split("y"))), pos)
+            return ("word", Y, tuple(map(int, text[1:].split("y"))), pos)
         if kind == "[":
             return self.plane_literal()
         if kind == "ident":
@@ -306,7 +307,8 @@ def _star_order(k: int, pos: int) -> int:
 def _literal_term(node: Expr) -> tuple[str, list] | None:
     """The type name and the one (key, coefficient) pair of a term c*word, c*star(k) or c.
 
-    The key of a rational is None; any other term gives None and is evaluated.
+    The key of a word is its letters and that of a rational is None; any
+    other term gives None and is evaluated.
     """
     c = ONE
     while node[0] == "scale":
@@ -314,7 +316,7 @@ def _literal_term(node: Expr) -> tuple[str, list] | None:
         node = node[2]
     tag = node[0]
     if tag == "word":
-        return f"{node[1].alphabet}-polynomial", [(node[1], c)]
+        return f"{node[1]}-polynomial", [(node[2], c)]
     if tag == "star":
         return "star combination", [(_star_order(node[1], node[2]), c)]
     if tag == "num":
@@ -337,6 +339,8 @@ def _eval_sum(terms):
             items = (
                 [(None, value.value)] if isinstance(value, Scalar)
                 else [] if isinstance(value, PlaneStar)  # the next _sum_type raises
+                else [(l, Fraction(x, value._den)) for l, x in value._nums.items()]
+                if isinstance(value, NCPoly)
                 else value.items()
             )
             typed = _type_name(value), items
@@ -347,8 +351,7 @@ def _eval_sum(terms):
         return Scalar(sum(c for _, c in pairs))
     if like == "star combination":
         return X1StarPoly((0 if k is None else k, c) for k, c in pairs)
-    unit = Word((), _ALPHABET_OF[like])
-    return NCPoly(unit.alphabet, ((unit if k is None else k, c) for k, c in pairs))
+    return NCPoly._from_pairs(_ALPHABET_OF[like], ((() if k is None else k, c) for k, c in pairs))
 
 
 def _scale_value(c: Fraction, v: Value, pos: int) -> Value:
@@ -386,7 +389,7 @@ def _eval(node: Expr):
     if tag == "num":
         return Scalar(node[1])
     if tag == "word":
-        return NCPoly.from_word(node[1])
+        return NCPoly._from_nums(node[1], {node[2]: 1}, 1)
     if tag == "star":
         return X1StarPoly({_star_order(node[1], node[2]): 1})
     if tag == "plane":
@@ -452,15 +455,10 @@ def parse_value(src: str) -> Value:
 
 
 def _ncpoly_texts(p: NCPoly) -> tuple[dict[str, str], str]:
-    """The {word text: coefficient text} terms and expression text of a polynomial, in one pass."""
-    terms, parts = {}, []
-    quoted = p.alphabet == X
-    for w, c in p.items():
-        key = w.text()
-        terms[key] = coeff = str(c)
-        body = "" if not key else f'"{key}"' if quoted else "y" + key.replace(",", "y")
-        parts.append((coeff, body))
-    return terms, format_terms(parts)
+    """The {word text: coefficient text} terms and expression text of a polynomial."""
+    terms = p.to_terms_text()
+    body = (lambda k: f'"{k}"') if p.alphabet == X else (lambda k: "y" + k.replace(",", "y"))
+    return terms, format_terms([(c, body(k) if k else "") for k, c in terms.items()])
 
 
 def _x1star_texts(s: X1StarPoly) -> tuple[dict[str, str], str]:
@@ -733,7 +731,10 @@ def _digit_limit():
 def main(argv=None) -> int:
     with _digit_limit():
         try:
-            args = _make_parser().parse_args(argv)
+            args, extras = _make_parser().parse_known_args(argv)
+            if extras:  # gathered after the subcommand's parser returned: name the subcommand
+                message = f"polylog {args.command}: unrecognized arguments: {' '.join(extras)}"
+                raise argparse.ArgumentError(None, message)
             return args.func(args)
         except (PolylogError, ValueError, argparse.ArgumentError) as exc:
             advice = "use sys.set_int_max_str_digits() to increase the limit"  # not the CLI's

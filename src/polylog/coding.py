@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .nc_core import (
+    AlphabetError,
     NCPoly,
     NPoly,
     NotInImageError,
@@ -29,6 +30,8 @@ from .nc_core import (
     Word,
     X,
     Y,
+    _coded,
+    _index_of,
     index_from_word,
     word_from_index,
 )
@@ -58,12 +61,17 @@ def in_image(w: Word) -> bool:
 
 def pi_x(p: NCPoly) -> NCPoly:
     """Concatenation-morphism extension of pi_x_word to Y-polynomials."""
-    return NCPoly(X, [(pi_x_word(w), c) for w, c in p.items()])
+    if p.alphabet != Y:
+        raise NotInImageError("pi_X acts on Y-words")
+    return NCPoly._from_nums(X, {_coded(l): x for l, x in p._nums.items()}, p._den)
 
 
 def pi_y(p: NCPoly) -> NCPoly:
     """Inverse of pi_x on its image; words ending in x0 raise NotInImageError."""
-    return NCPoly(Y, [(pi_y_word(w), c) for w, c in p.items()])
+    if p.alphabet != X:
+        raise AlphabetError("pi_Y acts on X-words")
+    # in canonical order, so that the error names the first word off the image
+    return NCPoly._from_nums(Y, {_index_of(l): x for l, x in p._sorted_nums()}, p._den)
 
 
 class QSeriesTrunc:

@@ -174,7 +174,8 @@ def _h_poly_vector(q: NCPoly, n_max: int) -> NPoly:
     """The linear extension for N = 0..n_max: prefix sums of its Taylor vector."""
     if q.alphabet != Y:
         raise AlphabetError("harmonic sums are indexed by Y-polynomials")
-    return _taylor_map(((c, w.letters) for w, c in q.items()), n_max).prefix_sums(n_max)
+    vector = _taylor_map(((x, l) for l, x in q._nums.items()), n_max)  # numerators over q._den
+    return vector.prefix_sums(n_max) * Fraction(1, q._den)
 
 
 def h_poly_table(q: NCPoly, n_max: int) -> list[Fraction]:

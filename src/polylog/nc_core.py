@@ -9,9 +9,13 @@ Two alphabets are supported:
 
 A :class:`Word` is an immutable sequence of letters tagged with its alphabet;
 the empty word is the multiplicative unit.  An :class:`NCPoly` is a finite
-linear combination of words with exact rational coefficients
-(``fractions.Fraction``), kept in canonical form: no zero coefficient is ever
-stored, and all words share the polynomial's alphabet.
+linear combination of words with exact rational coefficients, stored as
+FLINT's ``fmpq_poly`` stores a dense one: integer numerators, here keyed by
+letter tuples, over one positive denominator coprime to them all, with no
+zero numerator.  The form is canonical, so equality compares one int and one
+dict, and the algebra runs on ints and tuples; Words and Fractions are built
+only by the readers (``items``, ``coeff``, ``support``, ``constant_term``)
+and by printing.
 
 Every value in this module is immutable after construction and all operations
 are pure functions, so values can be shared freely between threads.
@@ -34,7 +38,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, zip_longest
-from math import lcm, perm
+from math import gcd, lcm, perm
 from numbers import Rational
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -44,6 +48,7 @@ X0 = 0
 X1 = 1
 
 RatLike = Union[Fraction, int, str]
+Letters = tuple[int, ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -89,16 +94,9 @@ def format_terms(parts: Sequence[tuple[str, str]]) -> str:
     for coeff, body in parts:
         negative = coeff[0] == "-"
         size = coeff[1:] if negative else coeff
-        if body == "":
-            frag = size
-        elif size == "1":
-            frag = body
-        else:
-            frag = f"{size}*{body}"
-        if not chunks:
-            chunks.append(f"-{frag}" if negative else frag)
-        else:
-            chunks.append(("- " if negative else "+ ") + frag)
+        frag = size if body == "" else body if size == "1" else f"{size}*{body}"
+        sign = ("- " if negative else "+ ") if chunks else ("-" if negative else "")
+        chunks.append(sign + frag)
     return " ".join(chunks)
 
 
@@ -126,6 +124,14 @@ class Word:
             raise AlphabetError(f"Y-word indices must be >= 1, got {letters}")
         object.__setattr__(self, "letters", letters)  # the class's own __setattr__ refuses
         object.__setattr__(self, "alphabet", alphabet)
+
+    @classmethod
+    def _of(cls, letters: Letters, alphabet: str) -> "Word":
+        """The word of letters already known to be valid over ``alphabet``, unchecked."""
+        w = cls.__new__(cls)
+        object.__setattr__(w, "letters", letters)
+        object.__setattr__(w, "alphabet", alphabet)
+        return w
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -157,18 +163,12 @@ class Word:
     @property
     def grade(self) -> int:
         """Length for X-words, weight (sum of indices) for Y-words."""
-        if self.alphabet == X:
-            return len(self.letters)
-        return sum(self.letters)
+        return _GRADE[self.alphabet](self.letters)
 
     def concat(self, other: "Word") -> "Word":
         if self.alphabet != other.alphabet:
             raise AlphabetError("cannot concatenate words over different alphabets")
-        return Word(self.letters + other.letters, self.alphabet)
-
-    def sort_key(self) -> tuple[int, tuple[int, ...]]:
-        """Canonical length-then-lexicographic ordering key."""
-        return (len(self.letters), self.letters)
+        return Word._of(self.letters + other.letters, self.alphabet)
 
     @property
     def ends_in_x1(self) -> bool:
@@ -178,34 +178,29 @@ class Word:
     def trailing_x0_count(self) -> int:
         if self.alphabet != X:
             raise AlphabetError("trailing_x0_count is defined for X-words only")
-        n = 0
-        for b in reversed(self.letters):
-            if b != X0:
-                break
-            n += 1
-        return n
+        return _trailing_x0(self.letters)
 
     def text(self) -> str:
         """Canonical serialization: bitstring for X, comma-joined for Y."""
-        if self.alphabet == X:
-            return "".join(str(b) for b in self.letters)
-        return ",".join(str(s) for s in self.letters)
+        return ("" if self.alphabet == X else ",").join(map(str, self.letters))
 
     def __str__(self) -> str:
-        if self.is_empty:
-            return "1"
-        if self.alphabet == X:
-            return "".join(f"x{b}" for b in self.letters)
-        return "".join(f"y{s}" for s in self.letters)
+        prefix = "x" if self.alphabet == X else "y"
+        return "".join(prefix + str(b) for b in self.letters) or "1"
+
+
+# the grade of a word's letters: length on X, weight on Y
+_GRADE = {X: len, Y: sum}
+
+
+def _trailing_x0(letters: Letters) -> int:
+    """The number of x0 letters after the last x1."""
+    return next((i for i, b in enumerate(reversed(letters)) if b != X0), len(letters))
 
 
 def x_word(bits: str | Iterable[int]) -> Word:
     """Build an X-word from a bitstring like "011" or an iterable of 0/1."""
-    if isinstance(bits, str):
-        letters = tuple(int(c) for c in bits)
-    else:
-        letters = tuple(bits)
-    return Word(letters, X)
+    return Word(tuple(map(int, bits)) if isinstance(bits, str) else tuple(bits), X)
 
 
 def y_word(*indices: int) -> Word:
@@ -234,24 +229,30 @@ def word_from_index(s: Sequence[int]) -> Word:
     any non-positive entry; non-positive indices live in the rational-function
     representation, not in this coding.
     """
-    letters: list[int] = []
-    for si in s:
-        if si < 1:
-            raise InvalidIndexError(f"word coding needs indices >= 1, got {si}")
-        letters.extend([X0] * (si - 1))
-        letters.append(X1)
-    return Word(tuple(letters), X)
+    bad = next((si for si in s if si < 1), None)
+    if bad is not None:
+        raise InvalidIndexError(f"word coding needs indices >= 1, got {bad}")
+    return Word._of(_coded(s), X)
+
+
+def _coded(s: Sequence[int]) -> Letters:
+    """The letters x0^(s1-1) x1 ... x0^(sr-1) x1 of a positive multi-index."""
+    return tuple(b for si in s for b in (X0,) * (si - 1) + (X1,))
 
 
 def index_from_word(w: Word) -> tuple[int, ...]:
     """Invert :func:`word_from_index` on words ending in x1 (or empty)."""
     if w.alphabet != X:
         raise AlphabetError("index_from_word expects an X-word")
-    if w.letters and w.letters[-1] != X1:
-        raise NotInImageError(f"word {w} ends in x0 and codes no multi-index")
-    out: list[int] = []
-    zeros = 0
-    for b in w.letters:
+    return _index_of(w.letters)
+
+
+def _index_of(letters: Letters) -> tuple[int, ...]:
+    """The multi-index coded by X-letters ending in x1 (or empty)."""
+    if letters and letters[-1] != X1:
+        raise NotInImageError(f"word {Word._of(letters, X)} ends in x0 and codes no multi-index")
+    out, zeros = [], 0
+    for b in letters:
         if b == X0:
             zeros += 1
         else:
@@ -263,12 +264,14 @@ def index_from_word(w: Word) -> tuple[int, ...]:
 class NCPoly:
     """A finite rational-linear combination of words over one alphabet.
 
-    Instances are immutable; arithmetic returns new polynomials in canonical
-    form (zero coefficients dropped).  ``P.coeff(w)`` is the pairing <P | w>
-    and returns 0 for absent words.
+    Coefficient of the word with letters ``l`` is ``_nums[l] / _den``: integer
+    numerators keyed by letter tuples over one denominator ``_den > 0``, with
+    no zero numerator and ``gcd(_den, *_nums.values()) == 1``.  Instances are
+    immutable; arithmetic returns new polynomials in that canonical form.
+    ``P.coeff(w)`` is the pairing <P | w> and returns 0 for absent words.
     """
 
-    __slots__ = ("_terms", "_alphabet")
+    __slots__ = ("_nums", "_den", "_alphabet")
 
     def __init__(
         self,
@@ -276,39 +279,47 @@ class NCPoly:
         terms: Mapping[Word, RatLike] | Iterable[tuple[Word, RatLike]] | None = None,
     ) -> None:
         _check_alphabet(alphabet)
-        data: dict[Word, Fraction] = {}
-        if terms:
-            items = terms.items() if isinstance(terms, Mapping) else terms
-            for w, c in items:
-                if not isinstance(w, Word):
-                    raise TypeError(f"NCPoly keys must be Words, got {w!r}")
-                if w.alphabet != alphabet:
-                    raise AlphabetError(
-                        f"word {w} is over {w.alphabet}, polynomial is over {alphabet}"
-                    )
-                c = as_rat(c)
-                if c:
-                    acc = data[w] + c if w in data else c
-                    if acc:
-                        data[w] = acc
-                    else:
-                        data.pop(w, None)
-        self._terms = data
-        self._alphabet = alphabet
+        pairs = []
+        for w, c in terms.items() if isinstance(terms, Mapping) else terms or ():
+            if not isinstance(w, Word):
+                raise TypeError(f"NCPoly keys must be Words, got {w!r}")
+            if w.alphabet != alphabet:
+                raise AlphabetError(f"word {w} is over {w.alphabet}, polynomial is over {alphabet}")
+            pairs.append((w.letters, as_rat(c)))
+        p = NCPoly._from_pairs(alphabet, pairs)
+        self._nums, self._den, self._alphabet = p._nums, p._den, alphabet
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _canonical(cls, alphabet: str, terms: dict[Word, Fraction]) -> "NCPoly":
-        """Wrap terms that are already canonical, skipping validation.
+    def _from_nums(cls, alphabet: str, nums: dict[Letters, int], den: int) -> "NCPoly":
+        """The polynomial sum_l nums[l]/den l, brought to canonical form.
 
-        The caller guarantees Fraction coefficients, no zero coefficient and
-        Word keys over ``alphabet``.
+        The one writer of the stored form: the caller guarantees letter tuples
+        valid over ``alphabet`` and den != 0; zero numerators are dropped and
+        the common factor of den and every numerator is divided out.
         """
+        if not all(nums.values()):
+            nums = {l: x for l, x in nums.items() if x}
+        g = gcd(den, *nums.values())
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = {l: x // g for l, x in nums.items()}
+            den //= g
         out = cls.__new__(cls)
-        out._terms = terms
-        out._alphabet = alphabet
+        out._nums, out._den, out._alphabet = nums, den, alphabet
         return out
+
+    @classmethod
+    def _from_pairs(cls, alphabet: str, pairs: Iterable[tuple[Letters, Fraction]]) -> "NCPoly":
+        """The sum of (letters, rational) terms; repeated letters add up."""
+        pairs = list(pairs)
+        den = lcm(*(c.denominator for _, c in pairs))
+        nums: dict[Letters, int] = {}
+        for l, c in pairs:
+            nums[l] = nums.get(l, 0) + c.numerator * (den // c.denominator)
+        return cls._from_nums(alphabet, nums, den)
 
     @classmethod
     def zero(cls, alphabet: str) -> "NCPoly":
@@ -316,12 +327,13 @@ class NCPoly:
 
     @classmethod
     def one(cls, alphabet: str) -> "NCPoly":
-        return cls(alphabet, {Word((), alphabet): ONE})
+        _check_alphabet(alphabet)
+        return cls._from_nums(alphabet, {(): 1}, 1)
 
     @classmethod
     def from_word(cls, w: Word, coeff: RatLike = ONE) -> "NCPoly":
         c = as_rat(coeff)
-        return cls._canonical(w.alphabet, {w: c} if c else {})
+        return cls._from_nums(w.alphabet, {w.letters: c.numerator}, c.denominator)
 
     # -- inspection --------------------------------------------------------
 
@@ -331,42 +343,45 @@ class NCPoly:
 
     def coeff(self, w: Word) -> Fraction:
         if w.alphabet != self._alphabet:
-            raise AlphabetError(
-                f"cannot pair a {w.alphabet}-word with a {self._alphabet}-polynomial"
-            )
-        return self._terms.get(w, ZERO)
+            raise AlphabetError(f"cannot pair a {w.alphabet}-word with a {self._alphabet}-polynomial")
+        return Fraction(self._nums.get(w.letters, 0), self._den)
+
+    def _sorted_nums(self) -> list[tuple[Letters, int]]:
+        """(letters, numerator) terms in canonical (length-then-lexicographic) order."""
+        return sorted(self._nums.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
     def items(self) -> list[tuple[Word, Fraction]]:
         """Terms in canonical (length-then-lexicographic) order."""
-        return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
+        a, den = self._alphabet, self._den
+        return [(Word._of(l, a), Fraction(x, den)) for l, x in self._sorted_nums()]
 
     def support(self) -> list[Word]:
-        return [w for w, _ in self.items()]
+        return [Word._of(l, self._alphabet) for l, _ in self._sorted_nums()]
 
     def __iter__(self) -> Iterator[tuple[Word, Fraction]]:
         return iter(self.items())
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._nums)
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._nums)
 
     @property
     def constant_term(self) -> Fraction:
-        return self._terms.get(Word((), self._alphabet), ZERO)
+        return Fraction(self._nums.get((), 0), self._den)
 
     def grades(self) -> set[int]:
-        return {w.grade for w in self._terms}
+        return set(map(_GRADE[self._alphabet], self._nums))
 
     @property
     def max_grade(self) -> int:
         """Largest grade present; 0 for the zero polynomial."""
-        return max((w.grade for w in self._terms), default=0)
+        return max(map(_GRADE[self._alphabet], self._nums), default=0)
 
     @property
     def max_length(self) -> int:
-        return max((len(w) for w in self._terms), default=0)
+        return max(map(len, self._nums), default=0)
 
     # -- algebra -----------------------------------------------------------
 
@@ -374,61 +389,56 @@ class NCPoly:
         if not isinstance(other, NCPoly):
             raise TypeError(f"expected NCPoly, got {type(other).__name__}")
         if other._alphabet != self._alphabet:
-            raise AlphabetError(
-                f"alphabet mismatch: {self._alphabet} vs {other._alphabet}"
-            )
+            raise AlphabetError(f"alphabet mismatch: {self._alphabet} vs {other._alphabet}")
 
     def __add__(self, other: "NCPoly") -> "NCPoly":
         self._require_same_alphabet(other)
-        data = dict(self._terms)
-        for w, c in other._terms.items():
-            acc = data.get(w, ZERO) + c
-            if acc:
-                data[w] = acc
-            else:
-                data.pop(w, None)
-        return NCPoly._canonical(self._alphabet, data)
+        den = lcm(self._den, other._den)
+        a, b = den // self._den, den // other._den
+        nums = {l: a * x for l, x in self._nums.items()}
+        for l, x in other._nums.items():
+            nums[l] = nums.get(l, 0) + b * x
+        return NCPoly._from_nums(self._alphabet, nums, den)
 
     def __sub__(self, other: "NCPoly") -> "NCPoly":
         return self + (-other)
 
-    def __neg__(self) -> "NCPoly":
-        return NCPoly._canonical(self._alphabet, {w: -c for w, c in self._terms.items()})
+    def _with(self, nums: dict[Letters, int], scale: int = 1) -> "NCPoly":
+        """Numerators over this polynomial's denominator times ``scale``, in canonical form."""
+        return NCPoly._from_nums(self._alphabet, nums, self._den * scale)
 
-    def _scaled(self, c: Fraction) -> "NCPoly":
-        terms = {} if not c else {w: c * cw for w, cw in self._terms.items()}
-        return NCPoly._canonical(self._alphabet, terms)
+    def __neg__(self) -> "NCPoly":
+        return self._with({l: -x for l, x in self._nums.items()})
 
     def __mul__(self, scalar: RatLike) -> "NCPoly":
-        return self._scaled(as_rat(scalar))
+        c = as_rat(scalar)
+        k = c.numerator
+        return self._with({l: k * x for l, x in self._nums.items()}, c.denominator)
 
     __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NCPoly):
             return NotImplemented
-        return self._alphabet == other._alphabet and self._terms == other._terms
+        return (self._alphabet, self._den, self._nums) == (other._alphabet, other._den, other._nums)
 
     __hash__ = None  # type: ignore[assignment]
 
     def truncated(self, max_grade: int) -> "NCPoly":
         """Restriction to words of grade <= max_grade."""
-        return NCPoly._canonical(
-            self._alphabet,
-            {w: c for w, c in self._terms.items() if w.grade <= max_grade},
-        )
+        grade = _GRADE[self._alphabet]
+        return self._with({l: x for l, x in self._nums.items() if grade(l) <= max_grade})
 
     def homogeneous_component(self, n: int) -> "NCPoly":
-        return NCPoly._canonical(
-            self._alphabet,
-            {w: c for w, c in self._terms.items() if w.grade == n},
-        )
+        grade = _GRADE[self._alphabet]
+        return self._with({l: x for l, x in self._nums.items() if grade(l) == n})
 
     # -- serialization -----------------------------------------------------
 
     def to_terms_text(self) -> dict[str, str]:
-        """Canonical {word text: coefficient text} mapping, ordered."""
-        return {w.text(): str(c) for w, c in self.items()}
+        """Canonical {word text: coefficient text} mapping, ordered; from letters and numerators."""
+        sep, den = "" if self._alphabet == X else ",", self._den
+        return {sep.join(map(str, l)): str(Fraction(x, den)) for l, x in self._sorted_nums()}
 
     def __str__(self) -> str:
         return format_terms([(str(c), "" if w.is_empty else str(w)) for w, c in self.items()])
@@ -466,13 +476,7 @@ class NPoly:
     @classmethod
     def from_monomials(cls, monomials: Mapping[int, RatLike]) -> "NPoly":
         """Build from a {degree: coefficient} mapping."""
-        if not monomials:
-            return cls()
-        top = max(monomials)
-        data = [ZERO] * (top + 1)
-        for deg, c in monomials.items():
-            data[deg] = as_rat(c)
-        return cls(data)
+        return cls(monomials.get(j, 0) for j in range(max(monomials, default=-1) + 1))
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
+from numbers import Rational
 from typing import Sequence
 
 from .nc_core import (
@@ -37,9 +38,9 @@ from .nc_core import (
     NPoly,
     PolylogError,
     RatLike,
-    Word,
     X,
     X0,
+    _trailing_x0,
     as_rat,
     format_terms,
 )
@@ -108,6 +109,8 @@ class RatFuncAtOne:
 
     def eval(self, z):
         """Exact evaluation at a rational (or complex) z != 1."""
+        if self.pole_order and isinstance(z, Rational) and z == 1:
+            raise ZeroDivisionError(f"pole of order {self.pole_order} at z = 1")
         return self.p.eval(z) / (1 - z) ** self.pole_order
 
     def taylor_coeffs(self, n_cap: int) -> list[Fraction]:
@@ -214,19 +217,14 @@ def regularize_trailing_x0(p: NCPoly) -> dict[int, NCPoly]:
     parts: dict[int, NCPoly] = {}
     remainder = p
     while remainder:
-        level = max(w.trailing_x0_count for w in remainder.support())
+        level = max(map(_trailing_x0, remainder._nums))
         if level == 0:
             parts[0] = parts.get(0, NCPoly.zero(X)) + remainder
             break
-        stripped = NCPoly(
-            X,
-            [
-                (Word(w.letters[: len(w) - level], X), c)
-                for w, c in remainder.items()
-                if w.trailing_x0_count == level
-            ],
-        )
+        # the words at the top level share the suffix x0^level, so their stems are distinct
+        stems = {l[:-level]: x for l, x in remainder._nums.items() if _trailing_x0(l) == level}
+        stripped = NCPoly._from_nums(X, stems, remainder._den)
         parts[level] = stripped * Fraction(1, factorial(level))
-        x0_pow = NCPoly.from_word(Word((X0,) * level, X))
+        x0_pow = NCPoly._from_nums(X, {(X0,) * level: 1}, 1)
         remainder = remainder - shuffle(stripped, x0_pow)
     return {k: q for k, q in parts.items() if q}

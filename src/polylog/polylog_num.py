@@ -38,9 +38,11 @@ from .nc_core import (
     PolylogError,
     Word,
     X,
+    X1,
     Y,
     ZERO,
     ONE,
+    _index_of,
     index_from_word,
 )
 from .products import shuffle, stuffle
@@ -141,8 +143,8 @@ def li_taylor_poly(p: NCPoly, n_cap: int) -> TaylorTrunc:
     """
     if p.alphabet != X:
         raise AlphabetError("li_taylor_poly expects an X-polynomial")
-    terms = ((c, index_from_word(w)) for w, c in p.items())
-    return TaylorTrunc._of(_taylor_map(terms, n_cap), n_cap)
+    vector = _taylor_map(((x, _index_of(l)) for l, x in p._sorted_nums()), n_cap)  # over p._den
+    return TaylorTrunc._of(vector * Fraction(1, p._den), n_cap)
 
 
 def div_one_minus_z(a: TaylorTrunc) -> TaylorTrunc:
@@ -295,14 +297,13 @@ def check_surjection_lemma(n_max: int, m_max: int) -> bool:
     exact series.
     """
     s2 = _stirling2_rows(n_max, m_max)
-    x1plus = NCPoly(X, {Word((1,) * n, X): 1 for n in range(1, n_max + 1)})
+    x1plus = NCPoly._from_nums(X, {(X1,) * n: 1 for n in range(1, n_max + 1)}, 1)
     power = NCPoly.one(X)
     for m in range(0, m_max + 1):
         if m > 0:
             power = shuffle(power, x1plus, grade_cap=n_max)
         for n in range(n_max + 1):
-            coeff = power.coeff(Word((1,) * n, X))
-            if coeff != factorial(m) * s2[n][m]:
+            if power._nums.get((X1,) * n, 0) != factorial(m) * s2[n][m] * power._den:
                 return False
     # EGF side: (e^x - 1)^m, coefficients as exact rationals
     em1 = TaylorTrunc((ZERO,) + tuple(Fraction(1, factorial(n)) for n in range(1, n_max + 1)))

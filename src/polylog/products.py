@@ -13,11 +13,11 @@ contraction y_{s+t}, so one memoized word recursion serves both (Hoffman 2000).
 Its caches are read-mostly and behave as if absent (recomputation is the only
 cost of a race), so everything here stays safe for concurrent use.
 
-The bilinear extensions sum over (p, q) pairs on Python ints: each operand's
-coefficients are scaled once to integer numerators over the lcm of its
-denominators, dp and dq; the products of numerators and structure constants
-accumulate in one dict keyed by letters over the lcm of the pairs' dp * dq,
-and one reduced Fraction is built per nonzero output word.  No step pays a gcd.
+The bilinear extensions run on the stored form of :class:`NCPoly`, integer
+numerators keyed by letter tuples over one denominator: over (p, q) pairs,
+the products of numerators and structure constants accumulate in one dict
+keyed by letters over the lcm of the pairs' denominator products, and one gcd
+pass brings the result to canonical form.  No Word or Fraction is built per term.
 
 Both shuffle and stuffle are commutative and associative with the empty word
 as unit.  Both are graded: every word of u <sh> v or u <st> v has grade
@@ -37,9 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .nc_core import AlphabetError, NCPoly, Word, Y
-
-Letters = tuple[int, ...]
+from .nc_core import _GRADE, AlphabetError, Letters, NCPoly, Y
 
 
 def _word_product(contract: bool):
@@ -76,19 +74,6 @@ def _check_cap(grade_cap: int | None) -> None:
         raise ValueError(f"grade cap must be >= 0, got {grade_cap}")
 
 
-def _over_lcm(p: NCPoly) -> tuple[list[tuple[Word, int]], int]:
-    """P's terms as integer numerators over the lcm of its denominators."""
-    den = lcm(*(c.denominator for c in p._terms.values()))
-    return [(w, c.numerator * (den // c.denominator)) for w, c in p._terms.items()], den
-
-
-def _from_ints(alphabet: str, acc: dict[Letters, int], den: int) -> NCPoly:
-    """One reduced Fraction per nonzero numerator of ``acc`` over ``den``."""
-    return NCPoly._canonical(
-        alphabet, {Word(l, alphabet): Fraction(x, den) for l, x in acc.items() if x}
-    )
-
-
 def _bilinear(alphabet: str, pairs, word_product, grade_cap: int | None) -> NCPoly:
     """Sum over (p, q) pairs of the bilinear extension of a word product, to grade <= grade_cap.
 
@@ -97,43 +82,42 @@ def _bilinear(alphabet: str, pairs, word_product, grade_cap: int | None) -> NCPo
     The sum runs on integer numerators over the lcm of the pairs' dp * dq.
     """
     _check_cap(grade_cap)
-    scaled = [(_over_lcm(p), _over_lcm(q)) for p, q in pairs]
-    den = lcm(*(dp * dq for (_, dp), (_, dq) in scaled))
+    den = lcm(*(p._den * q._den for p, q in pairs))
+    grade = _GRADE[alphabet]
     acc: dict[Letters, int] = {}
     get = acc.get
-    for (p_terms, dp), (q_terms, dq) in scaled:
-        m = den // (dp * dq)
+    for p, q in pairs:
+        m = den // (p._den * q._den)
+        q_terms = list(q._nums.items())
         if grade_cap is not None:
-            q_graded = [(v.grade, v, cv) for v, cv in q_terms]
-        for u, cu in p_terms:
+            q_graded = [(grade(v), v, cv) for v, cv in q_terms]
+        for u, cu in p._nums.items():
             if grade_cap is not None:
-                room = grade_cap - u.grade
+                room = grade_cap - grade(u)
                 q_terms = [(v, cv) for g, v, cv in q_graded if g <= room]
             cu *= m
             for v, cv in q_terms:
                 c = cu * cv
                 # structure constants are symmetric; canonical order keys the memo
-                a, b = (u.letters, v.letters)
+                a, b = u, v
                 if b < a:
                     a, b = b, a
                 for letters, k in word_product(a, b).items():
                     acc[letters] = get(letters, 0) + c * k
-    return _from_ints(alphabet, acc, den)
+    return NCPoly._from_nums(alphabet, acc, den)
 
 
 def conc(p: NCPoly, q: NCPoly) -> NCPoly:
     """Concatenation product, extended bilinearly from words."""
     if p.alphabet != q.alphabet:
         raise AlphabetError(f"alphabet mismatch: {p.alphabet} vs {q.alphabet}")
-    p_terms, dp = _over_lcm(p)
-    q_terms, dq = _over_lcm(q)
     acc: dict[Letters, int] = {}
     get = acc.get
-    for u, cu in p_terms:
-        for v, cv in q_terms:
-            letters = u.letters + v.letters
+    for u, cu in p._nums.items():
+        for v, cv in q._nums.items():
+            letters = u + v
             acc[letters] = get(letters, 0) + cu * cv
-    return _from_ints(p.alphabet, acc, dp * dq)
+    return NCPoly._from_nums(p.alphabet, acc, p._den * q._den)
 
 
 def shuffle(p: NCPoly, q: NCPoly, *, grade_cap: int | None = None) -> NCPoly:
@@ -202,4 +186,6 @@ def exp_stuffle(p: NCPoly, weight_cap: int) -> NCPoly:
     for n in range(1, weight_cap + 1):
         pairs = [(parts[k] * Fraction(k, n), grades[n - k]) for k in range(1, n + 1) if parts[k]]
         grades.append(_bilinear(Y, pairs, _stuffle_letters, None))
-    return NCPoly._canonical(Y, {w: c for e in grades for w, c in e._terms.items()})
+    # the grades hold disjoint words: over the lcm of their denominators they are one dict
+    den = lcm(*(e._den for e in grades))
+    return NCPoly._from_nums(Y, {l: x * (den // e._den) for e in grades for l, x in e._nums.items()}, den)

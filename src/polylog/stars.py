@@ -17,7 +17,8 @@ Three families of rational series are represented exactly:
 Star objects are exact and finite; anything that expands a star into words
 takes an explicit cap.  Their coefficient arithmetic is that of
 :class:`~polylog.nc_core.NPoly`, the one dense exact kernel, and expansions
-into words run on its integer numerators, building one Fraction per word.
+into words carry its integer numerators into the stored form of
+:class:`~polylog.nc_core.NCPoly`, building no Word or Fraction per word.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
 from .coding import PlaneStarBase, QSeriesTrunc, pi_y
-from .nc_core import NCPoly, NPoly, ONE, RatLike, Word, X, X1, Y, ZERO, as_rat, format_terms
+from .nc_core import NCPoly, NPoly, RatLike, Word, X, X1, Y, ZERO, as_rat, format_terms
 from .products import exp_stuffle, shuffle_pow
 
 
@@ -122,9 +123,9 @@ def x1star_poly_expand(s: X1StarPoly, len_cap: int) -> NCPoly:
     """Truncated expansion of sum_k c_k (k x1)* into x1^n with coefficients sum_k c_k k^n."""
     if len_cap < 0:
         raise ValueError(f"length cap must be >= 0, got {len_cap}")
-    nums, den = s.poly.nums, s.poly.den
-    sums = ((n, sum(x * k**n for k, x in enumerate(nums) if x)) for n in range(len_cap + 1))
-    return NCPoly._canonical(X, {Word((X1,) * n, X): Fraction(c, den) for n, c in sums if c})
+    nums = s.poly.nums
+    sums = {(X1,) * n: sum(x * k**n for k, x in enumerate(nums) if x) for n in range(len_cap + 1)}
+    return NCPoly._from_nums(X, sums, s.poly.den)
 
 
 def x1star_y_expansion(s: X1StarPoly, depth_cap: int) -> NCPoly:
@@ -180,8 +181,8 @@ def plane_star_inverse(a: PlaneStar, s_max: int) -> PlaneStar:
 
 def plane_element_poly(base: PlaneStarBase | PlaneStar) -> NCPoly:
     """The degree-one Y-polynomial sum_s alpha_s y_s (the starred element)."""
-    alpha = base.alpha if isinstance(base, PlaneStar) else tuple(base)
-    return NCPoly(Y, {Word((s,), Y): alpha[s - 1] for s in range(1, len(alpha) + 1)})
+    poly = base.poly if isinstance(base, PlaneStar) else NPoly((0, *base))
+    return NCPoly._from_nums(Y, {(s,): x for s, x in enumerate(poly.nums)}, poly.den)
 
 
 def plane_star_expand(a: PlaneStar, weight_cap: int) -> NCPoly:
@@ -190,21 +191,21 @@ def plane_star_expand(a: PlaneStar, weight_cap: int) -> NCPoly:
         raise ValueError(f"weight cap must be >= 0, got {weight_cap}")
     nums, den = a.poly.nums, a.poly.den
     letters = [(s, nums[s]) for s in range(1, min(len(nums), weight_cap + 1)) if nums[s]]
-    terms = {Word((), Y): ONE}
-    frontier: list[tuple[tuple[int, ...], int, int]] = [((), weight_cap, 1)]
-    scale = 1
-    while frontier:
-        scale *= den
+    # the words of r letters, each with its budget left and prod nums, for r = 0, 1, ...
+    levels: list[list[tuple[tuple[int, ...], int, int]]] = [[((), weight_cap, 1)]]
+    while levels[-1]:
         grown = []
-        for word, budget, num in frontier:
+        for word, budget, num in levels[-1]:
             for s, x in letters:
                 if s > budget:
                     break
-                ext = word + (s,)
-                grown.append((ext, budget - s, num * x))
-                terms[Word(ext, Y)] = Fraction(num * x, scale)
-        frontier = grown
-    return NCPoly._canonical(Y, terms)
+                grown.append((word + (s,), budget - s, num * x))
+        levels.append(grown)
+    # over den^top, a word of r letters has numerator prod nums * den^(top - r)
+    top = len(levels) - 2
+    scales = [den ** (top - r) for r in range(top + 1)]
+    terms = {word: num * scale for scale, level in zip(scales, levels) for word, _, num in level}
+    return NCPoly._from_nums(Y, terms, den**top)
 
 
 def one_param_group(t: QSeriesTrunc, z: RatLike, weight_cap: int) -> NCPoly:

@@ -326,6 +326,8 @@ _COMMANDS = "'shuffle', 'stuffle', 'neg-li', 'h-closed-form', 'h-eval', 'li-coef
 _USAGE_ERRORS = {
     "h-eval 1 x": "polylog h-eval: argument n: invalid int value: 'x'",
     "h-eval 1": "polylog h-eval: the following arguments are required: n",
+    "h-eval 1 2 3": "polylog h-eval: unrecognized arguments: 3",
+    "stuffle y1 y2 y3 y4": "polylog stuffle: unrecognized arguments: y3 y4",
     "bogus": f"polylog: argument command: invalid choice: 'bogus' (choose from {_COMMANDS})",
     "verify --suite bogus": "polylog verify: argument --suite: invalid choice: 'bogus' "
     f"(choose from {', '.join(map(repr, [*checks.SUITES, 'all']))})",
@@ -565,6 +567,28 @@ class TestCommands:
         code, out, loaded = self._fresh(*request_text.split())
         assert code == 0 and answered(out)
         assert f"polylog.{module}" in loaded
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("stuffle", "exps(y1 + y2, 6)", "y1"),
+            ("shuffle", 'pix(y2 + 1/2 y1y1) - 3', '"01" + pix(piy("011"))'),
+            ("stuffle", "conc(y1 - y2, 2 y3) + y1", "exps(-y1 - y2, 4)"),
+        ],
+    )
+    def test_product_request_builds_no_word(self, argv):
+        # products, stars and the printer run on letter tuples; only a polynomial's readers build
+        # Words, and the reader at the end shows that the count sees them
+        probe = (
+            "import contextlib, io, sys; from polylog import cli, nc_core; made = []; "
+            "nc_core.Word.__new__ = staticmethod(lambda cls, *a, **k: made.append(cls) or object.__new__(cls)); "
+            "out = io.StringIO(); redirect = contextlib.redirect_stdout(out); redirect.__enter__(); "
+            "code = cli.main(sys.argv[1:]); redirect.__exit__(None, None, None); request = len(made); "
+            "cli.parse_value('y1 + y2').items(); print(code, request, len(made) - request)"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        run = subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True)
+        assert run.stdout.split() == ["0", "0", "2"], run.stderr
 
     @pytest.mark.parametrize("request_text", list(_USAGE_ERRORS))
     def test_usage_error_names_its_command_once(self, capsys, request_text):

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+from math import gcd
 
 import pytest
 from fractions import Fraction
@@ -20,6 +21,7 @@ from polylog.nc_core import (
     x_word,
     y_word,
 )
+from polylog.products import conc, shuffle, stuffle
 
 
 class TestWordCoding:
@@ -212,6 +214,109 @@ class TestNCPoly:
     def test_index_from_word_rejects_y(self):
         with pytest.raises(AlphabetError):
             index_from_word(y_word(2))
+
+
+# -- the stored form of NCPoly against plain Fraction dicts ---------------------
+# A reference polynomial is a {letters: Fraction} dict without zero values.
+
+
+def _ref(pairs):
+    acc = {}
+    for w, c in pairs:
+        acc[w.letters] = acc.get(w.letters, Fraction(0)) + c
+    return {l: c for l, c in acc.items() if c}
+
+
+def _ref_combined(a, b, sign=1):
+    acc = dict(a)
+    for l, c in b.items():
+        acc[l] = acc.get(l, Fraction(0)) + sign * c
+    return {l: c for l, c in acc.items() if c}
+
+
+def _ref_ordered(a):
+    return sorted(a.items(), key=lambda kv: (len(kv[0]), kv[0]))
+
+
+def _assert_canonical(p):
+    """Integer numerators keyed by letter tuples over one den > 0, none zero, all coprime to den."""
+    assert type(p._den) is int and p._den > 0
+    assert all(type(l) is tuple and type(x) is int and x for l, x in p._nums.items())
+    assert gcd(p._den, *p._nums.values()) == 1
+
+
+class TestCanonicalForm:
+    """Every writer of NCPoly keeps the one canonical stored form, and it reads back exactly."""
+
+    def test_property_canonical_and_matches_fraction_dicts(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        coeffs = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 12))  # zeros included
+        words = {
+            X: st.lists(st.integers(0, 1), max_size=3).map(lambda l: Word(tuple(l), X)),
+            Y: st.lists(st.integers(1, 3), max_size=3).map(lambda l: Word(tuple(l), Y)),
+        }
+
+        @st.composite
+        def terms(draw, alphabet):
+            """(word, coefficient) pairs with repeated words, some cancelling a drawn term."""
+            pairs = draw(st.lists(st.tuples(words[alphabet], coeffs), max_size=6))
+            cancelled = draw(st.lists(st.sampled_from(pairs), max_size=2)) if pairs else []
+            return pairs + [(w, -c) for w, c in cancelled]
+
+        settings = hyp.settings(max_examples=50, deadline=None, derandomize=True, database=None)
+
+        def check(alphabet, a, b, scale, grade):
+            p, q = NCPoly(alphabet, a), NCPoly(alphabet, b)
+            ra, rb = _ref(a), _ref(b)
+            grade_of = len if alphabet == X else sum
+            made = {
+                "from pairs": (p, ra),
+                "from a dict": (NCPoly(alphabet, {Word(l, alphabet): c for l, c in ra.items()}), ra),
+                "sum": (p + q, _ref_combined(ra, rb)),
+                "difference": (p - q, _ref_combined(ra, rb, -1)),
+                "negation": (-p, {l: -c for l, c in ra.items()}),
+                "scaled": (p * scale, {l: c * scale for l, c in ra.items() if scale}),
+                "scaled from the left": (scale * p, {l: c * scale for l, c in ra.items() if scale}),
+                "truncated": (p.truncated(grade), {l: c for l, c in ra.items() if grade_of(l) <= grade}),
+                "component": (
+                    p.homogeneous_component(grade),
+                    {l: c for l, c in ra.items() if grade_of(l) == grade},
+                ),
+                "zero": (NCPoly.zero(alphabet), {}),
+                "one": (NCPoly.one(alphabet), {(): Fraction(1)}),
+                "a word": (NCPoly.from_word(Word((), alphabet), scale), {(): scale} if scale else {}),
+            }
+            for name, (got, want) in made.items():
+                _assert_canonical(got)
+                items = got.items()  # reduced Fractions, in canonical order
+                assert [(w.letters, c) for w, c in items] == _ref_ordered(want), name
+                assert all(type(c) is Fraction and w.alphabet == alphabet for w, c in items), name
+                assert got.constant_term == want.get((), 0), name
+                for l in {*ra, *rb, ()}:
+                    assert got.coeff(Word(l, alphabet)) == want.get(l, 0), name
+            # == agrees with equality of the Fraction dicts, also for the terms in another order
+            assert (p == q) == (ra == rb)
+            assert NCPoly(alphabet, a[::-1]) == p and p + q - q == p
+            # the products write the stored form too; test_products checks their values
+            for got in (shuffle(p, q), conc(p, q), *([stuffle(p, q)] if alphabet == Y else [])):
+                _assert_canonical(got)
+
+        @settings
+        @hyp.given(terms(X), terms(X), coeffs, st.integers(0, 3))
+        @hyp.example([(Word((), X), Fraction(1, 2)), (Word((), X), Fraction(-1, 2))], [], Fraction(0), 0)
+        @hyp.example([(Word((0, 1), X), Fraction(1, 2)), (Word((1,), X), Fraction(3, 2))], [], Fraction(4), 1)
+        def x_polys(a, b, scale, grade):
+            check(X, a, b, scale, grade)
+
+        @settings
+        @hyp.given(terms(Y), terms(Y), coeffs, st.integers(0, 4))
+        @hyp.example([(Word((2,), Y), Fraction(6, 5)), (Word((1, 1), Y), Fraction(-9, 5))], [], Fraction(5), 2)
+        def y_polys(a, b, scale, grade):
+            check(Y, a, b, scale, grade)
+
+        x_polys()
+        y_polys()
 
 
 # -- plain Fraction references for the dense kernel ---------------------------

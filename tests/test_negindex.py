@@ -56,6 +56,18 @@ class TestRatFuncCanonical:
         f = RatFuncAtOne([0, 1], 1)  # z/(1-z)
         assert f.eval(Fraction(1, 2)) == 1
 
+    def test_eval_at_the_pole_names_it(self):
+        f = RatFuncAtOne([1, 1], 3)
+        for z in (1, Fraction(1)):
+            with pytest.raises(ZeroDivisionError, match=r"^pole of order 3 at z = 1$"):
+                f.eval(z)
+        # float and complex points divide as before; without a pole z = 1 is an ordinary point
+        with pytest.raises(ZeroDivisionError, match="float division by zero"):
+            f.eval(1.0)
+        with pytest.raises(ZeroDivisionError, match="complex division by zero"):
+            f.eval(1 + 0j)
+        assert RatFuncAtOne([1, 2], 0).eval(1) == 3
+
     def test_add(self):
         one_over = RatFuncAtOne([1], 1)
         assert one_over - RatFuncAtOne([1], 0) == RatFuncAtOne([0, 1], 1)
