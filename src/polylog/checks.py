@@ -283,9 +283,7 @@ def _eval_term_table(kind: str, payload: object, n_max: int) -> list[Fraction]:
         # n_max keeps every contributing word and the check stays exact.
         image = stars.x1star_y_expansion(star, n_max)
         return harmonic.h_poly_table(products.stuffle(NCPoly.from_word(y_word(s)), image), n_max)
-    if kind == "oracle":
-        return harmonic.h_signed_table(payload, n_max)
-    raise ValueError(f"unknown term kind {kind!r}")
+    return harmonic.h_signed_table(payload, n_max)  # kind "oracle"
 
 
 def mixed_identity_failure(identity, n_max: int) -> int | None:

@@ -273,8 +273,7 @@ _ALPHABET_OF = {f"{alphabet}-polynomial": alphabet for alphabet in (X, Y)}
 
 
 def _type_name(v: Value) -> str:
-    if isinstance(v, Scalar):
-        return "rational"
+    """The type name of a value that is not a Scalar."""
     if isinstance(v, NCPoly):
         return f"{v.alphabet}-polynomial"
     if isinstance(v, X1StarPoly):
@@ -327,31 +326,28 @@ def _literal_term(node: Expr) -> tuple[str, list] | None:
 def _eval_sum(terms):
     """The terms added up in one accumulation; a generator run by :func:`_run`.
 
-    A literal term adds its one pair; any other term is evaluated and adds
-    its terms.  A type clash raises at its operator before any later term is
-    evaluated, as adding left to right would.
+    A literal term adds its one pair; any other term (a call or a plane star,
+    never a rational) is evaluated and added as a value.  A type clash raises
+    at its operator before any later term is evaluated, as adding left to
+    right would.
     """
-    like, pairs = None, []
+    like, pairs, total = None, [], None
     for sign, term, pos in terms:
         typed = _literal_term(term)
-        if typed is None:
-            value = yield _eval(term)
-            items = (
-                [(None, value.value)] if isinstance(value, Scalar)
-                else [] if isinstance(value, PlaneStar)  # the next _sum_type raises
-                else [(l, Fraction(x, value._den)) for l, x in value._nums.items()]
-                if isinstance(value, NCPoly)
-                else value.items()
-            )
-            typed = _type_name(value), items
-        kind, items = typed
+        value = None if typed else (yield _eval(term))
+        kind, items = typed or (_type_name(value), [])
         like = kind if like is None else _sum_type(like, kind, pos)
         pairs += items if sign > 0 else [(k, -c) for k, c in items]
+        if value is not None:
+            value = value if sign > 0 else -value
+            total = value if total is None else total + value
     if like == "rational":
         return Scalar(sum(c for _, c in pairs))
     if like == "star combination":
-        return X1StarPoly((0 if k is None else k, c) for k, c in pairs)
-    return NCPoly._from_pairs(_ALPHABET_OF[like], ((() if k is None else k, c) for k, c in pairs))
+        literal = X1StarPoly((0 if k is None else k, c) for k, c in pairs)
+    else:
+        literal = NCPoly._from_pairs(_ALPHABET_OF[like], ((() if k is None else k, c) for k, c in pairs))
+    return literal if total is None else literal + total
 
 
 def _scale_value(c: Fraction, v: Value, pos: int) -> Value:
@@ -407,7 +403,7 @@ def _alphabet_of(a: Value, b: Value) -> str | None:
 
 
 def _eval_call(name: str, args: list[Value], pos: int) -> Value:
-    """Apply function ``name`` to evaluated arguments; ``pos`` locates errors."""
+    """Apply function ``name``, a key of ``_FUNCS``, to evaluated arguments; ``pos`` locates errors."""
     if name == "sh":
         a, b = args
         if isinstance(a, X1StarPoly) or isinstance(b, X1StarPoly):
@@ -437,14 +433,12 @@ def _eval_call(name: str, args: list[Value], pos: int) -> Value:
         return pi_x(_as_poly(args[0], Y, pos))
     if name == "piy":
         return pi_y(_as_poly(args[0], X, pos))
-    if name == "exps":
-        cap = args[1]
-        if not isinstance(cap, Scalar) or cap.value.denominator != 1 or cap.value < 0:
-            raise ExprTypeError("exps(P, cap) needs a natural-number cap", pos)
-        if cap.value > MAX_EXPS_CAP:
-            raise ValueError(f"at position {pos}: exps cap {cap.value} is above {MAX_EXPS_CAP = }")
-        return products.exp_stuffle(_as_poly(args[0], Y, pos), int(cap.value))
-    raise ExprTypeError(f"unknown function {name}", pos)
+    cap = args[1]  # exps
+    if not isinstance(cap, Scalar) or cap.value.denominator != 1 or cap.value < 0:
+        raise ExprTypeError("exps(P, cap) needs a natural-number cap", pos)
+    if cap.value > MAX_EXPS_CAP:
+        raise ValueError(f"at position {pos}: exps cap {cap.value} is above {MAX_EXPS_CAP = }")
+    return products.exp_stuffle(_as_poly(args[0], Y, pos), int(cap.value))
 
 
 def parse_value(src: str) -> Value:

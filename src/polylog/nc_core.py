@@ -165,11 +165,6 @@ class Word:
         """Length for X-words, weight (sum of indices) for Y-words."""
         return _GRADE[self.alphabet](self.letters)
 
-    def concat(self, other: "Word") -> "Word":
-        if self.alphabet != other.alphabet:
-            raise AlphabetError("cannot concatenate words over different alphabets")
-        return Word._of(self.letters + other.letters, self.alphabet)
-
     @property
     def ends_in_x1(self) -> bool:
         return self.alphabet == X and bool(self.letters) and self.letters[-1] == X1

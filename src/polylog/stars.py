@@ -23,7 +23,6 @@ into words carry its integer numerators into the stored form of
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
@@ -236,27 +235,12 @@ class LetterStarForm(NamedTuple):
     beta: Fraction
 
     def eval(self, z: complex) -> complex:
-        """Evaluate at complex z off the cuts (principal branches)."""
+        """Evaluate at complex z off the cuts (principal branches).
+
+        At z = 0 or 1, a power 0^p is 1 for p = 0, 0 for p > 0, ZeroDivisionError for p < 0.
+        """
         z = complex(z)
-        if z == 0:
-            if self.alpha == 0:
-                first = 1.0 + 0.0j
-            elif self.alpha > 0:
-                first = 0.0 + 0.0j
-            else:
-                raise ZeroDivisionError("z^alpha with alpha < 0 at z = 0")
-        else:
-            first = cmath.exp(float(self.alpha) * cmath.log(z))
-        if z == 1:
-            if self.beta == 0:
-                second = 1.0 + 0.0j
-            elif self.beta < 0:
-                second = 0.0 + 0.0j
-            else:
-                raise ZeroDivisionError("(1-z)^(-beta) with beta > 0 at z = 1")
-        else:
-            second = cmath.exp(-float(self.beta) * cmath.log(1 - z))
-        return first * second
+        return z ** float(self.alpha) * (1 - z) ** -float(self.beta)
 
 
 def letter_star_li(alpha: RatLike, beta: RatLike) -> LetterStarForm:

@@ -18,17 +18,21 @@ from polylog.cli import (
     ParseError,
     Scalar,
     _make_parser,
+    evaluate,
     main,
     ncpoly_expr_text,
     parse,
     parse_value,
     value_to_json,
 )
-from polylog.nc_core import NCPoly, Word, X, Y, x_word, y_word
+from polylog.nc_core import NCPoly, NPoly, Word, X, Y, x_word, y_word
 from polylog.products import stuffle
 from polylog.stars import PlaneStar, X1StarPoly
 
 F = Fraction
+# a fresh interpreter imports this checkout's package first and keeps the rest of PYTHONPATH
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+_FRESH_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))}
 # CPython builds before 3.10.7 have no int-to-str digit limit
 _needs_digit_limit = pytest.mark.skipif(
     not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
@@ -120,11 +124,19 @@ class TestParser:
             ("[1]* + [1]*", "at position 5: cannot add plane star and plane star"),
             ('1 + y1 + "01"', "at position 7: cannot combine a Y-polynomial with a X-polynomial"),
             ('y1 + "01" + st("01", y1)', "at position 3: cannot combine a Y-polynomial with a X-polynomial"),
+            ("y1 + sh(star(1), y1)", "at position 5: sh mixes star combinations with other values"),
+            ("conc(star(1), 2)", "at position 0: conc needs polynomial operands"),
+            ("st([1,2]*, y1)", "at position 0: st on a plane star needs two plane stars"),
+            ("exps(y1, 1/2)", "at position 0: exps(P, cap) needs a natural-number cap"),
         ],
-        ids=["y-plus-x", "star-plus-y", "plane-plus-plane", "second-operator", "before-later-terms"],
+        ids=[
+            "y-plus-x", "star-plus-y", "plane-plus-plane", "second-operator", "before-later-terms",
+            "sh-of-star-and-word", "conc-of-star", "st-of-plane-and-word", "exps-cap",
+        ],
     )
     def test_sum_type_errors_name_their_operator(self, src, message):
-        # a flat sum raises where adding left to right would, before later terms are evaluated
+        # a flat sum raises where adding left to right would, before later terms are evaluated;
+        # a function raises at its name
         with pytest.raises(ExprTypeError) as exc:
             parse_value(src)
         assert str(exc.value) == message
@@ -133,6 +145,7 @@ class TestParser:
         "src,message,pos",
         [
             ("y1 + @y2", "unexpected character '@'", 5),
+            ("[y1]*", "expected a rational number", 1),
             ("y1 y2 )", "unexpected trailing input 'y2'", 3),
             ("frob(y1)", "unknown name 'frob'", 0),
             ("sh(y1)", "sh takes 2 argument(s), got 1", 0),
@@ -143,7 +156,7 @@ class TestParser:
             ("1/0 + y1", "zero denominator", 2),
         ],
         ids=[
-            "character", "trailing", "unknown-name", "arity", "denominator",
+            "character", "plane-entry", "trailing", "unknown-name", "arity", "denominator",
             "star-order", "unclosed", "end-of-input", "zero-denominator",
         ],
     )
@@ -151,6 +164,13 @@ class TestParser:
         with pytest.raises(ParseError) as exc:
             parse(src)
         assert str(exc.value) == f"at position {pos}: {message}" and exc.value.pos == pos
+
+    def test_json_of_a_rational_and_of_a_non_value(self):
+        assert value_to_json(parse_value("-3/4")) == {"type": "rational", "value": "-3/4"}
+        with pytest.raises(TypeError, match="cannot serialize 3"):
+            value_to_json(3)
+        with pytest.raises(TypeError, match="not an expression node"):
+            evaluate(("frob", 1))
 
     def test_mixed_sums(self):
         assert parse_value("1 - 2 + 3/4") == Scalar(F(-1, 4))
@@ -293,6 +313,8 @@ class TestPrintedForms:
             (["neg-li", ""], "1"),
             (["h-closed-form", "-2,-1"], "1/10*N^5 + 1/8*N^4 - 1/12*N^3 - 1/8*N^2 - 1/60*N"),
             (["h-closed-form", "1/2 - star(1)"], "-N - 1/2"),
+            (["shuffle", "star(1)+sh(star(1),star(2))", "1"], "star(3) + star(1)"),
+            (["stuffle", "y1 - exps(y1, 2) + 1/2*exps(y2, 2)", "1"], "-1/2 - y1y1"),
         ],
     )
     def test_cli_text_fields(self, capsys, argv, text):
@@ -352,6 +374,10 @@ class TestCommands:
         assert code == 0 and out.splitlines() == ["degree,coefficient", "0,0", "1,1/2", "2,1/2"]
         code, out = self._run(capsys, "h-closed-form", "-1")
         assert code == 0 and json.loads(out)["coeffs"] == ["0", "1/2", "1/2"]
+        code, out = self._run(capsys, "li-coeffs", "1", "3", "--csv")
+        assert code == 0 and out.splitlines() == ["N,coefficient", "0,0", "1,1", "2,1/2", "3,1/3"]
+        code, out = self._run(capsys, "li-coeffs", "1", "3")
+        assert code == 0 and json.loads(out)["coeffs"] == ["0", "1", "1/2", "1/3"]
 
     def test_valid_request_after_usage_error(self, capsys):
         code, out = self._run(capsys, "h-eval", "(1)")
@@ -513,6 +539,24 @@ class TestCommands:
         assert code == 2
         assert json.loads(out, parse_constant=reject)["error"]["code"] == "PrecisionError"
 
+    @pytest.mark.parametrize(
+        "argv,code,message",
+        [
+            (("stuffle", "star(1)", "y1"), "ExprTypeError", "at position 0: expected a Y-polynomial, got star combination"),
+            (("shuffle", "1", "2"), "ExprTypeError", "at position 0: sh needs polynomial or star operands"),
+            (
+                ("h-closed-form", "y1"),
+                "ExprTypeError",
+                "at position 0: h-closed-form needs a star combination or a non-positive index, got Y-polynomial",
+            ),
+            (("li-eval", "1", "abc", "1e-6"), "ValueError", "cannot parse 'abc' as a complex number"),
+        ],
+        ids=["stuffle-of-star", "shuffle-of-rationals", "h-closed-form-of-word", "li-eval-point"],
+    )
+    def test_refused_request_is_json_error(self, capsys, argv, code, message):
+        exit_code, out = self._run(capsys, *argv)
+        assert exit_code == 2 and json.loads(out)["error"] == {"code": code, "message": message}
+
     def test_verify_stirling_suite(self, capsys):
         code, out = self._run(capsys, "verify", "--suite", "stirling")
         assert code == 0
@@ -532,22 +576,24 @@ class TestCommands:
 
     def test_import_leaves_checks_unloaded(self):
         # only verify imports the suites
-        src = str(Path(__file__).resolve().parents[1] / "src")
         probe = "import sys, polylog.cli; sys.exit('polylog.checks' in sys.modules)"
-        env = {**os.environ, "PYTHONPATH": src}
-        assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+        assert subprocess.run([sys.executable, "-c", probe], env=_FRESH_ENV).returncode == 0
+
+    def test_module_runs_as_a_script(self):
+        # python -m polylog.cli answers and exits with the code of main
+        argv = [sys.executable, "-m", "polylog.cli", "h-eval", "1", "-5"]
+        run = subprocess.run(argv, env=_FRESH_ENV, capture_output=True, text=True)
+        assert run.returncode == 2 and json.loads(run.stdout)["error"]["code"] == "ValueError"
 
     @staticmethod
     def _fresh(*argv):
         """Exit code, stdout and loaded package modules of ``polylog argv`` in a fresh interpreter."""
-        src = str(Path(__file__).resolve().parents[1] / "src")
         probe = (
             "import json, sys; from polylog.cli import main; code = main(sys.argv[1:]); "
             "loaded = [m for m in sys.modules if m.startswith('polylog') or m == 'dataclasses']; "
             "print(json.dumps(loaded)); sys.exit(code)"
         )
-        env = {**os.environ, "PYTHONPATH": src}
-        run = subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True)
+        run = subprocess.run([sys.executable, "-c", probe, *argv], env=_FRESH_ENV, capture_output=True, text=True)
         *answer, loaded = run.stdout.splitlines()
         return run.returncode, "\n".join(answer), set(json.loads(loaded))
 
@@ -586,8 +632,7 @@ class TestCommands:
             "code = cli.main(sys.argv[1:]); redirect.__exit__(None, None, None); request = len(made); "
             "cli.parse_value('y1 + y2').items(); print(code, request, len(made) - request)"
         )
-        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-        run = subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True)
+        run = subprocess.run([sys.executable, "-c", probe, *argv], env=_FRESH_ENV, capture_output=True, text=True)
         assert run.stdout.split() == ["0", "0", "2"], run.stderr
 
     @pytest.mark.parametrize("request_text", list(_USAGE_ERRORS))
@@ -616,6 +661,21 @@ class TestCommands:
         code, out = self._run(capsys, "verify", "--suite", "stirling")
         assert code == 1
         assert "FAIL [stirling] always-fails  (forced)" in out
+
+    @pytest.mark.parametrize(
+        "module, name, wrong, suite, detail",
+        [
+            (harmonic, "h_x1star_closed_form", lambda s: NPoly([1]), "mixed", "first failure at N=0"),
+            (polylog_num, "li_eval", lambda *args: 0.5, "morphisms", "got 0.5"),
+            (harmonic, "h_word_eval", lambda *args: 1, "morphisms", "got 1.0"),
+        ],
+        ids=["mixed", "li-eval", "h-word-eval"],
+    )
+    def test_failed_check_shows_what_it_got(self, monkeypatch, module, name, wrong, suite, detail):
+        monkeypatch.setattr(module, name, wrong)
+        suite = checks.SUITES[suite](5, checks.DEFAULT_SEED)
+        results = [check.run() for check in suite if check.name.startswith(("mixed", "numeric"))]
+        assert detail in [r.detail for r in results if not r.passed]
 
     def test_verify_json_reports_elapsed(self, capsys):
         code, out = self._run(capsys, "verify", "--suite", "stirling", "--json")
@@ -702,6 +762,12 @@ class TestCommands:
             assert json.loads(out) == str(expected)
         finally:
             sys.set_int_max_str_digits(before)
+
+    def test_request_answers_without_a_digit_limit(self, capsys, monkeypatch):
+        # CPython builds before 3.10.7 have no limit to raise: a request answers all the same
+        monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+        code, out = self._run(capsys, "h-eval", "(-2,-1)", "3")
+        assert code == 0 and json.loads(out) == "31"
 
     @_needs_digit_limit
     def test_digit_cap_is_json_error(self, capsys):

@@ -16,7 +16,7 @@ from polylog.coding import (
     q_scale,
     umbra_to_plane,
 )
-from polylog.nc_core import NCPoly, NotInImageError, NPoly, Word, X, Y, x_word, y_word
+from polylog.nc_core import AlphabetError, NCPoly, NotInImageError, NPoly, Word, X, Y, x_word, y_word
 from polylog.products import conc
 
 
@@ -111,6 +111,15 @@ class TestPiY:
             assert str(bad) in str(exc.value)
 
         check()
+
+    def test_wrong_alphabet_refused(self):
+        with pytest.raises(NotInImageError, match="pi_X acts on Y-words"):
+            pi_x_word(x_word("1"))
+        with pytest.raises(NotInImageError, match="pi_X acts on Y-words"):
+            pi_x(NCPoly.from_word(x_word("1")))
+        with pytest.raises(AlphabetError, match="pi_Y acts on X-words"):
+            pi_y(NCPoly.from_word(y_word(1)))
+        assert not in_image(y_word(1))
 
     def test_image_characterization(self):
         for n in range(0, 6):

@@ -19,7 +19,7 @@ from polylog.harmonic import (
     h_word_table,
     h_x1star_closed_form,
 )
-from polylog.nc_core import InvalidIndexError, NCPoly, Word, X, Y, y_word
+from polylog.nc_core import AlphabetError, InvalidIndexError, NCPoly, Word, X, Y, x_word, y_word
 from polylog.polylog_num import li_taylor_poly
 from polylog.products import conc, stuffle
 from polylog.stars import X1StarPoly
@@ -76,6 +76,20 @@ class TestNPoly:
 def test_negative_n_is_refused(call, n):
     with pytest.raises(ValueError):
         call(n)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: h_word_eval(x_word("1"), 3),
+        lambda: h_word_table(x_word("1"), 3),
+        lambda: h_poly_eval(NCPoly.from_word(x_word("1")), 3),
+    ],
+    ids=["word_eval", "word_table", "poly_eval"],
+)
+def test_x_side_is_refused(call):
+    with pytest.raises(AlphabetError, match="harmonic sums are indexed by Y-"):
+        call()
 
 
 class TestHWordEval:

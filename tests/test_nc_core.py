@@ -68,10 +68,10 @@ class TestWords:
             Word((2,), X)
         with pytest.raises(AlphabetError):
             Word((0,), Y)
-
-    def test_concat_requires_matching_alphabets(self):
-        with pytest.raises(AlphabetError):
-            x_word("0").concat(y_word(1))
+        with pytest.raises(AlphabetError, match="over {0,1}"):
+            word_from_text("012", X)
+        with pytest.raises(AlphabetError, match="unknown alphabet 'Z'"):
+            NCPoly("Z")
 
     def test_text_roundtrip(self):
         for w in (x_word("0110"), Word((), X), y_word(2, 1), Word((), Y)):
@@ -81,6 +81,8 @@ class TestWords:
         assert x_word("100").trailing_x0_count == 2
         assert x_word("01").trailing_x0_count == 0
         assert Word((), X).trailing_x0_count == 0
+        with pytest.raises(AlphabetError):
+            y_word(1).trailing_x0_count
 
 
 _VALUE_WORDS = [x_word("0110"), Word((), X), y_word(2, 1), y_word(12), Word((), Y)]
@@ -124,6 +126,7 @@ class TestWordValue:
         assert w == x_word("01") and Word((3,), alphabet=Y) == y_word(3)
         assert repr(w) == "Word(letters=(0, 1), alphabet='X')"
         assert Word((1,)) == x_word("1")  # X is the default alphabet
+        assert y_word([2, 1]) == y_word(2, 1)  # indices as one iterable
 
 
 def _random_poly(rng, alphabet, max_len=3, max_terms=4):
@@ -210,6 +213,22 @@ class TestNCPoly:
         w = y_word(2)
         p = NCPoly(Y, [(w, 1), (w, Fraction(1, 2)), (w, Fraction(-3, 2))])
         assert not p
+
+    def test_size_and_grades(self):
+        p = NCPoly(Y, {y_word(2, 1): 1, y_word(1): 3, Word((), Y): 2})
+        assert (len(p), p.max_grade, p.max_length) == (3, 3, 2)
+        assert (len(NCPoly.zero(Y)), NCPoly.zero(Y).max_grade) == (0, 0)
+
+    def test_foreign_keys_and_operands_refused(self):
+        with pytest.raises(TypeError, match="keys must be Words"):
+            NCPoly(X, {(0, 1): 1})
+        with pytest.raises(AlphabetError, match="polynomial is over X"):
+            NCPoly(X, {y_word(1): 1})
+        with pytest.raises(TypeError, match="expected NCPoly, got int"):
+            NCPoly.one(X) + 1
+        with pytest.raises(TypeError, match="exact rational"):
+            NCPoly.one(X) * 0.5
+        assert NCPoly.one(X) != 1 and NCPoly.one(X) != x_word("")
 
     def test_index_from_word_rejects_y(self):
         with pytest.raises(AlphabetError):
@@ -443,6 +462,10 @@ class TestDenseKernel:
                 assert NPoly([k * v for v in p.nums[:-1]] + [k * p.nums[-1] + 1], k * p.den) != p
 
         check()
+
+    def test_repr_and_foreign_equality(self):
+        assert repr(NPoly([1, Fraction(1, 2)])) == "NPoly(1/2*N + 1)"
+        assert NPoly([1]) != 1 and NPoly() != ()
 
     def test_caps_of_zero(self):
         p = NPoly([Fraction(0), Fraction(2, 3), 5])

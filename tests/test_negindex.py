@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 from polylog.harmonic import h_signed_table
-from polylog.nc_core import InvalidIndexError, NCPoly, Word, X, x_word
+from polylog.nc_core import AlphabetError, InvalidIndexError, NCPoly, Word, X, x_word, y_word
 from polylog.negindex import (
     NotRepresentableError,
     RatFuncAtOne,
@@ -81,6 +81,12 @@ class TestRatFuncCanonical:
         assert str(RatFuncAtOne([0, -1, Fraction(-1, 2), 1], 0)) == "-z - 1/2*z^2 + z^3"
         assert str(RatFuncAtOne([Fraction(-3, 2)], 1)) == "(-3/2)/(1-z)^1"
         assert str(RatFuncAtOne([], 0)) == "0"
+
+    def test_repr_equality_and_negative_pole_order(self):
+        assert repr(RatFuncAtOne([1, 1], 2)) == "RatFuncAtOne((1 + z)/(1-z)^2)"
+        assert RatFuncAtOne([1], 0) != 1 and RatFuncAtOne([1], 0) != NCPoly.one(X)
+        with pytest.raises(ValueError, match="pole order must be >= 0, got -1"):
+            RatFuncAtOne([1], -1)
 
 
 def _ratfuncs():
@@ -302,3 +308,7 @@ class TestRegularization:
 
     def test_zero_input(self):
         assert regularize_trailing_x0(NCPoly.zero(X)) == {}
+
+    def test_y_side_refused(self):
+        with pytest.raises(AlphabetError, match="acts on X-polynomials"):
+            regularize_trailing_x0(NCPoly.from_word(y_word(1)))

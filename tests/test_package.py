@@ -64,7 +64,7 @@ def test_star_import_binds_each_name():
 def _fresh(probe: str):
     """The JSON that ``probe`` prints in a fresh interpreter."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     return json.loads(run.stdout)
 

@@ -8,7 +8,7 @@ import pytest
 
 from polylog import polylog_num
 from polylog.harmonic import h_signed_table, h_word_table
-from polylog.nc_core import NCPoly, NotInImageError, Word, X, Y, x_word, y_word
+from polylog.nc_core import AlphabetError, NCPoly, NotInImageError, Word, X, Y, x_word, y_word
 from polylog.polylog_num import (
     PrecisionError,
     TaylorTrunc,
@@ -171,6 +171,14 @@ class TestHadamardIdentity:
         assert not check_hadamard_identity(y_word(1), y_word(1), 10)
         assert not check_hadamard_identity(y_word(2), y_word(1), 10)
 
+    def test_wrong_alphabet_refused(self):
+        with pytest.raises(AlphabetError, match="indexed by Y-words"):
+            check_hadamard_identity(x_word("1"), y_word(1), 10)
+        with pytest.raises(AlphabetError, match="expects X-words"):
+            check_shuffle_morphism(x_word("1"), y_word(1), 10)
+        with pytest.raises(AlphabetError, match="expects an X-polynomial"):
+            li_taylor_poly(NCPoly.from_word(y_word(1)), 10)
+
 
 class TestShuffleMorphism:
     def test_log_squared(self):
@@ -244,9 +252,20 @@ class TestStirling:
     def test_zero_blocks(self):
         for n in (1, 4, 9):
             assert stirling2(n, 0) == 0
+        with pytest.raises(ValueError, match="natural arguments"):
+            stirling2(-1, 0)
 
     def test_surjection_lemma_small(self):
         assert check_surjection_lemma(10, 5)
+
+    def test_surjection_lemma_wrong_product_fails(self, monkeypatch):
+        # concatenation in place of shuffle fails the word side; the Hadamard product in
+        # place of the Cauchy product fails the generating-function side
+        with monkeypatch.context() as patched:
+            patched.setattr(polylog_num, "shuffle", lambda p, q, grade_cap: conc(p, q))
+            assert not check_surjection_lemma(6, 3)
+        monkeypatch.setattr(polylog_num, "cauchy", hadamard)
+        assert not check_surjection_lemma(6, 3)
 
     def test_table_matches_explicit_formula(self):
         # S2(n, m) = sum_j (-1)^j C(m, j) (m - j)^n / m!
@@ -269,6 +288,9 @@ class TestStirling:
 class TestLiEval:
     def test_empty_index(self):
         assert li_eval((), 0.9, 1e-12) == 1.0
+
+    def test_origin(self):
+        assert li_eval((2, -1), 0, 1e-12) == 0 and li_eval((1,), 0j, 1e-6) == 0
 
     def test_log_two(self):
         value = li_eval((1,), 0.5, 1e-10)
@@ -340,6 +362,10 @@ class TestDomRadius:
             dom_radius_demo(1, F(3, 2), 10)
         with pytest.raises(ValueError):
             dom_radius_demo(1, 0, 10)
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            dom_radius_demo(-1, F(1, 4), 10)
+        with pytest.raises(ValueError, match="m_cap must be >= 0"):
+            dom_radius_demo(1, F(1, 4), -1)
 
 
 def _naive_cauchy(a, b):
@@ -425,6 +451,12 @@ class TestIntegerKernel:
         with pytest.raises(ValueError):
             TaylorTrunc((F(1), "2"))
         assert TaylorTrunc((1, F(1, 2))).coeffs == (1, F(1, 2))
+        with pytest.raises(ValueError, match="at least the constant term"):
+            TaylorTrunc(())
+
+    def test_repr_and_foreign_equality(self):
+        assert repr(TaylorTrunc((1, F(1, 2)))) == "TaylorTrunc(coeffs=(Fraction(1, 1), Fraction(1, 2)))"
+        assert TaylorTrunc((1,)) != 1 and TaylorTrunc((1,)) != (F(1),)
 
     def test_exact_results_are_reduced_fractions(self):
         t = cauchy(li_taylor_coeffs((1,), 6), li_taylor_coeffs((2,), 6))

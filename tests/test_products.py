@@ -184,6 +184,10 @@ class TestStuffle:
     def test_rejects_x_polynomials(self):
         with pytest.raises(AlphabetError):
             stuffle(NCPoly.from_word(x_word("1")), NCPoly.from_word(x_word("1")))
+        with pytest.raises(AlphabetError, match="Y-polynomials only"):
+            stuffle_pow(NCPoly.from_word(x_word("1")), 2)
+        with pytest.raises(AlphabetError, match="Y-polynomials only"):
+            exp_stuffle(NCPoly.from_word(x_word("1")), 2)
 
 
 class TestConc:
@@ -200,6 +204,10 @@ class TestConc:
         p = NCPoly.from_word(y_word(1)) + NCPoly.from_word(y_word(2))
         got = conc(p, NCPoly.from_word(y_word(1)))
         assert got == NCPoly.from_word(y_word(1, 1)) + NCPoly.from_word(y_word(2, 1))
+
+    def test_alphabet_mismatch(self):
+        with pytest.raises(AlphabetError, match="alphabet mismatch: X vs Y"):
+            conc(NCPoly.from_word(x_word("1")), NCPoly.from_word(y_word(1)))
 
 
 class TestPowers:

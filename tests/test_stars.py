@@ -1,10 +1,11 @@
+import cmath
 import random
 from fractions import Fraction
 
 import pytest
 
 from polylog.coding import QSeriesTrunc, umbra_to_plane
-from polylog.nc_core import NCPoly, Word, X, Y, x_word, y_word
+from polylog.nc_core import NCPoly, NPoly, Word, X, Y, x_word, y_word
 from polylog.products import exp_stuffle, shuffle, stuffle
 from polylog.stars import (
     PlaneStar,
@@ -85,6 +86,31 @@ class TestX1StarExpand:
         p = x1star_poly_expand(s, 3)
         assert p.coeff(Word((), X)) == 0
         assert p.coeff(x_word("11")) == 1
+
+    def test_negative_denominator_expands_like_its_positive_form(self):
+        # an NPoly given numerators over den < 0 is a valid combination; the expansion takes the sign
+        s, positive = X1StarPoly(NPoly([1, -2], -3)), X1StarPoly({0: Fraction(-1, 3), 1: Fraction(2, 3)})
+        assert s == positive and x1star_poly_expand(s, 3) == x1star_poly_expand(positive, 3)
+
+
+class TestX1StarPolyAlgebra:
+    def test_empty_and_coefficients(self):
+        assert not X1StarPoly() and X1StarPoly() == X1StarPoly({}) and X1StarPoly().max_order == 0
+        s = X1StarPoly({2: Fraction(1, 2), 0: -1})
+        assert [s.coeff(k) for k in range(4)] == [-1, 0, Fraction(1, 2), 0]
+        assert repr(s) == "X1StarPoly(1/2*star(2) - 1)" and str(X1StarPoly()) == "0"
+
+    def test_sums_and_negation(self):
+        a, b = X1StarPoly({2: 1, 1: Fraction(1, 3)}), X1StarPoly({1: Fraction(-1, 3), 0: 4})
+        assert a + b == X1StarPoly({2: 1, 0: 4}) and a - b == X1StarPoly({2: 1, 1: Fraction(2, 3), 0: -4})
+        assert -a == a * -1 and a + -a == X1StarPoly() and a - a == X1StarPoly()
+
+    def test_refusals(self):
+        with pytest.raises(ValueError, match="star orders must be >= 0, got -1"):
+            X1StarPoly({-1: 1})
+        with pytest.raises(ValueError, match="needs k >= 1, got 0"):
+            check_kstar_shuffle_power(0, 3)
+        assert X1StarPoly({0: 1}) != 1 and X1StarPoly() != NPoly()
 
 
 class TestKStarShufflePower:
@@ -332,3 +358,39 @@ class TestLetterStar:
         z = 0.4
         expected = z**0.5 * (1 - z) ** -1.5
         assert abs(form.eval(z) - expected) < 1e-12
+
+    @staticmethod
+    def _reference(alpha, beta, z):
+        """z^alpha (1-z)^(-beta) as exp(p log w), with the powers of zero spelled out."""
+        z = complex(z)
+        powers = []
+        for w, p in ((z, float(alpha)), (1 - z, -float(beta))):
+            if w != 0:
+                powers.append(cmath.exp(p * cmath.log(w)))
+            elif p < 0:
+                raise ZeroDivisionError("0 to a negative power")
+            else:
+                powers.append(complex(p == 0))
+        return powers[0] * powers[1]
+
+    def test_matches_reference_on_random_grid(self):
+        rng = random.Random(20)
+        for _ in range(2000):
+            alpha, beta = (Fraction(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(2))
+            z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            want = self._reference(alpha, beta, z)
+            assert abs(letter_star_li(alpha, beta).eval(z) - want) <= 1e-14 * abs(want), (alpha, beta, z)
+
+    @pytest.mark.parametrize("z", [0, 1])
+    @pytest.mark.parametrize("beta", [0, Fraction(1, 2), -2])
+    @pytest.mark.parametrize("alpha", [0, 3, Fraction(-1, 2)])
+    def test_zero_and_one(self, alpha, beta, z):
+        # a power of zero is 1, 0 or a ZeroDivisionError, as its exponent is 0, positive or negative
+        form = letter_star_li(alpha, beta)
+        try:
+            want = self._reference(alpha, beta, z)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                form.eval(z)
+        else:
+            assert form.eval(z) == want
