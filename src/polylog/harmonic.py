@@ -8,9 +8,12 @@ recurrence, H_s(N) = H_s(N-1) + N^(-s1) H_(s2..sr)(N-1), run on integer
 numerators over one denominator.  With L = lcm(1..N) the step multiplies by
 L^s1 // N^s1 (s1 > 0) or N^(-s1) (s1 <= 0), and the denominator is
 D_(s2..sr) L^max(s1, 0), so no step of the recurrence pays a gcd and
-Fractions are built only for returned values.  :func:`h_word_eval` and
-:func:`h_signed_eval` stream with O(r) memory, and :func:`h_signed_table`
-streams apart from the cache so it stays an independent oracle.  A word table
+Fractions are built only for returned values.  :func:`h_signed_table` streams
+apart from the cache so it stays an independent oracle.  :func:`h_signed_eval`
+(and :func:`h_word_eval`) streams the rows of the tail s2..sr only, and sums the
+leading entry's terms H_(s2..sr)(k-1) k^(-s1) in blocks of consecutive k, each
+over lcm(block)^s1, merged pairwise like a binary counter; so no step divides a
+number of lcm(1..N)^s1 size, and memory is O(r + log N) numbers.  A word table
 reads its word's memoized column; Taylor vectors of Li take one weight pass per
 leading entry over the memoized tail columns, and a polynomial table is their
 prefix sum, so it never caches a product's full words.  Columns and Taylor
@@ -31,8 +34,9 @@ worst duplicate work, never observe a partial or mismatched column.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate
-from math import factorial, lcm, prod
+from math import factorial, gcd, lcm, prod
 from typing import Iterable, Iterator, Sequence
 
 from .nc_core import AlphabetError, NCPoly, NPoly, RatLike, Word, Y
@@ -53,9 +57,9 @@ def _scales(index: SignedIndex, n_max: int) -> list[int]:
     return [big**s if s > 0 else 1 for s in index]
 
 
-def _weights(s: int, scale: int, n_max: int) -> Iterator[int]:
-    """The integers scale * n^(-s) for n = 1..n_max, with scale from :func:`_scales`."""
-    return (scale // n**s if s > 0 else n ** (-s) for n in range(1, n_max + 1))
+def _weights(s: int, scale: int, n_max: int, start: int = 1) -> Iterator[int]:
+    """The integers scale * n^(-s) for n = start..n_max, scale a multiple of lcm(start..n_max)^s."""
+    return (scale // n**s if s > 0 else n ** (-s) for n in range(start, n_max + 1))
 
 
 def _prefix_rows(weights: list[Iterator], n_max: int) -> Iterator[list]:
@@ -135,16 +139,41 @@ def h_word_eval(w: Word, n: int) -> Fraction:
     return h_signed_eval(w.letters, n)
 
 
+#: Consecutive leading-entry terms that :func:`h_signed_eval` sums over one block lcm.
+_BLOCK = 32
+
+
+def _merge(e: int, x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """P1 / l1^e + P2 / l2^e as (P, l) over lcm(l1, l2)^e."""
+    (p1, l1), (p2, l2) = x, y
+    g = gcd(l1, l2)
+    return p1 * (l2 // g) ** e + p2 * (l1 // g) ** e, l1 // g * l2
+
+
 def h_signed_eval(s: Sequence[int], n: int) -> Fraction:
     """Brute-force oracle: the nested sum with arbitrary integer exponents.
 
-    Streams with O(r) memory, so large N needs no column.
+    Streams the tail's rows with O(r + log N) memory, so large N needs no column:
+    H_s(N) = sum_k H_(s2..sr)(k-1) k^(-s1), summed per block of k over the block's
+    lcm^s1 and merged pairwise.  For s1 <= 0 a merge is a plain add, so one block.
     """
     index = tuple(s)
-    scales = _scales(index, n)
-    for row in _prefix_rows([_weights(e, f, n) for e, f in zip(index, scales)], n):
-        pass
-    return Fraction(row[0], prod(scales))
+    scales = _scales(index[1:], n)
+    if not index:
+        return Fraction(1)
+    s1, e = index[0], max(index[0], 0)
+    rows = _prefix_rows([_weights(t, f, n) for t, f in zip(index[1:], scales)], n - 1)
+    step = _BLOCK if e else max(n, 1)
+    parts: list[tuple[int, int]] = []  # a binary counter: block counts fall, powers of two
+    for i, a in enumerate(range(1, n + 1, step), 1):
+        b = min(a + step, n + 1)
+        l = lcm(*range(a, b)) if e else 1
+        # weights first: zip stops on them before it takes a row of the next block
+        parts.append((sum(w * row[0] for w, row in zip(_weights(s1, l**e, b - 1, a), rows)), l))
+        for _ in range((i & -i).bit_length() - 1):
+            parts.append(_merge(e, parts.pop(-2), parts.pop()))
+    p, l = reduce(lambda x, y: _merge(e, x, y), reversed(parts), (0, 1))
+    return Fraction(p, l**e * prod(scales))
 
 
 def h_signed_table(s: Sequence[int], n_max: int) -> list[Fraction]:

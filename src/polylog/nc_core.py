@@ -524,9 +524,13 @@ class NPoly:
         return NPoly(acc, den)
 
     def __add__(self, other: "NPoly") -> "NPoly":
+        if not isinstance(other, NPoly):
+            return NotImplemented
         return NPoly.lin_comb([(1, self), (1, other)])
 
     def __sub__(self, other: "NPoly") -> "NPoly":
+        if not isinstance(other, NPoly):
+            return NotImplemented
         return NPoly.lin_comb([(1, self), (-1, other)])
 
     def __neg__(self) -> "NPoly":

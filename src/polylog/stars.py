@@ -77,9 +77,13 @@ class X1StarPoly:
         return bool(self.poly)
 
     def __add__(self, other: "X1StarPoly") -> "X1StarPoly":
+        if not isinstance(other, X1StarPoly):
+            return NotImplemented
         return X1StarPoly(self.poly + other.poly)
 
     def __sub__(self, other: "X1StarPoly") -> "X1StarPoly":
+        if not isinstance(other, X1StarPoly):
+            return NotImplemented
         return X1StarPoly(self.poly - other.poly)
 
     def __neg__(self) -> "X1StarPoly":

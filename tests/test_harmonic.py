@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -67,11 +68,15 @@ class TestNPoly:
         lambda n: h_poly_table(NCPoly.from_word(y_word(1)), n),
         lambda n: h_signed_table((1,), n),
         lambda n: h_signed_eval((2, -1), n),
+        lambda n: h_signed_eval((), n),
         lambda n: h_word_table(y_word(2, 1), n),
         lambda n: h_word_table(Word((), Y), n),
         lambda n: h_word_eval(y_word(1), n),
     ],
-    ids=["poly_eval", "poly_table", "signed_table", "signed_eval", "word_table", "empty_word", "word_eval"],
+    ids=[
+        "poly_eval", "poly_table", "signed_table", "signed_eval", "signed_eval_empty",
+        "word_table", "empty_word", "word_eval",
+    ],
 )
 def test_negative_n_is_refused(call, n):
     with pytest.raises(ValueError):
@@ -348,6 +353,37 @@ class TestIntegerColumns:
             assert h_signed_table(index, n)[n] == expected
 
         agree()
+
+    def test_property_block_sum_is_exact(self):
+        # N at, one below and one above 1, 2 and 3 block lengths of the leading-entry sum
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        edges = [k * harmonic._BLOCK + d for k in (1, 2, 3) for d in (-1, 0, 1)]
+
+        @hyp.settings(max_examples=120, deadline=None, derandomize=True, database=None)
+        @hyp.given(
+            st.lists(st.integers(-3, 4), max_size=4),
+            st.one_of(st.sampled_from(edges), st.integers(0, 300)),
+        )
+        @hyp.example([4, 4, 4, 4], 3)  # N < depth
+        @hyp.example([], 3 * harmonic._BLOCK)
+        # the largest shapes of the benchmark's h-eval requests
+        @hyp.example([4, -1], 1988)
+        @hyp.example([3, -1], 1926)
+        def exact(index, n):
+            assert h_signed_eval(index, n) == h_signed_table(index, n)[n]
+
+        exact()
+
+    def test_stream_memory_stays_small(self):
+        # no list of rows: the tail rows stream and the block sums merge into O(log N) numbers
+        tracemalloc.start()
+        try:
+            h_signed_eval((1, 2), 4000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, peak
 
     def test_property_poly_table_is_per_word_sum(self):
         hyp = pytest.importorskip("hypothesis")

@@ -229,6 +229,11 @@ class TestNCPoly:
         with pytest.raises(TypeError, match="exact rational"):
             NCPoly.one(X) * 0.5
         assert NCPoly.one(X) != 1 and NCPoly.one(X) != x_word("")
+        # the dense kernel refuses a scalar summand the same way, by NotImplemented
+        with pytest.raises(TypeError, match="unsupported operand"):
+            NPoly([1]) + 1
+        with pytest.raises(TypeError, match="unsupported operand"):
+            NPoly([1]) - 1
 
     def test_index_from_word_rejects_y(self):
         with pytest.raises(AlphabetError):

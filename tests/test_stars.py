@@ -111,6 +111,10 @@ class TestX1StarPolyAlgebra:
         with pytest.raises(ValueError, match="needs k >= 1, got 0"):
             check_kstar_shuffle_power(0, 3)
         assert X1StarPoly({0: 1}) != 1 and X1StarPoly() != NPoly()
+        with pytest.raises(TypeError, match="unsupported operand"):
+            X1StarPoly() + 1
+        with pytest.raises(TypeError, match="unsupported operand"):
+            X1StarPoly() - 1
 
 
 class TestKStarShufflePower:
