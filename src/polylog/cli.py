@@ -550,13 +550,18 @@ def cmd_h_eval(args) -> int:
 
 
 def cmd_li_coeffs(args) -> int:
-    from . import polylog_num
+    from .polylog_num import PrecisionError, li_taylor_coeffs
 
     index = _parse_index_arg(args.index)
-    if args.float_mode:
-        mode, coeffs = "float", polylog_num._li_float_coeffs(index, args.ncap)
+    series = li_taylor_coeffs(index, args.ncap)
+    if args.float_mode:  # int / int is correctly rounded, and raises past the double range
+        mode, coeffs = "float", [0.0] * (args.ncap + 1)
+        for n, x in enumerate(series.poly.nums):
+            try:
+                coeffs[n] = x / series.poly.den
+            except OverflowError:
+                raise PrecisionError(f"float Taylor coefficients of index {index} overflow at term n={n}")
     else:
-        series = polylog_num.li_taylor_coeffs(index, args.ncap)
         mode, coeffs = "exact", [str(c) for c in series.coeffs]
     if args.csv:
         print("N,coefficient")
@@ -730,7 +735,7 @@ def main(argv=None) -> int:
                 message = f"polylog {args.command}: unrecognized arguments: {' '.join(extras)}"
                 raise argparse.ArgumentError(None, message)
             return args.func(args)
-        except (PolylogError, ValueError, argparse.ArgumentError) as exc:
+        except (PolylogError, ValueError, OverflowError, argparse.ArgumentError) as exc:
             advice = "use sys.set_int_max_str_digits() to increase the limit"  # not the CLI's
             message = str(exc).replace(advice, f"the CLI's cap is MAX_DIGITS = {MAX_DIGITS}")
             _print_json({"error": {"code": type(exc).__name__, "message": message}})

@@ -10,20 +10,21 @@ cached harmonic columns, one weight pass per leading entry; the module also prov
 * the theta-operator coefficient recursions;
 * Stirling numbers of the second kind with the surjection/shuffle-power
   identity and its exponential generating function;
-* a float evaluator on |z| <= 0.995 with a certified truncation point, and
-  the strict-decrease radius diagnostic for the worked divergence family.
+* a float evaluator on |z| <= 0.995 certified for truncation and rounding,
+  and the strict-decrease radius diagnostic for the worked divergence family.
 
 A :class:`TaylorTrunc` is a view of an :class:`~polylog.nc_core.NPoly`, the
 one dense exact kernel, with an explicit cap: the kernels run on integer
 numerators over one shared denominator and Fractions are built only when
-``coeffs`` is read.  The numeric evaluator takes its doubles from the same
-prefix recurrence as the exact harmonic sums, with float weights.
+``coeffs`` is read.  The evaluator runs the prefix recurrence of the exact
+harmonic sums on float weights and adds each term as it is made.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from contextlib import suppress
 from fractions import Fraction
 from itertools import repeat
 from math import factorial
@@ -112,30 +113,6 @@ def _powers(s: int, n_max: int) -> Iterator[float]:
     return map(pow, map(float, range(1, n_max + 1)), repeat(-s))
 
 
-def _li_float_coeffs(index: tuple[int, ...], m: int) -> list[float]:
-    """Doubles a_0..a_m of Li at a signed index, from the prefix recurrence on float weights.
-
-    a_n is n^(-s1) times row n-1 of the suffix's recurrence.  Raises PrecisionError
-    naming the first n whose coefficient is not finite.
-    """
-    if m < 0:
-        raise ValueError("n_cap must be >= 0")
-    if not index:
-        return [1.0] + [0.0] * m
-    rows = _prefix_rows([_powers(s, m - 1) for s in index[1:]], m - 1)
-    out = [0.0]
-    try:
-        for w, row in zip(_powers(index[0], m), rows):
-            out.append(w * row[0])
-    except OverflowError:
-        out.append(math.inf)
-    # products of finite powers overflow to inf without raising
-    if not all(map(math.isfinite, out)):
-        n = next(n for n, c in enumerate(out) if not math.isfinite(c))
-        raise PrecisionError(f"float Taylor coefficients of index {index} overflow at term n={n}")
-    return out
-
-
 def li_taylor_poly(p: NCPoly, n_cap: int) -> TaylorTrunc:
     """Linear combination of Taylor vectors over an X-polynomial.
 
@@ -217,12 +194,15 @@ def check_derivative_recursion(s: Sequence[int], n_cap: int) -> bool:
 
 
 def li_eval(s: Sequence[int], z: complex, eps: float) -> complex:
-    """Evaluate Li at a signed index with truncation error below eps, for |z| <= 0.995.
+    """Evaluate Li at a signed index within eps of its value, for |z| <= 0.995.
 
-    The truncation point is certified from the tail bound |a_n| <= n^sigma
-    with sigma = r + sum max(0, -s_i); the certificate covers truncation, not
-    the rounding of the float sum.  Raises PrecisionError when certifying the
-    target accuracy would take m terms with m times the depth above MAX_TERMS.
+    The truncation point m is certified from the tail bound |a_n| <= n^sigma,
+    sigma = r + sum max(0, -s_i) at depth r.  The terms are summed as they are
+    made, beside S = sum a_n |z|^n: every a_n is >= 0, so the rounding error is
+    at most 1.01 u K S with u = 2^-53 and K = r(m+2) + 2.25m, plus a bound on
+    losses below the normal range.  Raises PrecisionError when the bounds
+    exceed eps, when a coefficient or the sum overflows, or, before any work,
+    when m r > MAX_TERMS.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -238,31 +218,45 @@ def li_eval(s: Sequence[int], z: complex, eps: float) -> complex:
         )
     if q == 0:
         return complex(0.0)
-    sigma = len(index) + sum(max(0, -si) for si in index)
+    r = len(index)
+    sigma = r + sum(max(0, -si) for si in index)
     log_q = math.log(q)
     log_eps = math.log(eps)
     m = 16
     while True:
-        # the coefficient recurrence costs m rows times the depth; refuse before certifying
-        if m * len(index) > MAX_TERMS:
+        if m * r > MAX_TERMS:
             raise PrecisionError(
                 f"cannot certify eps={eps} at |z|={q:.6f} within {MAX_TERMS} terms times depth"
             )
-        # terms n^sigma q^n decay at ratio <= c for n > m once c < 1;
-        # the comparison runs in log space so huge sigma cannot overflow
+        # terms n^sigma q^n decay at ratio <= c past m once c < 1 (in logs: sigma may be huge)
         c = math.exp(sigma * math.log((m + 2) / (m + 1)) + log_q)
         if c < 1.0:
             log_tail = sigma * math.log(m + 1) + (m + 1) * log_q - math.log(1.0 - c)
             if log_tail <= log_eps:
                 break
         m *= 2
-    total = 0.0 + 0.0j
-    zp = 1.0 + 0.0j
-    for c in _li_float_coeffs(index, m):
-        total += c * zp
-        zp *= z
-    if not cmath.isfinite(total):
-        raise PrecisionError(f"the partial sum of Li at index {index} overflows at {m} terms")
+    rows = _prefix_rows([_powers(si, m - 1) for si in index[1:]], m - 1)
+    total, size, zp, qp, done = 0j, 0.0, 1 + 0j, 1.0, 0  # done: the last term added
+    with suppress(OverflowError):  # a power past the double range
+        for n, w, row in zip(range(1, m + 1), _powers(index[0], m), rows):
+            a = w * row[0]
+            if not a < math.inf:  # products of finite powers overflow without raising
+                break
+            zp, qp = zp * z, qp * q
+            total, size, done = total + a * zp, size + a * qp, n
+    if done < m:
+        raise PrecisionError(f"float Taylor coefficients of index {index} overflow at term n={done + 1}")
+    # Derived in README (Higham, ch. 3-4): K counts the roundings of one term; below the normal
+    # range each of the (2r+8)m powers and products may lose 2^-1074, and G = m^(1+max(0,-s1))
+    # prod_(i>=2) L_i (L_i = 1 + ln m if s_i > 0, else m^(1-s_i)) bounds every partial
+    # derivative of the sum, so (r+4) m G 2^-1072 bounds twice that loss.
+    log_m, positive = math.log(m), sum(si > 0 for si in index[1:])
+    log_lost = math.log((r + 4) / 2**1072) + (sigma + 1 - positive) * log_m + positive * math.log1p(log_m)
+    rounding = 1.01 * 2.0**-53 * (r * (m + 2) + 2.25 * m) * size
+    rounding += math.exp(log_lost) if log_lost < 709 else math.inf
+    if not (math.exp(log_tail) + rounding <= eps and cmath.isfinite(total)):  # S >= |total|
+        message = f"the float sum of Li at index {index} carries a rounding bound of {rounding:.3g}"
+        raise PrecisionError(f"cannot certify eps={eps} at |z|={q:.6f}: {message}")
     return total
 
 

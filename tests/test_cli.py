@@ -503,10 +503,10 @@ class TestCommands:
     @pytest.mark.parametrize("depth", [60, 20])
     def test_li_eval_work_cap_is_json_error(self, capsys, monkeypatch, depth):
         # m terms times the depth would pass MAX_TERMS near |z| = 0.995: refused before summing
-        def unreachable(index, m):
-            raise AssertionError(f"summed {m} terms at depth {len(index)}")
+        def unreachable(s, n_max):
+            raise AssertionError(f"made {n_max} powers of {s}")
 
-        monkeypatch.setattr(polylog_num, "_li_float_coeffs", unreachable)
+        monkeypatch.setattr(polylog_num, "_powers", unreachable)
         code, out = self._run(capsys, "li-eval", ",".join(["1"] * depth), "0.995", "1e-10")
         assert code == 2
         error = json.loads(out)["error"]
@@ -550,8 +550,14 @@ class TestCommands:
                 "at position 0: h-closed-form needs a star combination or a non-positive index, got Y-polynomial",
             ),
             (("li-eval", "1", "abc", "1e-6"), "ValueError", "cannot parse 'abc' as a complex number"),
+            # N past the index-sized integers: lcm(1..N) and the vector of N + 1 entries cannot be built
+            (("h-eval", "(1,1)", str(10**24)), "OverflowError", "Python int too large to convert to C ssize_t"),
+            (("li-coeffs", "1", str(10**24)), "OverflowError", "cannot fit 'int' into an index-sized integer"),
         ],
-        ids=["stuffle-of-star", "shuffle-of-rationals", "h-closed-form-of-word", "li-eval-point"],
+        ids=[
+            "stuffle-of-star", "shuffle-of-rationals", "h-closed-form-of-word", "li-eval-point",
+            "h-eval-huge-n", "li-coeffs-huge-n",
+        ],
     )
     def test_refused_request_is_json_error(self, capsys, argv, code, message):
         exit_code, out = self._run(capsys, *argv)

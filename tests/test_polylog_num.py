@@ -1,4 +1,7 @@
 import cmath
+import contextlib
+import io
+import json
 import math
 import random
 from fractions import Fraction
@@ -6,7 +9,7 @@ from itertools import combinations
 
 import pytest
 
-from polylog import polylog_num
+from polylog import cli, negindex, polylog_num
 from polylog.harmonic import h_signed_table, h_word_table
 from polylog.nc_core import AlphabetError, NCPoly, NotInImageError, Word, X, Y, x_word, y_word
 from polylog.polylog_num import (
@@ -29,6 +32,16 @@ from polylog.polylog_num import (
 from polylog.products import conc, shuffle
 
 F = Fraction
+
+
+def _float_coeffs(index, n_cap):
+    """The doubles of ``li-coeffs --float``, or its JSON error."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["li-coeffs", "--float", "--", ",".join(map(str, index)) or "()", str(n_cap)])
+    payload = json.loads(out.getvalue())
+    assert (code, "error" in payload) in ((0, False), (2, True))
+    return payload.get("coeffs", payload)
 
 
 def _y_words(max_weight):
@@ -85,18 +98,17 @@ class TestTaylorCoeffs:
         @hyp.given(st.lists(st.integers(-3, 3), max_size=3).map(tuple), st.integers(0, 60))
         def tracks(index, n_cap):
             exact = li_taylor_coeffs(index, n_cap).coeffs
-            floats = polylog_num._li_float_coeffs(index, n_cap)
+            floats = _float_coeffs(index, n_cap)
             assert len(floats) == n_cap + 1 and all(type(b) is float for b in floats)
-            for a, b in zip(exact, floats):
-                assert abs(F(b) - a) <= F(1e-12) * abs(a)
+            # correctly rounded: each double is the nearest one to its exact coefficient
+            assert floats == [float(a) for a in exact]
 
         tracks()
 
     def test_float_coeffs_edges(self):
-        assert polylog_num._li_float_coeffs((), 3) == [1.0, 0.0, 0.0, 0.0]
-        assert polylog_num._li_float_coeffs((2, 1), 0) == [0.0]
-        with pytest.raises(ValueError, match="n_cap"):
-            polylog_num._li_float_coeffs((2,), -1)
+        assert _float_coeffs((), 3) == [1.0, 0.0, 0.0, 0.0]
+        assert _float_coeffs((2, 1), 0) == [0.0]
+        assert _float_coeffs((2,), -1)["error"] == {"code": "ValueError", "message": "n_cap must be >= 0"}
 
 
 class TestDivOneMinusZ:
@@ -336,6 +348,51 @@ class TestLiEval:
                 assert abs(li_eval((1, 1), z, eps) - want) <= eps
 
 
+class TestLiEvalExactOracle:
+    """li_eval against the exact rational function of a non-positive index.
+
+    Each call either raises PrecisionError or lands within eps of the exact
+    value at the double z, rounding included.
+    """
+
+    @staticmethod
+    def _grid():
+        rng = random.Random(19)
+        # a value of about 8.3e36, where a double's ulp is 1.2e21 and the float sum is off by
+        # about 7e22: within 1e22 only a rounding bound that counts the operations refuses it
+        points = [((-6, -6), 0.99, 1e-3), ((-6, -6), 0.99, 1e22)]
+        for _ in range(60):
+            index = tuple(rng.randint(-6, 0) for _ in range(rng.randint(1, 3)))
+            points.append((index, round(rng.uniform(-0.995, 0.995), 4), rng.choice((1e-3, 1e-8, 1e-12))))
+        return points
+
+    def test_answer_within_eps_or_refused(self):
+        answered = 0
+        for index, z, eps in self._grid():
+            try:
+                value = li_eval(index, z, eps)
+            except PrecisionError:
+                continue
+            exact = negindex.li_nonpositive(index).eval(F(z))
+            assert value.imag == 0 and abs(F(value.real) - exact) <= F(eps), (index, z, eps)
+            answered += 1
+        assert answered >= 30
+
+    def test_known_misses_are_refused(self):
+        with pytest.raises(PrecisionError, match="rounding bound"):
+            li_eval((-6, -6), 0.99, 1e-3)
+        # about 3.8e9 and off by about 2.1e-5 in the float sum
+        with pytest.raises(PrecisionError, match="rounding bound"):
+            li_eval((-3, 1), 0.99, 1e-8)
+
+    def test_underflow_is_bounded(self):
+        # 2^-1100 underflows to 0, so every float coefficient is 0; the exact value exceeds
+        # its n = 100 term 100^60 2^-1100 / 2^100 > 5e-242, which is above eps
+        assert F(100**60, 2**1200) > F(1e-250)
+        with pytest.raises(PrecisionError, match="rounding bound"):
+            li_eval((-60, 1100, 1), 0.5, 1e-250)
+
+
 class TestDomRadius:
     def test_convergent_case(self):
         report = dom_radius_demo(1, F(1, 4), 60)
@@ -466,23 +523,28 @@ class TestIntegerKernel:
 
 
 class TestNonFiniteFloat:
+    @staticmethod
+    def _overflow_message(index, n_cap):
+        error = _float_coeffs(index, n_cap)["error"]
+        assert error["code"] == "PrecisionError"
+        return error["message"]
+
     def test_coefficient_overflow_by_multiplication(self):
+        assert self._overflow_message((-60, -60), 400).endswith("n=366")
+        # the float recurrence's products of finite powers overflow at the same term
         with pytest.raises(PrecisionError, match="n=366"):
-            polylog_num._li_float_coeffs((-60, -60), 400)
+            li_eval((-60, -60), 0.5, 1e-6)
 
     def test_overflowing_weight_names_first_infinite_coefficient(self):
-        with pytest.raises(PrecisionError, match="n=6"):
-            polylog_num._li_float_coeffs((-400,), 60)
+        assert self._overflow_message((-400,), 60).endswith("n=6")
         # a_6 of Li_(1,-400) is about 6.5e278; the weight 6^400 of the suffix first enters a_7
-        assert all(map(math.isfinite, polylog_num._li_float_coeffs((1, -400), 6)))
-        with pytest.raises(PrecisionError, match="n=7"):
-            polylog_num._li_float_coeffs((1, -400), 8)
+        assert all(map(math.isfinite, _float_coeffs((1, -400), 6)))
+        assert self._overflow_message((1, -400), 8).endswith("n=7")
+        with pytest.raises(PrecisionError, match="n=35"):
+            li_eval((-200,), 0.5, 1e-6)
 
     def test_sum_overflow(self, monkeypatch):
-        def huge(index, m):
-            return [0.0] + [1e308] * m
-
         # every coefficient is finite, but their sum at z = 0.9 exceeds the float range
-        monkeypatch.setattr(polylog_num, "_li_float_coeffs", huge)
-        with pytest.raises(PrecisionError):
+        monkeypatch.setattr(polylog_num, "_powers", lambda s, n_max: [1e308] * n_max)
+        with pytest.raises(PrecisionError, match="rounding bound of inf"):
             li_eval((1,), 0.9, 1e-6)
