@@ -11,12 +11,14 @@ The package computes, with exact rational arithmetic throughout:
 * non-positive-index polylogarithms as star combinations (integer
   polynomials in t = 1/(1-z)) and as rational functions, and the trailing-x0
   shuffle regularization (:mod:`polylog.negindex`);
-* exact harmonic sums, closed-form polynomials in N, and the stuffle
-  character checks (:mod:`polylog.harmonic`);
-* truncated Taylor calculus, Hadamard/Cauchy identities, Stirling-number
+* exact harmonic sums and closed-form polynomials in N
+  (:mod:`polylog.harmonic`);
+* truncated Taylor calculus, Hadamard/Cauchy products, Stirling-number
   combinatorics, and certified numeric evaluation on the disk
   (:mod:`polylog.polylog_num`);
-* the registry of identity checks that ``polylog verify`` and the
+* the identity predicates (the stuffle character, the Hadamard, shuffle
+  morphism and derivative identities of Taylor vectors, the radius
+  diagnostic) and the registry of checks that ``polylog verify`` and the
   acceptance tests run (:mod:`polylog.checks`), and an expression parser
   and CLI (:mod:`polylog.cli`).
 
@@ -50,14 +52,15 @@ _EXPORTS = {
         "ratfunc_to_x1star", "regularize_trailing_x0", "theta_derivative", "x1star_to_ratfunc",
     ),
     "harmonic": (
-        "h_negindex_closed_form", "h_poly_eval", "h_signed_eval", "h_stuffle_check",
-        "h_word_eval", "h_x1star_closed_form",
+        "h_negindex_closed_form", "h_poly_eval", "h_signed_eval", "h_word_eval", "h_x1star_closed_form",
     ),
     "polylog_num": (
-        "DomRadiusReport", "PrecisionError", "TaylorTrunc", "check_derivative_recursion",
-        "check_hadamard_identity", "check_shuffle_morphism", "check_surjection_lemma",
-        "div_one_minus_z", "dom_radius_demo", "hadamard", "li_eval", "li_taylor_coeffs",
-        "stirling2",
+        "PrecisionError", "TaylorTrunc", "check_surjection_lemma", "div_one_minus_z", "hadamard",
+        "li_eval", "li_taylor_coeffs", "stirling2",
+    ),
+    "checks": (
+        "DomRadiusReport", "check_derivative_recursion", "check_hadamard_identity",
+        "check_shuffle_morphism", "dom_radius_demo", "h_stuffle_check",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -6,8 +6,12 @@ the identity is checked on, and a test of one input.  Building a suite for
 nothing, so a failing check cannot shift the inputs of the checks after it.
 :meth:`Check.run` tests the inputs in order, stops at the first failure and
 returns a :class:`CheckResult` with the detail and the elapsed time.  The
-identity data lives here only: the non-positive table and the mixed-index
-identities with their term evaluator, which no request outside ``verify`` loads.
+identity data and predicates live here, which no request outside ``verify``
+loads: the tables, the stuffle character (read off harmonic columns, or off
+Taylor vectors as the Hadamard identity), the shuffle morphism, the derivative
+recursions and the radius diagnostic.  ``stars.ykstar_exp_identity``,
+``stars.check_kstar_shuffle_power`` and ``polylog_num.check_surjection_lemma``
+stay by their computations, where ``perfbench`` calls them.
 """
 
 from __future__ import annotations
@@ -17,11 +21,11 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple, Sequence
 
 from . import harmonic, negindex, polylog_num, products, stars
 from .coding import QSeriesTrunc, pi_x_word
-from .nc_core import NCPoly, NPoly, Word, X, Y, y_word
+from .nc_core import AlphabetError, NCPoly, NPoly, NotInImageError, ONE, Word, X, Y, ZERO, index_from_word, y_word
 from .stars import PlaneStar, X1StarPoly
 
 DEFAULT_SEED = 20240
@@ -312,6 +316,67 @@ def suite_mixed(ncap: int | None = None, seed: int = DEFAULT_SEED) -> list[Check
 # -- morphisms -----------------------------------------------------------------
 
 
+def _stuffle_character(u: Word, v: Word, n_max: int, column: Callable[[tuple, int], NPoly]) -> bool:
+    """H_{u st v}(N) = H_u(N) H_v(N) for N <= n_max; ``column(w.letters, n_max)`` is H_w(0..n_max) or longer."""
+    if u.alphabet != Y or v.alphabet != Y:
+        raise AlphabetError("the stuffle character is indexed by Y-words")
+    lhs = harmonic._h_poly_vector(products.stuffle(NCPoly.from_word(u), NCPoly.from_word(v)), n_max)
+    hu, hv = (column(w.letters, n_max) for w in (u, v))
+    cut = n_max + 1  # a cached column can be longer than asked for
+    return lhs == NPoly(hu.nums[:cut], hu.den).hadamard(NPoly(hv.nums[:cut], hv.den))
+
+
+def h_stuffle_check(u: Word, v: Word, n_max: int) -> bool:
+    """Exact character check H_{u st v}(N) = H_u(N) H_v(N) for N <= n_max, on the harmonic columns."""
+    return _stuffle_character(u, v, n_max, harmonic._h_vector)
+
+
+def check_hadamard_identity(u: Word, v: Word, n_cap: int) -> bool:
+    """Exact check of (Li_u/(1-z)) had (Li_v/(1-z)) = Li_{u st v}/(1-z).
+
+    The stuffle character, with each H_w(N) read off the Taylor vector of Li_w/(1-z).
+    """
+    return _stuffle_character(
+        u, v, n_cap, lambda s, n: polylog_num.div_one_minus_z(polylog_num.li_taylor_coeffs(s, n)).poly
+    )
+
+
+def check_shuffle_morphism(u: Word, v: Word, n_cap: int) -> bool:
+    """Exact check that Taylor(Li_u) x Taylor(Li_v) = Taylor(Li_{u sh v}).
+
+    Both words must end in x1 (or be empty) so the series exist around 0.
+    """
+    for w in (u, v):
+        if w.alphabet != X:
+            raise AlphabetError("check_shuffle_morphism expects X-words")
+        if not (w.is_empty or w.ends_in_x1):
+            raise NotInImageError(f"word {w} ends in x0; no Taylor series at 0")
+    lhs = polylog_num.cauchy(
+        polylog_num.li_taylor_coeffs(index_from_word(u), n_cap),
+        polylog_num.li_taylor_coeffs(index_from_word(v), n_cap),
+    )
+    rhs = polylog_num.li_taylor_poly(products.shuffle(NCPoly.from_word(u), NCPoly.from_word(v)), n_cap)
+    return lhs == rhs
+
+
+def check_derivative_recursion(s: Sequence[int], n_cap: int) -> bool:
+    """Coefficientwise check of the differential recursions for Li.
+
+    For s1 != 1 this is theta Li_(s1,..) = Li_(s1-1,..), i.e.
+    N a_N(s) = a_N(s1-1, rest); for s1 = 1 it is
+    (1-z) d/dz Li_(1,rest) = Li_rest, i.e. (N+1) a_{N+1} - N a_N = b_N.
+    """
+    index = tuple(s)
+    if not index:
+        raise ValueError("the recursion needs a nonempty index")
+    a = polylog_num.li_taylor_coeffs(index, n_cap).coeffs
+    if index[0] != 1:
+        b = polylog_num.li_taylor_coeffs((index[0] - 1,) + index[1:], n_cap).coeffs
+        return all(n * a[n] == b[n] for n in range(n_cap + 1))
+    b = polylog_num.li_taylor_coeffs(index[1:], n_cap).coeffs
+    return all((n + 1) * a[n + 1] - n * a[n] == b[n] for n in range(n_cap))
+
+
 def _compositions(total: int) -> list[tuple[int, ...]]:
     if total == 0:
         return [()]
@@ -361,24 +426,24 @@ def suite_morphisms(ncap: int | None = None, seed: int = DEFAULT_SEED) -> list[C
     words4 = [Word(c, Y) for weight in range(5) for c in _compositions(weight)]
     pairs4 = tuple((u, v) for u in words4 for v in words4)
     coded = [pi_x_word(w) for w in words4]  # the X-words of length <= 4 ending in x1, and 1
-    stuffle_character = partial(harmonic.h_stuffle_check, n_max=30)
+    stuffle_character = partial(h_stuffle_check, n_max=30)
     return [
         Check("stuffle-character weight<=4 N<=30", stuffle_character, pairs4),
         Check("stuffle-character 200 random weight<=6", stuffle_character, random_pairs),
         Check("stuffle-character Euler pair y2,y3", stuffle_character, ((y_word(2), y_word(3)),)),
         Check(
             f"shuffle-morphism len<=4 N<={ncap}",
-            partial(polylog_num.check_shuffle_morphism, n_cap=ncap),
+            partial(check_shuffle_morphism, n_cap=ncap),
             tuple((u, v) for u in coded for v in coded),
         ),
         Check(
             f"hadamard weight<=4 N<={ncap}",
-            partial(polylog_num.check_hadamard_identity, n_cap=ncap),
+            partial(check_hadamard_identity, n_cap=ncap),
             pairs4,
         ),
         Check(
             "derivative-recursion 30 random size<=5 N<=60",
-            partial(polylog_num.check_derivative_recursion, n_cap=60),
+            partial(check_derivative_recursion, n_cap=60),
             indices,
         ),
         Check("radford-regularization 100 random roundtrips", _radford_roundtrip, x_polys),
@@ -398,6 +463,48 @@ def suite_morphisms(ncap: int | None = None, seed: int = DEFAULT_SEED) -> list[C
 
 
 # -- stars ---------------------------------------------------------------------
+
+
+class DomRadiusReport(NamedTuple):
+    """Behaviour of the partial sums M_m(r) = sum_{m'<=m} (t r/(1-r))^m'.
+
+    For r < 1/(t+1) the sums converge geometrically to
+    (1-r)/(1-(t+1)r) with remaining tail at most ``tail_bound``; otherwise
+    the terms are non-decreasing and the series diverges.
+    """
+
+    t: Fraction
+    r: Fraction
+    m_cap: int
+    ratio: Fraction
+    converges: bool
+    partial_sum: Fraction
+    closed_form: Fraction | None
+    tail_bound: Fraction | None
+
+
+def dom_radius_demo(t, r, m_cap: int) -> DomRadiusReport:
+    """Exact partial sums of the worked family showing strict radius decrease.
+
+    The m-th term is (t r/(1-r))^m; convergence holds exactly when
+    r < 1/(t+1).
+    """
+    t, r = Fraction(t), Fraction(r)
+    if not (0 < r < 1):
+        raise ValueError(f"r must lie in (0, 1), got {r}")
+    if t < 0:
+        raise ValueError(f"t must be >= 0, got {t}")
+    if m_cap < 0:
+        raise ValueError("m_cap must be >= 0")
+    ratio = t * r / (1 - r)
+    partial_sum, term = ZERO, ONE
+    for _ in range(m_cap + 1):
+        partial_sum += term
+        term *= ratio
+    converges = ratio < 1
+    closed = (1 - r) / (1 - (t + 1) * r) if converges else None
+    tail = ratio ** (m_cap + 1) / (1 - ratio) if converges else None
+    return DomRadiusReport(t, r, m_cap, ratio, converges, partial_sum, closed, tail)
 
 
 def suite_stars(ncap: int | None = None, seed: int = DEFAULT_SEED) -> list[Check]:
@@ -448,11 +555,11 @@ def suite_stars(ncap: int | None = None, seed: int = DEFAULT_SEED) -> list[Check
         ),
         Check(
             "radius diagnostic t=1 r=1/2 diverges",
-            lambda: not polylog_num.dom_radius_demo(1, Fraction(1, 2), 60).converges,
+            lambda: not dom_radius_demo(1, Fraction(1, 2), 60).converges,
         ),
         Check(
             "radius diagnostic t=1 r=1/4 converges to 3/2",
-            lambda: (r := polylog_num.dom_radius_demo(1, Fraction(1, 4), 60)).converges
+            lambda: (r := dom_radius_demo(1, Fraction(1, 4), 60)).converges
             and r.closed_form == Fraction(3, 2)
             and abs(r.partial_sum - r.closed_form) <= r.tail_bound,
         ),

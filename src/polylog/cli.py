@@ -461,11 +461,6 @@ def _x1star_texts(s: X1StarPoly) -> tuple[dict[str, str], str]:
     return {str(k): c for k, c in texts}, star_terms_text(texts)
 
 
-def ncpoly_expr_text(p: NCPoly) -> str:
-    """Canonical, re-parseable expression text of a polynomial."""
-    return _ncpoly_texts(p)[1]
-
-
 def value_to_json(v: Value) -> dict:
     if isinstance(v, Scalar):
         return {"type": "rational", "value": str(v.value)}

@@ -13,7 +13,8 @@ apart from the cache so it stays an independent oracle.  :func:`h_signed_eval`
 (and :func:`h_word_eval`) streams the rows of the tail s2..sr only, and sums the
 leading entry's terms H_(s2..sr)(k-1) k^(-s1) in blocks of consecutive k, each
 over lcm(block)^s1, merged pairwise like a binary counter; so no step divides a
-number of lcm(1..N)^s1 size, and memory is O(r + log N) numbers.  A word table
+number of lcm(1..N)^s1 size, and memory is O(r + log N) numbers; it refuses
+N r > MAX_TERMS at depth r before any work.  A word table
 reads its word's memoized column; Taylor vectors of Li take one weight pass per
 leading entry over the memoized tail columns, and a polynomial table is their
 prefix sum, so it never caches a product's full words.  Columns and Taylor
@@ -23,8 +24,9 @@ Star combinations sum_k c_k (k x1)* have polynomial harmonic sums:
 H of (k x1)* at N is binomial(N+k, k) = (N+1)...(N+k)/k!, so the closed form
 is an exact polynomial in N: an :class:`~polylog.nc_core.NPoly` again, one
 linear combination of the rising products, each over k!.  Composed with the
-star form of Li at non-positive indices (:mod:`polylog.negindex`), this
-yields Faulhaber-style closed forms for every non-positive multi-index.
+star form of Li at non-positive indices (:mod:`polylog.negindex`, imported on
+first use), this yields Faulhaber-style closed forms for every non-positive
+multi-index.  The stuffle character is checked in :mod:`polylog.checks`.
 
 The column cache is copy-on-extend: a longer column replaces an entry whole,
 numerators and denominator in one immutable value, so a racing thread can at
@@ -40,9 +42,6 @@ from math import factorial, gcd, lcm, prod
 from typing import Iterable, Iterator, Sequence
 
 from .nc_core import AlphabetError, NCPoly, NPoly, RatLike, Word, Y
-from .negindex import li_nonpositive_stars
-from .products import stuffle
-from .stars import X1StarPoly
 
 #: A signed multi-index: positive entries are reciprocal exponents,
 #: non-positive entries are power weights.
@@ -60,6 +59,10 @@ def _scales(index: SignedIndex, n_max: int) -> list[int]:
 def _weights(s: int, scale: int, n_max: int, start: int = 1) -> Iterator[int]:
     """The integers scale * n^(-s) for n = start..n_max, scale a multiple of lcm(start..n_max)^s."""
     return (scale // n**s if s > 0 else n ** (-s) for n in range(start, n_max + 1))
+
+
+#: Hard cap on rows times index depth of the prefix recurrence (h_signed_eval, li_eval).
+MAX_TERMS = 1_000_000
 
 
 def _prefix_rows(weights: list[Iterator], n_max: int) -> Iterator[list]:
@@ -156,8 +159,11 @@ def h_signed_eval(s: Sequence[int], n: int) -> Fraction:
     Streams the tail's rows with O(r + log N) memory, so large N needs no column:
     H_s(N) = sum_k H_(s2..sr)(k-1) k^(-s1), summed per block of k over the block's
     lcm^s1 and merged pairwise.  For s1 <= 0 a merge is a plain add, so one block.
+    Refused before any work when N r > MAX_TERMS at depth r.
     """
     index = tuple(s)
+    if n * len(index) > MAX_TERMS:
+        raise ValueError(f"N * depth = {n} * {len(index)} is above {MAX_TERMS = }")
     scales = _scales(index[1:], n)
     if not index:
         return Fraction(1)
@@ -212,8 +218,8 @@ def h_poly_table(q: NCPoly, n_max: int) -> list[Fraction]:
     return list(_h_poly_vector(q, n_max).padded(n_max))
 
 
-def h_x1star_closed_form(s: X1StarPoly) -> NPoly:
-    """Polynomial N -> H of a star combination, via H of (k x1)* = (N+1)...(N+k) / k!."""
+def h_x1star_closed_form(s: "X1StarPoly") -> NPoly:
+    """Polynomial N -> H of a :class:`~polylog.stars.X1StarPoly`, via H of (k x1)* = (N+1)...(N+k) / k!."""
     rising = accumulate(
         range(1, len(s.poly)), lambda r, k: r * NPoly((k, 1), 1), initial=NPoly((1,), 1)
     )
@@ -223,12 +229,6 @@ def h_x1star_closed_form(s: X1StarPoly) -> NPoly:
 
 def h_negindex_closed_form(s: Sequence[int]) -> NPoly:
     """Faulhaber-style closed form of the nested power sum for indices <= 0."""
+    from .negindex import li_nonpositive_stars
+
     return h_x1star_closed_form(li_nonpositive_stars(s))
-
-
-def h_stuffle_check(u: Word, v: Word, n_max: int) -> bool:
-    """Exact character check H_{u st v}(N) = H_u(N) H_v(N) for N <= n_max."""
-    lhs = _h_poly_vector(stuffle(NCPoly.from_word(u), NCPoly.from_word(v)), n_max)
-    hu, hv = (_h_vector(w.letters, n_max) for w in (u, v))
-    cut = n_max + 1  # a cached column can be longer than asked for
-    return lhs == NPoly(hu.nums[:cut], hu.den).hadamard(NPoly(hv.nums[:cut], hv.den))

@@ -5,13 +5,13 @@ a_N = N^(-s1) H_(s2..sr)(N-1), so the exact vectors come straight out of the
 cached harmonic columns, one weight pass per leading entry; the module also provides:
 
 * division by 1-z (prefix sums), which realizes the Li -> H correspondence;
-* the Hadamard (coefficientwise) and Cauchy products, and the exact checks
-  that the stuffle/shuffle identities hold coefficientwise;
-* the theta-operator coefficient recursions;
+* the Hadamard (coefficientwise) and Cauchy products;
 * Stirling numbers of the second kind with the surjection/shuffle-power
   identity and its exponential generating function;
-* a float evaluator on |z| <= 0.995 certified for truncation and rounding,
-  and the strict-decrease radius diagnostic for the worked divergence family.
+* a float evaluator on |z| <= 0.995 certified for truncation and rounding.
+
+The identities these serve (Hadamard, shuffle morphism, derivative
+recursions) and the radius diagnostic are checked in :mod:`polylog.checks`.
 
 A :class:`TaylorTrunc` is a view of an :class:`~polylog.nc_core.NPoly`, the
 one dense exact kernel, with an explicit cap: the kernels run on integer
@@ -28,30 +28,14 @@ from contextlib import suppress
 from fractions import Fraction
 from itertools import repeat
 from math import factorial
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
-from .harmonic import _h_poly_vector, _prefix_rows, _taylor_map
-from .nc_core import (
-    AlphabetError,
-    NCPoly,
-    NPoly,
-    NotInImageError,
-    PolylogError,
-    Word,
-    X,
-    X1,
-    Y,
-    ZERO,
-    ONE,
-    _index_of,
-    index_from_word,
-)
-from .products import shuffle, stuffle
+from .harmonic import MAX_TERMS, _prefix_rows, _taylor_map
+from .nc_core import AlphabetError, NCPoly, NPoly, PolylogError, X, X1, ZERO, ONE, _index_of
+from .products import shuffle
 
 #: Evaluation is refused closer to the unit circle than this.
 Z_ABS_CAP = 0.995
-#: Hard cap on the numeric evaluator's work: series terms times index depth.
-MAX_TERMS = 1_000_000
 
 
 class PrecisionError(PolylogError):
@@ -139,55 +123,6 @@ def cauchy(a: TaylorTrunc, b: TaylorTrunc) -> TaylorTrunc:
     """Cauchy product truncated at the shared cap."""
     _require_compatible(a, b)
     return TaylorTrunc._of(a.poly.mul_trunc(b.poly, a.n_cap), a.n_cap)
-
-
-def check_hadamard_identity(u: Word, v: Word, n_cap: int) -> bool:
-    """Exact check of (Li_u/(1-z)) had (Li_v/(1-z)) = Li_{u st v}/(1-z)."""
-    if u.alphabet != Y or v.alphabet != Y:
-        raise AlphabetError("the Hadamard identity is indexed by Y-words")
-    au = div_one_minus_z(li_taylor_coeffs(u.letters, n_cap))
-    av = div_one_minus_z(li_taylor_coeffs(v.letters, n_cap))
-    lhs = hadamard(au, av)
-    # Li_w/(1-z) has the coefficients H_w(N), so the right side is a harmonic column
-    return lhs.poly == _h_poly_vector(stuffle(NCPoly.from_word(u), NCPoly.from_word(v)), n_cap)
-
-
-def check_shuffle_morphism(u: Word, v: Word, n_cap: int) -> bool:
-    """Exact check that Taylor(Li_u) x Taylor(Li_v) = Taylor(Li_{u sh v}).
-
-    Both words must end in x1 (or be empty) so the series exist around 0.
-    """
-    for w in (u, v):
-        if w.alphabet != X:
-            raise AlphabetError("check_shuffle_morphism expects X-words")
-        if not (w.is_empty or w.ends_in_x1):
-            raise NotInImageError(f"word {w} ends in x0; no Taylor series at 0")
-    lhs = cauchy(
-        li_taylor_coeffs(index_from_word(u), n_cap),
-        li_taylor_coeffs(index_from_word(v), n_cap),
-    )
-    rhs = li_taylor_poly(shuffle(NCPoly.from_word(u), NCPoly.from_word(v)), n_cap)
-    return lhs == rhs
-
-
-def check_derivative_recursion(s: Sequence[int], n_cap: int) -> bool:
-    """Coefficientwise check of the differential recursions for Li.
-
-    For s1 != 1 this is theta Li_(s1,..) = Li_(s1-1,..), i.e.
-    N a_N(s) = a_N(s1-1, rest); for s1 = 1 it is
-    (1-z) d/dz Li_(1,rest) = Li_rest, i.e. (N+1) a_{N+1} - N a_N = b_N.
-    """
-    index = tuple(s)
-    if not index:
-        raise ValueError("the recursion needs a nonempty index")
-    a = li_taylor_coeffs(index, n_cap).coeffs
-    if index[0] != 1:
-        b = li_taylor_coeffs((index[0] - 1,) + index[1:], n_cap).coeffs
-        return all(n * a[n] == b[n] for n in range(n_cap + 1))
-    b = li_taylor_coeffs(index[1:], n_cap).coeffs
-    return all(
-        (n + 1) * a[n + 1] - n * a[n] == b[n] for n in range(n_cap)
-    )
 
 
 # -- numeric evaluation ------------------------------------------------------
@@ -309,50 +244,3 @@ def check_surjection_lemma(n_max: int, m_max: int) -> bool:
             if c != Fraction(factorial(m) * s2[n][m], factorial(n)):
                 return False
     return True
-
-
-# -- radius-of-summability diagnostic ---------------------------------------
-
-
-class DomRadiusReport(NamedTuple):
-    """Behaviour of the partial sums M_m(r) = sum_{m'<=m} (t r/(1-r))^m'.
-
-    For r < 1/(t+1) the sums converge geometrically to
-    (1-r)/(1-(t+1)r) with remaining tail at most ``tail_bound``; otherwise
-    the terms are non-decreasing and the series diverges.
-    """
-
-    t: Fraction
-    r: Fraction
-    m_cap: int
-    ratio: Fraction
-    converges: bool
-    partial_sum: Fraction
-    closed_form: Fraction | None
-    tail_bound: Fraction | None
-
-
-def dom_radius_demo(t, r, m_cap: int) -> DomRadiusReport:
-    """Exact partial sums of the worked family showing strict radius decrease.
-
-    The m-th term is (t r/(1-r))^m; convergence holds exactly when
-    r < 1/(t+1).
-    """
-    t = Fraction(t)
-    r = Fraction(r)
-    if not (0 < r < 1):
-        raise ValueError(f"r must lie in (0, 1), got {r}")
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    if m_cap < 0:
-        raise ValueError("m_cap must be >= 0")
-    ratio = t * r / (1 - r)
-    partial = ZERO
-    term = ONE
-    for _ in range(m_cap + 1):
-        partial += term
-        term *= ratio
-    converges = ratio < 1
-    closed = (1 - r) / (1 - (t + 1) * r) if converges else None
-    tail = ratio ** (m_cap + 1) / (1 - ratio) if converges else None
-    return DomRadiusReport(t, r, m_cap, ratio, converges, partial, closed, tail)

@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
-from .coding import PlaneStarBase, QSeriesTrunc, pi_y
+from .coding import QSeriesTrunc, pi_y
 from .nc_core import NCPoly, NPoly, RatLike, Word, X, X1, Y, ZERO, as_rat, format_terms
 from .products import exp_stuffle, shuffle_pow
 
@@ -180,12 +180,6 @@ def plane_star_stuffle(a: PlaneStar, b: PlaneStar) -> PlaneStar:
 def plane_star_inverse(a: PlaneStar, s_max: int) -> PlaneStar:
     """Stuffle-group inverse to order s_max: in the umbral coding (1+S)^-1 - 1."""
     return PlaneStar.from_poly(a.poly.star_inverse(s_max), s_max)
-
-
-def plane_element_poly(base: PlaneStarBase | PlaneStar) -> NCPoly:
-    """The degree-one Y-polynomial sum_s alpha_s y_s (the starred element)."""
-    poly = base.poly if isinstance(base, PlaneStar) else NPoly((0, *base))
-    return NCPoly._from_nums(Y, {(s,): x for s, x in enumerate(poly.nums)}, poly.den)
 
 
 def plane_star_expand(a: PlaneStar, weight_cap: int) -> NCPoly:

@@ -20,7 +20,6 @@ from polylog.cli import (
     _make_parser,
     evaluate,
     main,
-    ncpoly_expr_text,
     parse,
     parse_value,
     value_to_json,
@@ -200,7 +199,7 @@ class TestPrintParseRoundtrip:
                 p = _random_ncpoly(rng, alphabet)
                 if not p:
                     continue
-                text = ncpoly_expr_text(p)
+                text = value_to_json(p)["text"]
                 value = parse_value(text)
                 if isinstance(value, Scalar):
                     # a pure constant loses its alphabet in text form
@@ -289,7 +288,7 @@ class TestPrintedForms:
     def test_str_and_expression_text(self, value, printed, expr_text):
         assert str(value) == printed
         if isinstance(value, NCPoly):
-            assert ncpoly_expr_text(value) == expr_text
+            assert value_to_json(value)["text"] == expr_text
         elif isinstance(value, X1StarPoly):
             assert str(value) == expr_text
 
@@ -323,24 +322,36 @@ class TestPrintedForms:
         assert payload["stars_text" if argv[0] == "neg-li" else "text"] == text
 
 
-# a request in a fresh process: (the module it imports, a check of its stdout)
+def _loads(*modules: str) -> set[str]:
+    """The modules a fresh request loads: those of a product request, and ``modules``."""
+    package = ("cli", "nc_core", "products", "coding", "stars", *modules)
+    return {"polylog", *(f"polylog.{m}" for m in package)}
+
+
+# request -> (the modules it loads, a test of its answer)
 _FRESH_ANSWERS = {
-    "neg-li -2,-1": ("negindex", lambda out: json.loads(out)["stars"]["5"] == "12"),
-    "h-closed-form -1": ("harmonic", lambda out: json.loads(out)["coeffs"] == ["0", "1/2", "1/2"]),
-    "h-eval (-2,-1) 3": ("harmonic", lambda out: json.loads(out) == "31"),
+    "neg-li -2,-1": (_loads("negindex"), lambda out: json.loads(out)["stars"]["5"] == "12"),
+    "h-closed-form -1": (
+        _loads("harmonic", "negindex"),
+        lambda out: json.loads(out)["coeffs"] == ["0", "1/2", "1/2"],
+    ),
+    "h-eval (-2,-1) 3": (_loads("harmonic"), lambda out: json.loads(out) == "31"),
     "li-coeffs 2 4": (
-        "polylog_num",
+        _loads("harmonic", "polylog_num"),
         lambda out: json.loads(out) == {"mode": "exact", "coeffs": ["0", "1", "1/4", "1/9", "1/16"]},
     ),
     "li-coeffs 2 3 --float": (
-        "polylog_num",
+        _loads("harmonic", "polylog_num"),
         lambda out: json.loads(out) == {"mode": "float", "coeffs": [0.0, 1.0, 0.25, 1 / 9]},
     ),
     "li-eval 1 0.5 1e-10": (
-        "polylog_num",
+        _loads("harmonic", "polylog_num"),
         lambda out: abs(json.loads(out)["re"] - 0.6931471805599453) <= 1e-10,
     ),
-    "verify --suite stirling": ("checks", lambda out: out.endswith("# 2/2 checks passed")),
+    "verify --suite stirling": (
+        _loads("harmonic", "negindex", "polylog_num", "checks") | {"dataclasses"},
+        lambda out: out.endswith("# 2/2 checks passed"),
+    ),
 }
 
 # usage errors: each message names the program or the subcommand once
@@ -550,13 +561,23 @@ class TestCommands:
                 "at position 0: h-closed-form needs a star combination or a non-positive index, got Y-polynomial",
             ),
             (("li-eval", "1", "abc", "1e-6"), "ValueError", "cannot parse 'abc' as a complex number"),
-            # N past the index-sized integers: lcm(1..N) and the vector of N + 1 entries cannot be built
-            (("h-eval", "(1,1)", str(10**24)), "OverflowError", "Python int too large to convert to C ssize_t"),
+            # N times the depth past MAX_TERMS: refused before any work
+            (
+                ("h-eval", "(1,1)", str(10**24)),
+                "ValueError",
+                f"N * depth = {10**24} * 2 is above MAX_TERMS = 1000000",
+            ),
+            (
+                ("h-eval", "(2,-1)", str(10**24)),
+                "ValueError",
+                f"N * depth = {10**24} * 2 is above MAX_TERMS = 1000000",
+            ),
+            # N past the index-sized integers: the vector of N + 1 entries cannot be built
             (("li-coeffs", "1", str(10**24)), "OverflowError", "cannot fit 'int' into an index-sized integer"),
         ],
         ids=[
             "stuffle-of-star", "shuffle-of-rationals", "h-closed-form-of-word", "li-eval-point",
-            "h-eval-huge-n", "li-coeffs-huge-n",
+            "h-eval-huge-n", "h-eval-huge-n-mixed-sign", "li-coeffs-huge-n",
         ],
     )
     def test_refused_request_is_json_error(self, capsys, argv, code, message):
@@ -609,16 +630,15 @@ class TestCommands:
         assert code == 0 and json.loads(out)["terms"] == {"3": "1", "1,2": "1", "2,1": "1"}
         unused = {"checks", "harmonic", "negindex", "polylog_num"}
         assert not loaded & {"dataclasses", *(f"polylog.{m}" for m in unused)}
-        used = {"cli", "nc_core", "products", "coding", "stars"}
-        assert loaded == {"polylog", *(f"polylog.{m}" for m in used)}
+        assert loaded == _loads()
 
     @pytest.mark.parametrize("request_text", list(_FRESH_ANSWERS))
     def test_fresh_process_imports_what_it_uses(self, request_text):
-        # each command imports its own modules on first use
-        module, answered = _FRESH_ANSWERS[request_text]
+        # each command imports the modules it uses on first use, and no others
+        modules, answered = _FRESH_ANSWERS[request_text]
         code, out, loaded = self._fresh(*request_text.split())
         assert code == 0 and answered(out)
-        assert f"polylog.{module}" in loaded
+        assert loaded == modules
 
     @pytest.mark.parametrize(
         "argv",

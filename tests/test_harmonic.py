@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 
 from polylog import checks, harmonic
+from polylog.checks import h_stuffle_check
 from polylog.cli import main
 from polylog.harmonic import (
     NPoly,
@@ -15,7 +16,6 @@ from polylog.harmonic import (
     h_poly_table,
     h_signed_eval,
     h_signed_table,
-    h_stuffle_check,
     h_word_eval,
     h_word_table,
     h_x1star_closed_form,
@@ -292,7 +292,7 @@ class TestStuffleCharacter:
 
     def test_wrong_product_fails(self, monkeypatch):
         # concatenation in place of stuffle: H_{y1 y1} is not H_1^2
-        monkeypatch.setattr(harmonic, "stuffle", conc)
+        monkeypatch.setattr(checks.products, "stuffle", conc)
         assert not h_stuffle_check(y_word(1), y_word(1), 10)
         assert not h_stuffle_check(y_word(2), y_word(1), 10)
 

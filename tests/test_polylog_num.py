@@ -9,19 +9,21 @@ from itertools import combinations
 
 import pytest
 
-from polylog import cli, negindex, polylog_num
+from polylog import checks, cli, negindex, polylog_num
+from polylog.checks import (
+    check_derivative_recursion,
+    check_hadamard_identity,
+    check_shuffle_morphism,
+    dom_radius_demo,
+)
 from polylog.harmonic import h_signed_table, h_word_table
 from polylog.nc_core import AlphabetError, NCPoly, NotInImageError, Word, X, Y, x_word, y_word
 from polylog.polylog_num import (
     PrecisionError,
     TaylorTrunc,
     cauchy,
-    check_derivative_recursion,
-    check_hadamard_identity,
-    check_shuffle_morphism,
     check_surjection_lemma,
     div_one_minus_z,
-    dom_radius_demo,
     hadamard,
     li_eval,
     li_taylor_coeffs,
@@ -179,7 +181,7 @@ class TestHadamardIdentity:
 
     def test_wrong_product_fails(self, monkeypatch):
         # concatenation in place of stuffle: the right side is H_{y1 y1}, not H_1^2
-        monkeypatch.setattr(polylog_num, "stuffle", conc)
+        monkeypatch.setattr(checks.products, "stuffle", conc)
         assert not check_hadamard_identity(y_word(1), y_word(1), 10)
         assert not check_hadamard_identity(y_word(2), y_word(1), 10)
 
