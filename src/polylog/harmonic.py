@@ -70,8 +70,8 @@ def _prefix_rows(weights: list[Iterator], n_max: int) -> Iterator[list]:
 
     With the weights w_j(n) of entry j for n = 1..n_max, entry j of row n is
     H_j(n) = H_j(n-1) + w_j(n) H_(j+1)(n-1) and the last is 1: the numerator of
-    H_(index[j:])(n) over prod(scales[j:]) for :func:`_weights`, or its double for
-    float weights.  The same list is yielded every time, so a caller copies what it keeps.
+    H_(index[j:])(n) over prod(scales[j:]) for :func:`_weights`.  The same list is
+    yielded every time, so a caller copies what it keeps.
     """
     state = [0] * len(weights) + [1]
     steps = list(enumerate(weights))  # built once, not per row

@@ -46,6 +46,7 @@ X = "X"
 Y = "Y"
 X0 = 0
 X1 = 1
+_X_DIGITS = bytes.maketrans(b"\0\1", b"01")  # X-letters to their printed digits
 
 RatLike = Union[Fraction, int, str]
 Letters = tuple[int, ...]
@@ -432,8 +433,12 @@ class NCPoly:
 
     def to_terms_text(self) -> dict[str, str]:
         """Canonical {word text: coefficient text} mapping, ordered; from letters and numerators."""
-        sep, den = "" if self._alphabet == X else ",", self._den
-        return {sep.join(map(str, l)): str(Fraction(x, den)) for l, x in self._sorted_nums()}
+        terms, den = self._sorted_nums(), self._den
+        if self._alphabet == X:  # one byte translation per word
+            words = [bytes(l).translate(_X_DIGITS).decode() for l, _ in terms]
+        else:
+            words = [",".join(map(str, l)) for l, _ in terms]
+        return {w: str(x) if den == 1 else str(Fraction(x, den)) for w, (_, x) in zip(words, terms)}
 
     def __str__(self) -> str:
         return format_terms([(str(c), "" if w.is_empty else str(w)) for w, c in self.items()])

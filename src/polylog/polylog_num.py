@@ -16,13 +16,12 @@ recursions) and the radius diagnostic are checked in :mod:`polylog.checks`.
 A :class:`TaylorTrunc` is a view of an :class:`~polylog.nc_core.NPoly`, the
 one dense exact kernel, with an explicit cap: the kernels run on integer
 numerators over one shared denominator and Fractions are built only when
-``coeffs`` is read.  The evaluator runs the prefix recurrence of the exact
-harmonic sums on float weights and adds each term as it is made.
+``coeffs`` is read.  The evaluator runs the prefix recurrence of the harmonic
+sums on float weights, each float beside a bound on its error.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from contextlib import suppress
 from fractions import Fraction
@@ -30,7 +29,7 @@ from itertools import repeat
 from math import factorial
 from typing import Iterator, Sequence
 
-from .harmonic import MAX_TERMS, _prefix_rows, _taylor_map
+from .harmonic import MAX_TERMS, _taylor_map
 from .nc_core import AlphabetError, NCPoly, NPoly, PolylogError, X, X1, ZERO, ONE, _index_of
 from .products import shuffle
 
@@ -132,12 +131,10 @@ def li_eval(s: Sequence[int], z: complex, eps: float) -> complex:
     """Evaluate Li at a signed index within eps of its value, for |z| <= 0.995.
 
     The truncation point m is certified from the tail bound |a_n| <= n^sigma,
-    sigma = r + sum max(0, -s_i) at depth r.  The terms are summed as they are
-    made, beside S = sum a_n |z|^n: every a_n is >= 0, so the rounding error is
-    at most 1.01 u K S with u = 2^-53 and K = r(m+2) + 2.25m, plus a bound on
-    losses below the normal range.  Raises PrecisionError when the bounds
-    exceed eps, when a coefficient or the sum overflows, or, before any work,
-    when m r > MAX_TERMS.
+    sigma = r + sum max(0, -s_i) at depth r.  Every float the sum makes carries
+    a bound on its absolute error (the rules are in the README).  Raises
+    PrecisionError as soon as the truncation bound plus the sum's error bound
+    exceeds eps, when a coefficient overflows, or, before any work, when m r > MAX_TERMS.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -155,14 +152,11 @@ def li_eval(s: Sequence[int], z: complex, eps: float) -> complex:
         return complex(0.0)
     r = len(index)
     sigma = r + sum(max(0, -si) for si in index)
-    log_q = math.log(q)
-    log_eps = math.log(eps)
+    log_q, log_eps = math.log(q), math.log(eps)
     m = 16
     while True:
         if m * r > MAX_TERMS:
-            raise PrecisionError(
-                f"cannot certify eps={eps} at |z|={q:.6f} within {MAX_TERMS} terms times depth"
-            )
+            raise PrecisionError(f"cannot certify eps={eps} at |z|={q:.6f} within {MAX_TERMS} terms times depth")
         # terms n^sigma q^n decay at ratio <= c past m once c < 1 (in logs: sigma may be huge)
         c = math.exp(sigma * math.log((m + 2) / (m + 1)) + log_q)
         if c < 1.0:
@@ -170,28 +164,34 @@ def li_eval(s: Sequence[int], z: complex, eps: float) -> complex:
             if log_tail <= log_eps:
                 break
         m *= 2
-    rows = _prefix_rows([_powers(si, m - 1) for si in index[1:]], m - 1)
-    total, size, zp, qp, done = 0j, 0.0, 1 + 0j, 1.0, 0  # done: the last term added
+    tail = math.exp(log_tail)
+    # the roundings of a real and a complex operation; tiny: a product's losses below the normal range
+    u, cu, tiny = 2.0**-53, 5**0.5 * 2.0**-53, 2.0**-1072
+    weights = zip(*(_powers(si, m - 1) for si in index[1:]))  # the tail weights of n = 1..m-1
+    row, bound = [0.0] * (r - 1) + [1.0], [0.0] * r  # H_(index[j+1:])(n - 1) and its error bound
+    total, err, zp, ezp, done = 0j, 0.0, 1 + 0j, 0.0, 0  # done: the last term added
     with suppress(OverflowError):  # a power past the double range
-        for n, w, row in zip(range(1, m + 1), _powers(index[0], m), rows):
+        for n, w in zip(range(1, m + 1), _powers(index[0], m)):
             a = w * row[0]
             if not a < math.inf:  # products of finite powers overflow without raising
                 break
-            zp, qp = zp * z, qp * q
-            total, size, done = total + a * zp, size + a * qp, n
+            ea = (2 * u * w + tiny) * (row[0] + bound[0]) + w * bound[0] + u * a + tiny
+            zp = zp * z
+            ezp = ezp * q + cu * abs(zp) + tiny
+            t = a * zp
+            total = total + t
+            err += ea * (abs(zp) + ezp) + a * ezp + u * abs(t) + tiny + u * abs(total)
+            if not tail + 1.01 * err <= eps:  # 1.01 rounds the bound's own arithmetic up
+                message = f"the float sum of Li at index {index} carries a rounding bound of {1.01 * err:.3g}"
+                raise PrecisionError(f"cannot certify eps={eps} at |z|={q:.6f}: {message}")
+            done = n
+            for j, wj in enumerate(next(weights, ())):  # advance the rows to n
+                x, ex = row[j + 1], bound[j + 1]
+                p = wj * x
+                row[j] += p
+                bound[j] += (2 * u * wj + tiny) * (x + ex) + wj * ex + u * p + tiny + u * row[j]
     if done < m:
         raise PrecisionError(f"float Taylor coefficients of index {index} overflow at term n={done + 1}")
-    # Derived in README (Higham, ch. 3-4): K counts the roundings of one term; below the normal
-    # range each of the (2r+8)m powers and products may lose 2^-1074, and G = m^(1+max(0,-s1))
-    # prod_(i>=2) L_i (L_i = 1 + ln m if s_i > 0, else m^(1-s_i)) bounds every partial
-    # derivative of the sum, so (r+4) m G 2^-1072 bounds twice that loss.
-    log_m, positive = math.log(m), sum(si > 0 for si in index[1:])
-    log_lost = math.log((r + 4) / 2**1072) + (sigma + 1 - positive) * log_m + positive * math.log1p(log_m)
-    rounding = 1.01 * 2.0**-53 * (r * (m + 2) + 2.25 * m) * size
-    rounding += math.exp(log_lost) if log_lost < 709 else math.inf
-    if not (math.exp(log_tail) + rounding <= eps and cmath.isfinite(total)):  # S >= |total|
-        message = f"the float sum of Li at index {index} carries a rounding bound of {rounding:.3g}"
-        raise PrecisionError(f"cannot certify eps={eps} at |z|={q:.6f}: {message}")
     return total
 
 

@@ -10,6 +10,8 @@ The three products are bilinear extensions of their word-level recursions:
 
 Shuffle and stuffle are quasi-shuffle products, the shuffle without the
 contraction y_{s+t}, so one memoized word recursion serves both (Hoffman 2000).
+It stops at a one-letter operand, whose product it builds without recursion
+by placing the letter, so a long word times a letter needs no deep stack.
 Its caches are read-mostly and behave as if absent (recomputation is the only
 cost of a race), so everything here stays safe for concurrent use.
 
@@ -40,6 +42,27 @@ from math import lcm
 from .nc_core import _GRADE, AlphabetError, Letters, NCPoly, Y
 
 
+def _with_letter(u: Letters, a: int, contract: bool) -> dict[Letters, int]:
+    """u * a for one letter a, with no recursion: a placed at each position of u.
+
+    Placing a just before a letter equal to a gives the same word as just after
+    it, so each run of such letters gives one word, counted once per position.
+    The contracted words (u_i + a in place of u_i) are distinct, as letters are >= 1.
+    """
+    out: dict[Letters, int] = {}
+    i, n = 0, len(u)
+    while i <= n:
+        j = i
+        while j < n and u[j] == a:
+            j += 1
+        out[u[:i] + (a,) + u[i:]] = j - i + 1
+        i = j + 1
+    if contract:
+        for i, b in enumerate(u):
+            out[u[:i] + (b + a,) + u[i + 1 :]] = 1
+    return out
+
+
 def _word_product(contract: bool):
     """The memoized quasi-shuffle of letter tuples; the term (a+b)(u * v) only if ``contract``."""
 
@@ -49,6 +72,10 @@ def _word_product(contract: bool):
             return {v: 1}
         if not v:
             return {u: 1}
+        if len(v) == 1:
+            return _with_letter(u, v[0], contract)
+        if len(u) == 1:
+            return _with_letter(v, u[0], contract)
         out: dict[Letters, int] = {}
         for w, c in product(u[1:], v).items():
             key = (u[0],) + w

@@ -12,15 +12,11 @@ argv are stored, not the generator, so a change to the benchmark does not
 move the record.  ``tests/test_golden.py`` replays the requests through
 ``cli.main`` in one process.
 
-Two kinds of answer are not compared by bytes:
-
-* ``long-word`` (x0^600 shuffled with x1) answers or raises RecursionError
-  depending on memo history and stack depth, so it is recorded by outcome
-  class: "value" or the name of the exception.
-* ``li-eval`` answers come from libm's pow, which may differ in the last
-  ulp across platforms.  Their numbers are recorded too, and when the bytes
-  differ the numbers are compared within one ulp.  ``li-coeffs --float``
-  rounds the exact coefficients correctly, so it is compared by bytes.
+Every answer is compared by bytes, except ``li-eval``: its answers come
+from libm's pow, which may differ in the last ulp across platforms.  Their
+numbers are recorded too, and when the bytes differ the numbers are compared
+within one ulp.  ``li-coeffs --float`` rounds the exact coefficients
+correctly, so it is compared by bytes.
 
 A deliberate change of behaviour reruns this script; the requests whose
 record changed are then listed with the change.
@@ -53,7 +49,7 @@ def run(argv) -> tuple[str, str]:
     with contextlib.redirect_stdout(out):
         try:
             outcome = f"rc {cli.main(list(argv))}"
-        except Exception as exc:  # long-word raises RecursionError through cli.main
+        except Exception as exc:  # recorded by name, so a replay that raises shows as a mismatch
             outcome = type(exc).__name__
     return outcome, out.getvalue()
 
@@ -69,11 +65,9 @@ def _floats(text: str):
     return None
 
 
-def entry(argv, by_outcome: bool = False) -> dict:
-    """The record of one request; ``by_outcome`` keeps only its outcome class."""
+def entry(argv) -> dict:
+    """The record of one request."""
     outcome, text = run(argv)
-    if by_outcome:
-        return {"argv": list(argv), "outcome": "value" if outcome == "rc 0" else outcome}
     data = text.encode()
     out = {"argv": list(argv), "outcome": outcome, "len": len(data), "sha256": hashlib.sha256(data).hexdigest()}
     if argv[0] in FLOAT_COMMANDS and (numbers := _floats(text)) is not None:
@@ -89,10 +83,10 @@ def _within_ulp(a: list, b: list) -> bool:
 
 def mismatch(want: dict) -> str | None:
     """None if replaying ``want["argv"]`` gives the recorded answer; otherwise what differs."""
-    got = entry(want["argv"], by_outcome="len" not in want)
+    got = entry(want["argv"])
     if got["outcome"] != want["outcome"]:
         return f"outcome {got['outcome']} where {want['outcome']} was recorded"
-    if got.get("sha256") == want.get("sha256"):
+    if got["sha256"] == want["sha256"]:
         return None
     if "floats" in want and "floats" in got and _within_ulp(got["floats"], want["floats"]):
         return None
@@ -117,12 +111,12 @@ def _requests():
         stream = workloads.blocks("cli-requests", seed)
         for _ in range(BLOCKS):
             for op in next(stream):
-                yield op[2], op[1] == "known-defect" and op[3] == "long-word"
+                yield op[2]
 
 
 def main() -> None:
     sys.path.insert(0, str(ROOT / "src"))
-    requests = [entry(argv, by_outcome) for argv, by_outcome in _requests()]
+    requests = [entry(argv) for argv in _requests()]
     record = {"seeds": list(SEEDS), "blocks": BLOCKS, "requests": requests, "verify": verify_masked()}
     DATA.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {len(requests)} requests and {len(record['verify'])} checks to {DATA}")

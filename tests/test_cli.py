@@ -584,6 +584,15 @@ class TestCommands:
         exit_code, out = self._run(capsys, *argv)
         assert exit_code == 2 and json.loads(out)["error"] == {"code": code, "message": message}
 
+    def test_memory_error_is_json_error(self, capsys, monkeypatch):
+        # li-coeffs 0 1000000000 runs out of memory building its vector; raised here, not allocated
+        def exhausted(index, n_cap):
+            raise MemoryError
+
+        monkeypatch.setattr(polylog_num, "li_taylor_coeffs", exhausted)
+        code, out = self._run(capsys, "li-coeffs", "0", "1000000000")
+        assert code == 2 and json.loads(out)["error"] == {"code": "MemoryError", "message": ""}
+
     def test_verify_stirling_suite(self, capsys):
         code, out = self._run(capsys, "verify", "--suite", "stirling")
         assert code == 0

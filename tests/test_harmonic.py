@@ -284,6 +284,19 @@ class TestStuffleCharacter:
             for v in words:
                 assert h_stuffle_check(u, v, 30)
 
+    def test_property_random_words(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        words = st.lists(st.integers(1, 4), max_size=4).map(lambda l: Word(tuple(l), Y))
+
+        @hyp.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+        @hyp.given(words, words, st.integers(0, 20))
+        @hyp.example(y_word(1, 1, 1, 1), y_word(1, 1), 20)  # runs of equal letters
+        def character(u, v, n_max):
+            assert h_stuffle_check(u, v, n_max)
+
+        character()
+
     def test_longer_cached_columns(self, monkeypatch):
         monkeypatch.setattr(harmonic, "_HVEC_CACHE", {})
         h_word_table(y_word(2, 1), 40)

@@ -299,6 +299,30 @@ class TestRegularization:
                     assert w.is_empty or w.ends_in_x1
             assert total == p
 
+    def test_property_roundtrip(self):
+        # p = sum_k part_k sh x0^(sh k), every part's words ending in x1 (Radford's theorem)
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        x_polys = st.dictionaries(
+            st.lists(st.integers(0, 1), max_size=6).map(lambda l: Word(tuple(l), X)),
+            st.fractions(min_value=-3, max_value=3, max_denominator=4),
+            max_size=4,
+        ).map(lambda d: NCPoly(X, d))
+        x0 = NCPoly.from_word(x_word("0"))
+
+        @hyp.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+        @hyp.given(x_polys)
+        @hyp.example(NCPoly.from_word(x_word("000000")))
+        def roundtrip(p):
+            parts = regularize_trailing_x0(p)
+            total = NCPoly.zero(X)
+            for k, part in parts.items():
+                total = total + shuffle(part, shuffle_pow(x0, k))
+                assert all(w.is_empty or w.ends_in_x1 for w in part.support())
+            assert total == p
+
+        roundtrip()
+
     def test_support_bound(self):
         rng = random.Random(83)
         for _ in range(30):

@@ -350,6 +350,37 @@ class TestLiEval:
                 assert abs(li_eval((1, 1), z, eps) - want) <= eps
 
 
+class TestLiEvalRunningBound:
+    """Inputs whose exact value is tiny, which a bound on the rounding that happens answers."""
+
+    def test_deep_zero_index(self):
+        # every coefficient up to m = 128 is exactly 0; Li_(0^r)(z) = (z / (1 - z))^r
+        value = li_eval((0,) * 400, 1e-10, 1e-6)
+        exact = (F(1e-10) / (1 - F(1e-10))) ** 400
+        assert value.imag == 0 and abs(F(value.real) - exact) <= F(1e-6)
+
+    def test_underflowing_index(self):
+        # H_(1100,1)(n - 1) <= n^2 2^-1100, so |Li| <= 2^-1100 Li_(-62)(1/2), exactly
+        value = li_eval((-60, 1100, 1), 0.5, 1e-200)
+        upper = negindex.li_nonpositive((-62,)).eval(F(1, 2)) / 2**1100
+        assert value.imag == 0 and abs(F(value.real)) + upper <= F(1e-200)
+
+    def test_refused_at_the_term_that_breaks_the_bound(self, monkeypatch):
+        # -3,1 at 0.99 passes eps = 1e-8 at term 34 of its m = 8192
+        made, powers = [], polylog_num._powers
+
+        def counted(s, n_max):
+            made.append((s, n_max))
+            for w in powers(s, n_max):
+                made.append(s)
+                yield w
+
+        monkeypatch.setattr(polylog_num, "_powers", counted)
+        with pytest.raises(PrecisionError, match="rounding bound"):
+            li_eval((-3, 1), 0.99, 1e-8)
+        assert (-3, 8192) in made and made.count(-3) == 34 and made.count(1) == 33
+
+
 class TestLiEvalExactOracle:
     """li_eval against the exact rational function of a non-positive index.
 
@@ -533,20 +564,26 @@ class TestNonFiniteFloat:
 
     def test_coefficient_overflow_by_multiplication(self):
         assert self._overflow_message((-60, -60), 400).endswith("n=366")
-        # the float recurrence's products of finite powers overflow at the same term
-        with pytest.raises(PrecisionError, match="n=366"):
+        # li_eval's running bound refuses long before that term; at a z whose powers
+        # underflow, its products of finite powers overflow first
+        with pytest.raises(PrecisionError, match="rounding bound"):
             li_eval((-60, -60), 0.5, 1e-6)
+        with pytest.raises(PrecisionError, match="n=4"):
+            li_eval((-300, -300), 1e-300, 1e-6)
 
     def test_overflowing_weight_names_first_infinite_coefficient(self):
         assert self._overflow_message((-400,), 60).endswith("n=6")
         # a_6 of Li_(1,-400) is about 6.5e278; the weight 6^400 of the suffix first enters a_7
         assert all(map(math.isfinite, _float_coeffs((1, -400), 6)))
         assert self._overflow_message((1, -400), 8).endswith("n=7")
-        with pytest.raises(PrecisionError, match="n=35"):
+        with pytest.raises(PrecisionError, match="rounding bound"):
             li_eval((-200,), 0.5, 1e-6)
+        with pytest.raises(PrecisionError, match="n=6"):
+            li_eval((-400,), 1e-300, 1e-6)
 
     def test_sum_overflow(self, monkeypatch):
-        # every coefficient is finite, but their sum at z = 0.9 exceeds the float range
+        # every coefficient is finite, but their sum at z = 0.9 exceeds the float range; eps is
+        # wide enough that the bound on the first term alone does not refuse
         monkeypatch.setattr(polylog_num, "_powers", lambda s, n_max: [1e308] * n_max)
         with pytest.raises(PrecisionError, match="rounding bound of inf"):
-            li_eval((1,), 0.9, 1e-6)
+            li_eval((1,), 0.9, 1e300)

@@ -1,4 +1,7 @@
+import inspect
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial, gcd
@@ -7,6 +10,8 @@ import pytest
 
 from polylog.nc_core import AlphabetError, NCPoly, Word, X, Y, x_word, y_word
 from polylog.products import (
+    _shuffle_letters,
+    _stuffle_letters,
     conc,
     exp_stuffle,
     shuffle,
@@ -414,6 +419,47 @@ class TestGradeCap:
             stuffle(y1, y1, grade_cap=-1)
         with pytest.raises(ValueError):
             shuffle_pow(x1, 0, grade_cap=-1)
+
+
+# -- a word times one letter, built without recursion --------------------------
+
+
+class TestOneLetter:
+    """The placement path of a one-letter operand against the defining recursion."""
+
+    def test_property_matches_recursion(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        # words as runs of equal letters, so that a letter often meets a run of itself
+        runs = st.lists(st.tuples(st.integers(1, 3), st.integers(1, 4)), max_size=4)
+        words = runs.map(lambda rs: tuple(a for a, k in rs for _ in range(k)))
+
+        @hyp.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+        @hyp.given(words, st.integers(1, 3))
+        @hyp.example((2, 2, 2), 2)
+        @hyp.example((), 1)
+        def agree(u, a):
+            for kernel, ref in ((_shuffle_letters, ref_shuffle), (_stuffle_letters, ref_stuffle)):
+                want = Counter(ref(u, (a,)))
+                assert kernel(u, (a,)) == want and kernel((a,), u) == want
+
+        agree()
+
+    def test_run_of_the_letter_is_one_word(self):
+        assert _shuffle_letters((1,) * 5, (1,)) == {(1,) * 6: 6}
+        contracted = {(1,) * i + (2,) + (1,) * (4 - i): 1 for i in range(5)}
+        assert _stuffle_letters((1,) * 5, (1,)) == {(1,) * 6: 6, **contracted}
+
+    def test_long_word_needs_no_deep_stack(self):
+        # a stack far shorter than the word: x0^600 sh x1 is the 601 words x0^i x1 x0^(600-i)
+        x0s, x1 = NCPoly.from_word(Word((0,) * 600, X)), NCPoly.from_word(x_word("1"))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 50)
+        try:
+            got = shuffle(x0s, x1)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got.to_terms_text() == {"0" * i + "1" + "0" * (600 - i): "1" for i in range(601)}
 
 
 # -- a plain Fraction reference for the integer accumulation -----------------
