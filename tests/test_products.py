@@ -445,11 +445,6 @@ class TestOneLetter:
 
         agree()
 
-    def test_run_of_the_letter_is_one_word(self):
-        assert _shuffle_letters((1,) * 5, (1,)) == {(1,) * 6: 6}
-        contracted = {(1,) * i + (2,) + (1,) * (4 - i): 1 for i in range(5)}
-        assert _stuffle_letters((1,) * 5, (1,)) == {(1,) * 6: 6, **contracted}
-
     def test_long_word_needs_no_deep_stack(self):
         # a stack far shorter than the word: x0^600 sh x1 is the 601 words x0^i x1 x0^(600-i)
         x0s, x1 = NCPoly.from_word(Word((0,) * 600, X)), NCPoly.from_word(x_word("1"))
