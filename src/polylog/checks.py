@@ -25,7 +25,8 @@ from typing import Callable, NamedTuple, Sequence
 
 from . import harmonic, negindex, polylog_num, products, stars
 from .coding import QSeriesTrunc, pi_x_word
-from .nc_core import AlphabetError, NCPoly, NPoly, NotInImageError, ONE, Word, X, Y, ZERO, index_from_word, y_word
+from .dense import NPoly
+from .nc_core import AlphabetError, NCPoly, NotInImageError, ONE, Word, X, Y, ZERO, index_from_word, y_word
 from .stars import PlaneStar, X1StarPoly
 
 DEFAULT_SEED = 20240

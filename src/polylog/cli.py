@@ -40,12 +40,11 @@ from fractions import Fraction
 from functools import cache
 from typing import NamedTuple
 
-# harmonic, negindex and polylog_num are imported by the commands that use them,
-# so that a product request starts without compiling them
-from . import products, stars
-from .coding import pi_x, pi_y
+# A product request compiles only products and nc_core: other modules load where they are used, stars
+# and coding through the package's names (polylog.X1StarPoly) once a star, plane star, pix or piy is met.
+import polylog
+from . import products
 from .nc_core import ONE, NCPoly, PolylogError, X, Y, format_terms
-from .stars import PlaneStar, X1StarPoly, star_terms_text
 
 # the most decimal digits of an integer a result prints (CPython's int-to-str limit)
 MAX_DIGITS = 100_000
@@ -273,17 +272,17 @@ _ALPHABET_OF = {f"{alphabet}-polynomial": alphabet for alphabet in (X, Y)}
 
 
 def _type_name(v: Value) -> str:
-    """The type name of a value that is not a Scalar."""
+    """The type name of a value."""
+    if isinstance(v, Scalar):
+        return "rational"
     if isinstance(v, NCPoly):
         return f"{v.alphabet}-polynomial"
-    if isinstance(v, X1StarPoly):
-        return "star combination"
-    return "plane star"
+    return "star combination" if isinstance(v, polylog.X1StarPoly) else "plane star"
 
 
 def _as_stars(v: Value) -> Value:
     """A rational as the multiple of (0 x1)* = 1; any other value unchanged."""
-    return X1StarPoly({0: v.value}) if isinstance(v, Scalar) else v
+    return polylog.X1StarPoly({0: v.value}) if isinstance(v, Scalar) else v
 
 
 def _sum_type(a: str, b: str, pos: int) -> str:
@@ -344,7 +343,7 @@ def _eval_sum(terms):
     if like == "rational":
         return Scalar(sum(c for _, c in pairs))
     if like == "star combination":
-        literal = X1StarPoly((0 if k is None else k, c) for k, c in pairs)
+        literal = polylog.X1StarPoly((0 if k is None else k, c) for k, c in pairs)
     else:
         literal = NCPoly._from_pairs(_ALPHABET_OF[like], ((() if k is None else k, c) for k, c in pairs))
     return literal if total is None else literal + total
@@ -353,9 +352,9 @@ def _eval_sum(terms):
 def _scale_value(c: Fraction, v: Value, pos: int) -> Value:
     if isinstance(v, Scalar):
         return Scalar(c * v.value)
-    if isinstance(v, (NCPoly, X1StarPoly)):
-        return v * c
-    raise ExprTypeError(f"cannot scale a {_type_name(v)}", pos)
+    if _type_name(v) == "plane star":
+        raise ExprTypeError("cannot scale a plane star", pos)
+    return v * c
 
 
 def _as_poly(v: Value, alphabet: str, pos: int) -> NCPoly:
@@ -387,9 +386,9 @@ def _eval(node: Expr):
     if tag == "word":
         return NCPoly._from_nums(node[1], {node[2]: 1}, 1)
     if tag == "star":
-        return X1StarPoly({_star_order(node[1], node[2]): 1})
+        return polylog.X1StarPoly({_star_order(node[1], node[2]): 1})
     if tag == "plane":
-        return PlaneStar(node[1])
+        return polylog.PlaneStar(node[1])
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -406,21 +405,22 @@ def _eval_call(name: str, args: list[Value], pos: int) -> Value:
     """Apply function ``name``, a key of ``_FUNCS``, to evaluated arguments; ``pos`` locates errors."""
     if name == "sh":
         a, b = args
-        if isinstance(a, X1StarPoly) or isinstance(b, X1StarPoly):
+        kinds = {_type_name(a), _type_name(b)}
+        if "star combination" in kinds:
+            if not kinds <= {"star combination", "rational"}:
+                raise ExprTypeError("sh mixes star combinations with other values", pos)
             a, b = _as_stars(a), _as_stars(b)
-            if isinstance(a, X1StarPoly) and isinstance(b, X1StarPoly):
-                _star_order(a.max_order + b.max_order, pos)
-                return a.shuffle(b)
-            raise ExprTypeError("sh mixes star combinations with other values", pos)
+            _star_order(a.max_order + b.max_order, pos)
+            return a.shuffle(b)
         alphabet = _alphabet_of(a, b)
         if alphabet is None:
             raise ExprTypeError("sh needs polynomial or star operands", pos)
         return products.shuffle(_as_poly(a, alphabet, pos), _as_poly(b, alphabet, pos))
     if name == "st":
         a, b = args
-        if isinstance(a, PlaneStar) and isinstance(b, PlaneStar):
-            return stars.plane_star_stuffle(a, b)
-        if isinstance(a, PlaneStar) or isinstance(b, PlaneStar):
+        if _type_name(a) == _type_name(b) == "plane star":
+            return polylog.plane_star_stuffle(a, b)
+        if "plane star" in (_type_name(a), _type_name(b)):
             raise ExprTypeError("st on a plane star needs two plane stars", pos)
         return products.stuffle(_as_poly(a, Y, pos), _as_poly(b, Y, pos))
     if name == "conc":
@@ -430,9 +430,9 @@ def _eval_call(name: str, args: list[Value], pos: int) -> Value:
             raise ExprTypeError("conc needs polynomial operands", pos)
         return products.conc(_as_poly(a, alphabet, pos), _as_poly(b, alphabet, pos))
     if name == "pix":
-        return pi_x(_as_poly(args[0], Y, pos))
+        return polylog.pi_x(_as_poly(args[0], Y, pos))
     if name == "piy":
-        return pi_y(_as_poly(args[0], X, pos))
+        return polylog.pi_y(_as_poly(args[0], X, pos))
     cap = args[1]  # exps
     if not isinstance(cap, Scalar) or cap.value.denominator != 1 or cap.value < 0:
         raise ExprTypeError("exps(P, cap) needs a natural-number cap", pos)
@@ -455,8 +455,10 @@ def _ncpoly_texts(p: NCPoly) -> tuple[dict[str, str], str]:
     return terms, format_terms([(c, body(k) if k else "") for k, c in terms.items()])
 
 
-def _x1star_texts(s: X1StarPoly) -> tuple[dict[str, str], str]:
+def _x1star_texts(s: "X1StarPoly") -> tuple[dict[str, str], str]:
     """The {order: coefficient text} stars and the expression text of a star combination."""
+    from .stars import star_terms_text
+
     texts = [(k, str(c)) for k, c in s.items()]
     return {str(k): c for k, c in texts}, star_terms_text(texts)
 
@@ -467,10 +469,10 @@ def value_to_json(v: Value) -> dict:
     if isinstance(v, NCPoly):
         terms, text = _ncpoly_texts(v)
         return {"type": "ncpoly", "alphabet": v.alphabet, "terms": terms, "text": text}
-    if isinstance(v, X1StarPoly):
+    if isinstance(v, polylog.X1StarPoly):
         terms, text = _x1star_texts(v)
         return {"type": "x1star", "stars": terms, "text": text}
-    if isinstance(v, PlaneStar):
+    if isinstance(v, polylog.PlaneStar):
         return {"type": "planestar", "alpha": [str(a) for a in v.alpha], "text": str(v)}
     raise TypeError(f"cannot serialize {v!r}")
 
@@ -521,7 +523,7 @@ def cmd_h_closed_form(args) -> int:
         npoly = harmonic.h_negindex_closed_form(_parse_index_arg(args.form))
     else:
         value = _as_stars(parse_value(args.form))
-        if not isinstance(value, X1StarPoly):
+        if not isinstance(value, polylog.X1StarPoly):
             raise ExprTypeError(
                 f"h-closed-form needs a star combination or a non-positive index, got {_type_name(value)}",
                 0,

@@ -8,7 +8,7 @@ the offending word: this package never guesses an extension off the image.
 The umbral coding identifies a constant-free truncated q-series
 sum_n a_n q^n with the degree-one Y-element sum_n a_n y_n ("the plane").
 The two are one object here: a :class:`QSeriesTrunc` is a view of an
-:class:`~polylog.nc_core.NPoly` in q with an explicit order S_max, and
+:class:`~polylog.dense.NPoly` in q with an explicit order S_max, and
 :class:`~polylog.stars.PlaneStar` is the same view read as a plane, so
 starring in :mod:`polylog.stars` works on the series' integer numerators
 with no copy.  Scaling and exp - 1 are that kernel's; ``umbra_to_plane``
@@ -21,10 +21,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .dense import NPoly
 from .nc_core import (
     AlphabetError,
     NCPoly,
-    NPoly,
     NotInImageError,
     RatLike,
     Word,

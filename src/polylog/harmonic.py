@@ -18,11 +18,11 @@ N r > MAX_TERMS at depth r before any work.  A word table
 reads its word's memoized column; Taylor vectors of Li take one weight pass per
 leading entry over the memoized tail columns, and a polynomial table is their
 prefix sum, so it never caches a product's full words.  Columns and Taylor
-vectors are each an :class:`~polylog.nc_core.NPoly`, the one dense kernel.
+vectors are each an :class:`~polylog.dense.NPoly`, the one dense kernel.
 
 Star combinations sum_k c_k (k x1)* have polynomial harmonic sums:
 H of (k x1)* at N is binomial(N+k, k) = (N+1)...(N+k)/k!, so the closed form
-is an exact polynomial in N: an :class:`~polylog.nc_core.NPoly` again, one
+is an exact polynomial in N: an :class:`~polylog.dense.NPoly` again, one
 linear combination of the rising products, each over k!.  Composed with the
 star form of Li at non-positive indices (:mod:`polylog.negindex`, imported on
 first use), this yields Faulhaber-style closed forms for every non-positive
@@ -41,7 +41,8 @@ from itertools import accumulate
 from math import factorial, gcd, lcm, prod
 from typing import Iterable, Iterator, Sequence
 
-from .nc_core import AlphabetError, NCPoly, NPoly, RatLike, Word, Y
+from .dense import NPoly
+from .nc_core import AlphabetError, NCPoly, RatLike, Word, Y
 
 #: A signed multi-index: positive entries are reciprocal exponents,
 #: non-positive entries are power weights.

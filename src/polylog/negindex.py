@@ -12,7 +12,7 @@ applies the Euler operator theta = z d/dz = (t^2 - t) d/dt |s_i| times.
 pole order at z = 1, with (1-z) factors always divided out of the numerator
 so equality is plain field-wise comparison.  One binomial basis change turns
 sum_k c_k t^k into p(z)/(1-z)^m, canonical as built; :func:`ratfunc_to_x1star`
-is its inverse.  The numerator is an :class:`polylog.nc_core.NPoly`: sums,
+is its inverse.  The numerator is an :class:`polylog.dense.NPoly`: sums,
 products, the Euler step, the division by (1-z), evaluation and printing are
 that one dense exact kernel's, on integer numerators over one denominator.
 
@@ -31,11 +31,11 @@ from math import comb, factorial
 from numbers import Rational
 from typing import Sequence
 
+from .dense import NPoly
 from .nc_core import (
     AlphabetError,
     InvalidIndexError,
     NCPoly,
-    NPoly,
     PolylogError,
     RatLike,
     X,

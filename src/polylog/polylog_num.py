@@ -13,7 +13,7 @@ cached harmonic columns, one weight pass per leading entry; the module also prov
 The identities these serve (Hadamard, shuffle morphism, derivative
 recursions) and the radius diagnostic are checked in :mod:`polylog.checks`.
 
-A :class:`TaylorTrunc` is a view of an :class:`~polylog.nc_core.NPoly`, the
+A :class:`TaylorTrunc` is a view of an :class:`~polylog.dense.NPoly`, the
 one dense exact kernel, with an explicit cap: the kernels run on integer
 numerators over one shared denominator and Fractions are built only when
 ``coeffs`` is read.  The evaluator runs the prefix recurrence of the harmonic
@@ -29,8 +29,9 @@ from itertools import repeat
 from math import factorial
 from typing import Iterator, Sequence
 
+from .dense import NPoly
 from .harmonic import MAX_TERMS, _taylor_map
-from .nc_core import AlphabetError, NCPoly, NPoly, PolylogError, X, X1, ZERO, ONE, _index_of
+from .nc_core import AlphabetError, NCPoly, PolylogError, X, X1, ZERO, ONE, _index_of
 from .products import shuffle
 
 #: Evaluation is refused closer to the unit circle than this.

@@ -16,7 +16,7 @@ Three families of rational series are represented exactly:
 
 Star objects are exact and finite; anything that expands a star into words
 takes an explicit cap.  Their coefficient arithmetic is that of
-:class:`~polylog.nc_core.NPoly`, the one dense exact kernel, and expansions
+:class:`~polylog.dense.NPoly`, the one dense exact kernel, and expansions
 into words carry its integer numerators into the stored form of
 :class:`~polylog.nc_core.NCPoly`, building no Word or Fraction per word.
 """
@@ -27,7 +27,8 @@ from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
 from .coding import QSeriesTrunc, pi_y
-from .nc_core import NCPoly, NPoly, RatLike, Word, X, X1, Y, ZERO, as_rat, format_terms
+from .dense import NPoly
+from .nc_core import NCPoly, RatLike, Word, X, X1, Y, ZERO, as_rat, format_terms
 from .products import exp_stuffle, shuffle_pow
 
 

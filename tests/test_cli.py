@@ -24,7 +24,8 @@ from polylog.cli import (
     parse_value,
     value_to_json,
 )
-from polylog.nc_core import NCPoly, NPoly, Word, X, Y, x_word, y_word
+from polylog.dense import NPoly
+from polylog.nc_core import NCPoly, Word, X, Y, x_word, y_word
 from polylog.products import stuffle
 from polylog.stars import PlaneStar, X1StarPoly
 
@@ -279,10 +280,10 @@ class TestPrintedForms:
             (X1StarPoly({3: -1, 1: 1, 0: -2}), "-star(3) + star(1) - 2", "-star(3) + star(1) - 2"),
             (X1StarPoly({2: F(-1, 2), 0: 1}), "-1/2*star(2) + 1", "-1/2*star(2) + 1"),
             (X1StarPoly(), "0", "0"),
-            (harmonic.NPoly([-2, 1, 0, -1, F(1, 2)]), "1/2*N^4 - N^3 + N - 2", None),
-            (harmonic.NPoly([0, -1]), "-N", None),
-            (harmonic.NPoly([F(-1, 3)]), "-1/3", None),
-            (harmonic.NPoly(), "0", None),
+            (NPoly([-2, 1, 0, -1, F(1, 2)]), "1/2*N^4 - N^3 + N - 2", None),
+            (NPoly([0, -1]), "-N", None),
+            (NPoly([F(-1, 3)]), "-1/3", None),
+            (NPoly(), "0", None),
         ],
     )
     def test_str_and_expression_text(self, value, printed, expr_text):
@@ -324,32 +325,47 @@ class TestPrintedForms:
 
 def _loads(*modules: str) -> set[str]:
     """The modules a fresh request loads: those of a product request, and ``modules``."""
-    package = ("cli", "nc_core", "products", "coding", "stars", *modules)
+    package = ("cli", "nc_core", "products", *modules)
     return {"polylog", *(f"polylog.{m}" for m in package)}
 
 
 # request -> (the modules it loads, a test of its answer)
 _FRESH_ANSWERS = {
-    "neg-li -2,-1": (_loads("negindex"), lambda out: json.loads(out)["stars"]["5"] == "12"),
+    'shuffle pix(y2) "1"': (
+        _loads("coding", "dense"),
+        lambda out: json.loads(out)["terms"] == {"011": "2", "101": "1"},
+    ),
+    "shuffle star(1) star(2)": (
+        _loads("coding", "dense", "stars"),
+        lambda out: json.loads(out)["stars"] == {"3": "1"},
+    ),
+    "stuffle [1]* [1/2]*": (
+        _loads("coding", "dense", "stars"),
+        lambda out: json.loads(out)["alpha"] == ["3/2", "1/2"],
+    ),
+    "neg-li -2,-1": (
+        _loads("coding", "dense", "stars", "negindex"),
+        lambda out: json.loads(out)["stars"]["5"] == "12",
+    ),
     "h-closed-form -1": (
-        _loads("harmonic", "negindex"),
+        _loads("coding", "dense", "stars", "harmonic", "negindex"),
         lambda out: json.loads(out)["coeffs"] == ["0", "1/2", "1/2"],
     ),
-    "h-eval (-2,-1) 3": (_loads("harmonic"), lambda out: json.loads(out) == "31"),
+    "h-eval (-2,-1) 3": (_loads("dense", "harmonic"), lambda out: json.loads(out) == "31"),
     "li-coeffs 2 4": (
-        _loads("harmonic", "polylog_num"),
+        _loads("dense", "harmonic", "polylog_num"),
         lambda out: json.loads(out) == {"mode": "exact", "coeffs": ["0", "1", "1/4", "1/9", "1/16"]},
     ),
     "li-coeffs 2 3 --float": (
-        _loads("harmonic", "polylog_num"),
+        _loads("dense", "harmonic", "polylog_num"),
         lambda out: json.loads(out) == {"mode": "float", "coeffs": [0.0, 1.0, 0.25, 1 / 9]},
     ),
     "li-eval 1 0.5 1e-10": (
-        _loads("harmonic", "polylog_num"),
+        _loads("dense", "harmonic", "polylog_num"),
         lambda out: abs(json.loads(out)["re"] - 0.6931471805599453) <= 1e-10,
     ),
     "verify --suite stirling": (
-        _loads("harmonic", "negindex", "polylog_num", "checks") | {"dataclasses"},
+        _loads("coding", "dense", "stars", "harmonic", "negindex", "polylog_num", "checks") | {"dataclasses"},
         lambda out: out.endswith("# 2/2 checks passed"),
     ),
 }
@@ -637,7 +653,7 @@ class TestCommands:
         # a fresh process answers a product request with the modules products need, and no others
         code, out, loaded = self._fresh("stuffle", "y1", "y2")
         assert code == 0 and json.loads(out)["terms"] == {"3": "1", "1,2": "1", "2,1": "1"}
-        unused = {"checks", "harmonic", "negindex", "polylog_num"}
+        unused = {"checks", "coding", "dense", "harmonic", "negindex", "polylog_num", "stars"}
         assert not loaded & {"dataclasses", *(f"polylog.{m}" for m in unused)}
         assert loaded == _loads()
 

@@ -16,7 +16,8 @@ from polylog.coding import (
     q_scale,
     umbra_to_plane,
 )
-from polylog.nc_core import AlphabetError, NCPoly, NotInImageError, NPoly, Word, X, Y, x_word, y_word
+from polylog.dense import NPoly
+from polylog.nc_core import AlphabetError, NCPoly, NotInImageError, Word, X, Y, x_word, y_word
 from polylog.products import conc
 
 

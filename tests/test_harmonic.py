@@ -9,8 +9,8 @@ import pytest
 from polylog import checks, harmonic
 from polylog.checks import h_stuffle_check
 from polylog.cli import main
+from polylog.dense import NPoly
 from polylog.harmonic import (
-    NPoly,
     h_negindex_closed_form,
     h_poly_eval,
     h_poly_table,

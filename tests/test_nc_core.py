@@ -6,11 +6,11 @@ from math import gcd
 import pytest
 from fractions import Fraction
 
+from polylog.dense import NPoly
 from polylog.nc_core import (
     AlphabetError,
     InvalidIndexError,
     NCPoly,
-    NPoly,
     NotInImageError,
     Word,
     X,

@@ -15,9 +15,10 @@ import polylog
 # that defines them today
 PUBLIC_NAMES = {
     "nc_core": [
-        "AlphabetError", "InvalidIndexError", "NCPoly", "NPoly", "NotInImageError", "PolylogError",
-        "Word", "as_rat", "index_from_word", "word_from_index", "word_from_text", "x_word", "y_word",
+        "AlphabetError", "InvalidIndexError", "NCPoly", "NotInImageError", "PolylogError", "Word",
+        "as_rat", "index_from_word", "word_from_index", "word_from_text", "x_word", "y_word",
     ],
+    "dense": ["NPoly"],
     "products": ["conc", "exp_stuffle", "shuffle", "shuffle_pow", "stuffle", "stuffle_pow"],
     "coding": [
         "PlaneStarBase", "QSeriesTrunc", "in_image", "pi_x", "pi_x_word", "pi_y", "pi_y_word",

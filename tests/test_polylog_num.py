@@ -380,6 +380,19 @@ class TestLiEvalRunningBound:
             li_eval((-3, 1), 0.99, 1e-8)
         assert (-3, 8192) in made and made.count(-3) == 34 and made.count(1) == 33
 
+    @pytest.mark.parametrize(
+        "args, bound",
+        [(((-60, 1100, 1), 0.5, 1e-250), "1.37e-250"), (((-3, 1, 1), 0.99, 1e-8), "1.09e-08")],
+        ids=["underflow", "row-below"],
+    )
+    def test_tail_rows_carry_their_bound(self, args, bound):
+        # the tail rows' share of the bound decides both refusals: without the two 2^-1072 terms of
+        # a tail-row step the first answers 0j (without one of them, it is refused at 4.56e-250 or
+        # 1.16e-249), and without the bound of the row below the second is refused at 1.15e-08
+        with pytest.raises(PrecisionError) as refused:
+            li_eval(*args)
+        assert str(refused.value).endswith(f"carries a rounding bound of {bound}")
+
 
 class TestLiEvalExactOracle:
     """li_eval against the exact rational function of a non-positive index.

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from polylog.coding import QSeriesTrunc, umbra_to_plane
-from polylog.nc_core import NCPoly, NPoly, Word, X, Y, x_word, y_word
+from polylog.dense import NPoly
+from polylog.nc_core import NCPoly, Word, X, Y, x_word, y_word
 from polylog.products import exp_stuffle, shuffle, stuffle
 from polylog.stars import (
     PlaneStar,
