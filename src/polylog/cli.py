@@ -732,7 +732,7 @@ def main(argv=None) -> int:
                 message = f"polylog {args.command}: unrecognized arguments: {' '.join(extras)}"
                 raise argparse.ArgumentError(None, message)
             return args.func(args)
-        except (PolylogError, ValueError, OverflowError, MemoryError, argparse.ArgumentError) as exc:
+        except (PolylogError, ValueError, OverflowError, MemoryError, RecursionError, argparse.ArgumentError) as exc:
             advice = "use sys.set_int_max_str_digits() to increase the limit"  # not the CLI's
             message = str(exc).replace(advice, f"the CLI's cap is MAX_DIGITS = {MAX_DIGITS}")
             _print_json({"error": {"code": type(exc).__name__, "message": message}})

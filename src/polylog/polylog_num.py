@@ -26,12 +26,12 @@ import math
 from contextlib import suppress
 from fractions import Fraction
 from itertools import repeat
-from math import factorial
+from math import factorial, perm
 from typing import Iterator, Sequence
 
 from .dense import NPoly
 from .harmonic import MAX_TERMS, _taylor_map
-from .nc_core import AlphabetError, NCPoly, PolylogError, X, X1, ZERO, ONE, _index_of
+from .nc_core import AlphabetError, NCPoly, PolylogError, X, X1, _index_of
 from .products import shuffle
 
 #: Evaluation is refused closer to the unit circle than this.
@@ -224,7 +224,8 @@ def check_surjection_lemma(n_max: int, m_max: int) -> bool:
     truncated at the same length, which is exact for the inspected
     coefficients because shuffling only grows length.  The generating
     function side checks sum_n m! S2(n,m) x^n/n! = (e^x - 1)^m as truncated
-    exact series.
+    exact series.  Both sides compare integer numerators (the series' with
+    m! S2(n, m) n_max!/n! over n_max!); no Fraction is built per coefficient.
     """
     s2 = _stirling2_rows(n_max, m_max)
     x1plus = NCPoly._from_nums(X, {(X1,) * n: 1 for n in range(1, n_max + 1)}, 1)
@@ -235,13 +236,13 @@ def check_surjection_lemma(n_max: int, m_max: int) -> bool:
         for n in range(n_max + 1):
             if power._nums.get((X1,) * n, 0) != factorial(m) * s2[n][m] * power._den:
                 return False
-    # EGF side: (e^x - 1)^m, coefficients as exact rationals
-    em1 = TaylorTrunc((ZERO,) + tuple(Fraction(1, factorial(n)) for n in range(1, n_max + 1)))
-    series = TaylorTrunc((ONE,) + (ZERO,) * n_max)
+    # EGF side: e^x - 1 over n_max!, whose numerator n is n_max!/n!
+    scale = [perm(n_max, n_max - n) for n in range(n_max + 1)]
+    em1 = TaylorTrunc._of(NPoly([0, *scale[1:]], scale[0]), n_max)
+    series = TaylorTrunc._of(NPoly([1]), n_max)
     for m in range(0, m_max + 1):
         if m > 0:
             series = cauchy(series, em1)
-        for n, c in enumerate(series.coeffs):
-            if c != Fraction(factorial(m) * s2[n][m], factorial(n)):
-                return False
+        if series.poly != NPoly([factorial(m) * row[m] * f for row, f in zip(s2, scale)], scale[0]):
+            return False
     return True

@@ -35,6 +35,7 @@ is a derivation of the stuffle (Brent-Kung 1978; Hoffman-Ihara 2017).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -106,6 +107,8 @@ def _bilinear(alphabet: str, pairs, word_product, grade_cap: int | None) -> NCPo
 
     Both products are graded (every word of u <op> v has grade(u) + grade(v)),
     so skipping the pairs above the cap is exact and never reaches the memo.
+    Under a cap, q's terms are sorted by grade once per pair, and the terms
+    within the cap of a term u of p are a prefix of them.
     The sum runs on integer numerators over the lcm of the pairs' dp * dq.
     """
     _check_cap(grade_cap)
@@ -117,13 +120,12 @@ def _bilinear(alphabet: str, pairs, word_product, grade_cap: int | None) -> NCPo
         m = den // (p._den * q._den)
         q_terms = list(q._nums.items())
         if grade_cap is not None:
-            q_graded = [(grade(v), v, cv) for v, cv in q_terms]
+            q_terms.sort(key=lambda t: grade(t[0]))
+            q_grades = [grade(v) for v, _ in q_terms]
         for u, cu in p._nums.items():
-            if grade_cap is not None:
-                room = grade_cap - grade(u)
-                q_terms = [(v, cv) for g, v, cv in q_graded if g <= room]
+            terms = q_terms if grade_cap is None else q_terms[: bisect_right(q_grades, grade_cap - grade(u))]
             cu *= m
-            for v, cv in q_terms:
+            for v, cv in terms:
                 c = cu * cv
                 # structure constants are symmetric; canonical order keys the memo
                 a, b = u, v

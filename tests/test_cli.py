@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import random
@@ -608,6 +609,31 @@ class TestCommands:
         monkeypatch.setattr(polylog_num, "li_taylor_coeffs", exhausted)
         code, out = self._run(capsys, "li-coeffs", "0", "1000000000")
         assert code == 2 and json.loads(out)["error"] == {"code": "MemoryError", "message": ""}
+
+    def test_recursion_error_is_json_error(self, capsys, monkeypatch):
+        def too_deep(p, q):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(products, "shuffle", too_deep)
+        code, out = self._run(capsys, "shuffle", '"01"', '"1"')
+        error = {"code": "RecursionError", "message": "maximum recursion depth exceeded"}
+        assert code == 2 and json.loads(out)["error"] == error
+
+    def test_two_long_words_answer_as_json(self, capsys):
+        # x0^120 sh x1x1 still recurses once per letter: under a stack 50 frames above this one
+        # it answers with its words, or with a RecursionError as JSON, never a traceback
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 50)
+        try:
+            code, out = self._run(capsys, "shuffle", '"' + "0" * 120 + '"', '"11"')
+        finally:
+            sys.setrecursionlimit(limit)
+        data = json.loads(out)
+        if code == 2:
+            assert data["error"]["code"] == "RecursionError"
+        else:
+            words = {"0" * i + "1" + "0" * j + "1" + "0" * (120 - i - j) for i in range(121) for j in range(121 - i)}
+            assert code == 0 and data["terms"] == dict.fromkeys(words, "1")
 
     def test_verify_stirling_suite(self, capsys):
         code, out = self._run(capsys, "verify", "--suite", "stirling")

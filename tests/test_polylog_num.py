@@ -270,7 +270,20 @@ class TestStirling:
             stirling2(-1, 0)
 
     def test_surjection_lemma_small(self):
-        assert check_surjection_lemma(10, 5)
+        # m > n, n = 0 and m = 0 meet the trimmed zero series and the cross-product equality
+        assert all(check_surjection_lemma(n, m) for n in range(13) for m in range(7))
+
+    def test_surjection_lemma_wrong_stirling_entry_fails(self, monkeypatch):
+        for n in range(7):
+            for m in range(4):
+
+                def off_by_one(n_max, m_max, n=n, m=m):
+                    rows = _stirling2_rows(n_max, m_max)
+                    rows[n][m] += 1
+                    return rows
+
+                monkeypatch.setattr(polylog_num, "_stirling2_rows", off_by_one)
+                assert not check_surjection_lemma(6, 3), (n, m)
 
     def test_surjection_lemma_wrong_product_fails(self, monkeypatch):
         # concatenation in place of shuffle fails the word side; the Hadamard product in

@@ -410,6 +410,29 @@ class TestGradeCap:
         y = NCPoly.from_word(y_word(2)) + NCPoly.from_word(y_word(1, 3))
         assert stuffle(y, y, grade_cap=3) == NCPoly.zero(Y)
 
+    def test_pairs_above_the_cap_never_reach_the_memo(self):
+        p = NCPoly.from_word(x_word("011")) + NCPoly.from_word(x_word("1010"))
+        q = NCPoly.from_word(x_word("10")) + NCPoly.from_word(x_word("11"))
+        y = NCPoly.from_word(y_word(2, 1)) + NCPoly.from_word(y_word(4))
+        for product, kernel, a, b in ((shuffle, _shuffle_letters, p, q), (stuffle, _stuffle_letters, y, y)):
+            before = kernel.cache_info()
+            assert product(a, b, grade_cap=4) == NCPoly.zero(a.alphabet)
+            after = kernel.cache_info()
+            assert (after.hits, after.misses) == (before.hits, before.misses)
+
+    @pytest.mark.parametrize("product,kernel", [(shuffle, _shuffle_letters), (stuffle, _stuffle_letters)])
+    def test_capped_pairs_hit_a_warm_memo_once_each(self, product, kernel):
+        # grades with ties on both sides: a prefix one term too short or too long changes the count
+        p = NCPoly(Y, {Word(w, Y): c for c, w in enumerate([(), (1,), (2,), (1, 1), (3,), (1, 2), (2, 1, 1)], 1)})
+        q = NCPoly(Y, {Word(w, Y): c for c, w in enumerate([(1,), (2,), (1, 1), (1, 3), (2, 2)], 2)})
+        product(p, q)  # warms the memo with every pair
+        for cap in range(0, 10):
+            within = sum(sum(u) + sum(v) <= cap for u in p._nums for v in q._nums)
+            before = kernel.cache_info()
+            product(p, q, grade_cap=cap)
+            after = kernel.cache_info()
+            assert (after.hits - before.hits, after.misses - before.misses) == (within, 0)
+
     def test_negative_cap_rejected(self):
         x1 = NCPoly.from_word(x_word("1"))
         y1 = NCPoly.from_word(y_word(1))
