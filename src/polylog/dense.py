@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, zip_longest
-from math import lcm, perm
+from math import gcd, lcm, perm
 from numbers import Rational
 from typing import Iterable, Mapping
 
@@ -19,8 +19,9 @@ class NPoly:
 
     The package's one dense exact kernel: coefficient j is ``nums[j] / den``,
     integer numerators over one positive denominator, trimmed of trailing
-    zeros.  The pair is not reduced (a gcd over every numerator costs more
-    than the kernels save), so equality compares cross products, and
+    zeros.  The pair is not reduced by the kernels (a gcd over every
+    numerator per result costs more than they save), only by
+    :meth:`reduced`, so equality compares cross products, and
     Fractions are built only for ``coeffs``, :meth:`coeff`, :meth:`padded`,
     printing and JSON.  Every other dense carrier is a view of an NPoly with
     its own explicit truncation order, so trimming never shortens a cap.
@@ -66,6 +67,11 @@ class NPoly:
 
     def __len__(self) -> int:
         return len(self.nums)
+
+    def reduced(self) -> "NPoly":
+        """The same polynomial in lowest terms: numerators and denominator divided by their gcd."""
+        g = gcd(self.den, *reversed(self.nums))  # last entry first: in a Li vector the gcd falls fastest there
+        return NPoly([x // g for x in self.nums], self.den // g)
 
     def eval(self, x):
         """Horner evaluation; in integers over one denominator at a rational point."""

@@ -16,8 +16,12 @@ recursions) and the radius diagnostic are checked in :mod:`polylog.checks`.
 A :class:`TaylorTrunc` is a view of an :class:`~polylog.dense.NPoly`, the
 one dense exact kernel, with an explicit cap: the kernels run on integer
 numerators over one shared denominator and Fractions are built only when
-``coeffs`` is read.  The evaluator runs the prefix recurrence of the harmonic
-sums on float weights, each float beside a bound on its error.
+``coeffs`` is read.  :func:`li_taylor_coeffs` alone keeps its vectors in
+lowest terms, in an LRU cache of 256 (cap, index) keys: the series calculus
+reads the same vectors again and again, and over lcm(1..100)^4 a weight-4
+vector carries up to 257 of its 543 bits as a common factor.  The evaluator
+runs the prefix recurrence of the harmonic sums on float weights, each float
+beside a bound on its error.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from __future__ import annotations
 import math
 from contextlib import suppress
 from fractions import Fraction
+from functools import lru_cache
 from itertools import repeat
 from math import factorial, perm
 from typing import Iterator, Sequence
@@ -87,9 +92,24 @@ def _require_compatible(a: TaylorTrunc, b: TaylorTrunc) -> None:
 def li_taylor_coeffs(s: Sequence[int], n_cap: int) -> TaylorTrunc:
     """Taylor coefficients of Li at a signed index: a_N = N^(-s1) H_suffix(N-1).
 
-    The empty index gives the constant series 1.
+    The empty index gives the constant series 1.  Refused before any work when
+    N max(r, 1) > MAX_TERMS at depth r.
     """
-    return TaylorTrunc._of(_taylor_map([(1, tuple(s))], n_cap), n_cap)
+    index = tuple(s)
+    depth = max(len(index), 1)  # the empty index still has N + 1 entries
+    if n_cap * depth > MAX_TERMS:
+        raise ValueError(f"N * depth = {n_cap} * {depth} is above {MAX_TERMS = }")
+    return TaylorTrunc._of(_li_vector(n_cap, *index), n_cap)
+
+
+#: Entries kept by the cache of :func:`_li_vector`.
+_LI_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=_LI_CACHE_SIZE, typed=True)
+def _li_vector(n_cap: int, *index: int) -> NPoly:
+    """Li's Taylor vector to n_cap in lowest terms; typed keys, so (2.0,) never reads the entry of (2,)."""
+    return _taylor_map([(1, index)], n_cap).reduced()
 
 
 def _powers(s: int, n_max: int) -> Iterator[float]:

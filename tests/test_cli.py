@@ -578,7 +578,7 @@ class TestCommands:
                 "at position 0: h-closed-form needs a star combination or a non-positive index, got Y-polynomial",
             ),
             (("li-eval", "1", "abc", "1e-6"), "ValueError", "cannot parse 'abc' as a complex number"),
-            # N times the depth past MAX_TERMS: refused before any work
+            # N times the depth past MAX_TERMS: refused before any work (li-coeffs counts depth 0 as 1)
             (
                 ("h-eval", "(1,1)", str(10**24)),
                 "ValueError",
@@ -589,12 +589,20 @@ class TestCommands:
                 "ValueError",
                 f"N * depth = {10**24} * 2 is above MAX_TERMS = 1000000",
             ),
-            # N past the index-sized integers: the vector of N + 1 entries cannot be built
-            (("li-coeffs", "1", str(10**24)), "OverflowError", "cannot fit 'int' into an index-sized integer"),
+            (
+                ("li-coeffs", "1", str(10**24)),
+                "ValueError",
+                f"N * depth = {10**24} * 1 is above MAX_TERMS = 1000000",
+            ),
+            (("li-coeffs", "2", "2000000"), "ValueError", "N * depth = 2000000 * 1 is above MAX_TERMS = 1000000"),
+            (("li-coeffs", "()", "2000000"), "ValueError", "N * depth = 2000000 * 1 is above MAX_TERMS = 1000000"),
+            # an exponent past the float range in the truncation bound
+            (("li-eval", str(-10**20), "0.5", "1e-6"), "OverflowError", "math range error"),
         ],
         ids=[
             "stuffle-of-star", "shuffle-of-rationals", "h-closed-form-of-word", "li-eval-point",
-            "h-eval-huge-n", "h-eval-huge-n-mixed-sign", "li-coeffs-huge-n",
+            "h-eval-huge-n", "h-eval-huge-n-mixed-sign", "li-coeffs-huge-n", "li-coeffs-past-max-terms",
+            "li-coeffs-empty-index-past-max-terms", "li-eval-huge-exponent",
         ],
     )
     def test_refused_request_is_json_error(self, capsys, argv, code, message):

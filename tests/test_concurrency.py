@@ -4,13 +4,14 @@ import sys
 import threading
 from fractions import Fraction
 
-from polylog import harmonic
-from polylog.harmonic import h_poly_table, h_signed_eval, h_word_eval, h_word_table
+from polylog import harmonic, polylog_num
+from polylog.harmonic import _taylor_map, h_poly_table, h_signed_eval, h_word_eval, h_word_table
 from polylog.nc_core import NCPoly, Word, Y, x_word, y_word
 from polylog.products import shuffle, stuffle
 
 
 def _run_threads(worker, count=8):
+    """Run worker in count threads switching every microsecond; fail on any error or hang."""
     errors = []
 
     def wrapped():
@@ -20,10 +21,16 @@ def _run_threads(worker, count=8):
             errors.append(exc)
 
     threads = [threading.Thread(target=wrapped) for _ in range(count)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     assert not errors
 
 
@@ -57,24 +64,26 @@ def test_concurrent_column_growth_agrees(monkeypatch):
     monkeypatch.setattr(harmonic, "_HVEC_CACHE", {})
     w = y_word(2, 1, 3)
     expected = [h_signed_eval(w.letters, n) for n in range(61)]  # streams, no cache
-    errors = []
 
     def worker():
-        try:
-            for n in range(0, 61, 3):
-                assert h_word_table(w, n) == expected[: n + 1]
-        except Exception as exc:  # pragma: no cover - diagnostic path
-            errors.append(exc)
+        for n in range(0, 61, 3):
+            assert h_word_table(w, n) == expected[: n + 1]
 
-    threads = [threading.Thread(target=worker) for _ in range(8)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert not errors
+    _run_threads(worker)
+
+
+def test_concurrent_li_vectors_agree(monkeypatch):
+    # Threads fill the Taylor-vector cache (and the columns under it) from empty.
+    indices = [(2, 1, 3), (1, 1), (-2, 3), (4,), ()]
+    expected = {
+        (index, n): _taylor_map([(1, index)], n).padded(n) for index in indices for n in range(0, 61, 5)
+    }
+    monkeypatch.setattr(harmonic, "_HVEC_CACHE", {})
+    polylog_num._li_vector.cache_clear()
+
+    def worker():
+        for (index, n), coeffs in expected.items():
+            assert polylog_num.li_taylor_coeffs(index, n).coeffs == coeffs
+
+    _run_threads(worker)
+    assert polylog_num._li_vector.cache_info().currsize == len(expected)

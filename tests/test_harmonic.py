@@ -59,6 +59,11 @@ class TestNPoly:
     def test_from_monomials(self):
         assert NPoly.from_monomials({2: F(1, 2), 0: -1}) == NPoly([-1, 0, F(1, 2)])
 
+    def test_reduced(self):
+        p = NPoly([0, 6, -4], 10).reduced()
+        assert (p.nums, p.den) == ((0, 3, -2), 5)
+        assert (NPoly([], 7).reduced().den, NPoly([3], 2).reduced().den) == (1, 2)
+
 
 @pytest.mark.parametrize("n", [-1, -2])
 @pytest.mark.parametrize(

@@ -16,7 +16,7 @@ from polylog.checks import (
     check_shuffle_morphism,
     dom_radius_demo,
 )
-from polylog.harmonic import h_signed_table, h_word_table
+from polylog.harmonic import _taylor_map, h_signed_table, h_word_table
 from polylog.nc_core import AlphabetError, NCPoly, NotInImageError, Word, X, Y, x_word, y_word
 from polylog.polylog_num import (
     PrecisionError,
@@ -28,6 +28,7 @@ from polylog.polylog_num import (
     li_eval,
     li_taylor_coeffs,
     li_taylor_poly,
+    _li_vector,
     _stirling2_rows,
     stirling2,
 )
@@ -111,6 +112,63 @@ class TestTaylorCoeffs:
         assert _float_coeffs((), 3) == [1.0, 0.0, 0.0, 0.0]
         assert _float_coeffs((2, 1), 0) == [0.0]
         assert _float_coeffs((2,), -1)["error"] == {"code": "ValueError", "message": "n_cap must be >= 0"}
+
+
+def _uncached_li(index, n_cap):
+    """Li's Taylor vector straight from the harmonic columns, as built before any cache."""
+    return TaylorTrunc._of(_taylor_map([(1, tuple(index))], n_cap), n_cap)
+
+
+class TestLiVectorCache:
+    """li_taylor_coeffs serves each (cap, index) from a bounded cache, in lowest terms."""
+
+    def test_property_cached_vectors_are_the_uncached_ones(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @hyp.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+        @hyp.given(st.lists(st.integers(-3, 4), max_size=4).map(tuple), st.integers(0, 60))
+        def cached(index, n_cap):
+            t, want = li_taylor_coeffs(index, n_cap), _uncached_li(index, n_cap)
+            assert t == want and t.coeffs == want.coeffs
+            assert math.gcd(t.poly.den, *t.poly.nums) == 1
+            hits = _li_vector.cache_info().hits
+            again = li_taylor_coeffs(index, n_cap)
+            assert _li_vector.cache_info().hits == hits + 1
+            # a fresh view of the one shared vector
+            assert again is not t and again.poly is t.poly
+
+        cached()
+
+    def test_size_stays_at_the_bound(self):
+        bound = _li_vector.cache_info().maxsize
+        for n_cap in range(bound + 10):
+            li_taylor_coeffs((1,), n_cap)
+        assert _li_vector.cache_info().currsize == bound
+
+    def test_keys_are_exact(self):
+        li_taylor_coeffs((2, 1), 5)
+        with pytest.raises(TypeError):
+            li_taylor_coeffs((2.0, 1), 5)
+        with pytest.raises(TypeError):
+            li_taylor_coeffs((2, 1), 5.0)
+        assert li_taylor_coeffs((F(2),), 5) == li_taylor_coeffs((2,), 5)
+        assert li_taylor_coeffs((F(2),), 5).coeffs == li_taylor_coeffs((2,), 5).coeffs
+
+    @pytest.mark.parametrize(
+        "index,n_cap,message",
+        [
+            ((2,), 2_000_000, "2000000 * 1"),
+            ((), 2_000_000, "2000000 * 1"),
+            ((1, 1, 1, 1), 250_001, "250001 * 4"),
+        ],
+    )
+    def test_refused_past_max_terms_before_any_work(self, index, n_cap, message):
+        misses = _li_vector.cache_info().misses
+        with pytest.raises(ValueError) as raised:
+            li_taylor_coeffs(index, n_cap)
+        assert str(raised.value) == f"N * depth = {message} is above MAX_TERMS = 1000000"
+        assert _li_vector.cache_info().misses == misses
 
 
 class TestDivOneMinusZ:
