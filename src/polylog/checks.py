@@ -127,8 +127,7 @@ KNOWN_NONPOSITIVE = [
 
 
 def _matches_oracle(index, s, n_max) -> bool:
-    poly = harmonic.h_x1star_closed_form(s)
-    return [poly.eval(n) for n in range(n_max + 1)] == harmonic.h_signed_table(index, n_max)
+    return _eval_term_table("star", s, n_max) == harmonic.h_signed_table(index, n_max)
 
 
 def suite_ex3(ncap: int | None = None, seed: int = DEFAULT_SEED) -> list[Check]:

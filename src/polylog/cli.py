@@ -350,8 +350,7 @@ def _eval_sum(terms):
 
 
 def _scale_value(c: Fraction, v: Value, pos: int) -> Value:
-    if isinstance(v, Scalar):
-        return Scalar(c * v.value)
+    """``c`` times a call's value or a plane star; a scaled rational is a literal term."""
     if _type_name(v) == "plane star":
         raise ExprTypeError("cannot scale a plane star", pos)
     return v * c
@@ -372,8 +371,8 @@ def _as_poly(v: Value, alphabet: str, pos: int) -> NCPoly:
 def _eval(node: Expr):
     """The value of ``node``; a generator run by :func:`_run`, yielding one per operand."""
     tag = node[0]
-    if tag == "sum":
-        return (yield from _eval_sum(node[1]))
+    if tag == "sum" or _literal_term(node):  # a literal is a one-term sum
+        return (yield from _eval_sum(node[1] if tag == "sum" else ((1, node, None),)))
     if tag == "scale":
         return _scale_value(node[1], (yield _eval(node[2])), node[3])
     if tag == "call":
@@ -381,12 +380,6 @@ def _eval(node: Expr):
         for arg in node[2]:
             args.append((yield _eval(arg)))
         return _eval_call(node[1], args, node[3])
-    if tag == "num":
-        return Scalar(node[1])
-    if tag == "word":
-        return NCPoly._from_nums(node[1], {node[2]: 1}, 1)
-    if tag == "star":
-        return polylog.X1StarPoly({_star_order(node[1], node[2]): 1})
     if tag == "plane":
         return polylog.PlaneStar(node[1])
     raise TypeError(f"not an expression node: {node!r}")
@@ -397,8 +390,12 @@ def evaluate(node: Expr) -> Value:
     return _run(_eval(node))
 
 
-def _alphabet_of(a: Value, b: Value) -> str | None:
-    return next((v.alphabet for v in (a, b) if isinstance(v, NCPoly)), None)
+def _as_polys(a: Value, b: Value, message: str, pos: int) -> tuple[NCPoly, NCPoly]:
+    """Both operands over the alphabet of the first polynomial among them; ``message`` if neither is one."""
+    alphabet = next((v.alphabet for v in (a, b) if isinstance(v, NCPoly)), None)
+    if alphabet is None:
+        raise ExprTypeError(message, pos)
+    return _as_poly(a, alphabet, pos), _as_poly(b, alphabet, pos)
 
 
 def _eval_call(name: str, args: list[Value], pos: int) -> Value:
@@ -412,10 +409,7 @@ def _eval_call(name: str, args: list[Value], pos: int) -> Value:
             a, b = _as_stars(a), _as_stars(b)
             _star_order(a.max_order + b.max_order, pos)
             return a.shuffle(b)
-        alphabet = _alphabet_of(a, b)
-        if alphabet is None:
-            raise ExprTypeError("sh needs polynomial or star operands", pos)
-        return products.shuffle(_as_poly(a, alphabet, pos), _as_poly(b, alphabet, pos))
+        return products.shuffle(*_as_polys(a, b, "sh needs polynomial or star operands", pos))
     if name == "st":
         a, b = args
         if _type_name(a) == _type_name(b) == "plane star":
@@ -424,11 +418,7 @@ def _eval_call(name: str, args: list[Value], pos: int) -> Value:
             raise ExprTypeError("st on a plane star needs two plane stars", pos)
         return products.stuffle(_as_poly(a, Y, pos), _as_poly(b, Y, pos))
     if name == "conc":
-        a, b = args
-        alphabet = _alphabet_of(a, b)
-        if alphabet is None:
-            raise ExprTypeError("conc needs polynomial operands", pos)
-        return products.conc(_as_poly(a, alphabet, pos), _as_poly(b, alphabet, pos))
+        return products.conc(*_as_polys(*args, "conc needs polynomial operands", pos))
     if name == "pix":
         return polylog.pi_x(_as_poly(args[0], Y, pos))
     if name == "piy":
@@ -457,10 +447,7 @@ def _ncpoly_texts(p: NCPoly) -> tuple[dict[str, str], str]:
 
 def _x1star_texts(s: "X1StarPoly") -> tuple[dict[str, str], str]:
     """The {order: coefficient text} stars and the expression text of a star combination."""
-    from .stars import star_terms_text
-
-    texts = [(k, str(c)) for k, c in s.items()]
-    return {str(k): c for k, c in texts}, star_terms_text(texts)
+    return {str(k): str(c) for k, c in s.items()}, str(s)
 
 
 def value_to_json(v: Value) -> dict:
@@ -482,6 +469,16 @@ def value_to_json(v: Value) -> dict:
 
 def _print_json(payload) -> None:
     print(json.dumps(payload, indent=2))
+
+
+def _print_coeffs(csv: bool, key: str, coeffs, payload) -> None:
+    """``coeffs`` as "key,coefficient" CSV rows, or the JSON of ``payload()``."""
+    if csv:
+        print(f"{key},coefficient")
+        for n, c in enumerate(coeffs):
+            print(f"{n},{c}")
+    else:
+        _print_json(payload())
 
 
 def _parse_index_arg(text: str) -> tuple[int, ...]:
@@ -529,12 +526,8 @@ def cmd_h_closed_form(args) -> int:
                 0,
             )
         npoly = harmonic.h_x1star_closed_form(value)
-    if args.csv:
-        print("degree,coefficient")
-        for degree, coeff in enumerate(npoly.coeffs):
-            print(f"{degree},{coeff}")
-    else:
-        _print_json({"coeffs": [str(c) for c in npoly.coeffs], "text": str(npoly)})
+    coeffs = npoly.coeffs
+    _print_coeffs(args.csv, "degree", coeffs, lambda: {"coeffs": [str(c) for c in coeffs], "text": str(npoly)})
     return 0
 
 
@@ -560,12 +553,7 @@ def cmd_li_coeffs(args) -> int:
                 raise PrecisionError(f"float Taylor coefficients of index {index} overflow at term n={n}")
     else:
         mode, coeffs = "exact", [str(c) for c in series.coeffs]
-    if args.csv:
-        print("N,coefficient")
-        for n, c in enumerate(coeffs):
-            print(f"{n},{c}")
-    else:
-        _print_json({"mode": mode, "coeffs": coeffs})
+    _print_coeffs(args.csv, "N", coeffs, lambda: {"mode": mode, "coeffs": coeffs})
     return 0
 
 
@@ -584,15 +572,16 @@ def cmd_li_eval(args) -> int:
 
 def cmd_verify(args) -> int:
     from . import checks  # only verify runs the suites; other requests skip the import
+    from .harmonic import MAX_TERMS
 
     choices = [*checks.SUITES, "all"]
     if args.suite not in choices:
         valid = ", ".join(map(repr, choices))
         message = f"argument --suite: invalid choice: {args.suite!r} (choose from {valid})"
         raise argparse.ArgumentError(None, f"polylog verify: {message}")
-    if args.ncap is not None and args.ncap < 0:
-        message = f"argument --ncap: must be >= 0, got {args.ncap}"
-        raise argparse.ArgumentError(None, f"polylog verify: {message}")
+    if args.ncap is not None and not 0 <= args.ncap <= MAX_TERMS:  # refused before any suite is built
+        bound = "must be >= 0" if args.ncap < 0 else f"must be at most {MAX_TERMS = }"
+        raise argparse.ArgumentError(None, f"polylog verify: argument --ncap: {bound}, got {args.ncap}")
     names = list(checks.SUITES) if args.suite == "all" else [args.suite]
     seed = checks.DEFAULT_SEED if args.seed is None else args.seed
     results: list[tuple[str, checks.CheckResult]] = []

@@ -14,7 +14,7 @@ apart from the cache so it stays an independent oracle.  :func:`h_signed_eval`
 leading entry's terms H_(s2..sr)(k-1) k^(-s1) in blocks of consecutive k, each
 over lcm(block)^s1, merged pairwise like a binary counter; so no step divides a
 number of lcm(1..N)^s1 size, and memory is O(r + log N) numbers; it refuses
-N r > MAX_TERMS at depth r before any work.  A word table
+N r or weight bits above MAX_TERMS at depth r before any work.  A word table
 reads its word's memoized column; Taylor vectors of Li take one weight pass per
 leading entry over the memoized tail columns, and a polynomial table is their
 prefix sum, so it never caches a product's full words.  Columns and Taylor
@@ -62,8 +62,20 @@ def _weights(s: int, scale: int, n_max: int, start: int = 1) -> Iterator[int]:
     return (scale // n**s if s > 0 else n ** (-s) for n in range(start, n_max + 1))
 
 
-#: Hard cap on rows times index depth of the prefix recurrence (h_signed_eval, li_eval).
+#: Hard cap on rows times index depth of the prefix recurrence (h_signed_eval, li_eval), and on its weight bits.
 MAX_TERMS = 1_000_000
+
+
+def _refuse_past_max_terms(index: SignedIndex, n: int, depth: int) -> None:
+    """Refuse N * depth, or the weight bits summed per entry s, above MAX_TERMS, before any work.
+
+    The weights of s > 0 have about (N - 1) s bits, as lcm(1..N)^s has about
+    1.44 N s; those of s <= 0, the n^|s|, have |s| bit_length(N - 1).
+    """
+    if n * depth > MAX_TERMS:
+        raise ValueError(f"N * depth = {n} * {depth} is above {MAX_TERMS = }")
+    if n > 1 and (bits := sum((n - 1) * s if s > 0 else -s * int.bit_length(n - 1) for s in index)) > MAX_TERMS:
+        raise ValueError(f"weights of about {bits} bits at N = {n} are above {MAX_TERMS = }")
 
 
 def _prefix_rows(weights: list[Iterator], n_max: int) -> Iterator[list]:
@@ -160,11 +172,10 @@ def h_signed_eval(s: Sequence[int], n: int) -> Fraction:
     Streams the tail's rows with O(r + log N) memory, so large N needs no column:
     H_s(N) = sum_k H_(s2..sr)(k-1) k^(-s1), summed per block of k over the block's
     lcm^s1 and merged pairwise.  For s1 <= 0 a merge is a plain add, so one block.
-    Refused before any work when N r > MAX_TERMS at depth r.
+    Refused before any work when N r or the weight bits pass MAX_TERMS at depth r.
     """
     index = tuple(s)
-    if n * len(index) > MAX_TERMS:
-        raise ValueError(f"N * depth = {n} * {len(index)} is above {MAX_TERMS = }")
+    _refuse_past_max_terms(index, n, len(index))
     scales = _scales(index[1:], n)
     if not index:
         return Fraction(1)

@@ -10,11 +10,11 @@ applies the Euler operator theta = z d/dz = (t^2 - t) d/dt |s_i| times.
 
 :class:`RatFuncAtOne` is the canonical carrier in z: a dense numerator and a
 pole order at z = 1, with (1-z) factors always divided out of the numerator
-so equality is plain field-wise comparison.  One binomial basis change turns
-sum_k c_k t^k into p(z)/(1-z)^m, canonical as built; :func:`ratfunc_to_x1star`
-is its inverse.  The numerator is an :class:`polylog.dense.NPoly`: sums,
-products, the Euler step, the division by (1-z), evaluation and printing are
-that one dense exact kernel's, on integer numerators over one denominator.
+so equality is plain field-wise comparison.  One reflection z -> 1-z serves
+both basis changes, sum_k c_k t^k to p(z)/(1-z)^m (canonical as built) and
+back.  The numerator is an :class:`polylog.dense.NPoly`: sums, products, the
+Euler step, the division by (1-z), evaluation and printing are that one dense
+exact kernel's, on integer numerators over one denominator.
 
 The module also hosts the trailing-x0 shuffle regularization: every
 X-polynomial P decomposes uniquely as sum_k P_k sh x0^(sh k) with each P_k
@@ -176,7 +176,7 @@ def li_nonpositive(s: Sequence[int]) -> RatFuncAtOne:
 def ratfunc_to_x1star(f: RatFuncAtOne) -> X1StarPoly:
     """Rewrite p(z)/(1-z)^m as sum_k c_k (k x1)* via Li_{(k x1)*} = (1-z)^(-k).
 
-    Substituting u = 1-z expands p(1-u) = sum_j b_j u^j, so c_{m-j} = b_j.
+    The reflection p(1-u) = sum_j b_j u^j, u = 1-z, gives c_{m-j} = b_j.
     Needs deg p <= m; the outputs of :func:`li_nonpositive` always qualify.
     """
     m = f.pole_order
@@ -185,22 +185,26 @@ def ratfunc_to_x1star(f: RatFuncAtOne) -> X1StarPoly:
             f"numerator degree {f.p.degree} exceeds pole order {m}; "
             "the function is not a combination of (k x1)* stars"
         )
-    p = f.p.nums
-    b = [(-1) ** j * sum(p[i] * comb(i, j) for i in range(j, len(p))) for j in range(len(p))]
+    b = _reflect(f.p.nums)
     return X1StarPoly(NPoly([0] * (m + 1 - len(b)) + b[::-1], f.p.den))
 
 
 def x1star_to_ratfunc(s: X1StarPoly) -> RatFuncAtOne:
     """sum_k c_k / (1-z)^k as p(z)/(1-z)^m, m the top order: one basis change.
 
-    p(z) = sum_k c_k (1-z)^(m-k), so p_j = (-1)^j sum_k c_k C(m-k, j) (the mirror
-    of :func:`ratfunc_to_x1star`) and p(1) = c_m != 0; by Horner's rule in 1 - z.
+    p(z) = sum_k c_k (1-z)^(m-k), the reflection of the reversed c (the mirror of
+    :func:`ratfunc_to_x1star`), so p(1) = c_m != 0.
     """
+    return RatFuncAtOne(NPoly(_reflect(s.poly.nums[::-1]), s.poly.den), s.max_order)
+
+
+def _reflect(nums: Sequence[int]) -> list[int]:
+    """The coefficients of p(1 - z) from those of p(z), by Horner's rule in 1 - z."""
     p = []
-    for x in s.poly.nums:
+    for x in reversed(nums):
         p = [a - b for a, b in zip((*p, 0), (0, *p))]  # times 1 - z
         p[0] += x
-    return RatFuncAtOne(NPoly(p, s.poly.den), s.max_order)
+    return p
 
 
 def regularize_trailing_x0(p: NCPoly) -> dict[int, NCPoly]:

@@ -35,7 +35,7 @@ from math import factorial, perm
 from typing import Iterator, Sequence
 
 from .dense import NPoly
-from .harmonic import MAX_TERMS, _taylor_map
+from .harmonic import MAX_TERMS, _refuse_past_max_terms, _taylor_map
 from .nc_core import AlphabetError, NCPoly, PolylogError, X, X1, _index_of
 from .products import shuffle
 
@@ -93,12 +93,10 @@ def li_taylor_coeffs(s: Sequence[int], n_cap: int) -> TaylorTrunc:
     """Taylor coefficients of Li at a signed index: a_N = N^(-s1) H_suffix(N-1).
 
     The empty index gives the constant series 1.  Refused before any work when
-    N max(r, 1) > MAX_TERMS at depth r.
+    N max(r, 1) or the weight bits pass MAX_TERMS at depth r.
     """
     index = tuple(s)
-    depth = max(len(index), 1)  # the empty index still has N + 1 entries
-    if n_cap * depth > MAX_TERMS:
-        raise ValueError(f"N * depth = {n_cap} * {depth} is above {MAX_TERMS = }")
+    _refuse_past_max_terms(index, n_cap, max(len(index), 1))  # the empty index still has N + 1 entries
     return TaylorTrunc._of(_li_vector(n_cap, *index), n_cap)
 
 

@@ -107,15 +107,10 @@ class X1StarPoly:
     __hash__ = None  # type: ignore[assignment]
 
     def __str__(self) -> str:
-        return star_terms_text([(k, str(c)) for k, c in self.items()])
+        return format_terms([(str(c), f"star({k})" if k else "") for k, c in self.items()])
 
     def __repr__(self) -> str:
         return f"X1StarPoly({self!s})"
-
-
-def star_terms_text(terms: Iterable[tuple[int, str]]) -> str:
-    """Expression text of sum_k c_k star(k) from (order, coefficient text) pairs."""
-    return format_terms([(c, f"star({k})" if k else "") for k, c in terms])
 
 
 def x1star_expand(k: int, len_cap: int) -> NCPoly:

@@ -596,13 +596,37 @@ class TestCommands:
             ),
             (("li-coeffs", "2", "2000000"), "ValueError", "N * depth = 2000000 * 1 is above MAX_TERMS = 1000000"),
             (("li-coeffs", "()", "2000000"), "ValueError", "N * depth = 2000000 * 1 is above MAX_TERMS = 1000000"),
+            # weights of more than MAX_TERMS bits: (N - 1) s for s > 0, |s| bit_length(N - 1) for s <= 0
+            (
+                ("h-eval", f"({10**20})", "3"),
+                "ValueError",
+                f"weights of about {2 * 10**20} bits at N = 3 are above MAX_TERMS = 1000000",
+            ),
+            (
+                ("h-eval", f"({-10**20})", "3"),
+                "ValueError",
+                f"weights of about {2 * 10**20} bits at N = 3 are above MAX_TERMS = 1000000",
+            ),
+            (
+                ("li-coeffs", str(10**20), "3"),
+                "ValueError",
+                f"weights of about {2 * 10**20} bits at N = 3 are above MAX_TERMS = 1000000",
+            ),
+            (("h-eval", "(8)", "1000000"), "ValueError", "weights of about 7999992 bits at N = 1000000 are above MAX_TERMS = 1000000"),
+            (
+                ("verify", "--ncap", str(10**24), "--suite", "ex3", "--json"),
+                "ArgumentError",
+                f"polylog verify: argument --ncap: must be at most MAX_TERMS = 1000000, got {10**24}",
+            ),
             # an exponent past the float range in the truncation bound
             (("li-eval", str(-10**20), "0.5", "1e-6"), "OverflowError", "math range error"),
         ],
         ids=[
             "stuffle-of-star", "shuffle-of-rationals", "h-closed-form-of-word", "li-eval-point",
             "h-eval-huge-n", "h-eval-huge-n-mixed-sign", "li-coeffs-huge-n", "li-coeffs-past-max-terms",
-            "li-coeffs-empty-index-past-max-terms", "li-eval-huge-exponent",
+            "li-coeffs-empty-index-past-max-terms", "h-eval-huge-entry", "h-eval-huge-negative-entry",
+            "li-coeffs-huge-entry", "h-eval-weight-bits-at-max-terms-rows", "verify-ncap-past-max-terms",
+            "li-eval-huge-exponent",
         ],
     )
     def test_refused_request_is_json_error(self, capsys, argv, code, message):

@@ -142,6 +142,16 @@ class TestHSignedEval:
     def test_table(self):
         assert h_signed_table((-1,), 4) == [0, 1, 3, 6, 10]
 
+    def test_weight_bits_refused_past_max_terms(self):
+        # at N = 2 the weights of an entry s carry |s| bits: 10**6 is at MAX_TERMS, one more is past it
+        assert h_signed_eval((1_000_000,), 2) == 1 + F(1, 2**1_000_000)
+        assert h_signed_eval((-1_000_000,), 2) == 1 + 2**1_000_000
+        for s in (1_000_001, -1_000_001):
+            with pytest.raises(ValueError) as raised:
+                h_signed_eval((s,), 2)
+            assert str(raised.value) == "weights of about 1000001 bits at N = 2 are above MAX_TERMS = 1000000"
+        assert h_signed_eval((10**20,), 1) == h_signed_eval((-(10**20),), 1) == 1  # no weight bits at N <= 1
+
     def test_agrees_with_word_eval_on_positive(self):
         rng = random.Random(89)
         for _ in range(30):

@@ -170,6 +170,18 @@ class TestLiVectorCache:
         assert str(raised.value) == f"N * depth = {message} is above MAX_TERMS = 1000000"
         assert _li_vector.cache_info().misses == misses
 
+    def test_weight_bits_refused_past_max_terms(self):
+        # at N = 2 the weights of an entry s carry |s| bits; refused before the cache is read
+        assert li_taylor_coeffs((1_000_000,), 2).coeffs == (0, 1, F(1, 2**1_000_000))
+        assert li_taylor_coeffs((-1_000_000,), 2).coeffs == (0, 1, 2**1_000_000)
+        misses = _li_vector.cache_info().misses
+        for s in (1_000_001, -1_000_001):
+            with pytest.raises(ValueError) as raised:
+                li_taylor_coeffs((s,), 2)
+            assert str(raised.value) == "weights of about 1000001 bits at N = 2 are above MAX_TERMS = 1000000"
+        assert _li_vector.cache_info().misses == misses
+        assert li_taylor_coeffs((10**20,), 1).coeffs == (0, 1)  # no weight bits at N <= 1
+
 
 class TestDivOneMinusZ:
     def test_gives_harmonic_numbers(self):
