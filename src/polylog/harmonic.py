@@ -28,9 +28,9 @@ star form of Li at non-positive indices (:mod:`polylog.negindex`, imported on
 first use), this yields Faulhaber-style closed forms for every non-positive
 multi-index.  The stuffle character is checked in :mod:`polylog.checks`.
 
-The column cache is copy-on-extend: a longer column replaces an entry whole,
-numerators and denominator in one immutable value, so a racing thread can at
-worst duplicate work, never observe a partial or mismatched column.
+The column cache is copy-on-extend and bounded by nc_core's ``memo_account``:
+a longer column replaces an entry whole, in one immutable value, so a racing
+thread can at worst duplicate work, never observe a partial or mixed column.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from math import factorial, gcd, lcm, prod
 from typing import Iterable, Iterator, Sequence
 
 from .dense import NPoly
-from .nc_core import AlphabetError, NCPoly, RatLike, Word, Y
+from .nc_core import AlphabetError, NCPoly, RatLike, Word, Y, memo_account
 
 #: A signed multi-index: positive entries are reciprocal exponents,
 #: non-positive entries are power weights.
@@ -106,6 +106,7 @@ def _shifted(s1: int, sub: NPoly, n_max: int) -> NPoly:
 #: Integer columns keyed by signed index.  An entry is replaced whole by a
 #: longer column, never mutated, so readers see one consistent column.
 _HVEC_CACHE: dict[SignedIndex, NPoly] = {}
+memo_account.tables.append(lambda: _HVEC_CACHE.clear())  # the global at call time: tests replace it
 
 
 def _h_vector(index: SignedIndex, n_max: int) -> NPoly:
@@ -128,6 +129,7 @@ def _h_vector(index: SignedIndex, n_max: int) -> NPoly:
         col = NPoly((1,) * (n_max + 1), 1)
     for j in reversed(range(k)):
         col = _shifted(index[j], col, n_max).prefix_sums(n_max)
+        memo_account.charge(ints=(col.den, *col.nums))
         _HVEC_CACHE[index[j:]] = col
     return col
 

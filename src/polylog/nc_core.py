@@ -27,14 +27,16 @@ serializes as "".
 
 The module also hosts :func:`format_terms`, the one text format of a signed
 sum of terms ("3/2 - y1 + 2*y2y1") behind every printed polynomial and star
-combination.  The dense kernel is :mod:`polylog.dense`.
+combination, and :data:`memo_account`, which bounds the package's memo tables
+by :data:`MEMO_BYTES`.  The dense kernel is :mod:`polylog.dense`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from threading import Lock
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 X = "X"
 Y = "Y"
@@ -93,6 +95,31 @@ def format_terms(parts: Sequence[tuple[str, str]]) -> str:
         sign = ("- " if negative else "+ ") if chunks else ("-" if negative else "")
         chunks.append(sign + frag)
     return " ".join(chunks)
+
+
+#: Estimated bytes that the memo tables hold together before all of them are emptied.
+MEMO_BYTES = 64 << 20
+
+
+class _MemoAccount:
+    """The one memo rule: a table charges what it stores on a miss, and past MEMO_BYTES all are emptied."""
+
+    def __init__(self) -> None:
+        self.bytes = self.clears = 0
+        self.tables: list[Callable[[], None]] = []
+        self._lock = Lock()
+
+    def charge(self, letters: int = 0, ints: Iterable[int] = ()) -> None:
+        nbytes = 8 * letters + sum(map(int.bit_length, ints)) // 8  # 8 bytes a letter, one per 8 bits
+        with self._lock:
+            self.bytes += nbytes
+            if self.bytes > MEMO_BYTES:
+                for clear in self.tables:
+                    clear()
+                self.bytes, self.clears = nbytes, self.clears + 1  # the charging entry is stored next
+
+
+memo_account = _MemoAccount()
 
 
 def _check_alphabet(alphabet: str) -> None:

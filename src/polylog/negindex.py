@@ -33,16 +33,7 @@ from typing import Sequence
 
 from .dense import NPoly
 from .nc_core import (
-    AlphabetError,
-    InvalidIndexError,
-    NCPoly,
-    PolylogError,
-    RatLike,
-    X,
-    X0,
-    _trailing_x0,
-    as_rat,
-    format_terms,
+    AlphabetError, InvalidIndexError, NCPoly, PolylogError, RatLike, X, X0, _trailing_x0, as_rat, format_terms,
 )
 from .products import shuffle
 from .stars import X1StarPoly
@@ -94,8 +85,8 @@ class RatFuncAtOne:
 
     def __add__(self, other: "RatFuncAtOne") -> "RatFuncAtOne":
         m = max(self.pole_order, other.pole_order)
-        p = self.p * _one_minus_z_pow(m - self.pole_order)
-        q = other.p * _one_minus_z_pow(m - other.pole_order)
+        p = self.p * NPoly(_reflect((0,) * (m - self.pole_order) + (1,)), 1)  # (1-z)^k is z^k reflected
+        q = other.p * NPoly(_reflect((0,) * (m - other.pole_order) + (1,)), 1)
         return RatFuncAtOne(p + q, m)
 
     def __neg__(self) -> "RatFuncAtOne":
@@ -134,10 +125,6 @@ class RatFuncAtOne:
 
 
 _ONE = NPoly([1])
-
-
-def _one_minus_z_pow(k: int) -> NPoly:
-    return NPoly([(-1) ** i * comb(k, i) for i in range(k + 1)], 1)
 
 
 def theta_derivative(f: RatFuncAtOne) -> RatFuncAtOne:

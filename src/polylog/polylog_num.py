@@ -17,11 +17,11 @@ A :class:`TaylorTrunc` is a view of an :class:`~polylog.dense.NPoly`, the
 one dense exact kernel, with an explicit cap: the kernels run on integer
 numerators over one shared denominator and Fractions are built only when
 ``coeffs`` is read.  :func:`li_taylor_coeffs` alone keeps its vectors in
-lowest terms, in an LRU cache of 256 (cap, index) keys: the series calculus
-reads the same vectors again and again, and over lcm(1..100)^4 a weight-4
-vector carries up to 257 of its 543 bits as a common factor.  The evaluator
-runs the prefix recurrence of the harmonic sums on float weights, each float
-beside a bound on its error.
+lowest terms, cached by (cap, index) under nc_core's memo rule: the series
+calculus reads the same vectors again and again, and over lcm(1..100)^4 a
+weight-4 vector carries up to 257 of its 543 bits as a common factor.  The
+evaluator runs the prefix recurrence of the harmonic sums on float weights,
+each float beside a bound on its error.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Iterator, Sequence
 
 from .dense import NPoly
 from .harmonic import MAX_TERMS, _refuse_past_max_terms, _taylor_map
-from .nc_core import AlphabetError, NCPoly, PolylogError, X, X1, _index_of
+from .nc_core import AlphabetError, NCPoly, PolylogError, X, X1, _index_of, memo_account
 from .products import shuffle
 
 #: Evaluation is refused closer to the unit circle than this.
@@ -100,14 +100,15 @@ def li_taylor_coeffs(s: Sequence[int], n_cap: int) -> TaylorTrunc:
     return TaylorTrunc._of(_li_vector(n_cap, *index), n_cap)
 
 
-#: Entries kept by the cache of :func:`_li_vector`.
-_LI_CACHE_SIZE = 256
-
-
-@lru_cache(maxsize=_LI_CACHE_SIZE, typed=True)
+@lru_cache(maxsize=None, typed=True)
 def _li_vector(n_cap: int, *index: int) -> NPoly:
     """Li's Taylor vector to n_cap in lowest terms; typed keys, so (2.0,) never reads the entry of (2,)."""
-    return _taylor_map([(1, index)], n_cap).reduced()
+    vector = _taylor_map([(1, index)], n_cap).reduced()
+    memo_account.charge(ints=(vector.den, *vector.nums))
+    return vector
+
+
+memo_account.tables.append(_li_vector.cache_clear)
 
 
 def _powers(s: int, n_max: int) -> Iterator[float]:

@@ -12,8 +12,8 @@ Shuffle and stuffle are quasi-shuffle products, the shuffle without the
 contraction y_{s+t}, so one memoized word recursion serves both (Hoffman 2000).
 It stops at a one-letter operand, whose product it builds without recursion
 by placing the letter, so a long word times a letter needs no deep stack.
-Its caches are read-mostly and behave as if absent (recomputation is the only
-cost of a race), so everything here stays safe for concurrent use.
+Its caches, bounded by :data:`~polylog.nc_core.memo_account`, behave as if
+absent (recomputing is the only cost of a race or a clear): all is thread-safe.
 
 The bilinear extensions run on the stored form of :class:`NCPoly`, integer
 numerators keyed by letter tuples over one denominator: over (p, q) pairs,
@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .nc_core import _GRADE, AlphabetError, Letters, NCPoly, Y
+from .nc_core import _GRADE, AlphabetError, Letters, NCPoly, Y, memo_account
 
 
 def _with_letter(u: Letters, a: int, contract: bool) -> dict[Letters, int]:
@@ -69,27 +69,28 @@ def _word_product(contract: bool):
 
     @lru_cache(maxsize=None)
     def product(u: Letters, v: Letters) -> dict[Letters, int]:
-        if not u:
-            return {v: 1}
-        if not v:
-            return {u: 1}
-        if len(v) == 1:
-            return _with_letter(u, v[0], contract)
-        if len(u) == 1:
-            return _with_letter(v, u[0], contract)
-        out: dict[Letters, int] = {}
-        for w, c in product(u[1:], v).items():
-            key = (u[0],) + w
-            out[key] = out.get(key, 0) + c
-        for w, c in product(u, v[1:]).items():
-            key = (v[0],) + w
-            out[key] = out.get(key, 0) + c
-        if contract:
-            for w, c in product(u[1:], v[1:]).items():
-                key = (u[0] + v[0],) + w
+        if not u or not v:
+            out = {u + v: 1}
+        elif len(v) == 1:
+            out = _with_letter(u, v[0], contract)
+        elif len(u) == 1:
+            out = _with_letter(v, u[0], contract)
+        else:
+            out = {}
+            for w, c in product(u[1:], v).items():
+                key = (u[0],) + w
                 out[key] = out.get(key, 0) + c
+            for w, c in product(u, v[1:]).items():
+                key = (v[0],) + w
+                out[key] = out.get(key, 0) + c
+            if contract:
+                for w, c in product(u[1:], v[1:]).items():
+                    key = (u[0] + v[0],) + w
+                    out[key] = out.get(key, 0) + c
+        memo_account.charge(letters=len(out) * (len(u) + len(v)))  # no word of u * v is longer
         return out
 
+    memo_account.tables.append(product.cache_clear)
     return product
 
 

@@ -4,10 +4,14 @@ import sys
 import threading
 from fractions import Fraction
 
-from polylog import harmonic, polylog_num
+import pytest
+
+from polylog import harmonic, nc_core, polylog_num
 from polylog.harmonic import _taylor_map, h_poly_table, h_signed_eval, h_word_eval, h_word_table
 from polylog.nc_core import NCPoly, Word, Y, x_word, y_word
 from polylog.products import shuffle, stuffle
+
+_DEFAULT_BYTES = nc_core.MEMO_BYTES
 
 
 def _run_threads(worker, count=8):
@@ -86,4 +90,42 @@ def test_concurrent_li_vectors_agree(monkeypatch):
             assert polylog_num.li_taylor_coeffs(index, n).coeffs == coeffs
 
     _run_threads(worker)
-    assert polylog_num._li_vector.cache_info().currsize == len(expected)
+    held = polylog_num._li_vector.cache_info().currsize
+    # each vector is held once, unless a lowered bound had the account empty the table
+    assert held == len(expected) if nc_core.MEMO_BYTES == _DEFAULT_BYTES else held < len(expected)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        test_concurrent_products_agree,
+        test_concurrent_harmonic_tables_agree,
+        test_concurrent_column_growth_agrees,
+        test_concurrent_li_vectors_agree,
+    ],
+    ids=lambda case: case.__name__.removeprefix("test_concurrent_"),
+)
+def test_agree_while_the_memo_tables_clear(case, monkeypatch):
+    # each case again from empty tables under a 2 KiB bound; a thread that charges
+    # past it every half millisecond makes clears race with readers that only hit
+    monkeypatch.setattr(nc_core, "MEMO_BYTES", 2048)
+    for clear in nc_core.memo_account.tables:
+        clear()
+    clears = nc_core.memo_account.clears
+    done = threading.Event()
+
+    def charge_past_the_bound():
+        while not done.wait(5e-4):
+            nc_core.memo_account.charge(4096)
+
+    clearer = threading.Thread(target=charge_past_the_bound)
+    clearer.start()
+    try:
+        if case.__code__.co_argcount:
+            case(monkeypatch)
+        else:
+            case()
+    finally:
+        done.set()
+        clearer.join()
+    assert nc_core.memo_account.clears > clears

@@ -6,7 +6,9 @@ from math import gcd
 import pytest
 from fractions import Fraction
 
+from polylog import harmonic, nc_core, polylog_num, products
 from polylog.dense import NPoly
+from polylog.harmonic import h_poly_table, h_word_table
 from polylog.nc_core import (
     AlphabetError,
     InvalidIndexError,
@@ -16,11 +18,13 @@ from polylog.nc_core import (
     X,
     Y,
     index_from_word,
+    memo_account,
     word_from_index,
     word_from_text,
     x_word,
     y_word,
 )
+from polylog.polylog_num import li_taylor_coeffs
 from polylog.products import conc, shuffle, stuffle
 
 
@@ -498,3 +502,63 @@ class TestDenseKernel:
         # a negative cut never reads from the end of the tuple: every degree is zero
         p = NPoly([1, 2, 3, 4], 1)
         assert kernel(p, n) == NPoly()
+
+
+class TestMemoAccount:
+    """The one memo rule: past MEMO_BYTES every memo table is emptied whole, and no answer changes."""
+
+    def test_past_the_bound_every_table_is_emptied(self, monkeypatch):
+        shuffle(NCPoly.from_word(x_word("011")), NCPoly.from_word(x_word("10")))
+        stuffle(NCPoly.from_word(y_word(2, 1)), NCPoly.from_word(y_word(1, 3)))
+        li_taylor_coeffs((2, 1), 10)
+        tables = products._shuffle_letters, products._stuffle_letters, polylog_num._li_vector
+        assert harmonic._HVEC_CACHE and all(table.cache_info().currsize for table in tables)
+        monkeypatch.setattr(nc_core, "MEMO_BYTES", 2048)
+        clears = memo_account.clears
+        memo_account.charge(letters=257)  # 8 bytes a letter: 2,056 bytes alone pass the bound
+        assert memo_account.clears == clears + 1 and memo_account.bytes == 2056
+        assert not harmonic._HVEC_CACHE and not any(table.cache_info().currsize for table in tables)
+        # the total is past the bound, so the next charge empties the tables again and is the new total
+        shuffle(NCPoly.from_word(x_word("01")), NCPoly.from_word(x_word("1")))  # x1x0x1 + 2 x0x1x1
+        assert memo_account.clears == clears + 2 and memo_account.bytes == 8 * 2 * 3
+        li_taylor_coeffs((1,), 3)  # (0, 6, 3, 2) / 6: 10 bits
+        assert memo_account.clears == clears + 2 and memo_account.bytes == 8 * 2 * 3 + 1
+        h_word_table(y_word(2), 3)  # the column (0, 36, 45, 49) / 36: 24 bits
+        assert memo_account.clears == clears + 2 and memo_account.bytes == 8 * 2 * 3 + 1 + 3
+
+    def test_property_a_tiny_bound_changes_no_answer(self, monkeypatch):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        coeffs = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 12))
+
+        def polys(alphabet, letters, size):
+            words = st.lists(letters, max_size=size).map(lambda l: Word(tuple(l), alphabet))
+            return st.lists(st.tuples(words, coeffs), max_size=4).map(lambda pairs: NCPoly(alphabet, pairs))
+
+        x_polys, y_polys = polys(X, st.integers(0, 1), 6), polys(Y, st.integers(1, 3), 4)
+        y_words = st.lists(st.integers(1, 3), max_size=4).map(lambda l: Word(tuple(l), Y))
+        indices = st.lists(st.integers(-3, 4), max_size=4).map(tuple)
+        default = nc_core.MEMO_BYTES
+
+        @hyp.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+        @hyp.given(x_polys, x_polys, y_polys, y_polys, y_words, indices, st.integers(0, 40))
+        def same(p, q, a, b, w, index, n):
+            def answers():
+                return (
+                    shuffle(p, q),
+                    stuffle(a, b),
+                    h_word_table(w, n),
+                    h_poly_table(stuffle(a, b), n),
+                    li_taylor_coeffs(index, n).coeffs,
+                )
+
+            monkeypatch.setattr(nc_core, "MEMO_BYTES", default)
+            want = answers()
+            monkeypatch.setattr(nc_core, "MEMO_BYTES", 2048)
+            for clear in memo_account.tables:
+                clear()
+            assert answers() == want
+
+        clears = memo_account.clears
+        same()
+        assert memo_account.clears > clears

@@ -9,7 +9,7 @@ from itertools import combinations
 
 import pytest
 
-from polylog import checks, cli, negindex, polylog_num
+from polylog import checks, cli, nc_core, negindex, polylog_num
 from polylog.checks import (
     check_derivative_recursion,
     check_hadamard_identity,
@@ -17,7 +17,7 @@ from polylog.checks import (
     dom_radius_demo,
 )
 from polylog.harmonic import _taylor_map, h_signed_table, h_word_table
-from polylog.nc_core import AlphabetError, NCPoly, NotInImageError, Word, X, Y, x_word, y_word
+from polylog.nc_core import AlphabetError, NCPoly, NotInImageError, Word, X, Y, memo_account, x_word, y_word
 from polylog.polylog_num import (
     PrecisionError,
     TaylorTrunc,
@@ -120,7 +120,7 @@ def _uncached_li(index, n_cap):
 
 
 class TestLiVectorCache:
-    """li_taylor_coeffs serves each (cap, index) from a bounded cache, in lowest terms."""
+    """li_taylor_coeffs serves each (cap, index) from a cache in lowest terms, bounded by the memo account."""
 
     def test_property_cached_vectors_are_the_uncached_ones(self):
         hyp = pytest.importorskip("hypothesis")
@@ -140,11 +140,18 @@ class TestLiVectorCache:
 
         cached()
 
-    def test_size_stays_at_the_bound(self):
-        bound = _li_vector.cache_info().maxsize
-        for n_cap in range(bound + 10):
-            li_taylor_coeffs((1,), n_cap)
-        assert _li_vector.cache_info().currsize == bound
+    def test_a_tiny_memo_bound_empties_the_table(self, monkeypatch):
+        want = {n_cap: li_taylor_coeffs((2, 1), n_cap).coeffs for n_cap in range(0, 60, 3)}
+        vector = _uncached_li((3, 1, 2), 60)
+        monkeypatch.setattr(nc_core, "MEMO_BYTES", 2048)
+        clears = memo_account.clears
+        assert {n_cap: li_taylor_coeffs((2, 1), n_cap).coeffs for n_cap in want} == want
+        assert memo_account.clears == clears  # a hit charges nothing
+        # this vector alone charges 2,370 bytes: the table is emptied whole, then holds it
+        assert li_taylor_coeffs((3, 1, 2), 60) == vector
+        assert memo_account.clears > clears
+        assert _li_vector.cache_info().currsize == 1
+        assert {n_cap: li_taylor_coeffs((2, 1), n_cap).coeffs for n_cap in want} == want
 
     def test_keys_are_exact(self):
         li_taylor_coeffs((2, 1), 5)
