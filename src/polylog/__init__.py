@@ -4,8 +4,9 @@ The package computes, with exact rational arithmetic throughout:
 
 * shuffle and stuffle products of noncommutative polynomials, their powers,
   and the truncated stuffle exponential (:mod:`polylog.products`);
-* the word coding of multi-indices, the X/Y letter codings and the dense kernel
-  (:mod:`polylog.nc_core`, :mod:`polylog.coding`, :mod:`polylog.dense`);
+* polynomials, words and the word coding of multi-indices, the X/Y letter
+  codings and the dense kernel (:mod:`polylog.nc_core`, :mod:`polylog.words`,
+  :mod:`polylog.coding`, :mod:`polylog.dense`);
 * star fragments - powers of x1*, letter stars, Kleene stars of the plane
   with their stuffle group law (:mod:`polylog.stars`);
 * non-positive-index polylogarithms as star combinations (integer
@@ -32,10 +33,8 @@ import importlib
 
 # each exported name, by the submodule that defines it
 _EXPORTS = {
-    "nc_core": (
-        "AlphabetError", "InvalidIndexError", "NCPoly", "NotInImageError", "PolylogError", "Word",
-        "as_rat", "index_from_word", "word_from_index", "word_from_text", "x_word", "y_word",
-    ),
+    "nc_core": ("AlphabetError", "InvalidIndexError", "NCPoly", "NotInImageError", "PolylogError", "as_rat"),
+    "words": ("Word", "index_from_word", "word_from_index", "word_from_text", "x_word", "y_word"),
     "dense": ("NPoly",),
     "products": ("conc", "exp_stuffle", "shuffle", "shuffle_pow", "stuffle", "stuffle_pow"),
     "coding": (

@@ -26,8 +26,9 @@ from typing import Callable, NamedTuple, Sequence
 from . import harmonic, negindex, polylog_num, products, stars
 from .coding import QSeriesTrunc, pi_x_word
 from .dense import NPoly
-from .nc_core import AlphabetError, NCPoly, NotInImageError, ONE, Word, X, Y, ZERO, index_from_word, y_word
+from .nc_core import AlphabetError, NCPoly, NotInImageError, ONE, X, Y, ZERO
 from .stars import PlaneStar, X1StarPoly
+from .words import Word, index_from_word, y_word
 
 DEFAULT_SEED = 20240
 

@@ -22,9 +22,10 @@ Subcommands expose the library operations with JSON output on stdout and
 nonzero exit codes carrying {"error": {code, message}} on failure.  Inputs of
 unbounded cost are such errors: an integer of more than MAX_DIGITS digits,
 star(k) or a star shuffle sh(A, B) of order above MAX_STAR_ORDER (refused
-before it is built) and exps(P, cap) above MAX_EXPS_CAP.  The
-``verify`` subcommand runs the suites of :mod:`polylog.checks` and exits 0 iff
-every check passes.
+before it is built) and exps(P, cap) above MAX_EXPS_CAP.  This module runs
+shuffle and stuffle; the other commands are in :mod:`polylog.commands`,
+imported when one first runs.  A request builds only its command's parser, from
+``_COMMANDS``; help and an unknown command build the tree of all of them.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import json
 import re
 import sys
 import threading
-import time
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache
@@ -471,145 +471,10 @@ def _print_json(payload) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _print_coeffs(csv: bool, key: str, coeffs, payload) -> None:
-    """``coeffs`` as "key,coefficient" CSV rows, or the JSON of ``payload()``."""
-    if csv:
-        print(f"{key},coefficient")
-        for n, c in enumerate(coeffs):
-            print(f"{n},{c}")
-    else:
-        _print_json(payload())
-
-
-def _parse_index_arg(text: str) -> tuple[int, ...]:
-    cleaned = text.strip().strip("()")
-    if not cleaned:
-        return ()
-    try:
-        return tuple(int(part) for part in cleaned.split(","))
-    except ValueError as exc:
-        raise ParseError(f"bad multi-index {text!r}: {exc}", 0) from None
-
-
-def _looks_like_index(text: str) -> bool:
-    return bool(re.fullmatch(r"\(?\s*-?\d+(\s*,\s*-?\d+)*\s*\)?", text.strip()))
-
-
 def cmd_product(args) -> int:
     result = _eval_call(args.op, [parse_value(args.left), parse_value(args.right)], 0)
     _print_json(value_to_json(result))
     return 0
-
-
-def cmd_neg_li(args) -> int:
-    from . import negindex
-
-    index = _parse_index_arg(args.index)
-    s = negindex.li_nonpositive_stars(index)
-    f = negindex.x1star_to_ratfunc(s)
-    ratfunc = {"num": [str(c) for c in f.num], "pole_order": f.pole_order}
-    terms, text = _x1star_texts(s)
-    _print_json({"index": list(index), "ratfunc": ratfunc, "stars": terms, "stars_text": text})
-    return 0
-
-
-def cmd_h_closed_form(args) -> int:
-    from . import harmonic
-
-    if _looks_like_index(args.form):
-        npoly = harmonic.h_negindex_closed_form(_parse_index_arg(args.form))
-    else:
-        value = _as_stars(parse_value(args.form))
-        if not isinstance(value, polylog.X1StarPoly):
-            raise ExprTypeError(
-                f"h-closed-form needs a star combination or a non-positive index, got {_type_name(value)}",
-                0,
-            )
-        npoly = harmonic.h_x1star_closed_form(value)
-    coeffs = npoly.coeffs
-    _print_coeffs(args.csv, "degree", coeffs, lambda: {"coeffs": [str(c) for c in coeffs], "text": str(npoly)})
-    return 0
-
-
-def cmd_h_eval(args) -> int:
-    from . import harmonic
-
-    index = _parse_index_arg(args.index)
-    _print_json(str(harmonic.h_signed_eval(index, args.n)))
-    return 0
-
-
-def cmd_li_coeffs(args) -> int:
-    from .polylog_num import PrecisionError, li_taylor_coeffs
-
-    index = _parse_index_arg(args.index)
-    series = li_taylor_coeffs(index, args.ncap)
-    if args.float_mode:  # int / int is correctly rounded, and raises past the double range
-        mode, coeffs = "float", [0.0] * (args.ncap + 1)
-        for n, x in enumerate(series.poly.nums):
-            try:
-                coeffs[n] = x / series.poly.den
-            except OverflowError:
-                raise PrecisionError(f"float Taylor coefficients of index {index} overflow at term n={n}")
-    else:
-        mode, coeffs = "exact", [str(c) for c in series.coeffs]
-    _print_coeffs(args.csv, "N", coeffs, lambda: {"mode": mode, "coeffs": coeffs})
-    return 0
-
-
-def cmd_li_eval(args) -> int:
-    from . import polylog_num
-
-    index = _parse_index_arg(args.index)
-    try:
-        z = complex(args.z)
-    except ValueError:
-        raise ValueError(f"cannot parse {args.z!r} as a complex number") from None
-    value = polylog_num.li_eval(index, z, args.eps)
-    _print_json({"re": value.real, "im": value.imag})
-    return 0
-
-
-def cmd_verify(args) -> int:
-    from . import checks  # only verify runs the suites; other requests skip the import
-    from .harmonic import MAX_TERMS
-
-    choices = [*checks.SUITES, "all"]
-    if args.suite not in choices:
-        valid = ", ".join(map(repr, choices))
-        message = f"argument --suite: invalid choice: {args.suite!r} (choose from {valid})"
-        raise argparse.ArgumentError(None, f"polylog verify: {message}")
-    if args.ncap is not None and not 0 <= args.ncap <= MAX_TERMS:  # refused before any suite is built
-        bound = "must be >= 0" if args.ncap < 0 else f"must be at most {MAX_TERMS = }"
-        raise argparse.ArgumentError(None, f"polylog verify: argument --ncap: {bound}, got {args.ncap}")
-    names = list(checks.SUITES) if args.suite == "all" else [args.suite]
-    seed = checks.DEFAULT_SEED if args.seed is None else args.seed
-    results: list[tuple[str, checks.CheckResult]] = []
-    for name in names:
-        started = time.perf_counter()
-        results += [(name, check.run()) for check in checks.SUITES[name](args.ncap, seed)]
-        if not args.json:
-            print(f"# suite {name} finished in {time.perf_counter() - started:.2f}s")
-    failures = sum(not r.passed for _, r in results)
-    if args.json:
-        _print_json(
-            [
-                {
-                    "suite": suite,
-                    "check": r.name,
-                    "status": "pass" if r.passed else "fail",
-                    "detail": r.detail,
-                    "elapsed_s": round(r.elapsed_s, 6),
-                }
-                for suite, r in results
-            ]
-        )
-    else:
-        for suite, r in results:
-            detail = f"  ({r.detail})" if r.detail else ""
-            print(f"{'PASS' if r.passed else 'FAIL'} [{suite}] {r.name}{detail}")
-        print(f"# {len(results) - failures}/{len(results)} checks passed")
-    return 0 if failures == 0 else 1
 
 
 # -- argument parsing ----------------------------------------------------------
@@ -620,70 +485,59 @@ _NEGATIVE_INDEX_RE = re.compile(r"^-[^A-Za-z-]")
 
 class _ArgParser(argparse.ArgumentParser):
     def error(self, message: str):
-        # argparse would print usage and exit; main answers with a JSON error instead.
-        # An error this parser or a subcommand's parser already named ("polylog h-eval: ...")
-        # comes back here as it propagates: it keeps that one prefix.
+        # argparse would print usage and exit; main answers with a JSON error instead.  An error that a
+        # parser already named ("polylog h-eval: ...") comes back here as it propagates: it keeps that prefix.
         named = message.startswith(self.prog)
         raise argparse.ArgumentError(None, message if named else f"{self.prog}: {message}")
 
 
+# each command: the function that runs it (by name where it is in polylog.commands, imported when one
+# of those first runs), its help line, its arguments as (name or flag, keywords), and its defaults
+_OPERANDS = (("left", {}), ("right", {}))
+_COMMANDS = {
+    "shuffle": (cmd_product, "shuffle product of two expressions", _OPERANDS, {"op": "sh"}),
+    "stuffle": (cmd_product, "stuffle product of two expressions", _OPERANDS, {"op": "st"}),
+    "neg-li": ("cmd_neg_li", "rational function and star form of Li at a non-positive multi-index", (
+        ("index", {"help": "comma-separated indices, all <= 0, e.g. -2,-1"}),), {}),
+    "h-closed-form": ("cmd_h_closed_form", "closed-form polynomial in N of a harmonic sum", (
+        ("form", {"help": "non-positive index list or star expression"}),
+        ("--csv", {"action": "store_true", "help": "emit degree,coefficient CSV"})), {}),
+    "h-eval": ("cmd_h_eval", "exact harmonic sum at N for a signed index", (
+        ("index", {"help": "signed index list, e.g. (-2,-1)"}), ("n", {"type": int})), {}),
+    "li-coeffs": ("cmd_li_coeffs", "truncated Taylor coefficients of Li", (
+        ("index", {"help": "signed index list"}), ("ncap", {"type": int, "nargs": "?", "default": 20}),
+        ("--csv", {"action": "store_true", "help": "emit N,coefficient CSV"}),
+        ("--float", {"dest": "float_mode", "action": "store_true"})), {}),
+    "li-eval": ("cmd_li_eval", "numeric Li inside the unit disk", (
+        ("index", {"help": "signed index list"}), ("z", {"help": "complex point, e.g. 0.5 or 0.3+0.2j"}),
+        ("eps", {"type": float})), {}),
+    "verify": ("cmd_verify", "run identity verification suites", (
+        ("--suite", {"default": "all", "help": "a suite of polylog.checks, or all"}),
+        ("--ncap", {"type": int, "default": None}), ("--seed", {"type": int, "default": None}),
+        ("--json", {"action": "store_true", "help": "emit the report as JSON"})), {}),
+}
+
+
+def _with_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """``parser`` with the arguments and defaults of command ``name``."""
+    func, _, arguments, defaults = _COMMANDS[name]
+    parser._negative_number_matcher = _NEGATIVE_INDEX_RE
+    parser.set_defaults(func=func, command=name, **defaults)
+    for flag, keywords in arguments:
+        parser.add_argument(flag, **keywords)
+    return parser
+
+
 @cache
-def _make_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and shared after it."""
-    parser = _ArgParser(
-        prog="polylog",
-        description="Exact shuffle/stuffle calculus for polylogarithms and harmonic sums.",
-    )
+def _make_parser(name: str | None) -> argparse.ArgumentParser:
+    """Command ``name``'s parser, or with None the tree of all commands, which alone lists and refuses commands."""
+    if name is not None:
+        return _with_arguments(_ArgParser(prog=f"polylog {name}"), name)
+    parser = _ArgParser(prog="polylog", description="Exact shuffle/stuffle calculus for polylogarithms and harmonic sums.")
     parser._negative_number_matcher = _NEGATIVE_INDEX_RE
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p._negative_number_matcher = _NEGATIVE_INDEX_RE
-        p.set_defaults(func=func)
-        return p
-
-    for name, op in (("shuffle", "sh"), ("stuffle", "st")):
-        p = add(name, cmd_product, f"{name} product of two expressions")
-        p.set_defaults(op=op)
-        p.add_argument("left")
-        p.add_argument("right")
-
-    p = add(
-        "neg-li",
-        cmd_neg_li,
-        "rational function and star form of Li at a non-positive multi-index",
-    )
-    p.add_argument("index", help="comma-separated indices, all <= 0, e.g. -2,-1")
-
-    p = add(
-        "h-closed-form",
-        cmd_h_closed_form,
-        "closed-form polynomial in N of a harmonic sum",
-    )
-    p.add_argument("form", help="non-positive index list or star expression")
-    p.add_argument("--csv", action="store_true", help="emit degree,coefficient CSV")
-
-    p = add("h-eval", cmd_h_eval, "exact harmonic sum at N for a signed index")
-    p.add_argument("index", help="signed index list, e.g. (-2,-1)")
-    p.add_argument("n", type=int)
-
-    p = add("li-coeffs", cmd_li_coeffs, "truncated Taylor coefficients of Li")
-    p.add_argument("index", help="signed index list")
-    p.add_argument("ncap", type=int, nargs="?", default=20)
-    p.add_argument("--csv", action="store_true", help="emit N,coefficient CSV")
-    p.add_argument("--float", dest="float_mode", action="store_true")
-
-    p = add("li-eval", cmd_li_eval, "numeric Li inside the unit disk")
-    p.add_argument("index", help="signed index list")
-    p.add_argument("z", help="complex point, e.g. 0.5 or 0.3+0.2j")
-    p.add_argument("eps", type=float)
-
-    p = add("verify", cmd_verify, "run identity verification suites")
-    p.add_argument("--suite", default="all", help="a suite of polylog.checks, or all")
-    p.add_argument("--ncap", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--json", action="store_true", help="emit the report as JSON")
+    for command, (_, help_text, _, _) in _COMMANDS.items():
+        _with_arguments(sub.add_parser(command, help=help_text), command)
     return parser
 
 
@@ -716,10 +570,16 @@ def _digit_limit():
 def main(argv=None) -> int:
     with _digit_limit():
         try:
-            args, extras = _make_parser().parse_known_args(argv)
-            if extras:  # gathered after the subcommand's parser returned: name the subcommand
+            argv = sys.argv[1:] if argv is None else argv
+            name = argv[0] if argv and argv[0] in _COMMANDS else None  # a request builds its command's parser
+            args, extras = _make_parser(name).parse_known_args(argv[1:] if name else argv)
+            if extras:  # gathered after the command's parser returned: name the command
                 message = f"polylog {args.command}: unrecognized arguments: {' '.join(extras)}"
                 raise argparse.ArgumentError(None, message)
+            if isinstance(args.func, str):
+                from . import commands
+
+                return getattr(commands, args.func)(args)
             return args.func(args)
         except (PolylogError, ValueError, OverflowError, MemoryError, RecursionError, argparse.ArgumentError) as exc:
             advice = "use sys.set_int_max_str_digits() to increase the limit"  # not the CLI's
@@ -729,4 +589,5 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    sys.modules.setdefault("polylog.cli", sys.modules[__name__])  # polylog.commands imports this module
     sys.exit(main())

@@ -22,19 +22,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .dense import NPoly
-from .nc_core import (
-    AlphabetError,
-    NCPoly,
-    NotInImageError,
-    RatLike,
-    Word,
-    X,
-    Y,
-    _coded,
-    _index_of,
-    index_from_word,
-    word_from_index,
-)
+from .nc_core import AlphabetError, NCPoly, NotInImageError, RatLike, X, Y
+from .words import Word, _coded, _index_of, index_from_word, word_from_index
 
 #: Coefficient sequence (a_1 ... a_Smax) of a plane element sum a_s y_s.
 PlaneStarBase = tuple[Fraction, ...]

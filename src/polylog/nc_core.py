@@ -7,15 +7,16 @@ Two alphabets are supported:
 * ``"Y"``: letters y_s indexed by an integer s >= 1, stored as s.  Words over
   Y are graded by weight (the sum of the indices).
 
-A :class:`Word` is an immutable sequence of letters tagged with its alphabet;
-the empty word is the multiplicative unit.  An :class:`NCPoly` is a finite
-linear combination of words with exact rational coefficients, stored as
-FLINT's ``fmpq_poly`` stores a dense one: integer numerators, here keyed by
-letter tuples, over one positive denominator coprime to them all, with no
-zero numerator.  The form is canonical, so equality compares one int and one
-dict, and the algebra runs on ints and tuples; Words and Fractions are built
-only by the readers (``items``, ``coeff``, ``support``, ``constant_term``)
-and by printing.
+An :class:`NCPoly` is a finite linear combination of words with exact
+rational coefficients, stored as FLINT's ``fmpq_poly`` stores a dense one:
+integer numerators, here keyed by letter tuples, over one positive
+denominator coprime to them all, with no zero numerator.  The form is
+canonical, so equality compares one int and one dict, and the algebra runs on
+ints and tuples; Words and Fractions are built only by the readers
+(``items``, ``coeff``, ``support``, ``constant_term``) and by printing.
+:class:`Word` and the index coding are in :mod:`polylog.words`, which a
+product request does not load; this module re-exports their names on first
+use (PEP 562), so ``from polylog.nc_core import Word`` still works.
 
 Every value in this module is immutable after construction and all operations
 are pure functions, so values can be shared freely between threads.
@@ -127,155 +128,20 @@ def _check_alphabet(alphabet: str) -> None:
         raise AlphabetError(f"unknown alphabet {alphabet!r}; expected 'X' or 'Y'")
 
 
-class Word:
-    """An immutable word over the X or Y alphabet.
-
-    ``letters`` holds 0/1 values for the X alphabet and indices s >= 1 for
-    the Y alphabet.  The empty tuple is the unit word of either alphabet.
-    Words are values: equal and hashed by (letters, alphabet), read-only,
-    and rebuilt through the constructor by pickle and copy.
-    """
-
-    __slots__ = ("letters", "alphabet")
-
-    def __init__(self, letters: tuple[int, ...], alphabet: str = X) -> None:
-        _check_alphabet(alphabet)
-        if alphabet == X and any(b not in (0, 1) for b in letters):
-            raise AlphabetError(f"X-word letters must be 0 or 1, got {letters}")
-        if alphabet == Y and any(s < 1 for s in letters):
-            raise AlphabetError(f"Y-word indices must be >= 1, got {letters}")
-        object.__setattr__(self, "letters", letters)  # the class's own __setattr__ refuses
-        object.__setattr__(self, "alphabet", alphabet)
-
-    @classmethod
-    def _of(cls, letters: Letters, alphabet: str) -> "Word":
-        """The word of letters already known to be valid over ``alphabet``, unchecked."""
-        w = cls.__new__(cls)
-        object.__setattr__(w, "letters", letters)
-        object.__setattr__(w, "alphabet", alphabet)
-        return w
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return self.__class__, (self.letters, self.alphabet)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.letters == other.letters and self.alphabet == other.alphabet
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.letters, self.alphabet))
-
-    def __repr__(self) -> str:
-        return f"Word(letters={self.letters!r}, alphabet={self.alphabet!r})"
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.letters
-
-    @property
-    def grade(self) -> int:
-        """Length for X-words, weight (sum of indices) for Y-words."""
-        return _GRADE[self.alphabet](self.letters)
-
-    @property
-    def ends_in_x1(self) -> bool:
-        return self.alphabet == X and bool(self.letters) and self.letters[-1] == X1
-
-    @property
-    def trailing_x0_count(self) -> int:
-        if self.alphabet != X:
-            raise AlphabetError("trailing_x0_count is defined for X-words only")
-        return _trailing_x0(self.letters)
-
-    def text(self) -> str:
-        """Canonical serialization: bitstring for X, comma-joined for Y."""
-        return ("" if self.alphabet == X else ",").join(map(str, self.letters))
-
-    def __str__(self) -> str:
-        prefix = "x" if self.alphabet == X else "y"
-        return "".join(prefix + str(b) for b in self.letters) or "1"
-
-
 # the grade of a word's letters: length on X, weight on Y
 _GRADE = {X: len, Y: sum}
 
-
-def _trailing_x0(letters: Letters) -> int:
-    """The number of x0 letters after the last x1."""
-    return next((i for i, b in enumerate(reversed(letters)) if b != X0), len(letters))
-
-
-def x_word(bits: str | Iterable[int]) -> Word:
-    """Build an X-word from a bitstring like "011" or an iterable of 0/1."""
-    return Word(tuple(map(int, bits)) if isinstance(bits, str) else tuple(bits), X)
+# the names of polylog.words that __getattr__ re-exports here, loading that module on first use
+_WORDS = ("Word", "_trailing_x0", "x_word", "y_word", "word_from_text", "word_from_index", "_coded",
+          "index_from_word", "_index_of")
 
 
-def y_word(*indices: int) -> Word:
-    """Build a Y-word from indices, e.g. ``y_word(2, 1)`` for y2y1."""
-    if len(indices) == 1 and not isinstance(indices[0], int):
-        indices = tuple(indices[0])
-    return Word(tuple(indices), Y)
+def __getattr__(name: str):
+    if name not in _WORDS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import words
 
-
-def word_from_text(text: str, alphabet: str) -> Word:
-    """Parse the canonical serialization produced by :meth:`Word.text`."""
-    _check_alphabet(alphabet)
-    if text == "":
-        return Word((), alphabet)
-    if alphabet == X:
-        if any(c not in "01" for c in text):
-            raise AlphabetError(f"X-word text must be over {{0,1}}: {text!r}")
-        return x_word(text)
-    return y_word(*(int(part) for part in text.split(",")))
-
-
-def word_from_index(s: Sequence[int]) -> Word:
-    """Code a positive multi-index (s1,...,sr) as x0^(s1-1) x1 ... x0^(sr-1) x1.
-
-    The empty index codes to the empty word.  Raises InvalidIndexError for
-    any non-positive entry; non-positive indices live in the rational-function
-    representation, not in this coding.
-    """
-    bad = next((si for si in s if si < 1), None)
-    if bad is not None:
-        raise InvalidIndexError(f"word coding needs indices >= 1, got {bad}")
-    return Word._of(_coded(s), X)
-
-
-def _coded(s: Sequence[int]) -> Letters:
-    """The letters x0^(s1-1) x1 ... x0^(sr-1) x1 of a positive multi-index."""
-    return tuple(b for si in s for b in (X0,) * (si - 1) + (X1,))
-
-
-def index_from_word(w: Word) -> tuple[int, ...]:
-    """Invert :func:`word_from_index` on words ending in x1 (or empty)."""
-    if w.alphabet != X:
-        raise AlphabetError("index_from_word expects an X-word")
-    return _index_of(w.letters)
-
-
-def _index_of(letters: Letters) -> tuple[int, ...]:
-    """The multi-index coded by X-letters ending in x1 (or empty)."""
-    if letters and letters[-1] != X1:
-        raise NotInImageError(f"word {Word._of(letters, X)} ends in x0 and codes no multi-index")
-    out, zeros = [], 0
-    for b in letters:
-        if b == X0:
-            zeros += 1
-        else:
-            out.append(zeros + 1)
-            zeros = 0
-    return tuple(out)
+    return globals().setdefault(name, getattr(words, name))  # later lookups find it without this hook
 
 
 class NCPoly:
@@ -296,9 +162,9 @@ class NCPoly:
         terms: Mapping[Word, RatLike] | Iterable[tuple[Word, RatLike]] | None = None,
     ) -> None:
         _check_alphabet(alphabet)
-        pairs = []
+        pairs, word = [], __getattr__("Word")
         for w, c in terms.items() if isinstance(terms, Mapping) else terms or ():
-            if not isinstance(w, Word):
+            if not isinstance(w, word):
                 raise TypeError(f"NCPoly keys must be Words, got {w!r}")
             if w.alphabet != alphabet:
                 raise AlphabetError(f"word {w} is over {w.alphabet}, polynomial is over {alphabet}")
@@ -369,11 +235,12 @@ class NCPoly:
 
     def items(self) -> list[tuple[Word, Fraction]]:
         """Terms in canonical (length-then-lexicographic) order."""
-        a, den = self._alphabet, self._den
-        return [(Word._of(l, a), Fraction(x, den)) for l, x in self._sorted_nums()]
+        a, den, word = self._alphabet, self._den, __getattr__("Word")
+        return [(word._of(l, a), Fraction(x, den)) for l, x in self._sorted_nums()]
 
     def support(self) -> list[Word]:
-        return [Word._of(l, self._alphabet) for l, _ in self._sorted_nums()]
+        a, word = self._alphabet, __getattr__("Word")
+        return [word._of(l, a) for l, _ in self._sorted_nums()]
 
     def __iter__(self) -> Iterator[tuple[Word, Fraction]]:
         return iter(self.items())

@@ -33,10 +33,11 @@ from typing import Sequence
 
 from .dense import NPoly
 from .nc_core import (
-    AlphabetError, InvalidIndexError, NCPoly, PolylogError, RatLike, X, X0, _trailing_x0, as_rat, format_terms,
+    AlphabetError, InvalidIndexError, NCPoly, PolylogError, RatLike, X, X0, as_rat, format_terms,
 )
 from .products import shuffle
 from .stars import X1StarPoly
+from .words import _trailing_x0
 
 
 class NotRepresentableError(PolylogError):

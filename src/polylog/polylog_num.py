@@ -36,8 +36,9 @@ from typing import Iterator, Sequence
 
 from .dense import NPoly
 from .harmonic import MAX_TERMS, _refuse_past_max_terms, _taylor_map
-from .nc_core import AlphabetError, NCPoly, PolylogError, X, X1, _index_of, memo_account
+from .nc_core import AlphabetError, NCPoly, PolylogError, X, X1, memo_account
 from .products import shuffle
+from .words import _index_of
 
 #: Evaluation is refused closer to the unit circle than this.
 Z_ABS_CAP = 0.995

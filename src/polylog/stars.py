@@ -28,8 +28,9 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .coding import QSeriesTrunc, pi_y
 from .dense import NPoly
-from .nc_core import NCPoly, RatLike, Word, X, X1, Y, ZERO, as_rat, format_terms
+from .nc_core import NCPoly, RatLike, X, X1, Y, ZERO, as_rat, format_terms
 from .products import exp_stuffle, shuffle_pow
+from .words import Word
 
 
 class X1StarPoly:

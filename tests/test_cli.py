@@ -1,3 +1,4 @@
+import argparse
 import inspect
 import json
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from polylog import checks, harmonic, polylog_num, products
+from polylog import checks, cli, harmonic, polylog_num, products
 from polylog.cli import (
     MAX_DIGITS,
     MAX_EXPS_CAP,
@@ -333,40 +334,41 @@ def _loads(*modules: str) -> set[str]:
 # request -> (the modules it loads, a test of its answer)
 _FRESH_ANSWERS = {
     'shuffle pix(y2) "1"': (
-        _loads("coding", "dense"),
+        _loads("coding", "dense", "words"),
         lambda out: json.loads(out)["terms"] == {"011": "2", "101": "1"},
     ),
     "shuffle star(1) star(2)": (
-        _loads("coding", "dense", "stars"),
+        _loads("coding", "dense", "stars", "words"),
         lambda out: json.loads(out)["stars"] == {"3": "1"},
     ),
     "stuffle [1]* [1/2]*": (
-        _loads("coding", "dense", "stars"),
+        _loads("coding", "dense", "stars", "words"),
         lambda out: json.loads(out)["alpha"] == ["3/2", "1/2"],
     ),
     "neg-li -2,-1": (
-        _loads("coding", "dense", "stars", "negindex"),
+        _loads("commands", "coding", "dense", "stars", "negindex", "words"),
         lambda out: json.loads(out)["stars"]["5"] == "12",
     ),
     "h-closed-form -1": (
-        _loads("coding", "dense", "stars", "harmonic", "negindex"),
+        _loads("commands", "coding", "dense", "stars", "harmonic", "negindex", "words"),
         lambda out: json.loads(out)["coeffs"] == ["0", "1/2", "1/2"],
     ),
-    "h-eval (-2,-1) 3": (_loads("dense", "harmonic"), lambda out: json.loads(out) == "31"),
+    "h-eval (-2,-1) 3": (_loads("commands", "dense", "harmonic", "words"), lambda out: json.loads(out) == "31"),
     "li-coeffs 2 4": (
-        _loads("dense", "harmonic", "polylog_num"),
+        _loads("commands", "dense", "harmonic", "polylog_num", "words"),
         lambda out: json.loads(out) == {"mode": "exact", "coeffs": ["0", "1", "1/4", "1/9", "1/16"]},
     ),
     "li-coeffs 2 3 --float": (
-        _loads("dense", "harmonic", "polylog_num"),
+        _loads("commands", "dense", "harmonic", "polylog_num", "words"),
         lambda out: json.loads(out) == {"mode": "float", "coeffs": [0.0, 1.0, 0.25, 1 / 9]},
     ),
     "li-eval 1 0.5 1e-10": (
-        _loads("dense", "harmonic", "polylog_num"),
+        _loads("commands", "dense", "harmonic", "polylog_num", "words"),
         lambda out: abs(json.loads(out)["re"] - 0.6931471805599453) <= 1e-10,
     ),
     "verify --suite stirling": (
-        _loads("coding", "dense", "stars", "harmonic", "negindex", "polylog_num", "checks") | {"dataclasses"},
+        _loads("commands", "coding", "dense", "stars", "harmonic", "negindex", "polylog_num", "checks", "words")
+        | {"dataclasses"},
         lambda out: out.endswith("# 2/2 checks passed"),
     ),
 }
@@ -390,7 +392,38 @@ class TestCommands:
         return code, capsys.readouterr().out
 
     def test_parser_built_once(self):
-        assert _make_parser() is _make_parser()
+        # once per command, and once for the tree of all commands (None)
+        for name in [*cli._COMMANDS, None]:
+            assert _make_parser(name) is _make_parser(name)
+        assert len({id(_make_parser(name)) for name in [*cli._COMMANDS, None]}) == len(cli._COMMANDS) + 1
+
+    def test_property_command_parser_matches_tree(self, capsys):
+        # a command's own parser and the tree of all commands come from one table: they read every
+        # argv alike and print the same help.  This only parses, so no command runs.
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        positional = [(text,) for text in ("(2)", "-1/3", "-[1]*", "y1", "x")]
+        flags = [("--csv",), ("--float",), ("--json",), ("--suite", "s"), ("--ncap", "-1"), ("--seed", "3")]
+        junk = [("--",), ("--bogus",), ("-q",), ("--csv=1",), ("--su",), ("--seed",), ("-",)]
+        argv = st.lists(st.sampled_from(positional + flags + junk), max_size=6).map(lambda ts: [t for u in ts for t in u])
+
+        def parsed(parser, argv):
+            try:
+                args, extras = parser.parse_known_args(argv)
+            except argparse.ArgumentError as exc:
+                return str(exc)
+            return vars(args), extras
+
+        @hyp.settings(max_examples=400, deadline=None, derandomize=True, database=None)
+        @hyp.given(st.sampled_from(list(cli._COMMANDS)), argv)
+        def check(name, argv):
+            assert parsed(_make_parser(name), argv) == parsed(_make_parser(None), [name, *argv])
+
+        check()
+        for name in cli._COMMANDS:  # the tree prints a command's help as it parses its --help
+            with pytest.raises(SystemExit):
+                _make_parser(None).parse_known_args([name, "--help"])
+            assert capsys.readouterr().out == _make_parser(name).format_help()
 
     def test_shared_parser_resets_flags(self, capsys):
         code, out = self._run(capsys, "li-coeffs", "(2)", "3", "--float")
@@ -711,9 +744,28 @@ class TestCommands:
         # a fresh process answers a product request with the modules products need, and no others
         code, out, loaded = self._fresh("stuffle", "y1", "y2")
         assert code == 0 and json.loads(out)["terms"] == {"3": "1", "1,2": "1", "2,1": "1"}
-        unused = {"checks", "coding", "dense", "harmonic", "negindex", "polylog_num", "stars"}
+        unused = {"checks", "coding", "commands", "dense", "harmonic", "negindex", "polylog_num", "stars", "words"}
         assert not loaded & {"dataclasses", *(f"polylog.{m}" for m in unused)}
         assert loaded == _loads()
+
+    @pytest.mark.parametrize(
+        "argv, progs",
+        [
+            (("stuffle", "y1", "y2"), ["polylog stuffle"]),
+            (("h-eval", "(-2,-1)", "3"), ["polylog h-eval"]),
+            (("bogus",), ["polylog", *(f"polylog {name}" for name in cli._COMMANDS)]),
+        ],
+    )
+    def test_fresh_request_builds_its_command_parser(self, argv, progs):
+        # a request that names a command builds that command's parser alone; an unknown command
+        # needs the tree of all of them to refuse it
+        probe = (
+            "import argparse, json, sys; made = []; init = argparse.ArgumentParser.__init__; "
+            "argparse.ArgumentParser.__init__ = lambda self, *a, **k: made.append(k.get('prog')) or init(self, *a, **k); "
+            "from polylog.cli import main; code = main(sys.argv[1:]); print(json.dumps(made))"
+        )
+        run = subprocess.run([sys.executable, "-c", probe, *argv], env=_FRESH_ENV, capture_output=True, text=True)
+        assert json.loads(run.stdout.splitlines()[-1]) == progs, run.stderr
 
     @pytest.mark.parametrize("request_text", list(_FRESH_ANSWERS))
     def test_fresh_process_imports_what_it_uses(self, request_text):

@@ -6,7 +6,8 @@ from math import gcd
 import pytest
 from fractions import Fraction
 
-from polylog import harmonic, nc_core, polylog_num, products
+import polylog
+from polylog import harmonic, nc_core, polylog_num, products, words
 from polylog.dense import NPoly
 from polylog.harmonic import h_poly_table, h_word_table
 from polylog.nc_core import (
@@ -131,6 +132,43 @@ class TestWordValue:
         assert repr(w) == "Word(letters=(0, 1), alphabet='X')"
         assert Word((1,)) == x_word("1")  # X is the default alphabet
         assert y_word([2, 1]) == y_word(2, 1)  # indices as one iterable
+
+
+# the names that moved from nc_core to polylog.words, which nc_core re-exports on first use
+_MOVED = [
+    "Word", "_trailing_x0", "x_word", "y_word", "word_from_text", "word_from_index", "_coded", "index_from_word",
+    "_index_of",
+]
+
+
+class TestWordsModule:
+    def test_nc_core_reexports_the_moved_names(self):
+        assert nc_core.Word is words.Word
+        for name in _MOVED:
+            assert getattr(nc_core, name) is getattr(words, name)
+        exported = [name for name in _MOVED if name in polylog.__all__]
+        assert sorted(exported) == ["Word", "index_from_word", "word_from_index", "word_from_text", "x_word", "y_word"]
+        assert all(getattr(polylog, name) is getattr(words, name) for name in exported)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="'polylog.nc_core' has no attribute 'no_such_name'"):
+            nc_core.no_such_name
+        assert not hasattr(nc_core, "words_of")
+
+    def test_word_pickles_through_its_module(self):
+        w = y_word(2, 1)
+        data = pickle.dumps(w)
+        assert b"polylog.words" in data
+        back = pickle.loads(data)
+        assert type(back) is nc_core.Word and back == w
+
+    def test_polynomial_readers_build_words(self):
+        # __init__, items and support reach the class through the hook
+        p = NCPoly(Y, {words.y_word(2): 3, words.Word((), Y): 1})
+        assert [type(w) for w in p.support()] == [words.Word] * 2
+        assert p.items() == [(Word((), Y), 1), (y_word(2), 3)]
+        with pytest.raises(TypeError, match="keys must be Words"):
+            NCPoly(Y, {(2,): 1})
 
 
 def _random_poly(rng, alphabet, max_len=3, max_terms=4):

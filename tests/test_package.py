@@ -14,10 +14,8 @@ import polylog
 # the names `polylog` bound when its __init__ imported every submodule up front, by the submodule
 # that defines them today
 PUBLIC_NAMES = {
-    "nc_core": [
-        "AlphabetError", "InvalidIndexError", "NCPoly", "NotInImageError", "PolylogError", "Word",
-        "as_rat", "index_from_word", "word_from_index", "word_from_text", "x_word", "y_word",
-    ],
+    "nc_core": ["AlphabetError", "InvalidIndexError", "NCPoly", "NotInImageError", "PolylogError", "as_rat"],
+    "words": ["Word", "index_from_word", "word_from_index", "word_from_text", "x_word", "y_word"],
     "dense": ["NPoly"],
     "products": ["conc", "exp_stuffle", "shuffle", "shuffle_pow", "stuffle", "stuffle_pow"],
     "coding": [
