@@ -762,7 +762,7 @@ class TestCommands:
         probe = (
             "import argparse, json, sys; made = []; init = argparse.ArgumentParser.__init__; "
             "argparse.ArgumentParser.__init__ = lambda self, *a, **k: made.append(k.get('prog')) or init(self, *a, **k); "
-            "from polylog.cli import main; code = main(sys.argv[1:]); print(json.dumps(made))"
+            "from polylog.cli import main; main(sys.argv[1:]); print(json.dumps(made))"
         )
         run = subprocess.run([sys.executable, "-c", probe, *argv], env=_FRESH_ENV, capture_output=True, text=True)
         assert json.loads(run.stdout.splitlines()[-1]) == progs, run.stderr
