@@ -3,7 +3,7 @@
 Expression grammar (whitespace-insensitive)::
 
     expr   := term (('+'|'-') term)*
-    term   := '-' term | scalar ('*'? atom)? | atom
+    term   := '-'* (scalar ('*'? atom)? | atom)
     atom   := xword | yword | 'star(' nat ')' | '[' rat (',' rat)* ']' '*'
               | func '(' expr (',' expr)* ')'
     xword  := '"' [01]+ '"'          e.g. "01" for x0 x1
@@ -102,17 +102,18 @@ def _tokenize(src: str) -> list[Token]:
 
 # -- AST ---------------------------------------------------------------------
 #
-# A node is a tuple tagged by its first entry:
-#   ("num", value, pos)            a rational
+# An expression, and each argument of a call, is one node ("sum", terms).  A term is a tuple
+# (coefficient, node, scale position, operator position): the coefficient folds the sign of its
+# operator, its own signs and its scalar into one rational; the node is None for a rational; a
+# scaled plane star is refused at the scale position, that of the token after the scalar or else of
+# the last sign; a position is None where there is none.  Any other node is tagged by its first entry:
 #   ("word", alphabet, letters, pos)  an X- or Y-word, its letters a tuple of ints
 #   ("star", order, pos)           star(k)
 #   ("plane", alpha, pos)          [a1,...]*, alpha a tuple of rationals
-#   ("call", name, args, pos)      a function applied to a tuple of nodes
-#   ("scale", factor, node, pos)   a rational (a sign, for unary minus) times a node
-#   ("sum", terms)                 (sign, node, position of its operator) per term;
-#                                  the first term is (1, node, None)
+#   ("call", name, args, pos)      a function applied to a tuple of sum nodes
 
 Expr = tuple
+_MINUS_ONE = -ONE  # with ONE, the coefficient of a term with signs and no scalar: no Fraction built per term
 _FUNCS = {"sh": 2, "st": 2, "conc": 2, "pix": 1, "piy": 1, "exps": 2}
 
 
@@ -158,39 +159,37 @@ class _Parser:
         return tok
 
     def expr(self):
-        terms = [(1, (yield from self.term()), None)]
+        terms = [(yield from self.term(1, None))]
         while (op := self.tokens[self.i])[0] in ("+", "-"):
             self.i += 1
-            terms.append((1 if op[0] == "+" else -1, (yield from self.term()), op[2]))
-        return ("sum", tuple(terms)) if len(terms) > 1 else terms[0][1]
+            terms.append((yield from self.term(1 if op[0] == "+" else -1, op[2])))
+        return ("sum", tuple(terms))
 
-    def term(self):
-        if minus := self.accept("-"):
-            sign = -1  # a run of signs is one node at its last sign: no recursion per sign
-            while more := self.accept("-"):
-                sign, minus = -sign, more
-            return ("scale", Fraction(sign), (yield from self.term()), minus[2])
+    def term(self, sign: int, op_pos: int | None):
+        pos = None
+        while minus := self.accept("-"):  # a run of signs folds into the coefficient: no recursion per sign
+            sign, pos = -sign, minus[2]
         if self.tokens[self.i][0] != "int":
-            return self.atom() or (yield self.call())
-        num = self.scalar()
+            return (ONE if sign > 0 else _MINUS_ONE), self.atom() or (yield self.call()), pos, op_pos
+        c = self.scalar() if sign > 0 else -self.scalar()
         nxt = self.tokens[self.i]
         # a scalar times an atom: "2*y1", or juxtaposed as "2 y1", "2[1]*"
         if not self.accept("*") and nxt[0] not in ("int", "xword", "yword", "ident", "["):
-            return num
-        return ("scale", num[1], self.atom() or (yield self.call()), nxt[2])
+            return c, None, pos, op_pos
+        return c, self.atom() or (yield self.call()), nxt[2], op_pos
 
-    def scalar(self) -> Expr:
-        _, text, pos = self.tokens[self.i]
+    def scalar(self) -> Fraction:
+        text = self.tokens[self.i][1]
         self.i += 1
         if not self.accept("/"):
-            return ("num", Fraction(int(text)), pos)
+            return Fraction(int(text))
         kind, den, den_pos = self.tokens[self.i]
         if kind != "int":
             raise ParseError("expected a denominator", den_pos)
         if not int(den):
             raise ParseError("zero denominator", den_pos)
         self.i += 1
-        return ("num", Fraction(int(text), int(den)), pos)
+        return Fraction(int(text), int(den))
 
     def atom(self) -> Expr | None:
         """The atom at the next token; None, consuming nothing, at a function name."""
@@ -247,7 +246,7 @@ class _Parser:
         kind, _, pos = self.tokens[self.i]
         if kind != "int":
             raise ParseError("expected a rational number", pos)
-        return sign * self.scalar()[1]
+        return sign * self.scalar()
 
 
 def parse(src: str) -> Expr:
@@ -302,44 +301,42 @@ def _star_order(k: int, pos: int) -> int:
     return k
 
 
-def _literal_term(node: Expr) -> tuple[str, list] | None:
-    """The type name and the one (key, coefficient) pair of a term c*word, c*star(k) or c.
-
-    The key of a word is its letters and that of a rational is None; any
-    other term gives None and is evaluated.
-    """
-    c = ONE
-    while node[0] == "scale":
-        c *= node[1]
-        node = node[2]
-    tag = node[0]
-    if tag == "word":
-        return f"{node[1]}-polynomial", [(node[2], c)]
-    if tag == "star":
-        return "star combination", [(_star_order(node[1], node[2]), c)]
-    if tag == "num":
-        return "rational", [(None, c * node[1])]
-    return None
-
-
 def _eval_sum(terms):
-    """The terms added up in one accumulation; a generator run by :func:`_run`.
+    """The value of a sum node's terms, added up in one accumulation; a generator run by :func:`_run`.
 
-    A literal term adds its one pair; any other term (a call or a plane star,
-    never a rational) is evaluated and added as a value.  A type clash raises
-    at its operator before any later term is evaluated, as adding left to
-    right would.
+    A word, star(k) or rational term adds its one (key, coefficient) pair.  A call,
+    evaluated operand by operand, or a plane star is a value, multiplied by its
+    coefficient only once its type is known to add.  A type clash raises at its
+    operator before any later term is evaluated, as adding left to right would.
     """
     like, pairs, total = None, [], None
-    for sign, term, pos in terms:
-        typed = _literal_term(term)
-        value = None if typed else (yield _eval(term))
-        kind, items = typed or (_type_name(value), [])
-        like = kind if like is None else _sum_type(like, kind, pos)
-        pairs += items if sign > 0 else [(k, -c) for k, c in items]
-        if value is not None:
-            value = value if sign > 0 else -value
+    for c, node, scale_pos, op_pos in terms:
+        value = None
+        if node is None:
+            kind, key = "rational", None
+        elif node[0] == "word":
+            kind, key = f"{node[1]}-polynomial", node[2]
+        elif node[0] == "star":
+            kind, key = "star combination", _star_order(node[1], node[2])
+        else:
+            if node[0] == "plane":
+                value = polylog.PlaneStar(node[1])
+            else:
+                args = []
+                for arg in node[2]:
+                    args.append((yield _eval_sum(arg[1])))
+                value = _eval_call(node[1], args, node[3])
+            kind = _type_name(value)
+            if kind == "plane star" and scale_pos is not None:
+                raise ExprTypeError("cannot scale a plane star", scale_pos)
+        like = kind if like is None else _sum_type(like, kind, op_pos)
+        if value is None:
+            pairs.append((key, c))
+        else:
+            value = value if c is ONE else value * c
             total = value if total is None else total + value
+    if not pairs:
+        return total
     if like == "rational":
         return Scalar(sum(c for _, c in pairs))
     if like == "star combination":
@@ -347,13 +344,6 @@ def _eval_sum(terms):
     else:
         literal = NCPoly._from_pairs(_ALPHABET_OF[like], ((() if k is None else k, c) for k, c in pairs))
     return literal if total is None else literal + total
-
-
-def _scale_value(c: Fraction, v: Value, pos: int) -> Value:
-    """``c`` times a call's value or a plane star; a scaled rational is a literal term."""
-    if _type_name(v) == "plane star":
-        raise ExprTypeError("cannot scale a plane star", pos)
-    return v * c
 
 
 def _as_poly(v: Value, alphabet: str, pos: int) -> NCPoly:
@@ -368,26 +358,11 @@ def _as_poly(v: Value, alphabet: str, pos: int) -> NCPoly:
     raise ExprTypeError(f"expected a {alphabet}-polynomial, got {_type_name(v)}", pos)
 
 
-def _eval(node: Expr):
-    """The value of ``node``; a generator run by :func:`_run`, yielding one per operand."""
-    tag = node[0]
-    if tag == "sum" or _literal_term(node):  # a literal is a one-term sum
-        return (yield from _eval_sum(node[1] if tag == "sum" else ((1, node, None),)))
-    if tag == "scale":
-        return _scale_value(node[1], (yield _eval(node[2])), node[3])
-    if tag == "call":
-        args = []
-        for arg in node[2]:
-            args.append((yield _eval(arg)))
-        return _eval_call(node[1], args, node[3])
-    if tag == "plane":
-        return polylog.PlaneStar(node[1])
-    raise TypeError(f"not an expression node: {node!r}")
-
-
 def evaluate(node: Expr) -> Value:
-    """Evaluate a parsed expression to a typed value."""
-    return _run(_eval(node))
+    """Evaluate a parsed expression, a sum node, to a typed value."""
+    if node[0] != "sum":
+        raise TypeError(f"not an expression node: {node!r}")
+    return _run(_eval_sum(node[1]))
 
 
 def _as_polys(a: Value, b: Value, message: str, pos: int) -> tuple[NCPoly, NCPoly]:

@@ -43,7 +43,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .dense import NPoly
 from .nc_core import AlphabetError, NCPoly, RatLike, Y, memo_account
-from .words import Word
 
 #: A signed multi-index: positive entries are reciprocal exponents,
 #: non-positive entries are power weights.

@@ -38,7 +38,6 @@ from .dense import NPoly
 from .harmonic import MAX_TERMS, _refuse_past_max_terms, _taylor_map
 from .nc_core import AlphabetError, NCPoly, PolylogError, X, X1, memo_account
 from .products import shuffle
-from .words import _index_of
 
 #: Evaluation is refused closer to the unit circle than this.
 Z_ABS_CAP = 0.995
@@ -122,6 +121,8 @@ def li_taylor_poly(p: NCPoly, n_cap: int) -> TaylorTrunc:
 
     Every word of P must end in x1 (or be empty), i.e. code a multi-index.
     """
+    from .words import _index_of  # here, not at the top: the li-eval and li-coeffs commands never run it
+
     if p.alphabet != X:
         raise AlphabetError("li_taylor_poly expects an X-polynomial")
     vector = _taylor_map(((x, _index_of(l)) for l, x in p._sorted_nums()), n_cap)  # over p._den
@@ -157,14 +158,14 @@ def li_eval(s: Sequence[int], z: complex, eps: float) -> complex:
     PrecisionError as soon as the truncation bound plus the sum's error bound
     exceeds eps, when a coefficient overflows, or, before any work, when m r > MAX_TERMS.
     """
-    if eps <= 0:
+    if not eps > 0:  # NaN too
         raise ValueError("eps must be positive")
     index = tuple(s)
     if not index:
         return complex(1.0)
     z = complex(z)
     q = abs(z)
-    if q > Z_ABS_CAP:
+    if not q <= Z_ABS_CAP:  # NaN too
         raise PrecisionError(
             f"|z| = {q:.6f} exceeds the evaluation cap {Z_ABS_CAP}; "
             "the series is only summed well inside the unit disk"

@@ -139,8 +139,7 @@ def _bilinear(alphabet: str, pairs, word_product, grade_cap: int | None) -> NCPo
 
 def conc(p: NCPoly, q: NCPoly) -> NCPoly:
     """Concatenation product, extended bilinearly from words."""
-    if p.alphabet != q.alphabet:
-        raise AlphabetError(f"alphabet mismatch: {p.alphabet} vs {q.alphabet}")
+    p._require_same_alphabet(q)
     acc: dict[Letters, int] = {}
     get = acc.get
     for u, cu in p._nums.items():
@@ -156,8 +155,7 @@ def shuffle(p: NCPoly, q: NCPoly, *, grade_cap: int | None = None) -> NCPoly:
     With ``grade_cap`` the result keeps only words of grade <= grade_cap;
     it equals ``shuffle(p, q).truncated(grade_cap)``.
     """
-    if p.alphabet != q.alphabet:
-        raise AlphabetError(f"alphabet mismatch: {p.alphabet} vs {q.alphabet}")
+    p._require_same_alphabet(q)
     return _bilinear(p.alphabet, [(p, q)], _shuffle_letters, grade_cap)
 
 

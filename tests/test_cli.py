@@ -112,7 +112,11 @@ class TestParser:
         with pytest.raises(ExprTypeError):
             parse_value("2*[1]*")
 
-    @pytest.mark.parametrize("src,pos", [("-[1]*", 0), ("- - [1]*", 2), ("- -  - [1]*", 5)])
+    @pytest.mark.parametrize(
+        "src,pos",
+        # with a scalar, the token after it locates the error, whatever signs come before
+        [("-[1]*", 0), ("- - [1]*", 2), ("- -  - [1]*", 5), ("-2[1]*", 2), ("1*[1]*", 1), ("-2*st([1]*, [1]*)", 2)],
+    )
     def test_run_of_signs_rejects_plane_star_at_last_sign(self, src, pos):
         with pytest.raises(ExprTypeError) as exc:
             parse_value(src)
@@ -130,10 +134,14 @@ class TestParser:
             ("conc(star(1), 2)", "at position 0: conc needs polynomial operands"),
             ("st([1,2]*, y1)", "at position 0: st on a plane star needs two plane stars"),
             ("exps(y1, 1/2)", "at position 0: exps(P, cap) needs a natural-number cap"),
+            # a subtracted plane star is refused for its sum, never multiplied by the sign
+            ("y1 - [2]*", "at position 3: cannot add Y-polynomial and plane star"),
+            ("[1]* - [1]*", "at position 5: cannot add plane star and plane star"),
         ],
         ids=[
             "y-plus-x", "star-plus-y", "plane-plus-plane", "second-operator", "before-later-terms",
             "sh-of-star-and-word", "conc-of-star", "st-of-plane-and-word", "exps-cap",
+            "y-minus-plane", "plane-minus-plane",
         ],
     )
     def test_sum_type_errors_name_their_operator(self, src, message):
@@ -353,17 +361,17 @@ _FRESH_ANSWERS = {
         _loads("commands", "coding", "dense", "stars", "harmonic", "negindex", "words"),
         lambda out: json.loads(out)["coeffs"] == ["0", "1/2", "1/2"],
     ),
-    "h-eval (-2,-1) 3": (_loads("commands", "dense", "harmonic", "words"), lambda out: json.loads(out) == "31"),
+    "h-eval (-2,-1) 3": (_loads("commands", "dense", "harmonic"), lambda out: json.loads(out) == "31"),
     "li-coeffs 2 4": (
-        _loads("commands", "dense", "harmonic", "polylog_num", "words"),
+        _loads("commands", "dense", "harmonic", "polylog_num"),
         lambda out: json.loads(out) == {"mode": "exact", "coeffs": ["0", "1", "1/4", "1/9", "1/16"]},
     ),
     "li-coeffs 2 3 --float": (
-        _loads("commands", "dense", "harmonic", "polylog_num", "words"),
+        _loads("commands", "dense", "harmonic", "polylog_num"),
         lambda out: json.loads(out) == {"mode": "float", "coeffs": [0.0, 1.0, 0.25, 1 / 9]},
     ),
     "li-eval 1 0.5 1e-10": (
-        _loads("commands", "dense", "harmonic", "polylog_num", "words"),
+        _loads("commands", "dense", "harmonic", "polylog_num"),
         lambda out: abs(json.loads(out)["re"] - 0.6931471805599453) <= 1e-10,
     ),
     "verify --suite stirling": (
@@ -683,6 +691,70 @@ class TestCommands:
         code, out = self._run(capsys, "shuffle", '"01"', '"1"')
         error = {"code": "RecursionError", "message": "maximum recursion depth exceeded"}
         assert code == 2 and json.loads(out)["error"] == error
+
+    def test_property_expression_requests_keep_the_contract(self, capsys):
+        # every expression request prints one strict JSON document on stdout and nothing on stderr,
+        # exits 0 with a value or 2 with {"error": {code, message}}, and raises nothing out of main.
+        # Terms are mostly of one kind, so that many requests answer, with a mistake in about one
+        # in eight; sums nest at most three deep over one- and two-letter words, so no request is slow.
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        atoms = {
+            "X": st.text("01", min_size=1, max_size=2).map(lambda w: f'"{w}"'),
+            "Y": st.lists(st.integers(1, 3), min_size=1, max_size=2).map(lambda w: "".join(f"y{k}" for k in w)),
+            "star": st.integers(0, 2).map(lambda k: f"star({k})"),
+            "plane": st.lists(st.sampled_from(["1", "-1/2", "0", "3"]), min_size=1, max_size=2).map(
+                lambda a: f"[{','.join(a)}]*"
+            ),
+            "rational": st.sampled_from(["3", "1/2", "0", "5/0"]),
+            "junk": st.sampled_from(["x", "frob(y1)", '"2"', ")"]),
+        }
+        calls = {  # the calls that give each kind, and the kinds of their arguments
+            "X": [("sh", "X", "X"), ("conc", "X", "X"), ("pix", "Y")],
+            "Y": [("sh", "Y", "Y"), ("st", "Y", "Y"), ("conc", "Y", "Y"), ("piy", "X"), ("exps", "Y", "cap")],
+            "star": [("sh", "star", "star")],
+            "plane": [("st", "plane", "plane")],
+        }
+        caps = st.sampled_from(["0", "1", "2", "3", "1/2", "-1", "y1"])
+        scalar = st.tuples(st.sampled_from(["2", "1/3", "0"]), st.sampled_from(["*", " ", ""])).map("".join)
+
+        @st.composite
+        def expression(draw, kind, depth):
+            text = ""
+            for i in range(draw(st.integers(1, 3))):
+                term = kind if draw(st.integers(0, 7)) else draw(st.sampled_from(list(atoms)))
+                operand = draw(atoms[term])
+                if depth > 1 and term in calls and draw(st.booleans()):
+                    name, *kinds = draw(st.sampled_from(calls[term]))
+                    if not draw(st.integers(0, 7)):  # an unknown name, or a wrong arity
+                        name, kinds = draw(st.sampled_from([*cli._FUNCS, "frob"])), kinds * draw(st.integers(0, 2))
+                    args = [draw(caps if k == "cap" else expression(k, depth - 1)) for k in kinds or [term]]
+                    operand = f"{name}({', '.join(args)})"
+                if term != "plane" or not draw(st.integers(0, 3)):  # mostly a bare plane star
+                    operand = "-" * draw(st.integers(0, 3)) + draw(st.one_of(st.just(""), scalar)) + operand
+                text += (draw(st.sampled_from([" + ", " - "])) if i else "") + operand
+            return text
+
+        operands = [("shuffle", "X"), ("shuffle", "Y"), ("shuffle", "star"), ("stuffle", "Y"), ("stuffle", "plane")]
+        requests = st.one_of(
+            st.sampled_from(operands).flatmap(lambda c: st.tuples(st.just(c[0]), expression(c[1], 3), expression(c[1], 3))),
+            st.tuples(st.just("h-closed-form"), expression("star", 3)),
+        )
+
+        def strict(name):
+            raise ValueError(f"not strict JSON: {name}")
+
+        @hyp.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+        @hyp.given(requests)
+        def check(request):
+            code = main([request[0], "--", *request[1:]])
+            out, err = capsys.readouterr()
+            payload = json.loads(out, parse_constant=strict)
+            assert err == "" and code == (2 if "error" in payload else 0)
+            if code:
+                assert [type(payload["error"][key]) for key in ("code", "message")] == [str, str]
+
+        check()
 
     def test_two_long_words_answer_as_json(self, capsys):
         # x0^120 sh x1x1 still recurses once per letter: under a stack 50 frames above this one

@@ -426,6 +426,16 @@ class TestLiEval:
         with pytest.raises(ValueError):
             li_eval((2,), 0.5, 0.0)
 
+    def test_nan_eps_is_refused_before_any_work(self):
+        # NaN fails every comparison: it is no positive eps, not a PrecisionError after the term search
+        with pytest.raises(ValueError, match="eps must be positive"):
+            li_eval((1,), 0.5, math.nan)
+
+    @pytest.mark.parametrize("z", [math.nan, complex(0.1, math.nan)])
+    def test_nan_z_is_past_the_radius_cap(self, z):
+        with pytest.raises(PrecisionError, match=r"\|z\| = nan exceeds the evaluation cap"):
+            li_eval((1,), z, 1e-8)
+
     @pytest.mark.parametrize("eps", [1e-6, 1e-10])
     def test_against_mpmath(self, eps):
         """Li_s for s = 1..4 and Li_(1,1) = log(1-z)^2 / 2 at random |z| <= 0.9."""
