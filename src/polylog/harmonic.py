@@ -8,9 +8,9 @@ recurrence, H_s(N) = H_s(N-1) + N^(-s1) H_(s2..sr)(N-1), run on integer
 numerators over one denominator.  With L = lcm(1..N) the step multiplies by
 L^s1 // N^s1 (s1 > 0) or N^(-s1) (s1 <= 0), and the denominator is
 D_(s2..sr) L^max(s1, 0), so no step of the recurrence pays a gcd and
-Fractions are built only for returned values.  :func:`h_signed_table` streams
-apart from the cache so it stays an independent oracle.  :func:`h_signed_eval`
-(and :func:`h_word_eval`) streams the rows of the tail s2..sr only, and sums the
+Fractions are built only for returned values.  A stream chains C iterators, one
+column per entry; :func:`h_signed_table` streams apart from the cache, an oracle.
+:func:`h_signed_eval` (and :func:`h_word_eval`) streams the tail s2..sr, and sums the
 leading entry's terms H_(s2..sr)(k-1) k^(-s1) in blocks of consecutive k, each
 over lcm(block)^s1, merged pairwise like a binary counter; so no step divides a
 number of lcm(1..N)^s1 size, and memory is O(r + log N) numbers; it refuses
@@ -37,8 +37,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate
+from itertools import accumulate, chain, islice, repeat
 from math import factorial, gcd, lcm, prod
+from operator import floordiv, mul
 from typing import Iterable, Iterator, Sequence
 
 from .dense import NPoly
@@ -59,7 +60,8 @@ def _scales(index: SignedIndex, n_max: int) -> list[int]:
 
 def _weights(s: int, scale: int, n_max: int, start: int = 1) -> Iterator[int]:
     """The integers scale * n^(-s) for n = start..n_max, scale a multiple of lcm(start..n_max)^s."""
-    return (scale // n**s if s > 0 else n ** (-s) for n in range(start, n_max + 1))
+    powers = map(pow, range(start, n_max + 1), repeat(abs(s)))
+    return map(floordiv, repeat(scale), powers) if s > 0 else powers
 
 
 #: Hard cap on rows times index depth of the prefix recurrence (h_signed_eval, li_eval), and on its weight bits.
@@ -78,29 +80,25 @@ def _refuse_past_max_terms(index: SignedIndex, n: int, depth: int) -> None:
         raise ValueError(f"weights of about {bits} bits at N = {n} are above {MAX_TERMS = }")
 
 
-def _prefix_rows(weights: list[Iterator], n_max: int) -> Iterator[list]:
-    """The prefix recurrence, one row per n = 0..n_max, from one weight iterator per entry.
+def _prefix_column(weights: list[Iterator]) -> Iterator[int]:
+    """The prefix recurrence as one stream of C iterators, from one weight iterator per entry.
 
-    With the weights w_j(n) of entry j for n = 1..n_max, entry j of row n is
-    H_j(n) = H_j(n-1) + w_j(n) H_(j+1)(n-1) and the last is 1: the numerator of
-    H_(index[j:])(n) over prod(scales[j:]) for :func:`_weights`.  The same list is
-    yielded every time, so a caller copies what it keeps.
+    With the weights w_j(n) of entry j for n = 1, 2, ..., the column of entry j is
+    H_j(0) = 0 and H_j(n) = H_j(n-1) + w_j(n) H_(j+1)(n-1), and the column past the
+    last entry is all 1: the numerators of H_(index[j:])(n) over prod(scales[j:]) for
+    :func:`_weights`.  It yields H_0(0), H_0(1), ... and holds one number per entry.
     """
-    state = [0] * len(weights) + [1]
-    steps = list(enumerate(weights))  # built once, not per row
-    yield state
-    for _ in range(n_max):
-        # j ascending: state[j + 1] still holds row n - 1
-        for j, w in steps:
-            state[j] += next(w) * state[j + 1]
-        yield state
+    column = repeat(1)
+    for w in reversed(weights):
+        column = chain((0,), accumulate(map(mul, w, column)))
+    return column
 
 
 def _shifted(s1: int, sub: NPoly, n_max: int) -> NPoly:
     """Coefficients n^(-s1) sub_(n-1), n = 0..n_max: Li's Taylor vector from H of its tail."""
     (scale,) = _scales((s1,), n_max)
     weights = _weights(s1, scale, n_max)
-    return NPoly((0, *(m * x for m, x in zip(weights, sub.nums))), sub.den * scale)
+    return NPoly((0, *map(mul, weights, sub.nums)), sub.den * scale)
 
 
 #: Integer columns keyed by signed index.  An entry is replaced whole by a
@@ -171,7 +169,7 @@ def _merge(e: int, x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
 def h_signed_eval(s: Sequence[int], n: int) -> Fraction:
     """Brute-force oracle: the nested sum with arbitrary integer exponents.
 
-    Streams the tail's rows with O(r + log N) memory, so large N needs no column:
+    Streams the tail's column with O(r + log N) memory, so large N needs no cache:
     H_s(N) = sum_k H_(s2..sr)(k-1) k^(-s1), summed per block of k over the block's
     lcm^s1 and merged pairwise.  For s1 <= 0 a merge is a plain add, so one block.
     Refused before any work when N r or the weight bits pass MAX_TERMS at depth r.
@@ -182,14 +180,14 @@ def h_signed_eval(s: Sequence[int], n: int) -> Fraction:
     if not index:
         return Fraction(1)
     s1, e = index[0], max(index[0], 0)
-    rows = _prefix_rows([_weights(t, f, n) for t, f in zip(index[1:], scales)], n - 1)
+    tail = _prefix_column([_weights(t, f, n) for t, f in zip(index[1:], scales)])
     step = _BLOCK if e else max(n, 1)
     parts: list[tuple[int, int]] = []  # a binary counter: block counts fall, powers of two
     for i, a in enumerate(range(1, n + 1, step), 1):
         b = min(a + step, n + 1)
         l = lcm(*range(a, b)) if e else 1
-        # weights first: zip stops on them before it takes a row of the next block
-        parts.append((sum(w * row[0] for w, row in zip(_weights(s1, l**e, b - 1, a), rows)), l))
+        # weights first: map stops on them before it takes a tail entry of the next block
+        parts.append((sum(map(mul, _weights(s1, l**e, b - 1, a), tail)), l))
         for _ in range((i & -i).bit_length() - 1):
             parts.append(_merge(e, parts.pop(-2), parts.pop()))
     p, l = reduce(lambda x, y: _merge(e, x, y), reversed(parts), (0, 1))
@@ -201,8 +199,8 @@ def h_signed_table(s: Sequence[int], n_max: int) -> list[Fraction]:
     index = tuple(s)
     scales = _scales(index, n_max)
     den = prod(scales)
-    weights = [_weights(e, f, n_max) for e, f in zip(index, scales)]
-    return [Fraction(row[0], den) for row in _prefix_rows(weights, n_max)]
+    column = _prefix_column([_weights(e, f, n_max) for e, f in zip(index, scales)])
+    return [Fraction(x, den) for x in islice(column, n_max + 1)]
 
 
 def h_word_table(w: Word, n_max: int) -> list[Fraction]:

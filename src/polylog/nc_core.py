@@ -321,12 +321,15 @@ class NCPoly:
 
     def to_terms_text(self) -> dict[str, str]:
         """Canonical {word text: coefficient text} mapping, ordered; from letters and numerators."""
-        terms, den = self._sorted_nums(), self._den
-        if self._alphabet == X:  # one byte translation per word
-            words = [bytes(l).translate(_X_DIGITS).decode() for l, _ in terms]
-        else:
-            words = [",".join(map(str, l)) for l, _ in terms]
-        return {w: str(x) if den == 1 else str(Fraction(x, den)) for w, (_, x) in zip(words, terms)}
+        nums, den, x_words, out = self._nums, self._den, self._alphabet == X, {}
+        if x_words:  # one byte translation per word; bit strings sort as their letters do
+            nums = {bytes(l).translate(_X_DIGITS).decode(): x for l, x in nums.items()}
+        keys = sorted(nums)
+        keys.sort(key=len)  # stable: (length, letters) order
+        for k in keys:
+            g = gcd(x := nums[k], den)  # the text of Fraction(x, den), with no Fraction
+            out[k if x_words else ",".join(map(str, k))] = str(x // g) if g == den else f"{x // g}/{den // g}"
+        return out
 
     def __str__(self) -> str:
         return format_terms([(str(c), "" if w.is_empty else str(w)) for w, c in self.items()])

@@ -11,15 +11,15 @@ The three products are bilinear extensions of their word-level recursions:
 Shuffle and stuffle are quasi-shuffle products, the shuffle without the
 contraction y_{s+t}, so one memoized word recursion serves both (Hoffman 2000).
 It stops at a one-letter operand, whose product it builds without recursion
-by placing the letter, so a long word times a letter needs no deep stack.
+by moving the letter along one buffer, so a long word times a letter needs no deep stack.
 Its caches, bounded by :data:`~polylog.nc_core.memo_account`, behave as if
 absent (recomputing is the only cost of a race or a clear): all is thread-safe.
 
-The bilinear extensions run on the stored form of :class:`NCPoly`, integer
-numerators keyed by letter tuples over one denominator: over (p, q) pairs,
-the products of numerators and structure constants accumulate in one dict
-keyed by letters over the lcm of the pairs' denominator products, and one gcd
-pass brings the result to canonical form.  No Word or Fraction is built per term.
+The bilinear extensions run on the stored form of :class:`NCPoly`: numerators
+times structure constants accumulate in one dict keyed by letter tuples over the
+lcm of the pairs' denominator products, then one gcd pass, with no Word or
+Fraction per term.  A unit pair skips the memo; a first product of coefficient 1
+is copied whole (``dict.update`` keeps its words' stored hashes).
 
 Both shuffle and stuffle are commutative and associative with the empty word
 as unit.  Both are graded: every word of u <sh> v or u <st> v has grade
@@ -51,12 +51,15 @@ def _with_letter(u: Letters, a: int, contract: bool) -> dict[Letters, int]:
     The contracted words (u_i + a in place of u_i) are distinct, as letters are >= 1.
     """
     out: dict[Letters, int] = {}
-    i, n = 0, len(u)
-    while i <= n:
+    word, i, n = [a, *u], 0, len(u)  # one buffer: a sits at position i
+    while True:
         j = i
         while j < n and u[j] == a:
             j += 1
-        out[u[:i] + (a,) + u[i:]] = j - i + 1
+        out[tuple(word)] = j - i + 1
+        if j == n:
+            break
+        word[j], word[j + 1] = u[j], a  # a moves right past the run and u[j]
         i = j + 1
     if contract:
         for i, b in enumerate(u):
@@ -128,12 +131,16 @@ def _bilinear(alphabet: str, pairs, word_product, grade_cap: int | None) -> NCPo
             cu *= m
             for v, cv in terms:
                 c = cu * cv
+                if not u or not v:  # the unit: its partner's word, with no memo lookup
+                    acc[u or v] = get(u or v, 0) + c
+                    continue
                 # structure constants are symmetric; canonical order keys the memo
-                a, b = u, v
-                if b < a:
-                    a, b = b, a
-                for letters, k in word_product(a, b).items():
-                    acc[letters] = get(letters, 0) + c * k
+                product = word_product(u, v) if u <= v else word_product(v, u)
+                if c == 1 and not acc:  # a copy keeps each word's stored hash; never alias the memo's dict
+                    acc.update(product)
+                else:
+                    for letters, k in product.items():
+                        acc[letters] = get(letters, 0) + c * k
     return NCPoly._from_nums(alphabet, acc, den)
 
 

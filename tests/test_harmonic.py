@@ -365,8 +365,27 @@ def _brute_h(index, n):
     return total
 
 
+def _nested_loop_h(index, n):
+    """H_index(N) as the plain nested sum: sum over n1 = 1..N of n1^(-s1) H_(s2..sr)(n1 - 1)."""
+    if not index:
+        return F(1)
+    return sum((F(m) ** -index[0] * _nested_loop_h(index[1:], m - 1) for m in range(1, n + 1)), F(0))
+
+
 class TestIntegerColumns:
     """The integer columns and streams against brute-force nested sums."""
+
+    # the leading entry s1 > 0, summed in blocks of 32, and s1 <= 0, one block
+    @pytest.mark.parametrize(
+        "index", [(), (1,), (3,), (2, -1), (1, 2, 1), (0,), (-2,), (-1, 3), (0, 0), (-3, 1, -1)]
+    )
+    def test_block_edges_match_nested_loop(self, index):
+        for n in (0, 31, 32, 33, 64, 65):
+            assert h_signed_eval(index, n) == _nested_loop_h(index, n), (index, n)
+        table = h_signed_table(index, 65)
+        for n in (0, 1, 31, 32, 33, 64, 65):
+            assert table[n] == _nested_loop_h(index, n), (index, n)
+        assert table[:34] == h_signed_table(index, 33)
 
     def test_property_stream_table_and_brute_force_agree(self):
         hyp = pytest.importorskip("hypothesis")

@@ -247,6 +247,31 @@ class TestNCPoly:
         p = NCPoly(Y, {y_word(2, 1): Fraction(3, 2), Word((), Y): -1})
         assert p.to_terms_text() == {"": "-1", "2,1": "3/2"}
 
+    def test_property_terms_text_matches_fraction_text(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        coeffs = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+        # Y letters of 10 and more, whose texts sort apart from their letters ("10" < "9")
+        letters = {X: st.integers(0, 1), Y: st.sampled_from([1, 2, 9, 10, 11, 21, 100])}
+
+        def fraction_text(p):
+            """The {text: str(Fraction)} mapping in (length, letters) order."""
+            sep = "" if p.alphabet == X else ","
+            terms = sorted(p._nums.items(), key=lambda kv: (len(kv[0]), kv[0]))
+            return [(sep.join(map(str, l)), str(Fraction(x, p._den))) for l, x in terms]
+
+        @hyp.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+        @hyp.given(st.sampled_from([X, Y]).flatmap(
+            lambda a: st.dictionaries(st.lists(letters[a], max_size=5).map(tuple), coeffs, max_size=8).map(
+                lambda d: NCPoly(a, {Word(l, a): c for l, c in d.items()})
+            )
+        ))
+        @hyp.example(NCPoly(Y, {y_word(10): Fraction(-3, 4), y_word(9): 2, y_word(1, 10): 1, y_word(2): 5}))
+        def agree(p):
+            assert list(p.to_terms_text().items()) == fraction_text(p)
+
+        agree()
+
     def test_truncated(self):
         p = NCPoly.from_word(y_word(3)) + NCPoly.from_word(y_word(1))
         assert p.truncated(2) == NCPoly.from_word(y_word(1))

@@ -10,8 +10,10 @@ import pytest
 
 from polylog.nc_core import AlphabetError, NCPoly, Word, X, Y, x_word, y_word
 from polylog.products import (
+    _bilinear,
     _shuffle_letters,
     _stuffle_letters,
+    _with_letter,
     conc,
     exp_stuffle,
     shuffle,
@@ -427,11 +429,33 @@ class TestGradeCap:
         q = NCPoly(Y, {Word(w, Y): c for c, w in enumerate([(1,), (2,), (1, 1), (1, 3), (2, 2)], 2)})
         product(p, q)  # warms the memo with every pair
         for cap in range(0, 10):
-            within = sum(sum(u) + sum(v) <= cap for u in p._nums for v in q._nums)
+            # p holds the empty word, whose pairs take its partner's word without the memo
+            within = sum(sum(u) + sum(v) <= cap for u in p._nums for v in q._nums if u and v)
             before = kernel.cache_info()
             product(p, q, grade_cap=cap)
             after = kernel.cache_info()
             assert (after.hits - before.hits, after.misses - before.misses) == (within, 0)
+
+    def test_copy_never_aliases_the_memo(self):
+        # u sh v of two coefficient-1 words is copied from the memo's dict; a second pair adds into the copy
+        u, v = (0, 1, 1), (1, 0)
+        p, q = NCPoly.from_word(Word(u, X)), NCPoly.from_word(Word(v, X))
+        got = shuffle(p, q)
+        assert got._nums == brute_shuffle(u, v) and got._nums is not _shuffle_letters(u, v)
+        twice = _bilinear(X, [(p, q), (p, q)], _shuffle_letters, None)
+        assert twice == got * 2
+        assert _shuffle_letters(u, v) == brute_shuffle(u, v)
+
+    @pytest.mark.parametrize("product,kernel", [(shuffle, _shuffle_letters), (stuffle, _stuffle_letters)])
+    def test_unit_pairs_add_no_hit_and_no_miss(self, product, kernel):
+        one = NCPoly.one(Y)
+        q = NCPoly(Y, {Word(w, Y): c for c, w in enumerate([(), (4, 4), (5, 1, 5)], 1)})
+        for a, b in ((one, q), (q, one), (one, one)):
+            want = b if a is one else a
+            before = kernel.cache_info()
+            assert product(a, b) == want and product(a, b, grade_cap=8) == want.truncated(8)
+            after = kernel.cache_info()
+            assert (after.hits, after.misses) == (before.hits, before.misses)
 
     def test_negative_cap_rejected(self):
         x1 = NCPoly.from_word(x_word("1"))
@@ -467,6 +491,25 @@ class TestOneLetter:
                 assert kernel(u, (a,)) == want and kernel((a,), u) == want
 
         agree()
+
+    def test_matches_naive_insertion(self):
+        # u * a placed at each of the len(u) + 1 positions, one word per position, and
+        # with contraction u_i + a in place of each u_i
+        def naive(u, a, contract):
+            out = Counter(u[:i] + (a,) + u[i:] for i in range(len(u) + 1))
+            if contract:
+                out.update(u[:i] + (u[i] + a,) + u[i + 1 :] for i in range(len(u)))
+            return dict(out)
+
+        rng = random.Random(7)
+        for _ in range(300):
+            lo = rng.choice((0, 1))  # letters from 0 as on X, or from 1 as on Y, where contraction is defined
+            a = rng.randint(lo, lo + 2)
+            # runs of a among runs of other letters, at the ends too
+            runs = [(rng.choice((a, rng.randint(lo, lo + 2))), rng.randint(1, 4)) for _ in range(rng.randint(0, 5))]
+            u = tuple(b for b, k in runs for _ in range(k))
+            for contract in (False, True) if lo else (False,):
+                assert _with_letter(u, a, contract) == naive(u, a, contract), (u, a, contract)
 
     def test_long_word_needs_no_deep_stack(self):
         # a stack far shorter than the word: x0^600 sh x1 is the 601 words x0^i x1 x0^(600-i)
