@@ -8,9 +8,9 @@ recurrence, H_s(N) = H_s(N-1) + N^(-s1) H_(s2..sr)(N-1), run on integer
 numerators over one denominator.  With L = lcm(1..N) the step multiplies by
 L^s1 // N^s1 (s1 > 0) or N^(-s1) (s1 <= 0), and the denominator is
 D_(s2..sr) L^max(s1, 0), so no step of the recurrence pays a gcd and
-Fractions are built only for returned values.  A stream chains C iterators, one
-column per entry; :func:`h_signed_table` streams apart from the cache, an oracle.
-:func:`h_signed_eval` (and :func:`h_word_eval`) streams the tail s2..sr, and sums the
+Fractions are built only for returned values.  :func:`h_signed_table` streams
+apart from the cache so it stays an independent oracle.  :func:`h_signed_eval`
+(and :func:`h_word_eval`) streams the rows of the tail s2..sr only, and sums the
 leading entry's terms H_(s2..sr)(k-1) k^(-s1) in blocks of consecutive k, each
 over lcm(block)^s1, merged pairwise like a binary counter; so no step divides a
 number of lcm(1..N)^s1 size, and memory is O(r + log N) numbers; it refuses
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, repeat
 from math import factorial, gcd, lcm, prod
 from operator import floordiv, mul
 from typing import Iterable, Iterator, Sequence
@@ -80,18 +80,21 @@ def _refuse_past_max_terms(index: SignedIndex, n: int, depth: int) -> None:
         raise ValueError(f"weights of about {bits} bits at N = {n} are above {MAX_TERMS = }")
 
 
-def _prefix_column(weights: list[Iterator]) -> Iterator[int]:
-    """The prefix recurrence as one stream of C iterators, from one weight iterator per entry.
+def _prefix_column(weights: list[Iterator], n_max: int) -> Iterator[int]:
+    """The prefix recurrence H_0(0..n_max), one flat loop per row, from one weight iterator per entry.
 
-    With the weights w_j(n) of entry j for n = 1, 2, ..., the column of entry j is
-    H_j(0) = 0 and H_j(n) = H_j(n-1) + w_j(n) H_(j+1)(n-1), and the column past the
-    last entry is all 1: the numerators of H_(index[j:])(n) over prod(scales[j:]) for
-    :func:`_weights`.  It yields H_0(0), H_0(1), ... and holds one number per entry.
+    With the weights w_j(n) of entry j for n = 1..n_max, H_j(n) = H_j(n-1) + w_j(n) H_(j+1)(n-1)
+    and the entry past the last is 1: the numerator of H_(index[j:])(n) over prod(scales[j:]) for
+    :func:`_weights`.  One number per entry, no iterator nested in another: a deep index costs no C stack.
     """
-    column = repeat(1)
-    for w in reversed(weights):
-        column = chain((0,), accumulate(map(mul, w, column)))
-    return column
+    state = [0] * len(weights) + [1]
+    steps = list(enumerate(weights))  # built once, not per row
+    yield state[0]
+    for _ in range(n_max):
+        # j ascending: state[j + 1] still holds row n - 1
+        for j, w in steps:
+            state[j] += next(w) * state[j + 1]
+        yield state[0]
 
 
 def _shifted(s1: int, sub: NPoly, n_max: int) -> NPoly:
@@ -180,7 +183,7 @@ def h_signed_eval(s: Sequence[int], n: int) -> Fraction:
     if not index:
         return Fraction(1)
     s1, e = index[0], max(index[0], 0)
-    tail = _prefix_column([_weights(t, f, n) for t, f in zip(index[1:], scales)])
+    tail = _prefix_column([_weights(t, f, n) for t, f in zip(index[1:], scales)], n - 1)
     step = _BLOCK if e else max(n, 1)
     parts: list[tuple[int, int]] = []  # a binary counter: block counts fall, powers of two
     for i, a in enumerate(range(1, n + 1, step), 1):
@@ -199,8 +202,8 @@ def h_signed_table(s: Sequence[int], n_max: int) -> list[Fraction]:
     index = tuple(s)
     scales = _scales(index, n_max)
     den = prod(scales)
-    column = _prefix_column([_weights(e, f, n_max) for e, f in zip(index, scales)])
-    return [Fraction(x, den) for x in islice(column, n_max + 1)]
+    column = _prefix_column([_weights(e, f, n_max) for e, f in zip(index, scales)], n_max)
+    return [Fraction(x, den) for x in column]
 
 
 def h_word_table(w: Word, n_max: int) -> list[Fraction]:

@@ -131,6 +131,11 @@ def _check_alphabet(alphabet: str) -> None:
 # the grade of a word's letters: length on X, weight on Y
 _GRADE = {X: len, Y: sum}
 
+
+def _canonical(keys: Iterable) -> list:
+    """Keys in canonical (length-then-lexicographic) order: two C sorts, the second stable."""
+    return sorted(sorted(keys), key=len)
+
 # the names of polylog.words that __getattr__ re-exports here, loading that module on first use
 _WORDS = ("Word", "_trailing_x0", "x_word", "y_word", "word_from_text", "word_from_index", "_coded",
           "index_from_word", "_index_of")
@@ -231,7 +236,7 @@ class NCPoly:
 
     def _sorted_nums(self) -> list[tuple[Letters, int]]:
         """(letters, numerator) terms in canonical (length-then-lexicographic) order."""
-        return sorted(self._nums.items(), key=lambda kv: (len(kv[0]), kv[0]))
+        return [(l, self._nums[l]) for l in _canonical(self._nums)]
 
     def items(self) -> list[tuple[Word, Fraction]]:
         """Terms in canonical (length-then-lexicographic) order."""
@@ -320,16 +325,12 @@ class NCPoly:
     # -- serialization -----------------------------------------------------
 
     def to_terms_text(self) -> dict[str, str]:
-        """Canonical {word text: coefficient text} mapping, ordered; from letters and numerators."""
-        nums, den, x_words, out = self._nums, self._den, self._alphabet == X, {}
+        """Canonical {word text: coefficient text} mapping, ordered; each text of Fraction(x, den) by one gcd."""
+        nums, den, x_words = self._nums, self._den, self._alphabet == X
         if x_words:  # one byte translation per word; bit strings sort as their letters do
             nums = {bytes(l).translate(_X_DIGITS).decode(): x for l, x in nums.items()}
-        keys = sorted(nums)
-        keys.sort(key=len)  # stable: (length, letters) order
-        for k in keys:
-            g = gcd(x := nums[k], den)  # the text of Fraction(x, den), with no Fraction
-            out[k if x_words else ",".join(map(str, k))] = str(x // g) if g == den else f"{x // g}/{den // g}"
-        return out
+        terms = ((k if x_words else ",".join(map(str, k)), nums[k]) for k in _canonical(nums))
+        return {w: str(x // g) if (g := gcd(x, den)) == den else f"{x // g}/{den // g}" for w, x in terms}
 
     def __str__(self) -> str:
         return format_terms([(str(c), "" if w.is_empty else str(w)) for w, c in self.items()])

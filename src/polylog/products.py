@@ -52,14 +52,12 @@ def _with_letter(u: Letters, a: int, contract: bool) -> dict[Letters, int]:
     """
     out: dict[Letters, int] = {}
     word, i, n = [a, *u], 0, len(u)  # one buffer: a sits at position i
-    while True:
+    while i <= n:
         j = i
         while j < n and u[j] == a:
             j += 1
         out[tuple(word)] = j - i + 1
-        if j == n:
-            break
-        word[j], word[j + 1] = u[j], a  # a moves right past the run and u[j]
+        word[j : j + 2] = u[j : j + 1] + (a,)  # a moves right past the run and u[j] (at the end, stays)
         i = j + 1
     if contract:
         for i, b in enumerate(u):

@@ -1,8 +1,12 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +30,10 @@ from polylog.products import conc, stuffle
 from polylog.stars import X1StarPoly
 
 F = Fraction
+
+# a fresh interpreter imports this checkout's package first and keeps the rest of PYTHONPATH
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+_FRESH_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))}
 
 
 def _y_words(max_weight):
@@ -365,27 +373,8 @@ def _brute_h(index, n):
     return total
 
 
-def _nested_loop_h(index, n):
-    """H_index(N) as the plain nested sum: sum over n1 = 1..N of n1^(-s1) H_(s2..sr)(n1 - 1)."""
-    if not index:
-        return F(1)
-    return sum((F(m) ** -index[0] * _nested_loop_h(index[1:], m - 1) for m in range(1, n + 1)), F(0))
-
-
 class TestIntegerColumns:
     """The integer columns and streams against brute-force nested sums."""
-
-    # the leading entry s1 > 0, summed in blocks of 32, and s1 <= 0, one block
-    @pytest.mark.parametrize(
-        "index", [(), (1,), (3,), (2, -1), (1, 2, 1), (0,), (-2,), (-1, 3), (0, 0), (-3, 1, -1)]
-    )
-    def test_block_edges_match_nested_loop(self, index):
-        for n in (0, 31, 32, 33, 64, 65):
-            assert h_signed_eval(index, n) == _nested_loop_h(index, n), (index, n)
-        table = h_signed_table(index, 65)
-        for n in (0, 1, 31, 32, 33, 64, 65):
-            assert table[n] == _nested_loop_h(index, n), (index, n)
-        assert table[:34] == h_signed_table(index, 33)
 
     def test_property_stream_table_and_brute_force_agree(self):
         hyp = pytest.importorskip("hypothesis")
@@ -394,6 +383,20 @@ class TestIntegerColumns:
         @hyp.settings(max_examples=150, deadline=None, derandomize=True, database=None)
         @hyp.given(st.lists(st.integers(-3, 3), max_size=3), st.integers(0, 25))
         @hyp.example([], 7)
+        @hyp.example([], 0)
+        # N = 0 and the block edges of the leading-entry sum, for s1 > 0 (blocks of 32) and s1 <= 0 (one block)
+        @hyp.example([2, -1], 0)
+        @hyp.example([1], 31)
+        @hyp.example([2, -1], 32)
+        @hyp.example([1, 2, 1], 33)
+        @hyp.example([3], 64)
+        @hyp.example([1, 1], 65)
+        @hyp.example([-1, 2], 0)
+        @hyp.example([0], 31)
+        @hyp.example([-1, 3], 32)
+        @hyp.example([-3, 1, -1], 33)
+        @hyp.example([0, 0], 64)
+        @hyp.example([-2, 1], 65)
         def agree(index, n):
             expected = _brute_h(index, n)
             assert h_signed_eval(index, n) == expected
@@ -431,6 +434,23 @@ class TestIntegerColumns:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000, peak
+
+    def test_deep_index_costs_no_c_stack(self):
+        # in a fresh interpreter, so that a C stack overflow fails the test and not the run
+        probe = (
+            "import threading\n"
+            "from polylog.harmonic import h_signed_eval, h_signed_table\n"
+            "assert h_signed_eval((1,) * 200_000, 2) == h_signed_eval((1,) * 200_000, 0) == 0\n"
+            "assert h_signed_table((1,) * 200_000, 2) == [0, 0, 0]\n"
+            # 998 rows of a 1000-entry tail, as deep as MAX_TERMS lets h-eval go, on a 64 KiB stack
+            "threading.stack_size(1 << 16)\n"
+            "out = []\n"
+            "t = threading.Thread(target=lambda: out.append(h_signed_eval((0,) * 1001, 999)))\n"
+            "t.start(); t.join()\n"
+            "assert out == [0], out\n"
+        )
+        run = subprocess.run([sys.executable, "-c", probe], env=_FRESH_ENV, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
 
     def test_property_poly_table_is_per_word_sum(self):
         hyp = pytest.importorskip("hypothesis")

@@ -13,7 +13,6 @@ from polylog.products import (
     _bilinear,
     _shuffle_letters,
     _stuffle_letters,
-    _with_letter,
     conc,
     exp_stuffle,
     shuffle,
@@ -485,31 +484,17 @@ class TestOneLetter:
         @hyp.given(words, st.integers(1, 3))
         @hyp.example((2, 2, 2), 2)
         @hyp.example((), 1)
+        # X-letters, with runs of the letter at either end and inside; stuffle contracts Y-letters only
+        @hyp.example((0, 0, 1, 0, 0, 0), 0)
+        @hyp.example((1, 0, 1, 1, 0, 1), 1)
+        @hyp.example((0, 0), 1)
         def agree(u, a):
-            for kernel, ref in ((_shuffle_letters, ref_shuffle), (_stuffle_letters, ref_stuffle)):
+            kernels = ((_shuffle_letters, ref_shuffle), (_stuffle_letters, ref_stuffle))
+            for kernel, ref in kernels if min(u + (a,)) else kernels[:1]:
                 want = Counter(ref(u, (a,)))
                 assert kernel(u, (a,)) == want and kernel((a,), u) == want
 
         agree()
-
-    def test_matches_naive_insertion(self):
-        # u * a placed at each of the len(u) + 1 positions, one word per position, and
-        # with contraction u_i + a in place of each u_i
-        def naive(u, a, contract):
-            out = Counter(u[:i] + (a,) + u[i:] for i in range(len(u) + 1))
-            if contract:
-                out.update(u[:i] + (u[i] + a,) + u[i + 1 :] for i in range(len(u)))
-            return dict(out)
-
-        rng = random.Random(7)
-        for _ in range(300):
-            lo = rng.choice((0, 1))  # letters from 0 as on X, or from 1 as on Y, where contraction is defined
-            a = rng.randint(lo, lo + 2)
-            # runs of a among runs of other letters, at the ends too
-            runs = [(rng.choice((a, rng.randint(lo, lo + 2))), rng.randint(1, 4)) for _ in range(rng.randint(0, 5))]
-            u = tuple(b for b, k in runs for _ in range(k))
-            for contract in (False, True) if lo else (False,):
-                assert _with_letter(u, a, contract) == naive(u, a, contract), (u, a, contract)
 
     def test_long_word_needs_no_deep_stack(self):
         # a stack far shorter than the word: x0^600 sh x1 is the 601 words x0^i x1 x0^(600-i)
