@@ -20,9 +20,8 @@ length is limited by the recursion limit, only by memory.
 
 Subcommands expose the library operations with JSON output on stdout and
 nonzero exit codes carrying {"error": {code, message}} on failure.  Inputs of
-unbounded cost are such errors: an integer of more than MAX_DIGITS digits,
-star(k) or a star shuffle sh(A, B) of order above MAX_STAR_ORDER (refused
-before it is built) and exps(P, cap) above MAX_EXPS_CAP.  This module runs
+unbounded cost are such errors: an integer of more than MAX_DIGITS digits, and
+each size cap of :func:`polylog.nc_core.refuse_above`.  This module runs
 shuffle and stuffle; the other commands are in :mod:`polylog.commands`,
 imported when one first runs.  A request builds only its command's parser, from
 ``_COMMANDS``; help and an unknown command build the tree of all of them.
@@ -44,12 +43,10 @@ from typing import NamedTuple
 # and coding through the package's names (polylog.X1StarPoly) once a star, plane star, pix or piy is met.
 import polylog
 from . import products
-from .nc_core import ONE, NCPoly, PolylogError, X, Y, format_terms
+from .nc_core import MAX_STAR_ORDER, ONE, NCPoly, PolylogError, X, Y, format_terms, refuse_above
 
 # the most decimal digits of an integer a result prints (CPython's int-to-str limit)
 MAX_DIGITS = 100_000
-# the largest order of star(k) or sh(A, B): star(k) is dense with k + 1 entries, degree k in N
-MAX_STAR_ORDER = 1_000
 # the largest cap of exps(P, cap): exps(y1, cap) has 2^cap words
 MAX_EXPS_CAP = 14
 
@@ -296,8 +293,7 @@ def _sum_type(a: str, b: str, pos: int) -> str:
 
 def _star_order(k: int, pos: int) -> int:
     """``k``, refused above MAX_STAR_ORDER before anything of its size is built."""
-    if k > MAX_STAR_ORDER:
-        raise ValueError(f"at position {pos}: star order {k} is above {MAX_STAR_ORDER = }")
+    refuse_above(k, MAX_STAR_ORDER, "MAX_STAR_ORDER", "at position {}: star order {} is", pos, k)
     return k
 
 
@@ -401,8 +397,7 @@ def _eval_call(name: str, args: list[Value], pos: int) -> Value:
     cap = args[1]  # exps
     if not isinstance(cap, Scalar) or cap.value.denominator != 1 or cap.value < 0:
         raise ExprTypeError("exps(P, cap) needs a natural-number cap", pos)
-    if cap.value > MAX_EXPS_CAP:
-        raise ValueError(f"at position {pos}: exps cap {cap.value} is above {MAX_EXPS_CAP = }")
+    refuse_above(cap.value, MAX_EXPS_CAP, "MAX_EXPS_CAP", "at position {}: exps cap {} is", pos, cap.value)
     return products.exp_stuffle(_as_poly(args[0], Y, pos), int(cap.value))
 
 

@@ -107,7 +107,7 @@ def cmd_li_eval(args) -> int:
 
 def cmd_verify(args) -> int:
     from . import checks  # only verify runs the suites; other requests skip the import
-    from .harmonic import MAX_TERMS
+    from .nc_core import MAX_TERMS
 
     choices = [*checks.SUITES, "all"]
     if args.suite not in choices:

@@ -13,12 +13,12 @@ apart from the cache so it stays an independent oracle.  :func:`h_signed_eval`
 (and :func:`h_word_eval`) streams the rows of the tail s2..sr only, and sums the
 leading entry's terms H_(s2..sr)(k-1) k^(-s1) in blocks of consecutive k, each
 over lcm(block)^s1, merged pairwise like a binary counter; so no step divides a
-number of lcm(1..N)^s1 size, and memory is O(r + log N) numbers; it refuses
-N r or weight bits above MAX_TERMS at depth r before any work.  A word table
+number of lcm(1..N)^s1 size, and memory is O(r + log N) numbers.  A word table
 reads its word's memoized column; Taylor vectors of Li take one weight pass per
 leading entry over the memoized tail columns, and a polynomial table is their
 prefix sum, so it never caches a product's full words.  Columns and Taylor
-vectors are each an :class:`~polylog.dense.NPoly`, the one dense kernel.
+vectors are each an :class:`~polylog.dense.NPoly`, the one dense kernel.  Every
+entry point first refuses its estimate past MAX_TERMS (:func:`_refuse_past_max_terms`).
 
 Star combinations sum_k c_k (k x1)* have polynomial harmonic sums:
 H of (k x1)* at N is binomial(N+k, k) = (N+1)...(N+k)/k!, so the closed form
@@ -43,7 +43,7 @@ from operator import floordiv, mul
 from typing import Iterable, Iterator, Sequence
 
 from .dense import NPoly
-from .nc_core import AlphabetError, NCPoly, RatLike, Y, memo_account
+from .nc_core import MAX_TERMS, AlphabetError, NCPoly, RatLike, Y, memo_account, refuse_above
 
 #: A signed multi-index: positive entries are reciprocal exponents,
 #: non-positive entries are power weights.
@@ -64,20 +64,16 @@ def _weights(s: int, scale: int, n_max: int, start: int = 1) -> Iterator[int]:
     return map(floordiv, repeat(scale), powers) if s > 0 else powers
 
 
-#: Hard cap on rows times index depth of the prefix recurrence (h_signed_eval, li_eval), and on its weight bits.
-MAX_TERMS = 1_000_000
-
-
 def _refuse_past_max_terms(index: SignedIndex, n: int, depth: int) -> None:
-    """Refuse N * depth, or the weight bits summed per entry s, above MAX_TERMS, before any work.
+    """Refuse N * depth, or the weight bits summed per entry s, above MAX_TERMS through :func:`refuse_above`.
 
     The weights of s > 0 have about (N - 1) s bits, as lcm(1..N)^s has about
-    1.44 N s; those of s <= 0, the n^|s|, have |s| bit_length(N - 1).
+    1.44 N s; those of s <= 0, the n^|s|, have |s| bit_length(N - 1); none at N <= 1.
+    A polynomial is estimated as its heaviest word: the index (weight,) at depth max(length, 1).
     """
-    if n * depth > MAX_TERMS:
-        raise ValueError(f"N * depth = {n} * {depth} is above {MAX_TERMS = }")
-    if n > 1 and (bits := sum((n - 1) * s if s > 0 else -s * int.bit_length(n - 1) for s in index)) > MAX_TERMS:
-        raise ValueError(f"weights of about {bits} bits at N = {n} are above {MAX_TERMS = }")
+    refuse_above(n * depth, MAX_TERMS, "MAX_TERMS", "N * depth = {} * {} is", n, depth)
+    bits = sum((n - 1) * s if s > 0 else -s * int.bit_length(n - 1) for s in index) if n > 1 else 0
+    refuse_above(bits, MAX_TERMS, "MAX_TERMS", "weights of about {} bits at N = {} are", bits, n)
 
 
 def _prefix_column(weights: list[Iterator], n_max: int) -> Iterator[int]:
@@ -175,7 +171,6 @@ def h_signed_eval(s: Sequence[int], n: int) -> Fraction:
     Streams the tail's column with O(r + log N) memory, so large N needs no cache:
     H_s(N) = sum_k H_(s2..sr)(k-1) k^(-s1), summed per block of k over the block's
     lcm^s1 and merged pairwise.  For s1 <= 0 a merge is a plain add, so one block.
-    Refused before any work when N r or the weight bits pass MAX_TERMS at depth r.
     """
     index = tuple(s)
     _refuse_past_max_terms(index, n, len(index))
@@ -200,6 +195,7 @@ def h_signed_eval(s: Sequence[int], n: int) -> Fraction:
 def h_signed_table(s: Sequence[int], n_max: int) -> list[Fraction]:
     """Oracle values [H_s(0), ..., H_s(n_max)] in one streaming pass, apart from the cache."""
     index = tuple(s)
+    _refuse_past_max_terms(index, n_max, max(len(index), 1))  # the empty index still has N + 1 entries
     scales = _scales(index, n_max)
     den = prod(scales)
     column = _prefix_column([_weights(e, f, n_max) for e, f in zip(index, scales)], n_max)
@@ -210,6 +206,7 @@ def h_word_table(w: Word, n_max: int) -> list[Fraction]:
     """Cached values [H_w(0), ..., H_w(n_max)] for a Y-word."""
     if w.alphabet != Y:
         raise AlphabetError("harmonic sums are indexed by Y-words")
+    _refuse_past_max_terms(w.letters, n_max, max(len(w.letters), 1))
     if n_max < 0:
         raise ValueError("N must be a natural number")
     return list(_h_vector(w.letters, n_max).padded(n_max))
@@ -224,6 +221,7 @@ def _h_poly_vector(q: NCPoly, n_max: int) -> NPoly:
     """The linear extension for N = 0..n_max: prefix sums of its Taylor vector."""
     if q.alphabet != Y:
         raise AlphabetError("harmonic sums are indexed by Y-polynomials")
+    _refuse_past_max_terms((q.max_grade,), n_max, max(q.max_length, 1))
     vector = _taylor_map(((x, l) for l, x in q._nums.items()), n_max)  # numerators over q._den
     return vector.prefix_sums(n_max) * Fraction(1, q._den)
 

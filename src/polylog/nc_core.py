@@ -28,8 +28,9 @@ serializes as "".
 
 The module also hosts :func:`format_terms`, the one text format of a signed
 sum of terms ("3/2 - y1 + 2*y2y1") behind every printed polynomial and star
-combination, and :data:`memo_account`, which bounds the package's memo tables
-by :data:`MEMO_BYTES`.  The dense kernel is :mod:`polylog.dense`.
+combination, :data:`memo_account`, which bounds the package's memo tables by
+:data:`MEMO_BYTES`, and :func:`refuse_above`, the one size cap.  The dense
+kernel is :mod:`polylog.dense`.
 """
 
 from __future__ import annotations
@@ -121,6 +122,20 @@ class _MemoAccount:
 
 
 memo_account = _MemoAccount()
+
+#: Hard cap on rows times index depth of the harmonic prefix recurrence and Taylor vectors, and on their weight bits.
+MAX_TERMS = 1_000_000
+#: The largest order of star(k), a star shuffle or Li at a non-positive index: a star combination is dense.
+MAX_STAR_ORDER = 1_000
+
+
+def refuse_above(size: int, bound: int, cap: str, what: str, *args) -> None:
+    """The one size cap, checked before any work: ValueError "<what> above <cap> = <bound>" when size > bound.
+
+    ``what`` is formatted with ``args`` only on refusal, so a passing call builds no text.
+    """
+    if size > bound:
+        raise ValueError(f"{what.format(*args)} above {cap} = {bound}")
 
 
 def _check_alphabet(alphabet: str) -> None:

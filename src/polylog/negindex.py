@@ -33,7 +33,8 @@ from typing import Sequence
 
 from .dense import NPoly
 from .nc_core import (
-    AlphabetError, InvalidIndexError, NCPoly, PolylogError, RatLike, X, X0, as_rat, format_terms,
+    MAX_STAR_ORDER, AlphabetError, InvalidIndexError, NCPoly, PolylogError, RatLike, X, X0, as_rat, format_terms,
+    refuse_above,
 )
 from .products import shuffle
 from .stars import X1StarPoly
@@ -140,7 +141,7 @@ def li_nonpositive_stars(s: Sequence[int]) -> X1StarPoly:
     """Li at indices all <= 0 as an integer polynomial in t = 1/(1-z), a star combination.
 
     Right to left from 1, each s_i applies F -> theta^(-s_i)((t - 1) F), where
-    theta t^j = j t^(j+1) - j t^j.  The empty index gives 1.
+    theta t^j = j t^(j+1) - j t^j.  The empty index gives 1; the order len(s) + sum |s_i| is capped.
     """
     for si in s:
         if si > 0:
@@ -148,6 +149,7 @@ def li_nonpositive_stars(s: Sequence[int]) -> X1StarPoly:
                 f"li_nonpositive needs indices <= 0, got {si}; "
                 "mixed signs are evaluated numerically, not in closed form"
             )
+    refuse_above(order := len(s) - sum(s), MAX_STAR_ORDER, "MAX_STAR_ORDER", "star order {} is", order)
     c = [1]  # integer coefficients of t^0, t^1, ...
     for si in reversed(list(s)):
         c = [a - b for a, b in zip((0, *c), (*c, 0))]  # times t - 1

@@ -35,8 +35,8 @@ from math import factorial, perm
 from typing import Iterator, Sequence
 
 from .dense import NPoly
-from .harmonic import MAX_TERMS, _refuse_past_max_terms, _taylor_map
-from .nc_core import AlphabetError, NCPoly, PolylogError, X, X1, memo_account
+from .harmonic import _refuse_past_max_terms, _taylor_map
+from .nc_core import MAX_TERMS, AlphabetError, NCPoly, PolylogError, X, X1, memo_account
 from .products import shuffle
 
 #: Evaluation is refused closer to the unit circle than this.
@@ -92,8 +92,7 @@ def _require_compatible(a: TaylorTrunc, b: TaylorTrunc) -> None:
 def li_taylor_coeffs(s: Sequence[int], n_cap: int) -> TaylorTrunc:
     """Taylor coefficients of Li at a signed index: a_N = N^(-s1) H_suffix(N-1).
 
-    The empty index gives the constant series 1.  Refused before any work when
-    N max(r, 1) or the weight bits pass MAX_TERMS at depth r.
+    The empty index gives the constant series 1.
     """
     index = tuple(s)
     _refuse_past_max_terms(index, n_cap, max(len(index), 1))  # the empty index still has N + 1 entries
@@ -125,6 +124,7 @@ def li_taylor_poly(p: NCPoly, n_cap: int) -> TaylorTrunc:
 
     if p.alphabet != X:
         raise AlphabetError("li_taylor_poly expects an X-polynomial")
+    _refuse_past_max_terms((length := p.max_length,), n_cap, max(length, 1))  # a coded index weighs its length
     vector = _taylor_map(((x, _index_of(l)) for l, x in p._sorted_nums()), n_cap)  # over p._den
     return TaylorTrunc._of(vector * Fraction(1, p._den), n_cap)
 

@@ -756,6 +756,52 @@ class TestCommands:
 
         check()
 
+    def test_property_index_requests_keep_the_contract(self, capsys):
+        # the contract of the expression property, on h-eval, li-coeffs, neg-li and h-closed-form index
+        # requests; a --csv answer is CSV rows instead of JSON.  Ordinary draws have entries in -8..8, depth
+        # at most 4 and N at most 60; the rest are over a cap (entries +-10**20, N = 10**24) or malformed
+        # (negative N, junk).  Draws stay below the slow requests listed under item 2 of ROADMAP.md.
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        commands = ["h-eval", "li-coeffs", "li-coeffs --csv", "li-coeffs --float", "neg-li", "h-closed-form",
+                    "h-closed-form --csv"]
+        entries = st.lists(st.sampled_from([*range(-8, 9), 10**20, -(10**20)]), max_size=4)
+        junk = st.sampled_from(["x", "1,,2", "(1", "y1", "1.5", "--", "- 1", "star(1)"])
+        bad_n = st.sampled_from([str(10**24), "-1", "-7", "x", "2.0"])
+
+        @st.composite
+        def requests(draw):
+            flags = draw(st.sampled_from(commands)).split()
+            if draw(st.integers(0, 7)):  # mostly a well-formed index, in parentheses or not
+                text = ",".join(map(str, draw(entries)))
+                positionals = [f"({text})" if draw(st.booleans()) else text]
+            else:
+                positionals = [draw(junk)]
+            if flags[0] == "h-eval" or (flags[0] == "li-coeffs" and draw(st.booleans())):  # N is optional in li-coeffs
+                positionals.append(str(draw(st.integers(0, 60))) if draw(st.integers(0, 7)) else draw(bad_n))
+            return flags, positionals
+
+        def strict(name):
+            raise ValueError(f"not strict JSON: {name}")
+
+        @hyp.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+        @hyp.given(requests())
+        def check(request):
+            flags, positionals = request
+            code = main([*flags, "--", *positionals])
+            out, err = capsys.readouterr()
+            assert err == ""
+            if code == 0 and "--csv" in flags:
+                header, *rows = out.splitlines()
+                assert header in ("N,coefficient", "degree,coefficient") and all(r.count(",") == 1 for r in rows)
+                return
+            payload = json.loads(out, parse_constant=strict)
+            assert code == (2 if isinstance(payload, dict) and "error" in payload else 0)
+            if code:
+                assert [type(payload["error"][key]) for key in ("code", "message")] == [str, str]
+
+        check()
+
     def test_two_long_words_answer_as_json(self, capsys):
         # x0^120 sh x1x1 still recurses once per letter: under a stack 50 frames above this one
         # it answers with its words, or with a RecursionError as JSON, never a traceback

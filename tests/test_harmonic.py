@@ -96,6 +96,75 @@ def test_negative_n_is_refused(call, n):
         call(n)
 
 
+def refusal_in_fresh_process(call: str) -> str:
+    """The ValueError message of ``call``, run in a fresh interpreter under a timeout and a 1 GiB address space.
+
+    The memo is warmed first, and the probe asserts that the refusal leaves the
+    memo account's bytes and the column cache as they were.  A call that answers
+    prints nothing.
+    """
+    probe = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from polylog import harmonic\n"
+        "from polylog.harmonic import h_poly_eval, h_poly_table, h_signed_eval, h_signed_table, h_word_eval, h_word_table\n"
+        "from polylog.nc_core import NCPoly, Word, X, Y, memo_account, x_word\n"
+        "from polylog.negindex import li_nonpositive_stars\n"
+        "from polylog.polylog_num import li_taylor_coeffs, li_taylor_poly\n"
+        "h_word_table(Word((2, 1), Y), 30)\n"
+        "before = memo_account.bytes, len(harmonic._HVEC_CACHE)\n"
+        "try:\n"
+        f"    {call}\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+        "assert before[0] and (memo_account.bytes, len(harmonic._HVEC_CACHE)) == before\n"
+    )
+    run = subprocess.run([sys.executable, "-c", probe], env=_FRESH_ENV, capture_output=True, text=True, timeout=30)
+    assert run.returncode == 0, run.stderr
+    return run.stdout.strip()
+
+
+_PAST_BITS = "weights of about {} bits at N = {} are above MAX_TERMS = 1000000"
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        ("h_signed_eval((3000000,), 2)", _PAST_BITS.format(3000000, 2)),
+        ("h_word_eval(Word((3000000,), Y), 2)", _PAST_BITS.format(3000000, 2)),
+        ("h_signed_table((3000000,), 2)", _PAST_BITS.format(3000000, 2)),
+        ("h_signed_table((), 10**12)", "N * depth = 1000000000000 * 1 is above MAX_TERMS = 1000000"),
+        ("h_word_table(Word((3000000,), Y), 2)", _PAST_BITS.format(3000000, 2)),
+        ("h_word_table(Word((), Y), 10**12)", "N * depth = 1000000000000 * 1 is above MAX_TERMS = 1000000"),
+        # a polynomial is estimated by its heaviest word: depth from its length, bits from its weight
+        ("h_poly_table(NCPoly.from_word(Word((1, 3000000), Y)), 3)", _PAST_BITS.format(6000002, 3)),
+        ("h_poly_eval(NCPoly.from_word(Word((1, 1), Y)), 500001)", "N * depth = 500001 * 2 is above MAX_TERMS = 1000000"),
+        ("h_poly_table(NCPoly.zero(Y), 10**12)", "N * depth = 1000000000000 * 1 is above MAX_TERMS = 1000000"),
+    ],
+    ids=[
+        "signed_eval", "word_eval", "signed_table", "signed_table_empty", "word_table", "word_table_empty",
+        "poly_table", "poly_eval", "poly_table_zero",
+    ],
+)
+def test_refused_past_max_terms_before_any_work(call, message):
+    assert refusal_in_fresh_process(call) == message
+
+
+@pytest.mark.parametrize(
+    "call,values",
+    [
+        # at N = 2 an entry s carries |s| weight bits: 10**6 of them is at MAX_TERMS
+        (lambda: h_signed_table((1_000_000,), 2), [0, 1, 1 + F(1, 2**1_000_000)]),
+        (lambda: h_word_table(Word((1_000_000,), Y), 2), [0, 1, 1 + F(1, 2**1_000_000)]),
+        (lambda: h_poly_table(NCPoly.from_word(Word((1, 999_999), Y)), 2), [0, 0, F(1, 2)]),
+        (lambda: [h_poly_eval(NCPoly.from_word(Word((1, 999_999), Y)), 2)], [F(1, 2)]),
+    ],
+    ids=["signed_table", "word_table", "poly_table", "poly_eval"],
+)
+def test_at_max_terms_answers(call, values):
+    assert call() == values
+
+
 @pytest.mark.parametrize(
     "call",
     [

@@ -18,6 +18,7 @@ from polylog.negindex import (
 )
 from polylog.products import shuffle, shuffle_pow
 from polylog.stars import X1StarPoly
+from test_harmonic import refusal_in_fresh_process
 
 # The known table: index -> (numerator ascending, pole order, star combination)
 KNOWN_TABLE = [
@@ -195,6 +196,23 @@ class TestLiNonpositive:
             li_nonpositive((1, -2))
         with pytest.raises(InvalidIndexError, match="needs indices <= 0, got 3"):
             li_nonpositive_stars((0, 3))
+        # the sign check comes before the star-order cap
+        with pytest.raises(InvalidIndexError, match="needs indices <= 0, got 5"):
+            li_nonpositive_stars((5, -(10**20)))
+
+    @pytest.mark.parametrize(
+        "index,order",
+        [("(-(10**20),)", 10**20 + 1), ("(0,) * 1001", 1001), ("(-500, -499)", 1001)],
+        ids=["huge-entry", "deep", "at-cap-plus-one"],
+    )
+    def test_star_order_refused_past_max_star_order(self, index, order):
+        # the order len(s) + sum |s_i| is refused before the Euler loop, which ran on past a 5 s timeout
+        message = refusal_in_fresh_process(f"li_nonpositive_stars({index})")
+        assert message == f"star order {order} is above MAX_STAR_ORDER = 1000"
+
+    def test_star_order_at_max_star_order_answers(self):
+        stars = li_nonpositive_stars((0,) * 1000)  # (t - 1)^1000
+        assert stars == X1StarPoly({k: (-1) ** (1000 - k) * comb(1000, k) for k in range(1001)})
 
     def test_property_matches_z_recurrence(self):
         """The t recurrence against the z recurrence: z/(1-z), then theta |s_i| times."""

@@ -33,6 +33,7 @@ from polylog.polylog_num import (
     stirling2,
 )
 from polylog.products import conc, shuffle
+from test_harmonic import refusal_in_fresh_process
 
 F = Fraction
 
@@ -188,6 +189,25 @@ class TestLiVectorCache:
             assert str(raised.value) == "weights of about 1000001 bits at N = 2 are above MAX_TERMS = 1000000"
         assert _li_vector.cache_info().misses == misses
         assert li_taylor_coeffs((10**20,), 1).coeffs == (0, 1)  # no weight bits at N <= 1
+
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            ("li_taylor_coeffs((3000000,), 2)", "weights of about 3000000 bits at N = 2 are above MAX_TERMS = 1000000"),
+            ("li_taylor_coeffs((), 10**12)", "N * depth = 1000000000000 * 1 is above MAX_TERMS = 1000000"),
+            # an X-word is estimated as the index it codes: depth and weight are its length at most
+            ("li_taylor_poly(NCPoly.from_word(x_word('01')), 500001)", "N * depth = 500001 * 2 is above MAX_TERMS = 1000000"),
+            ("li_taylor_poly(NCPoly.one(X), 10**12)", "N * depth = 1000000000000 * 1 is above MAX_TERMS = 1000000"),
+        ],
+        ids=["coeffs", "coeffs_empty", "poly", "poly_unit"],
+    )
+    def test_refused_in_a_fresh_process(self, call, message):
+        assert refusal_in_fresh_process(call) == message
+
+    def test_poly_at_max_terms_answers(self):
+        # 2 rows times a 500,000-letter word: at MAX_TERMS
+        word = x_word("0" * 499_999 + "1")
+        assert li_taylor_poly(NCPoly.from_word(word), 2).coeffs == (0, 1, F(1, 2**500_000))
 
 
 class TestDivOneMinusZ:
