@@ -43,7 +43,7 @@ from typing import NamedTuple
 # and coding through the package's names (polylog.X1StarPoly) once a star, plane star, pix or piy is met.
 import polylog
 from . import products
-from .nc_core import MAX_STAR_ORDER, ONE, NCPoly, PolylogError, X, Y, format_terms, refuse_above
+from .nc_core import _X_FROM_DIGITS, MAX_STAR_ORDER, ONE, NCPoly, PolylogError, X, Y, format_terms, refuse_above
 
 # the most decimal digits of an integer a result prints (CPython's int-to-str limit)
 MAX_DIGITS = 100_000
@@ -104,7 +104,7 @@ def _tokenize(src: str) -> list[Token]:
 # operator, its own signs and its scalar into one rational; the node is None for a rational; a
 # scaled plane star is refused at the scale position, that of the token after the scalar or else of
 # the last sign; a position is None where there is none.  Any other node is tagged by its first entry:
-#   ("word", alphabet, letters, pos)  an X- or Y-word, its letters a tuple of ints
+#   ("word", alphabet, letters, pos)  an X- or Y-word, its letters stored as NCPoly keys them
 #   ("star", order, pos)           star(k)
 #   ("plane", alpha, pos)          [a1,...]*, alpha a tuple of rationals
 #   ("call", name, args, pos)      a function applied to a tuple of sum nodes
@@ -194,7 +194,7 @@ class _Parser:
         # the token patterns admit only valid letters: 0 and 1 in an X-word, indices >= 1 in a Y-word
         if kind == "xword":
             self.i += 1
-            return ("word", X, tuple(map(int, text[1:-1])), pos)
+            return ("word", X, text[1:-1].encode().translate(_X_FROM_DIGITS), pos)
         if kind == "yword":
             self.i += 1
             return ("word", Y, tuple(map(int, text[1:].split("y"))), pos)

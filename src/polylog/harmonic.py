@@ -22,8 +22,8 @@ entry point first refuses its estimate past MAX_TERMS (:func:`_refuse_past_max_t
 
 Star combinations sum_k c_k (k x1)* have polynomial harmonic sums:
 H of (k x1)* at N is binomial(N+k, k) = (N+1)...(N+k)/k!, so the closed form
-is an exact polynomial in N: an :class:`~polylog.dense.NPoly` again, one
-linear combination of the rising products, each over k!.  Composed with the
+is an exact polynomial in N: an :class:`~polylog.dense.NPoly` again, built by
+Horner's rule in the rising products over one denominator.  Composed with the
 star form of Li at non-positive indices (:mod:`polylog.negindex`, imported on
 first use), this yields Faulhaber-style closed forms for every non-positive
 multi-index.  The stuffle character is checked in :mod:`polylog.checks`.
@@ -37,8 +37,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, repeat
-from math import factorial, gcd, lcm, prod
+from itertools import repeat
+from math import gcd, lcm, prod
 from operator import floordiv, mul
 from typing import Iterable, Iterator, Sequence
 
@@ -232,12 +232,19 @@ def h_poly_table(q: NCPoly, n_max: int) -> list[Fraction]:
 
 
 def h_x1star_closed_form(s: "X1StarPoly") -> NPoly:
-    """Polynomial N -> H of a :class:`~polylog.stars.X1StarPoly`, via H of (k x1)* = (N+1)...(N+k) / k!."""
-    rising = accumulate(
-        range(1, len(s.poly)), lambda r, k: r * NPoly((k, 1), 1), initial=NPoly((1,), 1)
-    )
-    terms = enumerate(zip(s.poly.nums, rising))
-    return NPoly.lin_comb((Fraction(c, s.poly.den * factorial(k)), r) for k, (c, r) in terms)
+    """Polynomial N -> H of a :class:`~polylog.stars.X1StarPoly`, via H of (k x1)* = (N+1)...(N+k) / k!.
+
+    Horner's rule in the rising basis, sum_k c_k (N+1)...(N+k)/k! = c_0 + (N+1)(c_1 + (N+2)/2 (c_2 + ...)),
+    on integer numerators over den K! for the top order K: the numerator of c_k is scaled by K!/k!, so
+    each step multiplies by N + k + 1 and adds one constant, with no rescale of a whole term.
+    """
+    nums = s.poly.nums
+    acc, scale = list(nums[-1:]), 1  # scale is K!/k! at order k
+    for k in reversed(range(len(nums) - 1)):
+        scale *= k + 1
+        acc = [(k + 1) * x + y for x, y in zip((*acc, 0), (0, *acc))]  # times N + k + 1
+        acc[0] += nums[k] * scale
+    return NPoly(acc, s.poly.den * scale)
 
 
 def h_negindex_closed_form(s: Sequence[int]) -> NPoly:

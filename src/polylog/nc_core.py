@@ -2,18 +2,22 @@
 
 Two alphabets are supported:
 
-* ``"X"``: the letters x0 and x1, stored as the integers 0 and 1.  Words over
-  X are graded by length.
+* ``"X"``: the letters x0 and x1, the integers 0 and 1.  Words over X are
+  graded by length.
 * ``"Y"``: letters y_s indexed by an integer s >= 1, stored as s.  Words over
   Y are graded by weight (the sum of the indices).
 
 An :class:`NCPoly` is a finite linear combination of words with exact
 rational coefficients, stored as FLINT's ``fmpq_poly`` stores a dense one:
-integer numerators, here keyed by letter tuples, over one positive
-denominator coprime to them all, with no zero numerator.  The form is
-canonical, so equality compares one int and one dict, and the algebra runs on
-ints and tuples; Words and Fractions are built only by the readers
-(``items``, ``coeff``, ``support``, ``constant_term``) and by printing.
+integer numerators keyed by stored words over one positive denominator
+coprime to them all, with no zero numerator.  An X-word is stored as
+``bytes`` (letter values 0 and 1), whose hash is cached and whose slicing and
+translation run in C; a Y-word as a tuple, as its letters are unbounded and
+the stuffle adds them (``_LETTERS``).  The form is canonical, so equality
+compares one int and one dict, and the algebra runs on ints and stored words;
+Words (whose ``letters`` are a tuple on either alphabet) and Fractions are
+built only by the readers (``items``, ``coeff``, ``support``,
+``constant_term``) and by printing.
 :class:`Word` and the index coding are in :mod:`polylog.words`, which a
 product request does not load; this module re-exports their names on first
 use (PEP 562), so ``from polylog.nc_core import Word`` still works.
@@ -45,9 +49,10 @@ Y = "Y"
 X0 = 0
 X1 = 1
 _X_DIGITS = bytes.maketrans(b"\0\1", b"01")  # X-letters to their printed digits
+_X_FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")  # and back
 
 RatLike = Union[Fraction, int, str]
-Letters = tuple[int, ...]
+Letters = bytes | tuple[int, ...]  # a word's stored letters: bytes on X, a tuple on Y
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -111,8 +116,8 @@ class _MemoAccount:
         self.tables: list[Callable[[], None]] = []
         self._lock = Lock()
 
-    def charge(self, letters: int = 0, ints: Iterable[int] = ()) -> None:
-        nbytes = 8 * letters + sum(map(int.bit_length, ints)) // 8  # 8 bytes a letter, one per 8 bits
+    def charge(self, nbytes: int = 0, ints: Iterable[int] = ()) -> None:
+        nbytes += sum(map(int.bit_length, ints)) // 8  # stored bytes, and one byte per 8 bits of the ints
         with self._lock:
             self.bytes += nbytes
             if self.bytes > MEMO_BYTES:
@@ -145,6 +150,9 @@ def _check_alphabet(alphabet: str) -> None:
 
 # the grade of a word's letters: length on X, weight on Y
 _GRADE = {X: len, Y: sum}
+# a word's stored letters from an iterable of its letters (bytes on X, a tuple on Y); called bare, the
+# empty word.  Each returns an argument of its own type unchanged, so storing a stored word copies nothing.
+_LETTERS = {X: bytes, Y: tuple}
 
 
 def _canonical(keys: Iterable) -> list:
@@ -167,9 +175,10 @@ def __getattr__(name: str):
 class NCPoly:
     """A finite rational-linear combination of words over one alphabet.
 
-    Coefficient of the word with letters ``l`` is ``_nums[l] / _den``: integer
-    numerators keyed by letter tuples over one denominator ``_den > 0``, with
-    no zero numerator and ``gcd(_den, *_nums.values()) == 1``.  Instances are
+    Coefficient of the word with stored letters ``l`` (``_LETTERS``: bytes on X,
+    a tuple on Y) is ``_nums[l] / _den``: integer numerators over one
+    denominator ``_den > 0``, with no zero numerator and
+    ``gcd(_den, *_nums.values()) == 1``.  Instances are
     immutable; arithmetic returns new polynomials in that canonical form.
     ``P.coeff(w)`` is the pairing <P | w> and returns 0 for absent words.
     """
@@ -198,9 +207,10 @@ class NCPoly:
     def _from_nums(cls, alphabet: str, nums: dict[Letters, int], den: int) -> "NCPoly":
         """The polynomial sum_l nums[l]/den l, brought to canonical form.
 
-        The one writer of the stored form: the caller guarantees letter tuples
-        valid over ``alphabet`` and den != 0; zero numerators are dropped and
-        the common factor of den and every numerator is divided out.
+        The one writer of the stored form: the caller guarantees stored letters
+        (``_LETTERS[alphabet]``) valid over ``alphabet`` and den != 0; zero
+        numerators are dropped and the common factor of den and every numerator
+        is divided out.
         """
         if not all(nums.values()):
             nums = {l: x for l, x in nums.items() if x}
@@ -216,11 +226,12 @@ class NCPoly:
 
     @classmethod
     def _from_pairs(cls, alphabet: str, pairs: Iterable[tuple[Letters, Fraction]]) -> "NCPoly":
-        """The sum of (letters, rational) terms; repeated letters add up."""
-        pairs = list(pairs)
+        """The sum of (letters, rational) terms, the letters in any sequence form; repeated letters add up."""
+        pairs, store = list(pairs), _LETTERS[alphabet]
         den = lcm(*(c.denominator for _, c in pairs))
         nums: dict[Letters, int] = {}
         for l, c in pairs:
+            l = store(l)
             nums[l] = nums.get(l, 0) + c.numerator * (den // c.denominator)
         return cls._from_nums(alphabet, nums, den)
 
@@ -231,12 +242,12 @@ class NCPoly:
     @classmethod
     def one(cls, alphabet: str) -> "NCPoly":
         _check_alphabet(alphabet)
-        return cls._from_nums(alphabet, {(): 1}, 1)
+        return cls._from_nums(alphabet, {_LETTERS[alphabet](): 1}, 1)
 
     @classmethod
     def from_word(cls, w: Word, coeff: RatLike = ONE) -> "NCPoly":
         c = as_rat(coeff)
-        return cls._from_nums(w.alphabet, {w.letters: c.numerator}, c.denominator)
+        return cls._from_nums(w.alphabet, {_LETTERS[w.alphabet](w.letters): c.numerator}, c.denominator)
 
     # -- inspection --------------------------------------------------------
 
@@ -247,7 +258,7 @@ class NCPoly:
     def coeff(self, w: Word) -> Fraction:
         if w.alphabet != self._alphabet:
             raise AlphabetError(f"cannot pair a {w.alphabet}-word with a {self._alphabet}-polynomial")
-        return Fraction(self._nums.get(w.letters, 0), self._den)
+        return Fraction(self._nums.get(_LETTERS[w.alphabet](w.letters), 0), self._den)
 
     def _sorted_nums(self) -> list[tuple[Letters, int]]:
         """(letters, numerator) terms in canonical (length-then-lexicographic) order."""
@@ -256,11 +267,11 @@ class NCPoly:
     def items(self) -> list[tuple[Word, Fraction]]:
         """Terms in canonical (length-then-lexicographic) order."""
         a, den, word = self._alphabet, self._den, __getattr__("Word")
-        return [(word._of(l, a), Fraction(x, den)) for l, x in self._sorted_nums()]
+        return [(word._of(tuple(l), a), Fraction(x, den)) for l, x in self._sorted_nums()]
 
     def support(self) -> list[Word]:
         a, word = self._alphabet, __getattr__("Word")
-        return [word._of(l, a) for l, _ in self._sorted_nums()]
+        return [word._of(tuple(l), a) for l, _ in self._sorted_nums()]
 
     def __iter__(self) -> Iterator[tuple[Word, Fraction]]:
         return iter(self.items())
@@ -273,7 +284,7 @@ class NCPoly:
 
     @property
     def constant_term(self) -> Fraction:
-        return Fraction(self._nums.get((), 0), self._den)
+        return Fraction(self._nums.get(_LETTERS[self._alphabet](), 0), self._den)
 
     def grades(self) -> set[int]:
         return set(map(_GRADE[self._alphabet], self._nums))
@@ -343,7 +354,7 @@ class NCPoly:
         """Canonical {word text: coefficient text} mapping, ordered; each text of Fraction(x, den) by one gcd."""
         nums, den, x_words = self._nums, self._den, self._alphabet == X
         if x_words:  # one byte translation per word; bit strings sort as their letters do
-            nums = {bytes(l).translate(_X_DIGITS).decode(): x for l, x in nums.items()}
+            nums = {l.translate(_X_DIGITS).decode(): x for l, x in nums.items()}
         terms = ((k if x_words else ",".join(map(str, k)), nums[k]) for k in _canonical(nums))
         return {w: str(x // g) if (g := gcd(x, den)) == den else f"{x // g}/{den // g}" for w, x in terms}
 

@@ -33,7 +33,7 @@ from typing import Sequence
 
 from .dense import NPoly
 from .nc_core import (
-    MAX_STAR_ORDER, AlphabetError, InvalidIndexError, NCPoly, PolylogError, RatLike, X, X0, as_rat, format_terms,
+    MAX_STAR_ORDER, AlphabetError, InvalidIndexError, NCPoly, PolylogError, RatLike, X, as_rat, format_terms,
     refuse_above,
 )
 from .products import shuffle
@@ -219,6 +219,6 @@ def regularize_trailing_x0(p: NCPoly) -> dict[int, NCPoly]:
         stems = {l[:-level]: x for l, x in remainder._nums.items() if _trailing_x0(l) == level}
         stripped = NCPoly._from_nums(X, stems, remainder._den)
         parts[level] = stripped * Fraction(1, factorial(level))
-        x0_pow = NCPoly._from_nums(X, {(X0,) * level: 1}, 1)
+        x0_pow = NCPoly._from_nums(X, {b"\0" * level: 1}, 1)
         remainder = remainder - shuffle(stripped, x0_pow)
     return {k: q for k, q in parts.items() if q}

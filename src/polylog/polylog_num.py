@@ -124,7 +124,8 @@ def li_taylor_poly(p: NCPoly, n_cap: int) -> TaylorTrunc:
 
     if p.alphabet != X:
         raise AlphabetError("li_taylor_poly expects an X-polynomial")
-    _refuse_past_max_terms((length := p.max_length,), n_cap, max(length, 1))  # a coded index weighs its length
+    depth = max((l.count(X1) for l in p._nums), default=0)  # a coded index's depth is its count of x1
+    _refuse_past_max_terms((p.max_length,), n_cap, max(depth, 1))  # and its weight is its length
     vector = _taylor_map(((x, _index_of(l)) for l, x in p._sorted_nums()), n_cap)  # over p._den
     return TaylorTrunc._of(vector * Fraction(1, p._den), n_cap)
 
@@ -249,13 +250,13 @@ def check_surjection_lemma(n_max: int, m_max: int) -> bool:
     m! S2(n, m) n_max!/n! over n_max!); no Fraction is built per coefficient.
     """
     s2 = _stirling2_rows(n_max, m_max)
-    x1plus = NCPoly._from_nums(X, {(X1,) * n: 1 for n in range(1, n_max + 1)}, 1)
+    x1plus = NCPoly._from_nums(X, {b"\1" * n: 1 for n in range(1, n_max + 1)}, 1)
     power = NCPoly.one(X)
     for m in range(0, m_max + 1):
         if m > 0:
             power = shuffle(power, x1plus, grade_cap=n_max)
         for n in range(n_max + 1):
-            if power._nums.get((X1,) * n, 0) != factorial(m) * s2[n][m] * power._den:
+            if power._nums.get(b"\1" * n, 0) != factorial(m) * s2[n][m] * power._den:
                 return False
     # EGF side: e^x - 1 over n_max!, whose numerator n is n_max!/n!
     scale = [perm(n_max, n_max - n) for n in range(n_max + 1)]

@@ -10,13 +10,16 @@ The three products are bilinear extensions of their word-level recursions:
 
 Shuffle and stuffle are quasi-shuffle products, the shuffle without the
 contraction y_{s+t}, so one memoized word recursion serves both (Hoffman 2000).
-It stops at a one-letter operand, whose product it builds without recursion
-by moving the letter along one buffer, so a long word times a letter needs no deep stack.
+It runs on the stored words of :class:`NCPoly`, bytes on X and tuples on Y,
+with the same code for both: it prepends a word's first letter as a slice and
+builds a letter only for the contraction.  It stops at a one-letter operand,
+whose product it builds without recursion by slicing the letter in at each
+place, so a long word times a letter needs no deep stack.
 Its caches, bounded by :data:`~polylog.nc_core.memo_account`, behave as if
 absent (recomputing is the only cost of a race or a clear): all is thread-safe.
 
 The bilinear extensions run on the stored form of :class:`NCPoly`: numerators
-times structure constants accumulate in one dict keyed by letter tuples over the
+times structure constants accumulate in one dict keyed by stored words over the
 lcm of the pairs' denominator products, then one gcd pass, with no Word or
 Fraction per term.  A unit pair skips the memo; a first product of coefficient 1
 is copied whole (``dict.update`` keeps its words' stored hashes).
@@ -39,25 +42,25 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from sys import getsizeof
 
 from .nc_core import _GRADE, AlphabetError, Letters, NCPoly, Y, memo_account
 
 
-def _with_letter(u: Letters, a: int, contract: bool) -> dict[Letters, int]:
-    """u * a for one letter a, with no recursion: a placed at each position of u.
+def _with_letter(u: Letters, v: Letters, contract: bool) -> dict[Letters, int]:
+    """u * v for a one-letter word v = (a), with no recursion: v placed at each position of u.
 
     Placing a just before a letter equal to a gives the same word as just after
     it, so each run of such letters gives one word, counted once per position.
     The contracted words (u_i + a in place of u_i) are distinct, as letters are >= 1.
     """
     out: dict[Letters, int] = {}
-    word, i, n = [a, *u], 0, len(u)  # one buffer: a sits at position i
+    a, i, n = v[0], 0, len(u)
     while i <= n:
         j = i
         while j < n and u[j] == a:
             j += 1
-        out[tuple(word)] = j - i + 1
-        word[j : j + 2] = u[j : j + 1] + (a,)  # a moves right past the run and u[j] (at the end, stays)
+        out[u[:i] + v + u[i:]] = j - i + 1
         i = j + 1
     if contract:
         for i, b in enumerate(u):
@@ -66,29 +69,31 @@ def _with_letter(u: Letters, a: int, contract: bool) -> dict[Letters, int]:
 
 
 def _word_product(contract: bool):
-    """The memoized quasi-shuffle of letter tuples; the term (a+b)(u * v) only if ``contract``."""
+    """The memoized quasi-shuffle of stored words; the term (a+b)(u * v) only if ``contract``."""
 
     @lru_cache(maxsize=None)
     def product(u: Letters, v: Letters) -> dict[Letters, int]:
         if not u or not v:
             out = {u + v: 1}
         elif len(v) == 1:
-            out = _with_letter(u, v[0], contract)
+            out = _with_letter(u, v, contract)
         elif len(u) == 1:
-            out = _with_letter(v, u[0], contract)
+            out = _with_letter(v, u, contract)
         else:
             out = {}
+            a, b = u[:1], v[:1]
             for w, c in product(u[1:], v).items():
-                key = (u[0],) + w
+                key = a + w
                 out[key] = out.get(key, 0) + c
             for w, c in product(u, v[1:]).items():
-                key = (v[0],) + w
+                key = b + w
                 out[key] = out.get(key, 0) + c
             if contract:
+                ab = (u[0] + v[0],)
                 for w, c in product(u[1:], v[1:]).items():
-                    key = (u[0] + v[0],) + w
+                    key = ab + w
                     out[key] = out.get(key, 0) + c
-        memo_account.charge(letters=len(out) * (len(u) + len(v)))  # no word of u * v is longer
+        memo_account.charge(len(out) * getsizeof(u + v))  # each word of u * v is stored no larger than u v
         return out
 
     memo_account.tables.append(product.cache_clear)

@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .coding import QSeriesTrunc, pi_y
 from .dense import NPoly
-from .nc_core import NCPoly, RatLike, X, X1, Y, ZERO, as_rat, format_terms
+from .nc_core import NCPoly, RatLike, X, Y, ZERO, as_rat, format_terms
 from .products import exp_stuffle, shuffle_pow
 from .words import Word
 
@@ -124,7 +124,7 @@ def x1star_poly_expand(s: X1StarPoly, len_cap: int) -> NCPoly:
     if len_cap < 0:
         raise ValueError(f"length cap must be >= 0, got {len_cap}")
     nums = s.poly.nums
-    sums = {(X1,) * n: sum(x * k**n for k, x in enumerate(nums) if x) for n in range(len_cap + 1)}
+    sums = {b"\1" * n: sum(x * k**n for k, x in enumerate(nums) if x) for n in range(len_cap + 1)}
     return NCPoly._from_nums(X, sums, s.poly.den)
 
 

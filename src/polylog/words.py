@@ -1,15 +1,18 @@
 """Words over the X and Y alphabets and the word coding of multi-indices.
 
 A :class:`Word` is an immutable sequence of letters tagged with its alphabet; the empty word is the unit.
-A positive multi-index (s1,...,sr) codes as x0^(s1-1) x1 ... x0^(sr-1) x1.  Polynomials store letter
-tuples (:mod:`polylog.nc_core`, which re-exports these names on first use), so products never load this.
+A positive multi-index (s1,...,sr) codes as x0^(s1-1) x1 ... x0^(sr-1) x1.  A Word's letters are a tuple
+on either alphabet; polynomials store their words apart from Words, as bytes on X and tuples on Y
+(:mod:`polylog.nc_core`, which re-exports these names on first use), so products never load this.  The
+coding helpers (``_coded``, ``_index_of``, ``_trailing_x0``) work on stored X-words, with bytes joins,
+splits and strips.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .nc_core import _GRADE, X0, X1, AlphabetError, InvalidIndexError, Letters, NotInImageError, X, Y, _check_alphabet
+from .nc_core import _GRADE, X1, AlphabetError, InvalidIndexError, NotInImageError, X, Y, _check_alphabet
 
 
 class Word:
@@ -33,7 +36,7 @@ class Word:
         object.__setattr__(self, "alphabet", alphabet)
 
     @classmethod
-    def _of(cls, letters: Letters, alphabet: str) -> "Word":
+    def _of(cls, letters: tuple[int, ...], alphabet: str) -> "Word":
         """The word of letters already known to be valid over ``alphabet``, unchecked."""
         w = cls.__new__(cls)
         object.__setattr__(w, "letters", letters)
@@ -80,7 +83,7 @@ class Word:
     def trailing_x0_count(self) -> int:
         if self.alphabet != X:
             raise AlphabetError("trailing_x0_count is defined for X-words only")
-        return _trailing_x0(self.letters)
+        return _trailing_x0(bytes(self.letters))
 
     def text(self) -> str:
         """Canonical serialization: bitstring for X, comma-joined for Y."""
@@ -91,9 +94,9 @@ class Word:
         return "".join(prefix + str(b) for b in self.letters) or "1"
 
 
-def _trailing_x0(letters: Letters) -> int:
-    """The number of x0 letters after the last x1."""
-    return next((i for i, b in enumerate(reversed(letters)) if b != X0), len(letters))
+def _trailing_x0(letters: bytes) -> int:
+    """The number of x0 letters after the last x1 of a stored X-word."""
+    return len(letters) - len(letters.rstrip(b"\0"))
 
 
 def x_word(bits: str | Iterable[int]) -> Word:
@@ -130,30 +133,23 @@ def word_from_index(s: Sequence[int]) -> Word:
     bad = next((si for si in s if si < 1), None)
     if bad is not None:
         raise InvalidIndexError(f"word coding needs indices >= 1, got {bad}")
-    return Word._of(_coded(s), X)
+    return Word._of(tuple(_coded(s)), X)
 
 
-def _coded(s: Sequence[int]) -> Letters:
-    """The letters x0^(s1-1) x1 ... x0^(sr-1) x1 of a positive multi-index."""
-    return tuple(b for si in s for b in (X0,) * (si - 1) + (X1,))
+def _coded(s: Sequence[int]) -> bytes:
+    """The stored X-word x0^(s1-1) x1 ... x0^(sr-1) x1 of a positive multi-index."""
+    return b"".join(b"\0" * (si - 1) + b"\1" for si in s)
 
 
 def index_from_word(w: Word) -> tuple[int, ...]:
     """Invert :func:`word_from_index` on words ending in x1 (or empty)."""
     if w.alphabet != X:
         raise AlphabetError("index_from_word expects an X-word")
-    return _index_of(w.letters)
+    return _index_of(bytes(w.letters))
 
 
-def _index_of(letters: Letters) -> tuple[int, ...]:
-    """The multi-index coded by X-letters ending in x1 (or empty)."""
+def _index_of(letters: bytes) -> tuple[int, ...]:
+    """The multi-index coded by a stored X-word ending in x1 (or empty): one more than each run of x0."""
     if letters and letters[-1] != X1:
-        raise NotInImageError(f"word {Word._of(letters, X)} ends in x0 and codes no multi-index")
-    out, zeros = [], 0
-    for b in letters:
-        if b == X0:
-            zeros += 1
-        else:
-            out.append(zeros + 1)
-            zeros = 0
-    return tuple(out)
+        raise NotInImageError(f"word {Word._of(tuple(letters), X)} ends in x0 and codes no multi-index")
+    return tuple(len(zeros) + 1 for zeros in letters.split(b"\1")[:-1])

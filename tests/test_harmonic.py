@@ -267,6 +267,32 @@ class TestClosedForms:
         got = h_x1star_closed_form(X1StarPoly({2: 1, 1: -1}))
         assert got == NPoly([0, F(1, 2), F(1, 2)])
 
+    def test_property_matches_the_rising_product_sum(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        def rising_product_sum(s):
+            """sum_k c_k (N+1)...(N+k)/k!, one rising product at a time."""
+            out, rising = NPoly([]), NPoly([1])
+            for k, c in enumerate(s.poly.padded(s.poly.degree)):
+                if k:
+                    rising = rising * NPoly([1, F(1, k)])  # times (N + k)/k
+                out = out + rising * c
+            return out
+
+        coeffs = st.builds(F, st.integers(-40, 40), st.integers(1, 9))
+
+        @hyp.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+        @hyp.given(st.dictionaries(st.integers(0, 12), coeffs, max_size=6))
+        @hyp.example({})
+        @hyp.example({0: F(3)})
+        @hyp.example({12: F(-7, 9)})
+        def agree(stars):
+            s = X1StarPoly(stars)
+            assert h_x1star_closed_form(s) == rising_product_sum(s)
+
+        agree()
+
     def test_depth_two_closed_form(self):
         stars = X1StarPoly({5: 12, 4: -33, 3: 31, 2: -11, 1: 1})
         expected = NPoly.from_monomials(

@@ -2,12 +2,13 @@ import copy
 import pickle
 import random
 from math import gcd
+from sys import getsizeof
 
 import pytest
 from fractions import Fraction
 
 import polylog
-from polylog import harmonic, nc_core, polylog_num, products, words
+from polylog import cli, coding, harmonic, nc_core, negindex, polylog_num, products, stars, words
 from polylog.dense import NPoly
 from polylog.harmonic import h_poly_table, h_word_table
 from polylog.nc_core import (
@@ -26,7 +27,7 @@ from polylog.nc_core import (
     y_word,
 )
 from polylog.polylog_num import li_taylor_coeffs
-from polylog.products import conc, shuffle, stuffle
+from polylog.products import conc, exp_stuffle, shuffle, shuffle_pow, stuffle, stuffle_pow
 
 
 class TestWordCoding:
@@ -330,9 +331,10 @@ def _ref_ordered(a):
 
 
 def _assert_canonical(p):
-    """Integer numerators keyed by letter tuples over one den > 0, none zero, all coprime to den."""
+    """Integer numerators keyed by the alphabet's stored words over one den > 0, none zero, all coprime to den."""
+    key_type = {X: bytes, Y: tuple}[p.alphabet]
     assert type(p._den) is int and p._den > 0
-    assert all(type(l) is tuple and type(x) is int and x for l, x in p._nums.items())
+    assert all(type(l) is key_type and type(x) is int and x for l, x in p._nums.items())
     assert gcd(p._den, *p._nums.values()) == 1
 
 
@@ -408,6 +410,68 @@ class TestCanonicalForm:
 
         x_polys()
         y_polys()
+
+
+class TestStoredForm:
+    """Every polynomial a public operation returns keys its words by its alphabet's one stored form.
+
+    Keys of two forms in one polynomial would split equal words into two terms: equality, products
+    and the re-parse of printed text would go wrong with no error.
+    """
+
+    def test_property_public_results_hold_only_their_key_type(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        coeffs = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+        def polys(alphabet, letters, size):
+            words = st.lists(letters, max_size=size).map(lambda l: Word(tuple(l), alphabet))
+            return st.lists(st.tuples(words, coeffs), max_size=4).map(lambda pairs: NCPoly(alphabet, pairs))
+
+        x_atoms = st.sampled_from(['"01"', '"1"', '"110"', '"0"', "1", "2/3"])
+        y_atoms = st.sampled_from(["y2", "y1y3", "y1", "1", "-1/2"])
+        y_exprs = st.recursive(y_atoms, lambda e: st.one_of(
+            st.tuples(st.sampled_from(["st", "conc"]), e, e).map(lambda t: f"{t[0]}({t[1]}, {t[2]})"),
+            st.tuples(e, st.sampled_from(["+", "-", "+ 3*"]), e).map(" ".join),
+            e.map(lambda a: f"piy(pix({a}))"),
+        ), max_leaves=4)
+        x_exprs = st.recursive(st.one_of(x_atoms, y_exprs.map(lambda e: f"pix({e})")), lambda e: st.one_of(
+            st.tuples(st.sampled_from(["sh", "conc"]), e, e).map(lambda t: f"{t[0]}({t[1]}, {t[2]})"),
+            st.tuples(e, st.sampled_from(["+", "-", "+ 3*"]), e).map(" ".join),
+        ), max_leaves=4)
+
+        @hyp.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+        @hyp.given(
+            polys(X, st.integers(0, 1), 4), polys(X, st.integers(0, 1), 4), polys(Y, st.integers(1, 3), 3),
+            polys(Y, st.integers(1, 3), 3), st.dictionaries(st.integers(0, 4), coeffs, max_size=3),
+            st.one_of(x_exprs, y_exprs),
+        )
+        @hyp.example(NCPoly.one(X), NCPoly.zero(X), NCPoly.one(Y), NCPoly.zero(Y), {}, 'sh(pix(y2), "01")')
+        def stored(p, q, a, b, star, expr):
+            one = NCPoly.one(Y)
+            plane = stars.PlaneStar([1, Fraction(-1, 2)])
+            results = [
+                p + q, p - q, -p, p * Fraction(3, 2), p.truncated(2), p.homogeneous_component(2),
+                shuffle(p, q), shuffle(p, q, grade_cap=3), conc(p, q), shuffle_pow(p, 2), shuffle_pow(p, 3, grade_cap=4),
+                a + b, stuffle(a, b), stuffle(a, b, grade_cap=3), shuffle(a, b), conc(a, b), stuffle_pow(a, 2),
+                exp_stuffle(a - one * a.constant_term, 4),
+                coding.pi_x(a), coding.pi_y(coding.pi_x(b)), *negindex.regularize_trailing_x0(p).values(),
+                stars.x1star_expand(2, 3), stars.x1star_poly_expand(stars.X1StarPoly(star), 4),
+                stars.x1star_y_expansion(stars.X1StarPoly(star), 3), stars.plane_star_expand(plane, 4),
+                stars.one_param_group(plane, Fraction(1, 3), 3), NCPoly.one(X), NCPoly.zero(X),
+            ]
+            for got in results:
+                _assert_canonical(got)
+            value = cli.parse_value(expr)
+            if isinstance(value, NCPoly):  # a rational term alone parses to a scalar
+                _assert_canonical(value)
+                # its printed expression re-parses to it: a key of another form would print as a second term
+                back = cli.parse_value(cli._ncpoly_texts(value)[1])
+                if not isinstance(back, NCPoly):  # a constant prints as a rational
+                    back = NCPoly.one(value.alphabet) * back.value
+                assert back == value
+
+        stored()
 
 
 # -- plain Fraction references for the dense kernel ---------------------------
@@ -578,16 +642,21 @@ class TestMemoAccount:
         assert harmonic._HVEC_CACHE and all(table.cache_info().currsize for table in tables)
         monkeypatch.setattr(nc_core, "MEMO_BYTES", 2048)
         clears = memo_account.clears
-        memo_account.charge(letters=257)  # 8 bytes a letter: 2,056 bytes alone pass the bound
+        memo_account.charge(2056)  # 2,056 bytes alone pass the bound
         assert memo_account.clears == clears + 1 and memo_account.bytes == 2056
         assert not harmonic._HVEC_CACHE and not any(table.cache_info().currsize for table in tables)
         # the total is past the bound, so the next charge empties the tables again and is the new total
-        shuffle(NCPoly.from_word(x_word("01")), NCPoly.from_word(x_word("1")))  # x1x0x1 + 2 x0x1x1
-        assert memo_account.clears == clears + 2 and memo_account.bytes == 8 * 2 * 3
+        # x1x0x1 + 2 x0x1x1: two words, each charged as the stored u v, a bytes object of 3 letters
+        shuffle(NCPoly.from_word(x_word("01")), NCPoly.from_word(x_word("1")))
+        total = 2 * getsizeof(bytes(3))
+        assert memo_account.clears == clears + 2 and memo_account.bytes == total
         li_taylor_coeffs((1,), 3)  # (0, 6, 3, 2) / 6: 10 bits
-        assert memo_account.clears == clears + 2 and memo_account.bytes == 8 * 2 * 3 + 1
+        assert memo_account.clears == clears + 2 and memo_account.bytes == total + 1
         h_word_table(y_word(2), 3)  # the column (0, 36, 45, 49) / 36: 24 bits
-        assert memo_account.clears == clears + 2 and memo_account.bytes == 8 * 2 * 3 + 1 + 3
+        assert memo_account.clears == clears + 2 and memo_account.bytes == total + 1 + 3
+        # y1y2 + y2y1 + y3: three words, each charged as the stored u v, a tuple of 2 letters
+        stuffle(NCPoly.from_word(y_word(1)), NCPoly.from_word(y_word(2)))
+        assert memo_account.clears == clears + 2 and memo_account.bytes == total + 1 + 3 + 3 * getsizeof((1, 2))
 
     def test_property_a_tiny_bound_changes_no_answer(self, monkeypatch):
         hyp = pytest.importorskip("hypothesis")

@@ -195,14 +195,19 @@ class TestLiVectorCache:
         [
             ("li_taylor_coeffs((3000000,), 2)", "weights of about 3000000 bits at N = 2 are above MAX_TERMS = 1000000"),
             ("li_taylor_coeffs((), 10**12)", "N * depth = 1000000000000 * 1 is above MAX_TERMS = 1000000"),
-            # an X-word is estimated as the index it codes: depth and weight are its length at most
-            ("li_taylor_poly(NCPoly.from_word(x_word('01')), 500001)", "N * depth = 500001 * 2 is above MAX_TERMS = 1000000"),
+            # an X-word is estimated as the index it codes: its depth is its count of x1, its weight its length
+            ("li_taylor_poly(NCPoly.from_word(x_word('11')), 500001)", "N * depth = 500001 * 2 is above MAX_TERMS = 1000000"),
             ("li_taylor_poly(NCPoly.one(X), 10**12)", "N * depth = 1000000000000 * 1 is above MAX_TERMS = 1000000"),
         ],
         ids=["coeffs", "coeffs_empty", "poly", "poly_unit"],
     )
     def test_refused_in_a_fresh_process(self, call, message):
         assert refusal_in_fresh_process(call) == message
+
+    def test_poly_depth_is_the_count_of_x1(self):
+        # one x1, so depth 1: the word answers as the index it codes does, not refused by its length
+        word = x_word("0" * 500_000 + "1")
+        assert li_taylor_poly(NCPoly.from_word(word), 2) == li_taylor_coeffs((500_001,), 2)
 
     def test_poly_at_max_terms_answers(self):
         # 2 rows times a 500,000-letter word: at MAX_TERMS
