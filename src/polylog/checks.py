@@ -321,7 +321,7 @@ def _stuffle_character(u: Word, v: Word, n_max: int, column: Callable[[tuple, in
     """H_{u st v}(N) = H_u(N) H_v(N) for N <= n_max; ``column(w.letters, n_max)`` is H_w(0..n_max) or longer."""
     if u.alphabet != Y or v.alphabet != Y:
         raise AlphabetError("the stuffle character is indexed by Y-words")
-    lhs = harmonic._h_poly_vector(products.stuffle(NCPoly.from_word(u), NCPoly.from_word(v)), n_max)
+    lhs = harmonic._li_poly_vector(products.stuffle(NCPoly.from_word(u), NCPoly.from_word(v)), n_max).prefix_sums(n_max)
     hu, hv = (column(w.letters, n_max) for w in (u, v))
     cut = n_max + 1  # a cached column can be longer than asked for
     return lhs == NPoly(hu.nums[:cut], hu.den).hadamard(NPoly(hv.nums[:cut], hv.den))

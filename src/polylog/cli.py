@@ -51,16 +51,18 @@ MAX_DIGITS = 100_000
 MAX_EXPS_CAP = 14
 
 
-class ParseError(PolylogError):
+class _PositionedError(PolylogError):
     def __init__(self, message: str, pos: int) -> None:
         super().__init__(f"at position {pos}: {message}")
         self.pos = pos
 
 
-class ExprTypeError(PolylogError):
-    def __init__(self, message: str, pos: int) -> None:
-        super().__init__(f"at position {pos}: {message}")
-        self.pos = pos
+class ParseError(_PositionedError):
+    """A malformed expression, at the position where reading it failed."""
+
+
+class ExprTypeError(_PositionedError):
+    """A well-formed expression whose values do not combine, at the offending operator or call."""
 
 
 # -- tokens ------------------------------------------------------------------

@@ -15,10 +15,13 @@ leading entry's terms H_(s2..sr)(k-1) k^(-s1) in blocks of consecutive k, each
 over lcm(block)^s1, merged pairwise like a binary counter; so no step divides a
 number of lcm(1..N)^s1 size, and memory is O(r + log N) numbers.  A word table
 reads its word's memoized column; Taylor vectors of Li take one weight pass per
-leading entry over the memoized tail columns, and a polynomial table is their
-prefix sum, so it never caches a product's full words.  Columns and Taylor
+leading entry over the memoized tail columns, so no product's full words are cached.
+A polynomial has one Taylor path, :func:`_li_poly_vector` of a Y-polynomial: its
+prefix sums are the polynomial's harmonic sums, and an X-polynomial P reaches it
+as pi_Y(P) (:func:`~polylog.polylog_num.li_taylor_poly`).  Columns and Taylor
 vectors are each an :class:`~polylog.dense.NPoly`, the one dense kernel.  Every
-entry point first refuses its estimate past MAX_TERMS (:func:`_refuse_past_max_terms`).
+entry point first refuses its estimate past MAX_TERMS (:func:`_refuse_past_max_terms`),
+and one that caches its vector also a vector past MEMO_BYTES.
 
 Star combinations sum_k c_k (k x1)* have polynomial harmonic sums:
 H of (k x1)* at N is binomial(N+k, k) = (N+1)...(N+k)/k!, so the closed form
@@ -40,10 +43,11 @@ from functools import reduce
 from itertools import repeat
 from math import gcd, lcm, prod
 from operator import floordiv, mul
+from sys import getsizeof
 from typing import Iterable, Iterator, Sequence
 
 from .dense import NPoly
-from .nc_core import MAX_TERMS, AlphabetError, NCPoly, RatLike, Y, memo_account, refuse_above
+from .nc_core import MAX_TERMS, MEMO_BYTES, AlphabetError, NCPoly, RatLike, Y, memo_account, refuse_above
 
 #: A signed multi-index: positive entries are reciprocal exponents,
 #: non-positive entries are power weights.
@@ -64,16 +68,22 @@ def _weights(s: int, scale: int, n_max: int, start: int = 1) -> Iterator[int]:
     return map(floordiv, repeat(scale), powers) if s > 0 else powers
 
 
-def _refuse_past_max_terms(index: SignedIndex, n: int, depth: int) -> None:
+def _refuse_past_max_terms(index: SignedIndex, n: int, depth: int, cached: bool = False) -> None:
     """Refuse N * depth, or the weight bits summed per entry s, above MAX_TERMS through :func:`refuse_above`.
 
     The weights of s > 0 have about (N - 1) s bits, as lcm(1..N)^s has about
     1.44 N s; those of s <= 0, the n^|s|, have |s| bit_length(N - 1); none at N <= 1.
     A polynomial is estimated as its heaviest word: the index (weight,) at depth max(length, 1).
+    A ``cached`` vector, N + 1 numbers of about those bits, is also refused past MEMO_BYTES: one memo entry
+    past the bound would break the memo rule.  It is bound at import, as a cap is: a later nc_core.MEMO_BYTES
+    moves the account only.
     """
     refuse_above(n * depth, MAX_TERMS, "MAX_TERMS", "N * depth = {} * {} is", n, depth)
     bits = sum((n - 1) * s if s > 0 else -s * int.bit_length(n - 1) for s in index) if n > 1 else 0
     refuse_above(bits, MAX_TERMS, "MAX_TERMS", "weights of about {} bits at N = {} are", bits, n)
+    if cached:
+        size = (n + 1) * bits // 8
+        refuse_above(size, MEMO_BYTES, "MEMO_BYTES", "a cached vector of about {} bytes at N = {} is", size, n)
 
 
 def _prefix_column(weights: list[Iterator], n_max: int) -> Iterator[int]:
@@ -126,7 +136,7 @@ def _h_vector(index: SignedIndex, n_max: int) -> NPoly:
         col = NPoly((1,) * (n_max + 1), 1)
     for j in reversed(range(k)):
         col = _shifted(index[j], col, n_max).prefix_sums(n_max)
-        memo_account.charge(ints=(col.den, *col.nums))
+        memo_account.charge(sum(map(getsizeof, (col.den, *col.nums))))
         _HVEC_CACHE[index[j:]] = col
     return col
 
@@ -206,7 +216,7 @@ def h_word_table(w: Word, n_max: int) -> list[Fraction]:
     """Cached values [H_w(0), ..., H_w(n_max)] for a Y-word."""
     if w.alphabet != Y:
         raise AlphabetError("harmonic sums are indexed by Y-words")
-    _refuse_past_max_terms(w.letters, n_max, max(len(w.letters), 1))
+    _refuse_past_max_terms(w.letters, n_max, max(len(w.letters), 1), cached=True)
     if n_max < 0:
         raise ValueError("N must be a natural number")
     return list(_h_vector(w.letters, n_max).padded(n_max))
@@ -214,21 +224,21 @@ def h_word_table(w: Word, n_max: int) -> list[Fraction]:
 
 def h_poly_eval(q: NCPoly, n: int) -> Fraction:
     """Linear extension sum_w <Q|w> H_w(N) over a Y-polynomial."""
-    return _h_poly_vector(q, n).coeff(n)
+    return _li_poly_vector(q, n).prefix_sums(n).coeff(n)
 
 
-def _h_poly_vector(q: NCPoly, n_max: int) -> NPoly:
-    """The linear extension for N = 0..n_max: prefix sums of its Taylor vector."""
+def _li_poly_vector(q: NCPoly, n_max: int) -> NPoly:
+    """The Taylor vector sum_w <Q|w> Li_w to n_max of a Y-polynomial; its prefix sums are the harmonic sums."""
     if q.alphabet != Y:
         raise AlphabetError("harmonic sums are indexed by Y-polynomials")
-    _refuse_past_max_terms((q.max_grade,), n_max, max(q.max_length, 1))
+    _refuse_past_max_terms((q.max_grade,), n_max, max(q.max_length, 1), cached=True)
     vector = _taylor_map(((x, l) for l, x in q._nums.items()), n_max)  # numerators over q._den
-    return vector.prefix_sums(n_max) * Fraction(1, q._den)
+    return vector * Fraction(1, q._den)
 
 
 def h_poly_table(q: NCPoly, n_max: int) -> list[Fraction]:
     """Values of the linear extension for N = 0..n_max."""
-    return list(_h_poly_vector(q, n_max).padded(n_max))
+    return list(_li_poly_vector(q, n_max).prefix_sums(n_max).padded(n_max))
 
 
 def h_x1star_closed_form(s: "X1StarPoly") -> NPoly:

@@ -116,8 +116,7 @@ class _MemoAccount:
         self.tables: list[Callable[[], None]] = []
         self._lock = Lock()
 
-    def charge(self, nbytes: int = 0, ints: Iterable[int] = ()) -> None:
-        nbytes += sum(map(int.bit_length, ints)) // 8  # stored bytes, and one byte per 8 bits of the ints
+    def charge(self, nbytes: int) -> None:
         with self._lock:
             self.bytes += nbytes
             if self.bytes > MEMO_BYTES:
@@ -153,11 +152,6 @@ _GRADE = {X: len, Y: sum}
 # a word's stored letters from an iterable of its letters (bytes on X, a tuple on Y); called bare, the
 # empty word.  Each returns an argument of its own type unchanged, so storing a stored word copies nothing.
 _LETTERS = {X: bytes, Y: tuple}
-
-
-def _canonical(keys: Iterable) -> list:
-    """Keys in canonical (length-then-lexicographic) order: two C sorts, the second stable."""
-    return sorted(sorted(keys), key=len)
 
 # the names of polylog.words that __getattr__ re-exports here, loading that module on first use
 _WORDS = ("Word", "_trailing_x0", "x_word", "y_word", "word_from_text", "word_from_index", "_coded",
@@ -261,8 +255,8 @@ class NCPoly:
         return Fraction(self._nums.get(_LETTERS[w.alphabet](w.letters), 0), self._den)
 
     def _sorted_nums(self) -> list[tuple[Letters, int]]:
-        """(letters, numerator) terms in canonical (length-then-lexicographic) order."""
-        return [(l, self._nums[l]) for l in _canonical(self._nums)]
+        """(letters, numerator) terms in canonical (length-then-lexicographic) order: two C sorts, the second stable."""
+        return [(l, self._nums[l]) for l in sorted(sorted(self._nums), key=len)]
 
     def items(self) -> list[tuple[Word, Fraction]]:
         """Terms in canonical (length-then-lexicographic) order."""
@@ -352,10 +346,10 @@ class NCPoly:
 
     def to_terms_text(self) -> dict[str, str]:
         """Canonical {word text: coefficient text} mapping, ordered; each text of Fraction(x, den) by one gcd."""
-        nums, den, x_words = self._nums, self._den, self._alphabet == X
-        if x_words:  # one byte translation per word; bit strings sort as their letters do
-            nums = {l.translate(_X_DIGITS).decode(): x for l, x in nums.items()}
-        terms = ((k if x_words else ",".join(map(str, k)), nums[k]) for k in _canonical(nums))
+        den, x_words = self._den, self._alphabet == X
+        terms = (  # bytes X-words sort as their bit strings do
+            (l.translate(_X_DIGITS).decode() if x_words else ",".join(map(str, l)), x) for l, x in self._sorted_nums()
+        )
         return {w: str(x // g) if (g := gcd(x, den)) == den else f"{x // g}/{den // g}" for w, x in terms}
 
     def __str__(self) -> str:

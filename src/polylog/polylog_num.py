@@ -2,7 +2,9 @@
 
 The Taylor coefficients of Li at a signed index (s1,...,sr) are
 a_N = N^(-s1) H_(s2..sr)(N-1), so the exact vectors come straight out of the
-cached harmonic columns, one weight pass per leading entry; the module also provides:
+cached harmonic columns, one weight pass per leading entry; an X-polynomial's
+vector is that of the Y-polynomial pi_Y(P) it codes, on the one path of
+:mod:`polylog.harmonic`.  The module also provides:
 
 * division by 1-z (prefix sums), which realizes the Li -> H correspondence;
 * the Hadamard (coefficientwise) and Cauchy products;
@@ -32,11 +34,12 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from math import factorial, perm
+from sys import getsizeof
 from typing import Iterator, Sequence
 
 from .dense import NPoly
-from .harmonic import _refuse_past_max_terms, _taylor_map
-from .nc_core import MAX_TERMS, AlphabetError, NCPoly, PolylogError, X, X1, memo_account
+from .harmonic import _li_poly_vector, _refuse_past_max_terms, _taylor_map
+from .nc_core import MAX_TERMS, AlphabetError, NCPoly, PolylogError, X, memo_account
 from .products import shuffle
 
 #: Evaluation is refused closer to the unit circle than this.
@@ -95,7 +98,7 @@ def li_taylor_coeffs(s: Sequence[int], n_cap: int) -> TaylorTrunc:
     The empty index gives the constant series 1.
     """
     index = tuple(s)
-    _refuse_past_max_terms(index, n_cap, max(len(index), 1))  # the empty index still has N + 1 entries
+    _refuse_past_max_terms(index, n_cap, max(len(index), 1), cached=True)  # the empty index still has N + 1 entries
     return TaylorTrunc._of(_li_vector(n_cap, *index), n_cap)
 
 
@@ -103,7 +106,7 @@ def li_taylor_coeffs(s: Sequence[int], n_cap: int) -> TaylorTrunc:
 def _li_vector(n_cap: int, *index: int) -> NPoly:
     """Li's Taylor vector to n_cap in lowest terms; typed keys, so (2.0,) never reads the entry of (2,)."""
     vector = _taylor_map([(1, index)], n_cap).reduced()
-    memo_account.charge(ints=(vector.den, *vector.nums))
+    memo_account.charge(sum(map(getsizeof, (vector.den, *vector.nums))))
     return vector
 
 
@@ -116,18 +119,15 @@ def _powers(s: int, n_max: int) -> Iterator[float]:
 
 
 def li_taylor_poly(p: NCPoly, n_cap: int) -> TaylorTrunc:
-    """Linear combination of Taylor vectors over an X-polynomial.
+    """Linear combination of Taylor vectors over an X-polynomial: that of the Y-polynomial pi_Y(P).
 
     Every word of P must end in x1 (or be empty), i.e. code a multi-index.
     """
-    from .words import _index_of  # here, not at the top: the li-eval and li-coeffs commands never run it
+    from .coding import pi_y  # here, not at the top: the li-eval and li-coeffs commands never run it
 
     if p.alphabet != X:
         raise AlphabetError("li_taylor_poly expects an X-polynomial")
-    depth = max((l.count(X1) for l in p._nums), default=0)  # a coded index's depth is its count of x1
-    _refuse_past_max_terms((p.max_length,), n_cap, max(depth, 1))  # and its weight is its length
-    vector = _taylor_map(((x, _index_of(l)) for l, x in p._sorted_nums()), n_cap)  # over p._den
-    return TaylorTrunc._of(vector * Fraction(1, p._den), n_cap)
+    return TaylorTrunc._of(_li_poly_vector(pi_y(p), n_cap), n_cap)
 
 
 def div_one_minus_z(a: TaylorTrunc) -> TaylorTrunc:

@@ -11,8 +11,8 @@ The three products are bilinear extensions of their word-level recursions:
 Shuffle and stuffle are quasi-shuffle products, the shuffle without the
 contraction y_{s+t}, so one memoized word recursion serves both (Hoffman 2000).
 It runs on the stored words of :class:`NCPoly`, bytes on X and tuples on Y,
-with the same code for both: it prepends a word's first letter as a slice and
-builds a letter only for the contraction.  It stops at a one-letter operand,
+with the same code for both: one loop adds each (first letter, sub-product)
+step, the letter a slice of the word, and only the contraction step builds a letter.  It stops at a one-letter operand,
 whose product it builds without recursion by slicing the letter in at each
 place, so a long word times a letter needs no deep stack.
 Its caches, bounded by :data:`~polylog.nc_core.memo_account`, behave as if
@@ -21,8 +21,7 @@ absent (recomputing is the only cost of a race or a clear): all is thread-safe.
 The bilinear extensions run on the stored form of :class:`NCPoly`: numerators
 times structure constants accumulate in one dict keyed by stored words over the
 lcm of the pairs' denominator products, then one gcd pass, with no Word or
-Fraction per term.  A unit pair skips the memo; a first product of coefficient 1
-is copied whole (``dict.update`` keeps its words' stored hashes).
+Fraction per term.  A unit pair skips the memo.
 
 Both shuffle and stuffle are commutative and associative with the empty word
 as unit.  Both are graded: every word of u <sh> v or u <st> v has grade
@@ -81,19 +80,14 @@ def _word_product(contract: bool):
             out = _with_letter(v, u, contract)
         else:
             out = {}
-            a, b = u[:1], v[:1]
-            for w, c in product(u[1:], v).items():
-                key = a + w
-                out[key] = out.get(key, 0) + c
-            for w, c in product(u, v[1:]).items():
-                key = b + w
-                out[key] = out.get(key, 0) + c
+            steps = [(u[:1], product(u[1:], v)), (v[:1], product(u, v[1:]))]  # (first letter, sub-product)
             if contract:
-                ab = (u[0] + v[0],)
-                for w, c in product(u[1:], v[1:]).items():
-                    key = ab + w
+                steps.append(((u[0] + v[0],), product(u[1:], v[1:])))
+            for a, sub in steps:
+                for w, c in sub.items():
+                    key = a + w
                     out[key] = out.get(key, 0) + c
-        memo_account.charge(len(out) * getsizeof(u + v))  # each word of u * v is stored no larger than u v
+        memo_account.charge(getsizeof(out) + len(out) * getsizeof(u + v))  # no word of u * v is stored larger than u v
         return out
 
     memo_account.tables.append(product.cache_clear)
@@ -139,11 +133,8 @@ def _bilinear(alphabet: str, pairs, word_product, grade_cap: int | None) -> NCPo
                     continue
                 # structure constants are symmetric; canonical order keys the memo
                 product = word_product(u, v) if u <= v else word_product(v, u)
-                if c == 1 and not acc:  # a copy keeps each word's stored hash; never alias the memo's dict
-                    acc.update(product)
-                else:
-                    for letters, k in product.items():
-                        acc[letters] = get(letters, 0) + c * k
+                for letters, k in product.items():
+                    acc[letters] = get(letters, 0) + c * k
     return NCPoly._from_nums(alphabet, acc, den)
 
 

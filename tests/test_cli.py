@@ -637,6 +637,12 @@ class TestCommands:
             ),
             (("li-coeffs", "2", "2000000"), "ValueError", "N * depth = 2000000 * 1 is above MAX_TERMS = 1000000"),
             (("li-coeffs", "()", "2000000"), "ValueError", "N * depth = 2000000 * 1 is above MAX_TERMS = 1000000"),
+            # within both MAX_TERMS estimates: 500,002 numbers of 10**6 bits are no memo entry
+            (
+                ("li-coeffs", "2", "500001"),
+                "ValueError",
+                "a cached vector of about 62500250000 bytes at N = 500001 is above MEMO_BYTES = 67108864",
+            ),
             # weights of more than MAX_TERMS bits: (N - 1) s for s > 0, |s| bit_length(N - 1) for s <= 0
             (
                 ("h-eval", f"({10**20})", "3"),
@@ -665,7 +671,7 @@ class TestCommands:
         ids=[
             "stuffle-of-star", "shuffle-of-rationals", "h-closed-form-of-word", "li-eval-point",
             "h-eval-huge-n", "h-eval-huge-n-mixed-sign", "li-coeffs-huge-n", "li-coeffs-past-max-terms",
-            "li-coeffs-empty-index-past-max-terms", "h-eval-huge-entry", "h-eval-huge-negative-entry",
+            "li-coeffs-empty-index-past-max-terms", "li-coeffs-past-memo-bytes", "h-eval-huge-entry", "h-eval-huge-negative-entry",
             "li-coeffs-huge-entry", "h-eval-weight-bits-at-max-terms-rows", "verify-ncap-past-max-terms",
             "li-eval-huge-exponent",
         ],
@@ -757,28 +763,43 @@ class TestCommands:
         check()
 
     def test_property_index_requests_keep_the_contract(self, capsys):
-        # the contract of the expression property, on h-eval, li-coeffs, neg-li and h-closed-form index
-        # requests; a --csv answer is CSV rows instead of JSON.  Ordinary draws have entries in -8..8, depth
-        # at most 4 and N at most 60; the rest are over a cap (entries +-10**20, N = 10**24) or malformed
-        # (negative N, junk).  Draws stay below the slow requests listed under item 2 of ROADMAP.md.
+        # the contract of the expression property, on h-eval, li-coeffs, li-eval, neg-li, h-closed-form index
+        # and verify requests; a --csv answer is CSV rows and a verify without --json a text report instead
+        # of JSON.  Ordinary draws have entries in -8..8, depth at most 4 (3 for li-eval) and N at most 60;
+        # the rest are over a cap (entries +-10**20, N = 10**24, --ncap 10**24, |z| past 0.995) or malformed
+        # (negative N, junk, NaN, an eps <= 0, an unknown suite).  li-eval points keep |z| <= 0.9 and verify
+        # --ncap <= 5, so draws stay below the slow requests listed under item 2 of ROADMAP.md.
         hyp = pytest.importorskip("hypothesis")
         st = hyp.strategies
-        commands = ["h-eval", "li-coeffs", "li-coeffs --csv", "li-coeffs --float", "neg-li", "h-closed-form",
-                    "h-closed-form --csv"]
+        commands = ["h-eval", "li-coeffs", "li-coeffs --csv", "li-coeffs --float", "li-eval", "neg-li",
+                    "h-closed-form", "h-closed-form --csv", "verify", "verify --json"]
         entries = st.lists(st.sampled_from([*range(-8, 9), 10**20, -(10**20)]), max_size=4)
         junk = st.sampled_from(["x", "1,,2", "(1", "y1", "1.5", "--", "- 1", "star(1)"])
         bad_n = st.sampled_from([str(10**24), "-1", "-7", "x", "2.0"])
+        points = st.sampled_from(["0.5", "-0.9", "0.3+0.4j", "0.9j", "0", "-1e-300", "nan", "inf", "-inf", "nan+1j",
+                                  "0.996", "1", "2j", "1e400", "abc"])
+        eps = st.sampled_from(["1e-6", "1e-12", "0.5", "1e-300", "inf", "0", "-0.0", "-1e-6", "nan", "abc"])
+        suites = st.sampled_from(["ex3", "mixed", "morphisms", "stars", "stirling", "all", "bogus", ""])
+        ncaps = st.one_of(st.integers(0, 5), st.integers(-3, -1), st.just(10**24)).map(str)
 
         @st.composite
         def requests(draw):
             flags = draw(st.sampled_from(commands)).split()
+            if flags[0] == "verify":  # options only: --ncap always, so no suite runs at its default size
+                flags += ["--ncap", draw(ncaps)]
+                for option, values in (("--suite", suites), ("--seed", st.integers(-5, 10**30).map(str))):
+                    if draw(st.booleans()):
+                        flags += [option, draw(values)]
+                return flags, []
             if draw(st.integers(0, 7)):  # mostly a well-formed index, in parentheses or not
-                text = ",".join(map(str, draw(entries)))
+                text = ",".join(map(str, draw(entries)[: 3 if flags[0] == "li-eval" else 4]))
                 positionals = [f"({text})" if draw(st.booleans()) else text]
             else:
                 positionals = [draw(junk)]
             if flags[0] == "h-eval" or (flags[0] == "li-coeffs" and draw(st.booleans())):  # N is optional in li-coeffs
                 positionals.append(str(draw(st.integers(0, 60))) if draw(st.integers(0, 7)) else draw(bad_n))
+            if flags[0] == "li-eval":
+                positionals += [draw(points), draw(eps)]
             return flags, positionals
 
         def strict(name):
@@ -788,12 +809,16 @@ class TestCommands:
         @hyp.given(requests())
         def check(request):
             flags, positionals = request
-            code = main([*flags, "--", *positionals])
+            code = main([*flags, "--", *positionals] if positionals else flags)  # verify takes no positional
             out, err = capsys.readouterr()
             assert err == ""
             if code == 0 and "--csv" in flags:
                 header, *rows = out.splitlines()
                 assert header in ("N,coefficient", "degree,coefficient") and all(r.count(",") == 1 for r in rows)
+                return
+            if code == 0 and flags[0] == "verify" and "--json" not in flags:
+                *lines, total = out.splitlines()
+                assert all(l.startswith(("# suite ", "PASS [")) for l in lines) and total.startswith("# ")
                 return
             payload = json.loads(out, parse_constant=strict)
             assert code == (2 if isinstance(payload, dict) and "error" in payload else 0)

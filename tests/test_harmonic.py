@@ -125,6 +125,7 @@ def refusal_in_fresh_process(call: str) -> str:
 
 
 _PAST_BITS = "weights of about {} bits at N = {} are above MAX_TERMS = 1000000"
+_PAST_MEMO = "a cached vector of about 62500250000 bytes at N = 500001 is above MEMO_BYTES = 67108864"
 
 
 @pytest.mark.parametrize(
@@ -140,10 +141,14 @@ _PAST_BITS = "weights of about {} bits at N = {} are above MAX_TERMS = 1000000"
         ("h_poly_table(NCPoly.from_word(Word((1, 3000000), Y)), 3)", _PAST_BITS.format(6000002, 3)),
         ("h_poly_eval(NCPoly.from_word(Word((1, 1), Y)), 500001)", "N * depth = 500001 * 2 is above MAX_TERMS = 1000000"),
         ("h_poly_table(NCPoly.zero(Y), 10**12)", "N * depth = 1000000000000 * 1 is above MAX_TERMS = 1000000"),
+        # the cached tables: within both MAX_TERMS estimates, but N + 1 numbers of 10**6 bits pass MEMO_BYTES
+        ("h_word_table(Word((2,), Y), 500001)", _PAST_MEMO),
+        ("h_poly_table(NCPoly.from_word(Word((2,), Y)), 500001)", _PAST_MEMO),
+        ("h_poly_eval(NCPoly.from_word(Word((2,), Y)), 500001)", _PAST_MEMO),
     ],
     ids=[
         "signed_eval", "word_eval", "signed_table", "signed_table_empty", "word_table", "word_table_empty",
-        "poly_table", "poly_eval", "poly_table_zero",
+        "poly_table", "poly_eval", "poly_table_zero", "word_table_memo", "poly_table_memo", "poly_eval_memo",
     ],
 )
 def test_refused_past_max_terms_before_any_work(call, message):

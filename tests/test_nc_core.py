@@ -1,6 +1,8 @@
 import copy
+import gc
 import pickle
 import random
+import tracemalloc
 from math import gcd
 from sys import getsizeof
 
@@ -646,17 +648,48 @@ class TestMemoAccount:
         assert memo_account.clears == clears + 1 and memo_account.bytes == 2056
         assert not harmonic._HVEC_CACHE and not any(table.cache_info().currsize for table in tables)
         # the total is past the bound, so the next charge empties the tables again and is the new total
-        # x1x0x1 + 2 x0x1x1: two words, each charged as the stored u v, a bytes object of 3 letters
+        # x1x0x1 + 2 x0x1x1: the dict (read back by a hit) and two words, each charged as the stored u v
         shuffle(NCPoly.from_word(x_word("01")), NCPoly.from_word(x_word("1")))
-        total = 2 * getsizeof(bytes(3))
+        total = getsizeof(products._shuffle_letters(b"\0\1", b"\1")) + 2 * getsizeof(bytes(3))
         assert memo_account.clears == clears + 2 and memo_account.bytes == total
-        li_taylor_coeffs((1,), 3)  # (0, 6, 3, 2) / 6: 10 bits
-        assert memo_account.clears == clears + 2 and memo_account.bytes == total + 1
-        h_word_table(y_word(2), 3)  # the column (0, 36, 45, 49) / 36: 24 bits
-        assert memo_account.clears == clears + 2 and memo_account.bytes == total + 1 + 3
-        # y1y2 + y2y1 + y3: three words, each charged as the stored u v, a tuple of 2 letters
+        li_taylor_coeffs((1,), 3)  # (0, 6, 3, 2) / 6: the integers' own sizes
+        total += sum(map(getsizeof, (6, 0, 6, 3, 2)))
+        assert memo_account.clears == clears + 2 and memo_account.bytes == total
+        h_word_table(y_word(2), 3)  # the column (0, 36, 45, 49) / 36
+        total += sum(map(getsizeof, (36, 0, 36, 45, 49)))
+        assert memo_account.clears == clears + 2 and memo_account.bytes == total
+        # y1y2 + y2y1 + y3: the dict and three words, each charged as the stored u v, a tuple of 2 letters
         stuffle(NCPoly.from_word(y_word(1)), NCPoly.from_word(y_word(2)))
-        assert memo_account.clears == clears + 2 and memo_account.bytes == total + 1 + 3 + 3 * getsizeof((1, 2))
+        total += getsizeof(products._stuffle_letters((1,), (2,))) + 3 * getsizeof((1, 2))
+        assert memo_account.clears == clears + 2 and memo_account.bytes == total
+
+    @pytest.mark.parametrize("fill", ["shuffles", "column"])
+    def test_charge_is_what_the_tables_hold(self, monkeypatch, fill):
+        # charged bytes over the bytes tracemalloc sees the emptied tables hold after filling them once:
+        # 20 random shuffles of 6-term X polynomials with words up to 8 letters, or one harmonic column table
+        rng = random.Random(1)
+
+        def poly():
+            words = (bytes(rng.randrange(2) for _ in range(rng.randint(1, 8))) for _ in range(6))
+            return NCPoly._from_nums(X, {w: rng.randint(1, 9) for w in words}, 1)
+
+        pairs = [(poly(), poly()) for _ in range(20)]
+        for clear in memo_account.tables:
+            clear()
+        monkeypatch.setattr(memo_account, "bytes", 0)
+        clears = memo_account.clears
+        tracemalloc.start()
+        try:
+            if fill == "shuffles":
+                for p, q in pairs:
+                    shuffle(p, q)
+            else:
+                h_word_table(y_word(2, 1, 3), 400)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert memo_account.clears == clears and 0.8 <= memo_account.bytes / held <= 1.25
 
     def test_property_a_tiny_bound_changes_no_answer(self, monkeypatch):
         hyp = pytest.importorskip("hypothesis")

@@ -9,15 +9,18 @@ from itertools import combinations
 
 import pytest
 
-from polylog import checks, cli, nc_core, negindex, polylog_num
+from polylog import checks, cli, harmonic, nc_core, negindex, polylog_num
 from polylog.checks import (
     check_derivative_recursion,
     check_hadamard_identity,
     check_shuffle_morphism,
     dom_radius_demo,
 )
-from polylog.harmonic import _taylor_map, h_signed_table, h_word_table
+from polylog.coding import pi_y
+from polylog.dense import NPoly
+from polylog.harmonic import _taylor_map, h_poly_eval, h_poly_table, h_signed_eval, h_signed_table, h_word_table
 from polylog.nc_core import AlphabetError, NCPoly, NotInImageError, Word, X, Y, memo_account, x_word, y_word
+from polylog.words import index_from_word
 from polylog.polylog_num import (
     PrecisionError,
     TaylorTrunc,
@@ -36,6 +39,7 @@ from polylog.products import conc, shuffle
 from test_harmonic import refusal_in_fresh_process
 
 F = Fraction
+_PAST_MEMO = "a cached vector of about 62500250000 bytes at N = 500001 is above MEMO_BYTES = 67108864"
 
 
 def _float_coeffs(index, n_cap):
@@ -148,7 +152,7 @@ class TestLiVectorCache:
         clears = memo_account.clears
         assert {n_cap: li_taylor_coeffs((2, 1), n_cap).coeffs for n_cap in want} == want
         assert memo_account.clears == clears  # a hit charges nothing
-        # this vector alone charges 2,370 bytes: the table is emptied whole, then holds it
+        # this vector alone charges about 4,100 bytes: the table is emptied whole, then holds it
         assert li_taylor_coeffs((3, 1, 2), 60) == vector
         assert memo_account.clears > clears
         assert _li_vector.cache_info().currsize == 1
@@ -198,16 +202,75 @@ class TestLiVectorCache:
             # an X-word is estimated as the index it codes: its depth is its count of x1, its weight its length
             ("li_taylor_poly(NCPoly.from_word(x_word('11')), 500001)", "N * depth = 500001 * 2 is above MAX_TERMS = 1000000"),
             ("li_taylor_poly(NCPoly.one(X), 10**12)", "N * depth = 1000000000000 * 1 is above MAX_TERMS = 1000000"),
+            # within both MAX_TERMS estimates, but N + 1 numbers of 10**6 bits are no memo entry
+            ("li_taylor_coeffs((2,), 500001)", _PAST_MEMO),
+            ("li_taylor_poly(NCPoly.from_word(x_word('01')), 500001)", _PAST_MEMO),
         ],
-        ids=["coeffs", "coeffs_empty", "poly", "poly_unit"],
+        ids=["coeffs", "coeffs_empty", "poly", "poly_unit", "coeffs_memo", "poly_memo"],
     )
     def test_refused_in_a_fresh_process(self, call, message):
         assert refusal_in_fresh_process(call) == message
+
+    def test_under_the_memo_bound_answers(self):
+        # 3,001 numbers of about 8,997 weight bits: 3,375,375 bytes, about a twentieth of MEMO_BYTES
+        t = li_taylor_coeffs((2, 1), 3000)
+        assert t.n_cap == 3000 and t.coeffs[:4] == (0, 0, F(1, 4), F(1, 6))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda n: li_taylor_coeffs((2,), n),
+            lambda n: li_taylor_poly(NCPoly.from_word(x_word("01")), n),
+            lambda n: h_word_table(y_word(2), n),
+            lambda n: h_poly_table(NCPoly.from_word(y_word(2)), n),
+            lambda n: h_poly_eval(NCPoly.from_word(y_word(2)), n),
+        ],
+        ids=["coeffs", "poly", "word_table", "poly_table", "poly_eval"],
+    )
+    def test_memo_bound_refuses_past_it_and_answers_at_it(self, monkeypatch, call):
+        # at N = 40 the index (2,) weighs 78 bits: 41 * 78 // 8 = 399 bytes, the bound read at call time
+        monkeypatch.setattr(harmonic, "MEMO_BYTES", 399)
+        call(40)
+        monkeypatch.setattr(harmonic, "MEMO_BYTES", 398)
+        with pytest.raises(ValueError) as raised:
+            call(40)
+        assert str(raised.value) == "a cached vector of about 399 bytes at N = 40 is above MEMO_BYTES = 398"
+        # the streaming oracles cache nothing, so they keep only the MAX_TERMS estimates
+        assert h_signed_table((2,), 40)[-1] == h_signed_eval((2,), 40) == sum(F(1, k * k) for k in range(1, 41))
 
     def test_poly_depth_is_the_count_of_x1(self):
         # one x1, so depth 1: the word answers as the index it codes does, not refused by its length
         word = x_word("0" * 500_000 + "1")
         assert li_taylor_poly(NCPoly.from_word(word), 2) == li_taylor_coeffs((500_001,), 2)
+
+    def test_property_one_taylor_path(self):
+        # li_taylor_poly is the Taylor vector of pi_Y(P): the sum of its words' vectors, whose prefix sums are
+        # the harmonic table of pi_Y(P); an over-size P is refused alike through either entry point
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        words = st.lists(st.integers(1, 4), max_size=3).map(lambda i: x_word("".join("0" * (s - 1) + "1" for s in i)))
+        coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+        polys = st.lists(st.tuples(words, coeffs), max_size=4).map(lambda terms: NCPoly(X, terms))
+        # N * depth past MAX_TERMS, a word of too many weight bits, and a vector past MEMO_BYTES
+        past = st.sampled_from([("", 10**7), ("0" * 1001 + "1", 1000), ("01", 500_001)])
+
+        @hyp.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+        @hyp.given(polys, st.integers(0, 25), past)
+        def one_path(p, n, big):
+            got = li_taylor_poly(p, n)
+            terms = [(c, li_taylor_coeffs(index_from_word(w), n).poly) for w, c in p.items()]
+            assert got == TaylorTrunc._of(NPoly.lin_comb(terms, n), n)
+            assert list(div_one_minus_z(got).coeffs) == h_poly_table(pi_y(p), n)
+            text, big_n = big
+            q = p + NCPoly.from_word(x_word(text))
+            messages = []
+            for call in (li_taylor_poly, lambda q, n: h_poly_table(pi_y(q), n), lambda q, n: h_poly_eval(pi_y(q), n)):
+                with pytest.raises(ValueError) as raised:
+                    call(q, big_n)
+                messages.append(str(raised.value))
+            assert len(set(messages)) == 1 and messages[0].endswith(("MAX_TERMS = 1000000", "MEMO_BYTES = 67108864"))
+
+        one_path()
 
     def test_poly_at_max_terms_answers(self):
         # 2 rows times a 500,000-letter word: at MAX_TERMS
