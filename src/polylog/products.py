@@ -12,9 +12,9 @@ Shuffle and stuffle are quasi-shuffle products, the shuffle without the
 contraction y_{s+t}, so one memoized word recursion serves both (Hoffman 2000).
 It runs on the stored words of :class:`NCPoly`, bytes on X and tuples on Y,
 with the same code for both: one loop adds each (first letter, sub-product)
-step, the letter a slice of the word, and only the contraction step builds a letter.  It stops at a one-letter operand,
-whose product it builds without recursion by slicing the letter in at each
-place, so a long word times a letter needs no deep stack.
+step, and only the contraction step builds a letter.  It stops at a one-letter
+operand, whose product it builds without recursion by slicing the letter in at
+each place, so a long word times a letter needs no deep stack.
 Its caches, bounded by :data:`~polylog.nc_core.memo_account`, behave as if
 absent (recomputing is the only cost of a race or a clear): all is thread-safe.
 

@@ -671,9 +671,9 @@ class TestCommands:
         ids=[
             "stuffle-of-star", "shuffle-of-rationals", "h-closed-form-of-word", "li-eval-point",
             "h-eval-huge-n", "h-eval-huge-n-mixed-sign", "li-coeffs-huge-n", "li-coeffs-past-max-terms",
-            "li-coeffs-empty-index-past-max-terms", "li-coeffs-past-memo-bytes", "h-eval-huge-entry", "h-eval-huge-negative-entry",
-            "li-coeffs-huge-entry", "h-eval-weight-bits-at-max-terms-rows", "verify-ncap-past-max-terms",
-            "li-eval-huge-exponent",
+            "li-coeffs-empty-index-past-max-terms", "li-coeffs-past-memo-bytes", "h-eval-huge-entry",
+            "h-eval-huge-negative-entry", "li-coeffs-huge-entry", "h-eval-weight-bits-at-max-terms-rows",
+            "verify-ncap-past-max-terms", "li-eval-huge-exponent",
         ],
     )
     def test_refused_request_is_json_error(self, capsys, argv, code, message):
