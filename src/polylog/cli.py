@@ -19,7 +19,9 @@ one flat node added up in one accumulation: neither nesting depth nor sum
 length is limited by the recursion limit, only by memory.
 
 Subcommands expose the library operations with JSON output on stdout and
-nonzero exit codes carrying {"error": {code, message}} on failure.  Inputs of
+nonzero exit codes carrying {"error": {code, message}} on failure; every JSON
+answer goes through :func:`_print_json`, which writes the bytes of
+``json.dumps(payload, indent=2)`` in one pass.  Inputs of
 unbounded cost are such errors: an integer of more than MAX_DIGITS digits, and
 each size cap of :func:`polylog.nc_core.refuse_above`.  This module runs
 shuffle and stuffle; the other commands are in :mod:`polylog.commands`,
@@ -37,6 +39,7 @@ import threading
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache
+from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
 
 # A product request compiles only products and nc_core: other modules load where they are used, stars
@@ -417,11 +420,6 @@ def _ncpoly_texts(p: NCPoly) -> tuple[dict[str, str], str]:
     return terms, format_terms([(c, body(k) if k else "") for k, c in terms.items()])
 
 
-def _x1star_texts(s: "X1StarPoly") -> tuple[dict[str, str], str]:
-    """The {order: coefficient text} stars and the expression text of a star combination."""
-    return {str(k): str(c) for k, c in s.items()}, str(s)
-
-
 def value_to_json(v: Value) -> dict:
     if isinstance(v, Scalar):
         return {"type": "rational", "value": str(v.value)}
@@ -429,18 +427,55 @@ def value_to_json(v: Value) -> dict:
         terms, text = _ncpoly_texts(v)
         return {"type": "ncpoly", "alphabet": v.alphabet, "terms": terms, "text": text}
     if isinstance(v, polylog.X1StarPoly):
-        terms, text = _x1star_texts(v)
+        terms, text = v.to_texts()
         return {"type": "x1star", "stars": terms, "text": text}
     if isinstance(v, polylog.PlaneStar):
-        return {"type": "planestar", "alpha": [str(a) for a in v.alpha], "text": str(v)}
+        alpha, text = v.to_texts()
+        return {"type": "planestar", "alpha": alpha, "text": text}
     raise TypeError(f"cannot serialize {v!r}")
 
 
 # -- command implementations ---------------------------------------------------
 
 
+def _json_chunks(o, indent: str, out: list[str]) -> None:
+    """Append to ``out`` the text of ``o`` at nesting ``indent`` as ``json.dumps(o, indent=2)`` writes it; keys are strings.
+
+    json's C encoder runs only without an indent, so this writes the same text directly, each piece once:
+    strings by json's own ``encode_basestring_ascii``, dicts, lists and tuples with its separators, a
+    finite float or an int by ``repr`` as json does, and any other scalar by ``json.dumps``.
+    """
+    if isinstance(o, str):
+        out.append(_quote(o))
+    elif isinstance(o, (dict, list, tuple)):
+        is_dict = isinstance(o, dict)
+        if not o:
+            out.append("{}" if is_dict else "[]")
+            return
+        inner = indent + "  "
+        comma, sep = ",\n" + inner, "\n" + inner
+        out.append("{" if is_dict else "[")
+        for item in o:
+            out.append(sep)
+            if is_dict:
+                out += (_quote(item), ": ")
+                item = o[item]
+            if type(item) is str:  # the common value, without a call
+                out.append(_quote(item))
+            else:
+                _json_chunks(item, inner, out)
+            sep = comma
+        out.append("\n" + indent + ("}" if is_dict else "]"))
+    elif type(o) is int or type(o) is float and o - o == 0:  # o - o is NaN for an infinite or NaN float
+        out.append(repr(o))
+    else:
+        out.append(json.dumps(o))
+
+
 def _print_json(payload) -> None:
-    print(json.dumps(payload, indent=2))
+    out: list[str] = []
+    _json_chunks(payload, "", out)
+    print("".join(out))
 
 
 def cmd_product(args) -> int:
@@ -545,6 +580,8 @@ def main(argv=None) -> int:
             argv = sys.argv[1:] if argv is None else argv
             name = argv[0] if argv and argv[0] in _COMMANDS else None  # a request builds its command's parser
             args, extras = _make_parser(name).parse_known_args(argv[1:] if name else argv)
+            if "--" in extras and all(flag[0] == "-" for flag, _ in _COMMANDS[args.command][2]):
+                extras.remove("--")  # argparse drops the first "--" only through a positional, and this has none
             if extras:  # gathered after the command's parser returned: name the command
                 message = f"polylog {args.command}: unrecognized arguments: {' '.join(extras)}"
                 raise argparse.ArgumentError(None, message)

@@ -11,7 +11,7 @@ import re
 import time
 
 import polylog
-from .cli import ExprTypeError, ParseError, _as_stars, _print_json, _type_name, _x1star_texts, parse_value
+from .cli import ExprTypeError, ParseError, _as_stars, _print_json, _type_name, parse_value
 
 
 def _print_coeffs(csv: bool, key: str, coeffs, payload) -> None:
@@ -44,8 +44,8 @@ def cmd_neg_li(args) -> int:
     index = _parse_index_arg(args.index)
     s = negindex.li_nonpositive_stars(index)
     f = negindex.x1star_to_ratfunc(s)
-    ratfunc = {"num": [str(c) for c in f.num], "pole_order": f.pole_order}
-    terms, text = _x1star_texts(s)
+    ratfunc = {"num": f.p.texts(), "pole_order": f.pole_order}
+    terms, text = s.to_texts()
     _print_json({"index": list(index), "ratfunc": ratfunc, "stars": terms, "stars_text": text})
     return 0
 
@@ -61,8 +61,8 @@ def cmd_h_closed_form(args) -> int:
             message = f"h-closed-form needs a star combination or a non-positive index, got {_type_name(value)}"
             raise ExprTypeError(message, 0)
         npoly = harmonic.h_x1star_closed_form(value)
-    coeffs = npoly.coeffs
-    _print_coeffs(args.csv, "degree", coeffs, lambda: {"coeffs": [str(c) for c in coeffs], "text": str(npoly)})
+    texts, text = npoly.to_texts()
+    _print_coeffs(args.csv, "degree", texts, lambda: {"coeffs": texts, "text": text})
     return 0
 
 
@@ -87,7 +87,7 @@ def cmd_li_coeffs(args) -> int:
             except OverflowError:
                 raise PrecisionError(f"float Taylor coefficients of index {index} overflow at term n={n}")
     else:
-        mode, coeffs = "exact", [str(c) for c in series.coeffs]
+        mode, coeffs = "exact", series.poly.texts(series.n_cap)
     _print_coeffs(args.csv, "N", coeffs, lambda: {"mode": mode, "coeffs": coeffs})
     return 0
 

@@ -6,12 +6,12 @@ Its values are immutable, so threads share them freely.  A product request does 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, zip_longest
+from itertools import accumulate, repeat, zip_longest
 from math import gcd, lcm, perm
 from numbers import Rational
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
-from .nc_core import ZERO, RatLike, as_rat, format_terms
+from .nc_core import ZERO, RatLike, as_rat, format_terms, rat_text
 
 
 class NPoly:
@@ -25,6 +25,8 @@ class NPoly:
     Fractions are built only for ``coeffs``, :meth:`coeff`, :meth:`padded`,
     printing and JSON.  Every other dense carrier is a view of an NPoly with
     its own explicit truncation order, so trimming never shortens a cap.
+    :meth:`texts` prints coefficients from the numerators by
+    :func:`~polylog.nc_core.rat_text`, building no Fraction.
     The variable is N, z, q or t = 1/(1-z) by context; printing names N.
     """
 
@@ -55,6 +57,12 @@ class NPoly:
         """Coefficients 0..n as Fractions, cut or zero-padded to n + 1 entries; none for n < 0."""
         head = tuple(Fraction(x, self.den) for x in self.nums[: max(n + 1, 0)])
         return head + (ZERO,) * (n + 1 - len(head))
+
+    def texts(self, n: int | None = None) -> list[str]:
+        """The texts of :meth:`padded` (n, or else the degree), as ``str`` writes each Fraction, by one gcd each."""
+        n = self.degree if n is None else n
+        head = list(map(rat_text, self.nums[: max(n + 1, 0)], repeat(self.den)))
+        return head + ["0"] * (n + 1 - len(head))
 
     def coeff(self, j: int) -> Fraction:
         """Coefficient of the j-th power; 0 outside the stored range."""
@@ -192,16 +200,24 @@ class NPoly:
     def __bool__(self) -> bool:
         return bool(self.nums)
 
-    def _monomials(self, var: str) -> list[tuple[str, str]]:
-        """The nonzero (coefficient text, var^j) terms, ascending, for :func:`format_terms`."""
+    def _monomials(self, var: str, texts: Sequence[str] | None = None) -> list[tuple[str, str]]:
+        """The nonzero (coefficient text, var^j) terms, ascending, for :func:`format_terms`.
+
+        ``texts`` are this polynomial's :meth:`texts`, for a caller that prints them too; built here otherwise.
+        """
         return [
-            (str(c), "" if j == 0 else var if j == 1 else f"{var}^{j}")
-            for j, c in enumerate(self.coeffs)
-            if c
+            (c, "" if j == 0 else var if j == 1 else f"{var}^{j}")
+            for j, c in enumerate(self.texts() if texts is None else texts)
+            if c != "0"
         ]
 
+    def to_texts(self) -> tuple[list[str], str]:
+        """:meth:`texts` and the text ``str`` prints, from that one list."""
+        texts = self.texts()
+        return texts, format_terms(self._monomials("N", texts)[::-1])
+
     def __str__(self) -> str:
-        return format_terms(self._monomials("N")[::-1])
+        return self.to_texts()[1]
 
     def __repr__(self) -> str:
         return f"NPoly({self!s})"

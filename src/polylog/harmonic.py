@@ -21,7 +21,7 @@ prefix sums are the polynomial's harmonic sums, and an X-polynomial P reaches it
 as pi_Y(P) (:func:`~polylog.polylog_num.li_taylor_poly`).  Columns and Taylor
 vectors are each an :class:`~polylog.dense.NPoly`, the one dense kernel.  Every
 entry point first refuses its estimate past MAX_TERMS (:func:`_refuse_past_max_terms`),
-and one that caches its vector also a vector past MEMO_BYTES.
+and one that caches also a bound on what it charges past MEMO_BYTES.
 
 Star combinations sum_k c_k (k x1)* have polynomial harmonic sums:
 H of (k x1)* at N is binomial(N+k, k) = (N+1)...(N+k)/k!, so the closed form
@@ -43,7 +43,7 @@ from functools import reduce
 from itertools import repeat
 from math import gcd, lcm, prod
 from operator import floordiv, mul
-from sys import getsizeof
+from sys import getsizeof, int_info
 from typing import Iterable, Iterator, Sequence
 
 from .dense import NPoly
@@ -68,22 +68,88 @@ def _weights(s: int, scale: int, n_max: int, start: int = 1) -> Iterator[int]:
     return map(floordiv, repeat(scale), powers) if s > 0 else powers
 
 
-def _refuse_past_max_terms(index: SignedIndex, n: int, depth: int, cached: bool = False) -> None:
+def _refuse_past_max_terms(index: SignedIndex, n: int, depth: int) -> None:
     """Refuse N * depth, or the weight bits summed per entry s, above MAX_TERMS through :func:`refuse_above`.
 
     The weights of s > 0 have about (N - 1) s bits, as lcm(1..N)^s has about
     1.44 N s; those of s <= 0, the n^|s|, have |s| bit_length(N - 1); none at N <= 1.
     A polynomial is estimated as its heaviest word: the index (weight,) at depth max(length, 1).
-    A ``cached`` vector, N + 1 numbers of about those bits, is also refused past MEMO_BYTES: one memo entry
-    past the bound would break the memo rule.  It is bound at import, as a cap is: a later nc_core.MEMO_BYTES
-    moves the account only.
     """
     refuse_above(n * depth, MAX_TERMS, "MAX_TERMS", "N * depth = {} * {} is", n, depth)
     bits = sum((n - 1) * s if s > 0 else -s * int.bit_length(n - 1) for s in index) if n > 1 else 0
     refuse_above(bits, MAX_TERMS, "MAX_TERMS", "weights of about {} bits at N = {} are", bits, n)
-    if cached:
-        size = (n + 1) * bits // 8
-        refuse_above(size, MEMO_BYTES, "MEMO_BYTES", "a cached vector of about {} bytes at N = {} is", size, n)
+
+
+def _refuse_past_memo_bytes(size: int, n: int) -> None:
+    """Refuse a call that caches, after its MAX_TERMS estimates, when its bound ``size`` on what it charges
+    (:func:`_index_bytes`, :func:`_poly_bytes`) is above MEMO_BYTES: one call past the bound would break the
+    memo rule.  MEMO_BYTES is bound at import, as a cap is: a later nc_core.MEMO_BYTES moves the account only.
+    """
+    refuse_above(size, MEMO_BYTES, "MEMO_BYTES", "cached vectors of about {} bytes at N = {} are", size, n)
+
+
+# CPython's ints: getsizeof(1) bytes hold one digit, and each further digit of _DIGIT_BITS bits takes _DIGIT_BYTES
+_INT_BYTES, _DIGIT_BITS, _DIGIT_BYTES = getsizeof(1), int_info.bits_per_digit, int_info.sizeof_digit
+
+
+def _column_bytes(bits: int, n: int, depth: int) -> int:
+    """A bound on what one column or vector to N of an index of ``depth`` entries charges.
+
+    A denominator and N + 1 numerators of ``bits`` bits or fewer, of which the first min(depth, N + 1) are 0,
+    as a nested sum of that depth is empty below N = depth.
+    """
+    zeros = min(depth, n + 1)
+    return (n + 2 - zeros) * (_INT_BYTES + _DIGIT_BYTES * (bits // _DIGIT_BITS)) + zeros * _INT_BYTES
+
+
+def _entry_bits(s: int, n: int) -> int:
+    """A bound on the bits that entry s adds to the numbers of a column to N.
+
+    One s > 0 multiplies the denominator by lcm(1..N)^s, of at most (3N/2 + 1) s bits since
+    ln lcm(1..N) < 1.04 N (Rosser and Schoenfeld, 1962) and of none at N <= 1, and the value by at
+    most 1 + ln N; one s <= 0 multiplies the value by at most N^(1 - s).  Both factors of the value
+    are below 2^bit_length(N).
+    """
+    if s <= 0:
+        return (1 - s) * int.bit_length(n)
+    return ((3 * n // 2 + 1) * s if n > 1 else 0) + int.bit_length(n)
+
+
+def _index_bytes(index: SignedIndex, n: int) -> int:
+    """A bound on what Li's Taylor vector of ``index`` to N, or its harmonic column, charges with its tail's columns.
+
+    One column per nonempty suffix of the tail, and the vector, each of the bits of its entries; the vector is
+    counted with no zero entry, as that of a polynomial is (:func:`_poly_bytes`).
+    """
+    bits = size = 0
+    for depth, s in enumerate(reversed(index[1:]), 1):
+        bits += _entry_bits(s, n)
+        size += _column_bytes(bits, n, depth)
+    return size + _column_bytes(bits + _entry_bits(index[0], n) if index else 0, n, 0)
+
+
+def _poly_bytes(q: NCPoly, weight: int, length: int, n: int) -> int:
+    """A bound on what the Taylor vector to N of a Y-polynomial builds and charges: it and its words' tail columns.
+
+    The vector is counted at the bits of a word of the largest ``weight`` and ``length``, and so is each tail,
+    one per letter after a word's first; where that passes MEMO_BYTES, each distinct tail once at its own bits.
+    """
+    bits = _entry_bits(weight, n) + max(length - 1, 0) * int.bit_length(n)
+    size = _column_bytes(bits, n, 0) + len(q) * max(length - 1, 0) * _column_bytes(bits, n, 1)
+    if size <= MEMO_BYTES:
+        return size
+    ids: dict[tuple[int, int], int] = {}  # each distinct tail: (its first letter, the id of the rest) -> its id
+    tails = [(0, 0)]  # by id, the bits of a tail's entries and its depth; id 0 is the empty tail
+    for letters in q._nums:
+        tail = 0
+        for s in reversed(letters[1:]):
+            key = (s, tail)
+            tail = ids.get(key, 0)
+            if not tail:
+                tail = ids[key] = len(tails)
+                rest_bits, rest_depth = tails[key[1]]
+                tails.append((rest_bits + _entry_bits(s, n), rest_depth + 1))
+    return _column_bytes(bits, n, 0) + sum(_column_bytes(b, n, depth) for b, depth in tails[1:])
 
 
 def _prefix_column(weights: list[Iterator], n_max: int) -> Iterator[int]:
@@ -216,7 +282,8 @@ def h_word_table(w: Word, n_max: int) -> list[Fraction]:
     """Cached values [H_w(0), ..., H_w(n_max)] for a Y-word."""
     if w.alphabet != Y:
         raise AlphabetError("harmonic sums are indexed by Y-words")
-    _refuse_past_max_terms(w.letters, n_max, max(len(w.letters), 1), cached=True)
+    _refuse_past_max_terms(w.letters, n_max, max(len(w.letters), 1))
+    _refuse_past_memo_bytes(_index_bytes(w.letters, n_max), n_max)
     if n_max < 0:
         raise ValueError("N must be a natural number")
     return list(_h_vector(w.letters, n_max).padded(n_max))
@@ -231,7 +298,9 @@ def _li_poly_vector(q: NCPoly, n_max: int) -> NPoly:
     """The Taylor vector sum_w <Q|w> Li_w to n_max of a Y-polynomial; its prefix sums are the harmonic sums."""
     if q.alphabet != Y:
         raise AlphabetError("harmonic sums are indexed by Y-polynomials")
-    _refuse_past_max_terms((q.max_grade,), n_max, max(q.max_length, 1), cached=True)
+    weight, length = q.max_grade, q.max_length
+    _refuse_past_max_terms((weight,), n_max, max(length, 1))
+    _refuse_past_memo_bytes(_poly_bytes(q, weight, length, n_max), n_max)
     vector = _taylor_map(((x, l) for l, x in q._nums.items()), n_max)  # numerators over q._den
     return vector * Fraction(1, q._den)
 

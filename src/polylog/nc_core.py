@@ -32,8 +32,11 @@ serializes as "".
 
 The module also hosts :func:`format_terms`, the one text format of a signed
 sum of terms ("3/2 - y1 + 2*y2y1") behind every printed polynomial and star
-combination, :data:`memo_account`, which bounds the package's memo tables by
-:data:`MEMO_BYTES`, and :func:`refuse_above`, the one size cap.  The dense
+combination; :func:`rat_text`, the one rational rule behind every printed
+exact coefficient, which writes a numerator over a denominator as
+``str(Fraction)`` does, by one gcd and with no Fraction built;
+:data:`memo_account`, which bounds the package's memo tables by
+:data:`MEMO_BYTES`; and :func:`refuse_above`, the one size cap.  The dense
 kernel is :mod:`polylog.dense`.
 """
 
@@ -83,6 +86,12 @@ def as_rat(value: RatLike) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def rat_text(x: int, den: int) -> str:
+    """Text of x / den for den > 0 in lowest terms, as ``str(Fraction(x, den))`` writes it, by one gcd."""
+    g = gcd(x, den)
+    return str(x // g) if g == den else f"{x // g}/{den // g}"
 
 
 def format_terms(parts: Sequence[tuple[str, str]]) -> str:
@@ -345,15 +354,17 @@ class NCPoly:
     # -- serialization -----------------------------------------------------
 
     def to_terms_text(self) -> dict[str, str]:
-        """Canonical {word text: coefficient text} mapping, ordered; each text of Fraction(x, den) by one gcd."""
+        """Canonical {word text: coefficient text} mapping, ordered; each coefficient text by :func:`rat_text`."""
         den, x_words = self._den, self._alphabet == X
         terms = (  # bytes X-words sort as their bit strings do
             (l.translate(_X_DIGITS).decode() if x_words else ",".join(map(str, l)), x) for l, x in self._sorted_nums()
         )
-        return {w: str(x // g) if (g := gcd(x, den)) == den else f"{x // g}/{den // g}" for w, x in terms}
+        return {w: rat_text(x, den) for w, x in terms}
 
     def __str__(self) -> str:
-        return format_terms([(str(c), "" if w.is_empty else str(w)) for w, c in self.items()])
+        a, den, word = self._alphabet, self._den, __getattr__("Word")
+        terms = self._sorted_nums()
+        return format_terms([(rat_text(x, den), str(word._of(tuple(l), a)) if l else "") for l, x in terms])
 
     def __repr__(self) -> str:
         return f"NCPoly({self._alphabet!r}, {self!s})"

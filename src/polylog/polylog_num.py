@@ -38,7 +38,7 @@ from sys import getsizeof
 from typing import Iterator, Sequence
 
 from .dense import NPoly
-from .harmonic import _li_poly_vector, _refuse_past_max_terms, _taylor_map
+from .harmonic import _index_bytes, _li_poly_vector, _refuse_past_max_terms, _refuse_past_memo_bytes, _taylor_map
 from .nc_core import MAX_TERMS, AlphabetError, NCPoly, PolylogError, X, memo_account
 from .products import shuffle
 
@@ -98,7 +98,8 @@ def li_taylor_coeffs(s: Sequence[int], n_cap: int) -> TaylorTrunc:
     The empty index gives the constant series 1.
     """
     index = tuple(s)
-    _refuse_past_max_terms(index, n_cap, max(len(index), 1), cached=True)  # the empty index still has N + 1 entries
+    _refuse_past_max_terms(index, n_cap, max(len(index), 1))  # the empty index still has N + 1 entries
+    _refuse_past_memo_bytes(_index_bytes(index, n_cap), n_cap)
     return TaylorTrunc._of(_li_vector(n_cap, *index), n_cap)
 
 

@@ -107,8 +107,14 @@ class X1StarPoly:
 
     __hash__ = None  # type: ignore[assignment]
 
+    def to_texts(self) -> tuple[dict[str, str], str]:
+        """The {order: coefficient text} stars by descending order and the expression text, from one :meth:`NPoly.texts`."""
+        texts = self.poly.texts()
+        stars = {str(k): texts[k] for k in range(len(texts) - 1, -1, -1) if texts[k] != "0"}
+        return stars, format_terms([(c, f"star({k})" if k != "0" else "") for k, c in stars.items()])
+
     def __str__(self) -> str:
-        return format_terms([(str(c), f"star({k})" if k else "") for k, c in self.items()])
+        return self.to_texts()[1]
 
     def __repr__(self) -> str:
         return f"X1StarPoly({self!s})"
@@ -157,8 +163,13 @@ class PlaneStar(QSeriesTrunc):
     def truncated(self, s_max: int) -> "PlaneStar":
         return PlaneStar.from_poly(self.poly, min(s_max, self.s_max))
 
+    def to_texts(self) -> tuple[list[str], str]:
+        """The texts of ``alpha``, from one :meth:`NPoly.texts`, and the literal text "[a1,...]*"."""
+        alpha = self.poly.texts(self.s_max)[1:]
+        return alpha, "[" + ",".join(alpha) + "]*"
+
     def __str__(self) -> str:
-        return "[" + ",".join(str(a) for a in self.alpha) + "]*"
+        return self.to_texts()[1]
 
     def __repr__(self) -> str:
         return f"PlaneStar(alpha={self.alpha!r})"

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from polylog import checks, cli, harmonic, polylog_num, products
+from polylog import checks, cli, harmonic, negindex, polylog_num, products
 from polylog.cli import (
     MAX_DIGITS,
     MAX_EXPS_CAP,
@@ -269,6 +269,34 @@ class TestPrintParseRoundtrip:
         check()
 
 
+class TestJsonWriter:
+    def test_property_writes_what_json_dumps_writes(self, capsys):
+        # nested dicts, lists and tuples, empty ones too, and every scalar json writes: strings with quotes,
+        # backslashes, control and non-ASCII characters, big ints, floats with NaN and the infinities, bools, None
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        texts = st.one_of(st.text(max_size=6), st.sampled_from(['"', "\\", "\n\t\x00\x1f\x7f", "é", "\u2028", "😀"]))
+        scalars = st.one_of(
+            texts, st.integers(-(10**30), 10**30), st.floats(), st.sampled_from([0.0, -0.0, 1e16, 5e-324]),
+            st.booleans(), st.none(),
+        )
+        payloads = st.recursive(
+            scalars,
+            lambda inner: st.one_of(
+                st.lists(inner, max_size=4), st.dictionaries(texts, inner, max_size=4), st.tuples(inner, inner)
+            ),
+            max_leaves=24,
+        )
+
+        @hyp.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+        @hyp.given(payloads)
+        def check(payload):
+            cli._print_json(payload)
+            assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+
+        check()
+
+
 class TestPrintedForms:
     """Golden strings: every term printer writes the same signed-sum format."""
 
@@ -477,6 +505,20 @@ class TestCommands:
         assert (code, out) == (code_sep, out_sep)
         assert "ArgumentError" not in out
 
+    def test_verify_takes_a_trailing_double_dash(self, capsys):
+        # as every command with positionals does: argparse reads the first "--" only through a positional
+        argv = ("verify", "--suite", "ex3", "--ncap", "1", "--json")
+        plain, dashed = self._run(capsys, *argv), self._run(capsys, *argv, "--")
+        checks = [[(r["check"], r["status"]) for r in json.loads(out)] for _, out in (plain, dashed)]
+        assert plain[0] == dashed[0] == 0 and checks[0] == checks[1] and checks[0]
+        # what follows the "--" is no option, and a second "--" is an argument like any other
+        for extra, unrecognized in ((("--", "x"), "x"), (("--", "--json"), "--json"), (("--", "--"), "--")):
+            code, out = self._run(capsys, *argv, *extra)
+            error = json.loads(out)["error"]
+            assert code == 2 and error == {
+                "code": "ArgumentError", "message": f"polylog verify: unrecognized arguments: {unrecognized}"
+            }
+
     def test_dash_positional_answers(self, capsys):
         code, out = self._run(capsys, "h-closed-form", "-1/3")
         assert code == 0 and json.loads(out) == {"coeffs": ["-1/3"], "text": "-1/3"}
@@ -500,6 +542,16 @@ class TestCommands:
             "pole_order": 5,
         }
         assert payload["stars"] == {"5": "12", "4": "-33", "3": "31", "2": "-11", "1": "1"}
+
+    @pytest.mark.parametrize("index", ["-2,-1", "-9,-3", "0", "-5", "-1,0,-4"])
+    def test_neg_li_prints_the_fractions_of_its_answer(self, capsys, index):
+        # each coefficient prints from its numerator by one gcd, as str of the Fractions the library reads
+        code, out = self._run(capsys, "neg-li", index)
+        s = negindex.li_nonpositive_stars(tuple(map(int, index.split(","))))
+        f = negindex.x1star_to_ratfunc(s)
+        payload = json.loads(out)
+        assert code == 0 and payload["ratfunc"]["num"] == [str(c) for c in f.num]
+        assert payload["stars"] == {str(k): str(c) for k, c in s.items()}
 
     def test_h_eval_example(self, capsys):
         code, out = self._run(capsys, "h-eval", "(-2,-1)", "3")
@@ -641,7 +693,7 @@ class TestCommands:
             (
                 ("li-coeffs", "2", "500001"),
                 "ValueError",
-                "a cached vector of about 62500250000 bytes at N = 500001 is above MEMO_BYTES = 67108864",
+                "cached vectors of about 100014600084 bytes at N = 500001 are above MEMO_BYTES = 67108864",
             ),
             # weights of more than MAX_TERMS bits: (N - 1) s for s > 0, |s| bit_length(N - 1) for s <= 0
             (
@@ -809,7 +861,7 @@ class TestCommands:
         @hyp.given(requests())
         def check(request):
             flags, positionals = request
-            code = main([*flags, "--", *positionals] if positionals else flags)  # verify takes no positional
+            code = main([*flags, "--", *positionals])
             out, err = capsys.readouterr()
             assert err == ""
             if code == 0 and "--csv" in flags:

@@ -125,7 +125,7 @@ def refusal_in_fresh_process(call: str) -> str:
 
 
 _PAST_BITS = "weights of about {} bits at N = {} are above MAX_TERMS = 1000000"
-_PAST_MEMO = "a cached vector of about 62500250000 bytes at N = 500001 is above MEMO_BYTES = 67108864"
+_PAST_MEMO = "cached vectors of about 100014600084 bytes at N = 500001 are above MEMO_BYTES = 67108864"
 
 
 @pytest.mark.parametrize(

@@ -533,6 +533,27 @@ class TestDenseKernel:
         )
         return hyp, st, entry, poly
 
+    def test_property_texts_are_str_of_the_fractions(self):
+        # rat_text and NPoly.texts print what str of the Fractions prints: negative, zero and big numerators,
+        # unreduced pairs, trailing zeros, and texts cut or zero-padded to n
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        big = st.integers(-(10**40), 10**40)
+        nums = st.one_of(st.integers(-12, 12), big, st.just(0))
+        dens = st.one_of(st.integers(1, 12), st.integers(1, 10**40), st.sampled_from([2**64, 3**50 * 7]))
+
+        @hyp.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @hyp.given(st.lists(nums, max_size=8), dens, st.one_of(st.none(), st.integers(-2, 10)))
+        def check(xs, den, n):
+            assert [nc_core.rat_text(x, den) for x in xs] == [str(Fraction(x, den)) for x in xs]
+            p = NPoly(xs, den)
+            expected = p.coeffs if n is None else p.padded(n)
+            assert p.texts(n) == [str(c) for c in expected]
+            texts, text = p.to_texts()
+            assert texts == [str(c) for c in p.coeffs] and text == str(p)
+
+        check()
+
     def test_property_sums_and_products(self):
         hyp, st, entry, poly = self._strategies()
 

@@ -35,11 +35,11 @@ from polylog.polylog_num import (
     _stirling2_rows,
     stirling2,
 )
-from polylog.products import conc, shuffle
+from polylog.products import conc, shuffle, stuffle
 from test_harmonic import refusal_in_fresh_process
 
 F = Fraction
-_PAST_MEMO = "a cached vector of about 62500250000 bytes at N = 500001 is above MEMO_BYTES = 67108864"
+_PAST_MEMO = "cached vectors of about 100014600084 bytes at N = 500001 are above MEMO_BYTES = 67108864"
 
 
 def _float_coeffs(index, n_cap):
@@ -212,9 +212,42 @@ class TestLiVectorCache:
         assert refusal_in_fresh_process(call) == message
 
     def test_under_the_memo_bound_answers(self):
-        # 3,001 numbers of about 8,997 weight bits: 3,375,375 bytes, about a twentieth of MEMO_BYTES
+        # the vector and the column of (1,): 3,002 numbers of at most 13,527 and 4,513 bits, 7,372,312 bytes
         t = li_taylor_coeffs((2, 1), 3000)
         assert t.n_cap == 3000 and t.coeffs[:4] == (0, 0, F(1, 4), F(1, 6))
+
+    @pytest.mark.parametrize(
+        "index,n",
+        [
+            ((1,), 3000), ((2,), 3000), ((1, 1, 1), 3000), ((2, 1), 3000), ((4, 4), 60), ((1,) * 8, 300), ((6,), 40),
+            ((3, -2, 1), 500), ((-3,), 200), ((0, 0, 0), 100), ((-5, -5), 300), ((-1, 2), 2), ((), 10), ((5,), 0),
+        ],
+    )
+    def test_charge_is_within_the_estimate(self, monkeypatch, index, n):
+        # from emptied tables, what li_taylor_coeffs (its vector and the tail's columns) and h_word_table (the
+        # columns of every suffix) charge is at most the estimate that MEMO_BYTES refuses
+        def charge(call, *args):
+            for clear in memo_account.tables:
+                clear()
+            monkeypatch.setattr(memo_account, "bytes", 0)
+            clears = memo_account.clears
+            call(*args)
+            assert memo_account.clears == clears
+            return memo_account.bytes
+
+        estimate = harmonic._index_bytes(index, n)
+        assert 0 < charge(li_taylor_coeffs, index, n) <= estimate
+        if all(s > 0 for s in index):
+            assert charge(h_word_table, Word(index, Y), n) <= estimate
+
+    def test_poly_charge_is_within_the_estimate(self, monkeypatch):
+        # the tail columns of every word of a stuffle product, against the bound of its heaviest word
+        p = stuffle(NCPoly.from_word(y_word(2, 1, 3)), NCPoly.from_word(y_word(1, 1, 2)))
+        for clear in memo_account.tables:
+            clear()
+        monkeypatch.setattr(memo_account, "bytes", 0)
+        h_poly_table(p, 400)
+        assert 0 < memo_account.bytes <= harmonic._poly_bytes(p, p.max_grade, p.max_length, 400)
 
     @pytest.mark.parametrize(
         "call",
@@ -228,13 +261,14 @@ class TestLiVectorCache:
         ids=["coeffs", "poly", "word_table", "poly_table", "poly_eval"],
     )
     def test_memo_bound_refuses_past_it_and_answers_at_it(self, monkeypatch, call):
-        # at N = 40 the index (2,) weighs 78 bits: 41 * 78 // 8 = 399 bytes, the bound read at call time
-        monkeypatch.setattr(harmonic, "MEMO_BYTES", 399)
+        # at N = 40 one vector of (2,): 42 numbers of at most 128 bits, 42 * (28 + 4 * 4) = 1,848 bytes on
+        # CPython's 30-bit digits, the bound read at call time
+        monkeypatch.setattr(harmonic, "MEMO_BYTES", 1848)
         call(40)
-        monkeypatch.setattr(harmonic, "MEMO_BYTES", 398)
+        monkeypatch.setattr(harmonic, "MEMO_BYTES", 1847)
         with pytest.raises(ValueError) as raised:
             call(40)
-        assert str(raised.value) == "a cached vector of about 399 bytes at N = 40 is above MEMO_BYTES = 398"
+        assert str(raised.value) == "cached vectors of about 1848 bytes at N = 40 are above MEMO_BYTES = 1847"
         # the streaming oracles cache nothing, so they keep only the MAX_TERMS estimates
         assert h_signed_table((2,), 40)[-1] == h_signed_eval((2,), 40) == sum(F(1, k * k) for k in range(1, 41))
 
