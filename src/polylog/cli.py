@@ -460,10 +460,7 @@ def _json_chunks(o, indent: str, out: list[str]) -> None:
             if is_dict:
                 out += (_quote(item), ": ")
                 item = o[item]
-            if type(item) is str:  # the common value, without a call
-                out.append(_quote(item))
-            else:
-                _json_chunks(item, inner, out)
+            _json_chunks(item, inner, out)
             sep = comma
         out.append("\n" + indent + ("}" if is_dict else "]"))
     elif type(o) is int or type(o) is float and o - o == 0:  # o - o is NaN for an infinite or NaN float

@@ -106,9 +106,9 @@ def _entry_bits(s: int, n: int) -> int:
     """A bound on the bits that entry s adds to the numbers of a column to N.
 
     One s > 0 multiplies the denominator by lcm(1..N)^s, of at most (3N/2 + 1) s bits since
-    ln lcm(1..N) < 1.04 N (Rosser and Schoenfeld, 1962) and of none at N <= 1, and the value by at
-    most 1 + ln N; one s <= 0 multiplies the value by at most N^(1 - s).  Both factors of the value
-    are below 2^bit_length(N).
+    ln lcm(1..N) = psi(N) < 1.03883 N (Rosser and Schoenfeld, 1962, Thm 12), so log2 lcm(1..N) < 1.4988 N,
+    and of none at N <= 1, and the value by at most 1 + ln N; one s <= 0 multiplies the value by at most
+    N^(1 - s).  Both factors of the value are below 2^bit_length(N).
     """
     if s <= 0:
         return (1 - s) * int.bit_length(n)
@@ -133,6 +133,8 @@ def _poly_bytes(q: NCPoly, weight: int, length: int, n: int) -> int:
 
     The vector is counted at the bits of a word of the largest ``weight`` and ``length``, and so is each tail,
     one per letter after a word's first; where that passes MEMO_BYTES, each distinct tail once at its own bits.
+    The first count never falls below the second and takes O(1): on the series workload's polynomials the
+    walk takes about 45 us a call against 1.6 us, and walking on every call read 2-4% slower there.
     """
     bits = _entry_bits(weight, n) + max(length - 1, 0) * int.bit_length(n)
     size = _column_bytes(bits, n, 0) + len(q) * max(length - 1, 0) * _column_bytes(bits, n, 1)

@@ -240,14 +240,34 @@ class TestLiVectorCache:
         if all(s > 0 for s in index):
             assert charge(h_word_table, Word(index, Y), n) <= estimate
 
-    def test_poly_charge_is_within_the_estimate(self, monkeypatch):
-        # the tail columns of every word of a stuffle product, against the bound of its heaviest word
-        p = stuffle(NCPoly.from_word(y_word(2, 1, 3)), NCPoly.from_word(y_word(1, 1, 2)))
+    @pytest.mark.parametrize(
+        "poly,n",
+        [
+            (lambda: stuffle(NCPoly.from_word(y_word(2, 1, 3)), NCPoly.from_word(y_word(1, 1, 2))), 400),
+            (lambda: stuffle(NCPoly.from_word(y_word(1, 1)), NCPoly.from_word(y_word(1, 1, 1))), 2000),
+            (lambda: NCPoly.from_word(y_word(3, 2)), 1000),
+            (lambda: NCPoly.from_word(y_word(1, 1, 1, 1, 1, 1)) - NCPoly.from_word(y_word(4, 1, 1)), 300),
+            (lambda: pi_y(shuffle(NCPoly.from_word(x_word("01")), NCPoly.from_word(x_word("001")))), 800),
+            (lambda: stuffle(NCPoly.from_word(y_word(2, 2)), stuffle(NCPoly.from_word(y_word(1, 3)),
+                                                                     NCPoly.from_word(y_word(2)))), 60),
+        ],
+        ids=["stuffle", "stuffle_ones", "word", "shared_tails", "coded_shuffle", "deep_stuffle"],
+    )
+    def test_poly_charge_is_within_the_estimate(self, monkeypatch, poly, n):
+        # the vector and one column per distinct tail of the words, from emptied tables, against the walk of the
+        # distinct tails (forced by a bound of 0), and that against the estimate at MEMO_BYTES; the call answers
+        # at a bound of the walk's figure
+        p = poly()
+        estimate = harmonic._poly_bytes(p, p.max_grade, p.max_length, n)
+        monkeypatch.setattr(harmonic, "MEMO_BYTES", 0)
+        walked = harmonic._poly_bytes(p, p.max_grade, p.max_length, n)
+        assert walked <= estimate
+        monkeypatch.setattr(harmonic, "MEMO_BYTES", walked)
         for clear in memo_account.tables:
             clear()
         monkeypatch.setattr(memo_account, "bytes", 0)
-        h_poly_table(p, 400)
-        assert 0 < memo_account.bytes <= harmonic._poly_bytes(p, p.max_grade, p.max_length, 400)
+        h_poly_table(p, n)
+        assert 0 < memo_account.bytes <= walked
 
     @pytest.mark.parametrize(
         "call",
