@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple, Sequence
 from . import harmonic, negindex, polylog_num, products, stars
 from .coding import QSeriesTrunc, pi_x_word
 from .dense import NPoly
-from .nc_core import AlphabetError, NCPoly, NotInImageError, ONE, X, Y, ZERO
+from .nc_core import _ANSWERED, AlphabetError, NCPoly, NotInImageError, ONE, X, Y, ZERO
 from .stars import PlaneStar, X1StarPoly
 from .words import Word, index_from_word, y_word
 
@@ -45,9 +45,10 @@ class CheckResult:
 class Check:
     """An identity, the inputs it is checked on, and its test.
 
-    ``test(*item)`` returns True when the identity holds on an input.  Any
-    other value fails: a string is the failure detail, and otherwise the
-    detail names the input.  A check with no drawn inputs runs once.
+    ``test(*item)`` returns True when the identity holds on an input.  Any other value fails: a string is
+    the failure detail, and otherwise the detail names the input.  An error that the CLI answers as JSON (a
+    refusal past a cap, say) fails the check with "<Type>: <message>", and the checks after it still run.
+    A check with no drawn inputs runs once.
     """
 
     name: str
@@ -58,7 +59,10 @@ class Check:
         started = time.perf_counter()
         detail = None
         for item in self.inputs:
-            got = self.test(*item)
+            try:
+                got = self.test(*item)
+            except _ANSWERED as exc:  # a refused input fails its check alone
+                got = f"{type(exc).__name__}: {exc}"
             if got is not True:
                 named = "fails on " + ", ".join(map(str, item)) if item else ""
                 detail = got if isinstance(got, str) else named

@@ -46,7 +46,7 @@ from typing import NamedTuple
 # and coding through the package's names (polylog.X1StarPoly) once a star, plane star, pix or piy is met.
 import polylog
 from . import products
-from .nc_core import _X_FROM_DIGITS, MAX_STAR_ORDER, ONE, NCPoly, PolylogError, X, Y, format_terms, refuse_above
+from .nc_core import _ANSWERED, _X_FROM_DIGITS, MAX_STAR_ORDER, ONE, NCPoly, PolylogError, X, Y, format_terms, refuse_above
 
 # the most decimal digits of an integer a result prints (CPython's int-to-str limit)
 MAX_DIGITS = 100_000
@@ -587,7 +587,7 @@ def main(argv=None) -> int:
 
                 return getattr(commands, args.func)(args)
             return args.func(args)
-        except (PolylogError, ValueError, OverflowError, MemoryError, RecursionError, argparse.ArgumentError) as exc:
+        except (*_ANSWERED, argparse.ArgumentError) as exc:
             advice = "use sys.set_int_max_str_digits() to increase the limit"  # not the CLI's
             message = str(exc).replace(advice, f"the CLI's cap is MAX_DIGITS = {MAX_DIGITS}")
             _print_json({"error": {"code": type(exc).__name__, "message": message}})

@@ -7,8 +7,9 @@ the offending word: this package never guesses an extension off the image.
 
 The umbral coding identifies a constant-free truncated q-series
 sum_n a_n q^n with the degree-one Y-element sum_n a_n y_n ("the plane").
-The two are one object here: a :class:`QSeriesTrunc` is a view of an
-:class:`~polylog.dense.NPoly` in q with an explicit order S_max, and
+The two are one object here: a :class:`QSeriesTrunc` is the constant-free
+:class:`~polylog.dense.TaylorTrunc`, a view of an :class:`~polylog.dense.NPoly`
+in q whose cap is the explicit order S_max, and
 :class:`~polylog.stars.PlaneStar` is the same view read as a plane, so
 starring in :mod:`polylog.stars` works on the series' integer numerators
 with no copy.  Scaling and exp - 1 are that kernel's; ``umbra_to_plane``
@@ -21,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .dense import NPoly
+from .dense import NPoly, TaylorTrunc
 from .nc_core import AlphabetError, NCPoly, NotInImageError, RatLike, X, Y
 from .words import Word, _coded, _index_of, index_from_word, word_from_index
 
@@ -63,19 +64,19 @@ def pi_y(p: NCPoly) -> NCPoly:
     return NCPoly._from_nums(Y, {_index_of(l): x for l, x in p._sorted_nums()}, p._den)
 
 
-class QSeriesTrunc:
+class QSeriesTrunc(TaylorTrunc):
     """A constant-free q-series sum_{n=1}^{S_max} coeffs[n-1] q^n.
 
-    A view of an :class:`NPoly` ``poly`` in q, with zero constant term, cut
-    to degree ``s_max``, the explicit truncation order.  ``coeffs[i]`` is the
-    coefficient of q^(i+1); it builds the tuple of Fractions on each read.
+    The :class:`TaylorTrunc` of an NPoly ``poly`` in q with zero constant term, whose
+    cap is ``s_max``, the explicit order: ``coeffs[i]`` is the coefficient of q^(i+1).
     """
 
-    __slots__ = ("poly", "s_max")
+    __slots__ = ()
+    s_max = TaylorTrunc.n_cap  # the cap's own slot, read by the order's name
 
     def __init__(self, coeffs: Sequence[RatLike]) -> None:
         self.poly = NPoly((0, *coeffs))
-        self.s_max = len(coeffs)
+        self.n_cap = len(coeffs)
 
     @classmethod
     def make(cls, coeffs: Iterable[RatLike]) -> "QSeriesTrunc":
@@ -86,29 +87,17 @@ class QSeriesTrunc:
         """The coefficients of q^1..q^s_max of an NPoly in q."""
         if s_max < 0:
             raise ValueError(f"a q-series order must be >= 0, got {s_max}")
-        out = cls.__new__(cls)
-        out.poly, out.s_max = NPoly((0, *poly.nums[1 : s_max + 1]), poly.den), s_max
-        return out
+        return cls._of(NPoly((0, *poly.nums[1 : s_max + 1]), poly.den), s_max)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return self.poly.padded(self.s_max)[1:]
+        return self.poly.padded(self.n_cap)[1:]
 
     def coeff(self, n: int) -> Fraction:
         """Coefficient of q^n (n >= 1); 0 beyond the stored range."""
         if n < 1:
             raise ValueError("coefficients are indexed from 1: the series is constant-free")
         return self.poly.coeff(n)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.s_max, self.poly) == (other.s_max, other.poly)
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return f"QSeriesTrunc(coeffs={self.coeffs!r})"
 
 
 def q_scale(c: RatLike, s: QSeriesTrunc) -> QSeriesTrunc:

@@ -1,6 +1,8 @@
 """The one dense exact kernel, :class:`NPoly`: a polynomial in one variable over the rationals.
 
-Its values are immutable, so threads share them freely.  A product request does not load this module.
+:class:`TaylorTrunc` is its one capped view, of Taylor vectors and, through :class:`~polylog.coding.QSeriesTrunc`,
+of q-series and plane stars.  Values are immutable, so threads share them freely.  A product request does not
+load this module.
 """
 
 from __future__ import annotations
@@ -221,3 +223,40 @@ class NPoly:
 
     def __repr__(self) -> str:
         return f"NPoly({self!s})"
+
+
+class TaylorTrunc:
+    """Exact coefficients a_0..a_{n_cap} of a series.
+
+    A view of an :class:`NPoly` ``poly`` with its explicit cap ``n_cap``; ``coeffs`` builds the tuple of
+    Fractions on each read.  Views compare equal only within one class, and are unhashable as their NPoly is.
+    """
+
+    __slots__ = ("poly", "n_cap")
+
+    def __init__(self, coeffs: Sequence) -> None:
+        if not coeffs:
+            raise ValueError("a TaylorTrunc holds at least the constant term")
+        # isinstance over the distinct types, not every entry: this runs per vector
+        if not all(issubclass(t, (int, Fraction)) for t in set(map(type, coeffs))):
+            raise ValueError("Taylor coefficients must be int or Fraction")
+        self.poly = NPoly(coeffs)
+        self.n_cap = len(coeffs) - 1
+
+    @classmethod
+    def _of(cls, poly: NPoly, n_cap: int) -> "TaylorTrunc":
+        out = cls.__new__(cls)
+        out.poly, out.n_cap = poly, n_cap
+        return out
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return self.poly.padded(self.n_cap)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.n_cap, self.poly) == (other.n_cap, other.poly)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(coeffs={self.coeffs!r})"

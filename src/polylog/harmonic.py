@@ -18,10 +18,12 @@ reads its word's memoized column; Taylor vectors of Li take one weight pass per
 leading entry over the memoized tail columns, so no product's full words are cached.
 A polynomial has one Taylor path, :func:`_li_poly_vector` of a Y-polynomial: its
 prefix sums are the polynomial's harmonic sums, and an X-polynomial P reaches it
-as pi_Y(P) (:func:`~polylog.polylog_num.li_taylor_poly`).  Columns and Taylor
-vectors are each an :class:`~polylog.dense.NPoly`, the one dense kernel.  Every
-entry point first refuses its estimate past MAX_TERMS (:func:`_refuse_past_max_terms`),
-and one that caches also a bound on what it charges past MEMO_BYTES.
+as pi_Y(P) (:func:`~polylog.polylog_num.li_taylor_poly`).  Its index twin :func:`_li_index_vector`
+memoizes vectors in lowest terms by (cap, index): the series calculus reads them again and again, and
+over lcm(1..100)^4 a weight-4 vector carries up to 257 of its 543 bits as a common factor.  Columns and
+Taylor vectors are each an :class:`~polylog.dense.NPoly`, the one dense kernel.  Every entry point first
+refuses its estimate past MAX_TERMS (:func:`_refuse_past_max_terms`), and one that caches then a bound
+on what it charges past MEMO_BYTES, before it reads its memo.
 
 Star combinations sum_k c_k (k x1)* have polynomial harmonic sums:
 H of (k x1)* at N is binomial(N+k, k) = (N+1)...(N+k)/k!, so the closed form
@@ -31,15 +33,15 @@ star form of Li at non-positive indices (:mod:`polylog.negindex`, imported on
 first use), this yields Faulhaber-style closed forms for every non-positive
 multi-index.  The stuffle character is checked in :mod:`polylog.checks`.
 
-The column cache is copy-on-extend and bounded by nc_core's ``memo_account``:
-a longer column replaces an entry whole, in one immutable value, so a racing
-thread can at worst duplicate work, never observe a partial or mixed column.
+The column cache and the Li-vector memo are bounded by nc_core's ``memo_account``.  A longer
+column replaces a cached one whole, in one immutable value, so a racing thread can at worst
+duplicate work, never observe a partial or mixed column.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import repeat
 from math import gcd, lcm, prod
 from operator import floordiv, mul
@@ -71,9 +73,9 @@ def _weights(s: int, scale: int, n_max: int, start: int = 1) -> Iterator[int]:
 def _refuse_past_max_terms(index: SignedIndex, n: int, depth: int) -> None:
     """Refuse N * depth, or the weight bits summed per entry s, above MAX_TERMS through :func:`refuse_above`.
 
-    The weights of s > 0 have about (N - 1) s bits, as lcm(1..N)^s has about
-    1.44 N s; those of s <= 0, the n^|s|, have |s| bit_length(N - 1); none at N <= 1.
-    A polynomial is estimated as its heaviest word: the index (weight,) at depth max(length, 1).
+    The weights of s > 0 count (N - 1) s bits: a work estimate below the size of lcm(1..N)^s, about 1.44 N s
+    bits, which MEMO_BYTES bounds by :func:`_entry_bits`.  Those of s <= 0, the n^|s|, count |s| bit_length(N - 1);
+    none count at N <= 1.  A polynomial is estimated as its heaviest word: (weight,) at depth max(length, 1).
     """
     refuse_above(n * depth, MAX_TERMS, "MAX_TERMS", "N * depth = {} * {} is", n, depth)
     bits = sum((n - 1) * s if s > 0 else -s * int.bit_length(n - 1) for s in index) if n > 1 else 0
@@ -305,6 +307,24 @@ def _li_poly_vector(q: NCPoly, n_max: int) -> NPoly:
     _refuse_past_memo_bytes(_poly_bytes(q, weight, length, n_max), n_max)
     vector = _taylor_map(((x, l) for l, x in q._nums.items()), n_max)  # numerators over q._den
     return vector * Fraction(1, q._den)
+
+
+def _li_index_vector(index: SignedIndex, n: int) -> NPoly:
+    """Li's Taylor vector to N of a signed index from the memo, in lowest terms; the empty index gives 1."""
+    _refuse_past_max_terms(index, n, max(len(index), 1))  # the empty index still has N + 1 entries
+    _refuse_past_memo_bytes(_index_bytes(index, n), n)
+    return _li_vector(n, *index)
+
+
+@lru_cache(maxsize=None, typed=True)
+def _li_vector(n_cap: int, *index: int) -> NPoly:
+    """Li's Taylor vector to n_cap in lowest terms; typed keys, so (2.0,) never reads the entry of (2,)."""
+    vector = _taylor_map([(1, index)], n_cap).reduced()
+    memo_account.charge(sum(map(getsizeof, (vector.den, *vector.nums))))
+    return vector
+
+
+memo_account.tables.append(_li_vector.cache_clear)
 
 
 def h_poly_table(q: NCPoly, n_max: int) -> list[Fraction]:

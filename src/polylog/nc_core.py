@@ -140,6 +140,8 @@ memo_account = _MemoAccount()
 MAX_TERMS = 1_000_000
 #: The largest order of star(k), a star shuffle or Li at a non-positive index: a star combination is dense.
 MAX_STAR_ORDER = 1_000
+#: The errors a request answers: as a JSON error in the CLI, and as the failure of one check in ``verify``.
+_ANSWERED = (PolylogError, ValueError, OverflowError, MemoryError, RecursionError)
 
 
 def refuse_above(size: int, bound: int, cap: str, what: str, *args) -> None:

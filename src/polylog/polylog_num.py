@@ -15,31 +15,25 @@ vector is that of the Y-polynomial pi_Y(P) it codes, on the one path of
 The identities these serve (Hadamard, shuffle morphism, derivative
 recursions) and the radius diagnostic are checked in :mod:`polylog.checks`.
 
-A :class:`TaylorTrunc` is a view of an :class:`~polylog.dense.NPoly`, the
-one dense exact kernel, with an explicit cap: the kernels run on integer
-numerators over one shared denominator and Fractions are built only when
-``coeffs`` is read.  :func:`li_taylor_coeffs` alone keeps its vectors in
-lowest terms, cached by (cap, index) under nc_core's memo rule: the series
-calculus reads the same vectors again and again, and over lcm(1..100)^4 a
-weight-4 vector carries up to 257 of its 543 bits as a common factor.  The
-evaluator runs the prefix recurrence of the harmonic sums on float weights,
-each float beside a bound on its error.
+A :class:`~polylog.dense.TaylorTrunc` is the capped view of an NPoly, the one
+dense exact kernel, whose Fractions are built only when ``coeffs`` is read.
+:func:`li_taylor_coeffs` and :func:`li_taylor_poly` wrap the two vector builders
+of :mod:`polylog.harmonic`, which refuse requests and own the index vectors'
+memo.  The evaluator runs the prefix recurrence of the harmonic sums on float
+weights, each float beside a bound on its error.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import suppress
-from fractions import Fraction
-from functools import lru_cache
 from itertools import repeat
 from math import factorial, perm
-from sys import getsizeof
 from typing import Iterator, Sequence
 
-from .dense import NPoly
-from .harmonic import _index_bytes, _li_poly_vector, _refuse_past_max_terms, _refuse_past_memo_bytes, _taylor_map
-from .nc_core import MAX_TERMS, AlphabetError, NCPoly, PolylogError, X, memo_account
+from .dense import NPoly, TaylorTrunc
+from .harmonic import _li_index_vector, _li_poly_vector
+from .nc_core import MAX_TERMS, AlphabetError, NCPoly, PolylogError, X
 from .products import shuffle
 
 #: Evaluation is refused closer to the unit circle than this.
@@ -48,43 +42,6 @@ Z_ABS_CAP = 0.995
 
 class PrecisionError(PolylogError):
     """The requested accuracy is unattainable within the evaluation caps."""
-
-
-class TaylorTrunc:
-    """Exact coefficients a_0..a_{n_cap} of a series.
-
-    A view of an :class:`NPoly` ``poly`` with its explicit cap ``n_cap``.
-    ``coeffs`` builds the tuple of Fractions on each read.
-    """
-
-    __slots__ = ("poly", "n_cap")
-
-    def __init__(self, coeffs: Sequence) -> None:
-        if not coeffs:
-            raise ValueError("a TaylorTrunc holds at least the constant term")
-        # isinstance over the distinct types, not every entry: this runs per vector
-        if not all(issubclass(t, (int, Fraction)) for t in set(map(type, coeffs))):
-            raise ValueError("Taylor coefficients must be int or Fraction")
-        self.poly = NPoly(coeffs)
-        self.n_cap = len(coeffs) - 1
-
-    @classmethod
-    def _of(cls, poly: NPoly, n_cap: int) -> "TaylorTrunc":
-        out = cls.__new__(cls)
-        out.poly, out.n_cap = poly, n_cap
-        return out
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return self.poly.padded(self.n_cap)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TaylorTrunc):
-            return NotImplemented
-        return (self.n_cap, self.poly) == (other.n_cap, other.poly)
-
-    def __repr__(self) -> str:
-        return f"TaylorTrunc(coeffs={self.coeffs!r})"
 
 
 def _require_compatible(a: TaylorTrunc, b: TaylorTrunc) -> None:
@@ -97,21 +54,7 @@ def li_taylor_coeffs(s: Sequence[int], n_cap: int) -> TaylorTrunc:
 
     The empty index gives the constant series 1.
     """
-    index = tuple(s)
-    _refuse_past_max_terms(index, n_cap, max(len(index), 1))  # the empty index still has N + 1 entries
-    _refuse_past_memo_bytes(_index_bytes(index, n_cap), n_cap)
-    return TaylorTrunc._of(_li_vector(n_cap, *index), n_cap)
-
-
-@lru_cache(maxsize=None, typed=True)
-def _li_vector(n_cap: int, *index: int) -> NPoly:
-    """Li's Taylor vector to n_cap in lowest terms; typed keys, so (2.0,) never reads the entry of (2,)."""
-    vector = _taylor_map([(1, index)], n_cap).reduced()
-    memo_account.charge(sum(map(getsizeof, (vector.den, *vector.nums))))
-    return vector
-
-
-memo_account.tables.append(_li_vector.cache_clear)
+    return TaylorTrunc._of(_li_index_vector(tuple(s), n_cap), n_cap)
 
 
 def _powers(s: int, n_max: int) -> Iterator[float]:

@@ -859,6 +859,7 @@ class TestCommands:
 
         @hyp.settings(max_examples=200, deadline=None, derandomize=True, database=None)
         @hyp.given(requests())
+        @hyp.example((["li-eval"], [str(-(10**20)), "0.5", "1e-6"]))  # its float power overflows
         def check(request):
             flags, positionals = request
             code = main([*flags, "--", *positionals])
@@ -1017,6 +1018,32 @@ class TestCommands:
         code, out = self._run(capsys, "verify", "--suite", "stirling")
         assert code == 1
         assert "FAIL [stirling] always-fails  (forced)" in out
+
+    def test_refused_input_fails_its_check_and_the_rest_run(self, capsys, monkeypatch):
+        def refuse(n):
+            if n == 2:
+                raise ValueError(f"refused at {n}")
+            return True
+
+        refused = checks.Check("refused", refuse, ((1,), (2,), (3,)))
+        result = refused.run()
+        assert (result.passed, result.detail) == (False, "ValueError: refused at 2")
+        after = checks.Check("after", lambda: True)
+        monkeypatch.setitem(checks.SUITES, "stirling", lambda ncap, seed: [refused, after])
+        code, out = self._run(capsys, "verify", "--suite", "stirling", "--json")
+        rows = [(e["check"], e["status"], e["detail"]) for e in json.loads(out)]
+        assert code == 1 and rows == [("refused", "fail", "ValueError: refused at 2"), ("after", "pass", "")]
+        with pytest.raises(TypeError):  # a fault of the program is not a refusal: it is not caught
+            checks.Check("broken", lambda: None + 1).run()
+
+    def test_verify_reports_every_check_past_the_memo_bound(self, capsys, monkeypatch):
+        monkeypatch.setattr(harmonic, "MEMO_BYTES", 1024)  # every cached vector of the suite is refused at once
+        code, out = self._run(capsys, "verify", "--suite", "mixed", "--json")
+        report = json.loads(out)
+        names = [check.name for check in checks.SUITES["mixed"](None, checks.DEFAULT_SEED)]
+        failed = [e["detail"] for e in report if e["status"] == "fail"]
+        assert code == 1 and [e["check"] for e in report] == names and failed
+        assert all(d.startswith("ValueError: cached vectors of about ") and "MEMO_BYTES = 1024" in d for d in failed)
 
     @pytest.mark.parametrize(
         "module, name, wrong, suite, detail",

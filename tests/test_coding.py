@@ -16,9 +16,10 @@ from polylog.coding import (
     q_scale,
     umbra_to_plane,
 )
-from polylog.dense import NPoly
+from polylog.dense import NPoly, TaylorTrunc
 from polylog.nc_core import AlphabetError, NCPoly, NotInImageError, Word, X, Y, x_word, y_word
 from polylog.products import conc
+from polylog.stars import PlaneStar
 
 
 def _y_words(max_weight):
@@ -226,11 +227,29 @@ class TestQSeriesView:
         with pytest.raises(ValueError):
             QSeriesTrunc.from_poly(NPoly([0, 1]), -1)
 
-    def test_unhashable_and_repr(self):
-        s = QSeriesTrunc.make([1, Fraction(1, 2)])
+    @pytest.mark.parametrize(
+        "cls, text",
+        [
+            (TaylorTrunc, "TaylorTrunc(coeffs=(Fraction(0, 1), Fraction(1, 1), Fraction(1, 2)))"),
+            (QSeriesTrunc, "QSeriesTrunc(coeffs=(Fraction(1, 1), Fraction(1, 2)))"),
+            (PlaneStar, "PlaneStar(alpha=(Fraction(1, 1), Fraction(1, 2)))"),
+        ],
+        ids=["TaylorTrunc", "QSeriesTrunc", "PlaneStar"],
+    )
+    def test_equality_hash_and_repr(self, cls, text):
+        # the three capped views of one NPoly and cap: equal only within one class
+        poly, views = NPoly([0, 1, Fraction(1, 2)]), (TaylorTrunc, QSeriesTrunc, PlaneStar)
+        view = cls._of(poly, 2)
+        assert view == cls._of(NPoly([0, 2, 1], 2), 2) and not view != cls._of(poly, 2)
+        for other in (o._of(poly, 2) for o in views if o is not cls):
+            assert view != other and other != view
+        assert view != 1 and view != view.coeffs and view != poly
         with pytest.raises(TypeError):
-            hash(s)
-        assert repr(s) == "QSeriesTrunc(coeffs=(Fraction(1, 1), Fraction(1, 2)))"
+            hash(view)
+        assert repr(view) == text and text.startswith(cls.__name__ + "(")
+        assert isinstance(view, TaylorTrunc) and issubclass(QSeriesTrunc, TaylorTrunc)
+        if cls is not TaylorTrunc:
+            assert view.s_max == view.n_cap == 2
 
 
 def _mul_ref(a, b, s_max):

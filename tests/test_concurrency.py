@@ -83,14 +83,14 @@ def test_concurrent_li_vectors_agree(monkeypatch):
         (index, n): _taylor_map([(1, index)], n).padded(n) for index in indices for n in range(0, 61, 5)
     }
     monkeypatch.setattr(harmonic, "_HVEC_CACHE", {})
-    polylog_num._li_vector.cache_clear()
+    harmonic._li_vector.cache_clear()
 
     def worker():
         for (index, n), coeffs in expected.items():
             assert polylog_num.li_taylor_coeffs(index, n).coeffs == coeffs
 
     _run_threads(worker)
-    held = polylog_num._li_vector.cache_info().currsize
+    held = harmonic._li_vector.cache_info().currsize
     # each vector is held once, unless a lowered bound had the account empty the table
     assert held == len(expected) if nc_core.MEMO_BYTES == _DEFAULT_BYTES else held < len(expected)
 

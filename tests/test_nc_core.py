@@ -661,7 +661,7 @@ class TestMemoAccount:
         shuffle(NCPoly.from_word(x_word("011")), NCPoly.from_word(x_word("10")))
         stuffle(NCPoly.from_word(y_word(2, 1)), NCPoly.from_word(y_word(1, 3)))
         li_taylor_coeffs((2, 1), 10)
-        tables = products._shuffle_letters, products._stuffle_letters, polylog_num._li_vector
+        tables = products._shuffle_letters, products._stuffle_letters, harmonic._li_vector
         assert harmonic._HVEC_CACHE and all(table.cache_info().currsize for table in tables)
         monkeypatch.setattr(nc_core, "MEMO_BYTES", 2048)
         clears = memo_account.clears

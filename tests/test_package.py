@@ -16,7 +16,7 @@ import polylog
 PUBLIC_NAMES = {
     "nc_core": ["AlphabetError", "InvalidIndexError", "NCPoly", "NotInImageError", "PolylogError", "as_rat"],
     "words": ["Word", "index_from_word", "word_from_index", "word_from_text", "x_word", "y_word"],
-    "dense": ["NPoly"],
+    "dense": ["NPoly", "TaylorTrunc"],
     "products": ["conc", "exp_stuffle", "shuffle", "shuffle_pow", "stuffle", "stuffle_pow"],
     "coding": [
         "PlaneStarBase", "QSeriesTrunc", "in_image", "pi_x", "pi_x_word", "pi_y", "pi_y_word",
@@ -35,8 +35,8 @@ PUBLIC_NAMES = {
         "h_negindex_closed_form", "h_poly_eval", "h_signed_eval", "h_word_eval", "h_x1star_closed_form",
     ],
     "polylog_num": [
-        "PrecisionError", "TaylorTrunc", "check_surjection_lemma", "div_one_minus_z", "hadamard", "li_eval",
-        "li_taylor_coeffs", "stirling2",
+        "PrecisionError", "check_surjection_lemma", "div_one_minus_z", "hadamard", "li_eval", "li_taylor_coeffs",
+        "stirling2",
     ],
     "checks": [
         "DomRadiusReport", "check_derivative_recursion", "check_hadamard_identity", "check_shuffle_morphism",

@@ -249,13 +249,6 @@ class TestPlaneStarView:
 
         check()
 
-    def test_distinct_from_q_series_and_unhashable(self):
-        a = PlaneStar.make([1, Fraction(1, 2)])
-        assert a != QSeriesTrunc.make([1, Fraction(1, 2)])
-        assert repr(a) == "PlaneStar(alpha=(Fraction(1, 1), Fraction(1, 2)))"
-        with pytest.raises(TypeError):
-            hash(a)
-
 
 @pytest.mark.parametrize("cap", [-1, -3])
 @pytest.mark.parametrize(
