@@ -8,9 +8,10 @@ load this module.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, repeat, zip_longest
+from itertools import accumulate, repeat
 from math import gcd, lcm, perm
 from numbers import Rational
+from operator import add, mul
 from typing import Iterable, Mapping, Sequence
 
 from .nc_core import ZERO, RatLike, as_rat, format_terms, rat_text
@@ -101,14 +102,14 @@ class NPoly:
 
     @staticmethod
     def lin_comb(terms: Iterable[tuple[RatLike, "NPoly"]], n: int | None = None) -> "NPoly":
-        """sum_k c_k p_k in ints over one denominator; with n, cut to degree n (zero if n < 0)."""
-        terms = [(as_rat(c), p) for c, p in terms]
+        """sum_k c_k p_k over one denominator, no Fraction for an int c_k; with n, cut to degree n (zero if n < 0)."""
+        terms = [(c if isinstance(c, int) else as_rat(c), p) for c, p in terms]
         den = lcm(1, *(c.denominator * p.den for c, p in terms))
         size = max((len(p.nums) for _, p in terms), default=0) if n is None else max(n + 1, 0)
         acc = [0] * size
         for c, p in terms:
             k = c.numerator * (den // (c.denominator * p.den))
-            acc = [a + k * x for a, x in zip_longest(acc, p.nums[:size], fillvalue=0)]
+            acc[: len(p.nums)] = map(add, acc, map(mul, repeat(k), p.nums))  # map stops at len(acc) = size
         return NPoly(acc, den)
 
     def __add__(self, other: "NPoly") -> "NPoly":

@@ -1,48 +1,45 @@
 """Exact harmonic sums for words, signed indices, polynomials, and stars.
 
-The harmonic sum of a Y-word y_{s1}...y_{sr} at N is the nested sum
-sum_{N >= n1 > ... > nr > 0} prod n_i^(-s_i); the same formula with signed
-exponents (non-positive entries turn reciprocals into powers) serves as the
-brute-force oracle of :mod:`polylog.checks`.  Both come out of one prefix
-recurrence, H_s(N) = H_s(N-1) + N^(-s1) H_(s2..sr)(N-1), run on integer
-numerators over one denominator.  With L = lcm(1..N) the step multiplies by
-L^s1 // N^s1 (s1 > 0) or N^(-s1) (s1 <= 0), and the denominator is
-D_(s2..sr) L^max(s1, 0), so no step of the recurrence pays a gcd and
-Fractions are built only for returned values.  :func:`h_signed_table` streams
-apart from the cache so it stays an independent oracle.  :func:`h_signed_eval`
-(and :func:`h_word_eval`) streams the rows of the tail s2..sr only, and sums the
-leading entry's terms H_(s2..sr)(k-1) k^(-s1) in blocks of consecutive k, each
-over lcm(block)^s1, merged pairwise like a binary counter; so no step divides a
-number of lcm(1..N)^s1 size, and memory is O(r + log N) numbers.  A word table
-reads its word's memoized column; Taylor vectors of Li take one weight pass per
-leading entry over the memoized tail columns, so no product's full words are cached.
-A polynomial has one Taylor path, :func:`_li_poly_vector` of a Y-polynomial: its
-prefix sums are the polynomial's harmonic sums, and an X-polynomial P reaches it
-as pi_Y(P) (:func:`~polylog.polylog_num.li_taylor_poly`).  Its index twin :func:`_li_index_vector`
-memoizes vectors in lowest terms by (cap, index): the series calculus reads them again and again, and
-over lcm(1..100)^4 a weight-4 vector carries up to 257 of its 543 bits as a common factor.  Columns and
-Taylor vectors are each an :class:`~polylog.dense.NPoly`, the one dense kernel.  Every entry point first
-refuses its estimate past MAX_TERMS (:func:`_refuse_past_max_terms`), and one that caches then a bound
-on what it charges past MEMO_BYTES, before it reads its memo.
+The harmonic sum of a Y-word y_{s1}...y_{sr} at N is the nested sum sum_{N >= n1 > ... > nr > 0} prod n_i^(-s_i);
+the same formula with signed exponents (non-positive entries turn reciprocals into powers) serves as the
+brute-force oracle of :mod:`polylog.checks`.  Both come out of one prefix recurrence,
+H_s(N) = H_s(N-1) + N^(-s1) H_(s2..sr)(N-1), run on integer numerators over one denominator.  With
+L = lcm(1..N) the step multiplies by L^s1 // N^s1 (s1 > 0) or N^(-s1) (s1 <= 0), and the denominator is
+D_(s2..sr) L^max(s1, 0), so no step of the recurrence pays a gcd and Fractions are built only for returned
+values.  :func:`h_signed_table` streams apart from the cache so it stays an independent oracle.
+:func:`h_signed_eval` (and :func:`h_word_eval`) streams the rows of the tail s2..sr only, and sums the leading
+entry's terms H_(s2..sr)(k-1) k^(-s1) in blocks of consecutive k, each over lcm(block)^s1, merged pairwise like
+a binary counter; so no step divides a number of lcm(1..N)^s1 size, and memory is O(r + log N) numbers.
+The two oracles compute their own weights.  Every other path reads memoized weight rows (0, L^s n^(-s)) per
+(s, N), as nested sums are tabulated in Vermaseren's scheme (*Harmonic sums, Mellin transforms and integrals*,
+1999), and builds a column in one pass over its row.  A word table reads its word's memoized column; Taylor
+vectors of Li take one weight pass per leading entry over the memoized tail columns, so no product's full words
+are cached.  A polynomial has one Taylor path, :func:`_li_poly_vector` of a Y-polynomial: its prefix sums are
+the polynomial's harmonic sums, and an X-polynomial P reaches it as pi_Y(P)
+(:func:`~polylog.polylog_num.li_taylor_poly`).  Its index twin :func:`_li_index_vector` memoizes vectors in
+lowest terms by (cap, index): the series calculus reads them again and again, and over lcm(1..100)^4 a weight-4
+vector carries up to 257 of its 543 bits as a common factor.  Columns and Taylor vectors are each an
+:class:`~polylog.dense.NPoly`, the one dense kernel.  Every entry point first refuses its estimate past
+MAX_TERMS (:func:`_refuse_past_max_terms`), and one that caches then a bound on what it charges past
+MEMO_BYTES, before it reads its memo.
 
-Star combinations sum_k c_k (k x1)* have polynomial harmonic sums:
-H of (k x1)* at N is binomial(N+k, k) = (N+1)...(N+k)/k!, so the closed form
-is an exact polynomial in N: an :class:`~polylog.dense.NPoly` again, built by
-Horner's rule in the rising products over one denominator.  Composed with the
-star form of Li at non-positive indices (:mod:`polylog.negindex`, imported on
-first use), this yields Faulhaber-style closed forms for every non-positive
-multi-index.  The stuffle character is checked in :mod:`polylog.checks`.
+Star combinations sum_k c_k (k x1)* have polynomial harmonic sums: H of (k x1)* at N is
+binomial(N+k, k) = (N+1)...(N+k)/k!, so the closed form is an exact polynomial in N: an
+:class:`~polylog.dense.NPoly` again, built by Horner's rule in the rising products over one denominator.
+Composed with the star form of Li at non-positive indices (:mod:`polylog.negindex`, imported on first use),
+this yields Faulhaber-style closed forms for every non-positive multi-index.  The stuffle character is checked
+in :mod:`polylog.checks`.
 
-The column cache and the Li-vector memo are bounded by nc_core's ``memo_account``.  A longer
-column replaces a cached one whole, in one immutable value, so a racing thread can at worst
-duplicate work, never observe a partial or mixed column.
+The column cache, the weight rows and the Li-vector memo are bounded by nc_core's ``memo_account``.  A longer
+column replaces a cached one whole, in one immutable value, so a racing thread can at worst duplicate work,
+never observe a partial or mixed column.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import repeat
+from itertools import accumulate, repeat
 from math import gcd, lcm, prod
 from operator import floordiv, mul
 from sys import getsizeof, int_info
@@ -117,13 +114,18 @@ def _entry_bits(s: int, n: int) -> int:
     return ((3 * n // 2 + 1) * s if n > 1 else 0) + int.bit_length(n)
 
 
+def _row_bytes(s: int, n: int) -> int:
+    """A bound on what :func:`_weight_row` of entry s to N charges: a column of its bits, and the tuple."""
+    return _column_bytes(_entry_bits(s, n), n, 0) + getsizeof(()) + (n + 1) * (getsizeof((0,)) - getsizeof(()))
+
+
 def _index_bytes(index: SignedIndex, n: int) -> int:
     """A bound on what Li's Taylor vector of ``index`` to N, or its harmonic column, charges with its tail's columns.
 
-    One column per nonempty suffix of the tail, and the vector, each of the bits of its entries; the vector is
-    counted with no zero entry, as that of a polynomial is (:func:`_poly_bytes`).
+    One column per nonempty suffix of the tail, and the vector, each of the bits of its entries, the vector with
+    no zero entry as that of a polynomial (:func:`_poly_bytes`); and one weight row per distinct tail entry.
     """
-    bits = size = 0
+    bits, size = 0, sum(_row_bytes(s, n) for s in set(index[1:]))
     for depth, s in enumerate(reversed(index[1:]), 1):
         bits += _entry_bits(s, n)
         size += _column_bytes(bits, n, depth)
@@ -134,12 +136,14 @@ def _poly_bytes(q: NCPoly, weight: int, length: int, n: int) -> int:
     """A bound on what the Taylor vector to N of a Y-polynomial builds and charges: it and its words' tail columns.
 
     The vector is counted at the bits of a word of the largest ``weight`` and ``length``, and so is each tail,
-    one per letter after a word's first; where that passes MEMO_BYTES, each distinct tail once at its own bits.
-    The first count never falls below the second and takes O(1): on the series workload's polynomials the
-    walk takes about 45 us a call against 1.6 us, and walking on every call read 2-4% slower there.
+    one per letter after a word's first, with a weight row per tail entry 1..weight - 1; where that passes
+    MEMO_BYTES, each distinct tail once at its own bits, and a row per distinct tail entry.  The first count
+    never falls below the second and takes O(weight): on the series workload's polynomials the walk takes
+    about 45 us a call against 1.6 us, and walking on every call read 2-4% slower there.
     """
     bits = _entry_bits(weight, n) + max(length - 1, 0) * int.bit_length(n)
     size = _column_bytes(bits, n, 0) + len(q) * max(length - 1, 0) * _column_bytes(bits, n, 1)
+    size += sum(_row_bytes(s, n) for s in range(1, weight)) if length > 1 else 0
     if size <= MEMO_BYTES:
         return size
     ids: dict[tuple[int, int], int] = {}  # each distinct tail: (its first letter, the id of the rest) -> its id
@@ -153,7 +157,8 @@ def _poly_bytes(q: NCPoly, weight: int, length: int, n: int) -> int:
                 tail = ids[key] = len(tails)
                 rest_bits, rest_depth = tails[key[1]]
                 tails.append((rest_bits + _entry_bits(s, n), rest_depth + 1))
-    return _column_bytes(bits, n, 0) + sum(_column_bytes(b, n, depth) for b, depth in tails[1:])
+    rows = sum(_row_bytes(s, n) for s in {s for s, _ in ids})
+    return _column_bytes(bits, n, 0) + sum(_column_bytes(b, n, depth) for b, depth in tails[1:]) + rows
 
 
 def _prefix_column(weights: list[Iterator], n_max: int) -> Iterator[int]:
@@ -173,27 +178,38 @@ def _prefix_column(weights: list[Iterator], n_max: int) -> Iterator[int]:
         yield state[0]
 
 
-def _shifted(s1: int, sub: NPoly, n_max: int) -> NPoly:
-    """Coefficients n^(-s1) sub_(n-1), n = 0..n_max: Li's Taylor vector from H of its tail."""
+def _row(s1: int, n_max: int) -> tuple[int, tuple[int, ...]]:
+    """(scale, (0, scale * n^(-s1) for n = 1..n_max)) with scale = lcm(1..n_max)^max(s1, 0)."""
     (scale,) = _scales((s1,), n_max)
-    weights = _weights(s1, scale, n_max)
-    return NPoly((0, *map(mul, weights, sub.nums)), sub.den * scale)
+    return scale, (0, *_weights(s1, scale, n_max))
 
 
-#: Integer columns keyed by signed index.  An entry is replaced whole by a
-#: longer column, never mutated, so readers see one consistent column.
+@lru_cache(maxsize=None, typed=True)
+def _weight_row(s1: int, n_max: int) -> tuple[int, tuple[int, ...]]:
+    """:func:`_row` for every column to n_max of entry s1; typed keys; charges the tuple, each entry as the largest."""
+    scale, row = out = _row(s1, n_max)
+    memo_account.charge(getsizeof(row) + len(row) * getsizeof(max(scale, row[-1])))
+    return out
+
+
+def _shifted(s1: int, sub: NPoly, n_max: int, entries: set) -> NPoly:
+    """n^(-s1) sub_(n-1), n = 0..n_max, Li's vector from H of its tail; s1's row is memoized if in ``entries``."""
+    scale, row = (_weight_row if s1 in entries else _row)(s1, n_max)
+    return NPoly(map(mul, row, (0, *sub.nums)), sub.den * scale)
+
+
+#: Integer columns keyed by signed index; a longer column replaces an entry whole, so readers see one column.
 _HVEC_CACHE: dict[SignedIndex, NPoly] = {}
 memo_account.tables.append(lambda: _HVEC_CACHE.clear())  # the global at call time: tests replace it
 
 
-def _h_vector(index: SignedIndex, n_max: int) -> NPoly:
+def _h_vector(index: SignedIndex, n_max: int, lead=_weight_row) -> NPoly:
     """Cached column of H_index(0..n_max) or longer, copy-on-extend.
 
-    H_index(N) = 0 for N < depth and > 0 from there on, so a column is either
-    zero (not cached) or keeps every entry under trimming, and ``len`` of a
-    cached column is its entry count.  Built in a loop upwards from the
-    longest suffix cached long enough, so a deep index never reaches the
-    recursion limit.
+    H_index(N) = 0 for N < depth and > 0 from there on, so a column is either zero (not cached) or keeps every
+    entry under trimming, and ``len`` of a cached column is its entry count.  Built in a loop upwards from the
+    longest suffix cached long enough, so a deep index never reaches the recursion limit.  A column is one pass
+    over its weight row, index[0]'s from ``lead``; its charge is a bound, every nonzero entry at the last's size.
     """
     if n_max < len(index):
         return NPoly()
@@ -205,8 +221,10 @@ def _h_vector(index: SignedIndex, n_max: int) -> NPoly:
         k = len(index)
         col = NPoly((1,) * (n_max + 1), 1)
     for j in reversed(range(k)):
-        col = _shifted(index[j], col, n_max).prefix_sums(n_max)
-        memo_account.charge(sum(map(getsizeof, (col.den, *col.nums))))
+        scale, row = (_weight_row if j else lead)(index[j], n_max)
+        col = NPoly(accumulate(map(mul, row, (0, *col.nums))), col.den * scale)
+        depth = len(index) - j  # the leading zeros
+        memo_account.charge(getsizeof(col.den) + depth * getsizeof(0) + (len(col) - depth) * getsizeof(col.nums[-1]))
         _HVEC_CACHE[index[j:]] = col
     return col
 
@@ -216,14 +234,15 @@ def _taylor_map(terms: Iterable[tuple[RatLike, SignedIndex]], n_cap: int) -> NPo
     if n_cap < 0:
         raise ValueError("n_cap must be >= 0")
     groups: dict[int, list[tuple[RatLike, NPoly]]] = {}
-    parts = []
+    parts, entries = [], set()  # the tails' entries
     for c, index in terms:
         if index:
             groups.setdefault(index[0], []).append((c, _h_vector(index[1:], n_cap)))
+            entries.update(index[1:])
         else:
             parts.append((c, NPoly([1])))
     for s1, tails in groups.items():
-        parts.append((1, _shifted(s1, NPoly.lin_comb(tails, n_cap), n_cap)))
+        parts.append((1, _shifted(s1, NPoly.lin_comb(tails, n_cap), n_cap, entries)))
     return NPoly.lin_comb(parts, n_cap)
 
 
@@ -290,7 +309,7 @@ def h_word_table(w: Word, n_max: int) -> list[Fraction]:
     _refuse_past_memo_bytes(_index_bytes(w.letters, n_max), n_max)
     if n_max < 0:
         raise ValueError("N must be a natural number")
-    return list(_h_vector(w.letters, n_max).padded(n_max))
+    return list(_h_vector(w.letters, n_max, _row).padded(n_max))  # _index_bytes counts no row of w's first letter
 
 
 def h_poly_eval(q: NCPoly, n: int) -> Fraction:
@@ -324,7 +343,7 @@ def _li_vector(n_cap: int, *index: int) -> NPoly:
     return vector
 
 
-memo_account.tables.append(_li_vector.cache_clear)
+memo_account.tables.extend((_weight_row.cache_clear, _li_vector.cache_clear))
 
 
 def h_poly_table(q: NCPoly, n_max: int) -> list[Fraction]:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from polylog import checks, harmonic
+from polylog import checks, harmonic, nc_core
 from polylog.checks import h_stuffle_check
 from polylog.cli import main
 from polylog.dense import NPoly
@@ -574,6 +574,30 @@ class TestIntegerColumns:
             assert table == expected
 
         per_word()
+
+    def test_property_columns_from_weight_rows_match_the_oracle(self, monkeypatch):
+        # the memoized columns (the leading row memoized or not) against h_signed_table, which weighs on its own;
+        # then again from emptied tables under a bound that empties them again and again while columns are built
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        indices = st.lists(st.integers(-3, 4), max_size=4).map(tuple)
+        cases = st.lists(st.tuples(indices, st.integers(0, 120)), max_size=4)
+        default = nc_core.MEMO_BYTES
+
+        @hyp.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+        @hyp.given(cases)
+        @hyp.example([((4, -3, 4), 120), ((-3, 4), 119), ((4,), 120), ((), 0)])
+        def agree(cases):
+            want = [tuple(h_signed_table(index, n)) for index, n in cases]
+            for bound, lead in ((default, harmonic._weight_row), (default, harmonic._row), (2048, harmonic._weight_row)):
+                monkeypatch.setattr(nc_core, "MEMO_BYTES", bound)
+                for clear in nc_core.memo_account.tables:
+                    clear()
+                assert [harmonic._h_vector(index, n, lead).padded(n) for index, n in cases] == want
+
+        clears = nc_core.memo_account.clears
+        agree()
+        assert nc_core.memo_account.clears > clears
 
     def test_cache_extension_order(self, monkeypatch):
         # a short column, a longer one replacing it, a request the longer one

@@ -576,6 +576,38 @@ class TestDenseKernel:
 
         check()
 
+    def test_property_lin_comb_of_every_coefficient_kind(self, monkeypatch):
+        # int, Fraction and "p/q" coefficients on polynomials of unequal lengths, uncut, cut below every degree,
+        # cut short of the longest and padded past it: the coefficientwise Fraction sum, and no Fraction built
+        # when every coefficient is an int
+        hyp, st, entry, poly = self._strategies()
+        fractions = st.fractions(min_value=-4, max_value=4, max_denominator=9)
+        coeffs = st.one_of(st.integers(-9, 9), fractions, fractions.map(lambda c: f"{c.numerator}/{c.denominator}"))
+        made, new = [], Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            made.append(cls)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+
+        @hyp.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+        @hyp.given(st.lists(st.tuples(coeffs, poly), max_size=4), st.sampled_from(["none", "below", "short", "long"]))
+        @hyp.example([(3, [Fraction(1, 2)]), (-2, [Fraction(0), Fraction(1, 3), Fraction(5)])], "short")
+        def check(pairs, cut):
+            longest = max((len(a) for _, a in pairs), default=0)
+            n = {"none": None, "below": -1, "short": longest - 2, "long": longest + 2}[cut]
+            top = longest - 1 if n is None else n
+            terms = [(c, NPoly(a)) for c, a in pairs]
+            made.clear()
+            combo = NPoly.lin_comb(terms, n)
+            ints = all(type(c) is int for c, _ in pairs)
+            assert not (ints and made), made
+            want = tuple(sum((Fraction(c) * _cut(a, top)[j] for c, a in pairs), Fraction(0)) for j in range(top + 1))
+            assert combo.padded(top) == want and len(combo) <= max(top + 1, 0)
+
+        check()
+
     def test_property_series_kernels(self):
         hyp, st, entry, poly = self._strategies()
 
@@ -661,7 +693,7 @@ class TestMemoAccount:
         shuffle(NCPoly.from_word(x_word("011")), NCPoly.from_word(x_word("10")))
         stuffle(NCPoly.from_word(y_word(2, 1)), NCPoly.from_word(y_word(1, 3)))
         li_taylor_coeffs((2, 1), 10)
-        tables = products._shuffle_letters, products._stuffle_letters, harmonic._li_vector
+        tables = products._shuffle_letters, products._stuffle_letters, harmonic._weight_row, harmonic._li_vector
         assert harmonic._HVEC_CACHE and all(table.cache_info().currsize for table in tables)
         monkeypatch.setattr(nc_core, "MEMO_BYTES", 2048)
         clears = memo_account.clears
@@ -676,8 +708,14 @@ class TestMemoAccount:
         li_taylor_coeffs((1,), 3)  # (0, 6, 3, 2) / 6: the integers' own sizes
         total += sum(map(getsizeof, (6, 0, 6, 3, 2)))
         assert memo_account.clears == clears + 2 and memo_account.bytes == total
-        h_word_table(y_word(2), 3)  # the column (0, 36, 45, 49) / 36
-        total += sum(map(getsizeof, (36, 0, 36, 45, 49)))
+        h_word_table(y_word(2), 3)  # the column (0, 36, 45, 49) / 36: its denominator, a zero and 3 entries as the last
+        total += getsizeof(36) + getsizeof(0) + 3 * getsizeof(49)
+        assert memo_account.clears == clears + 2 and memo_account.bytes == total
+        # the weight row (0, 216, 27, 8) of the tail entry 3 (the tuple, each entry as the largest), the tail's
+        # column (0, 216, 243, 251) / 216, and the vector (0, 0, 4, 3) / 8
+        li_taylor_coeffs((1, 3), 3)
+        total += getsizeof((0, 216, 27, 8)) + 4 * getsizeof(216) + getsizeof(216) + getsizeof(0) + 3 * getsizeof(251)
+        total += sum(map(getsizeof, (8, 0, 0, 4, 3)))
         assert memo_account.clears == clears + 2 and memo_account.bytes == total
         # y1y2 + y2y1 + y3: the dict and three words, each charged as the stored u v, a tuple of 2 letters
         stuffle(NCPoly.from_word(y_word(1)), NCPoly.from_word(y_word(2)))

@@ -157,6 +157,21 @@ class TestLiVectorCache:
         assert _li_vector.cache_info().currsize == 1
         assert {n_cap: li_taylor_coeffs((2, 1), n_cap).coeffs for n_cap in want} == want
 
+    def test_float_entry_is_refused_after_the_memos_hold_its_int_twin(self, monkeypatch):
+        # (2, 1, 2) leaves Li's vector and the weight rows of 1 and 2 memoized (2 leads and is a tail entry); the
+        # keys are typed, so 2.0 reads neither, weighs by float and is refused
+        for clear in memo_account.tables:
+            clear()
+        monkeypatch.setattr(memo_account, "bytes", 0)
+        for index in ((2, 1), (2, 1, 2)):
+            li_taylor_coeffs(index, 5)
+        hits = harmonic._weight_row.cache_info().hits
+        harmonic._weight_row(1, 5), harmonic._weight_row(2, 5)
+        assert harmonic._weight_row.cache_info().hits == hits + 2
+        for index in ((2.0, 1), (2.0, 1, 2)):
+            with pytest.raises(TypeError):
+                li_taylor_coeffs(index, 5)
+
     def test_keys_are_exact(self):
         li_taylor_coeffs((2, 1), 5)
         with pytest.raises(TypeError):
