@@ -19,9 +19,9 @@ the polynomial's harmonic sums, and an X-polynomial P reaches it as pi_Y(P)
 (:func:`~polylog.polylog_num.li_taylor_poly`).  Its index twin :func:`_li_index_vector` memoizes vectors in
 lowest terms by (cap, index): the series calculus reads them again and again, and over lcm(1..100)^4 a weight-4
 vector carries up to 257 of its 543 bits as a common factor.  Columns and Taylor vectors are each an
-:class:`~polylog.dense.NPoly`, the one dense kernel.  Every entry point first refuses its estimate past
-MAX_TERMS (:func:`_refuse_past_max_terms`), and one that caches then a bound on what it charges past
-MEMO_BYTES, before it reads its memo.
+:class:`~polylog.dense.NPoly`, the one dense kernel.  Every entry point makes one call of the admission
+:func:`_refuse` before any work or memo read: it refuses an entry that is not an integer, then rows and weight
+bits past MAX_TERMS, then, for a call that caches, its charge past MEMO_BYTES.
 
 Star combinations sum_k c_k (k x1)* have polynomial harmonic sums: H of (k x1)* at N is
 binomial(N+k, k) = (N+1)...(N+k)/k!, so the closed form is an exact polynomial in N: an
@@ -43,7 +43,7 @@ from itertools import accumulate, repeat
 from math import gcd, lcm, prod
 from operator import floordiv, mul
 from sys import getsizeof, int_info
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .dense import NPoly
 from .nc_core import MAX_TERMS, MEMO_BYTES, AlphabetError, NCPoly, RatLike, Y, memo_account, refuse_above
@@ -67,24 +67,24 @@ def _weights(s: int, scale: int, n_max: int, start: int = 1) -> Iterator[int]:
     return map(floordiv, repeat(scale), powers) if s > 0 else powers
 
 
-def _refuse_past_max_terms(index: SignedIndex, n: int, depth: int) -> None:
-    """Refuse N * depth, or the weight bits summed per entry s, above MAX_TERMS through :func:`refuse_above`.
+def _refuse(index: SignedIndex, n: int, depth: int, charged: Callable[[], int] | None = None) -> None:
+    """The one admission of a harmonic call, before any work or memo read: a TypeError for an entry neither an
+    int nor an integral Fraction (the column cache's keys are untyped, 2.0 == 2); N * depth rows, then the weight
+    bits summed per entry s, above MAX_TERMS; then, for a call that caches, its bound ``charged()`` on what it
+    charges above MEMO_BYTES, which one call must not pass (bound at import, as a cap is).
 
     The weights of s > 0 count (N - 1) s bits: a work estimate below the size of lcm(1..N)^s, about 1.44 N s
     bits, which MEMO_BYTES bounds by :func:`_entry_bits`.  Those of s <= 0, the n^|s|, count |s| bit_length(N - 1);
     none count at N <= 1.  A polynomial is estimated as its heaviest word: (weight,) at depth max(length, 1).
     """
+    if not all(isinstance(s, (int, Fraction)) and s.denominator == 1 for s in index):
+        raise TypeError(f"index entries must be integers, got {index!r}")
     refuse_above(n * depth, MAX_TERMS, "MAX_TERMS", "N * depth = {} * {} is", n, depth)
     bits = sum((n - 1) * s if s > 0 else -s * int.bit_length(n - 1) for s in index) if n > 1 else 0
     refuse_above(bits, MAX_TERMS, "MAX_TERMS", "weights of about {} bits at N = {} are", bits, n)
-
-
-def _refuse_past_memo_bytes(size: int, n: int) -> None:
-    """Refuse a call that caches, after its MAX_TERMS estimates, when its bound ``size`` on what it charges
-    (:func:`_index_bytes`, :func:`_poly_bytes`) is above MEMO_BYTES: one call past the bound would break the
-    memo rule.  MEMO_BYTES is bound at import, as a cap is: a later nc_core.MEMO_BYTES moves the account only.
-    """
-    refuse_above(size, MEMO_BYTES, "MEMO_BYTES", "cached vectors of about {} bytes at N = {} are", size, n)
+    if charged is not None:
+        size = charged()
+        refuse_above(size, MEMO_BYTES, "MEMO_BYTES", "cached vectors of about {} bytes at N = {} are", size, n)
 
 
 # CPython's ints: getsizeof(1) bytes hold one digit, and each further digit of _DIGIT_BITS bits takes _DIGIT_BYTES
@@ -119,17 +119,29 @@ def _row_bytes(s: int, n: int) -> int:
     return _column_bytes(_entry_bits(s, n), n, 0) + getsizeof(()) + (n + 1) * (getsizeof((0,)) - getsizeof(()))
 
 
-def _index_bytes(index: SignedIndex, n: int) -> int:
-    """A bound on what Li's Taylor vector of ``index`` to N, or its harmonic column, charges with its tail's columns.
-
-    One column per nonempty suffix of the tail, and the vector, each of the bits of its entries, the vector with
-    no zero entry as that of a polynomial (:func:`_poly_bytes`); and one weight row per distinct tail entry.
+def _tails_bytes(words: Iterable[Sequence[int]], n: int) -> int:
+    """What the distinct tails of ``words`` charge to N, walked once: a column per distinct nonempty tail (the
+    letters after a word's first) at its own entries' bits and depth, and a weight row per distinct tail entry.
     """
-    bits, size = 0, sum(_row_bytes(s, n) for s in set(index[1:]))
-    for depth, s in enumerate(reversed(index[1:]), 1):
-        bits += _entry_bits(s, n)
-        size += _column_bytes(bits, n, depth)
-    return size + _column_bytes(bits + _entry_bits(index[0], n) if index else 0, n, 0)
+    seen: dict[tuple[int, int], tuple[int, int]] = {}  # (first letter, id of the rest) -> (id, bits); 0: empty
+    size = 0
+    for letters in words:
+        tail = bits = 0
+        for depth, s in enumerate(reversed(letters[1:]), 1):
+            key = (s, tail)
+            got = seen.get(key)
+            if got is None:
+                got = seen[key] = (len(seen) + 1, bits + _entry_bits(s, n))
+                size += _column_bytes(got[1], n, depth)
+            tail, bits = got
+    return size + sum(_row_bytes(s, n) for s in {s for s, _ in seen})
+
+
+def _index_bytes(index: SignedIndex, n: int) -> int:
+    """A bound on what Li's Taylor vector of ``index`` to N, or its harmonic column, charges with its tail's columns:
+    the vector with no zero entry at every entry's bits, as a polynomial's (:func:`_poly_bytes`), and the walk of its
+    one word's tails."""
+    return _column_bytes(sum(map(_entry_bits, index, repeat(n))), n, 0) + _tails_bytes((index,), n)
 
 
 def _poly_bytes(q: NCPoly, weight: int, length: int, n: int) -> int:
@@ -137,28 +149,14 @@ def _poly_bytes(q: NCPoly, weight: int, length: int, n: int) -> int:
 
     The vector is counted at the bits of a word of the largest ``weight`` and ``length``, and so is each tail,
     one per letter after a word's first, with a weight row per tail entry 1..weight - 1; where that passes
-    MEMO_BYTES, each distinct tail once at its own bits, and a row per distinct tail entry.  The first count
+    MEMO_BYTES, the vector and the walk of the words' distinct tails (:func:`_tails_bytes`).  The first count
     never falls below the second and takes O(weight): on the series workload's polynomials the walk takes
     about 45 us a call against 1.6 us, and walking on every call read 2-4% slower there.
     """
     bits = _entry_bits(weight, n) + max(length - 1, 0) * int.bit_length(n)
     size = _column_bytes(bits, n, 0) + len(q) * max(length - 1, 0) * _column_bytes(bits, n, 1)
     size += sum(_row_bytes(s, n) for s in range(1, weight)) if length > 1 else 0
-    if size <= MEMO_BYTES:
-        return size
-    ids: dict[tuple[int, int], int] = {}  # each distinct tail: (its first letter, the id of the rest) -> its id
-    tails = [(0, 0)]  # by id, the bits of a tail's entries and its depth; id 0 is the empty tail
-    for letters in q._nums:
-        tail = 0
-        for s in reversed(letters[1:]):
-            key = (s, tail)
-            tail = ids.get(key, 0)
-            if not tail:
-                tail = ids[key] = len(tails)
-                rest_bits, rest_depth = tails[key[1]]
-                tails.append((rest_bits + _entry_bits(s, n), rest_depth + 1))
-    rows = sum(_row_bytes(s, n) for s in {s for s, _ in ids})
-    return _column_bytes(bits, n, 0) + sum(_column_bytes(b, n, depth) for b, depth in tails[1:]) + rows
+    return size if size <= MEMO_BYTES else _column_bytes(bits, n, 0) + _tails_bytes(q._nums, n)
 
 
 def _prefix_column(weights: list[Iterator], n_max: int) -> Iterator[int]:
@@ -272,7 +270,7 @@ def h_signed_eval(s: Sequence[int], n: int) -> Fraction:
     lcm^s1 and merged pairwise.  For s1 <= 0 a merge is a plain add, so one block.
     """
     index = tuple(s)
-    _refuse_past_max_terms(index, n, len(index))
+    _refuse(index, n, len(index))
     scales = _scales(index[1:], n)
     if not index:
         return Fraction(1)
@@ -294,7 +292,7 @@ def h_signed_eval(s: Sequence[int], n: int) -> Fraction:
 def h_signed_table(s: Sequence[int], n_max: int) -> list[Fraction]:
     """Oracle values [H_s(0), ..., H_s(n_max)] in one streaming pass, apart from the cache."""
     index = tuple(s)
-    _refuse_past_max_terms(index, n_max, max(len(index), 1))  # the empty index still has N + 1 entries
+    _refuse(index, n_max, max(len(index), 1))  # the empty index still has N + 1 entries
     scales = _scales(index, n_max)
     den = prod(scales)
     column = _prefix_column([_weights(e, f, n_max) for e, f in zip(index, scales)], n_max)
@@ -305,8 +303,7 @@ def h_word_table(w: Word, n_max: int) -> list[Fraction]:
     """Cached values [H_w(0), ..., H_w(n_max)] for a Y-word."""
     if w.alphabet != Y:
         raise AlphabetError("harmonic sums are indexed by Y-words")
-    _refuse_past_max_terms(w.letters, n_max, max(len(w.letters), 1))
-    _refuse_past_memo_bytes(_index_bytes(w.letters, n_max), n_max)
+    _refuse(w.letters, n_max, max(len(w.letters), 1), lambda: _index_bytes(w.letters, n_max))
     if n_max < 0:
         raise ValueError("N must be a natural number")
     return list(_h_vector(w.letters, n_max, _row).padded(n_max))  # _index_bytes counts no row of w's first letter
@@ -322,16 +319,14 @@ def _li_poly_vector(q: NCPoly, n_max: int) -> NPoly:
     if q.alphabet != Y:
         raise AlphabetError("harmonic sums are indexed by Y-polynomials")
     weight, length = q.max_grade, q.max_length
-    _refuse_past_max_terms((weight,), n_max, max(length, 1))
-    _refuse_past_memo_bytes(_poly_bytes(q, weight, length, n_max), n_max)
+    _refuse((weight,), n_max, max(length, 1), lambda: _poly_bytes(q, weight, length, n_max))
     vector = _taylor_map(((x, l) for l, x in q._nums.items()), n_max)  # numerators over q._den
     return vector * Fraction(1, q._den)
 
 
 def _li_index_vector(index: SignedIndex, n: int) -> NPoly:
     """Li's Taylor vector to N of a signed index from the memo, in lowest terms; the empty index gives 1."""
-    _refuse_past_max_terms(index, n, max(len(index), 1))  # the empty index still has N + 1 entries
-    _refuse_past_memo_bytes(_index_bytes(index, n), n)
+    _refuse(index, n, max(len(index), 1), lambda: _index_bytes(index, n))  # the empty index has N + 1 entries
     return _li_vector(n, *index)
 
 

@@ -172,6 +172,23 @@ class TestLiVectorCache:
             with pytest.raises(TypeError):
                 li_taylor_coeffs(index, 5)
 
+    def test_a_refused_float_entry_leaves_no_column_for_its_int_twin(self, monkeypatch):
+        # 2.0 == 2 and hashes alike, so a float column cached under (2.0,) would be read for (2,): the entry is
+        # refused before any table is read or filled, and the int call that follows answers
+        calls = [
+            (lambda: li_taylor_coeffs((1, 2.0), 5), lambda: li_taylor_coeffs((1, 2), 5).coeffs,
+             _uncached_li((1, 2), 5).coeffs),
+            (lambda: h_word_table(Word((2.0,), Y), 5), lambda: h_word_table(y_word(2), 5), h_signed_table((2,), 5)),
+        ]
+        for refused, answered, want in calls:
+            for clear in memo_account.tables:
+                clear()
+            monkeypatch.setattr(memo_account, "bytes", 0)
+            with pytest.raises(TypeError):
+                refused()
+            assert memo_account.bytes == 0 and not harmonic._HVEC_CACHE
+            assert answered() == want
+
     def test_keys_are_exact(self):
         li_taylor_coeffs((2, 1), 5)
         with pytest.raises(TypeError):
@@ -253,6 +270,10 @@ class TestLiVectorCache:
         assert 0 < charge(li_taylor_coeffs, index, n) <= estimate
         if all(s > 0 for s in index):
             assert charge(h_word_table, Word(index, Y), n) <= estimate
+            # one walk of the distinct tails: a word's figure is that of the polynomial of the word alone
+            monkeypatch.setattr(harmonic, "MEMO_BYTES", 0)
+            word = NCPoly.from_word(Word(index, Y))
+            assert harmonic._poly_bytes(word, word.max_grade, word.max_length, n) == estimate
 
     @pytest.mark.parametrize(
         "poly,n",
