@@ -7,9 +7,9 @@ nothing, so a failing check cannot shift the inputs of the checks after it.
 :meth:`Check.run` tests the inputs in order, stops at the first failure and
 returns a :class:`CheckResult` with the detail and the elapsed time.  The
 identity data and predicates live here, which no request outside ``verify``
-loads: the tables, the stuffle character (read off harmonic columns, or off
-Taylor vectors as the Hadamard identity), the shuffle morphism, the derivative
-recursions and the radius diagnostic.  ``stars.ykstar_exp_identity``,
+loads: the tables, the stuffle character (one check with the Hadamard identity,
+each H_w the prefix sums of Li_w's memoized Taylor vector), the shuffle morphism,
+the derivative recursions and the radius diagnostic.  ``stars.ykstar_exp_identity``,
 ``stars.check_kstar_shuffle_power`` and ``polylog_num.check_surjection_lemma``
 stay by their computations, where ``perfbench`` calls them.
 """
@@ -321,29 +321,22 @@ def suite_mixed(ncap: int | None = None, seed: int = DEFAULT_SEED) -> list[Check
 # -- morphisms -----------------------------------------------------------------
 
 
-def _stuffle_character(u: Word, v: Word, n_max: int, column: Callable[[tuple, int], NPoly]) -> bool:
-    """H_{u st v}(N) = H_u(N) H_v(N) for N <= n_max; ``column(w.letters, n_max)`` is H_w(0..n_max) or longer."""
-    if u.alphabet != Y or v.alphabet != Y:
-        raise AlphabetError("the stuffle character is indexed by Y-words")
-    lhs = harmonic._li_poly_vector(products.stuffle(NCPoly.from_word(u), NCPoly.from_word(v)), n_max).prefix_sums(n_max)
-    hu, hv = (column(w.letters, n_max) for w in (u, v))
-    cut = n_max + 1  # a cached column can be longer than asked for
-    return lhs == NPoly(hu.nums[:cut], hu.den).hadamard(NPoly(hv.nums[:cut], hv.den))
-
-
 def h_stuffle_check(u: Word, v: Word, n_max: int) -> bool:
-    """Exact character check H_{u st v}(N) = H_u(N) H_v(N) for N <= n_max, on the harmonic columns."""
-    return _stuffle_character(u, v, n_max, harmonic._h_vector)
+    """Exact character check H_{u st v}(N) = H_u(N) H_v(N) for N <= n_max: :func:`check_hadamard_identity`."""
+    return check_hadamard_identity(u, v, n_max)
 
 
 def check_hadamard_identity(u: Word, v: Word, n_cap: int) -> bool:
     """Exact check of (Li_u/(1-z)) had (Li_v/(1-z)) = Li_{u st v}/(1-z).
 
-    The stuffle character, with each H_w(N) read off the Taylor vector of Li_w/(1-z).
+    The stuffle character for N <= n_cap, with each H_w(N) read as the prefix sums of Li_w's memoized Taylor
+    vector, and H_{u st v} as those of the stuffle's polynomial vector.
     """
-    return _stuffle_character(
-        u, v, n_cap, lambda s, n: polylog_num.div_one_minus_z(polylog_num.li_taylor_coeffs(s, n)).poly
-    )
+    if u.alphabet != Y or v.alphabet != Y:
+        raise AlphabetError("the stuffle character is indexed by Y-words")
+    lhs = harmonic._li_poly_vector(products.stuffle(NCPoly.from_word(u), NCPoly.from_word(v)), n_cap)
+    hu, hv = (harmonic._li_index_vector(w.letters, n_cap).prefix_sums(n_cap) for w in (u, v))
+    return lhs.prefix_sums(n_cap) == hu.hadamard(hv)
 
 
 def check_shuffle_morphism(u: Word, v: Word, n_cap: int) -> bool:

@@ -12,10 +12,11 @@ entry's terms H_(s2..sr)(k-1) k^(-s1) in blocks of consecutive k, each over lcm(
 a binary counter; so no step divides a number of lcm(1..N)^s1 size, and memory is O(r + log N) numbers.
 The two oracles compute their own weights.  Every other path reads memoized weight rows (0, L^s n^(-s)) per
 (s, N), as nested sums are tabulated in Vermaseren's scheme (*Harmonic sums, Mellin transforms and integrals*,
-1999), and builds a column in one pass over its row.  A word table reads its word's memoized column; Taylor
-vectors of Li take one weight pass per leading entry over the memoized tail columns, so no product's full words
-are cached.  A polynomial has one Taylor path, :func:`_li_poly_vector` of a Y-polynomial: its prefix sums are
-the polynomial's harmonic sums, and an X-polynomial P reaches it as pi_Y(P)
+1999), and builds a column in one pass over its row.  Taylor vectors of Li take one weight pass per leading
+entry over the memoized tail columns, so the column cache holds tails only, never a full word.  H_w(N) is the
+N-th Taylor coefficient of Li_w(z)/(1-z), and that is the one reading of a word's harmonic sums: a word table
+is the prefix sums of the word's memoized Taylor vector.  A polynomial has one Taylor path, :func:`_li_poly_vector`
+of a Y-polynomial: its prefix sums are the polynomial's harmonic sums, and an X-polynomial P reaches it as pi_Y(P)
 (:func:`~polylog.polylog_num.li_taylor_poly`).  Its index twin :func:`_li_index_vector` memoizes vectors in
 lowest terms by (cap, index): the series calculus reads them again and again, and over lcm(1..100)^4 a weight-4
 vector carries up to 257 of its 543 bits as a common factor.  Columns and Taylor vectors are each an
@@ -138,7 +139,7 @@ def _tails_bytes(words: Iterable[Sequence[int]], n: int) -> int:
 
 
 def _index_bytes(index: SignedIndex, n: int) -> int:
-    """A bound on what Li's Taylor vector of ``index`` to N, or its harmonic column, charges with its tail's columns:
+    """A bound on what Li's Taylor vector of ``index`` to N (so a word table too) charges with its tail's columns:
     the vector with no zero entry at every entry's bits, as a polynomial's (:func:`_poly_bytes`), and the walk of its
     one word's tails."""
     return _column_bytes(sum(map(_entry_bits, index, repeat(n))), n, 0) + _tails_bytes((index,), n)
@@ -201,13 +202,13 @@ _HVEC_CACHE: dict[SignedIndex, NPoly] = {}
 memo_account.tables.append(lambda: _HVEC_CACHE.clear())  # the global at call time: tests replace it
 
 
-def _h_vector(index: SignedIndex, n_max: int, lead=_weight_row) -> NPoly:
-    """Cached column of H_index(0..n_max) or longer, copy-on-extend.
+def _h_vector(index: SignedIndex, n_max: int) -> NPoly:
+    """Cached column of H_index(0..n_max) or longer, copy-on-extend; the index is a tail of a Taylor map's term.
 
     H_index(N) = 0 for N < depth and > 0 from there on, so a column is either zero (not cached) or keeps every
     entry under trimming, and ``len`` of a cached column is its entry count.  Built in a loop upwards from the
     longest suffix cached long enough, so a deep index never reaches the recursion limit.  A column is one pass
-    over its weight row, index[0]'s from ``lead``; its charge is a bound, every nonzero entry at the last's size.
+    over its entry's memoized weight row; its charge is a bound, every nonzero entry at the last's size.
     """
     if n_max < len(index):
         return NPoly()
@@ -219,7 +220,7 @@ def _h_vector(index: SignedIndex, n_max: int, lead=_weight_row) -> NPoly:
         k = len(index)
         col = NPoly((1,) * (n_max + 1), 1)
     for j in reversed(range(k)):
-        scale, row = (_weight_row if j else lead)(index[j], n_max)
+        scale, row = _weight_row(index[j], n_max)
         col = NPoly(accumulate(map(mul, row, (0, *col.nums))), col.den * scale)
         depth = len(index) - j  # the leading zeros
         memo_account.charge(getsizeof(col.den) + depth * getsizeof(0) + (len(col) - depth) * getsizeof(col.nums[-1]))
@@ -300,13 +301,10 @@ def h_signed_table(s: Sequence[int], n_max: int) -> list[Fraction]:
 
 
 def h_word_table(w: Word, n_max: int) -> list[Fraction]:
-    """Cached values [H_w(0), ..., H_w(n_max)] for a Y-word."""
+    """Values [H_w(0), ..., H_w(n_max)] for a Y-word: the prefix sums of Li_w's memoized Taylor vector."""
     if w.alphabet != Y:
         raise AlphabetError("harmonic sums are indexed by Y-words")
-    _refuse(w.letters, n_max, max(len(w.letters), 1), lambda: _index_bytes(w.letters, n_max))
-    if n_max < 0:
-        raise ValueError("N must be a natural number")
-    return list(_h_vector(w.letters, n_max, _row).padded(n_max))  # _index_bytes counts no row of w's first letter
+    return list(_li_index_vector(w.letters, n_max).prefix_sums(n_max).padded(n_max))
 
 
 def h_poly_eval(q: NCPoly, n: int) -> Fraction:

@@ -18,8 +18,8 @@ from .nc_core import _GRADE, X1, AlphabetError, InvalidIndexError, NotInImageErr
 class Word:
     """An immutable word over the X or Y alphabet.
 
-    ``letters`` holds 0/1 values for the X alphabet and indices s >= 1 for
-    the Y alphabet.  The empty tuple is the unit word of either alphabet.
+    ``letters`` holds 0/1 values for the X alphabet and int indices s >= 1
+    for the Y alphabet.  The empty tuple is the unit word of either alphabet.
     Words are values: equal and hashed by (letters, alphabet), read-only,
     and rebuilt through the constructor by pickle and copy.
     """
@@ -30,7 +30,9 @@ class Word:
         _check_alphabet(alphabet)
         if alphabet == X and any(b not in (0, 1) for b in letters):
             raise AlphabetError(f"X-word letters must be 0 or 1, got {letters}")
-        if alphabet == Y and any(s < 1 for s in letters):
+        if alphabet == Y and not all(isinstance(s, int) and s >= 1 for s in letters):  # one pass when valid
+            if not all(isinstance(s, int) for s in letters):
+                raise TypeError(f"Y-word indices must be integers, got {letters!r}")  # 2.0 would share 2's cache keys
             raise AlphabetError(f"Y-word indices must be >= 1, got {letters}")
         object.__setattr__(self, "letters", letters)  # the class's own __setattr__ refuses
         object.__setattr__(self, "alphabet", alphabet)

@@ -25,7 +25,7 @@ from polylog.harmonic import (
     h_x1star_closed_form,
 )
 from polylog.nc_core import AlphabetError, InvalidIndexError, NCPoly, Word, X, Y, x_word, y_word
-from polylog.polylog_num import li_taylor_poly
+from polylog.polylog_num import li_taylor_coeffs, li_taylor_poly
 from polylog.products import conc, stuffle
 from polylog.stars import X1StarPoly
 
@@ -576,8 +576,8 @@ class TestIntegerColumns:
         per_word()
 
     def test_property_columns_from_weight_rows_match_the_oracle(self, monkeypatch):
-        # the memoized columns (the leading row memoized or not) against h_signed_table, which weighs on its own;
-        # then again from emptied tables under a bound that empties them again and again while columns are built
+        # the memoized columns against h_signed_table, which weighs on its own; then again from emptied tables
+        # under a bound that empties them again and again while columns are built
         hyp = pytest.importorskip("hypothesis")
         st = hyp.strategies
         indices = st.lists(st.integers(-3, 4), max_size=4).map(tuple)
@@ -589,37 +589,56 @@ class TestIntegerColumns:
         @hyp.example([((4, -3, 4), 120), ((-3, 4), 119), ((4,), 120), ((), 0)])
         def agree(cases):
             want = [tuple(h_signed_table(index, n)) for index, n in cases]
-            for bound, lead in ((default, harmonic._weight_row), (default, harmonic._row), (2048, harmonic._weight_row)):
+            for bound in (default, 2048):
                 monkeypatch.setattr(nc_core, "MEMO_BYTES", bound)
                 for clear in nc_core.memo_account.tables:
                     clear()
-                assert [harmonic._h_vector(index, n, lead).padded(n) for index, n in cases] == want
+                assert [harmonic._h_vector(index, n).padded(n) for index, n in cases] == want
 
         clears = nc_core.memo_account.clears
         agree()
         assert nc_core.memo_account.clears > clears
 
     def test_cache_extension_order(self, monkeypatch):
-        # a short column, a longer one replacing it, a request the longer one
-        # serves, then one entry past the cached column
+        # Li's vectors of (1, 2, 1, 3) read the column of the tail (2, 1, 3): a short column, a longer one
+        # replacing it, a request the longer one serves, then one entry past the cached column
         monkeypatch.setattr(harmonic, "_HVEC_CACHE", {})
-        words = [y_word(2, 1, 3), y_word(1, 2), y_word(3)]
+        for clear in nc_core.memo_account.tables:
+            clear()
         for n in (5, 40, 10, 41):
-            for w in words:
-                table = h_word_table(w, n)
-                assert len(table) == n + 1
-                assert table == [_brute_h(w.letters, k) for k in range(n + 1)]
+            vector = li_taylor_coeffs((1, 2, 1, 3), n).coeffs
+            assert vector == tuple(F(_brute_h((2, 1, 3), k - 1), k) if k else F(0) for k in range(n + 1))
         assert len(harmonic._HVEC_CACHE[(2, 1, 3)]) == 42
 
     def test_poly_table_caches_only_proper_suffixes(self, monkeypatch):
-        # a polynomial table reads the tail columns of its words, never their full columns
+        # from emptied tables, a polynomial table, Li's vector, a word table and the stuffle character read the
+        # tail columns of their words, never their full columns
         monkeypatch.setattr(harmonic, "_HVEC_CACHE", {})
-        q = stuffle(NCPoly.from_word(y_word(2, 1)), NCPoly.from_word(y_word(3, 1, 2)))
-        table = h_poly_table(q, 12)
+        u, v = y_word(2, 1), y_word(3, 1, 2)
+        q = stuffle(NCPoly.from_word(u), NCPoly.from_word(v))
+
+        def cached(call, *args):
+            for clear in nc_core.memo_account.tables:
+                clear()
+            return call(*args), set(harmonic._HVEC_CACHE)
+
+        def suffixes(*words):
+            return {w.letters[k:] for w in words for k in range(1, len(w))}
+
+        table, keys = cached(h_poly_table, q, 12)
         assert table == [sum(c * _brute_h(w.letters, n) for w, c in q.items()) for n in range(13)]
-        suffixes = {w.letters[k:] for w, _ in q.items() for k in range(1, len(w))}
-        assert harmonic._HVEC_CACHE and set(harmonic._HVEC_CACHE) <= suffixes
-        assert (3, 1, 2, 2, 1) not in harmonic._HVEC_CACHE
+        assert keys and keys <= suffixes(*q.support())
+        assert (3, 1, 2, 2, 1) not in keys
+        for w in (u, v):
+            table, keys = cached(h_word_table, w, 12)
+            assert table == [_brute_h(w.letters, n) for n in range(13)]
+            assert keys and keys <= suffixes(w)
+            _, keys = cached(li_taylor_coeffs, w.letters, 12)
+            assert keys and keys <= suffixes(w)
+        checked, keys = cached(h_stuffle_check, u, v, 12)
+        assert checked and keys and keys <= suffixes(*q.support())
+        checked, keys = cached(h_stuffle_check, Word((), Y), v, 12)  # the stuffle is v alone
+        assert checked and keys and keys <= suffixes(v)
 
     def test_property_grouped_taylor_map(self):
         # indices sharing a leading entry, groups cancelled by a negated copy, the

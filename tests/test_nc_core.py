@@ -708,8 +708,8 @@ class TestMemoAccount:
         li_taylor_coeffs((1,), 3)  # (0, 6, 3, 2) / 6: the integers' own sizes
         total += sum(map(getsizeof, (6, 0, 6, 3, 2)))
         assert memo_account.clears == clears + 2 and memo_account.bytes == total
-        h_word_table(y_word(2), 3)  # the column (0, 36, 45, 49) / 36: its denominator, a zero and 3 entries as the last
-        total += getsizeof(36) + getsizeof(0) + 3 * getsizeof(49)
+        h_word_table(y_word(2), 3)  # Li's vector (0, 36, 9, 4) / 36 of y2: the integers' own sizes
+        total += sum(map(getsizeof, (36, 0, 36, 9, 4)))
         assert memo_account.clears == clears + 2 and memo_account.bytes == total
         # the weight row (0, 216, 27, 8) of the tail entry 3 (the tuple, each entry as the largest), the tail's
         # column (0, 216, 243, 251) / 216, and the vector (0, 0, 4, 3) / 8
@@ -725,7 +725,7 @@ class TestMemoAccount:
     @pytest.mark.parametrize("fill", ["shuffles", "column"])
     def test_charge_is_what_the_tables_hold(self, monkeypatch, fill):
         # charged bytes over the bytes tracemalloc sees the emptied tables hold after filling them once:
-        # 20 random shuffles of 6-term X polynomials with words up to 8 letters, or one harmonic column table
+        # 20 random shuffles of 6-term X polynomials with words up to 8 letters, or one word table
         rng = random.Random(1)
 
         def poly():

@@ -179,6 +179,8 @@ class TestLiVectorCache:
             (lambda: li_taylor_coeffs((1, 2.0), 5), lambda: li_taylor_coeffs((1, 2), 5).coeffs,
              _uncached_li((1, 2), 5).coeffs),
             (lambda: h_word_table(Word((2.0,), Y), 5), lambda: h_word_table(y_word(2), 5), h_signed_table((2,), 5)),
+            (lambda: h_poly_table(NCPoly.from_word(Word((2, 1.0), Y)) + NCPoly.from_word(y_word(9)), 5),
+             lambda: li_taylor_coeffs((2, 1), 5).coeffs, _uncached_li((2, 1), 5).coeffs),
         ]
         for refused, answered, want in calls:
             for clear in memo_account.tables:
@@ -255,8 +257,8 @@ class TestLiVectorCache:
         ],
     )
     def test_charge_is_within_the_estimate(self, monkeypatch, index, n):
-        # from emptied tables, what li_taylor_coeffs (its vector and the tail's columns) and h_word_table (the
-        # columns of every suffix) charge is at most the estimate that MEMO_BYTES refuses
+        # from emptied tables, what li_taylor_coeffs and h_word_table (the vector and the tail's columns) charge
+        # is at most the estimate that MEMO_BYTES refuses
         def charge(call, *args):
             for clear in memo_account.tables:
                 clear()
