@@ -109,7 +109,8 @@ class NPoly:
         acc = [0] * size
         for c, p in terms:
             k = c.numerator * (den // (c.denominator * p.den))
-            acc[: len(p.nums)] = map(add, acc, map(mul, repeat(k), p.nums))  # map stops at len(acc) = size
+            # a term of k == 1 is added as it is; map stops at len(acc) = size
+            acc[: len(p.nums)] = map(add, acc, p.nums if k == 1 else map(mul, repeat(k), p.nums))
         return NPoly(acc, den)
 
     def __add__(self, other: "NPoly") -> "NPoly":

@@ -17,9 +17,10 @@ entry over the memoized tail columns, so the column cache holds tails only, neve
 N-th Taylor coefficient of Li_w(z)/(1-z), and that is the one reading of a word's harmonic sums: a word table
 is the prefix sums of the word's memoized Taylor vector.  A polynomial has one Taylor path, :func:`_li_poly_vector`
 of a Y-polynomial: its prefix sums are the polynomial's harmonic sums, and an X-polynomial P reaches it as pi_Y(P)
-(:func:`~polylog.polylog_num.li_taylor_poly`).  Its index twin :func:`_li_index_vector` memoizes vectors in
-lowest terms by (cap, index): the series calculus reads them again and again, and over lcm(1..100)^4 a weight-4
-vector carries up to 257 of its 543 bits as a common factor.  Columns and Taylor vectors are each an
+(:func:`~polylog.polylog_num.li_taylor_poly`).  It and its index twin :func:`_li_index_vector` memoize vectors in
+lowest terms, by (N, den, the terms as a frozenset) for two or more words and by (cap, index) for one: the series
+calculus reads them again and again (about 73% of its polynomial calls repeat one), and over lcm(1..100)^4 a
+weight-4 vector carries up to 257 of its 543 bits as a common factor.  Columns and Taylor vectors are each an
 :class:`~polylog.dense.NPoly`, the one dense kernel.  Every entry point makes one call of the admission
 :func:`_refuse` before any work or memo read: it refuses an entry that is not an integer, then rows and weight
 bits past MAX_TERMS, then, for a call that caches, its charge past MEMO_BYTES.
@@ -31,7 +32,7 @@ Composed with the star form of Li at non-positive indices (:mod:`polylog.neginde
 this yields Faulhaber-style closed forms for every non-positive multi-index.  The stuffle character is checked
 in :mod:`polylog.checks`.
 
-The column cache, the weight rows and the Li-vector memo are bounded by nc_core's ``memo_account``.  A longer
+The column cache, the weight rows and the two Li-vector memos are bounded by nc_core's ``memo_account``.  A longer
 column replaces a cached one whole, in one immutable value, so a racing thread can at worst duplicate work,
 never observe a partial or mixed column.
 """
@@ -152,12 +153,15 @@ def _poly_bytes(q: NCPoly, weight: int, length: int, n: int) -> int:
     one per letter after a word's first, with a weight row per tail entry 1..weight - 1; where that passes
     MEMO_BYTES, the vector and the walk of the words' distinct tails (:func:`_tails_bytes`).  The first count
     never falls below the second and takes O(weight): on the series workload's polynomials the walk takes
-    about 45 us a call against 1.6 us, and walking on every call read 2-4% slower there.
+    about 45 us a call against 1.6 us, and walking on every call read 2-4% slower there.  Both count the key of
+    two or more words' entry: a frozenset of at most 8 slots of 16 bytes a term (a set built item by item), the
+    (letters, numerator) pairs and letter tuples of ``length``.
     """
+    key = getsizeof(frozenset()) + len(q) * (128 + getsizeof((0, 0)) + getsizeof((0,) * length)) if len(q) > 1 else 0
     bits = _entry_bits(weight, n) + max(length - 1, 0) * int.bit_length(n)
-    size = _column_bytes(bits, n, 0) + len(q) * max(length - 1, 0) * _column_bytes(bits, n, 1)
+    size = key + _column_bytes(bits, n, 0) + len(q) * max(length - 1, 0) * _column_bytes(bits, n, 1)
     size += sum(_row_bytes(s, n) for s in range(1, weight)) if length > 1 else 0
-    return size if size <= MEMO_BYTES else _column_bytes(bits, n, 0) + _tails_bytes(q._nums, n)
+    return size if size <= MEMO_BYTES else key + _column_bytes(bits, n, 0) + _tails_bytes(q._nums, n)
 
 
 def _prefix_column(weights: list[Iterator], n_max: int) -> Iterator[int]:
@@ -194,7 +198,7 @@ def _weight_row(s1: int, n_max: int) -> tuple[int, tuple[int, ...]]:
 def _shifted(s1: int, sub: NPoly, n_max: int, entries: set) -> NPoly:
     """n^(-s1) sub_(n-1), n = 0..n_max, Li's vector from H of its tail; s1's row is memoized if in ``entries``."""
     scale, row = (_weight_row if s1 in entries else _row)(s1, n_max)
-    return NPoly(map(mul, row, (0, *sub.nums)), sub.den * scale)
+    return NPoly(map(mul, row, (0, *sub.nums[:n_max])), sub.den * scale)
 
 
 #: Integer columns keyed by signed index; a longer column replaces an entry whole, so readers see one column.
@@ -229,7 +233,7 @@ def _h_vector(index: SignedIndex, n_max: int) -> NPoly:
 
 
 def _taylor_map(terms: Iterable[tuple[RatLike, SignedIndex]], n_cap: int) -> NPoly:
-    """Taylor coefficients to n_cap of sum_k c_k Li_(index_k): one weight pass per s1."""
+    """Taylor coefficients to n_cap of sum_k c_k Li_(index_k): one weight pass per s1, no sum of one term of 1."""
     if n_cap < 0:
         raise ValueError("n_cap must be >= 0")
     groups: dict[int, list[tuple[RatLike, NPoly]]] = {}
@@ -241,8 +245,9 @@ def _taylor_map(terms: Iterable[tuple[RatLike, SignedIndex]], n_cap: int) -> NPo
         else:
             parts.append((c, NPoly([1])))
     for s1, tails in groups.items():
-        parts.append((1, _shifted(s1, NPoly.lin_comb(tails, n_cap), n_cap, entries)))
-    return NPoly.lin_comb(parts, n_cap)
+        sub = tails[0][1] if len(tails) == 1 and tails[0][0] == 1 else NPoly.lin_comb(tails, n_cap)
+        parts.append((1, _shifted(s1, sub, n_cap, entries)))
+    return parts[0][1] if len(parts) == 1 and parts[0][0] == 1 else NPoly.lin_comb(parts, n_cap)
 
 
 def h_word_eval(w: Word, n: int) -> Fraction:
@@ -313,13 +318,28 @@ def h_poly_eval(q: NCPoly, n: int) -> Fraction:
 
 
 def _li_poly_vector(q: NCPoly, n_max: int) -> NPoly:
-    """The Taylor vector sum_w <Q|w> Li_w to n_max of a Y-polynomial; its prefix sums are the harmonic sums."""
+    """The Taylor vector sum_w <Q|w> Li_w to n_max of a Y-polynomial; its prefix sums are the harmonic sums.
+
+    One word reads Li's vector memo.  Two or more read their own, whose entry charges the vector's integers and
+    its key's frozenset, pairs and letter tuples; a miss builds in the polynomial's order, not the key's.
+    """
     if q.alphabet != Y:
         raise AlphabetError("harmonic sums are indexed by Y-polynomials")
     weight, length = q.max_grade, q.max_length
     _refuse((weight,), n_max, max(length, 1), lambda: _poly_bytes(q, weight, length, n_max))
-    vector = _taylor_map(((x, l) for l, x in q._nums.items()), n_max)  # numerators over q._den
-    return vector * Fraction(1, q._den)
+    if not q:
+        return _taylor_map((), n_max)
+    if len(q) == 1:
+        ((letters, x),) = q._nums.items()
+        return _li_vector(n_max, *letters) * Fraction(x, q._den)
+    key = (n_max, type(n_max), q._den, frozenset(q._nums.items()))
+    vector = _POLY_VECTORS.get(key)
+    if vector is None:
+        vector = _taylor_map(((x, l) for l, x in q._nums.items()), n_max)  # numerators over q._den
+        vector = NPoly(vector.nums, vector.den * q._den).reduced()
+        memo_account.charge(sum(map(getsizeof, (vector.den, *vector.nums, key[3], *key[3], *q._nums))))
+        _POLY_VECTORS[key] = vector
+    return vector
 
 
 def _li_index_vector(index: SignedIndex, n: int) -> NPoly:
@@ -336,7 +356,9 @@ def _li_vector(n_cap: int, *index: int) -> NPoly:
     return vector
 
 
-memo_account.tables.extend((_weight_row.cache_clear, _li_vector.cache_clear))
+#: Taylor vectors in lowest terms of Y-polynomials of two or more words, by (N, its type, den, frozenset of terms)
+_POLY_VECTORS: dict[tuple, NPoly] = {}
+memo_account.tables.extend((_weight_row.cache_clear, _li_vector.cache_clear, _POLY_VECTORS.clear))
 
 
 def h_poly_table(q: NCPoly, n_max: int) -> list[Fraction]:

@@ -28,11 +28,16 @@ class Word:
 
     def __init__(self, letters: tuple[int, ...], alphabet: str = X) -> None:
         _check_alphabet(alphabet)
-        if alphabet == X and any(b not in (0, 1) for b in letters):
-            raise AlphabetError(f"X-word letters must be 0 or 1, got {letters}")
-        if alphabet == Y and not all(isinstance(s, int) and s >= 1 for s in letters):  # one pass when valid
-            if not all(isinstance(s, int) for s in letters):
-                raise TypeError(f"Y-word indices must be integers, got {letters!r}")  # 2.0 would share 2's cache keys
+        # one pass when valid; a float or bool letter equals its int twin, but prints apart and would share its keys
+        if alphabet == X:
+            valid = all(type(b) is int and b in (0, 1) for b in letters)
+        else:
+            valid = all(type(s) is int and s >= 1 for s in letters)
+        if not valid:
+            if not all(type(s) is int for s in letters):
+                raise TypeError(f"{alphabet}-word letters must be integers, got {letters!r}")
+            if alphabet == X:
+                raise AlphabetError(f"X-word letters must be 0 or 1, got {letters}")
             raise AlphabetError(f"Y-word indices must be >= 1, got {letters}")
         object.__setattr__(self, "letters", letters)  # the class's own __setattr__ refuses
         object.__setattr__(self, "alphabet", alphabet)

@@ -95,6 +95,25 @@ def test_concurrent_li_vectors_agree(monkeypatch):
     assert held == len(expected) if nc_core.MEMO_BYTES == _DEFAULT_BYTES else held < len(expected)
 
 
+def test_concurrent_poly_vectors_agree():
+    # Threads fill the polynomial-vector table (and the columns and rows under it) from empty; one word reads
+    # Li's vector memo and adds no entry.
+    pairs = [((2, 1), (1, 3)), ((1,), (1, 1)), ((3,), (2, 2)), ((2, 1, 3), ())]
+    polys = [stuffle(NCPoly.from_word(y_word(*u)), NCPoly.from_word(y_word(*v))) for u, v in pairs]
+    expected = {(i, n): h_poly_table(q, n) for i, q in enumerate(polys) for n in range(0, 41, 5)}
+    for clear in nc_core.memo_account.tables:
+        clear()
+
+    def worker():
+        for (i, n), table in expected.items():
+            assert h_poly_table(polys[i], n) == table
+
+    _run_threads(worker)
+    held, entries = len(harmonic._POLY_VECTORS), sum(len(polys[i]) > 1 for i, _ in expected)
+    # each vector is held once, unless a lowered bound had the account empty the table
+    assert held == entries if nc_core.MEMO_BYTES == _DEFAULT_BYTES else held < entries
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -102,6 +121,7 @@ def test_concurrent_li_vectors_agree(monkeypatch):
         test_concurrent_harmonic_tables_agree,
         test_concurrent_column_growth_agrees,
         test_concurrent_li_vectors_agree,
+        test_concurrent_poly_vectors_agree,
     ],
     ids=lambda case: case.__name__.removeprefix("test_concurrent_"),
 )

@@ -80,6 +80,10 @@ class TestWords:
             word_from_text("012", X)
         with pytest.raises(AlphabetError, match="unknown alphabet 'Z'"):
             NCPoly("Z")
+        # a float or bool letter equals its int twin, so it is refused by type before the alphabet's range
+        for letters, alphabet in (((0, 1.0), X), ((0, True), X), ((True, 2), Y), ((2, 1.0), Y)):
+            with pytest.raises(TypeError, match=f"{alphabet}-word letters must be integers"):
+                Word(letters, alphabet)
 
     def test_text_roundtrip(self):
         for w in (x_word("0110"), Word((), X), y_word(2, 1), Word((), Y)):
@@ -693,13 +697,15 @@ class TestMemoAccount:
         shuffle(NCPoly.from_word(x_word("011")), NCPoly.from_word(x_word("10")))
         stuffle(NCPoly.from_word(y_word(2, 1)), NCPoly.from_word(y_word(1, 3)))
         li_taylor_coeffs((2, 1), 10)
+        h_poly_table(stuffle(NCPoly.from_word(y_word(2)), NCPoly.from_word(y_word(1))), 10)
         tables = products._shuffle_letters, products._stuffle_letters, harmonic._weight_row, harmonic._li_vector
-        assert harmonic._HVEC_CACHE and all(table.cache_info().currsize for table in tables)
+        assert harmonic._HVEC_CACHE and harmonic._POLY_VECTORS and all(table.cache_info().currsize for table in tables)
         monkeypatch.setattr(nc_core, "MEMO_BYTES", 2048)
         clears = memo_account.clears
         memo_account.charge(2056)  # 2,056 bytes alone pass the bound
         assert memo_account.clears == clears + 1 and memo_account.bytes == 2056
-        assert not harmonic._HVEC_CACHE and not any(table.cache_info().currsize for table in tables)
+        assert not harmonic._HVEC_CACHE and not harmonic._POLY_VECTORS
+        assert not any(table.cache_info().currsize for table in tables)
         # the total is past the bound, so the next charge empties the tables again and is the new total
         # x1x0x1 + 2 x0x1x1: the dict (read back by a hit) and two words, each charged as the stored u v
         shuffle(NCPoly.from_word(x_word("01")), NCPoly.from_word(x_word("1")))
@@ -722,10 +728,12 @@ class TestMemoAccount:
         total += getsizeof(products._stuffle_letters((1,), (2,))) + 3 * getsizeof((1, 2))
         assert memo_account.clears == clears + 2 and memo_account.bytes == total
 
-    @pytest.mark.parametrize("fill", ["shuffles", "column"])
+    @pytest.mark.parametrize("fill", ["shuffles", "column", "poly"])
     def test_charge_is_what_the_tables_hold(self, monkeypatch, fill):
         # charged bytes over the bytes tracemalloc sees the emptied tables hold after filling them once:
-        # 20 random shuffles of 6-term X polynomials with words up to 8 letters, or one word table
+        # 20 random shuffles of 6-term X polynomials with words up to 8 letters, one word table, or the
+        # polynomial tables of five stuffle products (174 words) to N = 10, where the keys are about a third of
+        # the charge; the products are built first, so their letter tuples are charged but not traced
         rng = random.Random(1)
 
         def poly():
@@ -733,6 +741,9 @@ class TestMemoAccount:
             return NCPoly._from_nums(X, {w: rng.randint(1, 9) for w in words}, 1)
 
         pairs = [(poly(), poly()) for _ in range(20)]
+        words = [((2, 1), (1, 3)), ((1, 1, 2), (3, 1)), ((2, 2, 1), (1, 1, 1)), ((4, 1), (2, 3, 1))]
+        words.append(((1, 2, 1, 2), (2, 1, 1)))
+        stuffles = [stuffle(NCPoly.from_word(y_word(*u)), NCPoly.from_word(y_word(*v))) for u, v in words]
         for clear in memo_account.tables:
             clear()
         monkeypatch.setattr(memo_account, "bytes", 0)
@@ -742,8 +753,11 @@ class TestMemoAccount:
             if fill == "shuffles":
                 for p, q in pairs:
                     shuffle(p, q)
-            else:
+            elif fill == "column":
                 h_word_table(y_word(2, 1, 3), 400)
+            else:
+                for q in stuffles:
+                    h_poly_table(q, 10)
             gc.collect()
             held = tracemalloc.get_traced_memory()[0]
         finally:

@@ -287,8 +287,10 @@ class TestLiVectorCache:
             (lambda: pi_y(shuffle(NCPoly.from_word(x_word("01")), NCPoly.from_word(x_word("001")))), 800),
             (lambda: stuffle(NCPoly.from_word(y_word(2, 2)), stuffle(NCPoly.from_word(y_word(1, 3)),
                                                                      NCPoly.from_word(y_word(2)))), 60),
+            # 77 words at N = 5: the entry's key is over a third of what the call charges
+            (lambda: stuffle(NCPoly.from_word(y_word(1, 2, 1, 2)), NCPoly.from_word(y_word(2, 1, 1))), 5),
         ],
-        ids=["stuffle", "stuffle_ones", "word", "shared_tails", "coded_shuffle", "deep_stuffle"],
+        ids=["stuffle", "stuffle_ones", "word", "shared_tails", "coded_shuffle", "deep_stuffle", "many_words"],
     )
     def test_poly_charge_is_within_the_estimate(self, monkeypatch, poly, n):
         # the vector and one column per distinct tail of the words, from emptied tables, against the walk of the
@@ -367,6 +369,62 @@ class TestLiVectorCache:
         # 2 rows times a 500,000-letter word: at MAX_TERMS
         word = x_word("0" * 499_999 + "1")
         assert li_taylor_poly(NCPoly.from_word(word), 2).coeffs == (0, 1, F(1, 2**500_000))
+
+
+class TestPolyVectorCache:
+    """A Y-polynomial of two or more words reads its Taylor vector from its own memo, keyed by N, den and its terms."""
+
+    @staticmethod
+    def _empty_tables(monkeypatch):
+        for clear in memo_account.tables:
+            clear()
+        monkeypatch.setattr(memo_account, "bytes", 0)
+
+    def test_equal_polynomials_share_one_entry(self, monkeypatch):
+        # y2y1 + 3 y3 - y1y1y1/2 in two insertion orders: one entry, and the second call builds nothing
+        terms = [(y_word(2, 1), 1), (y_word(3), 3), (y_word(1, 1, 1), F(-1, 2))]
+        p, q = NCPoly(Y, terms), NCPoly(Y, terms[::-1])
+        assert p == q and list(p._nums) != list(q._nums)
+        self._empty_tables(monkeypatch)
+        built, taylor_map = [], harmonic._taylor_map
+        monkeypatch.setattr(harmonic, "_taylor_map", lambda terms, n: built.append(n) or taylor_map(terms, n))
+        vector = harmonic._li_poly_vector(p, 20)
+        assert harmonic._li_poly_vector(q, 20) is vector and built == [20] and len(harmonic._POLY_VECTORS) == 1
+        # in lowest terms, the sum of the words' vectors
+        assert math.gcd(vector.den, *vector.nums) == 1
+        assert vector == NPoly.lin_comb([(c, _uncached_li(w.letters, 20).poly) for w, c in p.items()], 20)
+        # p / 2 has p's numerators over twice its den, and N is typed: each is an entry of its own
+        half = p * F(1, 2)
+        assert half._nums == p._nums and half._den == 2 * p._den
+        assert harmonic._li_poly_vector(half, 20) == vector * F(1, 2) and built == [20, 20]
+        assert harmonic._li_poly_vector(p, True) == harmonic._li_poly_vector(p, 1)
+        assert len(built) == len(harmonic._POLY_VECTORS) == 4
+
+    def test_a_call_refused_past_memo_bytes_leaves_no_entry(self, monkeypatch):
+        # the vector and the tails' columns and rows fit the bound, and with the entry's key they do not: the call
+        # is refused before any table is read or filled, and answers at the bound that counts the key
+        p, n = stuffle(NCPoly.from_word(y_word(2, 1)), NCPoly.from_word(y_word(1, 3))), 30
+        bits = harmonic._entry_bits(p.max_grade, n) + (p.max_length - 1) * n.bit_length()
+        keyless = harmonic._column_bytes(bits, n, 0) + harmonic._tails_bytes(p._nums, n)
+        monkeypatch.setattr(harmonic, "MEMO_BYTES", keyless)
+        self._empty_tables(monkeypatch)
+        with pytest.raises(ValueError, match="above MEMO_BYTES"):
+            h_poly_table(p, n)
+        assert memo_account.bytes == 0 and not harmonic._POLY_VECTORS and not harmonic._HVEC_CACHE
+        monkeypatch.setattr(harmonic, "MEMO_BYTES", 0)  # the walk of distinct tails, with the key
+        monkeypatch.setattr(harmonic, "MEMO_BYTES", harmonic._poly_bytes(p, p.max_grade, p.max_length, n))
+        want = [sum(c * h_signed_eval(w.letters, k) for w, c in p.items()) for k in range(n + 1)]
+        assert h_poly_table(p, n) == want and len(harmonic._POLY_VECTORS) == 1
+
+    def test_one_word_reads_li_vector(self, monkeypatch):
+        # 3/2 y2y1 is Li's memoized vector of (2, 1) scaled, and no polynomial entry; nor is the zero polynomial
+        self._empty_tables(monkeypatch)
+        li_taylor_coeffs((2, 1), 20)
+        hits = _li_vector.cache_info().hits
+        got = h_poly_table(NCPoly.from_word(y_word(2, 1), F(3, 2)), 20)
+        assert _li_vector.cache_info().hits == hits + 1 and not harmonic._POLY_VECTORS
+        assert got == [F(3, 2) * x for x in h_signed_table((2, 1), 20)]
+        assert h_poly_table(NCPoly.zero(Y), 20) == [0] * 21 and not harmonic._POLY_VECTORS
 
 
 class TestDivOneMinusZ:
