@@ -335,7 +335,7 @@ def check_hadamard_identity(u: Word, v: Word, n_cap: int) -> bool:
     if u.alphabet != Y or v.alphabet != Y:
         raise AlphabetError("the stuffle character is indexed by Y-words")
     lhs = harmonic._li_poly_vector(products.stuffle(NCPoly.from_word(u), NCPoly.from_word(v)), n_cap)
-    hu, hv = (harmonic._li_index_vector(w.letters, n_cap).prefix_sums(n_cap) for w in (u, v))
+    hu, hv = (harmonic._li_vector(n_cap, *w.letters).prefix_sums(n_cap) for w in (u, v))
     return lhs.prefix_sums(n_cap) == hu.hadamard(hv)
 
 

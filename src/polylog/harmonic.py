@@ -17,13 +17,13 @@ entry over the memoized tail columns, so the column cache holds tails only, neve
 N-th Taylor coefficient of Li_w(z)/(1-z), and that is the one reading of a word's harmonic sums: a word table
 is the prefix sums of the word's memoized Taylor vector.  A polynomial has one Taylor path, :func:`_li_poly_vector`
 of a Y-polynomial: its prefix sums are the polynomial's harmonic sums, and an X-polynomial P reaches it as pi_Y(P)
-(:func:`~polylog.polylog_num.li_taylor_poly`).  It and its index twin :func:`_li_index_vector` memoize vectors in
+(:func:`~polylog.polylog_num.li_taylor_poly`).  It and its index twin :func:`_li_vector` memoize vectors in
 lowest terms, by (N, den, the terms as a frozenset) for two or more words and by (cap, index) for one: the series
 calculus reads them again and again (about 73% of its polynomial calls repeat one), and over lcm(1..100)^4 a
 weight-4 vector carries up to 257 of its 543 bits as a common factor.  Columns and Taylor vectors are each an
-:class:`~polylog.dense.NPoly`, the one dense kernel.  Every entry point makes one call of the admission
-:func:`_refuse` before any work or memo read: it refuses an entry that is not an integer, then rows and weight
-bits past MAX_TERMS, then, for a call that caches, its charge past MEMO_BYTES.
+:class:`~polylog.dense.NPoly`, the one dense kernel.  A memo hit answers at once; a miss, and each call of an
+oracle, makes one call of the admission :func:`_refuse` before any work: it refuses N < 0, an entry that is not
+an integer, then rows and weight bits past MAX_TERMS, then, for a build that caches, its charge past MEMO_BYTES.
 
 Star combinations sum_k c_k (k x1)* have polynomial harmonic sums: H of (k x1)* at N is
 binomial(N+k, k) = (N+1)...(N+k)/k!, so the closed form is an exact polynomial in N: an
@@ -57,8 +57,6 @@ SignedIndex = tuple[int, ...]
 
 def _scales(index: SignedIndex, n_max: int) -> list[int]:
     """Per entry s, lcm(1..n_max)^max(s, 0): F n^(-s) is an integer for n <= n_max."""
-    if n_max < 0:
-        raise ValueError("N must be a natural number")
     big = lcm(*range(1, n_max + 1)) if any(s > 0 for s in index) else 1
     return [big**s if s > 0 else 1 for s in index]
 
@@ -70,15 +68,18 @@ def _weights(s: int, scale: int, n_max: int, start: int = 1) -> Iterator[int]:
 
 
 def _refuse(index: SignedIndex, n: int, depth: int, charged: Callable[[], int] | None = None) -> None:
-    """The one admission of a harmonic call, before any work or memo read: a TypeError for an entry neither an
-    int nor an integral Fraction (the column cache's keys are untyped, 2.0 == 2); N * depth rows, then the weight
-    bits summed per entry s, above MAX_TERMS; then, for a call that caches, its bound ``charged()`` on what it
-    charges above MEMO_BYTES, which one call must not pass (bound at import, as a cap is).
+    """The one admission of a harmonic build, before any work: a ValueError for N < 0; a TypeError for an entry
+    neither an int nor an integral Fraction (the column cache's keys are untyped, 2.0 == 2); N * depth rows, then
+    the weight bits summed per entry s, above MAX_TERMS; then, for a build that caches, its bound ``charged()`` on
+    what it charges above MEMO_BYTES, which one build must not pass (bound at import, as a cap is).  The oracles
+    run it on every call, the memoized builders on a miss only: a hit answers at once.
 
     The weights of s > 0 count (N - 1) s bits: a work estimate below the size of lcm(1..N)^s, about 1.44 N s
     bits, which MEMO_BYTES bounds by :func:`_entry_bits`.  Those of s <= 0, the n^|s|, count |s| bit_length(N - 1);
     none count at N <= 1.  A polynomial is estimated as its heaviest word: (weight,) at depth max(length, 1).
     """
+    if n < 0:
+        raise ValueError("n_cap must be >= 0")
     if not all(isinstance(s, (int, Fraction)) and s.denominator == 1 for s in index):
         raise TypeError(f"index entries must be integers, got {index!r}")
     refuse_above(n * depth, MAX_TERMS, "MAX_TERMS", "N * depth = {} * {} is", n, depth)
@@ -234,8 +235,6 @@ def _h_vector(index: SignedIndex, n_max: int) -> NPoly:
 
 def _taylor_map(terms: Iterable[tuple[RatLike, SignedIndex]], n_cap: int) -> NPoly:
     """Taylor coefficients to n_cap of sum_k c_k Li_(index_k): one weight pass per s1, no sum of one term of 1."""
-    if n_cap < 0:
-        raise ValueError("n_cap must be >= 0")
     groups: dict[int, list[tuple[RatLike, NPoly]]] = {}
     parts, entries = [], set()  # the tails' entries
     for c, index in terms:
@@ -309,7 +308,7 @@ def h_word_table(w: Word, n_max: int) -> list[Fraction]:
     """Values [H_w(0), ..., H_w(n_max)] for a Y-word: the prefix sums of Li_w's memoized Taylor vector."""
     if w.alphabet != Y:
         raise AlphabetError("harmonic sums are indexed by Y-words")
-    return list(_li_index_vector(w.letters, n_max).prefix_sums(n_max).padded(n_max))
+    return list(_li_vector(n_max, *w.letters).prefix_sums(n_max).padded(n_max))
 
 
 def h_poly_eval(q: NCPoly, n: int) -> Fraction:
@@ -321,20 +320,20 @@ def _li_poly_vector(q: NCPoly, n_max: int) -> NPoly:
     """The Taylor vector sum_w <Q|w> Li_w to n_max of a Y-polynomial; its prefix sums are the harmonic sums.
 
     One word reads Li's vector memo.  Two or more read their own, whose entry charges the vector's integers and
-    its key's frozenset, pairs and letter tuples; a miss builds in the polynomial's order, not the key's.
+    its key's frozenset, pairs and letter tuples; an admitted miss builds in the polynomial's order, not the key's.
     """
     if q.alphabet != Y:
         raise AlphabetError("harmonic sums are indexed by Y-polynomials")
-    weight, length = q.max_grade, q.max_length
-    _refuse((weight,), n_max, max(length, 1), lambda: _poly_bytes(q, weight, length, n_max))
-    if not q:
-        return _taylor_map((), n_max)
     if len(q) == 1:
         ((letters, x),) = q._nums.items()
         return _li_vector(n_max, *letters) * Fraction(x, q._den)
     key = (n_max, type(n_max), q._den, frozenset(q._nums.items()))
     vector = _POLY_VECTORS.get(key)
     if vector is None:
+        weight, length = q.max_grade, q.max_length
+        _refuse((weight,), n_max, max(length, 1), lambda: _poly_bytes(q, weight, length, n_max))
+        if not q:
+            return _taylor_map((), n_max)
         vector = _taylor_map(((x, l) for l, x in q._nums.items()), n_max)  # numerators over q._den
         vector = NPoly(vector.nums, vector.den * q._den).reduced()
         memo_account.charge(sum(map(getsizeof, (vector.den, *vector.nums, key[3], *key[3], *q._nums))))
@@ -342,15 +341,11 @@ def _li_poly_vector(q: NCPoly, n_max: int) -> NPoly:
     return vector
 
 
-def _li_index_vector(index: SignedIndex, n: int) -> NPoly:
-    """Li's Taylor vector to N of a signed index from the memo, in lowest terms; the empty index gives 1."""
-    _refuse(index, n, max(len(index), 1), lambda: _index_bytes(index, n))  # the empty index has N + 1 entries
-    return _li_vector(n, *index)
-
-
 @lru_cache(maxsize=None, typed=True)
 def _li_vector(n_cap: int, *index: int) -> NPoly:
-    """Li's Taylor vector to n_cap in lowest terms; typed keys, so (2.0,) never reads the entry of (2,)."""
+    """Li's Taylor vector to n_cap in lowest terms (1 for the empty index); a miss is admitted first.  Typed keys,
+    so (2.0,) never reads the entry of (2,) and is refused."""
+    _refuse(index, n_cap, max(len(index), 1), lambda: _index_bytes(index, n_cap))  # the empty index has N + 1 entries
     vector = _taylor_map([(1, index)], n_cap).reduced()
     memo_account.charge(sum(map(getsizeof, (vector.den, *vector.nums))))
     return vector

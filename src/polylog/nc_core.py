@@ -165,8 +165,7 @@ _GRADE = {X: len, Y: sum}
 _LETTERS = {X: bytes, Y: tuple}
 
 # the names of polylog.words that __getattr__ re-exports here, loading that module on first use
-_WORDS = ("Word", "_trailing_x0", "x_word", "y_word", "word_from_text", "word_from_index", "_coded",
-          "index_from_word", "_index_of")
+_WORDS = ("Word", "x_word", "y_word", "word_from_text", "word_from_index", "index_from_word")
 
 
 def __getattr__(name: str):

@@ -17,10 +17,10 @@ recursions) and the radius diagnostic are checked in :mod:`polylog.checks`.
 
 A :class:`~polylog.dense.TaylorTrunc` is the capped view of an NPoly, the one
 dense exact kernel, whose Fractions are built only when ``coeffs`` is read.
-:func:`li_taylor_coeffs` and :func:`li_taylor_poly` wrap the two vector builders
-of :mod:`polylog.harmonic`, which refuse requests and own the index vectors'
-memo.  The evaluator runs the prefix recurrence of the harmonic sums on float
-weights, each float beside a bound on its error.
+:func:`li_taylor_coeffs` and :func:`li_taylor_poly` wrap the two memoized vector
+builders of :mod:`polylog.harmonic`, which answer a hit at once and admit a
+miss before any work.  The evaluator runs the prefix recurrence of the harmonic
+sums on float weights, each float beside a bound on its error.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from math import factorial, perm
 from typing import Iterator, Sequence
 
 from .dense import NPoly, TaylorTrunc
-from .harmonic import _li_index_vector, _li_poly_vector
+from .harmonic import _li_poly_vector, _li_vector
 from .nc_core import MAX_TERMS, AlphabetError, NCPoly, PolylogError, X
 from .products import shuffle
 
@@ -54,7 +54,7 @@ def li_taylor_coeffs(s: Sequence[int], n_cap: int) -> TaylorTrunc:
 
     The empty index gives the constant series 1.
     """
-    return TaylorTrunc._of(_li_index_vector(tuple(s), n_cap), n_cap)
+    return TaylorTrunc._of(_li_vector(n_cap, *s), n_cap)
 
 
 def _powers(s: int, n_max: int) -> Iterator[float]:

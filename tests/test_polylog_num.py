@@ -63,6 +63,19 @@ def _y_words(max_weight):
     return out
 
 
+def _empty_tables(monkeypatch):
+    for clear in memo_account.tables:
+        clear()
+    monkeypatch.setattr(memo_account, "bytes", 0)
+
+
+def _recording_taylor_map(monkeypatch):
+    """The N of every harmonic._taylor_map call from here on: the builds that did work."""
+    built, taylor_map = [], harmonic._taylor_map
+    monkeypatch.setattr(harmonic, "_taylor_map", lambda terms, n: built.append(n) or taylor_map(terms, n))
+    return built
+
+
 @pytest.mark.parametrize("n_cap", [-1, -2])
 @pytest.mark.parametrize(
     "series",
@@ -71,12 +84,23 @@ def _y_words(max_weight):
         lambda n: li_taylor_coeffs((), n),
         lambda n: li_taylor_poly(NCPoly.from_word(x_word("01")), n),
         lambda n: li_taylor_poly(NCPoly.one(X), n),
+        lambda n: h_signed_eval((2, 1), n),
+        lambda n: h_signed_eval((), n),
+        lambda n: h_signed_table((-1, 2), n),
+        lambda n: h_word_table(y_word(2, 1), n),
+        lambda n: h_poly_table(NCPoly.zero(Y), n),
+        lambda n: h_poly_table(NCPoly.from_word(y_word(3), 2), n),
+        lambda n: h_poly_table(stuffle(NCPoly.from_word(y_word(2)), NCPoly.from_word(y_word(1))), n),
     ],
-    ids=["coeffs", "coeffs_empty_index", "poly", "poly_constant"],
+    ids=["coeffs", "coeffs_empty_index", "poly", "poly_constant", "eval", "eval_empty", "table", "word_table",
+         "poly_table_zero", "poly_table_one_word", "poly_table_many_words"],
 )
-def test_negative_cap_is_refused(series, n_cap):
-    with pytest.raises(ValueError, match="n_cap must be >= 0"):
+def test_negative_cap_is_refused(monkeypatch, series, n_cap):
+    # one text from the one admission, for the oracles and for each builder's miss, before any work
+    built = _recording_taylor_map(monkeypatch)
+    with pytest.raises(ValueError) as raised:
         series(n_cap)
+    assert str(raised.value) == "n_cap must be >= 0" and not built
 
 
 class TestTaylorCoeffs:
@@ -208,23 +232,25 @@ class TestLiVectorCache:
             ((1, 1, 1, 1), 250_001, "250001 * 4"),
         ],
     )
-    def test_refused_past_max_terms_before_any_work(self, index, n_cap, message):
-        misses = _li_vector.cache_info().misses
+    def test_refused_past_max_terms_before_any_work(self, monkeypatch, index, n_cap, message):
+        built = _recording_taylor_map(monkeypatch)
+        size, charged = _li_vector.cache_info().currsize, memo_account.bytes
         with pytest.raises(ValueError) as raised:
             li_taylor_coeffs(index, n_cap)
         assert str(raised.value) == f"N * depth = {message} is above MAX_TERMS = 1000000"
-        assert _li_vector.cache_info().misses == misses
+        assert _li_vector.cache_info().currsize == size and memo_account.bytes == charged and not built
 
-    def test_weight_bits_refused_past_max_terms(self):
-        # at N = 2 the weights of an entry s carry |s| bits; refused before the cache is read
+    def test_weight_bits_refused_past_max_terms(self, monkeypatch):
+        # at N = 2 the weights of an entry s carry |s| bits; a miss is refused before any work
         assert li_taylor_coeffs((1_000_000,), 2).coeffs == (0, 1, F(1, 2**1_000_000))
         assert li_taylor_coeffs((-1_000_000,), 2).coeffs == (0, 1, 2**1_000_000)
-        misses = _li_vector.cache_info().misses
+        built = _recording_taylor_map(monkeypatch)
+        size, charged = _li_vector.cache_info().currsize, memo_account.bytes
         for s in (1_000_001, -1_000_001):
             with pytest.raises(ValueError) as raised:
                 li_taylor_coeffs((s,), 2)
             assert str(raised.value) == "weights of about 1000001 bits at N = 2 are above MAX_TERMS = 1000000"
-        assert _li_vector.cache_info().misses == misses
+        assert _li_vector.cache_info().currsize == size and memo_account.bytes == charged and not built
         assert li_taylor_coeffs((10**20,), 1).coeffs == (0, 1)  # no weight bits at N <= 1
 
     @pytest.mark.parametrize(
@@ -321,13 +347,19 @@ class TestLiVectorCache:
     )
     def test_memo_bound_refuses_past_it_and_answers_at_it(self, monkeypatch, call):
         # at N = 40 one vector of (2,): 42 numbers of at most 128 bits, 42 * (28 + 4 * 4) = 1,848 bytes on
-        # CPython's 30-bit digits, the bound read at call time
-        monkeypatch.setattr(harmonic, "MEMO_BYTES", 1848)
-        call(40)
+        # CPython's 30-bit digits, the bound read at call time by a miss; a stored entry answers past it
+        _empty_tables(monkeypatch)
         monkeypatch.setattr(harmonic, "MEMO_BYTES", 1847)
         with pytest.raises(ValueError) as raised:
             call(40)
         assert str(raised.value) == "cached vectors of about 1848 bytes at N = 40 are above MEMO_BYTES = 1847"
+        assert _li_vector.cache_info().currsize == 0 and memo_account.bytes == 0
+        monkeypatch.setattr(harmonic, "MEMO_BYTES", 1848)
+        want = call(40)
+        assert _li_vector.cache_info().currsize == 1
+        monkeypatch.setattr(harmonic, "MEMO_BYTES", 1847)
+        hits = _li_vector.cache_info().hits
+        assert call(40) == want and _li_vector.cache_info().hits == hits + 1
         # the streaming oracles cache nothing, so they keep only the MAX_TERMS estimates
         assert h_signed_table((2,), 40)[-1] == h_signed_eval((2,), 40) == sum(F(1, k * k) for k in range(1, 41))
 
@@ -374,20 +406,13 @@ class TestLiVectorCache:
 class TestPolyVectorCache:
     """A Y-polynomial of two or more words reads its Taylor vector from its own memo, keyed by N, den and its terms."""
 
-    @staticmethod
-    def _empty_tables(monkeypatch):
-        for clear in memo_account.tables:
-            clear()
-        monkeypatch.setattr(memo_account, "bytes", 0)
-
     def test_equal_polynomials_share_one_entry(self, monkeypatch):
         # y2y1 + 3 y3 - y1y1y1/2 in two insertion orders: one entry, and the second call builds nothing
         terms = [(y_word(2, 1), 1), (y_word(3), 3), (y_word(1, 1, 1), F(-1, 2))]
         p, q = NCPoly(Y, terms), NCPoly(Y, terms[::-1])
         assert p == q and list(p._nums) != list(q._nums)
-        self._empty_tables(monkeypatch)
-        built, taylor_map = [], harmonic._taylor_map
-        monkeypatch.setattr(harmonic, "_taylor_map", lambda terms, n: built.append(n) or taylor_map(terms, n))
+        _empty_tables(monkeypatch)
+        built = _recording_taylor_map(monkeypatch)
         vector = harmonic._li_poly_vector(p, 20)
         assert harmonic._li_poly_vector(q, 20) is vector and built == [20] and len(harmonic._POLY_VECTORS) == 1
         # in lowest terms, the sum of the words' vectors
@@ -401,13 +426,13 @@ class TestPolyVectorCache:
         assert len(built) == len(harmonic._POLY_VECTORS) == 4
 
     def test_a_call_refused_past_memo_bytes_leaves_no_entry(self, monkeypatch):
-        # the vector and the tails' columns and rows fit the bound, and with the entry's key they do not: the call
-        # is refused before any table is read or filled, and answers at the bound that counts the key
+        # the vector and the tails' columns and rows fit the bound, and with the entry's key they do not: the miss
+        # is refused before any table is filled, and answers at the bound that counts the key
         p, n = stuffle(NCPoly.from_word(y_word(2, 1)), NCPoly.from_word(y_word(1, 3))), 30
         bits = harmonic._entry_bits(p.max_grade, n) + (p.max_length - 1) * n.bit_length()
         keyless = harmonic._column_bytes(bits, n, 0) + harmonic._tails_bytes(p._nums, n)
         monkeypatch.setattr(harmonic, "MEMO_BYTES", keyless)
-        self._empty_tables(monkeypatch)
+        _empty_tables(monkeypatch)
         with pytest.raises(ValueError, match="above MEMO_BYTES"):
             h_poly_table(p, n)
         assert memo_account.bytes == 0 and not harmonic._POLY_VECTORS and not harmonic._HVEC_CACHE
@@ -418,13 +443,51 @@ class TestPolyVectorCache:
 
     def test_one_word_reads_li_vector(self, monkeypatch):
         # 3/2 y2y1 is Li's memoized vector of (2, 1) scaled, and no polynomial entry; nor is the zero polynomial
-        self._empty_tables(monkeypatch)
+        _empty_tables(monkeypatch)
         li_taylor_coeffs((2, 1), 20)
         hits = _li_vector.cache_info().hits
         got = h_poly_table(NCPoly.from_word(y_word(2, 1), F(3, 2)), 20)
         assert _li_vector.cache_info().hits == hits + 1 and not harmonic._POLY_VECTORS
         assert got == [F(3, 2) * x for x in h_signed_table((2, 1), 20)]
         assert h_poly_table(NCPoly.zero(Y), 20) == [0] * 21 and not harmonic._POLY_VECTORS
+
+
+class _Estimated(Exception):
+    """Raised by a size estimate patched in, to show that it ran."""
+
+
+def _estimated(*args):
+    raise _Estimated
+
+
+class TestAdmissionOnAMiss:
+    """A memo hit answers at once; a miss, and every oracle call, is admitted by harmonic._refuse before any work."""
+
+    def test_a_hit_runs_no_estimate_and_charges_nothing(self, monkeypatch):
+        p = stuffle(NCPoly.from_word(y_word(2, 1)), NCPoly.from_word(y_word(1, 3)))
+        calls = [
+            lambda n: li_taylor_coeffs((2, 1), n).coeffs,
+            lambda n: li_taylor_coeffs((), n).coeffs,
+            lambda n: h_word_table(y_word(3, 1), n),
+            lambda n: h_poly_table(NCPoly.from_word(y_word(2, 2), 3), n),
+            lambda n: h_poly_table(p, n),
+            lambda n: h_poly_eval(p, n),
+            lambda n: li_taylor_poly(NCPoly.from_word(x_word("01")) - NCPoly.from_word(x_word("011")), n).coeffs,
+            lambda n: check_hadamard_identity(y_word(2), y_word(1, 1), n),
+        ]
+        _empty_tables(monkeypatch)
+        want = [call(20) for call in calls]
+        monkeypatch.setattr(harmonic, "_index_bytes", _estimated)
+        monkeypatch.setattr(harmonic, "_poly_bytes", _estimated)
+        built = _recording_taylor_map(monkeypatch)
+        charged, clears = memo_account.bytes, memo_account.clears
+        assert [call(20) for call in calls] == want
+        assert not built and memo_account.bytes == charged and memo_account.clears == clears
+        # at N = 21 each call but the oracle's misses: its estimate runs before any work
+        for call in calls[:-1]:
+            with pytest.raises(_Estimated):
+                call(21)
+        assert not built and memo_account.bytes == charged
 
 
 class TestDivOneMinusZ:
