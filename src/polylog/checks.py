@@ -171,7 +171,7 @@ POWER_SUM_STARS: dict[tuple[int, ...], X1StarPoly] = {
 # payload) with kinds:
 #   "star"    - X1StarPoly, evaluated through its closed-form polynomial
 #   "word"    - Y-word, evaluated through the harmonic-sum table
-#   "stuffle" - (s, X1StarPoly): y_s stuffled against the star's Y-expansion
+#   "stuffle" - (s, X1StarPoly): y_s stuffled with the star's Y-image, read off its linear representation
 #   "oracle"  - signed index, evaluated by the brute-force nested sum
 _Term = tuple[Fraction, str, object]
 
@@ -280,6 +280,17 @@ def mixed_identities() -> list[tuple[str, list[_Term], tuple[int, ...]]]:
     ]
 
 
+def _star_stuffle_representation(s: int, star: X1StarPoly) -> tuple[list, list, list]:
+    """(initial, transitions, final) of y_s st sum c_k (k y1)*, as y_s st (k y1)* = (k y1)* (y_s + k y_(s+1)) (k y1)*:
+    per order k, states q and q + 1 with k y1 loops, entered at q with c_k, left at q + 1, joined by y_s, k y_(s+1)."""
+    orders = [(k, c) for k, c in enumerate(star.poly.coeffs) if c]
+    transitions = [
+        t for q, (k, _) in zip(range(0, 2 * len(orders), 2), orders)
+        for t in ((q, 1, q, k), (q, s, q + 1, 1), (q, s + 1, q + 1, k), (q + 1, 1, q + 1, k))
+    ]
+    return [x for _, c in orders for x in (c, 0)], transitions, [0, 1] * len(orders)
+
+
 def _eval_term_table(kind: str, payload: object, n_max: int) -> list[Fraction]:
     if kind == "star":
         poly = harmonic.h_x1star_closed_form(payload)
@@ -287,11 +298,7 @@ def _eval_term_table(kind: str, payload: object, n_max: int) -> list[Fraction]:
     if kind == "word":
         return harmonic.h_word_table(payload, n_max)
     if kind == "stuffle":
-        s, star = payload
-        # H_w(N) vanishes when depth(w) > N, so expanding the star to depth
-        # n_max keeps every contributing word and the check stays exact.
-        image = stars.x1star_y_expansion(star, n_max)
-        return harmonic.h_poly_table(products.stuffle(NCPoly.from_word(y_word(s)), image), n_max)
+        return harmonic.h_series_table(*_star_stuffle_representation(*payload), n_max)
     return harmonic.h_signed_table(payload, n_max)  # kind "oracle"
 
 

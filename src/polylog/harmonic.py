@@ -24,6 +24,8 @@ weight-4 vector carries up to 257 of its 543 bits as a common factor.  Columns a
 :class:`~polylog.dense.NPoly`, the one dense kernel.  A memo hit answers at once; a miss, and each call of an
 oracle, makes one call of the admission :func:`_refuse` before any work: it refuses N < 0, an entry that is not
 an integer, then rows and weight bits past MAX_TERMS, then, for a build that caches, its charge past MEMO_BYTES.
+A rational series S with linear representation (lambda, mu, gamma) expands no word (:func:`h_series_table`): per
+state q, H_q(0) = gamma_q, H_q(N) = H_q(N-1) + sum N^(-s) mu(y_s)[q, r] H_r(N-1), and H_S = lambda . H, on Fractions.
 
 Star combinations sum_k c_k (k x1)* have polynomial harmonic sums: H of (k x1)* at N is
 binomial(N+k, k) = (N+1)...(N+k)/k!, so the closed form is an exact polynomial in N: an
@@ -359,6 +361,20 @@ memo_account.tables.extend((_weight_row.cache_clear, _li_vector.cache_clear, _PO
 def h_poly_table(q: NCPoly, n_max: int) -> list[Fraction]:
     """Values of the linear extension for N = 0..n_max."""
     return list(_li_poly_vector(q, n_max).prefix_sums(n_max).padded(n_max))
+
+
+def h_series_table(initial: Sequence, transitions: Sequence[tuple], final: Sequence, n_max: int) -> list[Fraction]:
+    """[H_S(0), ..., H_S(n_max)] of the rational series S whose representation has a transition (q, s, r, c) for each
+    mu(y_s)[q, r] = c (the recurrence above): admitted once, at depth its transition count, and nothing is cached."""
+    _refuse(tuple(s for _, s, _, _ in transitions), n_max, max(len(transitions), 1))
+    state = list(map(Fraction, final))
+    out = [sum(map(mul, initial, state), Fraction(0))]
+    for n in range(1, n_max + 1):
+        weights, prev = {s: Fraction(n) ** -s for _, s, _, _ in transitions}, tuple(state)
+        for q, s, r, c in transitions:
+            state[q] += c * weights[s] * prev[r]
+        out.append(sum(map(mul, initial, state), Fraction(0)))
+    return out
 
 
 def h_x1star_closed_form(s: "X1StarPoly") -> NPoly:

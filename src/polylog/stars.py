@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
-from .coding import QSeriesTrunc, pi_y
+from .coding import QSeriesTrunc
 from .dense import NPoly
 from .nc_core import NCPoly, RatLike, X, Y, ZERO, as_rat, format_terms
 from .products import exp_stuffle, shuffle_pow
@@ -132,11 +132,6 @@ def x1star_poly_expand(s: X1StarPoly, len_cap: int) -> NCPoly:
     nums = s.poly.nums
     sums = {b"\1" * n: sum(x * k**n for k, x in enumerate(nums) if x) for n in range(len_cap + 1)}
     return NCPoly._from_nums(X, sums, s.poly.den)
-
-
-def x1star_y_expansion(s: X1StarPoly, depth_cap: int) -> NCPoly:
-    """Y-side expansion (words y1^n) of a star combination, up to depth cap."""
-    return pi_y(x1star_poly_expand(s, depth_cap))
 
 
 def check_kstar_shuffle_power(k: int, len_cap: int) -> bool:

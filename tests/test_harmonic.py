@@ -14,10 +14,12 @@ from polylog import checks, harmonic, nc_core
 from polylog.checks import h_stuffle_check
 from polylog.cli import main
 from polylog.dense import NPoly
+from polylog.coding import pi_y
 from polylog.harmonic import (
     h_negindex_closed_form,
     h_poly_eval,
     h_poly_table,
+    h_series_table,
     h_signed_eval,
     h_signed_table,
     h_word_eval,
@@ -27,7 +29,7 @@ from polylog.harmonic import (
 from polylog.nc_core import AlphabetError, InvalidIndexError, NCPoly, Word, X, Y, x_word, y_word
 from polylog.polylog_num import li_taylor_coeffs, li_taylor_poly
 from polylog.products import conc, stuffle
-from polylog.stars import X1StarPoly
+from polylog.stars import X1StarPoly, x1star_poly_expand
 
 F = Fraction
 
@@ -678,3 +680,62 @@ class TestIntegerColumns:
             assert list(li_taylor_poly(x_poly, n).coeffs) == li
 
         agree()
+
+
+class TestSeriesTable:
+    """H of a rational series read off its linear representation, with no word expanded."""
+
+    def test_property_stuffle_representation_matches_the_word_product(self):
+        # the word path the mixed suite took before: expand the star to depth N, stuffle y_s in, sum per word
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+        stars = st.dictionaries(st.integers(0, 4), coeffs, max_size=4)
+
+        @hyp.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+        @hyp.given(st.integers(1, 4), stars, st.integers(0, 15))
+        @hyp.example(2, {0: F(1, 2), 1: -1, 3: F(2, 3)}, 15)
+        def agree(s, terms, n):
+            star = X1StarPoly(terms)
+            words = stuffle(NCPoly.from_word(y_word(s)), pi_y(x1star_poly_expand(star, n)))
+            assert h_series_table(*checks._star_stuffle_representation(s, star), n) == h_poly_table(words, n)
+
+        agree()
+
+    def test_property_matches_the_oracle(self):
+        # a signed index is the chain (j, s_j, j + 1, 1); y_s st S is a character: H_(y_s st S) = H_(y_s) H_S
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+        stars = st.dictionaries(st.integers(0, 4), coeffs, max_size=4)
+
+        @hyp.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+        @hyp.given(st.lists(st.integers(-2, 3), max_size=4), st.integers(1, 4), stars, st.integers(0, 20))
+        @hyp.example([3, -2, 0, 1], 1, {1: 1, 2: -1}, 20)
+        def agree(index, s, terms, n):
+            r = len(index)
+            chain = [1] + [0] * r, [(j, e, j + 1, 1) for j, e in enumerate(index)], [0] * r + [1]
+            assert h_series_table(*chain, n) == h_signed_table(index, n)
+            star = X1StarPoly(terms)
+            closed = h_x1star_closed_form(star)
+            want = [h * closed.eval(m) for m, h in enumerate(h_signed_table((s,), n))]
+            assert h_series_table(*checks._star_stuffle_representation(s, star), n) == want
+
+        agree()
+
+    def test_admission(self):
+        initial, transitions, final = checks._star_stuffle_representation(1, X1StarPoly({1: 1, 2: -1}))
+        with pytest.raises(ValueError, match="n_cap must be >= 0"):
+            h_series_table(initial, transitions, final, -1)
+        with pytest.raises(TypeError, match="index entries must be integers"):
+            h_series_table([1], [(0, 2.0, 0, 1)], [1], 3)
+        # two orders, four transitions each; refused before any step, which would fail on the unreadable final vector
+        with pytest.raises(ValueError, match=r"^N \* depth = 1000000 \* 8 is above MAX_TERMS = 1000000$"):
+            h_series_table(initial, transitions, None, 10**6)
+
+    def test_mixed_suite_caches_nothing(self, monkeypatch, capsys):
+        monkeypatch.setattr(harmonic, "_POLY_VECTORS", {})
+        monkeypatch.setattr(harmonic, "_HVEC_CACHE", {})
+        assert main(["verify", "--suite", "mixed", "--ncap", "60", "--json"]) == 0
+        assert [r["status"] for r in json.loads(capsys.readouterr().out)] == ["pass"] * 9
+        assert harmonic._POLY_VECTORS == {} and harmonic._HVEC_CACHE == {}

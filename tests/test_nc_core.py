@@ -451,6 +451,7 @@ class TestStoredForm:
             st.one_of(x_exprs, y_exprs),
         )
         @hyp.example(NCPoly.one(X), NCPoly.zero(X), NCPoly.one(Y), NCPoly.zero(Y), {}, 'sh(pix(y2), "01")')
+        @hyp.example(NCPoly.one(X), NCPoly.zero(X), NCPoly.one(Y), NCPoly.zero(Y), {}, "sh(1, 2/3)")
         def stored(p, q, a, b, star, expr):
             one = NCPoly.one(Y)
             plane = stars.PlaneStar([1, Fraction(-1, 2)])
@@ -461,12 +462,15 @@ class TestStoredForm:
                 exp_stuffle(a - one * a.constant_term, 4),
                 coding.pi_x(a), coding.pi_y(coding.pi_x(b)), *negindex.regularize_trailing_x0(p).values(),
                 stars.x1star_expand(2, 3), stars.x1star_poly_expand(stars.X1StarPoly(star), 4),
-                stars.x1star_y_expansion(stars.X1StarPoly(star), 3), stars.plane_star_expand(plane, 4),
+                coding.pi_y(stars.x1star_poly_expand(stars.X1StarPoly(star), 3)), stars.plane_star_expand(plane, 4),
                 stars.one_param_group(plane, Fraction(1, 3), 3), NCPoly.one(X), NCPoly.zero(X),
             ]
             for got in results:
                 _assert_canonical(got)
-            value = cli.parse_value(expr)
+            try:
+                value = cli.parse_value(expr)
+            except (cli.ParseError, cli.ExprTypeError):  # a refused draw, as sh(1, 1) or y2 + 3* 1: no polynomial
+                return
             if isinstance(value, NCPoly):  # a rational term alone parses to a scalar
                 _assert_canonical(value)
                 # its printed expression re-parses to it: a key of another form would print as a second term

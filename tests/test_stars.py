@@ -19,7 +19,6 @@ from polylog.stars import (
     plane_star_stuffle,
     x1star_expand,
     x1star_poly_expand,
-    x1star_y_expansion,
     ykstar_exp_identity,
 )
 
@@ -257,10 +256,9 @@ class TestPlaneStarView:
         lambda cap: plane_star_expand(PlaneStar.make([1, Fraction(1, 2)]), cap),
         lambda cap: x1star_poly_expand(X1StarPoly({0: 1, 2: 3}), cap),
         lambda cap: x1star_expand(2, cap),
-        lambda cap: x1star_y_expansion(X1StarPoly({1: 1}), cap),
         lambda cap: exp_stuffle(NCPoly.from_word(y_word(1)), cap),
     ],
-    ids=["plane_star", "x1star_poly", "x1star", "x1star_y", "exp_stuffle"],
+    ids=["plane_star", "x1star_poly", "x1star", "exp_stuffle"],
 )
 def test_negative_cap_is_refused(expand, cap):
     with pytest.raises(ValueError, match="cap must be >= 0"):
