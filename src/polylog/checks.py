@@ -286,7 +286,7 @@ def _star_stuffle_representation(s: int, star: X1StarPoly) -> tuple[list, list, 
     orders = [(k, c) for k, c in enumerate(star.poly.coeffs) if c]
     transitions = [
         t for q, (k, _) in zip(range(0, 2 * len(orders), 2), orders)
-        for t in ((q, 1, q, k), (q, s, q + 1, 1), (q, s + 1, q + 1, k), (q + 1, 1, q + 1, k))
+        for t in ((q, 1, q, k), (q, s, q + 1, 1), (q, s + 1, q + 1, k), (q + 1, 1, q + 1, k)) if t[3]
     ]
     return [x for _, c in orders for x in (c, 0)], transitions, [0, 1] * len(orders)
 

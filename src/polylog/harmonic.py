@@ -367,10 +367,10 @@ def h_series_table(initial: Sequence, transitions: Sequence[tuple], final: Seque
     """[H_S(0), ..., H_S(n_max)] of the rational series S whose representation has a transition (q, s, r, c) for each
     mu(y_s)[q, r] = c (the recurrence above): admitted once, at depth its transition count, and nothing is cached."""
     _refuse(tuple(s for _, s, _, _ in transitions), n_max, max(len(transitions), 1))
-    state = list(map(Fraction, final))
+    letters, state = {s for _, s, _, _ in transitions}, list(map(Fraction, final))
     out = [sum(map(mul, initial, state), Fraction(0))]
     for n in range(1, n_max + 1):
-        weights, prev = {s: Fraction(n) ** -s for _, s, _, _ in transitions}, tuple(state)
+        weights, prev = {s: Fraction(n) ** -s for s in letters}, tuple(state)
         for q, s, r, c in transitions:
             state[q] += c * weights[s] * prev[r]
         out.append(sum(map(mul, initial, state), Fraction(0)))

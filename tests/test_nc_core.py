@@ -432,26 +432,36 @@ class TestStoredForm:
             words = st.lists(letters, max_size=size).map(lambda l: Word(tuple(l), alphabet))
             return st.lists(st.tuples(words, coeffs), max_size=4).map(lambda pairs: NCPoly(alphabet, pairs))
 
-        x_atoms = st.sampled_from(['"01"', '"1"', '"110"', '"0"', "1", "2/3"])
-        y_atoms = st.sampled_from(["y2", "y1y3", "y1", "1", "-1/2"])
-        y_exprs = st.recursive(y_atoms, lambda e: st.one_of(
+        # products and the right side of "+ 3*" take polynomials: the parser refuses sh(1, 2/3) and y2 + 3* 1
+        y_polys = st.recursive(st.sampled_from(["y2", "y1y3", "y1"]), lambda e: st.one_of(
             st.tuples(st.sampled_from(["st", "conc"]), e, e).map(lambda t: f"{t[0]}({t[1]}, {t[2]})"),
             st.tuples(e, st.sampled_from(["+", "-", "+ 3*"]), e).map(" ".join),
             e.map(lambda a: f"piy(pix({a}))"),
         ), max_leaves=4)
-        x_exprs = st.recursive(st.one_of(x_atoms, y_exprs.map(lambda e: f"pix({e})")), lambda e: st.one_of(
+        x_atoms = st.one_of(st.sampled_from(['"01"', '"1"', '"110"', '"0"']), y_polys.map(lambda e: f"pix({e})"))
+        x_polys = st.recursive(x_atoms, lambda e: st.one_of(
             st.tuples(st.sampled_from(["sh", "conc"]), e, e).map(lambda t: f"{t[0]}({t[1]}, {t[2]})"),
             st.tuples(e, st.sampled_from(["+", "-", "+ 3*"]), e).map(" ".join),
         ), max_leaves=4)
+
+        def with_rationals(polys, rationals):  # a rational stands alone, or on either side of a sum
+            return st.one_of(
+                polys, rationals, st.tuples(polys, st.sampled_from(["+", "-"]), rationals).map(" ".join),
+                st.tuples(rationals, st.sampled_from(["+", "-", "+ 3*"]), polys).map(" ".join),
+            )
+
+        exprs = st.one_of(
+            with_rationals(x_polys, st.sampled_from(["1", "2/3"])),
+            with_rationals(y_polys, st.sampled_from(["1", "-1/2"])),
+        )
 
         @hyp.settings(max_examples=80, deadline=None, derandomize=True, database=None)
         @hyp.given(
             polys(X, st.integers(0, 1), 4), polys(X, st.integers(0, 1), 4), polys(Y, st.integers(1, 3), 3),
             polys(Y, st.integers(1, 3), 3), st.dictionaries(st.integers(0, 4), coeffs, max_size=3),
-            st.one_of(x_exprs, y_exprs),
+            exprs,
         )
         @hyp.example(NCPoly.one(X), NCPoly.zero(X), NCPoly.one(Y), NCPoly.zero(Y), {}, 'sh(pix(y2), "01")')
-        @hyp.example(NCPoly.one(X), NCPoly.zero(X), NCPoly.one(Y), NCPoly.zero(Y), {}, "sh(1, 2/3)")
         def stored(p, q, a, b, star, expr):
             one = NCPoly.one(Y)
             plane = stars.PlaneStar([1, Fraction(-1, 2)])
@@ -467,10 +477,7 @@ class TestStoredForm:
             ]
             for got in results:
                 _assert_canonical(got)
-            try:
-                value = cli.parse_value(expr)
-            except (cli.ParseError, cli.ExprTypeError):  # a refused draw, as sh(1, 1) or y2 + 3* 1: no polynomial
-                return
+            value = cli.parse_value(expr)
             if isinstance(value, NCPoly):  # a rational term alone parses to a scalar
                 _assert_canonical(value)
                 # its printed expression re-parses to it: a key of another form would print as a second term
