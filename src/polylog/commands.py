@@ -35,7 +35,8 @@ def _parse_index_arg(text: str) -> tuple[int, ...]:
 
 
 def _looks_like_index(text: str) -> bool:
-    return bool(re.fullmatch(r"\(?\s*-?\d+(\s*,\s*-?\d+)*\s*\)?", text.strip()))
+    """An index as :func:`_parse_index_arg` reads it, the empty one ("", "()") too."""
+    return bool(re.fullmatch(r"\(?\s*-?\d+(\s*,\s*-?\d+)*\s*\)?|\(?\)?", text.strip()))
 
 
 def cmd_neg_li(args) -> int:

@@ -10,9 +10,10 @@ values.  :func:`h_signed_table` streams apart from the cache so it stays an inde
 :func:`h_signed_eval` (and :func:`h_word_eval`) streams the rows of the tail s2..sr only, and sums the leading
 entry's terms H_(s2..sr)(k-1) k^(-s1) in blocks of consecutive k, each over lcm(block)^s1, merged pairwise like
 a binary counter; so no step divides a number of lcm(1..N)^s1 size, and memory is O(r + log N) numbers.
-The two oracles compute their own weights.  Every other path reads memoized weight rows (0, L^s n^(-s)) per
-(s, N), as nested sums are tabulated in Vermaseren's scheme (*Harmonic sums, Mellin transforms and integrals*,
-1999), and builds a column in one pass over its row.  Taylor vectors of Li take one weight pass per leading
+The two oracles compute their own weights.  Every other path reads weight rows (0, L^s n^(-s)) / L^s per (s, N),
+as nested sums are tabulated in Vermaseren's scheme (*Harmonic sums, Mellin transforms and integrals*, 1999), and
+builds a column in one pass over its row.  A row is Li's Taylor vector of the one letter y_s: Li's memo holds a tail
+entry's row, and a row only leading is built and not kept.  Li's Taylor vectors take one weight pass per leading
 entry over the memoized tail columns, so the column cache holds tails only, never a full word.  H_w(N) is the
 N-th Taylor coefficient of Li_w(z)/(1-z), and that is the one reading of a word's harmonic sums: a word table
 is the prefix sums of the word's memoized Taylor vector.  A polynomial has one Taylor path, :func:`_li_poly_vector`
@@ -34,7 +35,7 @@ Composed with the star form of Li at non-positive indices (:mod:`polylog.neginde
 this yields Faulhaber-style closed forms for every non-positive multi-index.  The stuffle character is checked
 in :mod:`polylog.checks`.
 
-The column cache, the weight rows and the two Li-vector memos are bounded by nc_core's ``memo_account``.  A longer
+The column cache and the two Li-vector memos, rows included, are bounded by nc_core's ``memo_account``.  A longer
 column replaces a cached one whole, in one immutable value, so a racing thread can at worst duplicate work,
 never observe a partial or mixed column.
 """
@@ -119,11 +120,6 @@ def _entry_bits(s: int, n: int) -> int:
     return ((3 * n // 2 + 1) * s if n > 1 else 0) + int.bit_length(n)
 
 
-def _row_bytes(s: int, n: int) -> int:
-    """A bound on what :func:`_weight_row` of entry s to N charges: a column of its bits, and the tuple."""
-    return _column_bytes(_entry_bits(s, n), n, 0) + getsizeof(()) + (n + 1) * (getsizeof((0,)) - getsizeof(()))
-
-
 def _tails_bytes(words: Iterable[Sequence[int]], n: int) -> int:
     """What the distinct tails of ``words`` charge to N, walked once: a column per distinct nonempty tail (the
     letters after a word's first) at its own entries' bits and depth, and a weight row per distinct tail entry.
@@ -139,7 +135,7 @@ def _tails_bytes(words: Iterable[Sequence[int]], n: int) -> int:
                 got = seen[key] = (len(seen) + 1, bits + _entry_bits(s, n))
                 size += _column_bytes(got[1], n, depth)
             tail, bits = got
-    return size + sum(_row_bytes(s, n) for s in {s for s, _ in seen})
+    return size + sum(_index_bytes((s,), n) for s in {s for s, _ in seen})
 
 
 def _index_bytes(index: SignedIndex, n: int) -> int:
@@ -163,7 +159,7 @@ def _poly_bytes(q: NCPoly, weight: int, length: int, n: int) -> int:
     key = getsizeof(frozenset()) + len(q) * (128 + getsizeof((0, 0)) + getsizeof((0,) * length)) if len(q) > 1 else 0
     bits = _entry_bits(weight, n) + max(length - 1, 0) * int.bit_length(n)
     size = key + _column_bytes(bits, n, 0) + len(q) * max(length - 1, 0) * _column_bytes(bits, n, 1)
-    size += sum(_row_bytes(s, n) for s in range(1, weight)) if length > 1 else 0
+    size += sum(_index_bytes((s,), n) for s in range(1, weight)) if length > 1 else 0
     return size if size <= MEMO_BYTES else key + _column_bytes(bits, n, 0) + _tails_bytes(q._nums, n)
 
 
@@ -184,24 +180,17 @@ def _prefix_column(weights: list[Iterator], n_max: int) -> Iterator[int]:
         yield state[0]
 
 
-def _row(s1: int, n_max: int) -> tuple[int, tuple[int, ...]]:
-    """(scale, (0, scale * n^(-s1) for n = 1..n_max)) with scale = lcm(1..n_max)^max(s1, 0)."""
+def _row(s1: int, n_max: int) -> NPoly:
+    """The weight row (0, scale * n^(-s1) for n = 1..n_max) / scale, scale = lcm(1..n_max)^max(s1, 0): Li's Taylor
+    vector of (s1,), in lowest terms, as its entry at n = 1 is the scale."""
     (scale,) = _scales((s1,), n_max)
-    return scale, (0, *_weights(s1, scale, n_max))
-
-
-@lru_cache(maxsize=None, typed=True)
-def _weight_row(s1: int, n_max: int) -> tuple[int, tuple[int, ...]]:
-    """:func:`_row` for every column to n_max of entry s1; typed keys; charges the tuple, each entry as the largest."""
-    scale, row = out = _row(s1, n_max)
-    memo_account.charge(getsizeof(row) + len(row) * getsizeof(max(scale, row[-1])))
-    return out
+    return NPoly((0, *_weights(s1, scale, n_max)), scale)
 
 
 def _shifted(s1: int, sub: NPoly, n_max: int, entries: set) -> NPoly:
     """n^(-s1) sub_(n-1), n = 0..n_max, Li's vector from H of its tail; s1's row is memoized if in ``entries``."""
-    scale, row = (_weight_row if s1 in entries else _row)(s1, n_max)
-    return NPoly(map(mul, row, (0, *sub.nums[:n_max])), sub.den * scale)
+    row = _li_vector(n_max, s1) if s1 in entries else _row(s1, n_max)
+    return NPoly(map(mul, row.nums, (0, *sub.nums[:n_max])), sub.den * row.den)
 
 
 #: Integer columns keyed by signed index; a longer column replaces an entry whole, so readers see one column.
@@ -215,7 +204,8 @@ def _h_vector(index: SignedIndex, n_max: int) -> NPoly:
     H_index(N) = 0 for N < depth and > 0 from there on, so a column is either zero (not cached) or keeps every
     entry under trimming, and ``len`` of a cached column is its entry count.  Built in a loop upwards from the
     longest suffix cached long enough, so a deep index never reaches the recursion limit.  A column is one pass
-    over its entry's memoized weight row; its charge is a bound, every nonzero entry at the last's size.
+    over its entry's weight row, the entry's memoized Li vector; its charge is a bound, every nonzero entry at the
+    last's size.
     """
     if n_max < len(index):
         return NPoly()
@@ -227,8 +217,8 @@ def _h_vector(index: SignedIndex, n_max: int) -> NPoly:
         k = len(index)
         col = NPoly((1,) * (n_max + 1), 1)
     for j in reversed(range(k)):
-        scale, row = _weight_row(index[j], n_max)
-        col = NPoly(accumulate(map(mul, row, (0, *col.nums))), col.den * scale)
+        row = _li_vector(n_max, index[j])
+        col = NPoly(accumulate(map(mul, row.nums, (0, *col.nums))), col.den * row.den)
         depth = len(index) - j  # the leading zeros
         memo_account.charge(getsizeof(col.den) + depth * getsizeof(0) + (len(col) - depth) * getsizeof(col.nums[-1]))
         _HVEC_CACHE[index[j:]] = col
@@ -345,17 +335,17 @@ def _li_poly_vector(q: NCPoly, n_max: int) -> NPoly:
 
 @lru_cache(maxsize=None, typed=True)
 def _li_vector(n_cap: int, *index: int) -> NPoly:
-    """Li's Taylor vector to n_cap in lowest terms (1 for the empty index); a miss is admitted first.  Typed keys,
-    so (2.0,) never reads the entry of (2,) and is refused."""
+    """Li's Taylor vector to n_cap in lowest terms: 1 for the empty index, :func:`_row` for one letter.  A miss is
+    admitted first.  Typed keys, so (2.0,) never reads the entry of (2,) and is refused."""
     _refuse(index, n_cap, max(len(index), 1), lambda: _index_bytes(index, n_cap))  # the empty index has N + 1 entries
-    vector = _taylor_map([(1, index)], n_cap).reduced()
+    vector = _row(*index, n_cap) if len(index) == 1 else _taylor_map([(1, index)], n_cap).reduced()
     memo_account.charge(sum(map(getsizeof, (vector.den, *vector.nums))))
     return vector
 
 
 #: Taylor vectors in lowest terms of Y-polynomials of two or more words, by (N, its type, den, frozenset of terms)
 _POLY_VECTORS: dict[tuple, NPoly] = {}
-memo_account.tables.extend((_weight_row.cache_clear, _li_vector.cache_clear, _POLY_VECTORS.clear))
+memo_account.tables.extend((_li_vector.cache_clear, _POLY_VECTORS.clear))
 
 
 def h_poly_table(q: NCPoly, n_max: int) -> list[Fraction]:

@@ -590,6 +590,13 @@ class TestCommands:
         code, out = self._run(capsys, "h-closed-form", "0")
         assert json.loads(out)["coeffs"] == ["0", "1"]
 
+    @pytest.mark.parametrize("index", ["()", ""])
+    def test_h_closed_form_empty_index(self, capsys, index):
+        # the empty index, as h-eval reads it: H of the empty word is 1 at every N
+        code, out = self._run(capsys, "h-closed-form", index)
+        assert code == 0 and json.loads(out) == {"coeffs": ["1"], "text": "1"}
+        assert self._run(capsys, "h-eval", index, "5")[1].strip() == '"1"'
+
     def test_h_closed_form_csv(self, capsys):
         code, out = self._run(capsys, "h-closed-form", "--csv", "star(1)")
         assert out.splitlines() == ["degree,coefficient", "0,1", "1,1"]

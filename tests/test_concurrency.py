@@ -91,8 +91,10 @@ def test_concurrent_li_vectors_agree(monkeypatch):
 
     _run_threads(worker)
     held = harmonic._li_vector.cache_info().currsize
-    # each vector is held once, unless a lowered bound had the account empty the table
-    assert held == len(expected) if nc_core.MEMO_BYTES == _DEFAULT_BYTES else held < len(expected)
+    # each vector is held once, and so is each tail entry's weight row: Li's vector of (1,) at all 13 N (the leading
+    # 1 of (1, 1) reads it at N = 0 too) and of (3,) at the 12 from N = 5; unless a lowered bound emptied the table
+    entries = len(expected) + 13 + 12
+    assert held == entries if nc_core.MEMO_BYTES == _DEFAULT_BYTES else held < entries
 
 
 def test_concurrent_poly_vectors_agree():

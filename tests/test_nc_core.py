@@ -707,7 +707,7 @@ class TestMemoAccount:
         stuffle(NCPoly.from_word(y_word(2, 1)), NCPoly.from_word(y_word(1, 3)))
         li_taylor_coeffs((2, 1), 10)
         h_poly_table(stuffle(NCPoly.from_word(y_word(2)), NCPoly.from_word(y_word(1))), 10)
-        tables = products._shuffle_letters, products._stuffle_letters, harmonic._weight_row, harmonic._li_vector
+        tables = products._shuffle_letters, products._stuffle_letters, harmonic._li_vector
         assert harmonic._HVEC_CACHE and harmonic._POLY_VECTORS and all(table.cache_info().currsize for table in tables)
         monkeypatch.setattr(nc_core, "MEMO_BYTES", 2048)
         clears = memo_account.clears
@@ -726,10 +726,10 @@ class TestMemoAccount:
         h_word_table(y_word(2), 3)  # Li's vector (0, 36, 9, 4) / 36 of y2: the integers' own sizes
         total += sum(map(getsizeof, (36, 0, 36, 9, 4)))
         assert memo_account.clears == clears + 2 and memo_account.bytes == total
-        # the weight row (0, 216, 27, 8) of the tail entry 3 (the tuple, each entry as the largest), the tail's
-        # column (0, 216, 243, 251) / 216, and the vector (0, 0, 4, 3) / 8
+        # the weight row (0, 216, 27, 8) / 216 of the tail entry 3, Li's vector of (3,): the integers' own sizes; the
+        # tail's column (0, 216, 243, 251) / 216, and the vector (0, 0, 4, 3) / 8
         li_taylor_coeffs((1, 3), 3)
-        total += getsizeof((0, 216, 27, 8)) + 4 * getsizeof(216) + getsizeof(216) + getsizeof(0) + 3 * getsizeof(251)
+        total += sum(map(getsizeof, (216, 0, 216, 27, 8))) + getsizeof(216) + getsizeof(0) + 3 * getsizeof(251)
         total += sum(map(getsizeof, (8, 0, 0, 4, 3)))
         assert memo_account.clears == clears + 2 and memo_account.bytes == total
         # y1y2 + y2y1 + y3: the dict and three words, each charged as the stored u v, a tuple of 2 letters

@@ -182,19 +182,32 @@ class TestLiVectorCache:
         assert {n_cap: li_taylor_coeffs((2, 1), n_cap).coeffs for n_cap in want} == want
 
     def test_float_entry_is_refused_after_the_memos_hold_its_int_twin(self, monkeypatch):
-        # (2, 1, 2) leaves Li's vector and the weight rows of 1 and 2 memoized (2 leads and is a tail entry); the
-        # keys are typed, so 2.0 reads neither, weighs by float and is refused
+        # (2, 1, 2) leaves Li's vector and the weight rows of 1 and 2, Li's vectors of (1,) and (2,), memoized (2
+        # leads and is a tail entry); the keys are typed, so 2.0 reads neither, weighs by float and is refused
         for clear in memo_account.tables:
             clear()
         monkeypatch.setattr(memo_account, "bytes", 0)
         for index in ((2, 1), (2, 1, 2)):
             li_taylor_coeffs(index, 5)
-        hits = harmonic._weight_row.cache_info().hits
-        harmonic._weight_row(1, 5), harmonic._weight_row(2, 5)
-        assert harmonic._weight_row.cache_info().hits == hits + 2
+        hits = _li_vector.cache_info().hits
+        _li_vector(5, 1), _li_vector(5, 2)
+        assert _li_vector.cache_info().hits == hits + 2
         for index in ((2.0, 1), (2.0, 1, 2)):
             with pytest.raises(TypeError):
                 li_taylor_coeffs(index, 5)
+
+    def test_a_tail_row_and_a_one_letter_vector_are_one_entry(self, monkeypatch):
+        # the weight row of the tail entry 3 is Li's vector of (3,): asked for first, the vector serves the tail's
+        # column, and a row built for a tail first answers the vector
+        _empty_tables(monkeypatch)
+        li_taylor_coeffs((3,), 40)
+        misses = _li_vector.cache_info().misses
+        assert li_taylor_coeffs((2, 3), 40) == _uncached_li((2, 3), 40)
+        assert _li_vector.cache_info().misses == misses + 1  # (2, 3) alone
+        li_taylor_coeffs((2, 3), 41)
+        hits = _li_vector.cache_info().hits
+        assert li_taylor_coeffs((3,), 41) == _uncached_li((3,), 41)
+        assert _li_vector.cache_info().hits == hits + 1
 
     def test_a_refused_float_entry_leaves_no_column_for_its_int_twin(self, monkeypatch):
         # 2.0 == 2 and hashes alike, so a float column cached under (2.0,) would be read for (2,): the entry is
@@ -271,7 +284,8 @@ class TestLiVectorCache:
         assert refusal_in_fresh_process(call) == message
 
     def test_under_the_memo_bound_answers(self):
-        # the vector and the column of (1,): 3,002 numbers of at most 13,527 and 4,513 bits, 7,372,312 bytes
+        # the vector, the column of (1,) and its row: 3,002 numbers each, of at most 8,686, 4,333 and 4,330 bits,
+        # 7,158,848 bytes charged against an estimate of 9,257,568
         t = li_taylor_coeffs((2, 1), 3000)
         assert t.n_cap == 3000 and t.coeffs[:4] == (0, 0, F(1, 4), F(1, 6))
 
