@@ -25,7 +25,10 @@ def _print_coeffs(csv: bool, key: str, coeffs, payload) -> None:
 
 
 def _parse_index_arg(text: str) -> tuple[int, ...]:
-    cleaned = text.strip().strip("()")
+    """A comma list of ``int`` texts in at most one balanced pair of parentheses; "", "()" and "( )" are empty."""
+    cleaned = text.strip()
+    if cleaned[:1] == "(" and cleaned[-1:] == ")":
+        cleaned = cleaned[1:-1].strip()
     if not cleaned:
         return ()
     try:
@@ -35,8 +38,9 @@ def _parse_index_arg(text: str) -> tuple[int, ...]:
 
 
 def _looks_like_index(text: str) -> bool:
-    """An index as :func:`_parse_index_arg` reads it, the empty one ("", "()") too."""
-    return bool(re.fullmatch(r"\(?\s*-?\d+(\s*,\s*-?\d+)*\s*\)?|\(?\)?", text.strip()))
+    """An index as :func:`_parse_index_arg` reads it, the empty one ("", "()", "( )") too."""
+    items = r"(-?\d+(\s*,\s*-?\d+)*)?"
+    return bool(re.fullmatch(rf"\(\s*{items}\s*\)|{items}", text.strip()))
 
 
 def cmd_neg_li(args) -> int:

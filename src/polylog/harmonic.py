@@ -6,10 +6,10 @@ brute-force oracle of :mod:`polylog.checks`.  Both come out of one prefix recurr
 H_s(N) = H_s(N-1) + N^(-s1) H_(s2..sr)(N-1), run on integer numerators over one denominator.  With
 L = lcm(1..N) the step multiplies by L^s1 // N^s1 (s1 > 0) or N^(-s1) (s1 <= 0), and the denominator is
 D_(s2..sr) L^max(s1, 0), so no step of the recurrence pays a gcd and Fractions are built only for returned
-values.  :func:`h_signed_table` streams apart from the cache so it stays an independent oracle.
-:func:`h_signed_eval` (and :func:`h_word_eval`) streams the rows of the tail s2..sr only, and sums the leading
-entry's terms H_(s2..sr)(k-1) k^(-s1) in blocks of consecutive k, each over lcm(block)^s1, merged pairwise like
-a binary counter; so no step divides a number of lcm(1..N)^s1 size, and memory is O(r + log N) numbers.
+values.  :func:`h_signed_table` streams apart from the cache, an independent oracle; an index of one entry streams
+as one C iterator.  :func:`h_signed_eval` (and :func:`h_word_eval`) streams the tail's rows only, and sums
+the terms H_(s2..sr)(k-1) k^(-s1) per block of k over lcm(block)^s1, merged pairwise like a binary counter (no step
+divides a number of lcm(1..N)^s1 size), and a power sum over odd powers with shifts: O(r + log N) numbers.
 The two oracles compute their own weights.  Every other path reads weight rows (0, L^s n^(-s)) / L^s per (s, N),
 as nested sums are tabulated in Vermaseren's scheme (*Harmonic sums, Mellin transforms and integrals*, 1999), and
 builds a column in one pass over its row.  A row is Li's Taylor vector of the one letter y_s: Li's memo holds a tail
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import accumulate, repeat
+from itertools import accumulate, islice, repeat
 from math import gcd, lcm, prod
 from operator import floordiv, mul
 from sys import getsizeof, int_info
@@ -164,12 +164,19 @@ def _poly_bytes(q: NCPoly, weight: int, length: int, n: int) -> int:
 
 
 def _prefix_column(weights: list[Iterator], n_max: int) -> Iterator[int]:
-    """The prefix recurrence H_0(0..n_max), one flat loop per row, from one weight iterator per entry.
+    """The prefix recurrence H_0(0..n_max) from one weight iterator per entry.
 
     With the weights w_j(n) of entry j for n = 1..n_max, H_j(n) = H_j(n-1) + w_j(n) H_(j+1)(n-1)
-    and the entry past the last is 1: the numerator of H_(index[j:])(n) over prod(scales[j:]) for
-    :func:`_weights`.  One number per entry, no iterator nested in another: a deep index costs no C stack.
+    and the entry past the last is 1: the numerator of H_(index[j:])(n) over prod(scales[j:]) for :func:`_weights`.
+    One entry streams as one C iterator of fixed nesting depth, ``accumulate``; others run :func:`_row_loop`.
     """
+    if len(weights) == 1:
+        return accumulate(islice(weights[0], n_max), initial=0)
+    return _row_loop(weights, n_max)
+
+
+def _row_loop(weights: list[Iterator], n_max: int) -> Iterator[int]:
+    """:func:`_prefix_column` in one flat loop per row: one number per entry, no nested iterator, so no C stack."""
     state = [0] * len(weights) + [1]
     steps = list(enumerate(weights))  # built once, not per row
     yield state[0]
@@ -259,21 +266,34 @@ def _merge(e: int, x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
     return p1 * (l2 // g) ** e + p2 * (l1 // g) ** e, l1 // g * l2
 
 
-def h_signed_eval(s: Sequence[int], n: int) -> Fraction:
-    """Brute-force oracle: the nested sum with arbitrary integer exponents.
+def _power_sum(t: int, n: int) -> int:
+    """sum_(k <= n) k^t = sum_j 2^(jt) O(n >> j), O(m) the sum of k^t over odd k <= m, by Horner's rule in 2^t: the
+    odd powers are summed in C between the ascending cuts n >> j, and each cut's even terms enter by one shift."""
+    total, odd, lo = 0, 0, 1  # lo: the first odd k past the last cut
+    for j in reversed(range(n.bit_length())):
+        odd += sum(map(pow, range(lo, (n >> j) + 1, 2), repeat(t)))
+        lo = (n >> j) + 1 | 1
+        total = (total << t) + odd
+    return total
 
-    Streams the tail's column with O(r + log N) memory, so large N needs no cache:
-    H_s(N) = sum_k H_(s2..sr)(k-1) k^(-s1), summed per block of k over the block's
-    lcm^s1 and merged pairwise.  For s1 <= 0 a merge is a plain add, so one block.
+
+def h_signed_eval(s: Sequence[int], n: int) -> Fraction:
+    """Streaming oracle of the nested sum with any integer exponents: (-t,) by :func:`_power_sum`, else term by term.
+
+    Streams the tail's column with O(r + log N) memory, so large N needs no cache: H_s(N) = sum_k H_(s2..sr)(k-1)
+    k^(-s1), summed per block of k over the block's lcm^s1 and merged pairwise.  For s1 <= 0 a merge is a plain add,
+    so one block; with no tail that is the power sum (-t,), over odd powers with shifts (:func:`_power_sum`).
     """
     index = tuple(s)
     _refuse(index, n, len(index))
+    if not index or not n:
+        return Fraction(not index)  # 1 on the empty index, else 0 at N = 0
+    if len(index) == 1 and index[0] <= 0:
+        return Fraction(_power_sum(-int(index[0]), n))
     scales = _scales(index[1:], n)
-    if not index:
-        return Fraction(1)
     s1, e = index[0], max(index[0], 0)
     tail = _prefix_column([_weights(t, f, n) for t, f in zip(index[1:], scales)], n - 1)
-    step = _BLOCK if e else max(n, 1)
+    step = _BLOCK if e else n
     parts: list[tuple[int, int]] = []  # a binary counter: block counts fall, powers of two
     for i, a in enumerate(range(1, n + 1, step), 1):
         b = min(a + step, n + 1)

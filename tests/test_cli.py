@@ -590,12 +590,23 @@ class TestCommands:
         code, out = self._run(capsys, "h-closed-form", "0")
         assert json.loads(out)["coeffs"] == ["0", "1"]
 
-    @pytest.mark.parametrize("index", ["()", ""])
+    @pytest.mark.parametrize("index", ["()", "", "( )"])
     def test_h_closed_form_empty_index(self, capsys, index):
         # the empty index, as h-eval reads it: H of the empty word is 1 at every N
         code, out = self._run(capsys, "h-closed-form", index)
         assert code == 0 and json.loads(out) == {"coeffs": ["1"], "text": "1"}
         assert self._run(capsys, "h-eval", index, "5")[1].strip() == '"1"'
+
+    @pytest.mark.parametrize("text", ["(((", ")(", "((2,1", "(2,1", "((2,1))"])
+    def test_index_with_stray_parentheses_is_refused(self, capsys, text):
+        # at most one balanced pair of parentheses around the comma list; no command reads the rest as an index
+        for argv in (["h-eval", text, "5"], ["neg-li", text], ["li-coeffs", text, "3"]):
+            code, out = self._run(capsys, *argv)
+            error = json.loads(out)["error"]
+            assert code == 2 and error["code"] == "ParseError", argv
+            assert error["message"].startswith(f"at position 0: bad multi-index {text!r}: "), argv
+        code, out = self._run(capsys, "h-closed-form", text)
+        assert code == 2 and json.loads(out)["error"]["code"] == "ParseError"
 
     def test_h_closed_form_csv(self, capsys):
         code, out = self._run(capsys, "h-closed-form", "--csv", "star(1)")

@@ -236,6 +236,55 @@ class TestHSignedEval:
             assert str(raised.value) == "weights of about 1000001 bits at N = 2 are above MAX_TERMS = 1000000"
         assert h_signed_eval((10**20,), 1) == h_signed_eval((-(10**20),), 1) == 1  # no weight bits at N <= 1
 
+    def test_property_power_sums_match_a_plain_sum(self):
+        # H_(-t)(N) runs over odd powers with shifts: N at, one below and one above each power of two too
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        edges = [2**j + d for j in range(12) for d in (-1, 0, 1)]
+
+        @hyp.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+        @hyp.given(st.integers(1, 40), st.one_of(st.sampled_from(edges), st.integers(0, 2000)))
+        @hyp.example(1, 0)
+        @hyp.example(40, 2000)
+        def agree(t, n):
+            assert h_signed_eval((-t,), n) == sum(k**t for k in range(1, n + 1))
+
+        agree()
+
+    def test_large_power_sum_and_its_admission(self):
+        assert h_signed_eval((-2000,), 200) == sum(k**2000 for k in range(1, 201))
+        assert h_signed_eval((F(-2),), 10) == 385  # an integral Fraction entry reads as its int
+        with pytest.raises(ValueError) as raised:
+            h_signed_eval((-2,), -1)
+        assert str(raised.value) == "n_cap must be >= 0"
+        with pytest.raises(TypeError) as raised:
+            h_signed_eval((-2.0,), 5)
+        assert str(raised.value) == "index entries must be integers, got (-2.0,)"
+
+    def test_property_short_indices_match_a_nested_sum(self):
+        # an index of one entry streams as one C iterator, of none or two in the row loop
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @hyp.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+        @hyp.given(st.lists(st.integers(-4, 4), max_size=2), st.integers(0, 200))
+        @hyp.example([], 0)
+        @hyp.example([-3], 0)
+        @hyp.example([2, -1], 0)
+        @hyp.example([4, 4], 200)
+        @hyp.example([-4, -4], 200)
+        def agree(index, n):
+            # H_(s, rest)(m) = sum_(k <= m) k^(-s) H_rest(k - 1), and H_()(m) = 1, on Fractions
+            table = [F(1)] * (n + 1)
+            for s in reversed(index):
+                inner, table = table, [F(0)]
+                for k in range(1, n + 1):
+                    table.append(table[-1] + F(k) ** -s * inner[k - 1])
+            assert h_signed_table(index, n) == table
+            assert h_signed_eval(index, n) == table[-1]
+
+        agree()
+
     def test_agrees_with_word_eval_on_positive(self):
         rng = random.Random(89)
         for _ in range(30):
