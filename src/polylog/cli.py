@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import threading
@@ -572,6 +573,20 @@ def _digit_limit():
 
 
 def main(argv=None) -> int:
+    """Answer one request; 2 for an error answer, and 1 with nothing on stderr when stdout closes early."""
+    try:
+        code = _answer(argv)
+        sys.stdout.flush()  # a closed reader shows here, not in the interpreter's flush at exit
+        return code
+    except BrokenPipeError:
+        # the interpreter flushes stdout at exit: point it at the null device so that flush cannot raise again
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        return 1
+
+
+def _answer(argv) -> int:
     with _digit_limit():
         try:
             argv = sys.argv[1:] if argv is None else argv

@@ -2,7 +2,8 @@
 
 :class:`TaylorTrunc` is its one capped view, of Taylor vectors and, through :class:`~polylog.coding.QSeriesTrunc`,
 of q-series and plane stars.  Values are immutable, so threads share them freely.  A product request does not
-load this module.
+load this module.  The Cauchy product :meth:`NPoly.mul_trunc` is graded: past 95 entries it multiplies blocks of
+entries over their own smaller denominators, and its numerators and denominator are those of the schoolbook loop.
 """
 
 from __future__ import annotations
@@ -135,16 +136,45 @@ class NPoly:
     __rmul__ = __mul__
 
     def mul_trunc(self, other: "NPoly", n: int) -> "NPoly":
-        """Cauchy product cut to degree n; zero for n < 0."""
-        ys = other.nums
-        out = [0] * (n + 1)
-        for i, x in enumerate(self.nums[: max(n + 1, 0)]):
-            if not x:
-                continue
-            for j, y in enumerate(ys[: n + 1 - i]):
-                if y:
-                    out[i + j] += x * y
+        """Cauchy product cut to degree n; zero for n < 0.
+
+        Graded: the schoolbook loop runs on each pair of :meth:`_blocks` and adds its sums times g_a g_b.  Entry i
+        of a Li vector of weight w needs about lcm(1..i)^w of its lcm(1..N)^w, so a low block's integers are about
+        half as long.  The numerators and the denominator are those of the ungraded product.
+        """
+        out, right = [0] * (n + 1), other._blocks(n)
+        for p, xs, gx in self._blocks(n):
+            for q, ys, gy in right:
+                m, g = n - p - q, gx * gy
+                if m < 0:
+                    break
+                acc, o = (out, p + q) if g == 1 else ([0] * (m + 1), 0)
+                for i, x in enumerate(xs[: m + 1]):
+                    if not x:
+                        continue
+                    for k, y in enumerate(ys[: m + 1 - i], o + i):
+                        if y:
+                            acc[k] += x * y
+                if g != 1:
+                    out[p + q :] = map(add, out[p + q :], map(mul, repeat(g), acc))
         return NPoly(out, self.den * other.den)
+
+    def _blocks(self, n: int) -> list[tuple[int, Sequence[int], int]]:
+        """(offset, entries / g, g) for the nonzero blocks of entries 0..n, g = gcd(den, entries).
+
+        The cuts depend on n alone: (n + 1) // 2, halved while a block keeps 48 entries.  Over den 1, or with no
+        cut, the one block is the entries as they are, with g = 1.
+        """
+        nums, cuts, c = self.nums[: max(n + 1, 0)], [], (n + 1) // 2
+        while c >= 48 and self.den > 1:
+            cuts.insert(0, c)
+            c //= 2
+        if not cuts:
+            return [(0, nums, 1)]
+        bounds = [0, *cuts, n + 1]
+        blocks = [(lo, nums[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        # an all-zero block is skipped: a Li vector of depth r starts with r zeros
+        return [(lo, [x // g for x in xs], g) for lo, xs in blocks if any(xs) for g in (gcd(self.den, *xs),)]
 
     def hadamard(self, other: "NPoly") -> "NPoly":
         """Coefficientwise product."""

@@ -942,6 +942,21 @@ class TestCommands:
         run = subprocess.run(argv, env=_FRESH_ENV, capture_output=True, text=True)
         assert run.returncode == 2 and json.loads(run.stdout)["error"]["code"] == "ValueError"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("shuffle", '"' + "0" * 600 + '"', '"1"'), ("h-eval", "a" * 100_000, "5")],
+        ids=["answer", "error-answer"],
+    )
+    def test_reader_closing_early_gets_no_traceback(self, argv):
+        # both answers are longer than a pipe's buffer, so the write after the close always fails
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "polylog.cli", *argv], env=_FRESH_ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        )
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode != 0 and b"Traceback" not in err and not err, err[-2000:]
+
     @staticmethod
     def _fresh(*argv):
         """Exit code, stdout and loaded package modules of ``polylog argv`` in a fresh interpreter."""

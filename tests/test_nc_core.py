@@ -1,5 +1,6 @@
 import copy
 import gc
+import math
 import pickle
 import random
 import tracemalloc
@@ -10,8 +11,8 @@ import pytest
 from fractions import Fraction
 
 import polylog
-from polylog import cli, coding, harmonic, nc_core, negindex, polylog_num, products, stars, words
-from polylog.dense import NPoly
+from polylog import checks, cli, coding, harmonic, nc_core, negindex, polylog_num, products, stars, words
+from polylog.dense import NPoly, TaylorTrunc
 from polylog.harmonic import h_poly_table, h_word_table
 from polylog.nc_core import (
     AlphabetError,
@@ -507,6 +508,18 @@ def _ref_mul(a, b, n):
     return out
 
 
+def _ref_cauchy(xs, da, ys, db, n):
+    """The schoolbook Cauchy product of integer numerators over da and db, cut to degree n and trimmed."""
+    out = [0] * (n + 1)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            if i + j <= n:
+                out[i + j] += x * y
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out), da * db
+
+
 def _ref_star_inverse(a, n):
     # (1 + A)(1 + T) = 1 degree by degree: t_k = -(a_k + sum_{0<i<k} a_i t_(k-i))
     a, t = _cut(a, n), [Fraction(0)]
@@ -586,6 +599,65 @@ class TestDenseKernel:
             assert pa.mul_trunc(pb, n).padded(n) == tuple(_ref_mul(a, b, n))
             assert len(pa.mul_trunc(pb, n)) <= n + 1
             assert pa.hadamard(pb).padded(full) == tuple(_cut([x * y for x, y in zip(a, b)], full))
+
+        check()
+
+    def test_cauchy_of_li_vectors_is_the_schoolbook_product(self):
+        # the operands of the series benchmark's Cauchy products: Li vectors at N = 100 of every index of
+        # weight <= 4, and one pair of the morphisms suite at N = 300
+        indices = [c for w in range(1, 5) for c in checks._compositions(w)]
+        pairs = [(li_taylor_coeffs(u, 100).poly, li_taylor_coeffs(v, 100).poly, 100) for u in indices for v in indices]
+        pairs.append((li_taylor_coeffs((2, 1, 1), 300).poly, li_taylor_coeffs((1, 3), 300).poly, 300))
+        for pa, pb, n in pairs:
+            got = pa.mul_trunc(pb, n)
+            assert (got.nums, got.den) == _ref_cauchy(pa.nums, pa.den, pb.nums, pb.den, n)
+
+    def test_property_graded_cauchy_is_the_schoolbook_product(self):
+        # lengths on both sides of the first cut (96 entries), leading and inner zero runs, negative entries,
+        # den 1, and denominators that share factors with the entries as a Li vector's do: entry i of weight w
+        # is a multiple of (lcm(1..len) / lcm(1..i))^w over lcm(1..len)^w
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @st.composite
+        def operands(draw):
+            size = draw(st.integers(0, 130))
+            xs = draw(st.lists(st.integers(-(10**6), 10**6), min_size=size, max_size=size))
+            for _ in range(draw(st.integers(0, 2))):
+                lo = draw(st.integers(0, size))
+                hi = draw(st.integers(lo, size))
+                xs[lo:hi] = [0] * (hi - lo)
+            kind = draw(st.sampled_from(["li", "one", "any"]))
+            if kind == "one":
+                return xs, 1
+            if kind == "any":
+                return xs, draw(st.integers(1, 10**12))
+            w = draw(st.integers(1, 3))
+            top = math.lcm(1, *range(1, size + 1))
+            return [x * (top // math.lcm(1, *range(1, i + 1))) ** w for i, x in enumerate(xs)], top**w
+
+        @hyp.settings(max_examples=120, deadline=None, derandomize=True, database=None)
+        @hyp.given(operands(), operands(), st.integers(-2, 265))
+        @hyp.example(([0] * 60 + [1] * 60, 6), ([5] * 110, 10), 101)
+        def check(a, b, n):
+            pa, pb = NPoly(*a), NPoly(*b)
+            want = _ref_cauchy(pa.nums, pa.den, pb.nums, pb.den, n)
+            got = pa.mul_trunc(pb, n)
+            assert (got.nums, got.den) == want
+            full = pa * pb
+            assert (full.nums, full.den) == _ref_cauchy(pa.nums, pa.den, pb.nums, pb.den, len(pa) + len(pb) - 2)
+            if n >= 0:
+                view = polylog_num.cauchy(TaylorTrunc._of(pa, n), TaylorTrunc._of(pb, n)).poly
+                assert (view.nums, view.den) == want
+            for p in (pa, pb):
+                # the blocks put back together are the entries, and no cut operand keeps an all-zero block
+                blocks, head = p._blocks(n), p.nums[: max(n + 1, 0)]
+                rebuilt = [0] * len(head)
+                for lo, xs, g in blocks:
+                    assert p.den % g == 0
+                    rebuilt[lo : lo + len(xs)] = [g * x for x in xs]
+                assert rebuilt == list(head)
+                assert blocks == [(0, head, 1)] or all(any(xs) for _, xs, _ in blocks)
 
         check()
 
