@@ -227,7 +227,9 @@ class NPoly:
             return NotImplemented
         if self.den == other.den or len(self.nums) != len(other.nums):
             return self.nums == other.nums
-        return all(x * other.den == y * self.den for x, y in zip(self.nums, other.nums))
+        g = gcd(self.den, other.den)
+        a, b = other.den // g, self.den // g  # one is 1 where a denominator divides the other
+        return all(x * a == y * b for x, y in zip(self.nums, other.nums))
 
     __hash__ = None  # type: ignore[assignment]
 

@@ -11,10 +11,9 @@ as one C iterator.  :func:`h_signed_eval` (and :func:`h_word_eval`) streams the 
 the terms H_(s2..sr)(k-1) k^(-s1) per block of k over lcm(block)^s1, merged pairwise like a binary counter (no step
 divides a number of lcm(1..N)^s1 size), and a power sum over odd powers with shifts: O(r + log N) numbers.
 The two oracles compute their own weights.  Every other path reads weight rows (0, L^s n^(-s)) / L^s per (s, N),
-as nested sums are tabulated in Vermaseren's scheme (*Harmonic sums, Mellin transforms and integrals*, 1999), and
-builds a column in one pass over its row.  A row is Li's Taylor vector of the one letter y_s: Li's memo holds a tail
-entry's row, and a row only leading is built and not kept.  Li's Taylor vectors take one weight pass per leading
-entry over the memoized tail columns, so the column cache holds tails only, never a full word.  H_w(N) is the
+Li's Taylor vectors of one letter, held in Li's memo only, as in Vermaseren's tabulation of nested sums (*Harmonic
+sums, Mellin transforms and integrals*, 1999).  One step (:func:`_shifted`) multiplies a row into a shifted memoized
+tail column: a column is the step's prefix sums, so the column cache holds tails only, never a full word.  H_w(N) is the
 N-th Taylor coefficient of Li_w(z)/(1-z), and that is the one reading of a word's harmonic sums: a word table
 is the prefix sums of the word's memoized Taylor vector.  A polynomial has one Taylor path, :func:`_li_poly_vector`
 of a Y-polynomial: its prefix sums are the polynomial's harmonic sums, and an X-polynomial P reaches it as pi_Y(P)
@@ -48,7 +47,7 @@ from itertools import accumulate, islice, repeat
 from math import gcd, lcm, prod
 from operator import floordiv, mul
 from sys import getsizeof, int_info
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .dense import NPoly
 from .nc_core import MAX_TERMS, MEMO_BYTES, AlphabetError, NCPoly, RatLike, Y, memo_account, refuse_above
@@ -120,47 +119,46 @@ def _entry_bits(s: int, n: int) -> int:
     return ((3 * n // 2 + 1) * s if n > 1 else 0) + int.bit_length(n)
 
 
-def _tails_bytes(words: Iterable[Sequence[int]], n: int) -> int:
-    """What the distinct tails of ``words`` charge to N, walked once: a column per distinct nonempty tail (the
-    letters after a word's first) at its own entries' bits and depth, and a weight row per distinct tail entry.
-    """
+def _walk_bytes(words: Collection[Sequence[int]], n: int, bits: int, key: int = 0) -> int:
+    """What a cached build of the Taylor vector to N of ``words`` charges, walked once: the ``key`` of its entry, the
+    vector at ``bits``, a column per distinct proper tail (the letters after a word's first) at its own entries' bits
+    and depth, and a weight row per distinct letter.  A lone letter's vector is its row."""
     seen: dict[tuple[int, int], tuple[int, int]] = {}  # (first letter, id of the rest) -> (id, bits); 0: empty
-    size = 0
-    for letters in words:
-        tail = bits = 0
-        for depth, s in enumerate(reversed(letters[1:]), 1):
-            key = (s, tail)
-            got = seen.get(key)
+    lone = len(words) == 1 and all(len(word) == 1 for word in words)
+    size, letters = key + (0 if lone else _column_bytes(bits, n, 0)), set()
+    for word in words:
+        letters.update(word)
+        tail = tail_bits = 0
+        for depth, s in enumerate(reversed(word[1:]), 1):
+            got = seen.get((s, tail))
             if got is None:
-                got = seen[key] = (len(seen) + 1, bits + _entry_bits(s, n))
+                got = seen[s, tail] = (len(seen) + 1, tail_bits + _entry_bits(s, n))
                 size += _column_bytes(got[1], n, depth)
-            tail, bits = got
-    return size + sum(_index_bytes((s,), n) for s in {s for s, _ in seen})
+            tail, tail_bits = got
+    return size + sum(_column_bytes(_entry_bits(s, n), n, 0) for s in letters)
 
 
 def _index_bytes(index: SignedIndex, n: int) -> int:
-    """A bound on what Li's Taylor vector of ``index`` to N (so a word table too) charges with its tail's columns:
-    the vector with no zero entry at every entry's bits, as a polynomial's (:func:`_poly_bytes`), and the walk of its
-    one word's tails."""
-    return _column_bytes(sum(map(_entry_bits, index, repeat(n))), n, 0) + _tails_bytes((index,), n)
+    """A bound on what Li's Taylor vector of ``index`` to N (so a word table too) charges with its tail's columns and
+    rows: the walk of its one word, the vector at every entry's bits, as a polynomial's (:func:`_poly_bytes`)."""
+    return _walk_bytes((index,), n, sum(map(_entry_bits, index, repeat(n))))
 
 
 def _poly_bytes(q: NCPoly, weight: int, length: int, n: int) -> int:
-    """A bound on what the Taylor vector to N of a Y-polynomial builds and charges: it and its words' tail columns.
+    """A bound on what the Taylor vector to N of a Y-polynomial builds and charges: it, its tail columns and rows.
 
     The vector is counted at the bits of a word of the largest ``weight`` and ``length``, and so is each tail,
-    one per letter after a word's first, with a weight row per tail entry 1..weight - 1; where that passes
-    MEMO_BYTES, the vector and the walk of the words' distinct tails (:func:`_tails_bytes`).  The first count
-    never falls below the second and takes O(weight): on the series workload's polynomials the walk takes
-    about 45 us a call against 1.6 us, and walking on every call read 2-4% slower there.  Both count the key of
-    two or more words' entry: a frozenset of at most 8 slots of 16 bytes a term (a set built item by item), the
-    (letters, numerator) pairs and letter tuples of ``length``.
+    one per letter after a word's first, with a weight row per letter 1..weight; where that passes MEMO_BYTES,
+    the walk of the words (:func:`_walk_bytes`).  The first count never falls below the walk and takes O(weight):
+    on the series workload's polynomials the walk takes about 45 us a call against 1.6 us, and walking on every
+    call read 2-4% slower there.  Both count the key of two or more words' entry: a frozenset of at most 8 slots
+    of 16 bytes a term (a set built item by item), the (letters, numerator) pairs and letter tuples of ``length``.
     """
     key = getsizeof(frozenset()) + len(q) * (128 + getsizeof((0, 0)) + getsizeof((0,) * length)) if len(q) > 1 else 0
     bits = _entry_bits(weight, n) + max(length - 1, 0) * int.bit_length(n)
     size = key + _column_bytes(bits, n, 0) + len(q) * max(length - 1, 0) * _column_bytes(bits, n, 1)
-    size += sum(_index_bytes((s,), n) for s in range(1, weight)) if length > 1 else 0
-    return size if size <= MEMO_BYTES else key + _column_bytes(bits, n, 0) + _tails_bytes(q._nums, n)
+    size += sum(_column_bytes(_entry_bits(s, n), n, 0) for s in range(1, weight + 1))
+    return size if size <= MEMO_BYTES else _walk_bytes(q._nums, n, bits, key)
 
 
 def _prefix_column(weights: list[Iterator], n_max: int) -> Iterator[int]:
@@ -187,16 +185,9 @@ def _row_loop(weights: list[Iterator], n_max: int) -> Iterator[int]:
         yield state[0]
 
 
-def _row(s1: int, n_max: int) -> NPoly:
-    """The weight row (0, scale * n^(-s1) for n = 1..n_max) / scale, scale = lcm(1..n_max)^max(s1, 0): Li's Taylor
-    vector of (s1,), in lowest terms, as its entry at n = 1 is the scale."""
-    (scale,) = _scales((s1,), n_max)
-    return NPoly((0, *_weights(s1, scale, n_max)), scale)
-
-
-def _shifted(s1: int, sub: NPoly, n_max: int, entries: set) -> NPoly:
-    """n^(-s1) sub_(n-1), n = 0..n_max, Li's vector from H of its tail; s1's row is memoized if in ``entries``."""
-    row = _li_vector(n_max, s1) if s1 in entries else _row(s1, n_max)
+def _shifted(s1: int, sub: NPoly, n_max: int) -> NPoly:
+    """n^(-s1) sub_(n-1), n = 0..n_max, Li's vector from H of its tail: s1's row is Li's memoized vector of int(s1)."""
+    row = _li_vector(n_max, int(s1))
     return NPoly(map(mul, row.nums, (0, *sub.nums[:n_max])), sub.den * row.den)
 
 
@@ -210,9 +201,8 @@ def _h_vector(index: SignedIndex, n_max: int) -> NPoly:
 
     H_index(N) = 0 for N < depth and > 0 from there on, so a column is either zero (not cached) or keeps every
     entry under trimming, and ``len`` of a cached column is its entry count.  Built in a loop upwards from the
-    longest suffix cached long enough, so a deep index never reaches the recursion limit.  A column is one pass
-    over its entry's weight row, the entry's memoized Li vector; its charge is a bound, every nonzero entry at the
-    last's size.
+    longest suffix cached long enough, so a deep index never reaches the recursion limit.  A column is the prefix
+    sums of :func:`_shifted`; its charge is a bound, every nonzero entry at the last's size.
     """
     if n_max < len(index):
         return NPoly()
@@ -224,8 +214,7 @@ def _h_vector(index: SignedIndex, n_max: int) -> NPoly:
         k = len(index)
         col = NPoly((1,) * (n_max + 1), 1)
     for j in reversed(range(k)):
-        row = _li_vector(n_max, index[j])
-        col = NPoly(accumulate(map(mul, row.nums, (0, *col.nums))), col.den * row.den)
+        col = _shifted(index[j], col, n_max).prefix_sums(n_max)
         depth = len(index) - j  # the leading zeros
         memo_account.charge(getsizeof(col.den) + depth * getsizeof(0) + (len(col) - depth) * getsizeof(col.nums[-1]))
         _HVEC_CACHE[index[j:]] = col
@@ -235,16 +224,15 @@ def _h_vector(index: SignedIndex, n_max: int) -> NPoly:
 def _taylor_map(terms: Iterable[tuple[RatLike, SignedIndex]], n_cap: int) -> NPoly:
     """Taylor coefficients to n_cap of sum_k c_k Li_(index_k): one weight pass per s1, no sum of one term of 1."""
     groups: dict[int, list[tuple[RatLike, NPoly]]] = {}
-    parts, entries = [], set()  # the tails' entries
+    parts = []
     for c, index in terms:
         if index:
             groups.setdefault(index[0], []).append((c, _h_vector(index[1:], n_cap)))
-            entries.update(index[1:])
         else:
             parts.append((c, NPoly([1])))
     for s1, tails in groups.items():
         sub = tails[0][1] if len(tails) == 1 and tails[0][0] == 1 else NPoly.lin_comb(tails, n_cap)
-        parts.append((1, _shifted(s1, sub, n_cap, entries)))
+        parts.append((1, _shifted(s1, sub, n_cap)))
     return parts[0][1] if len(parts) == 1 and parts[0][0] == 1 else NPoly.lin_comb(parts, n_cap)
 
 
@@ -355,10 +343,15 @@ def _li_poly_vector(q: NCPoly, n_max: int) -> NPoly:
 
 @lru_cache(maxsize=None, typed=True)
 def _li_vector(n_cap: int, *index: int) -> NPoly:
-    """Li's Taylor vector to n_cap in lowest terms: 1 for the empty index, :func:`_row` for one letter.  A miss is
-    admitted first.  Typed keys, so (2.0,) never reads the entry of (2,) and is refused."""
+    """Li's Taylor vector to n_cap in lowest terms: 1 for the empty index; for one letter s the weight row (0, L n^(-s)
+    for n = 1..n_cap) / L, L = lcm(1..n_cap)^max(s, 0), whose entry at n = 1 is L.  A miss is admitted first.  Typed
+    keys, so (2.0,) never reads the entry of (2,) and is refused."""
     _refuse(index, n_cap, max(len(index), 1), lambda: _index_bytes(index, n_cap))  # the empty index has N + 1 entries
-    vector = _row(*index, n_cap) if len(index) == 1 else _taylor_map([(1, index)], n_cap).reduced()
+    if len(index) == 1:
+        (scale,) = _scales(index, n_cap)
+        vector = NPoly((0, *_weights(index[0], scale, n_cap)), scale)
+    else:
+        vector = _taylor_map([(1, index)], n_cap).reduced()
     memo_account.charge(sum(map(getsizeof, (vector.den, *vector.nums))))
     return vector
 

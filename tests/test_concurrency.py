@@ -91,9 +91,10 @@ def test_concurrent_li_vectors_agree(monkeypatch):
 
     _run_threads(worker)
     held = harmonic._li_vector.cache_info().currsize
-    # each vector is held once, and so is each tail entry's weight row: Li's vector of (1,) at all 13 N (the leading
-    # 1 of (1, 1) reads it at N = 0 too) and of (3,) at the 12 from N = 5; unless a lowered bound emptied the table
-    entries = len(expected) + 13 + 12
+    # each vector is held once, and so is each entry's weight row: Li's vectors of (1,), (2,) and (-2,) at all 13 N
+    # (a leading entry reads its row at N = 0 too) and of (3,), a tail entry only, at the 12 from N = 5; unless a
+    # lowered bound emptied the table
+    entries = len(expected) + 3 * 13 + 12
     assert held == entries if nc_core.MEMO_BYTES == _DEFAULT_BYTES else held < entries
 
 

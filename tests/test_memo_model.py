@@ -5,7 +5,8 @@ Three tables remain: the column cache ``_HVEC_CACHE``, Li's vectors ``_li_vector
 Li's vectors of one letter) and the polynomial vectors ``_POLY_VECTORS``.  The machine runs the five entry points
 that read them, on int, integral and non-integral Fraction, float and bool entries and negative N; it empties every
 table, and runs one call under a tiny MEMO_BYTES.  The oracle is the streaming :func:`h_signed_table`, which reads
-and fills no table.
+and fills no table.  A call of one build, unless a clear ran, charges at most its own estimate: the first figure that
+``_index_bytes`` or ``_poly_bytes`` gives in the call, that of its outermost miss, and nothing if it hit.
 """
 
 from fractions import Fraction
@@ -70,6 +71,19 @@ def _tables():
     return (*lens, *(table.cache_info().currsize for table in sizes), memo_account.bytes)
 
 
+_INDEX_BYTES, _POLY_BYTES = harmonic._index_bytes, harmonic._poly_bytes
+
+
+def _recorded(estimate, figures):
+    """``estimate``, noting each figure it gives in the list ``figures``."""
+
+    def recorded(*args):
+        figures.append(estimate(*args))
+        return figures[-1]
+
+    return recorded
+
+
 def _integer(s):
     """An entry that the admission reads as its int twin: an int, a bool or an integral Fraction, never a float."""
     return type(s) in (int, bool) or type(s) is Fraction and s.denominator == 1
@@ -78,18 +92,34 @@ def _integer(s):
 class MemoModel(stateful.RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
+        self.estimates = []  # the figures given since the last call began, its outermost miss's first
+        harmonic._index_bytes = _recorded(_INDEX_BYTES, self.estimates)
+        harmonic._poly_bytes = _recorded(_POLY_BYTES, self.estimates)
         self.clear()
 
-    def _call(self, refusal, call, want, words=()):
-        """``call()`` raises ``refusal`` and changes no table, or answers ``want()``; ``words`` reach Li's map."""
-        before = _tables()
+    def teardown(self):
+        harmonic._index_bytes, harmonic._poly_bytes = _INDEX_BYTES, _POLY_BYTES
+
+    def _call(self, refusal, call, want, words=(), one_build=True):
+        """``call()`` raises ``refusal`` and changes no table, or answers ``want()``; ``words`` reach Li's map.  A
+        call of one build charges at most its own estimate."""
+        before, clears = _tables(), memo_account.clears
+        self.estimates.clear()
         if refusal is not None:
             with pytest.raises(refusal):
                 call()
             assert _tables() == before
             return
         self._built(words)
-        assert call() == want()
+        got = call()
+        if one_build:
+            self._within_estimate(before[-1], clears)
+        assert got == want()
+
+    def _within_estimate(self, charged, clears):
+        """Unless a clear ran, the call charged at most its outermost miss's estimate past ``charged``; a hit none."""
+        if memo_account.clears == clears:
+            assert memo_account.bytes - charged <= (self.estimates[0] if self.estimates else 0)
 
     def _built(self, words):
         """Note the proper tails of ``words``, which a build may cache as columns."""
@@ -113,6 +143,13 @@ class MemoModel(stateful.RuleBasedStateMachine):
         self.li_coeffs(index, n)
         j = data.draw(st.integers(0, len(index) - 1))
         self._call(TypeError, lambda: li_taylor_coeffs((*index[:j], float(index[j]), *index[j + 1:]), n), None)
+
+    @stateful.rule(index=st.lists(_INT, min_size=1, max_size=2).map(tuple), data=st.data(), n=_N)
+    def integer_twin(self, index, data, n):
+        # an entry beside its twin, an integral Fraction or a bool, in any order: the two share one weight row
+        s = data.draw(st.sampled_from(index))
+        twin = data.draw(st.sampled_from([Fraction(s), *([bool(s)] if s in (0, 1) else [])]))
+        self.li_coeffs(tuple(data.draw(st.permutations((*index, twin)))), n)
 
     @stateful.rule(letters=st.lists(_LETTER, max_size=3).map(tuple), n=_N)
     def word_table(self, letters, n):
@@ -139,7 +176,8 @@ class MemoModel(stateful.RuleBasedStateMachine):
             # the product first, so that the check reads it from its memo: the harmonic tables are the model's
             product = products.stuffle(NCPoly.from_word(Word(u, Y)), NCPoly.from_word(Word(v, Y)))
             words = [u, v, *(w.letters for w in product.support())]
-        self._call(_word_refusal(u + v, n), lambda: h_stuffle_check(Word(u, Y), Word(v, Y), n), lambda: True, words)
+        call = lambda: h_stuffle_check(Word(u, Y), Word(v, Y), n)
+        self._call(_word_refusal(u + v, n), call, lambda: True, words, one_build=False)
 
     @stateful.rule(bound=st.integers(0, 4096), letters=st.lists(_POSITIVE, max_size=3).map(tuple),
                    terms=_terms(_POSITIVE), poly=st.booleans(), n=st.integers(0, 24))
@@ -150,7 +188,8 @@ class MemoModel(stateful.RuleBasedStateMachine):
             words = [letters for letters, _ in terms]
         else:
             call, want, words = lambda: h_word_table(Word(letters, Y), n), lambda: _h(letters, n), [letters]
-        before = _tables()
+        before, clears = _tables(), memo_account.clears
+        self.estimates.clear()
         saved = harmonic.MEMO_BYTES, nc_core.MEMO_BYTES
         harmonic.MEMO_BYTES = nc_core.MEMO_BYTES = bound
         try:
@@ -159,6 +198,7 @@ class MemoModel(stateful.RuleBasedStateMachine):
             assert "above MEMO_BYTES" in str(refused) and _tables() == before
         else:
             self._built(words)
+            self._within_estimate(before[-1], clears)
             assert got == want()
             assert memo_account.bytes == before[-1] or memo_account.bytes <= bound
         finally:

@@ -739,6 +739,22 @@ class TestDenseKernel:
 
         check()
 
+        # equality is that of the padded Fractions, over shared, coprime and dividing denominators
+        nums = st.lists(st.integers(-40, 40), max_size=5)
+        dens = st.sampled_from([(6, 6), (4, 9), (35, 12), (3, 12), (12, 3), (1, 8), (10, 10**30)])
+
+        @hyp.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+        @hyp.given(nums, nums, dens, st.booleans())
+        def equal(a, b, d, same):
+            g = gcd(*d)
+            if same:  # a / g over either denominator
+                a, b = [x * (d[0] // g) for x in a], [x * (d[1] // g) for x in a]
+            p, q = NPoly(a, d[0]), NPoly(b, d[1])
+            n = max(len(p), len(q))
+            assert (p == q) == (p.padded(n) == q.padded(n)) == (q == p)
+
+        equal()
+
     def test_repr_and_foreign_equality(self):
         assert repr(NPoly([1, Fraction(1, 2)])) == "NPoly(1/2*N + 1)"
         assert NPoly([1]) != 1 and NPoly() != ()

@@ -198,16 +198,16 @@ class TestLiVectorCache:
 
     def test_a_tail_row_and_a_one_letter_vector_are_one_entry(self, monkeypatch):
         # the weight row of the tail entry 3 is Li's vector of (3,): asked for first, the vector serves the tail's
-        # column, and a row built for a tail first answers the vector
+        # column, and a row built for a tail first answers the vector; the leading 2's row is one entry more
         _empty_tables(monkeypatch)
         li_taylor_coeffs((3,), 40)
         misses = _li_vector.cache_info().misses
         assert li_taylor_coeffs((2, 3), 40) == _uncached_li((2, 3), 40)
-        assert _li_vector.cache_info().misses == misses + 1  # (2, 3) alone
+        assert _li_vector.cache_info().misses == misses + 2  # (2, 3) and (2,)
         li_taylor_coeffs((2, 3), 41)
         hits = _li_vector.cache_info().hits
-        assert li_taylor_coeffs((3,), 41) == _uncached_li((3,), 41)
-        assert _li_vector.cache_info().hits == hits + 1
+        got = li_taylor_coeffs((3,), 41)
+        assert _li_vector.cache_info().hits == hits + 1 and got == _uncached_li((3,), 41)
 
     def test_a_refused_float_entry_leaves_no_column_for_its_int_twin(self, monkeypatch):
         # 2.0 == 2 and hashes alike, so a float column cached under (2.0,) would be read for (2,): the entry is
@@ -284,8 +284,8 @@ class TestLiVectorCache:
         assert refusal_in_fresh_process(call) == message
 
     def test_under_the_memo_bound_answers(self):
-        # the vector, the column of (1,) and its row: 3,002 numbers each, of at most 8,686, 4,333 and 4,330 bits,
-        # 7,158,848 bytes charged against an estimate of 9,257,568
+        # the vector, the column of (1,) and the rows of 1 and 2: 3,002 numbers each, of at most 8,686, 4,333, 4,330
+        # and 8,660 bits, 10,691,300 bytes charged against an estimate of 12,944,024
         t = li_taylor_coeffs((2, 1), 3000)
         assert t.n_cap == 3000 and t.coeffs[:4] == (0, 0, F(1, 4), F(1, 6))
 
@@ -294,11 +294,13 @@ class TestLiVectorCache:
         [
             ((1,), 3000), ((2,), 3000), ((1, 1, 1), 3000), ((2, 1), 3000), ((4, 4), 60), ((1,) * 8, 300), ((6,), 40),
             ((3, -2, 1), 500), ((-3,), 200), ((0, 0, 0), 100), ((-5, -5), 300), ((-1, 2), 2), ((), 10), ((5,), 0),
+            # an entry and its int twin share one weight row, as the estimate counts them
+            ((2, F(2)), 200), ((1, F(1)), 50), ((True, 1), 30),
         ],
     )
     def test_charge_is_within_the_estimate(self, monkeypatch, index, n):
-        # from emptied tables, what li_taylor_coeffs and h_word_table (the vector and the tail's columns) charge
-        # is at most the estimate that MEMO_BYTES refuses
+        # from emptied tables, what li_taylor_coeffs and h_word_table (the vector, the tail's columns and the rows)
+        # charge is at most the estimate that MEMO_BYTES refuses; a Word takes int letters only
         def charge(call, *args):
             for clear in memo_account.tables:
                 clear()
@@ -310,7 +312,7 @@ class TestLiVectorCache:
 
         estimate = harmonic._index_bytes(index, n)
         assert 0 < charge(li_taylor_coeffs, index, n) <= estimate
-        if all(s > 0 for s in index):
+        if all(type(s) is int and s > 0 for s in index):
             assert charge(h_word_table, Word(index, Y), n) <= estimate
             # one walk of the distinct tails: a word's figure is that of the polynomial of the word alone
             monkeypatch.setattr(harmonic, "MEMO_BYTES", 0)
@@ -444,7 +446,7 @@ class TestPolyVectorCache:
         # is refused before any table is filled, and answers at the bound that counts the key
         p, n = stuffle(NCPoly.from_word(y_word(2, 1)), NCPoly.from_word(y_word(1, 3))), 30
         bits = harmonic._entry_bits(p.max_grade, n) + (p.max_length - 1) * n.bit_length()
-        keyless = harmonic._column_bytes(bits, n, 0) + harmonic._tails_bytes(p._nums, n)
+        keyless = harmonic._walk_bytes(p._nums, n, bits)
         monkeypatch.setattr(harmonic, "MEMO_BYTES", keyless)
         _empty_tables(monkeypatch)
         with pytest.raises(ValueError, match="above MEMO_BYTES"):
